@@ -10,6 +10,8 @@ passed.  NAMA_THREADS bounds the parallelism of `check`.
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
 
 from . import curves as cv
@@ -26,8 +28,19 @@ def _read_instance(path: str) -> io.InstanceFile:
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    """Write `text` (UTF-8) to `path`, overwriting a regular file in place.
+
+    Opening with O_TRUNC cuts an existing file to zero length first, and
+    ext4 (default auto_da_alloc) then waits for the writeback of its old
+    contents: 45-65 ms per call on a 2-core VM's disk.  Writing over the
+    old bytes and cutting the file to the new length afterwards does not
+    wait.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(text.encode("utf-8"))
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
 
 
 def _expect_kind(inst: io.InstanceFile, *kinds: str) -> None:

@@ -31,7 +31,7 @@ from . import instance_io as io
 from . import polyhedra as pg
 from . import solver as sv
 from . import toric as tc
-from .errors import CandidateOutOfRange, NotConverged, UnknownSuite
+from .errors import CandidateOutOfRange, NotConverged, UnknownSuite, ValidationError
 from .polyhedra import sub
 
 _ZERO = Fraction(0)
@@ -872,6 +872,20 @@ _SUITES: Dict[str, Callable[[SplitMix64, GenConfig], List]] = {
 SUITE_NAMES = tuple(sorted(_SUITES))
 
 
+def _worker_count() -> int:
+    """NAMA_THREADS when set (a positive integer), else the CPU count."""
+    threads = os.environ.get("NAMA_THREADS")
+    if not threads:
+        return os.cpu_count() or 1
+    try:
+        workers = int(threads)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValidationError("NAMA_THREADS", f"expected a positive integer, got {threads!r}")
+    return workers
+
+
 def run_suite(name: str, cfg: GenConfig, cases: int) -> CheckReport:
     """Run `cases` seeded instances through one named assertion set.
 
@@ -890,8 +904,7 @@ def run_suite(name: str, cfg: GenConfig, cases: int) -> CheckReport:
         rng = SplitMix64(seed)
         return [Failure(seed, assertion, witness) for assertion, witness in fn(rng, cfg)]
 
-    threads = os.environ.get("NAMA_THREADS")
-    workers = int(threads) if threads else (os.cpu_count() or 1)
+    workers = _worker_count()
     results: List[Failure] = []
     if workers > 1 and cases > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Dict, Optional
@@ -48,11 +49,24 @@ def _scalar(value, mode: str, field: str) -> Fraction:
             raise ValidationError(
                 field, "binary floats are not allowed in rational mode; use 'p/q' strings"
             )
+        if not math.isfinite(value):
+            raise ValidationError(field, f"not a finite number: {value!r}")
         return Fraction(value)
     try:
         return parse_scalar(value)
     except ValueError as exc:
         raise ValidationError(field, str(exc)) from None
+
+
+def _is_int(value) -> bool:
+    """A JSON integer; JSON true/false decode to bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _list(obj, field: str) -> list:
+    if not isinstance(obj, list):
+        raise ValidationError(field, "expected a list")
+    return obj
 
 
 def _point(value, mode: str, field: str, dim: Optional[int] = None):
@@ -131,7 +145,7 @@ def encode_graph(graph: cv.MetricGraph, mode: str = "rational"):
 def decode_graph(obj, mode: str, field: str) -> cv.MetricGraph:
     _check_keys(obj, {"vertex_count", "edges"}, {"vertex_count", "edges"}, field)
     count = obj["vertex_count"]
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+    if not _is_int(count) or count < 1:
         raise ValidationError(f"{field}.vertex_count", "expected a positive integer")
     edges = obj["edges"]
     if not isinstance(edges, list) or not edges:
@@ -141,7 +155,7 @@ def decode_graph(obj, mode: str, field: str) -> cv.MetricGraph:
         if not isinstance(e, list) or len(e) != 3:
             raise ValidationError(f"{field}.edges[{i}]", "expected [u, v, length]")
         u, v, l = e
-        if not isinstance(u, int) or not isinstance(v, int):
+        if not _is_int(u) or not _is_int(v):
             raise ValidationError(f"{field}.edges[{i}]", "endpoints must be integers")
         parsed.append((u, v, _scalar(l, mode, f"{field}.edges[{i}].length")))
     try:
@@ -162,13 +176,13 @@ def decode_graph_measure(obj, graph: cv.MetricGraph, mode: str, field: str) -> c
         if "vertex" in atom:
             _check_keys(atom, {"vertex", "weight"}, {"vertex", "weight"}, af)
             v = atom["vertex"]
-            if not isinstance(v, int) or not (0 <= v < graph.vertex_count):
+            if not _is_int(v) or not (0 <= v < graph.vertex_count):
                 raise ValidationError(f"{af}.vertex", "vertex index out of range")
             vw[v] += _scalar(atom["weight"], mode, f"{af}.weight")
         else:
             _check_keys(atom, {"edge", "pos", "weight"}, {"edge", "pos", "weight"}, af)
             e = atom["edge"]
-            if not isinstance(e, int) or not (0 <= e < len(graph.edges)):
+            if not _is_int(e) or not (0 <= e < len(graph.edges)):
                 raise ValidationError(f"{af}.edge", "edge index out of range")
             pos = _scalar(atom["pos"], mode, f"{af}.pos")
             if not (0 < pos < 1):
@@ -224,7 +238,7 @@ def _parse_solver_block(obj, mode: str) -> sv.SolverConfig:
     _check_keys(obj, {"tol", "max_iter", "damping"}, set(), "solver")
     tol = _scalar(obj["tol"], mode, "solver.tol") if "tol" in obj else None
     max_iter = obj.get("max_iter", 10_000)
-    if not isinstance(max_iter, int) or max_iter < 1:
+    if not _is_int(max_iter) or max_iter < 1:
         raise ValidationError("solver.max_iter", "expected a positive integer")
     damping = (
         _scalar(obj["damping"], mode, "solver.damping")
@@ -266,12 +280,14 @@ def parse_instance(text: str) -> InstanceFile:
                 if key not in obj:
                     raise ValidationError(key, "missing field")
             sites = [
-                _point(s, mode, f"sites[{i}]", n) for i, s in enumerate(obj["sites"])
+                _point(s, mode, f"sites[{i}]", n)
+                for i, s in enumerate(_list(obj["sites"], "sites"))
             ]
             if len(set(sites)) != len(sites):
                 raise ValidationError("sites", "sites must be distinct")
             weights = [
-                _scalar(w, mode, f"weights[{i}]") for i, w in enumerate(obj["weights"])
+                _scalar(w, mode, f"weights[{i}]")
+                for i, w in enumerate(_list(obj["weights"], "weights"))
             ]
             if len(weights) != len(sites):
                 raise ValidationError("weights", "one weight per site required")
@@ -284,7 +300,7 @@ def parse_instance(text: str) -> InstanceFile:
                 )
             data["problem"] = sv.DiracProblem(delta, tuple(sites), tuple(weights))
         else:
-            if "constraints" not in obj or not obj["constraints"]:
+            if "constraints" not in obj or not _list(obj["constraints"], "constraints"):
                 raise ValidationError("constraints", "need at least one constraint")
             cons = []
             for i, c in enumerate(obj["constraints"]):
@@ -296,7 +312,7 @@ def parse_instance(text: str) -> InstanceFile:
             data["constraints"] = tuple(cons)
             if "lattice_m" in obj:
                 m = obj["lattice_m"]
-                if not isinstance(m, int) or m < 1:
+                if not _is_int(m) or m < 1:
                     raise ValidationError("lattice_m", "expected a positive integer")
                 data["lattice_m"] = m
     else:
@@ -324,7 +340,7 @@ def parse_instance(text: str) -> InstanceFile:
                 if key not in obj:
                     raise ValidationError(key, "missing field")
                 v = obj[key]
-                if not isinstance(v, int) or not (0 <= v < graph.vertex_count):
+                if not _is_int(v) or not (0 <= v < graph.vertex_count):
                     raise ValidationError(key, "vertex index out of range")
             if obj["x"] == obj["y"]:
                 raise ValidationError("y", "x and y must differ")

@@ -1,10 +1,14 @@
 """Exact rational convex geometry in ambient dimension 1 and 2.
 
-Everything here is computed over `fractions.Fraction` with no rounding:
-hulls, half-space clipping, volumes, centroids, Minkowski sums and lower
-convex hulls of lifted point sets.  Empty and lower-dimensional polytopes
-are ordinary values (volume 0), because cells routinely degenerate while
-a solver walks through potential space.
+Hulls, half-space clipping, Laguerre (power-diagram) cells, volumes,
+centroids, Minkowski sums and lower convex hulls of lifted point sets,
+all with no rounding.  Points, half-spaces and results cross the API as
+`fractions.Fraction` tuples.  Clipping and Laguerre cells run one
+Sutherland-Hodgman loop on integer homogeneous coordinates inside and
+convert to Fractions only when they hand the surviving points to `hull`.
+Empty and lower-dimensional polytopes are ordinary values (volume 0),
+because cells routinely degenerate while a solver walks through
+potential space.
 
 An approximate float-only mode for ambient dimension 3 lives in
 `nama.approx`; dimensions >= 4 are rejected.
@@ -14,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
     ConsistencyError,
@@ -214,36 +218,70 @@ def hull(points, dim: Optional[int] = None) -> Polytope:
     return Polytope(2, loop, 2, _facets_polygon(loop))
 
 
-def _clip_halfspace_points(pts, a, b, full_loop: bool):
-    """Clip a vertex description against {<a,m> <= b}.
+# --------------------------------------------------------------------------
+# Half-space clipping on integer homogeneous coordinates.
+#
+# Inside the clipping loop a point m is the integer triple (X, Y, W) with
+# W > 0 and gcd(X, Y, W) = 1, so m = (X/W, Y/W); a 1-D point is (X, 0, W).
+# The representation is canonical, so equal points are equal tuples.  A
+# half-space {<a, m> <= b} is the integer triple (A0, A1, B), (a, b) times
+# a positive common denominator; m satisfies it iff A0 X + A1 Y - B W <= 0.
+# --------------------------------------------------------------------------
 
-    `full_loop` marks a CCW polygon boundary; otherwise `pts` is a point
-    or segment and is clipped parametrically.
+
+def _integers(values) -> Tuple[List[int], int]:
+    """Rationals as integers over their least common denominator."""
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _planar(p) -> tuple:
+    """A 1-D point or normal as its 2-D embedding (x, 0)."""
+    return (p[0], 0) if len(p) == 1 else tuple(p)
+
+
+def _homogeneous(p) -> Tuple[int, int, int]:
+    (x, y), w = _integers(_planar(p))
+    return (x, y, w)
+
+
+def _from_homogeneous(h, dim: int) -> Point:
+    x, y, w = h
+    if dim == 1:
+        return (Fraction(x, w),)
+    return (Fraction(x, w), Fraction(y, w))
+
+
+def _cut(loop, a0: int, a1: int, b: int):
+    """One Sutherland-Hodgman pass of `loop` against {a0 X + a1 Y <= b W}.
+
+    `loop` lists distinct homogeneous points in boundary order: a convex
+    polygon, or any order for collinear points (a segment is a 2-point
+    loop, a point a 1-point loop).  Returns `loop` itself when no point
+    violates the half-space, [] when every point does, and otherwise the
+    kept points plus the crossing points of the edges, without repeats.
     """
-    vals = [dot(a, p) - b for p in pts]
-    if full_loop:
-        out = []
-        k = len(pts)
-        for i in range(k):
-            p, q = pts[i], pts[(i + 1) % k]
-            fp, fq = vals[i], vals[(i + 1) % k]
-            if fp <= 0:
-                out.append(p)
-            if (fp < 0 < fq) or (fq < 0 < fp):
-                t = fp / (fp - fq)
-                out.append(add(p, scale_point(sub(q, p), t)))
-        return out
-    if len(pts) == 1:
-        return [pts[0]] if vals[0] <= 0 else []
-    p, q = pts
-    fp, fq = vals
-    if fp <= 0 and fq <= 0:
-        return [p, q]
-    if fp > 0 and fq > 0:
+    vals = [a0 * x + a1 * y - b * w for x, y, w in loop]
+    if max(vals) <= 0:
+        return loop
+    if min(vals) > 0:
         return []
-    t = fp / (fp - fq)
-    mid = add(p, scale_point(sub(q, p), t))
-    return [p, mid] if fp <= 0 else [mid, q]
+    out = []
+    p, fp = loop[-1], vals[-1]
+    for q, fq in zip(loop, vals):
+        if (fp < 0 < fq) or (fq < 0 < fp):
+            # f_q P - f_p Q lies on the line; its W has the sign of f_q.
+            x, y, w = fq * p[0] - fp * q[0], fq * p[1] - fp * q[1], fq * p[2] - fp * q[2]
+            if w < 0:
+                x, y, w = -x, -y, -w
+            g = gcd(x, y, w)
+            out.append((x // g, y // g, w // g))
+        if fq <= 0:
+            out.append(q)
+        p, fp = q, fq
+    # Collinear loops meet the line once but cross it on several edges.
+    return list(dict.fromkeys(out))
 
 
 def clip(p: Polytope, halfspaces) -> Polytope:
@@ -251,23 +289,54 @@ def clip(p: Polytope, halfspaces) -> Polytope:
     if p.is_empty or not halfspaces:
         return p
     n = p.dim
-    pts = list(p.vertices)
-    full = p.affine_dim == 2
+    cuts = []
     for a, b in halfspaces:
-        a = _aspoint(a)
         if len(a) != n:
-            raise DimensionMismatch(f"normal {a} does not have dimension {n}")
-        b = Fraction(b)
-        if n == 1:
-            pts = _clip_halfspace_points(pts, a, b, False)
-        else:
-            pts = _clip_halfspace_points(pts, a, b, full)
-        if not pts:
+            raise DimensionMismatch(f"normal {tuple(a)} does not have dimension {n}")
+        cuts.append(_integers(_planar(a) + (b,))[0])
+    loop = [_homogeneous(v) for v in p.vertices]
+    for cut in cuts:
+        loop = _cut(loop, *cut)
+        if not loop:
             return _empty(n)
-        if full and len(pts) < 3:
-            full = False
-    result = hull(pts, n)
-    return result
+    return hull([_from_homogeneous(h, n) for h in loop], n)
+
+
+def laguerre_cells(body: Polytope, sites, values) -> List[Optional[Polytope]]:
+    """Cells {m in body : <x_a, m> - t_a >= <x_b, m> - t_b for all b} of
+    the power diagram of distinct sites x_a with values t_a, clipped to a
+    full-dimensional body.
+
+    Returns one entry per site: its cell, or None when the cell is not
+    full-dimensional.  Sites are scaled by one common denominator D and
+    values by one common denominator E, so the half-space of the pair
+    (a, b) is the integer triple (E (X_b - X_a), D (T_b - T_a)).
+    """
+    n = body.dim
+    coords, d = _integers([c for x in sites for c in _planar(x)])
+    ts, e = _integers(values)
+    scaled = [(e * coords[2 * i], e * coords[2 * i + 1], d * t) for i, t in enumerate(ts)]
+    start = [_homogeneous(v) for v in body.vertices]
+    full = n + 1  # fewer distinct points cannot span a full-dimensional cell
+    cells: List[Optional[Polytope]] = []
+    for a, (xa, ya, ta) in enumerate(scaled):
+        # Nearest sites first: their walls bound the cell soonest, after
+        # which the far sites' half-spaces mostly miss it and are skipped.
+        near = sorted(scaled, key=lambda s: (s[0] - xa) ** 2 + (s[1] - ya) ** 2)
+        loop = start
+        for xb, yb, tb in near:
+            if xb != xa or yb != ya:
+                loop = _cut(loop, xb - xa, yb - ya, tb - ta)
+                if len(loop) < full:
+                    break
+        if len(loop) < full:
+            cells.append(None)
+        elif loop is start:  # no wall cuts the body
+            cells.append(body)
+        else:
+            cell = hull([_from_homogeneous(h, n) for h in loop], n)
+            cells.append(cell if cell.is_full_dimensional else None)
+    return cells
 
 
 def volume(p: Polytope) -> Fraction:

@@ -99,19 +99,13 @@ class ToricPsh:
         for x, _ in gens:
             if len(x) != n:
                 raise DimensionMismatch(f"site {x} vs dimension {n}")
-        kept: List[Tuple[Point, Fraction]] = []
-        cells: List[Polytope] = []
-        for xa, ta in gens:
-            halfspaces = [
-                (sub(xb, xa), tb - ta) for xb, tb in gens if xb != xa
-            ]
-            cell = pg.clip(delta.body, halfspaces)
-            if cell.is_full_dimensional:
-                kept.append((xa, ta))
-                cells.append(cell)
+        laguerre = pg.laguerre_cells(
+            delta.body, [x for x, _ in gens], [t for _, t in gens]
+        )
+        kept = [(g, cell) for g, cell in zip(gens, laguerre) if cell is not None]
         self.delta = delta
-        self.generators = tuple(kept)
-        self.cells = tuple(cells)
+        self.generators = tuple(g for g, _ in kept)
+        self.cells = tuple(cell for _, cell in kept)
         self._pieces = None
 
     @property

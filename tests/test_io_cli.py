@@ -333,3 +333,88 @@ class TestRevalidation:
         s = sv.normalize(sv.solve(inst.data["problem"], sv.SolverConfig(mode="rational")))
         result = io.result_for_solution(inst, s, with_timestamp=False)
         assert io.revalidate_result(inst, result) == s.residual == 0
+
+
+def _mutated(doc, path, value):
+    """A deep copy of `doc` with the entry at `path` (keys and indices)
+    replaced by `value`."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+class TestMalformedInstancesExitTwo:
+    """Malformed instances end in exit code 2 through cli.main, never in a
+    traceback and never in a silently accepted value."""
+
+    def run(self, tmp_path, command, doc):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        return run_cli(tmp_path, command, path, "-o", tmp_path / "out.json")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_coordinate(self, tmp_path, value):
+        doc = dict(DIRAC, mode="float", sites=[[value, 0.1]], weights=[1.0])
+        assert self.run(tmp_path, "solve", doc) == 2
+
+    def test_non_finite_float_weight(self, tmp_path):
+        doc = dict(DIRAC, mode="float", sites=[[0.5, 0.5]], weights=[float("nan")])
+        assert self.run(tmp_path, "solve", doc) == 2
+
+    @pytest.mark.parametrize("key", ["sites", "weights"])
+    def test_dirac_list_field_not_a_list(self, tmp_path, key):
+        assert self.run(tmp_path, "solve", dict(DIRAC, **{key: 5})) == 2
+
+    @pytest.mark.parametrize("value", [5, {"site": ["0"], "value": "0"}])
+    def test_constraints_not_a_list(self, tmp_path, value):
+        assert self.run(tmp_path, "envelope", dict(ENVELOPE, constraints=value)) == 2
+
+    @pytest.mark.parametrize(
+        "command, doc, path",
+        [
+            ("green", GREEN, ["x"]),
+            ("green", GREEN, ["y"]),
+            ("green", GREEN, ["graph", "edges", 0, 1]),
+            ("poisson", POISSON, ["mu", 0, "vertex"]),
+            ("solve", dict(DIRAC, solver={"max_iter": 5}), ["solver", "max_iter"]),
+            ("envelope", ENVELOPE, ["lattice_m"]),
+        ],
+    )
+    def test_bool_where_an_integer_is_read(self, tmp_path, command, doc, path):
+        assert self.run(tmp_path, command, _mutated(doc, path, True)) == 2
+
+    def test_bool_edge_index_of_an_interior_atom(self, tmp_path):
+        bad = dict(
+            POISSON,
+            mu=[
+                {"vertex": 2, "weight": "2"},
+                {"edge": True, "pos": "1/2", "weight": "1"},
+            ],
+        )
+        assert self.run(tmp_path, "poisson", bad) == 2
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-1", "1.5"])
+def test_invalid_nama_threads_exits_two_naming_the_variable(tmp_path, monkeypatch, capsys, threads):
+    monkeypatch.setenv("NAMA_THREADS", threads)
+    code = run_cli(
+        tmp_path,
+        "check", "--suite", "comparison", "--cases", "2", "--dimension", "1",
+        "-o", tmp_path / "r.json",
+    )
+    assert code == 2
+    assert "NAMA_THREADS" in capsys.readouterr().err
+
+
+def test_rewriting_an_output_leaves_no_stale_bytes(tmp_path):
+    """Outputs overwrite an existing file in place; a shorter result must
+    still replace the whole file."""
+    out = tmp_path / "out.json"
+    out.write_text("x" * 100_000)
+    assert run_cli(tmp_path, "check", "--suite", "comparison", "--seed", "5", "--cases", "2",
+                   "--dimension", "1", "--no-timestamp", "-o", out) == 0
+    report = json.loads(out.read_text())
+    assert report["suite"] == "comparison"

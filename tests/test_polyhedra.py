@@ -314,6 +314,145 @@ class TestLowerHull:
         assert len(lh.cells) == 4
 
 
+def reference_clip(p, halfspaces):
+    """Plain-Fraction Sutherland-Hodgman clip, the reference for pg.clip.
+
+    Segments and points are clipped as 2- and 1-point loops; hull drops
+    the repeated crossing points.  Returns None for an empty result.
+    """
+    pts = list(p.vertices)
+    for a, b in halfspaces:
+        a, b = tuple(F(c) for c in a), F(b)
+        vals = [sum(x * y for x, y in zip(a, q)) - b for q in pts]
+        out = []
+        for i in range(len(pts)):
+            q, r = pts[i], pts[(i + 1) % len(pts)]
+            fq, fr = vals[i], vals[(i + 1) % len(pts)]
+            if fq <= 0:
+                out.append(q)
+            if (fq < 0 < fr) or (fr < 0 < fq):
+                t = fq / (fq - fr)
+                out.append(tuple(x + t * (y - x) for x, y in zip(q, r)))
+        if not out:
+            return None
+        pts = out
+    return pg.hull(pts, p.dim)
+
+
+def assert_clip_matches_reference(body, halfspaces):
+    got = pg.clip(body, halfspaces)
+    want = reference_clip(body, halfspaces)
+    if want is None:
+        assert got.is_empty
+    else:
+        assert got == want
+
+
+def random_halfspaces(rng, body, count, floats=False):
+    """Random cuts of `body`, mixing generic cuts with cuts through a
+    vertex, along an edge (both sides) and cuts that empty the body."""
+    n = body.dim
+    verts = list(body.vertices)
+    out = []
+    for _ in range(count):
+        kind = rng.randrange(5)
+        if floats:
+            a = tuple(F(rng.uniform(-3, 3)) for _ in range(n))
+        else:
+            a = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))
+        if all(c == 0 for c in a):
+            a = (F(1),) + a[1:]
+        if kind == 0:
+            b = F(rng.uniform(-2, 2)) if floats else F(rng.randint(-8, 8), 4)
+        elif kind == 1:  # through a vertex
+            b = pg.dot(a, rng.choice(verts))
+        elif kind == 2 and body.affine_dim == 2:  # along an edge, either side
+            a, b = rng.choice(body.facets)
+            if rng.random() < 0.5:
+                a, b = tuple(-c for c in a), -b
+        elif kind == 3:  # below every vertex: empty
+            b = min(pg.dot(a, v) for v in verts) - F(1, 7)
+        else:
+            b = max(pg.dot(a, v) for v in verts) + F(rng.randint(-3, 0), 5)
+        out.append((a, b))
+    return out
+
+
+class TestIntegerClipAgainstFractionReference:
+    def test_polygons(self):
+        rng = random.Random(41)
+        for _ in range(150):
+            pts = [(F(rng.randint(-8, 8), 4), F(rng.randint(-8, 8), 4)) for _ in range(7)]
+            body = pg.hull(pts, 2)
+            for count in (1, 2, 4, 6):
+                assert_clip_matches_reference(body, random_halfspaces(rng, body, count))
+
+    def test_segments_and_points(self):
+        rng = random.Random(43)
+        for _ in range(150):
+            p = (F(rng.randint(-8, 8), 3), F(rng.randint(-8, 8), 3))
+            q = (F(rng.randint(-8, 8), 3), F(rng.randint(-8, 8), 3))
+            for body in (pg.hull([p, q], 2), pg.hull([p], 2)):
+                for count in (1, 3, 5):
+                    assert_clip_matches_reference(body, random_halfspaces(rng, body, count))
+
+    def test_intervals(self):
+        rng = random.Random(47)
+        for _ in range(150):
+            lo, hi = sorted(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(2))
+            for body in (pg.hull([(lo,), (hi,)], 1), pg.hull([(lo,)], 1)):
+                for count in (1, 2, 4):
+                    assert_clip_matches_reference(body, random_halfspaces(rng, body, count))
+
+    def test_float_derived_coefficients(self):
+        rng = random.Random(53)
+        for _ in range(100):
+            pts = [(F(rng.uniform(-1, 1)), F(rng.uniform(-1, 1))) for _ in range(6)]
+            body = pg.hull(pts, 2)
+            halfspaces = random_halfspaces(rng, body, rng.randint(1, 6), floats=True)
+            assert_clip_matches_reference(body, halfspaces)
+            assert_clip_matches_reference(pg.hull(pts[:2], 2), halfspaces)
+
+    def test_toric_cells_k128_paraboloid(self):
+        """Every Laguerre cell of a 128-site paraboloid-lifted envelope is
+        the reference clip of Delta by the other sites' half-spaces, and a
+        generator is pruned exactly when its reference cell is not
+        full-dimensional."""
+        from nama import toric as tc
+
+        rng = random.Random(59)
+        delta = tc.newton_polytope([(0, 0), (4, 0), (5, 3), (2, 5), (0, 3)], 2)
+        pts = set()
+        while len(pts) < 128:
+            p = (F(rng.randint(0, 160), 32), F(rng.randint(0, 160), 32))
+            if delta.body.contains(p):
+                pts.add(p)
+        noise = F(1, 64)
+        gens = [((2 * x, 2 * y), x * x + y * y + noise * rng.randint(-8, 8)) for x, y in pts]
+        f = tc.ToricPsh(delta, gens)
+        kept = dict(zip(f.generators, f.cells))
+        for xa, ta in sorted(gens):
+            halfspaces = [(pg.sub(xb, xa), tb - ta) for xb, tb in gens if xb != xa]
+            want = reference_clip(delta.body, halfspaces)
+            if want is not None and want.is_full_dimensional:
+                assert kept.pop((xa, ta)) == want
+        assert kept == {}
+        assert 40 < len(f.cells) < 128
+
+
+def test_laguerre_cells_one_dimensional():
+    body = pg.hull([(F(0),), (F(2),)], 1)
+    cells = pg.laguerre_cells(body, [(F(0),), (F(1),), (F(3),)], [F(0), F(1, 2), F(7, 2)])
+    # u(m) = max(0, m - 1/2, 3m - 7/2): breakpoints at 1/2 and 3/2.
+    assert cells == [
+        pg.hull([(F(0),), (F(1, 2),)], 1),
+        pg.hull([(F(1, 2),), (F(3, 2),)], 1),
+        pg.hull([(F(3, 2),), (F(2),)], 1),
+    ]
+    # A site whose affine piece never attains the max has no cell.
+    assert pg.laguerre_cells(body, [(F(0),), (F(1),)], [F(0), F(5)]) == [body, None]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(pt2(), min_size=1, max_size=12))
 def test_hull_idempotent_property(pts):

@@ -161,6 +161,11 @@ def _cmd_check(args) -> int:
         function_complexity=args.function_complexity,
         coefficient_bound=args.coefficient_bound,
     )
+    if args.suite in hx.ONE_DIMENSIONAL_SUITES and args.dimension != 1:
+        print(
+            f"check: suite {args.suite} runs in dimension 1; --dimension {args.dimension} is not used",
+            file=sys.stderr,
+        )
     report = hx.run_suite(args.suite, cfg, args.cases)
     text = io.dumps_canonical(report.to_dict(with_timing=not args.no_timestamp))
     if args.output:

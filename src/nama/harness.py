@@ -871,6 +871,9 @@ _SUITES: Dict[str, Callable[[SplitMix64, GenConfig], List]] = {
 
 SUITE_NAMES = tuple(sorted(_SUITES))
 
+# Suites that run in dimension 1 whatever the configured dimension.
+ONE_DIMENSIONAL_SUITES = frozenset({"zariski_defect"})
+
 
 def _worker_count() -> int:
     """NAMA_THREADS when set (a positive integer), else the CPU count."""

@@ -237,6 +237,8 @@ def _parse_solver_block(obj, mode: str) -> sv.SolverConfig:
         return sv.SolverConfig(mode=mode)
     _check_keys(obj, {"tol", "max_iter", "damping"}, set(), "solver")
     tol = _scalar(obj["tol"], mode, "solver.tol") if "tol" in obj else None
+    if tol is not None and tol < 0:
+        raise ValidationError("solver.tol", "tol must be nonnegative")
     max_iter = obj.get("max_iter", 10_000)
     if not _is_int(max_iter) or max_iter < 1:
         raise ValidationError("solver.max_iter", "expected a positive integer")

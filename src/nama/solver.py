@@ -1,14 +1,12 @@
 """Variational solver for MA(phi) = sum w_i delta_{x_i} on a Newton polytope.
 
 The concave dual objective F(t) = E(envelope(t)) - sum w_i t_i has gradient
-(cell masses - target weights), so maximizing it solves the equation.  The
-ascent is damped and monotone: every accepted step must increase the
-objective (backtracking Armijo search).  Float mode adds Newton
-acceleration with Levenberg damping: the damping rises whenever a step
-collapses a previously positive cell, which keeps sites active without
-the hard rejection that can deadlock on sliver cells.  The cell geometry
-at each iterate is evaluated exactly (every float is a rational); only
-the iterate itself is rounded.
+(cell masses - target weights), so maximizing it solves the equation: it is
+semi-discrete optimal transport from the uniform measure on Delta.  Float
+mode runs damped Newton from a start with no empty cell; rational mode runs
+an exact Armijo gradient ascent.  The cell geometry at each iterate is
+evaluated exactly (every float is a rational); only a float iterate itself
+is rounded.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import numpy as np
 from . import polyhedra as pg
 from . import toric as tc
 from .errors import ArityMismatch, ConsistencyError, MassMismatch, NotConverged
-from .polyhedra import Point, sub
+from .polyhedra import Point, dot, sub
 from .toric import AtomicMeasure, NewtonPolytope, ToricPsh
 
 _ZERO = Fraction(0)
@@ -82,6 +80,17 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
+class IterationRecord:
+    """One accepted solver step, described at the iterate it reached."""
+
+    residual: Fraction  # max |mass_i - w_i|
+    grad_norm: float  # Euclidean norm of (masses - weights)
+    step: Fraction  # accepted step length damping^k
+    min_mass: Fraction  # smallest cell mass
+    trials: int  # envelopes evaluated by the line search
+
+
+@dataclass(frozen=True)
 class Solution:
     problem: DiracProblem
     t: Tuple[Fraction, ...]
@@ -90,6 +99,7 @@ class Solution:
     residual: Fraction
     iterations: int
     objective: Fraction
+    trace: Tuple[IterationRecord, ...] = ()  # one record per iteration
 
     def mass_vector(self) -> Tuple[Fraction, ...]:
         return tuple(self.masses.weight_at(x) for x in self.problem.sites)
@@ -136,7 +146,7 @@ def dual_objective(p: DiracProblem, t: Sequence, mode: str = "rational"):
     return float(value), tuple(float(g) for g in grad)
 
 
-def _solution(p, t, phi, masses, iters, ref) -> Solution:
+def _solution(p, t, phi, masses, trace, ref) -> Solution:
     mu = tc.ma_measure(phi)
     residual = max(abs(h - w) for h, w in zip(masses, p.weights))
     return Solution(
@@ -145,8 +155,9 @@ def _solution(p, t, phi, masses, iters, ref) -> Solution:
         potential=phi,
         masses=mu,
         residual=residual,
-        iterations=iters,
+        iterations=len(trace),
         objective=_value_legendre(p, phi, t, ref),
+        trace=tuple(trace),
     )
 
 
@@ -167,44 +178,66 @@ def _solve_1d_exact(p: DiracProblem) -> Tuple[Fraction, ...]:
 
 def _wall_hessian(p: DiracProblem, phi: ToricPsh) -> np.ndarray:
     """d(masses)/dt: off-diagonal entries are wall measure over site
-    distance, diagonals make rows sum to zero."""
-    n = len(p.sites)
-    gens = dict(zip(phi.sites, range(len(phi.sites))))
-    M = np.zeros((n, n))
+    distance, diagonals make rows sum to zero.  The wall of the pair
+    (i, j) is the face of cell i on <x_i - x_j, m> = t_i - t_j, read off
+    exactly from cell i's vertices: a full wall has `dim` of them."""
+    index = {x: i for i, x in enumerate(p.sites)}
     dim = p.delta.dim
-    for i in range(n):
-        if p.sites[i] not in gens:
-            continue
-        ci = phi.cells[gens[p.sites[i]]]
-        for j in range(i + 1, n):
-            if p.sites[j] not in gens:
+    M = np.zeros((len(p.sites), len(p.sites)))
+    gens = phi.generators
+    for a, ((xi, ti), cell) in enumerate(zip(gens, phi.cells)):
+        for xj, tj in gens[a + 1 :]:
+            normal, level = sub(xi, xj), ti - tj
+            wall = [v for v in cell.vertices if dot(normal, v) == level]
+            if len(wall) != dim:
                 continue
-            xi, xj = p.sites[i], p.sites[j]
-            ti = phi.generators[gens[xi]][1]
-            tj = phi.generators[gens[xj]][1]
-            wall = pg.clip(ci, [(sub(xi, xj), ti - tj)])
-            if wall.affine_dim != dim - 1:
-                continue
-            if dim == 1:
-                measure = 1.0
-            else:
-                a, b = wall.vertices[0], wall.vertices[-1]
-                measure = math.hypot(*(float(c) for c in sub(b, a)))
-            dist = math.hypot(*(float(c) for c in sub(xi, xj)))
-            M[i, j] = M[j, i] = measure / dist
-    for i in range(n):
-        M[i, i] = -np.sum(M[i]) + M[i, i]
+            measure = 1.0 if dim == 1 else math.hypot(*(float(c) for c in sub(wall[1], wall[0])))
+            dist = math.hypot(*(float(c) for c in normal))
+            M[index[xi], index[xj]] = M[index[xj], index[xi]] = measure / dist
+    M -= np.diag(M.sum(axis=1))
     return M
+
+
+def start_potentials(p: DiracProblem) -> Tuple[Fraction, ...]:
+    """t_i = q(x_i) - q(xbar), q(x) = <x, c> + h |x - c|^2 / 2 with c the
+    centroid of Delta, halving h from 1 until every c + h (x_i - c) lies in
+    Delta.  The cells are then the Voronoi cells of those points in Delta,
+    so none is empty."""
+    body = p.delta.body
+    c = pg.centroid(body)
+    h = Fraction(1)
+    while not all(body.contains(tuple(ck + h * (xk - ck) for xk, ck in zip(x, c))) for x in p.sites):
+        h /= 2
+
+    def q(x):
+        y = sub(x, c)
+        return dot(x, c) + h * dot(y, y) / 2
+
+    q_bar = q(p.barycenter())
+    return tuple(q(x) - q_bar for x in p.sites)
+
+
+def _rounded(t) -> list:
+    return [Fraction(float(x)) for x in t]
+
+
+def _norm(grad) -> float:
+    return math.sqrt(sum(float(g) ** 2 for g in grad))
 
 
 def solve(p: DiracProblem, config: SolverConfig = SolverConfig()) -> Solution:
     """Maximize the dual objective; returns a Solution whose Laguerre
     masses match the target weights within tol * vol(Delta).
 
-    Rational mode accepts only exact stationarity (1-D instances are
-    solved in closed form; for n = 2 the damped ascent usually ends in
-    NotConverged carrying the best iterate unless the optimum is hit
-    exactly).  Float mode runs damped Newton with a gradient fallback.
+    Float mode is the damped Newton of Kitagawa-Merigot-Thibert (JEMS 2019;
+    global convergence, quadratic near the solution) from `start_potentials`,
+    or from `init` moved toward it until no cell is empty.  It takes the
+    first step damping^k that keeps every mass >= eps (half the smallest
+    weight or starting mass) and cuts |grad|_2 by (1 - step / 2).  Rational
+    mode is an exact Armijo gradient ascent accepting only exact
+    stationarity: 1-D instances are solved in closed form, and in 2-D it
+    usually ends in NotConverged.  Both are monotone, so NotConverged
+    carries the last iterate.
     """
     mode = config.mode
     if mode not in ("rational", "float"):
@@ -216,96 +249,75 @@ def solve(p: DiracProblem, config: SolverConfig = SolverConfig()) -> Solution:
     vol = p.delta.volume
     ref = p.reference()
     n = len(p.sites)
+    rnd = _rounded if mode == "float" else list  # only float iterates are rounded
 
     if config.init is not None:
         if len(config.init) != n:
             raise ArityMismatch("init vector has wrong length")
-        t = [Fraction(x) for x in config.init]
-    elif mode == "rational" and p.delta.dim == 1:
+        t = rnd(Fraction(x) for x in config.init)
+    elif mode == "float":
+        t = rnd(start_potentials(p))
+    elif p.delta.dim == 1:
         t = list(_solve_1d_exact(p))
     else:
         xbar = p.barycenter()
         t = [tc.support_value(p.delta, sub(x, xbar)) for x in p.sites]
 
-    if mode == "float":
-        t = [Fraction(float(x)) for x in t]
-
     def state(tvec):
         phi = _envelope_at(p, tvec)
         masses = _masses_at(p, phi)
-        grad = [h - w for h, w in zip(masses, p.weights)]
-        value = _value_legendre(p, phi, tvec, ref)
-        return phi, masses, grad, value
+        return phi, masses, [h - w for h, w in zip(masses, p.weights)]
 
-    phi, masses, grad, value = state(t)
-    best = (value, list(t), phi, masses, 0)
-    it_done = 0
-    lam = 1e-9  # Levenberg damping: ~Newton when tiny, ~gradient when large
-
-    for it in range(config.max_iter):
-        residual = max(abs(g) for g in grad)
-        if residual <= tol * vol:
-            return _solution(p, t, phi, masses, it, ref)
-
-        directions = []
-        if mode == "float":
-            # Damped Newton: (M - lam I) d = -g is an ascent direction for
-            # every lam > 0 because the wall Hessian M is negative
-            # semidefinite; lam rises whenever a step collapses a
-            # previously positive cell (the usual guard in semi-discrete
-            # transport, in damping form) and falls back toward pure
-            # Newton as the geometry stays healthy.
-            g = np.array([float(x) for x in grad])
-            M = _wall_hessian(p, phi)
-            try:
-                dl = np.linalg.solve(M - lam * np.eye(len(g)), -g)
-                dl -= dl.mean()
-                if np.isfinite(dl).all() and float(np.dot(dl, g)) > 0:
-                    directions.append(("newton", [Fraction(float(x)) for x in dl]))
-            except np.linalg.LinAlgError:
-                pass
-            directions.append(("gradient", [Fraction(float(x)) for x in g]))
-        else:
-            directions.append(("gradient", list(grad)))
-
-        positive = [i for i, h in enumerate(masses) if h > 0]
-        accepted = False
-        for kind, d in directions:
-            slope = sum(di * gi for di, gi in zip(d, grad))
-            if slope <= 0:
-                continue
-            step = Fraction(1)
-            for _ in range(60):
-                trial = [ti + step * di for ti, di in zip(t, d)]
-                if mode == "float":
-                    trial = [Fraction(float(x)) for x in trial]
-                phi2, masses2, grad2, value2 = state(trial)
-                if value2 > value + Fraction(1, 10**4) * step * slope:
-                    kept_cells = all(masses2[i] > 0 for i in positive)
-                    t, phi, masses, grad, value = trial, phi2, masses2, grad2, value2
-                    accepted = True
-                    if kind == "newton":
-                        if step == 1 and kept_cells:
-                            lam = max(lam / 10, 1e-12)
-                        else:
-                            lam = min(lam * 10, 1e8)
-                    break
-                step *= config.damping
-            if accepted:
+    phi, masses, grad = state(t)
+    if mode == "float" and min(masses) == 0:
+        init, start = t, rnd(start_potentials(p))
+        for k in range(10, -1, -1):
+            s = Fraction(1, 2**k)
+            t = rnd((1 - s) * a + s * b for a, b in zip(init, start))
+            phi, masses, grad = state(t)
+            if min(masses) > 0:
                 break
-            if kind == "newton":
-                lam = min(lam * 100, 1e8)
-        if not accepted:
-            break
-        it_done = it + 1
-        if value > best[0]:
-            best = (value, list(t), phi, masses, it_done)
+    eps = min(min(p.weights), min(masses)) / 2
+    value = _value_legendre(p, phi, t, ref) if mode == "rational" else None
+    trace = []
 
-    residual = max(abs(g) for g in grad)
-    if residual <= tol * vol:
-        return _solution(p, t, phi, masses, it_done, ref)
-    value_b, t_b, phi_b, masses_b, it_b = best
-    raise NotConverged(_solution(p, t_b, phi_b, masses_b, it_b, ref), it_done)
+    for _ in range(config.max_iter):
+        if max(abs(g) for g in grad) <= tol * vol:
+            return _solution(p, t, phi, masses, trace, ref)
+        if mode == "float":
+            # Newton on the complement of the constants: pin d_last = 0.
+            M, g, d = _wall_hessian(p, phi), np.array([float(x) for x in grad]), np.zeros(n)
+            try:
+                d[:-1] = np.linalg.solve(M[:-1, :-1], -g[:-1])
+            except np.linalg.LinAlgError:
+                break
+            if not np.isfinite(d).all():
+                break
+            d, norm = d.tolist(), _norm(grad)
+        else:
+            d, slope = grad, sum(g * g for g in grad)
+        step = Fraction(1)
+        for trials in range(1, 61):
+            trial = rnd(ti + step * di for ti, di in zip(t, d))
+            phi2, masses2, grad2 = state(trial)
+            if mode == "float":
+                if min(masses2) >= eps and _norm(grad2) <= (1 - step / 2) * norm:
+                    break
+            else:
+                value2 = _value_legendre(p, phi2, trial, ref)
+                if value2 > value + Fraction(1, 10**4) * step * slope:
+                    value = value2
+                    break
+            step *= config.damping
+        else:
+            break
+        t, phi, masses, grad = trial, phi2, masses2, grad2
+        trace.append(IterationRecord(max(abs(g) for g in grad), _norm(grad), step, min(masses), trials))
+
+    solution = _solution(p, t, phi, masses, trace, ref)
+    if solution.residual <= tol * vol:
+        return solution
+    raise NotConverged(solution, len(trace))
 
 
 def normalize(s: Solution) -> Solution:

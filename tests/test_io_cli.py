@@ -418,3 +418,28 @@ def test_rewriting_an_output_leaves_no_stale_bytes(tmp_path):
                    "--dimension", "1", "--no-timestamp", "-o", out) == 0
     report = json.loads(out.read_text())
     assert report["suite"] == "comparison"
+
+
+def test_negative_solver_tol_exits_two_naming_the_field(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(dict(DIRAC, solver={"tol": "-1"})))
+    assert run_cli(tmp_path, "solve", path, "-o", tmp_path / "out.json") == 2
+    assert "solver.tol" in capsys.readouterr().err
+
+
+def test_zariski_defect_notes_that_it_ignores_dimension_two(tmp_path, capsys):
+    """The suite always runs in dimension 1; asking for 2 says so on stderr
+    and leaves the report as it is."""
+    reports = {}
+    for dim in (1, 2):
+        out = tmp_path / f"r{dim}.json"
+        code = run_cli(
+            tmp_path,
+            "check", "--suite", "zariski_defect", "--seed", "3", "--cases", "2",
+            "--dimension", dim, "--no-timestamp", "-o", out,
+        )
+        assert code == 0
+        reports[dim] = (out.read_bytes(), capsys.readouterr().err)
+    assert reports[1][1] == ""
+    assert "zariski_defect runs in dimension 1" in reports[2][1]
+    assert reports[1][0] == reports[2][0]

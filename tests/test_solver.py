@@ -1,10 +1,14 @@
 """Dual-objective and solver tests for the Dirac Monge-Ampere problem."""
 
+import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
+from nama import harness as hx
+from nama import polyhedra as pg
 from nama import solver as sv
 from nama import toric as tc
 from nama.errors import ArityMismatch, MassMismatch, NotConverged
@@ -255,3 +259,164 @@ class TestClMeasure:
     def test_g_delta_dirac(self):
         cl = sv.cl_measure(tc.g_delta(SQ))
         assert cl.atoms == (((F(0), F(0)), F(2)),)
+
+
+def _problem(delta, sites, raw):
+    weights = [r * delta.volume / sum(raw) for r in raw]
+    weights[-1] = delta.volume - sum(weights[:-1])
+    return sv.DiracProblem(delta, tuple(sites), tuple(weights))
+
+
+def _rounded_start(p):
+    return [F(float(x)) for x in sv.start_potentials(p)]
+
+
+def _masses(p, t):
+    phi = tc.envelope(p.delta, list(zip(p.sites, t)))
+    mu = tc.ma_measure(phi)
+    return [mu.weight_at(x) for x in p.sites]
+
+
+def _criterion_8_problems():
+    """The 50 problems of acceptance criterion 8, drawn the same way."""
+    rng = hx.SplitMix64(20260811 + 8)
+    cfg = hx.GenConfig(seed=20260811 + 8, dimension=2)
+    problems = []
+    for k in range(50):
+        delta = SQ if k % 2 else hx.gen_polytope(rng, 2, 5)
+        p = hx.gen_dirac_problem(rng, delta, cfg, max_sites=8)
+        for _ in p.sites:  # the criterion's init jitter
+            rng.int_between(-2, 2)
+        problems.append(p)
+    return problems
+
+
+def reference_wall_hessian(p, phi):
+    """The wall Hessian with every wall cut out of cell i by `clip`."""
+    n = len(p.sites)
+    gens = dict(zip(phi.sites, range(len(phi.sites))))
+    M = np.zeros((n, n))
+    dim = p.delta.dim
+    for i in range(n):
+        if p.sites[i] not in gens:
+            continue
+        ci = phi.cells[gens[p.sites[i]]]
+        for j in range(i + 1, n):
+            if p.sites[j] not in gens:
+                continue
+            xi, xj = p.sites[i], p.sites[j]
+            ti = phi.generators[gens[xi]][1]
+            tj = phi.generators[gens[xj]][1]
+            wall = pg.clip(ci, [(pg.sub(xi, xj), ti - tj)])
+            if wall.affine_dim != dim - 1:
+                continue
+            if dim == 1:
+                measure = 1.0
+            else:
+                a, b = wall.vertices[0], wall.vertices[-1]
+                measure = math.hypot(*(float(c) for c in pg.sub(b, a)))
+            dist = math.hypot(*(float(c) for c in pg.sub(xi, xj)))
+            M[i, j] = M[j, i] = measure / dist
+    for i in range(n):
+        M[i, i] = -np.sum(M[i]) + M[i, i]
+    return M
+
+
+class TestWallHessian:
+    def check(self, p, t):
+        phi = tc.envelope(p.delta, list(zip(p.sites, t)))
+        M = sv._wall_hessian(p, phi)
+        assert np.array_equal(M, reference_wall_hessian(p, phi))
+        return M
+
+    def test_random_2d_instances(self):
+        rng = random.Random(41)
+        nonzero = 0
+        for delta in (SQ, TRI, square(2)):
+            for _ in range(15):
+                k = rng.randint(2, 7)
+                sites = list({(F(rng.randint(-6, 12), 6), F(rng.randint(-6, 12), 6)) for _ in range(k)})
+                p = _problem(delta, sites, [F(rng.randint(1, 5)) for _ in sites])
+                t = [F(rng.randint(-12, 12), rng.randint(1, 12)) for _ in sites]
+                nonzero += np.count_nonzero(self.check(p, t))
+        assert nonzero > 0
+
+    def test_sliver_cells_and_collinear_sites(self):
+        # Three collinear sites: the middle cell is a strip of width 1/1000.
+        p = _problem(SQ, [(F(0), F(0)), (F(1), F(0)), (F(2), F(0))], [F(1)] * 3)
+        M = self.check(p, [F(0), F(1, 2), F(1001, 1000)])
+        assert M[0, 2] == 0 and M[0, 1] > 0 and M[1, 2] > 0
+        # Collinear sites on a diagonal, walls through corners of Delta.
+        p = _problem(SQ, [(F(i, 2), F(i, 2)) for i in range(4)], [F(1)] * 4)
+        self.check(p, [F(0), F(1, 4), F(3, 4), F(3, 2)])
+        self.check(p, sv.start_potentials(p))
+        # A wall that only touches the cell at a vertex of Delta.
+        p = _problem(SQ, [(F(0), F(0)), (F(1), F(1)), (F(1), F(0))], [F(1)] * 3)
+        self.check(p, [F(0), F(1), F(1, 2)])
+        # Sliver cells from values close to a tie.
+        rng = random.Random(43)
+        for _ in range(10):
+            sites = list({(F(rng.randint(0, 4), 4), F(rng.randint(0, 4), 4)) for _ in range(5)})
+            p = _problem(SQ, sites, [F(1)] * len(sites))
+            base = sv.start_potentials(p)
+            self.check(p, [ti + F(rng.randint(-1, 1), 10**6) for ti in base])
+
+    def test_1d_instances(self):
+        rng = random.Random(47)
+        delta = interval(-1, 2)
+        for _ in range(15):
+            sites = sorted({F(rng.randint(-8, 8), 3) for _ in range(rng.randint(2, 5))})
+            p = _problem(delta, [(x,) for x in sites], [F(rng.randint(1, 6)) for _ in sites])
+            self.check(p, [F(rng.randint(-6, 6), 4) for _ in sites])
+
+
+class TestNewtonPath:
+    def test_default_start_leaves_no_empty_cell_on_criterion_8(self):
+        for p in _criterion_8_problems():
+            assert min(_masses(p, sv.start_potentials(p))) > 0
+            assert min(_masses(p, _rounded_start(p))) > 0
+
+    def test_trace_records_every_iteration_and_the_kmt_decrease(self):
+        for p in _criterion_8_problems()[:12]:
+            cfg = sv.SolverConfig(mode="float", tol=F(1, 10**10))
+            s = sv.solve(p, cfg)
+            assert len(s.trace) == s.iterations
+            t0 = _rounded_start(p)
+            masses0 = _masses(p, t0)
+            eps = min(min(p.weights), min(masses0)) / 2
+            norm = math.sqrt(sum(float(h - w) ** 2 for h, w in zip(masses0, p.weights)))
+            for rec in s.trace:
+                assert rec.step == cfg.damping ** (rec.trials - 1)
+                assert rec.grad_norm <= (1 - float(rec.step) / 2) * norm
+                assert rec.min_mass >= eps
+                norm = rec.grad_norm
+            if s.trace:
+                assert s.trace[-1].residual == s.residual
+
+    def test_init_with_an_empty_cell_reaches_the_same_solution(self):
+        p = _problem(
+            SQ,
+            [(F(0), F(0)), (F(1), F(0)), (F(1, 2), F(1)), (F(1, 3), F(1, 3))],
+            [F(3), F(2), F(4), F(1)],
+        )
+        init = (F(0), F(0), F(0), F(5))
+        assert min(_masses(p, init)) == 0
+        tol = F(1, 10**10)
+        s1 = sv.solve(p, sv.SolverConfig(mode="float", tol=tol))
+        s2 = sv.solve(p, sv.SolverConfig(mode="float", tol=tol, init=init))
+        assert float(s2.residual) <= 1e-10
+        diffs = [float(a - b) for a, b in zip(s1.t, s2.t)]
+        assert max(diffs) - min(diffs) <= 1e-8
+
+    def test_max_iter_carries_the_last_iterate(self):
+        p = _problem(
+            SQ,
+            [(F(0), F(0)), (F(1), F(0)), (F(1, 2), F(1)), (F(1, 3), F(1, 3))],
+            [F(3), F(2), F(4), F(1)],
+        )
+        with pytest.raises(NotConverged) as exc:
+            sv.solve(p, sv.SolverConfig(mode="float", max_iter=1))
+        best = exc.value.solution
+        assert exc.value.iterations == best.iterations == len(best.trace) == 1
+        assert best.residual == best.trace[0].residual > F(1, 10**10)
+        assert best.mass_vector() == tuple(_masses(p, best.t))

@@ -4,7 +4,7 @@ Commands: solve, envelope, green, poisson, check, export-cells, energy.
 Exit codes: 0 success, 2 validation or parse error, 3 no convergence
 (the best iterate is still written), 4 suite failure.  Output files are
 byte-identical for identical inputs and flags once --no-timestamp is
-passed.  NAMA_THREADS bounds the parallelism of `check`.
+passed.
 """
 
 from __future__ import annotations

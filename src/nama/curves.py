@@ -61,17 +61,6 @@ class MetricGraph:
         if not all(seen):
             raise ValueError("graph is not connected")
 
-    def laplacian(self) -> List[List[Fraction]]:
-        n = self.vertex_count
-        L = [[_ZERO] * n for _ in range(n)]
-        for u, v, l in self.edges:
-            w = 1 / l
-            L[u][u] += w
-            L[v][v] += w
-            L[u][v] -= w
-            L[v][u] -= w
-        return L
-
 
 def _norm_edge_items(graph: MetricGraph, per_edge) -> Tuple[Tuple[EdgeAtom, ...], ...]:
     out = []
@@ -281,24 +270,13 @@ def ddc(graph: MetricGraph, f: GraphFunction) -> GraphMeasure:
 
 
 def green(graph: MetricGraph, x: int, y: int) -> GraphFunction:
-    """The potential with dd^c(g) = delta_x - delta_y and g(y) = 0.
-
-    Solved through the weighted Laplacian with the y vertex grounded.
-    """
+    """The potential with dd^c(g) = delta_x - delta_y and g(y) = 0."""
     if x == y:
         raise SameVertex("green function needs distinct poles")
-    n = graph.vertex_count
-    L = graph.laplacian()
-    rhs = [_ZERO] * n
+    rhs = [_ZERO] * graph.vertex_count
     rhs[y] += 1
     rhs[x] -= 1
-    keep = [i for i in range(n) if i != y]
-    reduced = [[L[i][j] for j in keep] for i in keep]
-    sol = solve_exact(reduced, [rhs[i] for i in keep])
-    vals = [_ZERO] * n
-    for i, vid in enumerate(keep):
-        vals[vid] = sol[i]
-    return GraphFunction(tuple(vals))
+    return GraphFunction(tuple(_grounded_laplace_solve(graph, rhs, y)))
 
 
 def solve_poisson(graph: MetricGraph, omega: GraphMeasure, mu: GraphMeasure) -> GraphFunction:
@@ -331,19 +309,15 @@ def solve_poisson(graph: MetricGraph, omega: GraphMeasure, mu: GraphMeasure) -> 
     )
 
 
+def _conductances(graph: MetricGraph):
+    return [(u, v, 1 / l) for u, v, l in graph.edges]
+
+
 def _grounded_laplace_solve(graph: MetricGraph, rhs, ground: int) -> List[Fraction]:
     """Solve L phi = rhs with phi(ground) = 0; rhs must sum to zero."""
     if sum(rhs, _ZERO) != 0:
         raise MassMismatch("laplace right-hand side must have total mass zero")
-    n = graph.vertex_count
-    L = graph.laplacian()
-    keep = [i for i in range(n) if i != ground]
-    reduced = [[L[i][j] for j in keep] for i in keep]
-    sol = solve_exact(reduced, [rhs[i] for i in keep])
-    vals = [_ZERO] * n
-    for i, vid in enumerate(keep):
-        vals[vid] = sol[i]
-    return vals
+    return solve_exact(graph.vertex_count, _conductances(graph), ground, rhs)
 
 
 def curvature(graph: MetricGraph, omega: GraphMeasure, phi: GraphFunction) -> GraphMeasure:
@@ -409,20 +383,12 @@ class PoissonSolver:
     right-hand sides (used by the verification suites)."""
 
     def __init__(self, graph: MetricGraph, ground: int = 0):
-        self.graph = graph
-        self.ground = ground
-        n = graph.vertex_count
-        L = graph.laplacian()
-        self.keep = [i for i in range(n) if i != ground]
-        self.solver = ExactLinearSolver([[L[i][j] for j in self.keep] for i in self.keep])
+        self.solver = ExactLinearSolver(graph.vertex_count, _conductances(graph), ground)
 
     def solve(self, omega_weights, mu_weights) -> GraphFunction:
         rhs = [a - b for a, b in zip(omega_weights, mu_weights)]
         if sum(rhs, _ZERO) != 0:
             raise MassMismatch("masses differ")
-        sol = self.solver.solve([rhs[i] for i in self.keep])
-        vals = [_ZERO] * self.graph.vertex_count
-        for i, vid in enumerate(self.keep):
-            vals[vid] = sol[i]
+        vals = self.solver.solve(rhs)
         top = max(vals)
         return GraphFunction(tuple(v - top for v in vals))

@@ -20,7 +20,6 @@ use seed XOR mix(9E3779B97F4A7C15 * (k+1)).
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,7 +30,7 @@ from . import instance_io as io
 from . import polyhedra as pg
 from . import solver as sv
 from . import toric as tc
-from .errors import CandidateOutOfRange, NotConverged, UnknownSuite, ValidationError
+from .errors import CandidateOutOfRange, NotConverged, UnknownSuite
 from .polyhedra import sub
 
 _ZERO = Fraction(0)
@@ -875,49 +874,27 @@ SUITE_NAMES = tuple(sorted(_SUITES))
 ONE_DIMENSIONAL_SUITES = frozenset({"zariski_defect"})
 
 
-def _worker_count() -> int:
-    """NAMA_THREADS when set (a positive integer), else the CPU count."""
-    threads = os.environ.get("NAMA_THREADS")
-    if not threads:
-        return os.cpu_count() or 1
-    try:
-        workers = int(threads)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValidationError("NAMA_THREADS", f"expected a positive integer, got {threads!r}")
-    return workers
-
-
 def run_suite(name: str, cfg: GenConfig, cases: int) -> CheckReport:
     """Run `cases` seeded instances through one named assertion set.
 
     Case k uses the derived seed case_seed(cfg.seed, k); failures are
     sorted by seed and assertion, so reports for identical inputs are
-    identical.  NAMA_THREADS bounds worker parallelism (cases are
-    independent pure computations).
+    identical.  A case that raises becomes the failure
+    "exception:<type name>" with the message as its witness, and the
+    remaining cases still run.
     """
     if name not in _SUITES:
         raise UnknownSuite(f"no suite named {name!r}; known: {', '.join(SUITE_NAMES)}")
     fn = _SUITES[name]
     start = time.monotonic()
-
-    def one(k: int) -> List[Failure]:
-        seed = case_seed(cfg.seed, k)
-        rng = SplitMix64(seed)
-        return [Failure(seed, assertion, witness) for assertion, witness in fn(rng, cfg)]
-
-    workers = _worker_count()
     results: List[Failure] = []
-    if workers > 1 and cases > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for fails in pool.map(one, range(cases)):
-                results.extend(fails)
-    else:
-        for k in range(cases):
-            results.extend(one(k))
+    for k in range(cases):
+        seed = case_seed(cfg.seed, k)
+        try:
+            found = fn(SplitMix64(seed), cfg)
+        except Exception as exc:
+            found = [(f"exception:{type(exc).__name__}", {"message": str(exc)})]
+        results.extend(Failure(seed, assertion, witness) for assertion, witness in found)
     results.sort(key=lambda f: f.key())
     elapsed_ms = int((time.monotonic() - start) * 1000)
     return CheckReport(suite=name, cases=cases, failures=tuple(results), elapsed_ms=elapsed_ms)

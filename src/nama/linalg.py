@@ -1,102 +1,90 @@
-"""Exact rational linear solves for the graph Laplacian systems.
+"""Exact solves of grounded weighted graph Laplacians.
 
-Elimination pivots on the magnitude of a canonical integer lift of the
-candidate entries (scale each candidate column segment to integers by the
-lcm of denominators, compare absolute values, break ties by row index),
-which keeps the factorization deterministic across platforms.
+Every exact graph computation in nama is one linear system: L x = b,
+where L is the Laplacian of a graph with positive edge weights and
+x(ground) = 0.  Dropping the ground row and column of a connected
+graph's Laplacian leaves a symmetric positive definite matrix, so
+Gaussian elimination meets a positive pivot in every vertex order and
+needs no pivot search.  The order is minimum degree, ties broken by
+vertex index: a tree then reduces leaf by leaf with no fill, and each
+independent cycle adds little (George-Liu, Computer Solution of Large
+Sparse Positive Definite Systems, 1981).  Factor and solves run on
+plain Fractions held in one dict per row, so results are exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import List, Sequence
+from heapq import heapify, heappop, heappush
+from typing import List
 
 _ZERO = Fraction(0)
 
 
-def _column_lift(entries: Sequence[Fraction]) -> List[int]:
-    den = 1
-    for e in entries:
-        den = den * e.denominator // gcd(den, e.denominator)
-    return [int(e * den) for e in entries]
-
-
-def solve_exact(matrix, rhs) -> List[Fraction]:
-    """Solve A x = b exactly; raises ValueError on a singular matrix."""
-    n = len(matrix)
-    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    perm = list(range(n))
-    for col in range(n):
-        lifted = _column_lift([a[r][col] for r in range(col, n)])
-        pivot_rel = max(range(len(lifted)), key=lambda i: (abs(lifted[i]), -i))
-        pivot = col + pivot_rel
-        if a[pivot][col] == 0:
-            raise ValueError("singular matrix")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            perm[col], perm[pivot] = perm[pivot], perm[col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] * inv
-            if f == 0:
-                continue
-            for c in range(col, n + 1):
-                a[r][c] -= f * a[col][c]
-    x = [_ZERO] * n
-    for r in range(n - 1, -1, -1):
-        s = a[r][n] - sum((a[r][c] * x[c] for c in range(r + 1, n)), _ZERO)
-        x[r] = s / a[r][r]
-    return x
-
-
 class ExactLinearSolver:
-    """Factor once, solve many right-hand sides with integer arithmetic.
+    """Factor the grounded Laplacian of `weighted_edges` (u, v, weight)
+    once, then solve many right-hand sides.
 
-    A single Gauss-Jordan pass on [A | I] produces the exact inverse,
-    stored as an integer matrix over a common denominator; a solve is
-    then one integer mat-vec and n exact divisions.
+    Parallel edges add up.  Raises ValueError when a pivot is not
+    positive: the grounded matrix is then not positive definite, as when
+    the edges do not connect every vertex to `ground`.
     """
 
-    def __init__(self, matrix):
-        n = len(matrix)
-        a = [[Fraction(x) for x in row] + [_ZERO] * n for row in matrix]
-        for i in range(n):
-            a[i][n + i] = Fraction(1)
-        for col in range(n):
-            lifted = _column_lift([a[r][col] for r in range(col, n)])
-            pivot_rel = max(range(len(lifted)), key=lambda i: (abs(lifted[i]), -i))
-            pivot = col + pivot_rel
-            if a[pivot][col] == 0:
-                raise ValueError("singular matrix")
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-            inv = 1 / a[col][col]
-            a[col] = [x * inv for x in a[col]]
-            for r in range(n):
-                if r == col or a[r][col] == 0:
-                    continue
-                f = a[r][col]
-                arow, prow = a[r], a[col]
-                for c in range(col, 2 * n):
-                    arow[c] -= f * prow[c]
-        inv_rows = [row[n:] for row in a]
-        den = 1
-        for row in inv_rows:
-            for e in row:
-                den = den * e.denominator // gcd(den, e.denominator)
-        self.n = n
-        self.den = den
-        self.rows = [[int(e * den) for e in row] for row in inv_rows]
+    def __init__(self, vertex_count: int, weighted_edges, ground: int):
+        if not 0 <= ground < vertex_count:
+            raise ValueError(f"ground {ground} outside 0..{vertex_count - 1}")
+        diag = [_ZERO] * vertex_count
+        rows = [{} for _ in range(vertex_count)]
+        for u, v, w in weighted_edges:
+            w = Fraction(w)
+            diag[u] += w
+            diag[v] += w
+            if ground not in (u, v):
+                rows[u][v] = rows[v][u] = rows[u].get(v, _ZERO) - w
+        heap = [(len(row), p) for p, row in enumerate(rows) if p != ground]
+        heapify(heap)
+        done = [False] * vertex_count
+        # One (vertex, pivot, [(neighbour, entry / pivot)]) per elimination.
+        self._steps = []
+        while heap:
+            degree, p = heappop(heap)
+            row = rows[p]
+            if done[p] or degree != len(row):
+                continue
+            pivot = diag[p]
+            if pivot <= 0:
+                raise ValueError(
+                    "grounded Laplacian is not positive definite: not every vertex reaches the ground"
+                )
+            done[p] = True
+            col = [(j, a / pivot) for j, a in row.items()]
+            for i, (j, lj) in enumerate(col):
+                rj = rows[j]
+                del rj[p]
+                diag[j] -= row[j] * lj
+                for k, lk in col[i + 1:]:
+                    rj[k] = rows[k][j] = rj.get(k, _ZERO) - row[j] * lk
+            for j, _ in col:
+                heappush(heap, (len(rows[j]), j))
+            self._steps.append((p, pivot, col))
+        self.vertex_count = vertex_count
 
     def solve(self, rhs) -> List[Fraction]:
-        rhs = [Fraction(b) for b in rhs]
-        bden = 1
-        for b in rhs:
-            bden = bden * b.denominator // gcd(bden, b.denominator)
-        bi = [int(b * bden) for b in rhs]
-        scale = self.den * bden
-        return [
-            Fraction(sum(r * b for r, b in zip(row, bi)), scale)
-            for row in self.rows
-        ]
+        """The x with L x = rhs off the ground and x(ground) = 0."""
+        if len(rhs) != self.vertex_count:
+            raise ValueError("one right-hand side entry per vertex required")
+        b = [Fraction(x) for x in rhs]
+        for p, _, col in self._steps:
+            bp = b[p]
+            if bp:
+                for j, lj in col:
+                    b[j] -= lj * bp
+        x = [_ZERO] * self.vertex_count
+        for p, pivot, col in reversed(self._steps):
+            x[p] = b[p] / pivot - sum((lj * x[j] for j, lj in col), _ZERO)
+        return x
+
+
+def solve_exact(vertex_count: int, weighted_edges, ground: int, rhs) -> List[Fraction]:
+    """One-shot ExactLinearSolver(vertex_count, weighted_edges, ground).solve(rhs)."""
+    return ExactLinearSolver(vertex_count, weighted_edges, ground).solve(rhs)

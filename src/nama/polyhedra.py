@@ -10,8 +10,7 @@ Empty and lower-dimensional polytopes are ordinary values (volume 0),
 because cells routinely degenerate while a solver walks through
 potential space.
 
-An approximate float-only mode for ambient dimension 3 lives in
-`nama.approx`; dimensions >= 4 are rejected.
+Dimensions 3 and higher are rejected.
 """
 
 from __future__ import annotations
@@ -176,10 +175,7 @@ def hull(points, dim: Optional[int] = None) -> Polytope:
         raise EmptyInput("hull of zero points")
     n = dim if dim is not None else len(pts[0])
     if n >= 3:
-        raise DimensionUnsupported(
-            f"exact mode supports dimensions 1 and 2, got {n}"
-            + (" (see nama.approx for the float n=3 mode)" if n == 3 else "")
-        )
+        raise DimensionUnsupported(f"exact mode supports dimensions 1 and 2, got {n}")
     if n < 1:
         raise DimensionUnsupported(f"dimension must be >= 1, got {n}")
     for p in pts:

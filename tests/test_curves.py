@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from nama import curves as cv
+from nama import harness as hx
 from nama.errors import MassMismatch, NotPsh, SameVertex
 from nama.linalg import ExactLinearSolver, solve_exact
 
@@ -37,25 +38,90 @@ def random_graph(rng, max_vertices=12):
     return cv.MetricGraph(n, tuple(edges))
 
 
+def reference_grounded_solve(n, weighted_edges, ground, rhs):
+    """Dense Fraction Gaussian elimination with partial pivoting on the
+    grounded Laplacian, built straight from the edge list."""
+    keep = [v for v in range(n) if v != ground]
+    index = {v: i for i, v in enumerate(keep)}
+    m = len(keep)
+    a = [[F(0)] * m + [F(rhs[v])] for v in keep]
+    for u, v, w in weighted_edges:
+        for p, q in ((u, v), (v, u)):
+            if p != ground:
+                a[index[p]][index[p]] += w
+                if q != ground:
+                    a[index[p]][index[q]] -= w
+    for c in range(m):
+        r = max(range(c, m), key=lambda r: abs(a[r][c]))
+        if a[r][c] == 0:
+            raise ValueError("singular")
+        a[c], a[r] = a[r], a[c]
+        for r in range(c + 1, m):
+            f = a[r][c] / a[c][c]
+            if f:
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    x = [F(0)] * m
+    for r in reversed(range(m)):
+        x[r] = (a[r][m] - sum((a[r][k] * x[k] for k in range(r + 1, m)), F(0))) / a[r][r]
+    out = [F(0)] * n
+    for v, i in index.items():
+        out[v] = x[i]
+    return out
+
+
+def harness_graphs(seed=41):
+    """Seeded harness graphs of 2..30 vertices; every third one gains a
+    parallel edge."""
+    rng = hx.SplitMix64(seed)
+    graphs = []
+    for max_vertices in range(2, 31):
+        g = hx.gen_graph(rng, max_vertices)
+        if max_vertices % 3 == 0:
+            u, v, _ = g.edges[-1]
+            g = cv.MetricGraph(g.vertex_count, g.edges + ((v, u, F(5, 3)),))
+        graphs.append(g)
+    assert any(len({frozenset(e[:2]) for e in g.edges}) < len(g.edges) for g in graphs)
+    return graphs
+
+
+def conductances(g):
+    return [(u, v, 1 / l) for u, v, l in g.edges]
+
+
+def random_rhs(rng, n):
+    return [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+
+
 class TestLinalg:
     def test_solve_exact(self):
-        a = [[F(2), F(1)], [F(1), F(3)]]
-        x = solve_exact(a, [F(5), F(10)])
-        assert x == [F(1), F(3)]
+        rng = random.Random(2)
+        for g in harness_graphs():
+            n = g.vertex_count
+            for ground in (0, n - 1):
+                b = random_rhs(rng, n)
+                want = reference_grounded_solve(n, conductances(g), ground, b)
+                assert solve_exact(n, conductances(g), ground, b) == want
 
     def test_exact_solver_matches(self):
-        rng = random.Random(2)
-        n = 6
-        a = [[F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
-        a = [[a[i][j] + (10 if i == j else 0) for j in range(n)] for i in range(n)]
-        fact = ExactLinearSolver(a)
-        for _ in range(5):
-            b = [F(rng.randint(-9, 9), 2) for _ in range(n)]
-            assert fact.solve(b) == solve_exact(a, b)
+        rng = random.Random(3)
+        for g in harness_graphs(43):
+            n = g.vertex_count
+            for ground in (0, n - 1):
+                fact = ExactLinearSolver(n, conductances(g), ground)
+                for _ in range(4):
+                    b = random_rhs(rng, n)
+                    assert fact.solve(b) == reference_grounded_solve(n, conductances(g), ground, b)
 
     def test_singular(self):
-        with pytest.raises(ValueError):
-            solve_exact([[F(1), F(1)], [F(2), F(2)]], [F(0), F(0)])
+        """Edge sets that leave a vertex unconnected to the ground."""
+        split = [(0, 1, F(1)), (2, 3, F(2))]
+        isolated = [(0, 1, F(1)), (1, 2, F(1, 2))]
+        for n, edges in ((4, split), (4, isolated)):
+            for ground in range(n):
+                with pytest.raises(ValueError):
+                    solve_exact(n, edges, ground, [F(0)] * n)
+                with pytest.raises(ValueError):
+                    ExactLinearSolver(n, edges, ground)
 
 
 class TestGraphBasics:
@@ -146,14 +212,21 @@ class TestGreen:
     def test_3_cycle_against_dense_solve(self):
         g = cycle3()
         gf = cv.green(g, 0, 1)
-        # Independent dense solve of L v = e_y - e_x with v[y] = 0 removed:
-        # x = 0, y = 1, so the reduced right-hand side over (0, 2) is (-1, 0).
-        L = g.laplacian()
-        sol = solve_exact(
-            [[L[i][j] for j in (0, 2)] for i in (0, 2)],
-            [F(-1), F(0)],
-        )
-        assert gf.values == (sol[0], F(0), sol[1])
+        want = reference_grounded_solve(3, conductances(g), 1, [F(-1), F(1), F(0)])
+        assert list(gf.values) == want
+
+    def test_green_against_reference(self):
+        rng = random.Random(5)
+        for g in harness_graphs(47):
+            n = g.vertex_count
+            for x, y in ((n - 1, 0), (0, n - 1), (rng.randrange(n), rng.randrange(n))):
+                if x == y:
+                    continue
+                rhs = [F(0)] * n
+                rhs[y] += 1
+                rhs[x] -= 1
+                want = reference_grounded_solve(n, conductances(g), y, rhs)
+                assert list(cv.green(g, x, y).values) == want
 
 
 class TestPoisson:
@@ -215,6 +288,20 @@ class TestPoisson:
         v1 = cv._grounded_laplace_solve(g, rhs, n - 1)
         diffs = {a - b for a, b in zip(v0, v1)}
         assert len(diffs) == 1
+
+    def test_poisson_solver_against_reference(self):
+        rng = hx.SplitMix64(7)
+        for g in harness_graphs(53):
+            n = g.vertex_count
+            for ground in (0, n - 1):
+                solver = cv.PoissonSolver(g, ground)
+                for _ in range(3):
+                    omega = hx.gen_graph_measure(rng, n, F(n))
+                    mu = hx.gen_graph_measure(rng, n, F(n))
+                    rhs = [a - b for a, b in zip(omega, mu)]
+                    want = reference_grounded_solve(n, conductances(g), ground, rhs)
+                    top = max(want)
+                    assert solver.solve(omega, mu).values == tuple(v - top for v in want)
 
     def test_interior_atom_subdivision(self):
         g = path2()

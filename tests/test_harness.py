@@ -93,14 +93,6 @@ class TestSuites:
         text = io.dumps_canonical(report.to_dict(with_timing=False))
         assert "orthogonality" in text
 
-    def test_thread_count_does_not_change_report(self, monkeypatch):
-        cfg = hx.GenConfig(seed=12, dimension=1)
-        monkeypatch.setenv("NAMA_THREADS", "1")
-        a = hx.run_suite("comparison", cfg, 6)
-        monkeypatch.setenv("NAMA_THREADS", "3")
-        b = hx.run_suite("comparison", cfg, 6)
-        assert a == b
-
     def test_orthogonality_mutation_names_atom(self):
         """Corrupting one MA weight by 1/1000 must fail with the atom named."""
         cfg = hx.GenConfig(seed=77, dimension=2)

@@ -9,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from nama import cli
+from nama import harness as hx
 from nama import instance_io as io
 from nama import toric as tc
 from nama.errors import ParseError, ValidationError
@@ -397,16 +398,35 @@ class TestMalformedInstancesExitTwo:
         assert self.run(tmp_path, "poisson", bad) == 2
 
 
-@pytest.mark.parametrize("threads", ["abc", "0", "-1", "1.5"])
-def test_invalid_nama_threads_exits_two_naming_the_variable(tmp_path, monkeypatch, capsys, threads):
-    monkeypatch.setenv("NAMA_THREADS", threads)
+def test_a_case_that_raises_is_a_failure_with_its_seed(tmp_path, monkeypatch, capsys):
+    """One graph_suite case raises; the report names its seed, the other
+    cases still run, and `check` exits 4 with no traceback."""
+    real = hx._SUITES["graph_suite"]
+    seen = []
+
+    def flaky(rng, cfg):
+        seen.append(rng.state)
+        if len(seen) == 2:
+            raise RuntimeError("case blew up")
+        return real(rng, cfg)
+
+    monkeypatch.setitem(hx._SUITES, "graph_suite", flaky)
+    out = tmp_path / "r.json"
     code = run_cli(
         tmp_path,
-        "check", "--suite", "comparison", "--cases", "2", "--dimension", "1",
-        "-o", tmp_path / "r.json",
+        "check", "--suite", "graph_suite", "--seed", "3", "--cases", "4", "--no-timestamp", "-o", out,
     )
-    assert code == 2
-    assert "NAMA_THREADS" in capsys.readouterr().err
+    assert code == 4
+    assert seen == [hx.case_seed(3, k) for k in range(4)]
+    report = json.loads(out.read_text())
+    assert report["failures"] == [
+        {
+            "seed": hx.case_seed(3, 1),
+            "assertion": "exception:RuntimeError",
+            "witness": {"message": "case blew up"},
+        }
+    ]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_rewriting_an_output_leaves_no_stale_bytes(tmp_path):

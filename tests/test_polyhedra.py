@@ -94,6 +94,8 @@ class TestHull:
         with pytest.raises(EmptyInput):
             pg.hull([], 2)
         with pytest.raises(DimensionUnsupported):
+            pg.hull([(0, 0, 0), (1, 0, 0)], 3)
+        with pytest.raises(DimensionUnsupported):
             pg.hull([(0, 0, 0, 0)], 4)
         with pytest.raises(DimensionMismatch):
             pg.hull([(0, 0), (1,)], 2)

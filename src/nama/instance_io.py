@@ -27,6 +27,10 @@ FORMAT_VERSION = 1
 KINDS = ("toric-dirac", "toric-envelope", "curve-poisson", "curve-green")
 MODES = ("rational", "float")
 
+# Most points of the 1/lattice_m grid in Delta's bounding box that a
+# lattice envelope may enumerate.
+MAX_LATTICE_POINTS = 100_000
+
 
 def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -252,6 +256,15 @@ def _parse_solver_block(obj, mode: str) -> sv.SolverConfig:
     return sv.SolverConfig(tol=tol, max_iter=max_iter, damping=damping, mode=mode)
 
 
+def _grid_points(delta: tc.NewtonPolytope, m: int) -> int:
+    """Number of points of the 1/m grid in Delta's bounding box."""
+    count = 1
+    for k in range(delta.dim):
+        coords = [v[k] for v in delta.body.vertices]
+        count *= max(0, math.floor(max(coords) * m) - math.ceil(min(coords) * m) + 1)
+    return count
+
+
 def parse_instance(text: str) -> InstanceFile:
     """Strict parse: unknown fields are rejected and every structural
     invariant (mass balance, distinct sites, connectivity) is validated."""
@@ -316,6 +329,10 @@ def parse_instance(text: str) -> InstanceFile:
                 m = obj["lattice_m"]
                 if not _is_int(m) or m < 1:
                     raise ValidationError("lattice_m", "expected a positive integer")
+                if _grid_points(delta, m) > MAX_LATTICE_POINTS:
+                    raise ValidationError(
+                        "lattice_m", f"the 1/{m} grid over Delta has more than {MAX_LATTICE_POINTS} points"
+                    )
                 data["lattice_m"] = m
     else:
         if "graph" not in obj:
@@ -380,9 +397,7 @@ def result_for_solution(
         "t": [_render(t, mode) for t in solution.t],
         "generators": encode_generators(solution.potential, mode),
         "atoms": encode_measure(solution.masses, mode),
-        "energy": _render(
-            tc.energy(solution.potential, p.reference()), mode
-        ),
+        "energy": _render(solution.energy, mode),
         "objective": _render(Fraction(solution.objective), mode),
         "residual": _render(Fraction(solution.residual), mode),
         "iterations": solution.iterations,

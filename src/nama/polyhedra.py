@@ -4,11 +4,13 @@ Hulls, half-space clipping, Laguerre (power-diagram) cells, volumes,
 centroids, Minkowski sums and lower convex hulls of lifted point sets,
 all with no rounding.  Points, half-spaces and results cross the API as
 `fractions.Fraction` tuples.  Clipping and Laguerre cells run one
-Sutherland-Hodgman loop on integer homogeneous coordinates inside and
-convert to Fractions only when they hand the surviving points to `hull`.
-Empty and lower-dimensional polytopes are ordinary values (volume 0),
-because cells routinely degenerate while a solver walks through
-potential space.
+Sutherland-Hodgman loop on integer homogeneous coordinates inside; its
+output is already a convex counterclockwise loop, so it becomes a
+Polytope directly and its points become Fractions once.  Volumes,
+centroids and moments run on integer vertices over one common
+denominator.  `hull` is kept for genuine point sets.  Empty and
+lower-dimensional polytopes are ordinary values (volume 0), because
+cells routinely degenerate while a solver walks through potential space.
 
 Dimensions 3 and higher are rejected.
 """
@@ -16,6 +18,7 @@ Dimensions 3 and higher are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
@@ -82,16 +85,39 @@ class Polytope:
 
     vertices are stored canonically: sorted for dim <= 1, counterclockwise
     from the lexicographic minimum for polygons.  `affine_dim` is -1 for
-    the empty polytope.  `facets` is a consistent half-space description
-    (for lower-dimensional polytopes it includes both sides of the
-    carrier line plus end caps, so the inequalities still cut out the set
-    exactly).
+    the empty polytope.  `facets`, computed on first read, is a consistent
+    half-space description (for lower-dimensional polytopes it includes
+    both sides of the carrier line plus end caps, so the inequalities
+    still cut out the set exactly).
     """
 
     dim: int
     vertices: Tuple[Point, ...]
     affine_dim: int
-    facets: Tuple[Halfspace, ...]
+
+    @cached_property
+    def facets(self) -> Tuple[Halfspace, ...]:
+        v = self.vertices
+        if self.is_empty:
+            # <0, m> <= -1 is infeasible, so the facet list is honest.
+            return ((tuple(_ZERO for _ in range(self.dim)), Fraction(-1)),)
+        if self.affine_dim == 2:  # the outward normal of each edge of the CCW loop
+            normals = [_primitive((w[1] - u[1], u[0] - w[0])) for u, w in zip(v, v[1:] + v[:1])]
+            return tuple((a, dot(a, u)) for a, u in zip(normals, v))
+        # Lower-dimensional: both sides of `dim` independent directions.
+        one = Fraction(1)
+        if self.dim == 1:
+            directions = ((one,),)
+        elif self.affine_dim == 0:
+            directions = ((one, _ZERO), (_ZERO, one))
+        else:
+            d = sub(v[1], v[0])
+            directions = (_primitive((d[1], -d[0])), _primitive(d))
+        out = []
+        for a in directions:
+            values = [dot(a, u) for u in v]
+            out += [(a, max(values)), (tuple(-c for c in a), -min(values))]
+        return tuple(out)
 
     @property
     def is_empty(self) -> bool:
@@ -121,47 +147,7 @@ class Polytope:
 
 
 def _empty(dim: int) -> Polytope:
-    one = Fraction(1)
-    # <0, m> <= -1 is infeasible, so the facet list is honest.
-    zero = tuple(_ZERO for _ in range(dim))
-    return Polytope(dim, (), -1, ((zero, -one),))
-
-
-def _facets_interval(lo: Fraction, hi: Fraction) -> Tuple[Halfspace, ...]:
-    return (((Fraction(1),), hi), ((Fraction(-1),), -lo))
-
-
-def _facets_polygon(loop: Tuple[Point, ...]) -> Tuple[Halfspace, ...]:
-    facets = []
-    k = len(loop)
-    for i in range(k):
-        v, w = loop[i], loop[(i + 1) % k]
-        d = sub(w, v)
-        a = _primitive((d[1], -d[0]))  # outward normal of a CCW loop
-        facets.append((a, dot(a, v)))
-    return tuple(facets)
-
-
-def _facets_segment(p: Point, q: Point) -> Tuple[Halfspace, ...]:
-    d = sub(q, p)
-    n = _primitive((d[1], -d[0]))
-    t = _primitive(d)
-    return (
-        (n, dot(n, p)),
-        (tuple(-c for c in n), -dot(n, p)),
-        (t, dot(t, q)),
-        (tuple(-c for c in t), -dot(t, p)),
-    )
-
-
-def _facets_point2(p: Point) -> Tuple[Halfspace, ...]:
-    one = Fraction(1)
-    ex, ey = (one, _ZERO), (_ZERO, one)
-    out = []
-    for a in (ex, ey):
-        out.append((a, dot(a, p)))
-        out.append((tuple(-c for c in a), -dot(a, p)))
-    return tuple(out)
+    return Polytope(dim, (), -1)
 
 
 def hull(points, dim: Optional[int] = None) -> Polytope:
@@ -186,12 +172,12 @@ def hull(points, dim: Optional[int] = None) -> Polytope:
         lo = min(p[0] for p in pts)
         hi = max(p[0] for p in pts)
         if lo == hi:
-            return Polytope(1, ((lo,),), 0, _facets_interval(lo, lo))
-        return Polytope(1, ((lo,), (hi,)), 1, _facets_interval(lo, hi))
+            return Polytope(1, ((lo,),), 0)
+        return Polytope(1, ((lo,), (hi,)), 1)
 
     uniq = sorted(set(pts))
     if len(uniq) == 1:
-        return Polytope(2, (uniq[0],), 0, _facets_point2(uniq[0]))
+        return Polytope(2, (uniq[0],), 0)
 
     # Andrew's monotone chain, strict turns only (collinear points dropped).
     def chain(seq):
@@ -207,11 +193,11 @@ def hull(points, dim: Optional[int] = None) -> Polytope:
     loop = lower[:-1] + upper[:-1]
     if len(loop) == 2:
         p, q = sorted(loop)
-        return Polytope(2, (p, q), 1, _facets_segment(p, q))
+        return Polytope(2, (p, q), 1)
     # CCW, rotated to start at the lexicographic minimum.
     i0 = min(range(len(loop)), key=lambda i: loop[i])
     loop = tuple(loop[i0:] + loop[:i0])
-    return Polytope(2, loop, 2, _facets_polygon(loop))
+    return Polytope(2, loop, 2)
 
 
 # --------------------------------------------------------------------------
@@ -280,6 +266,37 @@ def _cut(loop, a0: int, a1: int, b: int):
     return list(dict.fromkeys(out))
 
 
+def _orientation(p, q, r) -> int:
+    """Twice the signed area of the triangle pqr, times W_p W_q W_r > 0."""
+    return (
+        p[0] * (q[1] * r[2] - q[2] * r[1])
+        - p[1] * (q[0] * r[2] - q[2] * r[0])
+        + p[2] * (q[0] * r[1] - q[1] * r[0])
+    )
+
+
+def _from_loop(loop, n: int) -> Polytope:
+    """The polytope bounded by a `_cut` result, built without a hull.
+
+    A loop of three or more points is a convex counterclockwise polygon.
+    Points inside an edge, which `_cut` does not make from a strictly
+    convex loop, are dropped by the orientation test all the same, and the
+    rest is rotated to start at its lexicographic minimum.  Fewer points
+    are a point or a segment.  Only three or more collinear points go
+    through `hull`.
+    """
+    if len(loop) > 2:
+        k = len(loop)
+        corners = [q for i, q in enumerate(loop) if _orientation(loop[i - 1], q, loop[i + 1 - k])]
+        if len(corners) < 3:
+            return hull([_from_homogeneous(h, n) for h in loop], n)
+        pts = [_from_homogeneous(h, n) for h in corners]
+        i0 = pts.index(min(pts))
+        return Polytope(n, tuple(pts[i0:] + pts[:i0]), 2)
+    pts = sorted(_from_homogeneous(h, n) for h in loop)
+    return Polytope(n, tuple(pts), len(pts) - 1)
+
+
 def clip(p: Polytope, halfspaces) -> Polytope:
     """Intersect a polytope with half-spaces {<a,m> <= b}, exactly."""
     if p.is_empty or not halfspaces:
@@ -290,12 +307,12 @@ def clip(p: Polytope, halfspaces) -> Polytope:
         if len(a) != n:
             raise DimensionMismatch(f"normal {tuple(a)} does not have dimension {n}")
         cuts.append(_integers(_planar(a) + (b,))[0])
-    loop = [_homogeneous(v) for v in p.vertices]
+    start = loop = [_homogeneous(v) for v in p.vertices]
     for cut in cuts:
         loop = _cut(loop, *cut)
         if not loop:
             return _empty(n)
-    return hull([_from_homogeneous(h, n) for h in loop], n)
+    return p if loop is start else _from_loop(loop, n)
 
 
 def laguerre_cells(body: Polytope, sites, values) -> List[Optional[Polytope]]:
@@ -330,9 +347,22 @@ def laguerre_cells(body: Polytope, sites, values) -> List[Optional[Polytope]]:
         elif loop is start:  # no wall cuts the body
             cells.append(body)
         else:
-            cell = hull([_from_homogeneous(h, n) for h in loop], n)
+            cell = _from_loop(loop, n)
             cells.append(cell if cell.is_full_dimensional else None)
     return cells
+
+
+def _polygon_sums(p: Polytope):
+    """(S, Mx, My, d) of a polygon, on its vertices as integers over their
+    least common denominator d: the area is S / 2d^2 and the integrals of
+    x and y over p are Mx / 6d^3 and My / 6d^3."""
+    coords, d = _integers([c for v in p.vertices for c in v])
+    xs, ys = coords[0::2], coords[1::2]
+    s = mx = my = 0
+    for x0, y0, x1, y1 in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1]):
+        c = x0 * y1 - x1 * y0
+        s, mx, my = s + c, mx + (x0 + x1) * c, my + (y0 + y1) * c
+    return s, mx, my, d
 
 
 def volume(p: Polytope) -> Fraction:
@@ -341,12 +371,8 @@ def volume(p: Polytope) -> Fraction:
         return _ZERO
     if p.dim == 1:
         return p.vertices[1][0] - p.vertices[0][0]
-    # Fan triangulation from the first vertex of the CCW loop.
-    v0 = p.vertices[0]
-    total = _ZERO
-    for i in range(1, len(p.vertices) - 1):
-        total += cross(sub(p.vertices[i], v0), sub(p.vertices[i + 1], v0))
-    return total / 2
+    s, _, _, d = _polygon_sums(p)
+    return Fraction(s, 2 * d * d)
 
 
 def centroid(p: Polytope) -> Point:
@@ -355,25 +381,19 @@ def centroid(p: Polytope) -> Point:
         raise EmptyInput("centroid needs a full-dimensional polytope")
     if p.dim == 1:
         return ((p.vertices[0][0] + p.vertices[1][0]) / 2,)
-    v0 = p.vertices[0]
-    area2 = _ZERO
-    cx = _ZERO
-    cy = _ZERO
-    for i in range(1, len(p.vertices) - 1):
-        u, w = p.vertices[i], p.vertices[i + 1]
-        a = cross(sub(u, v0), sub(w, v0))
-        area2 += a
-        cx += a * (v0[0] + u[0] + w[0])
-        cy += a * (v0[1] + u[1] + w[1])
-    return (cx / (3 * area2), cy / (3 * area2))
+    s, mx, my, d = _polygon_sums(p)
+    return (Fraction(mx, 3 * d * s), Fraction(my, 3 * d * s))
 
 
 def moment(p: Polytope, a: Point, c: Fraction) -> Fraction:
     """Exact integral of the affine map m -> <a, m> + c over p."""
-    vol = volume(p)
-    if vol == 0:
+    if p.is_empty or p.affine_dim < p.dim:
         return _ZERO
-    return vol * (dot(a, centroid(p)) + Fraction(c))
+    if p.dim == 1:
+        return volume(p) * (dot(a, centroid(p)) + Fraction(c))
+    s, mx, my, d = _polygon_sums(p)
+    (a0, a1, c0), e = _integers([a[0], a[1], c])
+    return Fraction(a0 * mx + a1 * my + 3 * d * c0 * s, 6 * d**3 * e)
 
 
 def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:

@@ -101,6 +101,12 @@ class Solution:
     objective: Fraction
     trace: Tuple[IterationRecord, ...] = ()  # one record per iteration
 
+    @property
+    def energy(self) -> Fraction:
+        """E(potential, problem.reference()), exact: the objective is that
+        energy minus sum w_i t_i."""
+        return self.objective + sum((w * ti for w, ti in zip(self.problem.weights, self.t)), _ZERO)
+
     def mass_vector(self) -> Tuple[Fraction, ...]:
         return tuple(self.masses.weight_at(x) for x in self.problem.sites)
 
@@ -109,9 +115,10 @@ def _envelope_at(p: DiracProblem, t) -> ToricPsh:
     return tc.envelope(p.delta, list(zip(p.sites, t)))
 
 
-def _masses_at(p: DiracProblem, phi: ToricPsh) -> Tuple[Fraction, ...]:
+def _masses_at(p: DiracProblem, phi: ToricPsh):
+    """MA(phi) and its mass at each site."""
     mu = tc.ma_measure(phi)
-    return tuple(mu.weight_at(x) for x in p.sites)
+    return mu, tuple(mu.weight_at(x) for x in p.sites)
 
 
 def _value_legendre(p: DiracProblem, phi: ToricPsh, t, ref: ToricPsh) -> Fraction:
@@ -133,7 +140,7 @@ def dual_objective(p: DiracProblem, t: Sequence, mode: str = "rational"):
     t = tuple(Fraction(x) for x in t)
     phi = _envelope_at(p, t)
     ref = p.reference()
-    masses = _masses_at(p, phi)
+    _, masses = _masses_at(p, phi)
     grad = tuple(h - w for h, w in zip(masses, p.weights))
     value = _value_legendre(p, phi, t, ref)
     if mode == "rational":
@@ -146,8 +153,7 @@ def dual_objective(p: DiracProblem, t: Sequence, mode: str = "rational"):
     return float(value), tuple(float(g) for g in grad)
 
 
-def _solution(p, t, phi, masses, trace, ref) -> Solution:
-    mu = tc.ma_measure(phi)
+def _solution(p, t, phi, mu, masses, trace, ref) -> Solution:
     residual = max(abs(h - w) for h, w in zip(masses, p.weights))
     return Solution(
         problem=p,
@@ -265,16 +271,16 @@ def solve(p: DiracProblem, config: SolverConfig = SolverConfig()) -> Solution:
 
     def state(tvec):
         phi = _envelope_at(p, tvec)
-        masses = _masses_at(p, phi)
-        return phi, masses, [h - w for h, w in zip(masses, p.weights)]
+        mu, masses = _masses_at(p, phi)
+        return phi, mu, masses, [h - w for h, w in zip(masses, p.weights)]
 
-    phi, masses, grad = state(t)
+    phi, mu, masses, grad = state(t)
     if mode == "float" and min(masses) == 0:
         init, start = t, rnd(start_potentials(p))
         for k in range(10, -1, -1):
             s = Fraction(1, 2**k)
             t = rnd((1 - s) * a + s * b for a, b in zip(init, start))
-            phi, masses, grad = state(t)
+            phi, mu, masses, grad = state(t)
             if min(masses) > 0:
                 break
     eps = min(min(p.weights), min(masses)) / 2
@@ -283,7 +289,7 @@ def solve(p: DiracProblem, config: SolverConfig = SolverConfig()) -> Solution:
 
     for _ in range(config.max_iter):
         if max(abs(g) for g in grad) <= tol * vol:
-            return _solution(p, t, phi, masses, trace, ref)
+            return _solution(p, t, phi, mu, masses, trace, ref)
         if mode == "float":
             # Newton on the complement of the constants: pin d_last = 0.
             M, g, d = _wall_hessian(p, phi), np.array([float(x) for x in grad]), np.zeros(n)
@@ -299,7 +305,7 @@ def solve(p: DiracProblem, config: SolverConfig = SolverConfig()) -> Solution:
         step = Fraction(1)
         for trials in range(1, 61):
             trial = rnd(ti + step * di for ti, di in zip(t, d))
-            phi2, masses2, grad2 = state(trial)
+            phi2, mu2, masses2, grad2 = state(trial)
             if mode == "float":
                 if min(masses2) >= eps and _norm(grad2) <= (1 - step / 2) * norm:
                     break
@@ -311,10 +317,10 @@ def solve(p: DiracProblem, config: SolverConfig = SolverConfig()) -> Solution:
             step *= config.damping
         else:
             break
-        t, phi, masses, grad = trial, phi2, masses2, grad2
+        t, phi, mu, masses, grad = trial, phi2, mu2, masses2, grad2
         trace.append(IterationRecord(max(abs(g) for g in grad), _norm(grad), step, min(masses), trials))
 
-    solution = _solution(p, t, phi, masses, trace, ref)
+    solution = _solution(p, t, phi, mu, masses, trace, ref)
     if solution.residual <= tol * vol:
         return solution
     raise NotConverged(solution, len(trace))
@@ -322,13 +328,14 @@ def solve(p: DiracProblem, config: SolverConfig = SolverConfig()) -> Solution:
 
 def normalize(s: Solution) -> Solution:
     """Shift t by a constant so the potential's maximum over the sites
-    (hence over the hull of sites and atoms) is exactly 0."""
+    (hence over the hull of sites and atoms) is exactly 0.  The cells,
+    masses and objective do not change; the energy moves with sum w_i t_i
+    because the weights sum to vol(Delta)."""
     shift = max(s.potential.value(x) for x in s.problem.sites)
     if shift == 0:
         return s
     t = tuple(ti - shift for ti in s.t)
-    phi = _envelope_at(s.problem, t)
-    return replace(s, t=t, potential=phi)
+    return replace(s, t=t, potential=s.potential.shift(-shift))
 
 
 def cl_measure(f: ToricPsh) -> AtomicMeasure:

@@ -140,8 +140,14 @@ class ToricPsh:
         return max(dot(v, y) - uv for v, uv in self.pieces)
 
     def shift(self, c) -> "ToricPsh":
+        """f + c, through the values t_a + c.  A constant added to every
+        value moves no wall, so the cells are kept, not rebuilt."""
         c = Fraction(c)
-        return ToricPsh(self.delta, [(x, t + c) for x, t in self.generators])
+        out = object.__new__(ToricPsh)
+        out.delta, out.cells = self.delta, self.cells
+        out.generators = tuple((x, t + c) for x, t in self.generators)
+        out._pieces = None if self._pieces is None else tuple((v, u - c) for v, u in self._pieces)
+        return out
 
     def subdifferential(self, y: Point) -> Polytope:
         """The polytope of maximizing slopes at y (a cell of the dual

@@ -1,0 +1,134 @@
+"""Fuzz the command line with random instance files: whatever the input,
+`cli.main` ends with exit code 0, 2, 3 or 4 and never raises.
+
+Instances start valid (so the solvers, envelopes and graph code run) and
+are then mutated: a field dropped, a value anywhere replaced by an
+arbitrary JSON value, an unknown field added, or the text cut short.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from fractions import Fraction as F
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from nama import cli
+
+COMMAND_OF = {
+    "toric-dirac": "solve",
+    "toric-envelope": "envelope",
+    "curve-poisson": "poisson",
+    "curve-green": "green",
+}
+COMMANDS = ("solve", "envelope", "green", "poisson", "energy", "export-cells")
+BODIES = {  # dimension -> (vertices, volume)
+    1: ([["0"], ["2"]], F(2)),
+    2: ([["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]], F(1)),
+}
+
+junk = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.sampled_from([0.5, -1.25, 1e300, float("nan"), float("inf"), 10**6])
+    | st.sampled_from(["", "abc", "1/0", "1/3", "-2/5", " 1 ", "0.75", "1e5", "NaN", "toric-dirac"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["vertices", "site", "value", "vertex", "weight", "edge", "pos", "tol"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+small = st.builds(F, st.integers(-6, 6), st.integers(1, 3))
+
+
+def text(x):
+    return f"{x.numerator}/{x.denominator}"
+
+
+def parts(draw, total, count):
+    """`count` positive rationals summing to `total`."""
+    shares = [draw(st.integers(1, 4)) for _ in range(count)]
+    return [text(total * s / sum(shares)) for s in shares]
+
+
+@st.composite
+def valid_instances(draw):
+    kind = draw(st.sampled_from(sorted(COMMAND_OF)))
+    doc = {"kind": kind, "mode": draw(st.sampled_from(["rational", "float"]))}
+    dim = draw(st.integers(1, 2))
+    if kind.startswith("toric"):
+        vertices, volume = BODIES[dim]
+        doc["polytope"] = {"vertices": vertices}
+        sites = draw(st.lists(st.tuples(*[small] * dim), min_size=1, max_size=4, unique=True))
+        if kind == "toric-dirac":
+            doc["sites"] = [[text(c) for c in x] for x in sites]
+            doc["weights"] = parts(draw, volume, len(sites))
+        else:
+            doc["constraints"] = [{"site": [text(c) for c in x], "value": text(draw(small))} for x in sites]
+            if draw(st.booleans()):
+                doc["lattice_m"] = draw(st.sampled_from([1, 2, 3, 10**6]))
+    else:
+        n = draw(st.integers(2, 4))
+        edges = [[i, i + 1, text(abs(draw(small)) + 1)] for i in range(n - 1)]
+        edges += [[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), "1/2"] for _ in range(draw(st.integers(0, 2)))]
+        doc["graph"] = {"vertex_count": n, "edges": edges}
+        if kind == "curve-green":
+            x = draw(st.integers(0, n - 1))
+            doc["x"], doc["y"] = x, (x + draw(st.integers(1, n - 1))) % n
+        else:
+            doc["omega"] = [{"vertex": v, "weight": w} for v, w in enumerate(parts(draw, F(n), n))]
+            doc["mu"] = [{"vertex": draw(st.integers(0, n - 1)), "weight": text(F(n, 2))}]
+            doc["mu"].append({"edge": 0, "pos": text(F(draw(st.integers(1, 3)), 4)), "weight": text(F(n, 2))})
+    return doc
+
+
+def _containers(obj):
+    """Every list and object inside a JSON value, itself included."""
+    if isinstance(obj, (dict, list)):
+        yield obj
+        for value in obj.values() if isinstance(obj, dict) else obj:
+            yield from _containers(value)
+
+
+@st.composite
+def instance_texts(draw):
+    doc = json.loads(json.dumps(draw(valid_instances())))  # a copy to mutate
+    for _ in range(draw(st.integers(0, 2))):
+        node = draw(st.sampled_from(list(_containers(doc))))
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        action = draw(st.integers(0, 2))
+        if action == 0 and keys:
+            node[draw(st.sampled_from(keys))] = draw(junk)
+        elif action == 1 and keys:
+            del node[draw(st.sampled_from(keys))]
+        elif isinstance(node, dict):
+            node[draw(st.sampled_from(["extra", "lattice_m", "solver", "x", "sites"]))] = draw(junk)
+    if doc.get("kind") == "toric-dirac":
+        # The 2-D rational-mode ascent can run without bound at the default
+        # max_iter, so a Dirac instance keeps a small one.
+        solver = doc.setdefault("solver", {})
+        if isinstance(solver, dict) and not (type(solver.get("max_iter")) is int and solver["max_iter"] <= 3):
+            solver["max_iter"] = draw(st.integers(1, 3))
+    out = json.dumps(doc)
+    if draw(st.integers(0, 9)) == 0:
+        out = out[: draw(st.integers(0, len(out)))]
+    kind = doc.get("kind")
+    if isinstance(kind, str) and kind in COMMAND_OF and draw(st.integers(0, 3)):
+        return out, COMMAND_OF[kind]
+    return out, draw(st.sampled_from(COMMANDS))
+
+
+@settings(max_examples=600, deadline=2000, suppress_health_check=[HealthCheck.too_slow])
+@given(instance_texts())
+def test_cli_exit_codes_on_random_instances(case):
+    source, command = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "inst.json"
+        path.write_text(source)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main([command, str(path), "-o", str(Path(tmp) / "out"), "--no-timestamp"])
+    assert code in (0, 2, 3, 4), err.getvalue()

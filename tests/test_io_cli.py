@@ -4,6 +4,7 @@ determinism, exit codes."""
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -463,3 +464,41 @@ def test_zariski_defect_notes_that_it_ignores_dimension_two(tmp_path, capsys):
     assert reports[1][1] == ""
     assert "zariski_defect runs in dimension 1" in reports[2][1]
     assert reports[1][0] == reports[2][0]
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [[["0"], ["1"]], [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]],
+    ids=["1d", "2d"],
+)
+def test_huge_lattice_m_exits_two_naming_the_field_at_once(tmp_path, capsys, vertices):
+    dim = len(vertices[0])
+    doc = dict(
+        ENVELOPE,
+        polytope={"vertices": vertices},
+        constraints=[{"site": ["1/3"] * dim, "value": "0"}],
+        lattice_m=10**6,
+    )
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert run_cli(tmp_path, "envelope", path, "-o", tmp_path / "out.json") == 2
+    assert time.perf_counter() - start < 1
+    assert "lattice_m" in capsys.readouterr().err
+
+
+def test_lattice_m_bound_counts_the_grid_of_the_bounding_box():
+    """The benchmark's lattice envelopes (m = 4 on the unit triangle, m = 8
+    on the unit square) stay far inside the bound; the bound itself is the
+    grid point count of Delta's bounding box."""
+    base = dict(ENVELOPE, constraints=[{"site": ["0", "0"], "value": "0"}])
+    for vertices, m in (([["0", "0"], ["1", "0"], ["0", "1"]], 4), ([["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]], 8)):
+        inst = io.parse_instance(json.dumps(dict(base, polytope={"vertices": vertices}, lattice_m=m)))
+        assert inst.data["lattice_m"] == m
+    # [0, 3] x [0, 1]: (3m + 1)(m + 1) grid points.
+    rect = {"vertices": [["0", "0"], ["3", "0"], ["3", "1"], ["0", "1"]]}
+    m = max(k for k in range(1, 400) if (3 * k + 1) * (k + 1) <= io.MAX_LATTICE_POINTS)
+    io.parse_instance(json.dumps(dict(base, polytope=rect, lattice_m=m)))
+    with pytest.raises(ValidationError) as exc:
+        io.parse_instance(json.dumps(dict(base, polytope=rect, lattice_m=m + 1)))
+    assert exc.value.field == "lattice_m"

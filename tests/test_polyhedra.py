@@ -471,3 +471,193 @@ def test_split_additivity_property(pts, ax, ay, b):
     left = pg.clip(h, [((ax, ay), b)])
     right = pg.clip(h, [((-ax, -ay), -b)])
     assert pg.volume(left) + pg.volume(right) == pg.volume(h)
+
+
+# --------------------------------------------------------------------------
+# Cells and clips built straight from the integer loop, against the loop's
+# points re-hulled; lazy facets against the eager construction.
+# --------------------------------------------------------------------------
+
+
+def eager_facets(p):
+    """The facet list every Polytope carried before facets became lazy."""
+    if p.is_empty:
+        return ((tuple(F(0) for _ in range(p.dim)), F(-1)),)
+    v = p.vertices
+    if p.dim == 1:
+        return (((F(1),), v[-1][0]), ((F(-1),), -v[0][0]))
+    if p.affine_dim == 0:
+        out = []
+        for a in ((F(1), F(0)), (F(0), F(1))):
+            out += [(a, pg.dot(a, v[0])), (tuple(-c for c in a), -pg.dot(a, v[0]))]
+        return tuple(out)
+    if p.affine_dim == 1:
+        q, r = v
+        d = pg.sub(r, q)
+        n, t = pg._primitive((d[1], -d[0])), pg._primitive(d)
+        return (
+            (n, pg.dot(n, q)),
+            (tuple(-c for c in n), -pg.dot(n, q)),
+            (t, pg.dot(t, r)),
+            (tuple(-c for c in t), -pg.dot(t, q)),
+        )
+    out = []
+    for q, r in zip(v, v[1:] + v[:1]):
+        d = pg.sub(r, q)
+        a = pg._primitive((d[1], -d[0]))
+        out.append((a, pg.dot(a, q)))
+    return tuple(out)
+
+
+def assert_same_polytope(got, want):
+    assert (got.dim, got.vertices, got.affine_dim) == (want.dim, want.vertices, want.affine_dim)
+    assert got.facets == want.facets == eager_facets(want)
+    assert all(type(c) is F for v in got.vertices for c in v)
+
+
+def hull_clip(p, halfspaces):
+    """`clip` as it was: the same integer Sutherland-Hodgman loop, with its
+    surviving points handed to `hull`."""
+    n = p.dim
+    loop = [pg._homogeneous(v) for v in p.vertices]
+    for a, b in halfspaces:
+        loop = pg._cut(loop, *pg._integers(pg._planar(tuple(a)) + (b,))[0])
+        if not loop:
+            return pg._empty(n)
+    return pg.hull([pg._from_homogeneous(h, n) for h in loop], n)
+
+
+def hull_laguerre_cells(body, sites, values):
+    cells = []
+    for xa, ta in zip(sites, values):
+        cell = hull_clip(body, [(pg.sub(xb, xa), tb - ta) for xb, tb in zip(sites, values) if xb != xa])
+        cells.append(cell if cell.is_full_dimensional else None)
+    return cells
+
+
+def assert_cells_match_hull(body, sites, values):
+    got = pg.laguerre_cells(body, sites, values)
+    want = hull_laguerre_cells(body, sites, values)
+    assert [c is None for c in got] == [c is None for c in want]
+    for g, w in zip(got, want):
+        if w is not None:
+            assert_same_polytope(g, w)
+
+
+def random_polygon(rng, den=4, count=7):
+    while True:
+        body = pg.hull([(F(rng.randint(-8, 8), den), F(rng.randint(-8, 8), den)) for _ in range(count)], 2)
+        if body.affine_dim == 2:
+            return body
+
+
+class TestCellsWithoutSecondHull:
+    def test_clip_through_a_vertex_and_along_an_edge(self):
+        rng = random.Random(61)
+        for _ in range(150):
+            body = random_polygon(rng)
+            cuts = []
+            for _ in range(rng.randint(1, 4)):
+                if rng.random() < 0.5:  # through a vertex
+                    a = (F(rng.randint(-3, 3)), F(rng.randint(-3, 3), rng.randint(1, 3)))
+                    if a == (0, 0):
+                        a = (F(1), F(0))
+                    cuts.append((a, pg.dot(a, rng.choice(body.vertices))))
+                else:  # along an edge, keeping either side
+                    a, b = rng.choice(body.facets)
+                    cuts.append((a, b) if rng.random() < 0.5 else (tuple(-c for c in a), -b))
+            assert_same_polytope(pg.clip(body, cuts), hull_clip(body, cuts))
+
+    def test_clip_slivers(self):
+        rng = random.Random(67)
+        for _ in range(150):
+            body = random_polygon(rng)
+            a = (F(rng.randint(-3, 3)), F(rng.randint(1, 3)))
+            top = max(pg.dot(a, v) for v in body.vertices)
+            eps = F(1, 10 ** rng.randint(3, 9))
+            for cuts in ([(a, top - eps)], [(tuple(-c for c in a), eps - top)]):
+                assert_same_polytope(pg.clip(body, cuts), hull_clip(body, cuts))
+
+    def test_laguerre_cells_near_ties_and_exact_ties(self):
+        """Paraboloid values put many walls through common points; a noise
+        of 1e-9 moves them apart by a hair."""
+        rng = random.Random(71)
+        for trial in range(60):
+            body = random_polygon(rng)
+            sites = sorted({(F(rng.randint(-6, 6), 2), F(rng.randint(-6, 6), 2)) for _ in range(rng.randint(2, 9))})
+            noise = F(rng.randint(-1, 1), 10**9) if trial % 2 else F(0)
+            values = [(x * x + y * y) / 2 + noise * rng.randint(-1, 1) for x, y in sites]
+            assert_cells_match_hull(body, sites, values)
+
+    def test_laguerre_sliver_cells(self):
+        """Pairs of sites a hair apart with almost equal values cut thin
+        strips out of each other's cells."""
+        rng = random.Random(73)
+        for _ in range(60):
+            body = random_polygon(rng)
+            sites, values = [], []
+            for _ in range(rng.randint(1, 4)):
+                x = (F(rng.randint(-6, 6), 3), F(rng.randint(-6, 6), 3))
+                d = (F(rng.randint(-2, 2), 10**6), F(1, 10**6))
+                t = F(rng.randint(-4, 4), 4)
+                sites += [x, pg.add(x, d)]
+                values += [t, t + F(rng.randint(-2, 2), 10**7)]
+            if len(set(sites)) == len(sites):
+                assert_cells_match_hull(body, sites, values)
+
+    def test_one_dimensional_cells_and_clips(self):
+        rng = random.Random(79)
+        for _ in range(150):
+            lo = F(rng.randint(-9, 9), rng.randint(1, 4))
+            hi = lo + F(rng.randint(1, 9), rng.randint(1, 4))
+            body = pg.hull([(lo,), (hi,)], 1)
+            sites = sorted({(F(rng.randint(-6, 6), 2),) for _ in range(rng.randint(1, 5))})
+            values = [F(rng.randint(-8, 8), 4) for _ in sites]
+            assert_cells_match_hull(body, sites, values)
+            cuts = random_halfspaces(rng, body, rng.randint(1, 3))
+            assert_same_polytope(pg.clip(body, cuts), hull_clip(body, cuts))
+
+    def test_loop_with_collinear_points_in_any_rotation(self):
+        """`_from_loop` drops points inside an edge and starts the loop at
+        its lexicographic minimum; three or more collinear points go to
+        `hull`."""
+        rng = random.Random(83)
+        for _ in range(100):
+            body = random_polygon(rng)
+            loop = [pg._homogeneous(v) for v in body.vertices]
+            for i in sorted(rng.sample(range(len(loop)), rng.randint(1, len(loop))), reverse=True):
+                p, q = body.vertices[i], body.vertices[(i + 1) % len(body.vertices)]
+                s = F(rng.randint(1, 4), 5)
+                loop.insert(i + 1, pg._homogeneous(pg.add(p, pg.scale_point(pg.sub(q, p), s))))
+            r = rng.randrange(len(loop))
+            assert_same_polytope(pg._from_loop(loop[r:] + loop[:r], 2), body)
+        line = [(F(0), F(0)), (F(1), F(1)), (F(3), F(3))]
+        assert_same_polytope(pg._from_loop([pg._homogeneous(p) for p in line], 2), pg.hull(line, 2))
+
+
+def test_lazy_facets_match_the_eager_construction():
+    rng = random.Random(89)
+    shapes = [pg._empty(1), pg._empty(2)]
+    for _ in range(100):
+        pts = [(F(rng.randint(-8, 8), 3), F(rng.randint(-8, 8), 3)) for _ in range(rng.randint(1, 7))]
+        shapes += [pg.hull(pts, 2), pg.hull(pts[:2], 2), pg.hull(pts[:1], 2)]
+        shapes += [pg.hull([p[:1] for p in pts], 1), pg.hull([pts[0][:1]], 1)]
+    for p in shapes:
+        assert "facets" not in vars(p)  # nothing computed until read
+        assert p.facets == eager_facets(p)
+    assert {p.affine_dim for p in shapes} == {-1, 0, 1, 2}
+
+
+def test_integer_volume_centroid_moment_match_fractions():
+    rng = random.Random(97)
+    for _ in range(100):
+        body = random_polygon(rng, den=rng.randint(1, 7))
+        v = body.vertices
+        fan = [(v[0], v[i], v[i + 1]) for i in range(1, len(v) - 1)]
+        areas = [pg.cross(pg.sub(q, p), pg.sub(r, p)) / 2 for p, q, r in fan]
+        area = sum(areas)
+        c = tuple(sum(a * (p[k] + q[k] + r[k]) / 3 for a, (p, q, r) in zip(areas, fan)) / area for k in range(2))
+        a, off = (F(rng.randint(-5, 5), 3), F(rng.randint(-5, 5), 2)), F(rng.randint(-5, 5), 7)
+        assert pg.volume(body) == area
+        assert pg.centroid(body) == c
+        assert pg.moment(body, a, off) == area * (pg.dot(a, c) + off)

@@ -2,7 +2,9 @@
 
 Every exact graph computation in nama is one linear system: L x = b,
 where L is the Laplacian of a graph with positive edge weights and
-x(ground) = 0.  Dropping the ground row and column of a connected
+x(ground) = 0.  The metric-graph solves of `curves` are such systems, and
+so is the toric solver's Newton step, on the graph of walls between
+Laguerre cells.  Dropping the ground row and column of a connected
 graph's Laplacian leaves a symmetric positive definite matrix, so
 Gaussian elimination meets a positive pivot in every vertex order and
 needs no pivot search.  The order is minimum degree, ties broken by

@@ -266,34 +266,22 @@ def _cut(loop, a0: int, a1: int, b: int):
     return list(dict.fromkeys(out))
 
 
-def _orientation(p, q, r) -> int:
-    """Twice the signed area of the triangle pqr, times W_p W_q W_r > 0."""
-    return (
-        p[0] * (q[1] * r[2] - q[2] * r[1])
-        - p[1] * (q[0] * r[2] - q[2] * r[0])
-        + p[2] * (q[0] * r[1] - q[1] * r[0])
-    )
-
-
 def _from_loop(loop, n: int) -> Polytope:
     """The polytope bounded by a `_cut` result, built without a hull.
 
-    A loop of three or more points is a convex counterclockwise polygon.
-    Points inside an edge, which `_cut` does not make from a strictly
-    convex loop, are dropped by the orientation test all the same, and the
-    rest is rotated to start at its lexicographic minimum.  Fewer points
-    are a point or a segment.  Only three or more collinear points go
-    through `hull`.
+    Fewer than three points are a point or a segment.  Three or more are a
+    strictly convex counterclockwise polygon: every loop `_cut` receives
+    is one (a polytope's vertex list or an earlier `_cut` result), and
+    Sutherland-Hodgman applied to a strictly convex loop keeps a subset of
+    its corners plus at most two crossing points, each inside an edge and
+    on the cutting line, so no three of them are collinear.  The loop is
+    only rotated to start at its lexicographic minimum.
     """
-    if len(loop) > 2:
-        k = len(loop)
-        corners = [q for i, q in enumerate(loop) if _orientation(loop[i - 1], q, loop[i + 1 - k])]
-        if len(corners) < 3:
-            return hull([_from_homogeneous(h, n) for h in loop], n)
-        pts = [_from_homogeneous(h, n) for h in corners]
+    pts = [_from_homogeneous(h, n) for h in loop]
+    if len(pts) > 2:
         i0 = pts.index(min(pts))
         return Polytope(n, tuple(pts[i0:] + pts[:i0]), 2)
-    pts = sorted(_from_homogeneous(h, n) for h in loop)
+    pts.sort()
     return Polytope(n, tuple(pts), len(pts) - 1)
 
 

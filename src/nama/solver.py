@@ -2,29 +2,33 @@
 
 The concave dual objective F(t) = E(envelope(t)) - sum w_i t_i has gradient
 (cell masses - target weights), so maximizing it solves the equation: it is
-semi-discrete optimal transport from the uniform measure on Delta.  Float
-mode runs damped Newton from a start with no empty cell; rational mode runs
-an exact Armijo gradient ascent.  The cell geometry at each iterate is
-evaluated exactly (every float is a rational); only a float iterate itself
-is rounded.
+semi-discrete optimal transport from the uniform measure on Delta.  Both
+modes run one damped Newton loop from a start with no empty cell.  Its
+Hessian is minus the weighted Laplacian of the cell-adjacency graph, whose
+weights are exact rationals, so each Newton direction is one exact grounded
+Laplace solve (`linalg.solve_exact`).  The cell geometry at each iterate is
+exact; only the iterate is rounded: to floats in float mode, to bounded
+denominators in rational mode, whose residual is then certified exactly.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from itertools import combinations
+from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
+from . import linalg
 from . import polyhedra as pg
 from . import toric as tc
 from .errors import ArityMismatch, ConsistencyError, MassMismatch, NotConverged
-from .polyhedra import Point, dot, sub
+from .polyhedra import Point, cross, dot, sub
 from .toric import AtomicMeasure, NewtonPolytope, ToricPsh
 
 _ZERO = Fraction(0)
+_MAX_DENOMINATOR = 10**12  # keeps rational iterates small; far below float spacing
 
 
 @dataclass(frozen=True)
@@ -153,7 +157,7 @@ def dual_objective(p: DiracProblem, t: Sequence, mode: str = "rational"):
     return float(value), tuple(float(g) for g in grad)
 
 
-def _solution(p, t, phi, mu, masses, trace, ref) -> Solution:
+def _solution(p, t, phi, mu, masses, trace) -> Solution:
     residual = max(abs(h - w) for h, w in zip(masses, p.weights))
     return Solution(
         problem=p,
@@ -162,7 +166,7 @@ def _solution(p, t, phi, mu, masses, trace, ref) -> Solution:
         masses=mu,
         residual=residual,
         iterations=len(trace),
-        objective=_value_legendre(p, phi, t, ref),
+        objective=_value_legendre(p, phi, t, p.reference()),
         trace=tuple(trace),
     )
 
@@ -182,26 +186,34 @@ def _solve_1d_exact(p: DiracProblem) -> Tuple[Fraction, ...]:
     return tuple(t)
 
 
-def _wall_hessian(p: DiracProblem, phi: ToricPsh) -> np.ndarray:
-    """d(masses)/dt: off-diagonal entries are wall measure over site
-    distance, diagonals make rows sum to zero.  The wall of the pair
-    (i, j) is the face of cell i on <x_i - x_j, m> = t_i - t_j, read off
-    exactly from cell i's vertices: a full wall has `dim` of them."""
+def _wall_edges(p: DiracProblem, phi: ToricPsh) -> List[Tuple[int, int, Fraction]]:
+    """Weighted edges (i, j, w) on site indices of the Laplacian whose
+    negative is d(masses)/dt: w = |wall| |x_i - x_j| / |x_i - x_j|^2.
+
+    Laguerre cells tile Delta face to face, so cells i and j share a wall
+    exactly when they share `dim` vertices, found through one map from
+    each vertex to its cells.  The wall [v_0, v_1] is perpendicular to
+    x_i - x_j, so |wall| |x_i - x_j| = |cross(x_i - x_j, v_1 - v_0)| in 2-D
+    and |x_i - x_j| in 1-D, and w is exact.
+    """
+    owners = defaultdict(list)
+    for a, cell in enumerate(phi.cells):
+        for v in cell.vertices:
+            owners[v].append(a)
+    shared = defaultdict(list)
+    for v, cells in owners.items():
+        for pair in combinations(cells, 2):
+            shared[pair].append(v)
     index = {x: i for i, x in enumerate(p.sites)}
     dim = p.delta.dim
-    M = np.zeros((len(p.sites), len(p.sites)))
-    gens = phi.generators
-    for a, ((xi, ti), cell) in enumerate(zip(gens, phi.cells)):
-        for xj, tj in gens[a + 1 :]:
-            normal, level = sub(xi, xj), ti - tj
-            wall = [v for v in cell.vertices if dot(normal, v) == level]
-            if len(wall) != dim:
-                continue
-            measure = 1.0 if dim == 1 else math.hypot(*(float(c) for c in sub(wall[1], wall[0])))
-            dist = math.hypot(*(float(c) for c in normal))
-            M[index[xi], index[xj]] = M[index[xj], index[xi]] = measure / dist
-    M -= np.diag(M.sum(axis=1))
-    return M
+    edges = []
+    for (a, b), wall in shared.items():
+        if len(wall) == dim:
+            (xa, _), (xb, _) = phi.generators[a], phi.generators[b]
+            normal = sub(xa, xb)
+            scaled = abs(normal[0]) if dim == 1 else abs(cross(normal, sub(wall[1], wall[0])))
+            edges.append((index[xa], index[xb], scaled / dot(normal, normal)))
+    return edges
 
 
 def start_potentials(p: DiracProblem) -> Tuple[Fraction, ...]:
@@ -223,27 +235,29 @@ def start_potentials(p: DiracProblem) -> Tuple[Fraction, ...]:
     return tuple(q(x) - q_bar for x in p.sites)
 
 
-def _rounded(t) -> list:
-    return [Fraction(float(x)) for x in t]
-
-
-def _norm(grad) -> float:
-    return math.sqrt(sum(float(g) ** 2 for g in grad))
+def _rounder(mode: str):
+    """How an iterate is rounded: to floats, or to bounded denominators."""
+    if mode == "float":
+        return lambda t: [Fraction(float(x)) for x in t]
+    return lambda t: [Fraction(x).limit_denominator(_MAX_DENOMINATOR) for x in t]
 
 
 def solve(p: DiracProblem, config: SolverConfig = SolverConfig()) -> Solution:
     """Maximize the dual objective; returns a Solution whose Laguerre
     masses match the target weights within tol * vol(Delta).
 
-    Float mode is the damped Newton of Kitagawa-Merigot-Thibert (JEMS 2019;
-    global convergence, quadratic near the solution) from `start_potentials`,
-    or from `init` moved toward it until no cell is empty.  It takes the
-    first step damping^k that keeps every mass >= eps (half the smallest
-    weight or starting mass) and cuts |grad|_2 by (1 - step / 2).  Rational
-    mode is an exact Armijo gradient ascent accepting only exact
-    stationarity: 1-D instances are solved in closed form, and in 2-D it
-    usually ends in NotConverged.  Both are monotone, so NotConverged
-    carries the last iterate.
+    Both modes run the damped Newton of Kitagawa-Merigot-Thibert (JEMS
+    2019; global convergence, quadratic near the solution) from
+    `start_potentials`, or from `init` moved toward it until no cell is
+    empty; 1-D rational instances start from their closed-form solution.
+    The direction d solves L d = masses - weights, L the Laplacian of
+    `_wall_edges` grounded at the last site.  A step is the first
+    damping^k whose rounded iterate keeps every mass >= eps (half the
+    smallest weight or starting mass) and cuts |grad|_2 by (1 - step / 2),
+    tested exactly on squared norms, so a step that rounds back to the
+    same iterate never passes.  Rational mode, rounding to denominators at
+    most 10^12, succeeds at its default tol 0 only on exact stationarity.
+    The loop is monotone, so NotConverged carries the last iterate.
     """
     mode = config.mode
     if mode not in ("rational", "float"):
@@ -253,21 +267,17 @@ def solve(p: DiracProblem, config: SolverConfig = SolverConfig()) -> Solution:
         tol = _ZERO if mode == "rational" else Fraction(1, 10**10)
     tol = Fraction(tol)
     vol = p.delta.volume
-    ref = p.reference()
     n = len(p.sites)
-    rnd = _rounded if mode == "float" else list  # only float iterates are rounded
+    rnd = _rounder(mode)
 
     if config.init is not None:
         if len(config.init) != n:
             raise ArityMismatch("init vector has wrong length")
-        t = rnd(Fraction(x) for x in config.init)
-    elif mode == "float":
-        t = rnd(start_potentials(p))
-    elif p.delta.dim == 1:
+        t = rnd(config.init)
+    elif mode == "rational" and p.delta.dim == 1:
         t = list(_solve_1d_exact(p))
     else:
-        xbar = p.barycenter()
-        t = [tc.support_value(p.delta, sub(x, xbar)) for x in p.sites]
+        t = rnd(start_potentials(p))
 
     def state(tvec):
         phi = _envelope_at(p, tvec)
@@ -275,7 +285,7 @@ def solve(p: DiracProblem, config: SolverConfig = SolverConfig()) -> Solution:
         return phi, mu, masses, [h - w for h, w in zip(masses, p.weights)]
 
     phi, mu, masses, grad = state(t)
-    if mode == "float" and min(masses) == 0:
+    if min(masses) == 0:
         init, start = t, rnd(start_potentials(p))
         for k in range(10, -1, -1):
             s = Fraction(1, 2**k)
@@ -284,43 +294,31 @@ def solve(p: DiracProblem, config: SolverConfig = SolverConfig()) -> Solution:
             if min(masses) > 0:
                 break
     eps = min(min(p.weights), min(masses)) / 2
-    value = _value_legendre(p, phi, t, ref) if mode == "rational" else None
+    norm2 = sum(g * g for g in grad)
     trace = []
 
     for _ in range(config.max_iter):
         if max(abs(g) for g in grad) <= tol * vol:
-            return _solution(p, t, phi, mu, masses, trace, ref)
-        if mode == "float":
-            # Newton on the complement of the constants: pin d_last = 0.
-            M, g, d = _wall_hessian(p, phi), np.array([float(x) for x in grad]), np.zeros(n)
-            try:
-                d[:-1] = np.linalg.solve(M[:-1, :-1], -g[:-1])
-            except np.linalg.LinAlgError:
-                break
-            if not np.isfinite(d).all():
-                break
-            d, norm = d.tolist(), _norm(grad)
-        else:
-            d, slope = grad, sum(g * g for g in grad)
+            return _solution(p, t, phi, mu, masses, trace)
+        try:
+            d = linalg.solve_exact(n, _wall_edges(p, phi), n - 1, grad)
+        except ValueError:  # a cell with no path of walls to the grounded site
+            break
         step = Fraction(1)
         for trials in range(1, 61):
             trial = rnd(ti + step * di for ti, di in zip(t, d))
             phi2, mu2, masses2, grad2 = state(trial)
-            if mode == "float":
-                if min(masses2) >= eps and _norm(grad2) <= (1 - step / 2) * norm:
-                    break
-            else:
-                value2 = _value_legendre(p, phi2, trial, ref)
-                if value2 > value + Fraction(1, 10**4) * step * slope:
-                    value = value2
-                    break
+            norm2_trial = sum(g * g for g in grad2)
+            if min(masses2) >= eps and norm2_trial <= (1 - step / 2) ** 2 * norm2:
+                break
             step *= config.damping
         else:
             break
-        t, phi, mu, masses, grad = trial, phi2, mu2, masses2, grad2
-        trace.append(IterationRecord(max(abs(g) for g in grad), _norm(grad), step, min(masses), trials))
+        t, phi, mu, masses, grad, norm2 = trial, phi2, mu2, masses2, grad2, norm2_trial
+        residual = max(abs(g) for g in grad)
+        trace.append(IterationRecord(residual, math.sqrt(norm2), step, min(masses), trials))
 
-    solution = _solution(p, t, phi, mu, masses, trace, ref)
+    solution = _solution(p, t, phi, mu, masses, trace)
     if solution.residual <= tol * vol:
         return solution
     raise NotConverged(solution, len(trace))

@@ -106,12 +106,6 @@ def instance_texts(draw):
             del node[draw(st.sampled_from(keys))]
         elif isinstance(node, dict):
             node[draw(st.sampled_from(["extra", "lattice_m", "solver", "x", "sites"]))] = draw(junk)
-    if doc.get("kind") == "toric-dirac":
-        # The 2-D rational-mode ascent can run without bound at the default
-        # max_iter, so a Dirac instance keeps a small one.
-        solver = doc.setdefault("solver", {})
-        if isinstance(solver, dict) and not (type(solver.get("max_iter")) is int and solver["max_iter"] <= 3):
-            solver["max_iter"] = draw(st.integers(1, 3))
     out = json.dumps(doc)
     if draw(st.integers(0, 9)) == 0:
         out = out[: draw(st.integers(0, len(out)))]

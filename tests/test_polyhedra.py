@@ -617,23 +617,6 @@ class TestCellsWithoutSecondHull:
             cuts = random_halfspaces(rng, body, rng.randint(1, 3))
             assert_same_polytope(pg.clip(body, cuts), hull_clip(body, cuts))
 
-    def test_loop_with_collinear_points_in_any_rotation(self):
-        """`_from_loop` drops points inside an edge and starts the loop at
-        its lexicographic minimum; three or more collinear points go to
-        `hull`."""
-        rng = random.Random(83)
-        for _ in range(100):
-            body = random_polygon(rng)
-            loop = [pg._homogeneous(v) for v in body.vertices]
-            for i in sorted(rng.sample(range(len(loop)), rng.randint(1, len(loop))), reverse=True):
-                p, q = body.vertices[i], body.vertices[(i + 1) % len(body.vertices)]
-                s = F(rng.randint(1, 4), 5)
-                loop.insert(i + 1, pg._homogeneous(pg.add(p, pg.scale_point(pg.sub(q, p), s))))
-            r = rng.randrange(len(loop))
-            assert_same_polytope(pg._from_loop(loop[r:] + loop[:r], 2), body)
-        line = [(F(0), F(0)), (F(1), F(1)), (F(3), F(3))]
-        assert_same_polytope(pg._from_loop([pg._homogeneous(p) for p in line], 2), pg.hull(line, 2))
-
 
 def test_lazy_facets_match_the_eager_construction():
     rng = random.Random(89)

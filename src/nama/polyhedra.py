@@ -8,7 +8,10 @@ Sutherland-Hodgman loop on integer homogeneous coordinates inside; its
 output is already a convex counterclockwise loop, so it becomes a
 Polytope directly and its points become Fractions once.  Volumes,
 centroids and moments run on integer vertices over one common
-denominator.  `hull` is kept for genuine point sets.  Empty and
+denominator.  Lower hulls gift-wrap over the indices of integer lifted
+points, every test the sign of one integer determinant, and order each
+cell with a monotone chain over indices; gradients and offsets become
+Fractions once.  `hull` is kept for genuine point sets.  Empty and
 lower-dimensional polytopes are ordinary values (volume 0), because
 cells routinely degenerate while a solver walks through potential space.
 
@@ -146,6 +149,26 @@ class Polytope:
         return hull([scale_point(q, s) for q in self.vertices], self.dim)
 
 
+def _convex_loop(idx: List[int], pts) -> List[int]:
+    """Andrew's monotone chain over indices into integer points, given in
+    lexicographic order: the counterclockwise loop of strict corners from
+    the lexicographic minimum, or the two end indices of collinear points."""
+
+    def chain(seq):
+        out = []
+        for i in seq:
+            x, y = pts[i][0], pts[i][1]
+            while len(out) > 1:
+                p, q = pts[out[-2]], pts[out[-1]]
+                if (q[0] - p[0]) * (y - p[1]) > (q[1] - p[1]) * (x - p[0]):
+                    break
+                out.pop()
+            out.append(i)
+        return out
+
+    return chain(idx)[:-1] + chain(idx[::-1])[:-1]
+
+
 def _empty(dim: int) -> Polytope:
     return Polytope(dim, (), -1)
 
@@ -178,26 +201,9 @@ def hull(points, dim: Optional[int] = None) -> Polytope:
     uniq = sorted(set(pts))
     if len(uniq) == 1:
         return Polytope(2, (uniq[0],), 0)
-
-    # Andrew's monotone chain, strict turns only (collinear points dropped).
-    def chain(seq):
-        out = []
-        for p in seq:
-            while len(out) > 1 and cross(sub(out[-1], out[-2]), sub(p, out[-2])) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = chain(uniq)
-    upper = chain(reversed(uniq))
-    loop = lower[:-1] + upper[:-1]
-    if len(loop) == 2:
-        p, q = sorted(loop)
-        return Polytope(2, (p, q), 1)
-    # CCW, rotated to start at the lexicographic minimum.
-    i0 = min(range(len(loop)), key=lambda i: loop[i])
-    loop = tuple(loop[i0:] + loop[:i0])
-    return Polytope(2, loop, 2)
+    coords, _ = _integers([c for p in uniq for c in p])
+    loop = _convex_loop(list(range(len(uniq))), list(zip(coords[0::2], coords[1::2])))
+    return Polytope(2, tuple(uniq[i] for i in loop), min(len(loop), 3) - 1)
 
 
 # --------------------------------------------------------------------------
@@ -403,7 +409,14 @@ def support_value(p: Polytope, y: Point) -> Fraction:
 
 
 # --------------------------------------------------------------------------
-# Lower convex hulls of lifted points (regular subdivisions).
+# Lower convex hulls of lifted points (regular subdivisions), on integers.
+#
+# The distinct base points are sorted lexicographically, scaled by one
+# common denominator D, and their lowest heights by one common
+# denominator E, so point i is the integer triple (X, Y, H).  Positive
+# scalings keep the lower hull.  Index order is lexicographic order, so a
+# sorted index pair sorts like its points and an ascending index list is
+# ready for a monotone chain.
 # --------------------------------------------------------------------------
 
 
@@ -422,172 +435,143 @@ class LowerHull:
 
     Being convex and piecewise affine on the hull of the base points, the
     function equals the max of its cell affines everywhere on its domain.
+    `dropped`, computed on first read, lists the lifted points strictly
+    above the hull, in input order.
     """
 
     dim: int
     cells: Tuple[LowerCell, ...]
-    dropped: Tuple[Tuple[Point, Fraction], ...]
+    lifted: Tuple[Tuple[Point, Fraction], ...]
+
+    @cached_property
+    def dropped(self) -> Tuple[Tuple[Point, Fraction], ...]:
+        return tuple((p, h) for p, h in self.lifted if h > self.value(p))
 
     def value(self, m: Point) -> Fraction:
         return max(dot(c.gradient, m) + c.offset for c in self.cells)
 
 
-def _plane_through(p0, h0, p1, h1, p2, h2):
-    """Affine l(m) = <g, m> + c through three lifted 2-D points."""
-    d1, d2 = sub(p1, p0), sub(p2, p0)
-    det = cross(d1, d2)
-    if det == 0:
-        raise DegenerateSpan("collinear base points")
-    r1, r2 = h1 - h0, h2 - h0
-    gx = (r1 * d2[1] - r2 * d1[1]) / det
-    gy = (d1[0] * r2 - d2[0] * r1) / det
-    g = (gx, gy)
-    return g, h0 - dot(g, p0)
-
-
-def _lower_hull_1d(lifted):
-    pts = sorted(lifted)
-    chain = []
-    for p in pts:
-        while len(chain) > 1:
-            (x0, h0), (x1, h1) = chain[-2], chain[-1]
-            if (h1 - h0) * (p[0] - x0) >= (p[1] - h0) * (x1 - x0):
-                chain.pop()
-            else:
+def _lower_chain(ts, hs) -> List[int]:
+    """Positions of the lower convex chain of the integer points (t, h),
+    ts strictly increasing; points on a segment of the chain are dropped."""
+    out: List[int] = []
+    for i, (t, h) in enumerate(zip(ts, hs)):
+        while len(out) > 1:
+            a, b = out[-2], out[-1]
+            if (hs[b] - hs[a]) * (t - ts[a]) < (h - hs[a]) * (ts[b] - ts[a]):
                 break
-        chain.append(p)
+            out.pop()
+        out.append(i)
+    return out
+
+
+def _twice_area(loop: List[int], pts) -> int:
+    return sum(
+        pts[i][0] * pts[j][1] - pts[j][0] * pts[i][1] for i, j in zip(loop, loop[1:] + loop[:1])
+    )
+
+
+def _lower_hull_1d(points, xs, d: int, hs, e: int) -> List[LowerCell]:
+    if len(points) < 2:
+        raise DegenerateSpan("need two distinct base points")
+    chain = _lower_chain(xs, hs)
     cells = []
-    for (x0, h0), (x1, h1) in zip(chain, chain[1:]):
-        g = (h1 - h0) / (x1 - x0)
-        cells.append(
-            LowerCell(hull([(x0,), (x1,)], 1), (g,), h0 - g * x0)
-        )
-    hullobj = LowerHull(1, tuple(cells), ())
-    dropped = tuple(
-        ((x,), h) for x, h in lifted if h > hullobj.value((x,))
-    )
-    return LowerHull(1, tuple(cells), dropped)
-
-
-def _pivot(points, heights, ra, rb, side_sign, ridge_dir):
-    """Gift-wrap pivot around the ridge [ra, rb] toward one open side.
-
-    Returns the index of a point defining the extreme supporting plane on
-    that side, or None when the ridge is on the boundary.
-    """
-    best = None
-    best_plane = None
-    ha = heights[ra]
-    hb = heights[rb]
-    pa, pb = points[ra], points[rb]
-    for i, q in enumerate(points):
-        s = cross(ridge_dir, sub(q, pa))
-        if side_sign * s <= 0:
-            continue
-        if best is None:
-            best = i
-            best_plane = _plane_through(pa, ha, pb, hb, q, heights[i])
-            continue
-        g, c = best_plane
-        if heights[i] < dot(g, q) + c:
-            best = i
-            best_plane = _plane_through(pa, ha, pb, hb, q, heights[i])
-    return best, best_plane
-
-
-def _lower_hull_2d(points, heights, verify: bool):
-    n_pts = len(points)
-    base = hull(points, 2)
-    if base.affine_dim < 2:
-        raise DegenerateSpan("base points do not affinely span the plane")
-
-    # Seed ridge: restrict to the first base-hull edge and take the first
-    # edge of the 1-D lower hull along it.
-    q0, q1 = base.vertices[0], base.vertices[1]
-    d = sub(q1, q0)
-    on_edge = []
-    for i, p in enumerate(points):
-        r = sub(p, q0)
-        if cross(d, r) == 0:
-            t = (dot(d, r)) / dot(d, d)
-            if 0 <= t <= 1:
-                on_edge.append((t, heights[i], i))
-    on_edge.sort()
-    chain = []
-    for t, h, i in on_edge:
-        while len(chain) > 1:
-            (t0, h0, _), (t1, h1, _) = chain[-2], chain[-1]
-            if (h1 - h0) * (t - t0) >= (h - h0) * (t1 - t0):
-                chain.pop()
-            else:
-                break
-        chain.append((t, h, i))
-    ra, rb = chain[0][2], chain[1][2]
-
-    planes = []
-    seen_planes = set()
-    facet_cells = []
-    ridge_queue = [(points[ra], points[rb])]
-    done_ridges = {tuple(sorted((points[ra], points[rb])))}
-
-    while ridge_queue:
-        pa, pb = ridge_queue.pop()
-        ridge_dir = sub(pb, pa)
-        ia = points.index(pa)
-        ib = points.index(pb)
-        for side in (1, -1):
-            idx, plane = _pivot(points, heights, ia, ib, side, ridge_dir)
-            if idx is None:
-                continue
-            g, c = plane
-            key = (g, c)
-            if key in seen_planes:
-                continue
-            # Contact set of the supporting plane.
-            contact = [
-                points[i]
-                for i in range(n_pts)
-                if heights[i] == dot(g, points[i]) + c
-            ]
-            if verify:
-                for i in range(n_pts):
-                    if heights[i] < dot(g, points[i]) + c:
-                        raise ConsistencyError("pivot produced a non-supporting plane")
-            cell = hull(contact, 2)
-            if cell.affine_dim < 2:
-                continue
-            seen_planes.add(key)
-            planes.append(plane)
-            facet_cells.append(cell)
-            k = len(cell.vertices)
-            for i in range(k):
-                e = tuple(sorted((cell.vertices[i], cell.vertices[(i + 1) % k])))
-                if e not in done_ridges:
-                    done_ridges.add(e)
-                    ridge_queue.append(e)
-
-    cells = tuple(
-        LowerCell(cell, g, c) for cell, (g, c) in zip(facet_cells, planes)
-    )
-    total = sum((volume(c.cell) for c in cells), _ZERO)
-    if total != volume(base):
-        raise ConsistencyError(
-            f"lower-hull cells cover {total}, base hull has volume {volume(base)}"
-        )
+    for i, j in zip(chain, chain[1:]):
+        run = e * (xs[j] - xs[i])
+        gradient = (Fraction(d * (hs[j] - hs[i]), run),)
+        offset = Fraction(hs[i] * xs[j] - hs[j] * xs[i], run)
+        cells.append(LowerCell(Polytope(1, (points[i], points[j]), 1), gradient, offset))
     return cells
 
 
-def lower_hull(lifted, verify: bool = True) -> LowerHull:
+def _lower_hull_2d(points, pts, d: int, e: int) -> List[LowerCell]:
+    """Gift-wrapping over indices of the integer lifted points `pts`.
+
+    The facet plane through a ridge (a, b) and a point q has the integer
+    normal N = (P_b - P_a) x (P_q - P_a), oriented upward, so point i lies
+    below it iff N.P_i < N.P_a: every test is the sign of one integer 3x3
+    determinant.
+    """
+    idx = list(range(len(pts)))
+    base = _convex_loop(idx, pts)
+    if len(base) < 3:
+        raise DegenerateSpan("base points do not affinely span the plane")
+
+    # Seed ridge: the first edge of the 1-D lower chain over the first
+    # base-hull edge.  Every point on that edge's line lies on the edge,
+    # in index order, since the edge starts at the lexicographic minimum.
+    x0, y0, _ = pts[base[0]]
+    dx, dy = pts[base[1]][0] - x0, pts[base[1]][1] - y0
+    edge = [i for i, (x, y, _) in enumerate(pts) if dx * (y - y0) == dy * (x - x0)]
+    ts = [dx * (pts[i][0] - x0) + dy * (pts[i][1] - y0) for i in edge]
+    seed = _lower_chain(ts, [pts[i][2] for i in edge])
+    ridge = (edge[seed[0]], edge[seed[1]])
+
+    stack = [ridge + ((1, -1),)]
+    done = {ridge}
+    seen = set()
+    cells = []
+    covered = 0
+    while stack:
+        a, b, sides = stack.pop()
+        ax, ay, ah = pts[a]
+        ux, uy, uh = pts[b][0] - ax, pts[b][1] - ay, pts[b][2] - ah
+        c0 = ux * ay - uy * ax
+        for side in sides:
+            # Pivot: the point of this side whose plane through the ridge
+            # has no point of this side below it.
+            q = None
+            for i, (x, y, h) in enumerate(pts):
+                if side * (ux * y - uy * x - c0) <= 0:
+                    continue
+                if q is None or nx * x + ny * y + nz * h < k:
+                    q = i
+                    vx, vy, vh = x - ax, y - ay, h - ah
+                    nx, ny = side * (uy * vh - uh * vy), side * (uh * vx - ux * vh)
+                    nz = side * (ux * vy - uy * vx)
+                    k = nx * ax + ny * ay + nz * ah
+            if q is None:
+                continue
+            g = gcd(nx, ny, nz, k)
+            nx, ny, nz, k = nx // g, ny // g, nz // g, k // g
+            if (nx, ny, nz, k) in seen:
+                continue
+            seen.add((nx, ny, nz, k))
+            # Contact set and support check in one scan.
+            vals = [nx * x + ny * y + nz * h for x, y, h in pts]
+            if min(vals) < k:
+                raise ConsistencyError("gift-wrap produced a non-supporting plane")
+            loop = _convex_loop([i for i, v in enumerate(vals) if v == k], pts)
+            covered += _twice_area(loop, pts)
+            den = nz * e
+            gradient = (Fraction(-nx * d, den), Fraction(-ny * d, den))
+            cell = Polytope(2, tuple(points[i] for i in loop), 2)
+            cells.append(LowerCell(cell, gradient, Fraction(k, den)))
+            for i, j in zip(loop, loop[1:] + loop[:1]):
+                r = (i, j) if i < j else (j, i)
+                if r not in done:
+                    done.add(r)
+                    # The cell lies left of i -> j; only the other side is new.
+                    stack.append(r + ((-1,) if i < j else (1,),))
+    covered, area = Fraction(covered, 2 * d * d), Fraction(_twice_area(base, pts), 2 * d * d)
+    if covered != area:
+        raise ConsistencyError(f"lower-hull cells cover {covered}, base hull has volume {area}")
+    return cells
+
+
+def lower_hull(lifted) -> LowerHull:
     """Lower convex hull of lifted points as a cell complex.
 
     `lifted` is a list of (base point, height).  Cells carry the affine
     function of the hull on them; lifted points strictly above the hull
     are reported in `dropped`.  Raises DegenerateSpan when the base
-    points do not affinely span.
+    points do not affinely span, and ConsistencyError when a certificate
+    fails: a point below a cell's plane, or cell areas that do not sum
+    to the area of the base hull.
     """
     if not lifted:
         raise EmptyInput("lower hull of zero points")
-    items = [(_aspoint(p), Fraction(h)) for p, h in lifted]
+    items = tuple((_aspoint(p), Fraction(h)) for p, h in lifted)
     dim = len(items[0][0])
     if dim not in (1, 2):
         raise DimensionUnsupported(f"lower hulls support dimensions 1 and 2, got {dim}")
@@ -598,18 +582,14 @@ def lower_hull(lifted, verify: bool = True) -> LowerHull:
             raise DimensionMismatch("mixed dimensions in lifted points")
         if p not in lowest or h < lowest[p]:
             lowest[p] = h
+    points = sorted(lowest)
+    coords, d = _integers([c for p in points for c in p])
+    hs, e = _integers([lowest[p] for p in points])
     if dim == 1:
-        if len(lowest) < 2:
-            raise DegenerateSpan("need two distinct base points")
-        hull1 = _lower_hull_1d([(p[0], h) for p, h in lowest.items()])
-        dropped = tuple((p, h) for p, h in items if h > hull1.value(p))
-        return LowerHull(1, hull1.cells, dropped)
-    points = list(lowest.keys())
-    heights = [lowest[p] for p in points]
-    cells = _lower_hull_2d(points, heights, verify)
-    hullobj = LowerHull(2, cells, ())
-    dropped = tuple((p, h) for p, h in items if h > hullobj.value(p))
-    return LowerHull(2, cells, dropped)
+        cells = _lower_hull_1d(points, coords, d, hs, e)
+    else:
+        cells = _lower_hull_2d(points, list(zip(coords[0::2], coords[1::2], hs)), d, e)
+    return LowerHull(dim, tuple(cells), items)
 
 
 # --------------------------------------------------------------------------

@@ -307,7 +307,7 @@ def max_combine(f: ToricPsh, g: ToricPsh) -> ToricPsh:
     if f.delta != g.delta:
         raise DeltaMismatch("max of potentials over different polytopes")
     lifted = list(f.pieces) + list(g.pieces)
-    hull = pg.lower_hull(lifted, verify=False)
+    hull = pg.lower_hull(lifted)
     gens = [(cell.gradient, -cell.offset) for cell in hull.cells]
     return ToricPsh(f.delta, gens)
 
@@ -498,16 +498,16 @@ def energy(f: ToricPsh, ref: ToricPsh) -> Fraction:
 
 
 def _lattice_points(delta: NewtonPolytope, m: int):
+    """The points of Delta on the (1/m)-lattice in lexicographic order, as
+    nonempty rows of equal last coordinate (one row in dimension 1)."""
     import math
 
     body = delta.body
-    n = delta.dim
-    pts = []
-    if n == 1:
+    if delta.dim == 1:
         lo, hi = body.vertices[0][0], body.vertices[-1][0]
-        for k in range(math.ceil(lo * m), math.floor(hi * m) + 1):
-            pts.append((Fraction(k, m),))
-        return pts
+        row = [(Fraction(k, m),) for k in range(math.ceil(lo * m), math.floor(hi * m) + 1)]
+        return [row] if row else []
+    rows = []
     ys = [v[1] for v in body.vertices]
     lo, hi = min(ys), max(ys)
     for ky in range(math.ceil(lo * m), math.floor(hi * m) + 1):
@@ -516,9 +516,10 @@ def _lattice_points(delta: NewtonPolytope, m: int):
         if row.is_empty:
             continue
         xs = [v[0] for v in row.vertices]
-        for kx in range(math.ceil(min(xs) * m), math.floor(max(xs) * m) + 1):
-            pts.append((Fraction(kx, m), y))
-    return pts
+        kxs = range(math.ceil(min(xs) * m), math.floor(max(xs) * m) + 1)
+        if kxs:
+            rows.append([(Fraction(kx, m), y) for kx in kxs])
+    return rows
 
 
 def lattice_envelope(delta: NewtonPolytope, constraints, m: int) -> ToricPsh:
@@ -535,17 +536,18 @@ def lattice_envelope(delta: NewtonPolytope, constraints, m: int) -> ToricPsh:
     gens = _merge_constraints(constraints)
     if not gens:
         raise EmptyInput("need at least one constraint")
-    pts = _lattice_points(delta, m)
-    if not pts:
+    rows = _lattice_points(delta, m)
+    if not rows:
         raise EmptyLattice(f"Delta contains no point of the 1/{m} lattice")
     dual = lambda q: max(dot(x, q) - t for x, t in gens)
-    lifted = [(q, dual(q)) for q in pts]
-    base = pg.hull(pts, delta.dim)
+    lifted = [(q, dual(q)) for row in rows for q in row]
+    # Only the end points of a row can be corners of the lattice hull.
+    base = pg.hull([q for row in rows for q in (row[0], row[-1])], delta.dim)
     if not base.is_full_dimensional:
         raise EmptyLattice(
             f"the 1/{m} lattice points of Delta do not span; no representable envelope"
         )
-    hull = pg.lower_hull(lifted, verify=False)
+    hull = pg.lower_hull(lifted)
     out_delta = delta if base == delta.body else NewtonPolytope(base)
     return ToricPsh(out_delta, [(c.gradient, -c.offset) for c in hull.cells])
 

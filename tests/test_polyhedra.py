@@ -257,6 +257,17 @@ class TestLowerHull:
         lh = pg.lower_hull(lifted)
         assert lh.dropped == (((F(1),), F(5)),)
 
+    def test_dropped_is_computed_on_first_read(self):
+        for lifted in (
+            [((F(0),), F(0)), ((F(1),), F(5)), ((F(2),), F(0)), ((F(1),), F(-1))],
+            [((F(0), F(0)), F(0)), ((F(2), F(0)), F(0)), ((F(0), F(2)), F(0)), ((F(1, 2), F(1, 2)), F(3))],
+        ):
+            lh = pg.lower_hull(lifted)
+            assert "dropped" not in vars(lh)
+            eager = tuple((p, h) for p, h in lifted if h > lh.value(p))
+            assert lh.dropped == eager != ()
+            assert vars(lh)["dropped"] is lh.dropped
+
     def test_degenerate_span(self):
         with pytest.raises(DegenerateSpan):
             pg.lower_hull([((F(0), F(0)), F(0)), ((F(1), F(1)), F(0)), ((F(2), F(2)), F(1))])
@@ -314,6 +325,197 @@ class TestLowerHull:
         lh = pg.lower_hull(lifted)
         assert sum(pg.volume(c.cell) for c in lh.cells) == 4
         assert len(lh.cells) == 4
+
+
+# --------------------------------------------------------------------------
+# The integer lower hull against the Fraction gift-wrap it replaced.
+# --------------------------------------------------------------------------
+
+
+def reference_lower_hull(lifted):
+    """The Fraction gift-wrap `lower_hull` used to run, as the reference:
+    (cells as a list of (vertices, gradient, offset), dropped)."""
+    items = [(tuple(F(c) for c in p), F(h)) for p, h in lifted]
+    lowest = {}
+    for p, h in items:
+        if p not in lowest or h < lowest[p]:
+            lowest[p] = h
+
+    def chain(seq):  # lower chain of (t, h, point); collinear points dropped
+        out = []
+        for t, h, p in seq:
+            while len(out) > 1:
+                (t0, h0, _), (t1, h1, _) = out[-2], out[-1]
+                if (h1 - h0) * (t - t0) < (h - h0) * (t1 - t0):
+                    break
+                out.pop()
+            out.append((t, h, p))
+        return out
+
+    def value(cells, m):
+        return max(pg.dot(g, m) + c for _, g, c in cells)
+
+    if len(items[0][0]) == 1:
+        if len(lowest) < 2:
+            raise DegenerateSpan("need two distinct base points")
+        ch = chain(sorted((p[0], h, p) for p, h in lowest.items()))
+        cells = []
+        for (x0, h0, p0), (x1, h1, p1) in zip(ch, ch[1:]):
+            g = (h1 - h0) / (x1 - x0)
+            cells.append(((p0, p1), (g,), h0 - g * x0))
+        return cells, tuple((p, h) for p, h in items if h > value(cells, p))
+
+    points = list(lowest)
+    base = pg.hull(points, 2)
+    if base.affine_dim < 2:
+        raise DegenerateSpan("base points do not affinely span the plane")
+
+    def plane(p0, p1, p2):
+        d1, d2 = pg.sub(p1, p0), pg.sub(p2, p0)
+        det = pg.cross(d1, d2)
+        r1, r2 = lowest[p1] - lowest[p0], lowest[p2] - lowest[p0]
+        g = ((r1 * d2[1] - r2 * d1[1]) / det, (d1[0] * r2 - d2[0] * r1) / det)
+        return g, lowest[p0] - pg.dot(g, p0)
+
+    q0, q1 = base.vertices[:2]
+    d = pg.sub(q1, q0)
+    on_edge = [
+        (pg.dot(d, pg.sub(p, q0)), lowest[p], p) for p in points if pg.cross(d, pg.sub(p, q0)) == 0
+    ]
+    ch = chain(sorted(on_edge))
+    queue, done = [(ch[0][2], ch[1][2])], {tuple(sorted((ch[0][2], ch[1][2])))}
+    cells = []
+    while queue:
+        pa, pb = queue.pop()
+        for side in (1, -1):
+            best = None
+            for q in points:
+                if side * pg.cross(pg.sub(pb, pa), pg.sub(q, pa)) <= 0:
+                    continue
+                if best is None or lowest[q] < pg.dot(best[0], q) + best[1]:
+                    best = plane(pa, pb, q)
+            if best is None or any((g0, c0) == best for _, g0, c0 in cells):
+                continue
+            g, c = best
+            assert all(h >= pg.dot(g, p) + c for p, h in lowest.items())
+            cell = pg.hull([p for p, h in lowest.items() if h == pg.dot(g, p) + c], 2)
+            cells.append((cell.vertices, g, c))
+            v = cell.vertices
+            for e in zip(v, v[1:] + v[:1]):
+                e = tuple(sorted(e))
+                if e not in done:
+                    done.add(e)
+                    queue.append(e)
+    assert sum(shoelace(list(v)) for v, _, _ in cells) == pg.volume(base)
+    return cells, tuple((p, h) for p, h in items if h > value(cells, p))
+
+
+def assert_lower_hull_matches_reference(lifted):
+    try:
+        want = reference_lower_hull(lifted)
+    except DegenerateSpan:
+        with pytest.raises(DegenerateSpan):
+            pg.lower_hull(lifted)
+        return None
+    lh = pg.lower_hull(lifted)
+    assert "dropped" not in vars(lh)  # nothing computed until read
+    cells = [(c.cell.vertices, c.gradient, c.offset) for c in lh.cells]
+    assert len(cells) == len(want[0]) and set(cells) == set(want[0])
+    assert lh.dropped == want[1]
+    assert all(type(c) is F for v, g, o in cells for c in sum(v, g + (o,)))
+    return lh
+
+
+class TestIntegerLowerHullAgainstFractionReference:
+    def test_seeded_nine_point_lifts(self):
+        rng = random.Random(101)
+        for _ in range(300):
+            lifted = [
+                ((F(rng.randint(-6, 6), 2), F(rng.randint(-6, 6), 2)), F(rng.randint(-8, 8), 4))
+                for _ in range(9)
+            ]
+            assert_lower_hull_matches_reference(lifted)
+
+    def test_grid_lifts_with_coplanar_contact_sets(self):
+        """Paraboloid lifts put four points on each grid square's plane;
+        max-of-affine lifts put whole regions on one plane, and every
+        side of the grid carries collinear points."""
+        rng = random.Random(103)
+        for trial in range(40):
+            w, h = rng.randint(1, 6), rng.randint(1, 6)
+            grid = [(F(i, 2), F(j, 3)) for i in range(-w // 2, w) for j in range(-1, h)]
+            if trial % 2:
+                lifted = [(p, p[0] * p[0] + p[1] * p[1]) for p in grid]
+            else:
+                planes = [
+                    ((F(rng.randint(-4, 4), 3), F(rng.randint(-4, 4), 2)), F(rng.randint(-3, 3), 5))
+                    for _ in range(rng.randint(1, 4))
+                ]
+                lifted = [(p, max(pg.dot(a, p) + c for a, c in planes)) for p in grid]
+            lh = assert_lower_hull_matches_reference(lifted)
+            if lh is not None:
+                assert lh.dropped == ()
+
+    def test_duplicate_base_points(self):
+        rng = random.Random(107)
+        for _ in range(100):
+            pts = [(F(rng.randint(-3, 3)), F(rng.randint(-3, 3))) for _ in range(6)]
+            lifted = [(p, F(rng.randint(-6, 6), 3)) for p in pts + pts[: rng.randint(1, 6)]]
+            assert_lower_hull_matches_reference(lifted)
+
+    def test_negative_coordinates_and_mixed_denominators(self):
+        rng = random.Random(109)
+        for _ in range(200):
+            lifted = [
+                (
+                    (F(rng.randint(-40, 5), rng.randint(1, 9)), F(rng.randint(-40, 5), rng.randint(1, 9))),
+                    F(rng.randint(-50, 50), rng.randint(1, 12)),
+                )
+                for _ in range(rng.randint(3, 12))
+            ]
+            assert_lower_hull_matches_reference(lifted)
+
+    def test_one_dimensional_lifts(self):
+        rng = random.Random(113)
+        for _ in range(200):
+            lifted = [
+                ((F(rng.randint(-9, 9), rng.randint(1, 4)),), F(rng.randint(-9, 9), rng.randint(1, 5)))
+                for _ in range(rng.randint(1, 9))
+            ]
+            assert_lower_hull_matches_reference(lifted)
+
+    def test_lattice_envelopes_on_the_benchmark_polygons(self):
+        """The benchmark's lattice polygons at m = 1..8, against the
+        parent path: every lattice point hulled, then the reference hull."""
+        from nama import toric as tc
+
+        rng = random.Random(127)
+        polygons = (
+            [(0, 0), (2, 0), (2, 2), (0, 2)],
+            [(0, 0), (3, 0), (0, 3)],
+            [(1, 0), (2, 1), (1, 2), (0, 1)],
+            [(0, 0), (2, 0), (3, 1), (1, 2), (-1, 1)],
+            [(0, 0), (2, 0), (3, 2), (2, 3), (0, 2)],
+        )
+        for vertices in polygons:
+            delta = tc.newton_polytope(vertices, 2)
+            sites = [(F(rng.randint(-12, 12), 4), F(rng.randint(-12, 12), 4)) for _ in range(8)]
+            constraints = [(x, (x[0] * x[0] + x[1] * x[1]) / 4 + F(rng.randint(-4, 4), 16)) for x in sites]
+            gens = tc._merge_constraints(constraints)
+            for m in range(1, 9):
+                pts = [
+                    (F(i, m), F(j, m))
+                    for i in range(-m, 3 * m + 1)
+                    for j in range(3 * m + 1)
+                    if delta.body.contains((F(i, m), F(j, m)))
+                ]
+                lifted = [(q, max(pg.dot(x, q) - t for x, t in gens)) for q in pts]
+                base = pg.hull(pts, 2)
+                cells, _ = reference_lower_hull(lifted)
+                out_delta = delta if base == delta.body else tc.NewtonPolytope(base)
+                want = tc.ToricPsh(out_delta, [(g, -c) for _, g, c in cells])
+                got = tc.lattice_envelope(delta, constraints, m)
+                assert (got.delta, got.generators) == (want.delta, want.generators)
 
 
 def reference_clip(p, halfspaces):

@@ -1,6 +1,7 @@
 """Toric potential tests: envelopes, measures, duality, energy."""
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -346,6 +347,20 @@ class TestLatticeEnvelope:
                     y = (F(rng.randint(-8, 8), 2), F(rng.randint(-8, 8), 2))
                     assert prev.value(y) <= lat.value(y)
             prev = lat
+
+    def test_order_64_on_the_square_within_budget(self):
+        """4,225 lifted lattice points; the Fraction gift-wrap took 3.6 s on
+        2 cores."""
+        constraints = [
+            ((F(1, 3), F(-1, 5)), F(0)),
+            ((F(-1, 2), F(1, 2)), F(1, 4)),
+            ((F(2, 7), F(5, 9)), F(1, 3)),
+        ]
+        start = time.perf_counter()
+        lat = tc.lattice_envelope(SQ, constraints, 64)
+        assert time.perf_counter() - start < 2
+        assert lat.delta == SQ
+        assert tc.ma_measure(lat).total_mass == 1
 
     def test_empty_lattice(self):
         small = tc.newton_polytope([(F(1, 3),), (F(2, 5),)], 1)

@@ -30,7 +30,7 @@ from . import instance_io as io
 from . import polyhedra as pg
 from . import solver as sv
 from . import toric as tc
-from .errors import CandidateOutOfRange, NotConverged, UnknownSuite
+from .errors import CandidateOutOfRange, NotConverged, UnknownSuite, ValidationError
 from .polyhedra import sub
 
 _ZERO = Fraction(0)
@@ -83,10 +83,10 @@ class GenConfig:
 
     def __post_init__(self):
         if self.dimension not in (1, 2):
-            raise ValueError("dimension must be 1 or 2")
+            raise ValidationError("dimension", "must be 1 or 2")
         for name in ("polytope_complexity", "function_complexity", "coefficient_bound"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise ValidationError(name, "must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -885,6 +885,8 @@ def run_suite(name: str, cfg: GenConfig, cases: int) -> CheckReport:
     """
     if name not in _SUITES:
         raise UnknownSuite(f"no suite named {name!r}; known: {', '.join(SUITE_NAMES)}")
+    if cases < 0:
+        raise ValidationError("cases", "must be >= 0")
     fn = _SUITES[name]
     start = time.monotonic()
     results: List[Failure] = []

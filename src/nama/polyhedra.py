@@ -591,29 +591,3 @@ def lower_hull(lifted) -> LowerHull:
         cells = _lower_hull_2d(points, list(zip(coords[0::2], coords[1::2], hs)), d, e)
     return LowerHull(dim, tuple(cells), items)
 
-
-# --------------------------------------------------------------------------
-# Exact intersections of 2-D edges (segments and rays), used by the toric
-# refinement machinery.
-# --------------------------------------------------------------------------
-
-
-def intersect_edges(p0, d0, r0, p1, d1, r1):
-    """Intersection points of two 2-D edges given in parametric form.
-
-    Each edge is {p + s*d : s in [0, r]} with r = None meaning a ray
-    (s >= 0).  Returns a list with zero or one transversal intersection
-    point; collinear overlaps return [] (callers only need isolated
-    crossing points, overlap endpoints are edge endpoints already).
-    """
-    det = cross(d0, d1)
-    if det == 0:
-        return []
-    rhs = sub(p1, p0)
-    s = cross(rhs, d1) / det
-    t = cross(rhs, d0) / det
-    if s < 0 or (r0 is not None and s > r0):
-        return []
-    if t < 0 or (r1 is not None and t > r1):
-        return []
-    return [add(p0, scale_point(d0, s))]

@@ -28,7 +28,6 @@ from .errors import (
 from .polyhedra import Point, Polytope, dot, sub
 
 _ZERO = Fraction(0)
-_HALF = Fraction(1, 2)
 
 
 class NewtonPolytope:
@@ -312,44 +311,19 @@ def max_combine(f: ToricPsh, g: ToricPsh) -> ToricPsh:
     return ToricPsh(f.delta, gens)
 
 
-def _dual_edges(f: ToricPsh):
-    """Edges of the linearity complex of f in y-space.
+def _sum_hull(f: ToricPsh, g: ToricPsh) -> pg.LowerHull:
+    """The dual of f + g: the lower hull of the pairwise sums of both
+    functions' lifted pieces, i.e. the infimal convolution of u_f and u_g.
 
-    Bounded edges join the sites of adjacent cells; unbounded edges are
-    rays leaving a site along the outward normal of the Delta-facet its
-    cell touches.  Each edge is (origin, direction, reach) with reach None
-    for rays and 1 for site-to-site segments.
+    Its cells form the mixed subdivision of Delta_f + Delta_g; the cell
+    with gradient y is df(y) + dg(y), so the gradients are the vertices of
+    the common refinement of the two complexes.
     """
-    edges = []
-    gens = f.generators
-    cells = f.cells
-    k = len(gens)
-    for i in range(k):
-        xi, ti = gens[i]
-        for j in range(i + 1, k):
-            xj, tj = gens[j]
-            wall = pg.clip(cells[i], [(sub(xi, xj), ti - tj)])
-            if wall.affine_dim == f.delta.dim - 1:
-                edges.append((xi, sub(xj, xi), Fraction(1)))
-        for a, b in f.delta.body.facets:
-            face = pg.clip(cells[i], [(tuple(-c for c in a), -b)])
-            if face.affine_dim == f.delta.dim - 1:
-                edges.append((xi, a, None))
-    return edges
-
-
-def _refinement_candidates(f: ToricPsh, g: ToricPsh):
-    """Points that can carry mass for a pointwise combination of f and g:
-    sites of either function plus transversal crossings of their complexes'
-    edges."""
-    pts = {x for x in f.sites} | {x for x in g.sites}
-    if f.delta.dim == 2:
-        ef, eg = _dual_edges(f), _dual_edges(g)
-        for p0, d0, r0 in ef:
-            for p1, d1, r1 in eg:
-                for q in pg.intersect_edges(p0, d0, r0, p1, d1, r1):
-                    pts.add(q)
-    return sorted(pts)
+    if f.delta.dim != g.delta.dim:
+        raise DimensionMismatch("sum of potentials in different dimensions")
+    return pg.lower_hull(
+        [(pg.add(v, w), uv + uw) for v, uv in f.pieces for w, uw in g.pieces]
+    )
 
 
 def scale_potential(f: ToricPsh, s) -> ToricPsh:
@@ -362,28 +336,15 @@ def scale_potential(f: ToricPsh, s) -> ToricPsh:
 
 
 def _pair_sum(f: ToricPsh, g: ToricPsh) -> ToricPsh:
-    """Pointwise sum via the common refinement of the two complexes.
+    """Pointwise sum, read off the lower hull of the summed pieces.
 
-    The generators of f + g sit at the refinement vertices, with values
-    f + g there; completeness of the candidate set is certified by the
-    cell volumes summing to vol(Minkowski sum of the slope polytopes).
+    Each cell of the hull gives one generator of f + g: its gradient y as
+    the site and minus its offset, (f + g)(y), as the value.  The hull's
+    cover certificate checks that the cells fill Delta_f + Delta_g.
     """
-    if f.delta.dim != g.delta.dim:
-        raise DimensionMismatch("sum of potentials in different dimensions")
+    hull = _sum_hull(f, g)
     delta = NewtonPolytope(pg.minkowski_sum(f.delta.body, g.delta.body))
-    gens = []
-    total = _ZERO
-    for w in _refinement_candidates(f, g):
-        cell = pg.minkowski_sum(f.subdifferential(w), g.subdifferential(w))
-        vol = pg.volume(cell)
-        if vol > 0:
-            gens.append((w, f.value(w) + g.value(w)))
-            total += vol
-    if total != delta.volume:
-        raise ConsistencyError(
-            f"refinement cells cover {total}, expected {delta.volume}"
-        )
-    return ToricPsh(delta, gens)
+    return ToricPsh(delta, [(c.gradient, -c.offset) for c in hull.cells])
 
 
 def affine_combination(terms) -> ToricPsh:
@@ -411,9 +372,10 @@ def convex_path(f: ToricPsh, g: ToricPsh, t) -> ToricPsh:
 def mixed_ma(fs: Sequence[ToricPsh]) -> AtomicMeasure:
     """Polarized Monge-Ampere measure of n potentials.
 
-    Extracted from MA of the midpoint combination; equivalently the atoms
-    carry mixed volumes of the subdifferential cells.  Symmetric,
-    multilinear, and of total mass vol(Delta).
+    In 2-D the atom at y carries (vol(df(y) + dg(y)) - MA(f)(y) -
+    MA(g)(y)) / 2, read off the cells of the lower hull of the summed
+    pieces; every atom of MA(f) or MA(g) is one of their gradients.
+    Symmetric, multilinear, and of total mass vol(Delta).
     """
     fs = list(fs)
     if not fs:
@@ -430,14 +392,11 @@ def mixed_ma(fs: Sequence[ToricPsh]) -> AtomicMeasure:
     f, g = fs
     if f == g:
         return ma_measure(f)
-    h = affine_combination([(_HALF, f), (_HALF, g)])
+    mf, mg = dict(ma_measure(f).atoms), dict(ma_measure(g).atoms)
     acc: Dict[Point, Fraction] = {}
-    for p, w in ma_measure(h).atoms:
-        acc[p] = acc.get(p, _ZERO) + 2 * w
-    for p, w in ma_measure(f).atoms:
-        acc[p] = acc.get(p, _ZERO) - _HALF * w
-    for p, w in ma_measure(g).atoms:
-        acc[p] = acc.get(p, _ZERO) - _HALF * w
+    for c in _sum_hull(f, g).cells:
+        y = c.gradient
+        acc[y] = (pg.volume(c.cell) - mf.get(y, _ZERO) - mg.get(y, _ZERO)) / 2
     for p, w in acc.items():
         if w < 0:
             raise ConsistencyError(f"negative mixed mass {w} at {p}")
@@ -575,10 +534,10 @@ def difference_range(f: ToricPsh, g: ToricPsh):
     """Exact (min, max) of the bounded function f - g over the whole space.
 
     f - g is affine on the common refinement of the two complexes and
-    constant along recession directions, so the extremes are attained on
-    the refinement vertices.
+    constant along recession directions, so the extremes are attained at
+    the refinement vertices: the cell gradients of the summed-pieces hull.
     """
     if f.delta != g.delta:
         raise DeltaMismatch("difference of potentials over different polytopes")
-    vals = [f.value(p) - g.value(p) for p in _refinement_candidates(f, g)]
+    vals = [f.value(c.gradient) - g.value(c.gradient) for c in _sum_hull(f, g).cells]
     return min(vals), max(vals)

@@ -1,9 +1,11 @@
-"""Fuzz the command line with random instance files: whatever the input,
-`cli.main` ends with exit code 0, 2, 3 or 4 and never raises.
+"""Fuzz the command line: whatever the input, `cli.main` ends with exit
+code 0, 2, 3 or 4 and never raises.
 
 Instances start valid (so the solvers, envelopes and graph code run) and
 are then mutated: a field dropped, a value anywhere replaced by an
 arbitrary JSON value, an unknown field added, or the text cut short.
+`check` runs draw a suite, dimension and seed, a case count around zero
+and generator settings around their lower bound of 1.
 """
 
 import contextlib
@@ -17,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nama import cli
+from nama import harness as hx
 
 COMMAND_OF = {
     "toric-dirac": "solve",
@@ -126,3 +129,37 @@ def test_cli_exit_codes_on_random_instances(case):
         with contextlib.redirect_stderr(err):
             code = cli.main([command, str(path), "-o", str(Path(tmp) / "out"), "--no-timestamp"])
     assert code in (0, 2, 3, 4), err.getvalue()
+
+
+@st.composite
+def check_arguments(draw):
+    cases = draw(st.integers(-2, 2))
+    valid = cases >= 0
+    argv = [
+        "check",
+        "--suite", draw(st.sampled_from(hx.SUITE_NAMES)),
+        "--dimension", str(draw(st.integers(1, 2))),
+        "--seed", str(draw(st.integers(-(2**64), 2**64))),
+        "--cases", str(cases),
+        "--no-timestamp",
+    ]
+    for flag in ("--polytope-complexity", "--function-complexity", "--coefficient-bound"):
+        if draw(st.booleans()):
+            value = draw(st.integers(-2, 3))
+            valid = valid and value >= 1
+            argv += [flag, str(value)]
+    return argv, valid
+
+
+@settings(max_examples=150, deadline=2000, suppress_health_check=[HealthCheck.too_slow])
+@given(check_arguments())
+def test_check_exit_codes_on_random_arguments(case):
+    """Out-of-range settings exit 2 and write no report; the others run."""
+    argv, valid = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.json"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(argv + ["-o", str(out)])
+        assert code in ((0, 3, 4) if valid else (2,)), err.getvalue()
+        assert out.exists() == valid

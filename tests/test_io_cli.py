@@ -502,3 +502,36 @@ def test_lattice_m_bound_counts_the_grid_of_the_bounding_box():
     with pytest.raises(ValidationError) as exc:
         io.parse_instance(json.dumps(dict(base, polytope=rect, lattice_m=m + 1)))
     assert exc.value.field == "lattice_m"
+
+
+@pytest.mark.parametrize(
+    "flag, field",
+    [
+        ("--polytope-complexity", "polytope_complexity"),
+        ("--function-complexity", "function_complexity"),
+        ("--coefficient-bound", "coefficient_bound"),
+    ],
+)
+@pytest.mark.parametrize("value", [0, -1])
+def test_check_generator_setting_below_one_exits_two_naming_the_field(
+    tmp_path, capsys, flag, field, value
+):
+    out = tmp_path / "r.json"
+    code = run_cli(tmp_path, "check", "--suite", "capacity", "--cases", "1", flag, value, "-o", out)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_check_negative_cases_exits_two_naming_the_field(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run_cli(tmp_path, "check", "--suite", "capacity", "--cases", "-3", "-o", out) == 2
+    assert "cases" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_check_zero_cases_is_an_empty_passing_report(tmp_path):
+    out = tmp_path / "r.json"
+    assert run_cli(tmp_path, "check", "--suite", "capacity", "--cases", "0", "--no-timestamp", "-o", out) == 0
+    assert json.loads(out.read_text()) == {"suite": "capacity", "cases": 0, "failures": [], "elapsed_ms": 0}

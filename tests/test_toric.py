@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from nama import harness as hx
 from nama import polyhedra as pg
 from nama import toric as tc
 from nama.errors import DeltaMismatch, EmptyLattice, NotDominated, WrongArity
@@ -259,6 +260,160 @@ class TestMixedMa:
         # Subdifferentials are the full square at each site; the mixed mass
         # splits between the two sites by mixed volumes of square vs point.
         assert set(mixed.points()) <= {(F(0), F(0)), (F(1), F(0))}
+
+
+# The edge-crossing construction of sums that the summed-pieces lower hull
+# replaced, kept as an independent reference: candidates are the sites of
+# both functions plus the crossings of their y-space edges, each one kept
+# when its subdifferential sum is full-dimensional.
+
+
+def ref_intersect_edges(p0, d0, r0, p1, d1, r1):
+    """Transversal crossing of two edges {p + s d : 0 <= s <= r} (r None
+    for a ray), as a list of zero or one point."""
+    det = pg.cross(d0, d1)
+    if det == 0:
+        return []
+    rhs = pg.sub(p1, p0)
+    s = pg.cross(rhs, d1) / det
+    t = pg.cross(rhs, d0) / det
+    if s < 0 or (r0 is not None and s > r0):
+        return []
+    if t < 0 or (r1 is not None and t > r1):
+        return []
+    return [pg.add(p0, pg.scale_point(d0, s))]
+
+
+def ref_dual_edges(f):
+    """Site-to-site segments of adjacent cells and rays along the normal of
+    each Delta-facet a cell touches, as (origin, direction, reach)."""
+    edges = []
+    gens, cells = f.generators, f.cells
+    for i, (xi, ti) in enumerate(gens):
+        for xj, tj in gens[i + 1:]:
+            wall = pg.clip(cells[i], [(pg.sub(xi, xj), ti - tj)])
+            if wall.affine_dim == f.delta.dim - 1:
+                edges.append((xi, pg.sub(xj, xi), F(1)))
+        for a, b in f.delta.body.facets:
+            face = pg.clip(cells[i], [(tuple(-c for c in a), -b)])
+            if face.affine_dim == f.delta.dim - 1:
+                edges.append((xi, a, None))
+    return edges
+
+
+def ref_candidates(f, g):
+    pts = set(f.sites) | set(g.sites)
+    if f.delta.dim == 2:
+        for p0, d0, r0 in ref_dual_edges(f):
+            for p1, d1, r1 in ref_dual_edges(g):
+                pts.update(ref_intersect_edges(p0, d0, r0, p1, d1, r1))
+    return sorted(pts)
+
+
+def ref_pair_sum(f, g):
+    delta = tc.NewtonPolytope(pg.minkowski_sum(f.delta.body, g.delta.body))
+    gens, total = [], F(0)
+    for w in ref_candidates(f, g):
+        vol = pg.volume(pg.minkowski_sum(f.subdifferential(w), g.subdifferential(w)))
+        if vol > 0:
+            gens.append((w, f.value(w) + g.value(w)))
+            total += vol
+    assert total == delta.volume
+    return tc.ToricPsh(delta, gens)
+
+
+def ref_affine_combination(terms):
+    out = None
+    for c, f in terms:
+        scaled = tc.scale_potential(f, c)
+        out = scaled if out is None else ref_pair_sum(out, scaled)
+    return out
+
+
+def ref_mixed_ma(f, g):
+    """2-D mixed measure from the midpoint: 2 MA((f+g)/2) - MA(f)/2 - MA(g)/2."""
+    if f == g:
+        return tc.ma_measure(f)
+    h = ref_affine_combination([(F(1, 2), f), (F(1, 2), g)])
+    acc = {}
+    for mu, c in ((tc.ma_measure(h), 2), (tc.ma_measure(f), F(-1, 2)), (tc.ma_measure(g), F(-1, 2))):
+        for p, w in mu.atoms:
+            acc[p] = acc.get(p, F(0)) + c * w
+    return tc.AtomicMeasure.from_items(acc.items())
+
+
+def ref_difference_range(f, g):
+    vals = [f.value(p) - g.value(p) for p in ref_candidates(f, g)]
+    return min(vals), max(vals)
+
+
+def _seeded_pairs(dim, seeds):
+    for seed in seeds:
+        cfg = hx.GenConfig(seed=seed, dimension=dim, function_complexity=6)
+        rng = hx.SplitMix64(seed)
+        delta = hx.gen_polytope(rng, dim, cfg.polytope_complexity)
+        yield hx.gen_psh(rng, delta, cfg), hx.gen_psh(rng, delta, cfg)
+
+
+def _special_pairs():
+    """Coincidences of the two complexes, each over the unit square."""
+    f = tc.envelope(SQ, [((0, 0), 0), ((2, 0), 1)])  # y-edge (0,0)-(2,0)
+    yield "site of g on an edge of f", f, tc.envelope(SQ, [((1, 0), 0), ((1, 2), 1)])
+    cross = tc.envelope(SQ, [((-1, 0), 0), ((1, 0), 1)])  # y-edge through the origin
+    yield "edges crossing at a site", cross, tc.envelope(SQ, [((0, 0), 0), ((0, 2), 1)])
+    yield "collinear overlapping edges", f, tc.envelope(SQ, [((1, 0), 0), ((3, 0), 1)])
+    g = tc.envelope(SQ, [((0, 0), 0), ((1, 1), F(1, 2)), ((-1, 2), F(3, 4))])
+    yield "f and a shift of f", g, g.shift(F(5, 3))
+    yield "g_delta", g, tc.g_delta(SQ)
+    yield "g_delta twice", tc.g_delta(SQ), tc.g_delta(SQ)
+
+
+class TestSumsAgainstEdgeCrossingReference:
+    """affine_combination, mixed_ma and difference_range against the
+    edge-crossing construction, with generators compared exactly."""
+
+    def cases(self):
+        for f, g in _seeded_pairs(2, range(40)):
+            yield "seeded 2-D", f, g
+        yield from _special_pairs()
+
+    def test_sums(self):
+        for name, f, g in self.cases():
+            for terms in ([(1, f), (1, g)], [(F(1, 2), f), (F(1, 2), g)], [(F(1, 3), f), (2, g)]):
+                got = tc.affine_combination(terms)
+                want = ref_affine_combination(terms)
+                assert (got.delta, got.generators) == (want.delta, want.generators), name
+
+    def test_three_term_sums(self):
+        pairs = list(_seeded_pairs(2, range(8)))
+        for (f, g), (h, _) in zip(pairs, pairs[1:]):
+            terms = [(F(1, 3), f), (F(1, 3), g), (F(1, 3), h)]
+            got, want = tc.affine_combination(terms), ref_affine_combination(terms)
+            assert (got.delta, got.generators) == (want.delta, want.generators)
+
+    def test_sums_over_different_polytopes(self):
+        f = tc.envelope(SQ, [((0, 0), 0), ((2, 1), F(1, 2))])
+        g = tc.envelope(TRI, [((1, -1), 0), ((0, 2), F(1, 3)), ((-2, 0), F(1, 4))])
+        for terms in ([(1, f), (1, g)], [(F(2, 3), f), (F(5, 2), g)]):
+            got, want = tc.affine_combination(terms), ref_affine_combination(terms)
+            assert (got.delta, got.generators) == (want.delta, want.generators)
+
+    def test_mixed_measures(self):
+        for name, f, g in self.cases():
+            assert tc.mixed_ma([f, g]) == ref_mixed_ma(f, g), name
+
+    def test_difference_ranges(self):
+        for name, f, g in self.cases():
+            assert tc.difference_range(f, g) == ref_difference_range(f, g), name
+
+    def test_one_dimensional_pairs(self):
+        pairs = list(_seeded_pairs(1, range(40)))
+        pairs.append((tc.envelope(UNIT, [((F(1, 3),), 0), ((2,), 1)]), tc.g_delta(UNIT)))
+        for f, g in pairs:
+            for terms in ([(1, f), (1, g)], [(F(1, 3), f), (2, g)]):
+                got, want = tc.affine_combination(terms), ref_affine_combination(terms)
+                assert (got.delta, got.generators) == (want.delta, want.generators)
+            assert tc.difference_range(f, g) == ref_difference_range(f, g)
 
 
 class TestEnergy:

@@ -79,12 +79,16 @@ class NotPsh(NamaError):
     """A graph potential has negative curvature mass somewhere.
 
     Attributes:
-        witness: vertex index (on the subdivided graph) where
-            ``omega + ddc(phi)`` is negative.
+        witness: where ``omega + ddc(phi)`` is negative: a vertex index,
+            or an (edge index, position) pair for an edge-interior atom.
     """
 
     def __init__(self, witness, value):
-        super().__init__(f"negative curvature mass {value} at vertex {witness}")
+        where = (
+            f"vertex {witness}" if isinstance(witness, int)
+            else f"edge {witness[0]} at position {witness[1]}"
+        )
+        super().__init__(f"negative curvature mass {value} at {where}")
         self.witness = witness
         self.value = value
 

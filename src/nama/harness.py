@@ -27,6 +27,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from . import curves as cv
 from . import instance_io as io
+from . import linalg
 from . import polyhedra as pg
 from . import solver as sv
 from . import toric as tc
@@ -694,10 +695,21 @@ def _suite_capacity(rng: SplitMix64, cfg: GenConfig):
     return failures
 
 
+def _newton_corrected(p: sv.DiracProblem, s: sv.Solution) -> List[Fraction]:
+    """t + d, d = L^+ (masses - weights) the solver's next Newton step (L its
+    wall Laplacian).  The raw t of two converged solves may differ by the
+    residual times L's inverse, which no fixed multiple of tol bounds."""
+    n = len(p.sites)
+    grad = [h - w for h, w in zip(s.mass_vector(), p.weights)]
+    d = linalg.solve_exact(n, sv._wall_edges(p, s.potential), n - 1, grad)
+    return [ti + di for ti, di in zip(s.t, d)]
+
+
 def _suite_uniqueness(rng: SplitMix64, cfg: GenConfig):
     """Solver existence/uniqueness.  Float-mode constants are fixed:
     solver tolerance 1e-10 (times vol(Delta)), init-independence gap
-    10 * tol, global domination closeness 1e-7."""
+    10 * tol (in 2-D between Newton-corrected iterates), global domination
+    closeness 1e-7."""
     delta = gen_polytope(rng, cfg.dimension, cfg.polytope_complexity)
     p = gen_dirac_problem(rng, delta, cfg)
     witness = {
@@ -732,7 +744,7 @@ def _suite_uniqueness(rng: SplitMix64, cfg: GenConfig):
     except NotConverged:
         failures.append(("uniqueness:converge", witness))
         return failures
-    diffs = [float(a - b) for a, b in zip(s1.t, s2.t)]
+    diffs = [float(a - b) for a, b in zip(_newton_corrected(p, s1), _newton_corrected(p, s2))]
     if max(diffs) - min(diffs) > 10 * 1e-10:
         failures.append(("uniqueness:constant-gap", witness))
     # Domination corollary: normalized potentials agreeing on the MA

@@ -535,9 +535,12 @@ def difference_range(f: ToricPsh, g: ToricPsh):
 
     f - g is affine on the common refinement of the two complexes and
     constant along recession directions, so the extremes are attained at
-    the refinement vertices: the cell gradients of the summed-pieces hull.
+    refinement vertices.  Those are the sites of f and g, and the
+    crossings of an f-edge with a g-edge, where f - g is strictly concave
+    along the f-edge and strictly convex along the g-edge, so no crossing
+    is a strict extreme: the sites alone give the range.
     """
     if f.delta != g.delta:
         raise DeltaMismatch("difference of potentials over different polytopes")
-    vals = [f.value(c.gradient) - g.value(c.gradient) for c in _sum_hull(f, g).cells]
+    vals = [f.value(y) - g.value(y) for y in f.sites + g.sites]
     return min(vals), max(vals)

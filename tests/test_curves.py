@@ -92,6 +92,48 @@ def random_rhs(rng, n):
     return [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
 
 
+def ref_ddc(g, f):
+    """dd^c on the subdivision at f's breakpoints: the vertex stencil,
+    with the inserted vertices' weights read back as interior atoms."""
+    sub = cv.subdivide(g, [[p for p, _ in bps] for bps in f.breakpoints])
+    vals = list(f.values) + [f.value_on_edge(g, e, p) for e, p, _ in sub.inserted]
+    weights = [F(0)] * sub.graph.vertex_count
+    for u, v, l in sub.graph.edges:
+        weights[u] += (vals[v] - vals[u]) / l
+        weights[v] -= (vals[v] - vals[u]) / l
+    atoms = [[] for _ in g.edges]
+    for e, p, vid in sub.inserted:
+        if weights[vid] != 0:
+            atoms[e].append((p, weights[vid]))
+    return cv.GraphMeasure(tuple(weights[: g.vertex_count]), tuple(tuple(a) for a in atoms))
+
+
+def ref_solve_poisson(g, omega, mu):
+    """Poisson on the subdivision at every nonzero atom of either measure,
+    with the inserted vertices' values read back as breakpoints."""
+    positions = [set() for _ in g.edges]
+    for m in (omega, mu):
+        for e, bps in enumerate(m.edge_atoms):
+            positions[e].update(p for p, x in bps if x != 0)
+    sub = cv.subdivide(g, positions)
+    vid = {(e, p): i for e, p, i in sub.inserted}
+    rhs = [a - b for a, b in zip(omega.vertex_weights, mu.vertex_weights)]
+    rhs += [F(0)] * len(sub.inserted)
+    for m, sign in ((omega, 1), (mu, -1)):
+        for e, bps in enumerate(m.edge_atoms):
+            for p, x in bps:
+                if x != 0:
+                    rhs[vid[(e, p)]] += sign * x
+    vals = solve_exact(sub.graph.vertex_count, conductances(sub.graph), 0, rhs)
+    top = max(vals)
+    bps = [[] for _ in g.edges]
+    for e, p, i in sub.inserted:
+        bps[e].append((p, vals[i] - top))
+    return cv.GraphFunction(
+        tuple(x - top for x in vals[: g.vertex_count]), tuple(tuple(b) for b in bps)
+    )
+
+
 class TestLinalg:
     def test_solve_exact(self):
         rng = random.Random(2)
@@ -313,6 +355,97 @@ class TestPoisson:
         assert rho.edge_atoms[0] == ((F(1, 2), F(2)),)
 
 
+def balanced(g, wo, ao, wm, am):
+    """omega and mu from vertex weights and per-edge {position: weight}
+    dicts, mu scaled to omega's total mass."""
+    omega = cv.GraphMeasure.on(g, wo, [sorted(a.items()) for a in ao])
+    s = omega.total_mass / (sum(wm) + sum(x for a in am for x in a.values()))
+    mu = cv.GraphMeasure.on(
+        g, [x * s for x in wm], [sorted((p, x * s) for p, x in a.items()) for a in am]
+    )
+    return omega, mu
+
+
+def seeded_atom_instances(seed=59, count=40):
+    """Harness graphs with 0-3 interior atoms per measure on random edges;
+    every third instance puts a mu atom at one of omega's positions."""
+    rng = hx.SplitMix64(seed)
+    for k in range(count):
+        g = hx.gen_graph(rng, 2 + k % 12)
+        n, edges = g.vertex_count, len(g.edges)
+
+        def atoms():
+            out = [{} for _ in range(edges)]
+            for _ in range(rng.below(4)):
+                out[rng.below(edges)][F(rng.int_between(1, 7), 8)] = F(rng.int_between(1, 3))
+            return out
+
+        ao, am = atoms(), atoms()
+        if k % 3 == 0 and any(ao):
+            e = next(i for i, a in enumerate(ao) if a)
+            am[e][min(ao[e])] = F(1)
+        wo = hx.gen_graph_measure(rng, n, F(n))
+        wm = hx.gen_graph_measure(rng, n, F(n))
+        yield g, *balanced(g, wo, ao, wm, am)
+
+
+class TestAgainstSubdivisionReference:
+    """solve_poisson and ddc on the graph itself against the same
+    operators on the subdivided graph, compared exactly."""
+
+    def check(self, g, omega, mu):
+        phi = cv.solve_poisson(g, omega, mu)
+        assert phi == ref_solve_poisson(g, omega, mu)
+        assert cv.ddc(g, phi) == ref_ddc(g, phi)
+        assert cv.curvature(g, omega, phi) == mu.canonical()
+        return phi
+
+    def test_seeded_interior_atoms(self):
+        with_atoms = 0
+        for g, omega, mu in seeded_atom_instances():
+            phi = self.check(g, omega, mu)
+            with_atoms += any(phi.breakpoints)
+        assert with_atoms >= 20
+
+    def test_net_zero_charge_keeps_its_breakpoint(self):
+        g = cycle3()
+        third = F(1, 3)
+        for extra in (F(0), F(1)):
+            omega, mu = balanced(
+                g, [F(1), F(1), F(0)], [{third: F(2)}, {}, {}],
+                [F(0), F(1), F(1)], [{third: F(2) + extra}, {}, {}],
+            )
+            phi = self.check(g, omega, mu)
+            assert [p for p, _ in phi.breakpoints[0]] == [third]
+
+    def test_zero_weight_atoms_add_no_breakpoint(self):
+        g = cycle3()
+        omega, mu = balanced(
+            g, [F(1), F(1), F(1)], [{F(1, 2): F(0)}, {}, {F(1, 4): F(1)}],
+            [F(1), F(0), F(2)], [{}, {F(1, 4): F(0)}, {}],
+        )
+        phi = self.check(g, omega, mu)
+        assert phi.breakpoints == ((), (), ((F(1, 4), phi.value_on_edge(g, 2, F(1, 4))),))
+
+    def test_atoms_on_parallel_edges(self):
+        g = cv.MetricGraph(3, ((0, 1, F(1)), (1, 0, F(2, 3)), (1, 2, F(1, 2)), (0, 1, F(5))))
+        omega, mu = balanced(
+            g, [F(1), F(0), F(1)], [{F(1, 2): F(1)}, {F(1, 2): F(1)}, {}, {F(1, 5): F(1)}],
+            [F(0), F(2), F(0)], [{}, {F(1, 2): F(1)}, {F(3, 4): F(1)}, {F(1, 2): F(1)}],
+        )
+        self.check(g, omega, mu)
+
+    def test_ddc_of_green_poisson_and_max(self):
+        rng = hx.SplitMix64(61)
+        for g, omega, mu in seeded_atom_instances(67, 30):
+            n = g.vertex_count
+            x, y = rng.below(n), rng.below(n)
+            gf = cv.green(g, x, y) if x != y else cv.GraphFunction.on(g, [F(0)] * n)
+            phi = cv.solve_poisson(g, omega, mu)
+            for f in (gf, phi, cv.max_graph(g, gf, phi), cv.max_graph(g, phi, gf.shift(-1))):
+                assert cv.ddc(g, f) == ref_ddc(g, f)
+
+
 class TestEnergy:
     def test_zero_function(self):
         g = cycle3()
@@ -336,6 +469,16 @@ class TestEnergy:
         with pytest.raises(NotPsh) as exc:
             cv.energy_graph(g, phi, omega)
         assert exc.value.witness == 0
+
+    def test_not_psh_edge_witness(self):
+        g = path2()
+        omega = cv.GraphMeasure.on(g, [F(3), F(3)])
+        phi = cv.GraphFunction.on(g, [F(0), F(0)], [((F(1, 2), F(1)),)])  # ddc = (2, 2), -4 at 1/2
+        with pytest.raises(NotPsh) as exc:
+            cv.energy_graph(g, phi, omega)
+        assert exc.value.witness == (0, F(1, 2))
+        assert exc.value.value == -4
+        assert str(exc.value) == "negative curvature mass -4 at edge 0 at position 1/2"
 
     def test_poisson_maximizes_variational_functional(self):
         rng = random.Random(23)

@@ -1,9 +1,11 @@
 """Fuzz the command line: whatever the input, `cli.main` ends with exit
 code 0, 2, 3 or 4 and never raises.
 
-Instances start valid (so the solvers, envelopes and graph code run) and
-are then mutated: a field dropped, a value anywhere replaced by an
-arbitrary JSON value, an unknown field added, or the text cut short.
+Instances start valid, so the solvers, envelopes and graph code run;
+omega and mu of a curve instance carry one interior atom each on a
+random edge, sometimes both at one position.  They are then mutated: a
+field dropped, a value anywhere replaced by an arbitrary JSON value, an
+unknown field added, or the text cut short.
 `check` runs draw a suite, dimension and seed, a case count around zero
 and generator settings around their lower bound of 1.
 """
@@ -82,9 +84,17 @@ def valid_instances(draw):
             x = draw(st.integers(0, n - 1))
             doc["x"], doc["y"] = x, (x + draw(st.integers(1, n - 1))) % n
         else:
-            doc["omega"] = [{"vertex": v, "weight": w} for v, w in enumerate(parts(draw, F(n), n))]
-            doc["mu"] = [{"vertex": draw(st.integers(0, n - 1)), "weight": text(F(n, 2))}]
-            doc["mu"].append({"edge": 0, "pos": text(F(draw(st.integers(1, 3)), 4)), "weight": text(F(n, 2))})
+            half = text(F(n, 2))
+
+            def edge_atom():
+                edge = draw(st.integers(0, len(edges) - 1))
+                return {"edge": edge, "pos": text(F(draw(st.integers(1, 3)), 4)), "weight": half}
+
+            omega_atom = edge_atom()
+            doc["omega"] = [{"vertex": v, "weight": w} for v, w in enumerate(parts(draw, F(n, 2), n))]
+            doc["omega"].append(omega_atom)
+            doc["mu"] = [{"vertex": draw(st.integers(0, n - 1)), "weight": half}]
+            doc["mu"].append(omega_atom if draw(st.booleans()) else edge_atom())
     return doc
 
 

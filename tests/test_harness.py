@@ -1,5 +1,6 @@
 """Generator determinism, suite behavior, capacity, mutation tests."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -65,6 +66,29 @@ class TestSuites:
         for dim in (1, 2):
             rep = hx.run_suite(name, hx.GenConfig(seed=100 + dim, dimension=dim), 2)
             assert rep.passed, [f.assertion for f in rep.failures]
+
+    # Case 4454381521061418421 of `check --suite uniqueness --dimension 2
+    # --seed 1`: both float solves converge, but their raw t differ by
+    # 1.06e-9 up to a constant, over the 10 * tol gap.
+    UNIQUENESS_CASE = 4454381521061418421
+
+    def test_uniqueness_2d_converged_solves_agree(self):
+        cfg = hx.GenConfig(seed=1, dimension=2)
+        assert hx._suite_uniqueness(hx.SplitMix64(self.UNIQUENESS_CASE), cfg) == []
+
+    def test_uniqueness_2d_reports_planted_gap(self, monkeypatch):
+        solve = hx.sv.solve
+
+        def solve_with_gap(p, config):
+            s = solve(p, config)
+            if config.init is None:
+                return s
+            return dataclasses.replace(s, t=(s.t[0] + F(1, 10**6),) + s.t[1:])
+
+        monkeypatch.setattr(hx.sv, "solve", solve_with_gap)
+        cfg = hx.GenConfig(seed=1, dimension=2)
+        failures = hx._suite_uniqueness(hx.SplitMix64(self.UNIQUENESS_CASE), cfg)
+        assert [a for a, _ in failures] == ["uniqueness:constant-gap"]
 
     def test_report_deterministic(self):
         cfg = hx.GenConfig(seed=9, dimension=1)

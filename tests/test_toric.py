@@ -347,6 +347,13 @@ def ref_difference_range(f, g):
     return min(vals), max(vals)
 
 
+def hull_difference_range(f, g):
+    """f - g at every vertex of the common refinement: the cell gradients
+    of the summed-pieces lower hull."""
+    vals = [f.value(c.gradient) - g.value(c.gradient) for c in tc._sum_hull(f, g).cells]
+    return min(vals), max(vals)
+
+
 def _seeded_pairs(dim, seeds):
     for seed in seeds:
         cfg = hx.GenConfig(seed=seed, dimension=dim, function_complexity=6)
@@ -404,7 +411,8 @@ class TestSumsAgainstEdgeCrossingReference:
 
     def test_difference_ranges(self):
         for name, f, g in self.cases():
-            assert tc.difference_range(f, g) == ref_difference_range(f, g), name
+            got = tc.difference_range(f, g)
+            assert got == ref_difference_range(f, g) == hull_difference_range(f, g), name
 
     def test_one_dimensional_pairs(self):
         pairs = list(_seeded_pairs(1, range(40)))
@@ -413,7 +421,8 @@ class TestSumsAgainstEdgeCrossingReference:
             for terms in ([(1, f), (1, g)], [(F(1, 3), f), (2, g)]):
                 got, want = tc.affine_combination(terms), ref_affine_combination(terms)
                 assert (got.delta, got.generators) == (want.delta, want.generators)
-            assert tc.difference_range(f, g) == ref_difference_range(f, g)
+            got = tc.difference_range(f, g)
+            assert got == ref_difference_range(f, g) == hull_difference_range(f, g)
 
 
 class TestEnergy:

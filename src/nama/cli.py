@@ -127,14 +127,7 @@ def _cmd_energy(args) -> int:
             "energy": io._render(value, inst.mode),
             "pairing": io._render(cv.integrate_graph(graph, phi, mu), inst.mode),
         }
-    result = {
-        "format_version": io.FORMAT_VERSION,
-        "kind": inst.kind,
-        "mode": inst.mode,
-        "instance_sha256": inst.sha256,
-        "solution": payload,
-        **io._timestamp_field(not args.no_timestamp),
-    }
+    result = io.result_file(inst, payload, with_timestamp=not args.no_timestamp)
     _write(args.output, io.dumps_canonical(result))
     return 0
 

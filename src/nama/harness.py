@@ -767,23 +767,16 @@ def _suite_zariski_defect(rng: SplitMix64, cfg: GenConfig):
     on 2 cores (0.4 s of it at m = 64).  2-D lattice envelopes are
     covered by the unit tests.
     """
-    cfg1 = GenConfig(
-        seed=cfg.seed,
-        dimension=1,
-        polytope_complexity=cfg.polytope_complexity,
-        function_complexity=cfg.function_complexity,
-        coefficient_bound=cfg.coefficient_bound,
-    )
-    delta = gen_polytope(rng, 1, cfg1.polytope_complexity)
-    count = 1 + rng.below(cfg1.function_complexity)
+    delta = gen_polytope(rng, 1, cfg.polytope_complexity)
+    count = 1 + rng.below(cfg.function_complexity)
     constraints = []
     seen = set()
     for _ in range(count):
-        x = (rng.fraction(2, cfg1.coefficient_bound),)
+        x = (rng.fraction(2, cfg.coefficient_bound),)
         if x in seen:
             continue
         seen.add(x)
-        constraints.append((x, rng.fraction(1, cfg1.coefficient_bound)))
+        constraints.append((x, rng.fraction(1, cfg.coefficient_bound)))
     if not constraints:
         constraints = [((_ZERO,), _ZERO)]
     f = tc.TestFunction(

@@ -36,10 +36,6 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def sha256_of(obj) -> str:
-    return hashlib.sha256(dumps_canonical(obj).encode("utf-8")).hexdigest()
-
-
 # --------------------------------------------------------------------------
 # Scalars and points under the two modes.
 # --------------------------------------------------------------------------
@@ -222,10 +218,7 @@ class InstanceFile:
     data: Dict[str, Any]
     solver: sv.SolverConfig
     canonical: Dict[str, Any]
-
-    @property
-    def sha256(self) -> str:
-        return sha256_of(self.canonical)
+    sha256: str  # of the canonical text
 
 
 _TOP_KEYS = {
@@ -365,8 +358,8 @@ def parse_instance(text: str) -> InstanceFile:
                 raise ValidationError("y", "x and y must differ")
             data["x"], data["y"] = obj["x"], obj["y"]
 
-    canonical = json.loads(dumps_canonical(obj))
-    return InstanceFile(kind=kind, mode=mode, data=data, solver=solver_cfg, canonical=canonical)
+    sha256 = hashlib.sha256(dumps_canonical(obj).encode("utf-8")).hexdigest()
+    return InstanceFile(kind, mode, data, solver_cfg, canonical=obj, sha256=sha256)
 
 
 def serialize_instance(inst: InstanceFile) -> str:
@@ -378,12 +371,21 @@ def serialize_instance(inst: InstanceFile) -> str:
 # --------------------------------------------------------------------------
 
 
-def _timestamp_field(with_timestamp: bool):
-    if not with_timestamp:
-        return {}
-    import datetime
+def result_file(inst: InstanceFile, payload, with_timestamp: bool = True) -> Dict[str, Any]:
+    """The result file of every command: the instance's kind, mode and
+    hash around the command's payload, with the time unless suppressed."""
+    out = {
+        "format_version": FORMAT_VERSION,
+        "kind": inst.kind,
+        "mode": inst.mode,
+        "instance_sha256": inst.sha256,
+        "solution": payload,
+    }
+    if with_timestamp:
+        import datetime
 
-    return {"timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()}
+        out["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    return out
 
 
 def result_for_solution(
@@ -402,14 +404,7 @@ def result_for_solution(
         "residual": _render(Fraction(solution.residual), mode),
         "iterations": solution.iterations,
     }
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": inst.kind,
-        "mode": mode,
-        "instance_sha256": inst.sha256,
-        "solution": payload,
-        **_timestamp_field(with_timestamp),
-    }
+    return result_file(inst, payload, with_timestamp)
 
 
 def result_for_envelope(
@@ -421,21 +416,11 @@ def result_for_envelope(
         "polytope": encode_polytope(f.delta, mode),
         "generators": encode_generators(f, mode),
         "atoms": encode_measure(mu, mode),
-        "energy": _render(tc.energy(f, tc.g_delta(inst.data["delta"])), mode)
-        if f.delta == inst.data["delta"]
-        else None,
         "total_mass": _render(mu.total_mass, mode),
     }
-    if payload["energy"] is None:
-        del payload["energy"]
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": inst.kind,
-        "mode": mode,
-        "instance_sha256": inst.sha256,
-        "solution": payload,
-        **_timestamp_field(with_timestamp),
-    }
+    if f.delta == inst.data["delta"]:
+        payload["energy"] = _render(tc.energy(f, tc.g_delta(f.delta)), mode)
+    return result_file(inst, payload, with_timestamp)
 
 
 def result_for_graph_function(
@@ -451,14 +436,7 @@ def result_for_graph_function(
     }
     if extra:
         payload.update(extra)
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": inst.kind,
-        "mode": mode,
-        "instance_sha256": inst.sha256,
-        "solution": payload,
-        **_timestamp_field(with_timestamp),
-    }
+    return result_file(inst, payload, with_timestamp)
 
 
 def revalidate_result(inst: InstanceFile, result: Dict[str, Any]) -> Fraction:

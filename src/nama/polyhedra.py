@@ -136,17 +136,18 @@ class Polytope:
         return all(dot(a, p) <= b for a, b in self.facets)
 
     def translate(self, v: Point) -> "Polytope":
-        if self.is_empty:
-            return self
-        return hull([add(q, v) for q in self.vertices], self.dim)
+        """p + v; a translation keeps the canonical vertex order."""
+        v = _aspoint(v)
+        if len(v) != self.dim:
+            raise DimensionMismatch(f"vector {v} does not have dimension {self.dim}")
+        return Polytope(self.dim, tuple(add(q, v) for q in self.vertices), self.affine_dim)
 
     def scaled(self, s: Fraction) -> "Polytope":
-        if self.is_empty:
-            return self
+        """s p for s > 0; a positive scaling keeps the canonical vertex order."""
         s = Fraction(s)
-        if s == 0:
-            return hull([tuple(_ZERO for _ in range(self.dim))], self.dim)
-        return hull([scale_point(q, s) for q in self.vertices], self.dim)
+        if s <= 0:
+            raise ValueError("scaling factor must be positive")
+        return Polytope(self.dim, tuple(scale_point(q, s) for q in self.vertices), self.affine_dim)
 
 
 def _convex_loop(idx: List[int], pts) -> List[int]:

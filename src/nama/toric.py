@@ -102,18 +102,21 @@ class ToricPsh:
             delta.body, [x for x, _ in gens], [t for _, t in gens]
         )
         kept = [(g, cell) for g, cell in zip(gens, laguerre) if cell is not None]
-        self.delta = delta
-        self.generators = tuple(g for g, _ in kept)
-        self.cells = tuple(cell for _, cell in kept)
-        self._pieces = None
+        self.delta, self._pieces = delta, None
+        self.generators, self.cells = zip(*kept)
+
+    @classmethod
+    def _from_cells(cls, delta: NewtonPolytope, pairs) -> "ToricPsh":
+        """A potential from (generator, cell) pairs, sorted by site, whose
+        cells are known to be its Laguerre cells; nothing is clipped."""
+        out = object.__new__(cls)
+        out.delta, out._pieces = delta, None
+        out.generators, out.cells = zip(*pairs)
+        return out
 
     @property
     def sites(self) -> Tuple[Point, ...]:
         return tuple(x for x, _ in self.generators)
-
-    def dual_value(self, m: Point) -> Fraction:
-        """u(m) = max_a(<x_a, m> - t_a), the dual function on Delta."""
-        return max(dot(x, m) - t for x, t in self.generators)
 
     @property
     def pieces(self) -> Tuple[Tuple[Point, Fraction], ...]:
@@ -124,10 +127,10 @@ class ToricPsh:
         """
         if self._pieces is None:
             seen = {}
-            for cell in self.cells:
+            for (x, t), cell in zip(self.generators, self.cells):
                 for v in cell.vertices:
                     if v not in seen:
-                        seen[v] = self.dual_value(v)
+                        seen[v] = dot(x, v) - t
             self._pieces = tuple(sorted(seen.items()))
         return self._pieces
 
@@ -142,9 +145,8 @@ class ToricPsh:
         """f + c, through the values t_a + c.  A constant added to every
         value moves no wall, so the cells are kept, not rebuilt."""
         c = Fraction(c)
-        out = object.__new__(ToricPsh)
-        out.delta, out.cells = self.delta, self.cells
-        out.generators = tuple((x, t + c) for x, t in self.generators)
+        gens = [(x, t + c) for x, t in self.generators]
+        out = ToricPsh._from_cells(self.delta, zip(gens, self.cells))
         out._pieces = None if self._pieces is None else tuple((v, u - c) for v, u in self._pieces)
         return out
 
@@ -305,10 +307,15 @@ def max_combine(f: ToricPsh, g: ToricPsh) -> ToricPsh:
     """
     if f.delta != g.delta:
         raise DeltaMismatch("max of potentials over different polytopes")
-    lifted = list(f.pieces) + list(g.pieces)
-    hull = pg.lower_hull(lifted)
-    gens = [(cell.gradient, -cell.offset) for cell in hull.cells]
-    return ToricPsh(f.delta, gens)
+    return _from_hull(f.delta, pg.lower_hull(list(f.pieces) + list(g.pieces)))
+
+
+def _from_hull(delta: NewtonPolytope, hull: pg.LowerHull) -> ToricPsh:
+    """The potential whose dual function is a lower hull over Delta: each
+    hull cell, where its affine function is the max, is the Laguerre cell
+    of the generator (gradient, -offset)."""
+    pairs = [((c.gradient, -c.offset), c.cell) for c in hull.cells]
+    return ToricPsh._from_cells(delta, sorted(pairs, key=lambda pair: pair[0]))
 
 
 def _sum_hull(f: ToricPsh, g: ToricPsh) -> pg.LowerHull:
@@ -327,24 +334,25 @@ def _sum_hull(f: ToricPsh, g: ToricPsh) -> pg.LowerHull:
 
 
 def scale_potential(f: ToricPsh, s) -> ToricPsh:
-    """The potential s*f for s > 0; its slope polytope is s*Delta."""
+    """The potential s*f for s > 0; its slope polytope is s*Delta and its
+    cells are s times the cells of f."""
     s = Fraction(s)
     if s <= 0:
         raise ValueError("scaling coefficient must be positive")
     delta = NewtonPolytope(f.delta.body.scaled(s))
-    return ToricPsh(delta, [(x, s * t) for x, t in f.generators])
+    gens = [(x, s * t) for x, t in f.generators]
+    return ToricPsh._from_cells(delta, zip(gens, [cell.scaled(s) for cell in f.cells]))
 
 
 def _pair_sum(f: ToricPsh, g: ToricPsh) -> ToricPsh:
     """Pointwise sum, read off the lower hull of the summed pieces.
 
-    Each cell of the hull gives one generator of f + g: its gradient y as
-    the site and minus its offset, (f + g)(y), as the value.  The hull's
-    cover certificate checks that the cells fill Delta_f + Delta_g.
+    Each cell of the hull gives one generator of f + g, and its cell: its
+    gradient y as the site and minus its offset, (f + g)(y), as the value.
+    The hull's cover certificate checks that the cells fill Delta_f + Delta_g.
     """
     hull = _sum_hull(f, g)
-    delta = NewtonPolytope(pg.minkowski_sum(f.delta.body, g.delta.body))
-    return ToricPsh(delta, [(c.gradient, -c.offset) for c in hull.cells])
+    return _from_hull(NewtonPolytope(pg.minkowski_sum(f.delta.body, g.delta.body)), hull)
 
 
 def affine_combination(terms) -> ToricPsh:
@@ -412,20 +420,13 @@ def mixed_ma(fs: Sequence[ToricPsh]) -> AtomicMeasure:
 
 
 def legendre_energy(f: ToricPsh, ref: ToricPsh) -> Fraction:
-    """Energy as the exact integral of (u_ref - u_f) over Delta.
-
-    Computed by simplex decomposition of the common refinement of both
-    dual subdivisions; agrees with the mixed-measure energy sum.
-    """
+    """Energy as the exact integral of (u_ref - u_f) over Delta, linear in
+    u: each integral is a sum of affine moments over that potential's own
+    cells.  Agrees with the mixed-measure energy sum."""
     if f.delta != ref.delta:
         raise DeltaMismatch("energy of potentials over different polytopes")
-    total = _ZERO
-    for (xa, ta), cell in zip(f.generators, f.cells):
-        for (xb, tb), rcell in zip(ref.generators, ref.cells):
-            piece = pg.clip(cell, [(sub(xc, xb), tc - tb) for xc, tc in ref.generators if xc != xb])
-            if piece.is_full_dimensional:
-                total += pg.moment(piece, sub(xb, xa), ta - tb)
-    return total
+    integral = lambda p: sum(pg.moment(c, x, -t) for (x, t), c in zip(p.generators, p.cells))
+    return integral(ref) - integral(f)
 
 
 def energy_via_mixed(f: ToricPsh, ref: ToricPsh) -> Fraction:
@@ -444,9 +445,9 @@ def energy_via_mixed(f: ToricPsh, ref: ToricPsh) -> Fraction:
 def energy(f: ToricPsh, ref: ToricPsh) -> Fraction:
     """E(f, ref): the primitive of the Monge-Ampere operator, exact.
 
-    The Legendre-integral form is used; `energy_via_mixed` computes the
-    same value through the mixed-measure sum and the equality of the two
-    routes is asserted by the verification suites.
+    The Legendre-integral form is used, one moment per cell of each
+    potential; `energy_via_mixed` computes the same value through the
+    mixed-measure sum, and the suites assert that the two agree.
     """
     return legendre_energy(f, ref)
 
@@ -506,9 +507,7 @@ def lattice_envelope(delta: NewtonPolytope, constraints, m: int) -> ToricPsh:
         raise EmptyLattice(
             f"the 1/{m} lattice points of Delta do not span; no representable envelope"
         )
-    hull = pg.lower_hull(lifted)
-    out_delta = delta if base == delta.body else NewtonPolytope(base)
-    return ToricPsh(out_delta, [(c.gradient, -c.offset) for c in hull.cells])
+    return _from_hull(delta if base == delta.body else NewtonPolytope(base), pg.lower_hull(lifted))
 
 
 def orthogonality_defect(f: TestFunction, phi: ToricPsh) -> Fraction:

@@ -1,6 +1,7 @@
 """File format and command-line tests: strict parsing, round trips,
 determinism, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -239,6 +240,46 @@ class TestCli:
         assert run_cli(tmp_path, "energy", inst, "-o", out, "--no-timestamp") == 0
         res = json.loads(out.read_text())
         assert "energy" in res["solution"]
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [("solve", DIRAC), ("envelope", ENVELOPE), ("green", GREEN), ("poisson", POISSON),
+         ("energy", ENVELOPE), ("energy", POISSON)],
+    )
+    def test_result_wrapper(self, tmp_path, command, doc):
+        """Every command wraps its payload the same way, with the sha256
+        of the instance's canonical text."""
+        inst = self.write(tmp_path, doc)
+        canonical = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        for flags, stamped in (["--no-timestamp"], False), ([], True):
+            out = tmp_path / "out.json"
+            assert run_cli(tmp_path, command, inst, "-o", out, *flags) == 0
+            res = json.loads(out.read_text())
+            assert set(res) == {"format_version", "kind", "mode", "instance_sha256", "solution"} | (
+                {"timestamp"} if stamped else set()
+            )
+            assert (res["format_version"], res["kind"], res["mode"]) == (1, doc["kind"], doc["mode"])
+            assert res["instance_sha256"] == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+    def test_instance_hashes_are_pinned(self):
+        assert io.parse_instance(json.dumps(DIRAC)).sha256 == (
+            "e891475d1df0c4c7ee209ac7f45adeb5cbcee654fd889176229263932d96b44d"
+        )
+        assert io.parse_instance(json.dumps(POISSON)).sha256 == (
+            "da51c55f73858dc5b2dda11cea7565cb19bfd5607af37d37401f50611c04c22c"
+        )
+
+    def test_envelope_energy_only_over_the_instance_polytope(self, tmp_path):
+        doc = json.loads(json.dumps(ENVELOPE))
+        doc["polytope"] = {"vertices": [["1/3"], ["5/2"]]}
+        inst = self.write(tmp_path, doc)
+        for lattice_m, has_energy in ((None, True), (1, False)):
+            if lattice_m:
+                doc["lattice_m"] = lattice_m
+                inst = self.write(tmp_path, doc)
+            out = tmp_path / "out.json"
+            assert run_cli(tmp_path, "envelope", inst, "-o", out, "--no-timestamp") == 0
+            assert ("energy" in json.loads(out.read_text())["solution"]) == has_energy
 
     def test_lattice_envelope_command(self, tmp_path):
         doc = json.loads(json.dumps(ENVELOPE))

@@ -177,6 +177,25 @@ class TestClipVolume:
         lam = F(3, 2)
         assert pg.volume(h.scaled(lam)) == lam**2 * pg.volume(h)
 
+    def test_translate_and_scale_keep_canonical_order(self):
+        """Mapping the vertices directly gives the polytope that a hull of
+        the mapped vertices gives, in 1-D and 2-D and for degenerate ones."""
+        rng = random.Random(19)
+        for _ in range(60):
+            dim = rng.choice((1, 2))
+            point = lambda: tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(dim))
+            pts = [point() for _ in range(rng.randint(1, 6))]
+            p, v = pg.hull(pts, dim), point()
+            s = F(rng.randint(1, 9), rng.randint(1, 4))
+            assert p.translate(v) == pg.hull([pg.add(q, v) for q in pts], dim)
+            assert p.scaled(s) == pg.hull([pg.scale_point(q, s) for q in pts], dim)
+
+    def test_scaled_rejects_nonpositive_factors(self):
+        h = pg.hull([(0, 0), (2, 1), (1, 3)], 2)
+        for s in (0, F(-1, 2)):
+            with pytest.raises(ValueError):
+                h.scaled(s)
+
 
 class TestMinkowski:
     def test_segments(self):

@@ -322,6 +322,10 @@ def ref_pair_sum(f, g):
     return tc.ToricPsh(delta, gens)
 
 
+def parts(f):
+    return (f.delta, f.generators, f.cells)
+
+
 def ref_affine_combination(terms):
     out = None
     for c, f in terms:
@@ -377,7 +381,8 @@ def _special_pairs():
 
 class TestSumsAgainstEdgeCrossingReference:
     """affine_combination, mixed_ma and difference_range against the
-    edge-crossing construction, with generators compared exactly."""
+    edge-crossing construction, with generators and cells compared
+    exactly (the reference clips its cells again)."""
 
     def cases(self):
         for f, g in _seeded_pairs(2, range(40)):
@@ -389,21 +394,21 @@ class TestSumsAgainstEdgeCrossingReference:
             for terms in ([(1, f), (1, g)], [(F(1, 2), f), (F(1, 2), g)], [(F(1, 3), f), (2, g)]):
                 got = tc.affine_combination(terms)
                 want = ref_affine_combination(terms)
-                assert (got.delta, got.generators) == (want.delta, want.generators), name
+                assert parts(got) == parts(want), name
 
     def test_three_term_sums(self):
         pairs = list(_seeded_pairs(2, range(8)))
         for (f, g), (h, _) in zip(pairs, pairs[1:]):
             terms = [(F(1, 3), f), (F(1, 3), g), (F(1, 3), h)]
             got, want = tc.affine_combination(terms), ref_affine_combination(terms)
-            assert (got.delta, got.generators) == (want.delta, want.generators)
+            assert parts(got) == parts(want)
 
     def test_sums_over_different_polytopes(self):
         f = tc.envelope(SQ, [((0, 0), 0), ((2, 1), F(1, 2))])
         g = tc.envelope(TRI, [((1, -1), 0), ((0, 2), F(1, 3)), ((-2, 0), F(1, 4))])
         for terms in ([(1, f), (1, g)], [(F(2, 3), f), (F(5, 2), g)]):
             got, want = tc.affine_combination(terms), ref_affine_combination(terms)
-            assert (got.delta, got.generators) == (want.delta, want.generators)
+            assert parts(got) == parts(want)
 
     def test_mixed_measures(self):
         for name, f, g in self.cases():
@@ -420,9 +425,73 @@ class TestSumsAgainstEdgeCrossingReference:
         for f, g in pairs:
             for terms in ([(1, f), (1, g)], [(F(1, 3), f), (2, g)]):
                 got, want = tc.affine_combination(terms), ref_affine_combination(terms)
-                assert (got.delta, got.generators) == (want.delta, want.generators)
+                assert parts(got) == parts(want)
             got = tc.difference_range(f, g)
             assert got == ref_difference_range(f, g) == hull_difference_range(f, g)
+
+
+class TestCarriedCellsAgainstReclipping:
+    """Maxima, scalings, shifts and lattice envelopes keep cells they did
+    not clip; each must equal the Laguerre cells that envelope clips for
+    the same generators."""
+
+    def assert_carried(self, out):
+        want = tc.ToricPsh(out.delta, out.generators)
+        assert (out.generators, out.cells) == (want.generators, want.cells)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_max_scale_and_shift(self, dim):
+        for f, g in _seeded_pairs(dim, range(30)):
+            self.assert_carried(tc.max_combine(f, g))
+            self.assert_carried(tc.max_combine(f, g.shift(F(-1, 2))))
+            self.assert_carried(tc.scale_potential(f, F(7, 3)))
+            self.assert_carried(tc.scale_potential(g, F(1, 5)))
+            self.assert_carried(f.shift(F(-2, 3)))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_lattice_envelopes(self, dim):
+        rng = random.Random(71 + dim)
+        for seed in range(12):
+            delta = hx.gen_polytope(hx.SplitMix64(seed), dim, 6)
+            constraints = [
+                (tuple(F(rng.randint(-8, 8), 4) for _ in range(dim)), F(rng.randint(-6, 6), 5))
+                for _ in range(1 + rng.randrange(5))
+            ]
+            for m in (1, 2, 3):
+                self.assert_carried(tc.lattice_envelope(delta, constraints, m))
+
+    def test_lattice_envelopes_over_a_smaller_hull(self):
+        triangle = tc.newton_polytope([(0, 0), (F(3, 2), 0), (0, 1)], 2)
+        segment = tc.newton_polytope([(F(1, 3),), (F(7, 2),)], 1)
+        for delta, constraints in [
+            (triangle, [((F(1, 4), F(1, 4)), 0), ((1, -1), 1)]),
+            (segment, [((F(1, 4),), 0), ((2,), F(3, 2))]),
+        ]:
+            lat = tc.lattice_envelope(delta, constraints, 1)
+            assert lat.delta != delta
+            self.assert_carried(lat)
+
+
+def ref_legendre_energy(f, ref):
+    """The integral of u_ref - u_f over the common refinement of both
+    subdivisions: each cell of f clipped to each cell of ref, one affine
+    moment per piece."""
+    total = F(0)
+    for (xa, ta), cell in zip(f.generators, f.cells):
+        for xb, tb in ref.generators:
+            walls = [(pg.sub(xc, xb), tc_ - tb) for xc, tc_ in ref.generators if xc != xb]
+            piece = pg.clip(cell, walls)
+            if piece.is_full_dimensional:
+                total += pg.moment(piece, pg.sub(xb, xa), ta - tb)
+    return total
+
+
+def _seeded_triples(dim, seeds):
+    for seed in seeds:
+        cfg = hx.GenConfig(seed=seed, dimension=dim, function_complexity=6)
+        rng = hx.SplitMix64(seed)
+        delta = hx.gen_polytope(rng, dim, cfg.polytope_complexity)
+        yield tuple(hx.gen_psh(rng, delta, cfg) for _ in range(3))
 
 
 class TestEnergy:
@@ -456,6 +525,21 @@ class TestEnergy:
                 ]
                 f = tc.envelope(delta, gens)
                 assert tc.legendre_energy(f, ref) == tc.energy_via_mixed(f, ref)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_multi_generator_references(self, dim):
+        multi = 0
+        for f, g, h in _seeded_triples(dim, range(30)):
+            multi += len(g.generators) > 1
+            assert tc.legendre_energy(f, g) == ref_legendre_energy(f, g)
+            assert tc.legendre_energy(g, h) == ref_legendre_energy(g, h)
+            # The cocycle identity E(f, ref) = E(f, g) + E(g, ref).
+            assert tc.energy(f, h) == tc.energy(f, g) + tc.energy(g, h)
+        assert multi >= 10
+
+    def test_multi_generator_references_against_mixed_measures(self):
+        for f, g, _ in _seeded_triples(2, range(6)):
+            assert tc.legendre_energy(f, g) == tc.energy_via_mixed(f, g)
 
 
 class TestIntegrate:

@@ -10,6 +10,7 @@ passed.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import stat
 import sys
@@ -22,9 +23,13 @@ from . import toric as tc
 from .errors import NamaError, NotConverged, ParseError, ValidationError
 
 
-def _read_instance(path: str) -> io.InstanceFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return io.parse_instance(fh.read())
+def _read(path: str) -> str:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def _write(path: str, text: str) -> None:
@@ -43,106 +48,88 @@ def _write(path: str, text: str) -> None:
             fh.truncate()
 
 
-def _expect_kind(inst: io.InstanceFile, *kinds: str) -> None:
-    if inst.kind not in kinds:
-        raise ValidationError("kind", f"this command needs one of: {', '.join(kinds)}")
+# --------------------------------------------------------------------------
+# Instance commands: each maps an instance to (payload, exit code).
+# --------------------------------------------------------------------------
 
 
-def _cmd_solve(args) -> int:
-    inst = _read_instance(args.instance)
-    _expect_kind(inst, "toric-dirac")
-    problem = inst.data["problem"]
+def _solve(inst: io.InstanceFile):
     try:
-        solution = sv.solve(problem, inst.solver)
-        code = 0
+        solution, code = sv.solve(inst.data["problem"], inst.solver), 0
     except NotConverged as exc:
-        solution = exc.solution
-        code = 3
+        solution, code = exc.solution, 3
         print(f"solve: {exc}", file=sys.stderr)
-    solution = sv.normalize(solution)
-    result = io.result_for_solution(inst, solution, with_timestamp=not args.no_timestamp)
-    _write(args.output, io.dumps_canonical(result))
-    return code
+    return io.solution_payload(inst, sv.normalize(solution)), code
 
 
-def _cmd_envelope(args) -> int:
-    inst = _read_instance(args.instance)
-    _expect_kind(inst, "toric-envelope")
-    delta = inst.data["delta"]
-    constraints = inst.data["constraints"]
+def _envelope(inst: io.InstanceFile):
+    delta, constraints = inst.data["delta"], inst.data["constraints"]
     if "lattice_m" in inst.data:
         f = tc.lattice_envelope(delta, constraints, inst.data["lattice_m"])
     else:
         f = tc.envelope(delta, constraints)
-    result = io.result_for_envelope(inst, f, with_timestamp=not args.no_timestamp)
-    _write(args.output, io.dumps_canonical(result))
-    return 0
+    return io.envelope_payload(inst, f), 0
 
 
-def _cmd_green(args) -> int:
-    inst = _read_instance(args.instance)
-    _expect_kind(inst, "curve-green")
+def _green(inst: io.InstanceFile):
     graph = inst.data["graph"]
     gf = cv.green(graph, inst.data["x"], inst.data["y"])
-    check = cv.ddc(graph, gf)
-    extra = {"ddc": io.encode_graph_measure(check, inst.mode)}
-    result = io.result_for_graph_function(
-        inst, gf, extra=extra, with_timestamp=not args.no_timestamp
-    )
-    _write(args.output, io.dumps_canonical(result))
-    return 0
+    payload = io.graph_function_payload(inst, gf)
+    payload["ddc"] = io.encode_graph_measure(cv.ddc(graph, gf), inst.mode)
+    return payload, 0
 
 
-def _cmd_poisson(args) -> int:
-    inst = _read_instance(args.instance)
-    _expect_kind(inst, "curve-poisson")
-    graph = inst.data["graph"]
-    phi = cv.solve_poisson(graph, inst.data["omega"], inst.data["mu"])
-    rho = cv.curvature(graph, inst.data["omega"], phi)
-    extra = {"curvature": io.encode_graph_measure(rho, inst.mode)}
-    result = io.result_for_graph_function(
-        inst, phi, extra=extra, with_timestamp=not args.no_timestamp
-    )
-    _write(args.output, io.dumps_canonical(result))
-    return 0
+def _poisson(inst: io.InstanceFile):
+    graph, omega = inst.data["graph"], inst.data["omega"]
+    phi = cv.solve_poisson(graph, omega, inst.data["mu"])
+    payload = io.graph_function_payload(inst, phi)
+    payload["curvature"] = io.encode_graph_measure(cv.curvature(graph, omega, phi), inst.mode)
+    return payload, 0
 
 
-def _cmd_energy(args) -> int:
-    inst = _read_instance(args.instance)
-    _expect_kind(inst, "toric-envelope", "curve-poisson")
+def _energy(inst: io.InstanceFile):
+    mode = inst.mode
     if inst.kind == "toric-envelope":
         delta = inst.data["delta"]
         f = tc.envelope(delta, inst.data["constraints"])
-        value = tc.energy(f, tc.g_delta(delta))
-        payload = {
-            "energy": io._render(value, inst.mode),
-            "total_mass": io._render(tc.ma_measure(f).total_mass, inst.mode),
-        }
-    else:
-        graph = inst.data["graph"]
-        omega, mu = inst.data["omega"], inst.data["mu"]
-        phi = cv.solve_poisson(graph, omega, mu)
-        value = cv.energy_graph(graph, phi, omega)
-        payload = {
-            "energy": io._render(value, inst.mode),
-            "pairing": io._render(cv.integrate_graph(graph, phi, mu), inst.mode),
-        }
-    result = io.result_file(inst, payload, with_timestamp=not args.no_timestamp)
-    _write(args.output, io.dumps_canonical(result))
-    return 0
+        return {
+            "energy": io._render(tc.energy(f, tc.g_delta(delta)), mode),
+            "total_mass": io._render(tc.ma_measure(f).total_mass, mode),
+        }, 0
+    graph, omega, mu = inst.data["graph"], inst.data["omega"], inst.data["mu"]
+    phi = cv.solve_poisson(graph, omega, mu)
+    return {
+        "energy": io._render(cv.energy_graph(graph, phi, omega), mode),
+        "pairing": io._render(cv.integrate_graph(graph, phi, mu), mode),
+    }, 0
+
+
+# name -> (help, accepted instance kinds, instance -> (payload, exit code))
+_INSTANCE_COMMANDS = {
+    "solve": ("solve a toric-dirac instance", ("toric-dirac",), _solve),
+    "envelope": ("compute a (lattice) envelope", ("toric-envelope",), _envelope),
+    "green": ("compute a Green function on a metric graph", ("curve-green",), _green),
+    "poisson": ("solve omega + dd^c(phi) = mu on a metric graph", ("curve-poisson",), _poisson),
+    "energy": (
+        "report the energy of an instance's solution",
+        ("toric-envelope", "curve-poisson"),
+        _energy,
+    ),
+}
+
+
+def _cmd_instance(args) -> int:
+    _, kinds, run = _INSTANCE_COMMANDS[args.command]
+    inst = io.parse_instance(_read(args.instance))
+    if inst.kind not in kinds:
+        raise ValidationError("kind", f"this command needs one of: {', '.join(kinds)}")
+    payload, code = run(inst)
+    _write(args.output, io.dumps_canonical(io.result_file(inst, payload, not args.no_timestamp)))
+    return code
 
 
 def _cmd_export_cells(args) -> int:
-    import json
-
-    with open(args.result, "r", encoding="utf-8") as fh:
-        try:
-            result = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.msg, line=exc.lineno) from None
-    if "solution" not in result or "generators" not in result.get("solution", {}):
-        raise ValidationError("solution", "not a toric result file with generators")
-    _write(args.output, io.export_cells(result))
+    _write(args.output, io.export_cells(_read(args.result)))
     return 0
 
 
@@ -174,7 +161,9 @@ def _cmd_check(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `nama` parser, built on first use and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="nama",
         description="Exact non-Archimedean Monge-Ampere solver (toric and curve reductions)",
@@ -193,16 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
             help="omit timestamps so identical runs are byte-identical",
         )
 
-    for name, fn, doc in (
-        ("solve", _cmd_solve, "solve a toric-dirac instance"),
-        ("envelope", _cmd_envelope, "compute a (lattice) envelope"),
-        ("green", _cmd_green, "compute a Green function on a metric graph"),
-        ("poisson", _cmd_poisson, "solve omega + dd^c(phi) = mu on a metric graph"),
-        ("energy", _cmd_energy, "report the energy of an instance's solution"),
-    ):
+    for name, (doc, _, _) in _INSTANCE_COMMANDS.items():
         p = sub.add_parser(name, help=doc)
         add_io(p)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=_cmd_instance)
 
     p = sub.add_parser("export-cells", help="export Laguerre cells of a result as CSV")
     add_io(p, result_input=True)
@@ -223,20 +206,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NotConverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except NamaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (NamaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -36,6 +36,16 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _loads(text: str):
+    """Decode JSON text; whatever the text, a failure is a ParseError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.msg, line=exc.lineno) from None
+    except (RecursionError, ValueError) as exc:  # nested too deep; an integer too long
+        raise ParseError(str(exc)) from None
+
+
 # --------------------------------------------------------------------------
 # Scalars and points under the two modes.
 # --------------------------------------------------------------------------
@@ -221,11 +231,12 @@ class InstanceFile:
     sha256: str  # of the canonical text
 
 
+# kind -> (the fields an instance may have, the fields it must have)
 _TOP_KEYS = {
-    "toric-dirac": {"kind", "mode", "polytope", "sites", "weights", "solver"},
-    "toric-envelope": {"kind", "mode", "polytope", "constraints", "lattice_m", "solver"},
-    "curve-poisson": {"kind", "mode", "graph", "omega", "mu", "solver"},
-    "curve-green": {"kind", "mode", "graph", "x", "y", "solver"},
+    "toric-dirac": ({"kind", "mode", "polytope", "sites", "weights", "solver"}, ("polytope", "sites", "weights")),
+    "toric-envelope": ({"kind", "mode", "polytope", "constraints", "lattice_m", "solver"}, ("polytope",)),
+    "curve-poisson": ({"kind", "mode", "graph", "omega", "mu", "solver"}, ("graph", "omega", "mu")),
+    "curve-green": ({"kind", "mode", "graph", "x", "y", "solver"}, ("graph", "x", "y")),
 }
 
 
@@ -261,10 +272,7 @@ def _grid_points(delta: tc.NewtonPolytope, m: int) -> int:
 def parse_instance(text: str) -> InstanceFile:
     """Strict parse: unknown fields are rejected and every structural
     invariant (mass balance, distinct sites, connectivity) is validated."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, line=exc.lineno) from None
+    obj = _loads(text)
     if not isinstance(obj, dict):
         raise ParseError("top-level value must be an object")
     kind = obj.get("kind")
@@ -273,20 +281,15 @@ def parse_instance(text: str) -> InstanceFile:
     mode = obj.get("mode", "rational")
     if mode not in MODES:
         raise ValidationError("mode", "expected 'rational' or 'float'")
-    _check_keys(obj, _TOP_KEYS[kind], {"kind"}, "")
+    _check_keys(obj, *_TOP_KEYS[kind], "")
     solver_cfg = _parse_solver_block(obj.get("solver"), mode)
     data: Dict[str, Any] = {}
 
     if kind in ("toric-dirac", "toric-envelope"):
-        if "polytope" not in obj:
-            raise ValidationError("polytope", "missing field")
         delta = decode_polytope(obj["polytope"], mode, "polytope")
         data["delta"] = delta
         n = delta.dim
         if kind == "toric-dirac":
-            for key in ("sites", "weights"):
-                if key not in obj:
-                    raise ValidationError(key, "missing field")
             sites = [
                 _point(s, mode, f"sites[{i}]", n)
                 for i, s in enumerate(_list(obj["sites"], "sites"))
@@ -328,14 +331,9 @@ def parse_instance(text: str) -> InstanceFile:
                     )
                 data["lattice_m"] = m
     else:
-        if "graph" not in obj:
-            raise ValidationError("graph", "missing field")
         graph = decode_graph(obj["graph"], mode, "graph")
         data["graph"] = graph
         if kind == "curve-poisson":
-            for key in ("omega", "mu"):
-                if key not in obj:
-                    raise ValidationError(key, "missing field")
             omega = decode_graph_measure(obj["omega"], graph, mode, "omega")
             mu = decode_graph_measure(obj["mu"], graph, mode, "mu")
             if not omega.is_positive() or omega.total_mass <= 0:
@@ -349,8 +347,6 @@ def parse_instance(text: str) -> InstanceFile:
             data["omega"], data["mu"] = omega, mu
         else:
             for key in ("x", "y"):
-                if key not in obj:
-                    raise ValidationError(key, "missing field")
                 v = obj[key]
                 if not _is_int(v) or not (0 <= v < graph.vertex_count):
                     raise ValidationError(key, "vertex index out of range")
@@ -388,12 +384,10 @@ def result_file(inst: InstanceFile, payload, with_timestamp: bool = True) -> Dic
     return out
 
 
-def result_for_solution(
-    inst: InstanceFile, solution: sv.Solution, with_timestamp: bool = True
-) -> Dict[str, Any]:
+def solution_payload(inst: InstanceFile, solution: sv.Solution) -> Dict[str, Any]:
     mode = inst.mode
     p = solution.problem
-    payload = {
+    return {
         "polytope": encode_polytope(p.delta, mode),
         "sites": [[_render(c, mode) for c in x] for x in p.sites],
         "t": [_render(t, mode) for t in solution.t],
@@ -404,12 +398,11 @@ def result_for_solution(
         "residual": _render(Fraction(solution.residual), mode),
         "iterations": solution.iterations,
     }
-    return result_file(inst, payload, with_timestamp)
 
 
-def result_for_envelope(
-    inst: InstanceFile, f: tc.ToricPsh, with_timestamp: bool = True
-) -> Dict[str, Any]:
+def envelope_payload(inst: InstanceFile, f: tc.ToricPsh) -> Dict[str, Any]:
+    """The energy is reported only over the instance's own polytope, not
+    over the smaller one of a lattice envelope."""
     mode = inst.mode
     mu = tc.ma_measure(f)
     payload = {
@@ -420,23 +413,18 @@ def result_for_envelope(
     }
     if f.delta == inst.data["delta"]:
         payload["energy"] = _render(tc.energy(f, tc.g_delta(f.delta)), mode)
-    return result_file(inst, payload, with_timestamp)
+    return payload
 
 
-def result_for_graph_function(
-    inst: InstanceFile, f: cv.GraphFunction, extra=None, with_timestamp: bool = True
-) -> Dict[str, Any]:
+def graph_function_payload(inst: InstanceFile, f: cv.GraphFunction) -> Dict[str, Any]:
     mode = inst.mode
-    payload = {
+    return {
         "values": [_render(v, mode) for v in f.values],
         "breakpoints": [
             [[_render(p, mode), _render(x, mode)] for p, x in bps]
             for bps in f.breakpoints
         ],
     }
-    if extra:
-        payload.update(extra)
-    return result_file(inst, payload, with_timestamp)
 
 
 def revalidate_result(inst: InstanceFile, result: Dict[str, Any]) -> Fraction:
@@ -459,16 +447,27 @@ def revalidate_result(inst: InstanceFile, result: Dict[str, Any]) -> Fraction:
 # --------------------------------------------------------------------------
 
 
-def export_cells(result: Dict[str, Any]) -> str:
-    """One row per (cell, vertex) of the solution's Laguerre diagram,
-    lexicographically ordered, with exact p/q columns in rational mode."""
+def export_cells(text: str) -> str:
+    """One row per (cell, vertex) of the Laguerre diagram of a toric
+    result file's solution, lexicographically ordered, with exact p/q
+    columns in rational mode."""
+    result = _loads(text)
+    if not isinstance(result, dict):
+        raise ParseError("top-level value must be an object")
     mode = result.get("mode", "rational")
-    sol = result["solution"]
+    if mode not in MODES:
+        raise ValidationError("mode", "expected 'rational' or 'float'")
+    sol = result.get("solution")
+    if not isinstance(sol, dict) or "generators" not in sol:
+        raise ValidationError("solution", "not a toric result file with generators")
+    if "polytope" not in sol:
+        raise ValidationError("solution.polytope", "missing field")
     delta = decode_polytope(sol["polytope"], mode, "solution.polytope")
-    gens = [
-        (_point(g["site"], mode, "site"), _scalar(g["value"], mode, "value"))
-        for g in sol["generators"]
-    ]
+    gens = []
+    for i, g in enumerate(_list(sol["generators"], "solution.generators")):
+        gf = f"solution.generators[{i}]"
+        _check_keys(g, {"site", "value"}, {"site", "value"}, gf)
+        gens.append((_point(g["site"], mode, f"{gf}.site", delta.dim), _scalar(g["value"], mode, f"{gf}.value")))
     f = tc.ToricPsh(delta, gens)
     mu = tc.ma_measure(f)
     n = delta.dim

@@ -436,11 +436,13 @@ class LowerHull:
 
     Being convex and piecewise affine on the hull of the base points, the
     function equals the max of its cell affines everywhere on its domain.
-    `dropped`, computed on first read, lists the lifted points strictly
-    above the hull, in input order.
+    `base` is that domain, the hull of the base points.  `dropped`,
+    computed on first read, lists the lifted points strictly above the
+    hull, in input order.
     """
 
     dim: int
+    base: Polytope
     cells: Tuple[LowerCell, ...]
     lifted: Tuple[Tuple[Point, Fraction], ...]
 
@@ -472,7 +474,7 @@ def _twice_area(loop: List[int], pts) -> int:
     )
 
 
-def _lower_hull_1d(points, xs, d: int, hs, e: int) -> List[LowerCell]:
+def _lower_hull_1d(points, xs, d: int, hs, e: int) -> Tuple[Polytope, List[LowerCell]]:
     if len(points) < 2:
         raise DegenerateSpan("need two distinct base points")
     chain = _lower_chain(xs, hs)
@@ -482,10 +484,10 @@ def _lower_hull_1d(points, xs, d: int, hs, e: int) -> List[LowerCell]:
         gradient = (Fraction(d * (hs[j] - hs[i]), run),)
         offset = Fraction(hs[i] * xs[j] - hs[j] * xs[i], run)
         cells.append(LowerCell(Polytope(1, (points[i], points[j]), 1), gradient, offset))
-    return cells
+    return Polytope(1, (points[0], points[-1]), 1), cells
 
 
-def _lower_hull_2d(points, pts, d: int, e: int) -> List[LowerCell]:
+def _lower_hull_2d(points, pts, d: int, e: int) -> Tuple[Polytope, List[LowerCell]]:
     """Gift-wrapping over indices of the integer lifted points `pts`.
 
     The facet plane through a ridge (a, b) and a point q has the integer
@@ -557,7 +559,7 @@ def _lower_hull_2d(points, pts, d: int, e: int) -> List[LowerCell]:
     covered, area = Fraction(covered, 2 * d * d), Fraction(_twice_area(base, pts), 2 * d * d)
     if covered != area:
         raise ConsistencyError(f"lower-hull cells cover {covered}, base hull has volume {area}")
-    return cells
+    return Polytope(2, tuple(points[i] for i in base), 2), cells
 
 
 def lower_hull(lifted) -> LowerHull:
@@ -587,8 +589,8 @@ def lower_hull(lifted) -> LowerHull:
     coords, d = _integers([c for p in points for c in p])
     hs, e = _integers([lowest[p] for p in points])
     if dim == 1:
-        cells = _lower_hull_1d(points, coords, d, hs, e)
+        base, cells = _lower_hull_1d(points, coords, d, hs, e)
     else:
-        cells = _lower_hull_2d(points, list(zip(coords[0::2], coords[1::2], hs)), d, e)
-    return LowerHull(dim, tuple(cells), items)
+        base, cells = _lower_hull_2d(points, list(zip(coords[0::2], coords[1::2], hs)), d, e)
+    return LowerHull(dim, base, tuple(cells), items)
 

@@ -49,14 +49,3 @@ def format_scalar(x: Fraction) -> str:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
 
-
-def parse_point(coords, dim=None):
-    """Parse a list of rational literals into a point tuple."""
-    pt = tuple(parse_scalar(c) for c in coords)
-    if dim is not None and len(pt) != dim:
-        raise ValueError(f"expected {dim} coordinates, got {len(pt)}")
-    return pt
-
-
-def format_point(pt):
-    return [format_scalar(c) for c in pt]

@@ -349,10 +349,11 @@ def _pair_sum(f: ToricPsh, g: ToricPsh) -> ToricPsh:
 
     Each cell of the hull gives one generator of f + g, and its cell: its
     gradient y as the site and minus its offset, (f + g)(y), as the value.
-    The hull's cover certificate checks that the cells fill Delta_f + Delta_g.
+    The hull's base is Delta_f + Delta_g, and its cover certificate checks
+    that the cells fill it.
     """
     hull = _sum_hull(f, g)
-    return _from_hull(NewtonPolytope(pg.minkowski_sum(f.delta.body, g.delta.body)), hull)
+    return _from_hull(NewtonPolytope(hull.base), hull)
 
 
 def affine_combination(terms) -> ToricPsh:

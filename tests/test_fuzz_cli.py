@@ -5,18 +5,23 @@ Instances start valid, so the solvers, envelopes and graph code run;
 omega and mu of a curve instance carry one interior atom each on a
 random edge, sometimes both at one position.  They are then mutated: a
 field dropped, a value anywhere replaced by an arbitrary JSON value, an
-unknown field added, or the text cut short.
+unknown field added, or the text cut short.  Result files of a solve and
+an envelope are mutated the same way and fed to `export-cells`, and text
+that does not decode (not UTF-8, nested too deep, an integer too long)
+is fed to every command.
 `check` runs draw a suite, dimension and seed, a case count around zero
 and generator settings around their lower bound of 1.
 """
 
 import contextlib
+import functools
 import io
 import json
 import tempfile
 from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -106,9 +111,9 @@ def _containers(obj):
             yield from _containers(value)
 
 
-@st.composite
-def instance_texts(draw):
-    doc = json.loads(json.dumps(draw(valid_instances())))  # a copy to mutate
+def mutated(draw, doc):
+    """The JSON text of `doc` after up to two mutations, sometimes cut short."""
+    doc = json.loads(json.dumps(doc))  # a copy to mutate
     for _ in range(draw(st.integers(0, 2))):
         node = draw(st.sampled_from(list(_containers(doc))))
         keys = list(node) if isinstance(node, dict) else list(range(len(node)))
@@ -122,23 +127,87 @@ def instance_texts(draw):
     out = json.dumps(doc)
     if draw(st.integers(0, 9)) == 0:
         out = out[: draw(st.integers(0, len(out)))]
+    return out, doc
+
+
+@st.composite
+def instance_texts(draw):
+    out, doc = mutated(draw, draw(valid_instances()))
     kind = doc.get("kind")
     if isinstance(kind, str) and kind in COMMAND_OF and draw(st.integers(0, 3)):
         return out, COMMAND_OF[kind]
     return out, draw(st.sampled_from(COMMANDS))
 
 
+def run(command, source):
+    """Exit code and stderr of `command` on a file holding `source`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        path.write_bytes(source if isinstance(source, bytes) else source.encode("utf-8"))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main([command, str(path), "-o", str(Path(tmp) / "out"), "--no-timestamp"])
+    return code, err.getvalue()
+
+
 @settings(max_examples=600, deadline=2000, suppress_health_check=[HealthCheck.too_slow])
 @given(instance_texts())
 def test_cli_exit_codes_on_random_instances(case):
     source, command = case
+    code, err = run(command, source)
+    assert code in (0, 2, 3, 4), err
+
+
+@functools.cache
+def valid_results():
+    """Result files of a rational 2-D solve and a float 1-D envelope."""
+    solve = {
+        "kind": "toric-dirac",
+        "polytope": {"vertices": BODIES[2][0]},
+        "sites": [["0", "0"], ["1", "0"]],
+        "weights": ["1/2", "1/2"],
+    }
+    envelope = {
+        "kind": "toric-envelope",
+        "mode": "float",
+        "polytope": {"vertices": [[0.0], [2.0]]},
+        "constraints": [{"site": [0.25], "value": 0.5}, {"site": [-1.5], "value": 0.0}],
+    }
+    results = []
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "inst.json"
-        path.write_text(source)
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = cli.main([command, str(path), "-o", str(Path(tmp) / "out"), "--no-timestamp"])
-    assert code in (0, 2, 3, 4), err.getvalue()
+        for command, doc in (("solve", solve), ("envelope", envelope)):
+            path, out = Path(tmp) / "inst.json", Path(tmp) / "out.json"
+            path.write_text(json.dumps(doc))
+            assert cli.main([command, str(path), "-o", str(out), "--no-timestamp"]) == 0
+            results.append(json.loads(out.read_text()))
+    return results
+
+
+@st.composite
+def result_texts(draw):
+    return mutated(draw, draw(st.sampled_from(valid_results())))[0]
+
+
+@settings(max_examples=300, deadline=2000, suppress_health_check=[HealthCheck.too_slow])
+@given(result_texts())
+def test_export_cells_exit_codes_on_mutated_results(source):
+    code, err = run("export-cells", source)
+    assert code in (0, 2), err
+
+
+UNDECODABLE = {
+    "not-utf-8": b"\xff\xfe{\x00}",
+    "nested-too-deep": "[" * 100_000 + "]" * 100_000,
+    "integer-too-long": '{"kind": "curve-green", "graph": {"vertex_count": ' + "7" * 5000 + "}}",
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("name", sorted(UNDECODABLE))
+def test_undecodable_input_exits_two(command, name):
+    code, err = run(command, UNDECODABLE[name])
+    assert code == 2, err
+    assert err.startswith("error: ")
 
 
 @st.composite

@@ -1,12 +1,15 @@
 """File format and command-line tests: strict parsing, round trips,
 determinism, exit codes."""
 
+import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -336,10 +339,13 @@ class TestCli:
         assert code == 4
 
     def test_console_entry_point(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "nama.cli", "--help"],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0
         assert "solve" in proc.stdout
@@ -358,7 +364,7 @@ class TestRevalidation:
         from nama import solver as sv
 
         s = sv.normalize(sv.solve(inst.data["problem"], inst.solver))
-        result = io.result_for_solution(inst, s, with_timestamp=False)
+        result = io.result_file(inst, io.solution_payload(inst, s), with_timestamp=False)
         recomputed = io.revalidate_result(inst, result)
         assert abs(float(recomputed) - float(s.residual)) <= 1e-12
 
@@ -374,7 +380,7 @@ class TestRevalidation:
         from nama import solver as sv
 
         s = sv.normalize(sv.solve(inst.data["problem"], sv.SolverConfig(mode="rational")))
-        result = io.result_for_solution(inst, s, with_timestamp=False)
+        result = io.result_file(inst, io.solution_payload(inst, s), with_timestamp=False)
         assert io.revalidate_result(inst, result) == s.residual == 0
 
 
@@ -438,6 +444,48 @@ class TestMalformedInstancesExitTwo:
             ],
         )
         assert self.run(tmp_path, "poisson", bad) == 2
+
+
+ACCEPTED_KINDS = {
+    "solve": ("toric-dirac",),
+    "envelope": ("toric-envelope",),
+    "green": ("curve-green",),
+    "poisson": ("curve-poisson",),
+    "energy": ("toric-envelope", "curve-poisson"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        (command, doc)
+        for command, kinds in ACCEPTED_KINDS.items()
+        for doc in (DIRAC, ENVELOPE, POISSON, GREEN)
+        if doc["kind"] not in kinds
+    ],
+)
+def test_instance_of_another_kind_exits_two_naming_kind(tmp_path, capsys, command, doc):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    assert run_cli(tmp_path, command, path, "-o", out) == 2
+    assert capsys.readouterr().err.startswith("error: kind: ")
+    assert not out.exists()
+
+
+def test_two_main_calls_build_one_parser(tmp_path, monkeypatch):
+    built = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counted(self, **kwargs):
+        built.append(self)
+        return add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert run_cli(tmp_path, "solve", tmp_path / "missing.json", "-o", tmp_path / "out.json") == 2
+    assert len(built) == 1
 
 
 def test_a_case_that_raises_is_a_failure_with_its_seed(tmp_path, monkeypatch, capsys):

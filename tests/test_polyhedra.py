@@ -441,6 +441,7 @@ def assert_lower_hull_matches_reference(lifted):
     cells = [(c.cell.vertices, c.gradient, c.offset) for c in lh.cells]
     assert len(cells) == len(want[0]) and set(cells) == set(want[0])
     assert lh.dropped == want[1]
+    assert lh.base == pg.hull([p for p, _ in lifted])
     assert all(type(c) is F for v, g, o in cells for c in sum(v, g + (o,)))
     return lh
 

@@ -8,10 +8,11 @@ Sutherland-Hodgman loop on integer homogeneous coordinates inside; its
 output is already a convex counterclockwise loop, so it becomes a
 Polytope directly and its points become Fractions once.  Volumes,
 centroids and moments run on integer vertices over one common
-denominator.  Lower hulls gift-wrap over the indices of integer lifted
-points, every test the sign of one integer determinant, and order each
-cell with a monotone chain over indices; gradients and offsets become
-Fractions once.  `hull` is kept for genuine point sets.  Empty and
+denominator.  Lower hulls run in an integer core on lifted points given
+as integer triples (`lower_hull` only converts Fraction input): it
+gift-wraps over indices, every test the sign of one integer determinant,
+and makes Fractions only for cell and base vertices, gradients and
+offsets.  `hull` is kept for genuine point sets.  Empty and
 lower-dimensional polytopes are ordinary values (volume 0), because
 cells routinely degenerate while a solver walks through potential space.
 
@@ -21,7 +22,7 @@ Dimensions 3 and higher are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
@@ -412,12 +413,12 @@ def support_value(p: Polytope, y: Point) -> Fraction:
 # --------------------------------------------------------------------------
 # Lower convex hulls of lifted points (regular subdivisions), on integers.
 #
-# The distinct base points are sorted lexicographically, scaled by one
-# common denominator D, and their lowest heights by one common
-# denominator E, so point i is the integer triple (X, Y, H).  Positive
-# scalings keep the lower hull.  Index order is lexicographic order, so a
-# sorted index pair sorts like its points and an ascending index list is
-# ready for a monotone chain.
+# The core `_lower_hull` takes lifted points as integer triples (X, Y, H)
+# standing for ((X/d, Y/d), H/e), Y = 0 in dimension 1.  It keeps the
+# lowest H of each base point and sorts the distinct triples, so index
+# order is lexicographic order: a sorted index pair sorts like its points
+# and an ascending index list is ready for a monotone chain.  Positive
+# scalings keep the lower hull, so any common d and e serve.
 # --------------------------------------------------------------------------
 
 
@@ -438,17 +439,20 @@ class LowerHull:
     function equals the max of its cell affines everywhere on its domain.
     `base` is that domain, the hull of the base points.  `dropped`,
     computed on first read, lists the lifted points strictly above the
-    hull, in input order.
+    hull, in input order; `lifted` holds them on integers over `scale`.
     """
 
     dim: int
     base: Polytope
     cells: Tuple[LowerCell, ...]
-    lifted: Tuple[Tuple[Point, Fraction], ...]
+    lifted: Tuple[Tuple[int, int, int], ...]
+    scale: Tuple[int, int]
 
     @cached_property
     def dropped(self) -> Tuple[Tuple[Point, Fraction], ...]:
-        return tuple((p, h) for p, h in self.lifted if h > self.value(p))
+        (d, e), n = self.scale, self.dim
+        lifted = [(tuple(Fraction(c, d) for c in t[:n]), Fraction(t[2], e)) for t in self.lifted]
+        return tuple((p, h) for p, h in lifted if h > self.value(p))
 
     def value(self, m: Point) -> Fraction:
         return max(dot(c.gradient, m) + c.offset for c in self.cells)
@@ -474,20 +478,21 @@ def _twice_area(loop: List[int], pts) -> int:
     )
 
 
-def _lower_hull_1d(points, xs, d: int, hs, e: int) -> Tuple[Polytope, List[LowerCell]]:
-    if len(points) < 2:
+def _lower_hull_1d(pts, point, d: int, e: int) -> Tuple[Polytope, List[LowerCell]]:
+    if len(pts) < 2:
         raise DegenerateSpan("need two distinct base points")
+    xs, hs = [p[0] for p in pts], [p[2] for p in pts]
     chain = _lower_chain(xs, hs)
     cells = []
     for i, j in zip(chain, chain[1:]):
         run = e * (xs[j] - xs[i])
         gradient = (Fraction(d * (hs[j] - hs[i]), run),)
         offset = Fraction(hs[i] * xs[j] - hs[j] * xs[i], run)
-        cells.append(LowerCell(Polytope(1, (points[i], points[j]), 1), gradient, offset))
-    return Polytope(1, (points[0], points[-1]), 1), cells
+        cells.append(LowerCell(Polytope(1, (point(i), point(j)), 1), gradient, offset))
+    return Polytope(1, (point(0), point(len(pts) - 1)), 1), cells
 
 
-def _lower_hull_2d(points, pts, d: int, e: int) -> Tuple[Polytope, List[LowerCell]]:
+def _lower_hull_2d(pts, point, d: int, e: int) -> Tuple[Polytope, List[LowerCell]]:
     """Gift-wrapping over indices of the integer lifted points `pts`.
 
     The facet plane through a ridge (a, b) and a point q has the integer
@@ -548,7 +553,7 @@ def _lower_hull_2d(points, pts, d: int, e: int) -> Tuple[Polytope, List[LowerCel
             covered += _twice_area(loop, pts)
             den = nz * e
             gradient = (Fraction(-nx * d, den), Fraction(-ny * d, den))
-            cell = Polytope(2, tuple(points[i] for i in loop), 2)
+            cell = Polytope(2, tuple(point(i) for i in loop), 2)
             cells.append(LowerCell(cell, gradient, Fraction(k, den)))
             for i, j in zip(loop, loop[1:] + loop[:1]):
                 r = (i, j) if i < j else (j, i)
@@ -556,10 +561,25 @@ def _lower_hull_2d(points, pts, d: int, e: int) -> Tuple[Polytope, List[LowerCel
                     done.add(r)
                     # The cell lies left of i -> j; only the other side is new.
                     stack.append(r + ((-1,) if i < j else (1,),))
-    covered, area = Fraction(covered, 2 * d * d), Fraction(_twice_area(base, pts), 2 * d * d)
+    area = _twice_area(base, pts)  # cells and base share the denominator 2 d^2
     if covered != area:
+        covered, area = Fraction(covered, 2 * d * d), Fraction(area, 2 * d * d)
         raise ConsistencyError(f"lower-hull cells cover {covered}, base hull has volume {area}")
-    return Polytope(2, tuple(points[i] for i in base), 2), cells
+    return Polytope(2, tuple(point(i) for i in base), 2), cells
+
+
+def _lower_hull(dim: int, lifted, d: int, e: int) -> LowerHull:
+    """The integer core of `lower_hull` on the triples (X, Y, H) of the
+    lifted points ((X/d, Y/d), H/e), Y = 0 in dimension 1."""
+    lifted = tuple(lifted)
+    lowest = {}
+    for x, y, h in lifted:  # of duplicate base points only the lowest lift counts
+        if lowest.get((x, y), h) >= h:
+            lowest[x, y] = h
+    pts = sorted((x, y, h) for (x, y), h in lowest.items())
+    point = cache(lambda i: tuple(Fraction(c, d) for c in pts[i][:dim]))  # made once, on use
+    base, cells = (_lower_hull_1d if dim == 1 else _lower_hull_2d)(pts, point, d, e)
+    return LowerHull(dim, base, tuple(cells), lifted, (d, e))
 
 
 def lower_hull(lifted) -> LowerHull:
@@ -572,25 +592,14 @@ def lower_hull(lifted) -> LowerHull:
     fails: a point below a cell's plane, or cell areas that do not sum
     to the area of the base hull.
     """
+    lifted = list(lifted)
     if not lifted:
         raise EmptyInput("lower hull of zero points")
-    items = tuple((_aspoint(p), Fraction(h)) for p, h in lifted)
-    dim = len(items[0][0])
+    dim = len(lifted[0][0])
     if dim not in (1, 2):
         raise DimensionUnsupported(f"lower hulls support dimensions 1 and 2, got {dim}")
-    # Duplicate base points: only the lowest lift can be on the hull.
-    lowest = {}
-    for p, h in items:
-        if len(p) != dim:
-            raise DimensionMismatch("mixed dimensions in lifted points")
-        if p not in lowest or h < lowest[p]:
-            lowest[p] = h
-    points = sorted(lowest)
-    coords, d = _integers([c for p in points for c in p])
-    hs, e = _integers([lowest[p] for p in points])
-    if dim == 1:
-        base, cells = _lower_hull_1d(points, coords, d, hs, e)
-    else:
-        base, cells = _lower_hull_2d(points, list(zip(coords[0::2], coords[1::2], hs)), d, e)
-    return LowerHull(dim, base, tuple(cells), items)
-
+    if any(len(p) != dim for p, _ in lifted):
+        raise DimensionMismatch("mixed dimensions in lifted points")
+    coords, d = _integers([c for p, _ in lifted for c in _planar(p)])
+    hs, e = _integers([h for _, h in lifted])
+    return _lower_hull(dim, zip(coords[0::2], coords[1::2], hs), d, e)

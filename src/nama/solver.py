@@ -328,8 +328,10 @@ def normalize(s: Solution) -> Solution:
     """Shift t by a constant so the potential's maximum over the sites
     (hence over the hull of sites and atoms) is exactly 0.  The cells,
     masses and objective do not change; the energy moves with sum w_i t_i
-    because the weights sum to vol(Delta)."""
-    shift = max(s.potential.value(x) for x in s.problem.sites)
+    because the weights sum to vol(Delta).  phi(x_a) = t_a at a retained
+    site, so only pruned sites are evaluated."""
+    t = dict(s.potential.generators)
+    shift = max(t[x] if x in t else s.potential.value(x) for x in s.problem.sites)
     if shift == 0:
         return s
     t = tuple(ti - shift for ti in s.t)

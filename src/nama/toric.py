@@ -6,18 +6,24 @@ envelope generators (site, value), so that the dual function on the
 polytope is u(m) = max_a(<x_a, m> - t_a) and the potential itself is
 f(y) = sup_{m in Delta}(<m, y> - u(m)).  Monge-Ampere masses are then
 exact cell volumes of the induced subdivision of Delta, and envelopes are
-closure operations on generator lists.  All arithmetic is rational.
+closure operations on generator lists.  All arithmetic is rational;
+integers carry it where it is hot.  Each potential keeps one integer table
+of its affine pieces, on which `value` is one integer max, and sums,
+maxima and lattice envelopes hand integer lifted points to the lower hull.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
+from math import ceil, floor, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import polyhedra as pg
 from .errors import (
     ConsistencyError,
+    DegenerateSpan,
     DeltaMismatch,
     DimensionMismatch,
     EmptyInput,
@@ -25,7 +31,7 @@ from .errors import (
     NotDominated,
     WrongArity,
 )
-from .polyhedra import Point, Polytope, dot, sub
+from .polyhedra import Point, Polytope, sub
 
 _ZERO = Fraction(0)
 
@@ -79,6 +85,23 @@ def _merge_constraints(constraints) -> List[Tuple[Point, Fraction]]:
     return sorted(merged.items())
 
 
+def _dual_forms(gens, d: int) -> Tuple[List[Tuple[int, int, int]], int]:
+    """The affine functions <x_a, m> - t_a of generators (x_a, t_a) at
+    points m = K / d on integers: forms (A, B, C) and a denominator E, a
+    multiple of d, with <x_a, m> - t_a = (A K_0 + B K_1 - C) / E."""
+    xs, dx = pg._integers([c for x, _ in gens for c in pg._planar(x)])
+    ts, dt = pg._integers([t for _, t in gens])
+    return [(dt * xs[2 * a], dt * xs[2 * a + 1], d * dx * t) for a, t in enumerate(ts)], d * dx * dt
+
+
+def _common_tables(f: "ToricPsh", g: "ToricPsh"):
+    """The piece rows of f and of g over one common denominator D."""
+    (df, rf), (dg, rg) = f.table, g.table
+    den = lcm(df, dg)
+    scale = lambda rows, s: [(a * s, b * s, c * s) for a, b, c in rows]
+    return den, scale(rf, den // df), scale(rg, den // dg)
+
+
 class ToricPsh:
     """A semipositive toric potential in canonical envelope form.
 
@@ -88,7 +111,7 @@ class ToricPsh:
     the function).  After that, f(x_a) = t_a holds for every generator.
     """
 
-    __slots__ = ("delta", "generators", "cells", "_pieces")
+    __slots__ = ("delta", "generators", "cells", "_table")
 
     def __init__(self, delta: NewtonPolytope, generators):
         gens = _merge_constraints(generators)
@@ -102,7 +125,7 @@ class ToricPsh:
             delta.body, [x for x, _ in gens], [t for _, t in gens]
         )
         kept = [(g, cell) for g, cell in zip(gens, laguerre) if cell is not None]
-        self.delta, self._pieces = delta, None
+        self.delta, self._table = delta, None
         self.generators, self.cells = zip(*kept)
 
     @classmethod
@@ -110,7 +133,7 @@ class ToricPsh:
         """A potential from (generator, cell) pairs, sorted by site, whose
         cells are known to be its Laguerre cells; nothing is clipped."""
         out = object.__new__(cls)
-        out.delta, out._pieces = delta, None
+        out.delta, out._table = delta, None
         out.generators, out.cells = zip(*pairs)
         return out
 
@@ -119,36 +142,46 @@ class ToricPsh:
         return tuple(x for x, _ in self.generators)
 
     @property
+    def table(self) -> Tuple[int, List[Tuple[int, int, int]]]:
+        """The pieces on integers, built on first read: (D, sorted rows
+        (V_0, V_1, U)), a slope V / D (V_1 = 0 in 1-D) and its dual value
+        u = U / D, read off any generator (x, t) whose cell has the slope."""
+        if self._table is None:
+            cells = self.cells
+            vs, dv = pg._integers([c for p in cells for v in p.vertices for c in pg._planar(v)])
+            forms, e = _dual_forms(self.generators, dv)
+            owner = [g for g, cell in zip(forms, cells) for _ in cell.vertices]
+            u = {(x, y): a * x + b * y - c for (a, b, c), x, y in zip(owner, vs[::2], vs[1::2])}
+            s = e // dv
+            self._table = e, [(x * s, y * s, h) for (x, y), h in sorted(u.items())]
+        return self._table
+
+    @property
     def pieces(self) -> Tuple[Tuple[Point, Fraction], ...]:
         """Affine pieces of f as (slope, dual value at the slope).
 
         The slopes are exactly the vertices of the regular subdivision of
         Delta induced by lifting m to u(m), i.e. all cell vertices.
         """
-        if self._pieces is None:
-            seen = {}
-            for (x, t), cell in zip(self.generators, self.cells):
-                for v in cell.vertices:
-                    if v not in seen:
-                        seen[v] = dot(x, v) - t
-            self._pieces = tuple(sorted(seen.items()))
-        return self._pieces
+        (den, rows), n = self.table, self.delta.dim
+        return tuple((tuple(Fraction(c, den) for c in r[:n]), Fraction(r[2], den)) for r in rows)
 
     def value(self, y: Point) -> Fraction:
-        """f(y) = sup_{m in Delta}(<m, y> - u(m)), exact."""
-        y = tuple(Fraction(c) for c in y)
+        """f(y) = sup_{m in Delta}(<m, y> - u(m)), exact: with y = Y / D_y,
+        one integer max of V_0 Y_0 + V_1 Y_1 - U D_y over the table rows."""
         if len(y) != self.delta.dim:
+            y = tuple(Fraction(c) for c in y)
             raise DimensionMismatch(f"point {y} vs dimension {self.delta.dim}")
-        return max(dot(v, y) - uv for v, uv in self.pieces)
+        (y0, y1), dy = pg._integers(pg._planar(y))
+        den, rows = self.table
+        return Fraction(max(a * y0 + b * y1 - c * dy for a, b, c in rows), den * dy)
 
     def shift(self, c) -> "ToricPsh":
         """f + c, through the values t_a + c.  A constant added to every
         value moves no wall, so the cells are kept, not rebuilt."""
         c = Fraction(c)
         gens = [(x, t + c) for x, t in self.generators]
-        out = ToricPsh._from_cells(self.delta, zip(gens, self.cells))
-        out._pieces = None if self._pieces is None else tuple((v, u - c) for v, u in self._pieces)
-        return out
+        return ToricPsh._from_cells(self.delta, zip(gens, self.cells))
 
     def subdifferential(self, y: Point) -> Polytope:
         """The polytope of maximizing slopes at y (a cell of the dual
@@ -262,12 +295,12 @@ class AtomicMeasure:
     def total_mass(self) -> Fraction:
         return sum((w for _, w in self.atoms), _ZERO)
 
+    @cached_property
+    def _weights(self) -> Dict[Point, Fraction]:
+        return dict(self.atoms)
+
     def weight_at(self, p: Point) -> Fraction:
-        p = tuple(Fraction(c) for c in p)
-        for q, w in self.atoms:
-            if q == p:
-                return w
-        return _ZERO
+        return self._weights.get(tuple(p), _ZERO)
 
     def points(self) -> Tuple[Point, ...]:
         return tuple(p for p, _ in self.atoms)
@@ -307,7 +340,8 @@ def max_combine(f: ToricPsh, g: ToricPsh) -> ToricPsh:
     """
     if f.delta != g.delta:
         raise DeltaMismatch("max of potentials over different polytopes")
-    return _from_hull(f.delta, pg.lower_hull(list(f.pieces) + list(g.pieces)))
+    den, rf, rg = _common_tables(f, g)
+    return _from_hull(f.delta, pg._lower_hull(f.delta.dim, rf + rg, den, den))
 
 
 def _from_hull(delta: NewtonPolytope, hull: pg.LowerHull) -> ToricPsh:
@@ -328,9 +362,9 @@ def _sum_hull(f: ToricPsh, g: ToricPsh) -> pg.LowerHull:
     """
     if f.delta.dim != g.delta.dim:
         raise DimensionMismatch("sum of potentials in different dimensions")
-    return pg.lower_hull(
-        [(pg.add(v, w), uv + uw) for v, uv in f.pieces for w, uw in g.pieces]
-    )
+    den, rf, rg = _common_tables(f, g)
+    lifted = [(a0 + b0, a1 + b1, a2 + b2) for a0, a1, a2 in rf for b0, b1, b2 in rg]
+    return pg._lower_hull(f.delta.dim, lifted, den, den)
 
 
 def scale_potential(f: ToricPsh, s) -> ToricPsh:
@@ -458,29 +492,22 @@ def energy(f: ToricPsh, ref: ToricPsh) -> Fraction:
 # --------------------------------------------------------------------------
 
 
-def _lattice_points(delta: NewtonPolytope, m: int):
-    """The points of Delta on the (1/m)-lattice in lexicographic order, as
-    nonempty rows of equal last coordinate (one row in dimension 1)."""
-    import math
-
+def _lattice_points(delta: NewtonPolytope, m: int) -> List[Tuple[int, int]]:
+    """The points q of Delta on the (1/m)-lattice as integer pairs m q
+    (second entry 0 in dimension 1), in lexicographic order."""
     body = delta.body
     if delta.dim == 1:
         lo, hi = body.vertices[0][0], body.vertices[-1][0]
-        row = [(Fraction(k, m),) for k in range(math.ceil(lo * m), math.floor(hi * m) + 1)]
-        return [row] if row else []
-    rows = []
+        return [(k, 0) for k in range(ceil(lo * m), floor(hi * m) + 1)]
+    points = []
     ys = [v[1] for v in body.vertices]
-    lo, hi = min(ys), max(ys)
-    for ky in range(math.ceil(lo * m), math.floor(hi * m) + 1):
+    for ky in range(ceil(min(ys) * m), floor(max(ys) * m) + 1):
         y = Fraction(ky, m)
         row = pg.clip(body, [((_ZERO, Fraction(1)), y), ((_ZERO, Fraction(-1)), -y)])
-        if row.is_empty:
-            continue
-        xs = [v[0] for v in row.vertices]
-        kxs = range(math.ceil(min(xs) * m), math.floor(max(xs) * m) + 1)
-        if kxs:
-            rows.append([(Fraction(kx, m), y) for kx in kxs])
-    return rows
+        if not row.is_empty:
+            xs = [v[0] for v in row.vertices]
+            points += [(kx, ky) for kx in range(ceil(min(xs) * m), floor(max(xs) * m) + 1)]
+    return points
 
 
 def lattice_envelope(delta: NewtonPolytope, constraints, m: int) -> ToricPsh:
@@ -490,25 +517,26 @@ def lattice_envelope(delta: NewtonPolytope, constraints, m: int) -> ToricPsh:
     Always below the exact envelope.  When the lattice hull is a proper
     full-dimensional subpolytope of Delta the result is returned over that
     smaller Newton polytope (the restricted potential has smaller total
-    mass); a degenerate lattice hull raises EmptyLattice.
+    mass); a degenerate lattice hull raises EmptyLattice.  The lattice hull
+    is the base of the lower hull of the lifted lattice points.
     """
     if m < 1:
         raise ValueError("lattice order must be >= 1")
     gens = _merge_constraints(constraints)
     if not gens:
         raise EmptyInput("need at least one constraint")
-    rows = _lattice_points(delta, m)
-    if not rows:
+    points = _lattice_points(delta, m)
+    if not points:
         raise EmptyLattice(f"Delta contains no point of the 1/{m} lattice")
-    dual = lambda q: max(dot(x, q) - t for x, t in gens)
-    lifted = [(q, dual(q)) for row in rows for q in row]
-    # Only the end points of a row can be corners of the lattice hull.
-    base = pg.hull([q for row in rows for q in (row[0], row[-1])], delta.dim)
-    if not base.is_full_dimensional:
+    forms, e = _dual_forms(gens, m)
+    lifted = [(k0, k1, max(a * k0 + b * k1 - c for a, b, c in forms)) for k0, k1 in points]
+    try:
+        hull = pg._lower_hull(delta.dim, lifted, m, e)
+    except DegenerateSpan:
         raise EmptyLattice(
             f"the 1/{m} lattice points of Delta do not span; no representable envelope"
-        )
-    return _from_hull(delta if base == delta.body else NewtonPolytope(base), pg.lower_hull(lifted))
+        ) from None
+    return _from_hull(delta if hull.base == delta.body else NewtonPolytope(hull.base), hull)
 
 
 def orthogonality_defect(f: TestFunction, phi: ToricPsh) -> Fraction:

@@ -538,6 +538,44 @@ class TestIntegerLowerHullAgainstFractionReference:
                 assert (got.delta, got.generators) == (want.delta, want.generators)
 
 
+class TestIntegerCoreAgainstPublicLowerHull:
+    """`_lower_hull` on integer triples over non-reduced denominators
+    against `lower_hull` on the same points as Fractions."""
+
+    def check(self, dim, triples, d, e):
+        lifted = [((F(x, d), F(y, d))[:dim], F(h, e)) for x, y, h in triples]
+        try:
+            want = pg.lower_hull(lifted)
+        except DegenerateSpan:
+            with pytest.raises(DegenerateSpan):
+                pg._lower_hull(dim, triples, d, e)
+            return
+        got = pg._lower_hull(dim, triples, d, e)
+        assert (got.dim, got.base, got.cells) == (want.dim, want.base, want.cells)
+        assert got.dropped == want.dropped == tuple(
+            (p, h) for p, h in lifted if h > want.value(p)
+        )
+        assert got.base == pg.hull([p for p, _ in lifted], dim)
+
+    def test_duplicate_and_collinear_points(self):
+        rng = random.Random(131)
+        for trial in range(300):
+            dim = 1 + trial % 2
+            pts = [(rng.randint(-3, 3), rng.randint(-3, 3) if dim == 2 else 0) for _ in range(rng.randint(1, 9))]
+            if dim == 2 and trial % 3 == 0:  # all on one line
+                pts = [(x, 2 * x - 1) for x, _ in pts]
+            pts += rng.sample(pts, rng.randint(0, len(pts)))  # duplicates, other heights
+            triples = [(x, y, rng.randint(-12, 12)) for x, y in pts]
+            d, e = rng.choice((1, 2, 6, 35)), rng.choice((1, 3, 10, 77))
+            scaled = [(x * 7, y * 7, h * 4) for x, y, h in triples] if trial % 2 else triples
+            self.check(dim, scaled, d * (7 if trial % 2 else 1), e * (4 if trial % 2 else 1))
+
+    def test_paraboloid_grid_with_coplanar_cells(self):
+        grid = [(x, y, x * x + y * y) for x in range(-3, 4) for y in range(-2, 3)]
+        self.check(2, grid + [(0, 0, 5), (1, 1, 2)], 3, 9)
+        self.check(1, [(x, 0, abs(x)) for x in range(-5, 6)], 2, 5)
+
+
 def reference_clip(p, halfspaces):
     """Plain-Fraction Sutherland-Hodgman clip, the reference for pg.clip.
 

@@ -1,0 +1,126 @@
+"""Regression oracle: pinned sha256 digests of `--no-timestamp` outputs.
+
+Every suite report at seed 1 with two cases, in each dimension the suite
+runs in, and the `envelope`, `energy` and `solve` outputs of fixed
+instances must stay byte-identical.  A digest changes only together with
+a deliberate change of results, recorded in CHANGES.md.  A suite report
+without timing holds the suite name, the case count and the failures
+with their witnesses, so its digest pins which assertions fail and how.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from nama import cli
+from nama import harness as hx
+
+ENVELOPE_2D = {
+    "kind": "toric-envelope",
+    "mode": "rational",
+    "polytope": {"vertices": [["0", "0"], ["2", "0"], ["3", "2"], ["1", "3"], ["0", "1"]]},
+    "constraints": [
+        {"site": ["0", "0"], "value": "0"},
+        {"site": ["1/2", "-1/3"], "value": "1/4"},
+        {"site": ["-1", "1/2"], "value": "3/5"},
+        {"site": ["2/3", "1"], "value": "1"},
+        {"site": ["-1/4", "-1"], "value": "7/6"},
+        {"site": ["1", "-1/2"], "value": "2/3"},
+        {"site": ["1/5", "2/7"], "value": "-1/9"},
+    ],
+}
+
+LATTICE_2D = dict(ENVELOPE_2D, lattice_m=6)
+
+LATTICE_1D = {
+    "kind": "toric-envelope",
+    "mode": "rational",
+    "polytope": {"vertices": [["-1/3"], ["5/2"]]},
+    "constraints": [
+        {"site": ["1/3"], "value": "0"},
+        {"site": ["-2/3"], "value": "1/5"},
+        {"site": ["3/2"], "value": "2/7"},
+    ],
+    "lattice_m": 5,
+}
+
+DIRAC_2D = {
+    "kind": "toric-dirac",
+    "mode": "float",
+    "polytope": {"vertices": [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]},
+    "sites": [["0", "0"], ["1", "0"], ["1/3", "7/8"], ["-1/2", "1/4"]],
+    "weights": ["1/4", "1/3", "1/6", "1/4"],
+}
+
+SUITE_DIGESTS = {
+    # (suite, dimension) -> sha256 of `nama check --seed 1 --cases 2 --no-timestamp`
+    ("capacity", 1): "676ddccc9db4405ceae503cf9966d8b0b9406fb22bfde61ebd393c510216c155",
+    ("capacity", 2): "676ddccc9db4405ceae503cf9966d8b0b9406fb22bfde61ebd393c510216c155",
+    ("comparison", 1): "805aad7e2ab2fda6a15b3409ba38cf1285730df1a4e83f124f20199dbe30471f",
+    ("comparison", 2): "805aad7e2ab2fda6a15b3409ba38cf1285730df1a4e83f124f20199dbe30471f",
+    ("differentiability", 1): "4d7bcd49cc110300a717ab539929ecebc7b1e40e5e43fdd03578619a4583f791",
+    ("differentiability", 2): "4d7bcd49cc110300a717ab539929ecebc7b1e40e5e43fdd03578619a4583f791",
+    ("energy_identities", 1): "7387140bd1e91e5aef9e92d0a0d57d0189e3059414313b018ee2c5cfe6a79c1d",
+    ("energy_identities", 2): "7387140bd1e91e5aef9e92d0a0d57d0189e3059414313b018ee2c5cfe6a79c1d",
+    ("envelope_axioms", 1): "6721eccdbb0700a8c145734b2541d47536b0a58a0b68ca54a8ab3a9eedb65c08",
+    ("envelope_axioms", 2): "6721eccdbb0700a8c145734b2541d47536b0a58a0b68ca54a8ab3a9eedb65c08",
+    ("graph_suite", 1): "43903c4776c2d07fe3078e2b488ca4a76d28592222916ecd255a92428c212b7b",
+    ("graph_suite", 2): "43903c4776c2d07fe3078e2b488ca4a76d28592222916ecd255a92428c212b7b",
+    ("locality", 1): "8284748374465a97ecf442084910fa08662c8d7686e5cd43c0f33d240155cad2",
+    ("locality", 2): "8284748374465a97ecf442084910fa08662c8d7686e5cd43c0f33d240155cad2",
+    ("orthogonality", 1): "f924cfecd75b6a4ccce36e57566f3411cd9c22d93ba784271edca4b0e045ac6f",
+    ("orthogonality", 2): "f924cfecd75b6a4ccce36e57566f3411cd9c22d93ba784271edca4b0e045ac6f",
+    ("superadditivity", 1): "8be937fec3378543eee889f7cea8e86f9990725ed1ed08c220368fbc89e8426a",
+    ("superadditivity", 2): "8be937fec3378543eee889f7cea8e86f9990725ed1ed08c220368fbc89e8426a",
+    ("uniqueness", 1): "0391ba24a6db329163fca2406cd17dac99a00c942bc89c9e818490f2fdb02825",
+    ("uniqueness", 2): "0391ba24a6db329163fca2406cd17dac99a00c942bc89c9e818490f2fdb02825",
+    ("zariski_defect", 1): "b42d5aa829df553ef817b8264b3f93a8e3f22904c1aee291c23d691b1cbdb89a",
+}
+
+COMMAND_DIGESTS = {
+    # (command, instance name) -> sha256 of the `--no-timestamp` output
+    ("envelope", "envelope_2d"): "0d42ebdb7445e2fe41aed1e53fcca79a9d94c17526caea749ed2d9793e4b8f58",
+    ("energy", "envelope_2d"): "54e4f0d2963050f5fc0cabd612397ebea63637245f7b4d215a7345f99e723d48",
+    ("envelope", "lattice_2d"): "d4066a9a746dcdddae70e101717ec50c2400c9d710053d144f92f678942dfbf6",
+    ("envelope", "lattice_1d"): "a8cdfeeef8b795187cd1d39f8d0a594f78bd0c7bc4d623d9fd7c86726cac9ec6",
+    ("solve", "dirac_2d"): "e9ace05db27312ce6b14fe2de6fa50229cf4cdb61e01842026d363d6bb9622cd",
+}
+
+INSTANCES = {
+    "envelope_2d": ENVELOPE_2D,
+    "lattice_2d": LATTICE_2D,
+    "lattice_1d": LATTICE_1D,
+    "dirac_2d": DIRAC_2D,
+}
+
+
+def _digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _suite_runs():
+    for suite in hx.SUITE_NAMES:
+        dims = (1,) if suite in hx.ONE_DIMENSIONAL_SUITES else (1, 2)
+        for dim in dims:
+            yield suite, dim
+
+
+@pytest.mark.parametrize("suite, dim", list(_suite_runs()))
+def test_suite_report_is_pinned(tmp_path, suite, dim):
+    out = tmp_path / "report.json"
+    argv = ["check", "--suite", suite, "--seed", "1", "--cases", "2", "--dimension", str(dim)]
+    assert cli.main(argv + ["-o", str(out), "--no-timestamp"]) == 0
+    assert _digest(out) == SUITE_DIGESTS[suite, dim]
+
+
+@pytest.mark.parametrize("command, name", sorted(COMMAND_DIGESTS))
+def test_command_output_is_pinned(tmp_path, command, name):
+    inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+    inst.write_text(json.dumps(INSTANCES[name]))
+    assert cli.main([command, str(inst), "-o", str(out), "--no-timestamp"]) == 0
+    assert _digest(out) == COMMAND_DIGESTS[command, name]
+
+
+def test_every_suite_is_pinned():
+    assert set(SUITE_DIGESTS) == set(_suite_runs())

@@ -302,6 +302,31 @@ class TestNormalize:
         assert sv.normalize(shifted).t == ns.t
 
 
+    @staticmethod
+    def assert_matches_max_over_value(s):
+        shift = max(s.potential.value(x) for x in s.problem.sites)
+        ns = sv.normalize(s)
+        assert ns.t == tuple(ti - shift for ti in s.t)
+        assert ns.potential == s.potential.shift(-shift)
+        assert ns.potential.pieces == tc.envelope(s.problem.delta, list(zip(s.problem.sites, ns.t))).pieces
+
+    def test_against_max_over_value_on_seeded_solves(self):
+        rng = random.Random(41)
+        for k in range(6):
+            delta = SQ if k % 2 else hx.gen_polytope(hx.SplitMix64(k), 2, 5)
+            sites = sorted({(F(rng.randint(-6, 6), 4), F(rng.randint(-6, 6), 4)) for _ in range(3)})
+            p = _problem(delta, sites, [rng.randint(1, 4) for _ in sites])
+            self.assert_matches_max_over_value(sv.solve(p, sv.SolverConfig(mode="float")))
+
+    def test_against_max_over_value_with_a_pruned_site(self):
+        p = sv.DiracProblem(SQ, ((F(0), F(0)), (F(1), F(0)), (F(1, 2), F(1, 2))), (F(1, 4), F(1, 4), F(1, 2)))
+        for t in ((F(1, 3), F(-1, 2), F(5)), (F(0), F(0), F(7, 3))):
+            phi = tc.envelope(p.delta, list(zip(p.sites, t)))
+            assert len(phi.generators) < len(p.sites)
+            mu, masses = sv._masses_at(p, phi)
+            self.assert_matches_max_over_value(sv._solution(p, t, phi, mu, masses, []))
+
+
 class TestClMeasure:
     def test_factor_matches_dimension(self):
         f2 = tc.g_delta(SQ)

@@ -686,3 +686,120 @@ class TestOrthogonalityDefect:
             defects.append(d)
         assert defects[-1] <= defects[0] / 8
         assert tc.orthogonality_defect(tf, exact) == 0
+
+
+# --------------------------------------------------------------------------
+# The integer piece table and lattice heights against the Fraction routes
+# they replaced.
+# --------------------------------------------------------------------------
+
+
+def ref_pieces(f):
+    """The Fraction construction of `pieces`: u(v) = <x, v> - t at each
+    vertex v of a cell, read from the first cell that has v."""
+    seen = {}
+    for (x, t), cell in zip(f.generators, f.cells):
+        for v in cell.vertices:
+            if v not in seen:
+                seen[v] = pg.dot(x, v) - t
+    return tuple(sorted(seen.items()))
+
+
+def _derived_potentials(dim, seeds):
+    """Seeded potentials from every constructor that makes one."""
+    rng = random.Random(211 + dim)
+    for f, g in _seeded_pairs(dim, seeds):
+        yield f
+        yield f.shift(F(-7, 3))
+        yield tc.scale_potential(g, F(5, 3))
+        yield tc._pair_sum(f, g)
+        yield tc.max_combine(f, g.shift(F(1, 4)))
+        constraints = [
+            (tuple(F(rng.randint(-8, 8), 4) for _ in range(dim)), F(rng.randint(-6, 6), 5))
+            for _ in range(1 + rng.randrange(4))
+        ]
+        yield tc.lattice_envelope(f.delta, constraints, rng.choice((1, 2, 3, 5)))
+
+
+class TestIntegerPiecesAgainstFractions:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_pieces_and_values(self, dim):
+        rng = random.Random(223 + dim)
+        for f in _derived_potentials(dim, range(12)):
+            pieces = ref_pieces(f)
+            assert f.pieces == pieces
+            assert all(type(c) is F for v, u in pieces for c in v + (u,))
+            points = [
+                tuple(rng.randint(-9, 9) for _ in range(dim)),
+                tuple(F(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(dim)),
+                tuple(F(rng.randint(-10**15, 10**15), rng.randint(1, 10**12)) for _ in range(dim)),
+            ]
+            points += [x for x, _ in f.generators]
+            for y in points:
+                got = f.value(y)
+                assert type(got) is F
+                assert got == max(pg.dot(v, y) - uv for v, uv in pieces)
+
+    def test_generators_interpolate(self):
+        for dim in (1, 2):
+            for f in _derived_potentials(dim, range(6)):
+                assert all(f.value(x) == t for x, t in f.generators)
+
+    def test_shift_adds_the_constant(self):
+        f = tc.envelope(SQ, [((0, 0), 0), ((1, 1), F(1, 2)), ((-1, 2), F(3, 4))])
+        for c in (F(5, 3), F(-1, 7), 2):
+            g = f.shift(c)
+            assert g.pieces == tuple((v, u - c) for v, u in f.pieces) == ref_pieces(g)
+            for y in ((0, 0), (F(1, 3), F(-5, 2)), (7, F(10**12 + 1, 10**9))):
+                assert g.value(y) == f.value(y) + c
+
+
+class TestLatticeDualHeights:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_against_fraction_route(self, dim):
+        """Every height for m <= 16, a sample of 300 for m = 32 and 64."""
+        rng = random.Random(227 + dim)
+        for seed in range(4):
+            delta = hx.gen_polytope(hx.SplitMix64(seed), dim, 6)
+            constraints = [
+                (tuple(F(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(dim)), F(rng.randint(-6, 6), 7))
+                for _ in range(1 + rng.randrange(5))
+            ]
+            gens = tc._merge_constraints(constraints)
+            for m in (1, 2, 3, 5, 8, 16, 32, 64):
+                points = tc._lattice_points(delta, m)
+                forms, e = tc._dual_forms(gens, m)
+                if m > 16:
+                    points = rng.sample(points, min(300, len(points)))
+                for k0, k1 in points:
+                    q = (F(k0, m), F(k1, m))[:dim]
+                    assert delta.body.contains(q)
+                    h = max(a * k0 + b * k1 - c for a, b, c in forms)
+                    assert F(h, e) == max(pg.dot(x, q) - t for x, t in gens)
+
+    def test_degenerate_lattices_raise_empty_lattice(self):
+        """One lattice point in 1-D and three collinear ones in 2-D: no
+        span, the same EmptyLattice message as the hull of row ends gave."""
+        for delta, m in ((tc.newton_polytope([(F(1, 3),), (F(3, 2),)], 1), 1), (tc.newton_polytope([(0, 0), (F(5, 2), 0), (0, F(1, 2))], 2), 1)):
+            with pytest.raises(EmptyLattice, match=f"the 1/{m} lattice points of Delta do not span"):
+                tc.lattice_envelope(delta, [(tuple(0 for _ in range(delta.dim)), 0)], m)
+
+    def test_proper_sublattice_hull_is_the_lattice_hull(self):
+        delta = tc.newton_polytope([(0, 0), (F(5, 2), 0), (F(1, 2), F(7, 4)), (0, F(3, 2))], 2)
+        for m in (1, 2, 3):
+            lat = tc.lattice_envelope(delta, [((F(1, 4), F(1, 3)), 0), ((1, -1), F(1, 2))], m)
+            q = [(F(k0, m), F(k1, m)) for k0, k1 in tc._lattice_points(delta, m)]
+            assert lat.delta.body == pg.hull(q, 2) != delta.body
+            assert tc.ma_measure(lat).total_mass == lat.delta.volume < delta.volume
+
+
+class TestWeightAt:
+    def test_against_a_scan_of_the_atoms(self):
+        for dim in (1, 2):
+            for f in _derived_potentials(dim, range(4)):
+                mu = tc.ma_measure(f)
+                scan = lambda p: next((w for q, w in mu.atoms if q == tuple(map(F, p))), F(0))
+                probes = [p for p, _ in mu.atoms] + [tuple(range(dim)), tuple(F(1, 7) for _ in range(dim))]
+                probes += [tuple(int(c) for c in p) for p, _ in mu.atoms if all(c.denominator == 1 for c in p)]
+                for p in probes:
+                    assert mu.weight_at(p) == scan(p)

@@ -3,20 +3,17 @@
 Hulls, half-space clipping, Laguerre (power-diagram) cells, volumes,
 centroids, Minkowski sums and lower convex hulls of lifted point sets,
 all with no rounding.  Points, half-spaces and results cross the API as
-`fractions.Fraction` tuples.  Clipping and Laguerre cells run one
-Sutherland-Hodgman loop on integer homogeneous coordinates inside; its
-output is already a convex counterclockwise loop, so it becomes a
-Polytope directly and its points become Fractions once.  Volumes,
-centroids and moments run on integer vertices over one common
-denominator.  Lower hulls run in an integer core on lifted points given
-as integer triples (`lower_hull` only converts Fraction input): it
-gift-wraps over indices, every test the sign of one integer determinant,
-and makes Fractions only for cell and base vertices, gradients and
-offsets.  `hull` is kept for genuine point sets.  Empty and
-lower-dimensional polytopes are ordinary values (volume 0), because
-cells routinely degenerate while a solver walks through potential space.
-
-Dimensions 3 and higher are rejected.
+`fractions.Fraction` tuples; inside, everything runs on integers and every
+test is the sign of one integer determinant.  Clipping runs one
+Sutherland-Hodgman loop on homogeneous coordinates, whose output is
+already a convex counterclockwise loop.  Laguerre cells come from the
+regular triangulation of the lifted sites, built by inserting them in
+lexicographic order: only its vertices have cells, and each is the body
+cut by the vertex's neighbours.  Lower hulls gift-wrap over integer
+triples (`lower_hull` only converts Fraction input).  `hull` is kept for
+genuine point sets.  Empty and lower-dimensional polytopes are ordinary
+values (volume 0), because cells routinely degenerate while a solver
+walks through potential space.  Dimensions 3 and higher are rejected.
 """
 
 from __future__ import annotations
@@ -62,7 +59,7 @@ def add(a: Point, b: Point) -> Point:
 
 
 def scale_point(a: Point, s: Fraction) -> Point:
-    return tuple(Fraction(s) * x for x in a)
+    return tuple(s * x for x in a)
 
 
 def cross(a: Point, b: Point) -> Fraction:
@@ -71,15 +68,8 @@ def cross(a: Point, b: Point) -> Fraction:
 
 def _primitive(a: Point) -> Point:
     """Scale a rational vector to a primitive integer vector, same direction."""
-    den = 1
-    for c in a:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in a]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g == 0:
-        return tuple(Fraction(0) for _ in a)
+    ints, _ = _integers(a)
+    g = gcd(*ints) or 1
     return tuple(Fraction(v // g) for v in ints)
 
 
@@ -159,11 +149,7 @@ def _convex_loop(idx: List[int], pts) -> List[int]:
     def chain(seq):
         out = []
         for i in seq:
-            x, y = pts[i][0], pts[i][1]
-            while len(out) > 1:
-                p, q = pts[out[-2]], pts[out[-1]]
-                if (q[0] - p[0]) * (y - p[1]) > (q[1] - p[1]) * (x - p[0]):
-                    break
+            while len(out) > 1 and _orient(pts[out[-2]], pts[out[-1]], pts[i]) <= 0:
                 out.pop()
             out.append(i)
         return out
@@ -238,9 +224,7 @@ def _homogeneous(p) -> Tuple[int, int, int]:
 
 def _from_homogeneous(h, dim: int) -> Point:
     x, y, w = h
-    if dim == 1:
-        return (Fraction(x, w),)
-    return (Fraction(x, w), Fraction(y, w))
+    return (Fraction(x, w), Fraction(y, w))[:dim]
 
 
 def _cut(loop, a0: int, a1: int, b: int):
@@ -274,7 +258,7 @@ def _cut(loop, a0: int, a1: int, b: int):
     return list(dict.fromkeys(out))
 
 
-def _from_loop(loop, n: int) -> Polytope:
+def _from_loop(loop, n: int, point=_from_homogeneous) -> Polytope:
     """The polytope bounded by a `_cut` result, built without a hull.
 
     Fewer than three points are a point or a segment.  Three or more are a
@@ -285,7 +269,7 @@ def _from_loop(loop, n: int) -> Polytope:
     on the cutting line, so no three of them are collinear.  The loop is
     only rotated to start at its lexicographic minimum.
     """
-    pts = [_from_homogeneous(h, n) for h in loop]
+    pts = [point(h, n) for h in loop]
     if len(pts) > 2:
         i0 = pts.index(min(pts))
         return Polytope(n, tuple(pts[i0:] + pts[:i0]), 2)
@@ -319,32 +303,37 @@ def laguerre_cells(body: Polytope, sites, values) -> List[Optional[Polytope]]:
     Returns one entry per site: its cell, or None when the cell is not
     full-dimensional.  Sites are scaled by one common denominator D and
     values by one common denominator E, so the half-space of the pair
-    (a, b) is the integer triple (E (X_b - X_a), D (T_b - T_a)).
+    (a, b) is the integer triple (E (X_b - X_a), D (T_b - T_a)).  Only a
+    vertex of the regular triangulation of the lifted sites (x_a, t_a) has
+    a cell, and only its neighbours in the triangulation cut it.
     """
     n = body.dim
     coords, d = _integers([c for x in sites for c in _planar(x)])
     ts, e = _integers(values)
-    scaled = [(e * coords[2 * i], e * coords[2 * i + 1], d * t) for i, t in enumerate(ts)]
+    order = sorted(range(len(ts)), key=lambda i: (coords[2 * i], coords[2 * i + 1]))
+    pts = [(e * coords[2 * i], e * coords[2 * i + 1], d * ts[i]) for i in order]
+    if any(p[:2] == q[:2] for p, q in zip(pts, pts[1:])):
+        raise ValueError("Laguerre cells need distinct sites")
+    apex, removed = _regular_triangulation(pts)
+    neighbours: List[List[int]] = [[] for _ in pts]
+    for i, j in apex:  # a hull or chain edge has one direction only
+        neighbours[i].append(j)
+        if (j, i) not in apex:
+            neighbours[j].append(i)
     start = [_homogeneous(v) for v in body.vertices]
     full = n + 1  # fewer distinct points cannot span a full-dimensional cell
-    cells: List[Optional[Polytope]] = []
-    for a, (xa, ya, ta) in enumerate(scaled):
-        # Nearest sites first: their walls bound the cell soonest, after
-        # which the far sites' half-spaces mostly miss it and are skipped.
-        near = sorted(scaled, key=lambda s: (s[0] - xa) ** 2 + (s[1] - ya) ** 2)
+    point = cache(_from_homogeneous)  # neighbouring cells share vertices
+    cells: List[Optional[Polytope]] = [None] * len(pts)
+    for a, (xa, ya, ta) in enumerate(pts):
         loop = start
-        for xb, yb, tb in near:
-            if xb != xa or yb != ya:
-                loop = _cut(loop, xb - xa, yb - ya, tb - ta)
-                if len(loop) < full:
-                    break
-        if len(loop) < full:
-            cells.append(None)
-        elif loop is start:  # no wall cuts the body
-            cells.append(body)
-        else:
-            cell = _from_loop(loop, n)
-            cells.append(cell if cell.is_full_dimensional else None)
+        for b in neighbours[a]:
+            xb, yb, tb = pts[b]
+            loop = _cut(loop, xb - xa, yb - ya, tb - ta)
+            if len(loop) < full:
+                break
+        if a not in removed and len(loop) >= full:
+            cell = body if loop is start else _from_loop(loop, n, point)  # body: no wall cuts it
+            cells[order[a]] = cell if cell.is_full_dimensional else None
     return cells
 
 
@@ -473,9 +462,120 @@ def _lower_chain(ts, hs) -> List[int]:
 
 
 def _twice_area(loop: List[int], pts) -> int:
-    return sum(
-        pts[i][0] * pts[j][1] - pts[j][0] * pts[i][1] for i, j in zip(loop, loop[1:] + loop[:1])
-    )
+    return sum(_orient(pts[loop[0]], pts[i], pts[j]) for i, j in zip(loop[1:], loop[2:]))
+
+
+def _orient(p, q, r) -> int:
+    """Twice the signed area of the base triangle (p, q, r)."""
+    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+
+def _below(a, b, c, p) -> bool:
+    """Whether lifted p lies strictly below the plane of the CCW lifted triangle (a, b, c)."""
+    ax, ay, ah = a[0] - p[0], a[1] - p[1], a[2] - p[2]
+    bx, by, bh = b[0] - p[0], b[1] - p[1], b[2] - p[2]
+    cx, cy, ch = c[0] - p[0], c[1] - p[1], c[2] - p[2]
+    return ax * (by * ch - bh * cy) - ay * (bx * ch - bh * cx) + ah * (bx * cy - by * cx) > 0
+
+
+def _regular_triangulation(pts):
+    """The regular triangulation of distinct lifted points (X, Y, H) in
+    lexicographic order, as (apex, removed).  apex maps each directed edge
+    (i, j) of a counterclockwise triangle (i, j, k) to k, or each edge of
+    the lower chain of collinear points to None; removed maps each point
+    that is not a vertex to the point that removed it.  Each point in turn
+    is a corner of the base hull so far: it is fanned to the border of the
+    triangles whose plane lies strictly above it, found from the hull
+    edges it sees, with no point location."""
+    n = len(pts)
+    s = min(n, 2)
+    while s < n and _orient(pts[0], pts[1], pts[s]) == 0:
+        s += 1
+    chain, removed = list(range(s)), {}
+    if s > 2:  # a collinear prefix is reduced to its lower chain
+        dx, dy, _ = sub(pts[1], pts[0])
+        chain = _lower_chain([dx * x + dy * y for x, y, _ in pts[:s]], [h for _, _, h in pts[:s]])
+        removed = dict.fromkeys(sorted(set(range(s)).difference(chain)), min(s, n - 1))
+    if s == n:
+        return dict.fromkeys(zip(chain, chain[1:])), removed
+    if _orient(pts[0], pts[1], pts[s]) < 0:
+        chain.reverse()
+    apex, nxt, prv = {}, [0] * n, [0] * n
+    for a, b in zip(chain, chain[1:]):
+        apex[a, b], apex[b, s], apex[s, a] = s, a, b
+    chain.append(s)
+    for a, b in zip(chain, chain[1:] + chain[:1]):
+        nxt[a], prv[b] = b, a
+
+    def sees(a, b):  # hull edge (a, b): P is outside it, or on its line and below its triangle
+        o = _orient(pts[a], pts[b], P)
+        return o < 0 or o == 0 and _below(pts[a], pts[b], pts[apex[a, b]], P)
+
+    for p in range(s + 1, n):
+        P = pts[p]
+        u = w = p - 1  # the last point is a hull corner that p sees
+        while sees(w, nxt[w]):
+            w = nxt[w]
+        while sees(prv[u], u):
+            u = prv[u]
+        seen = [u]
+        while seen[-1] != w:
+            seen.append(nxt[seen[-1]])
+        edges = list(zip(seen, seen[1:]))
+        cavity, tris, stack = set(), [], edges[:]
+        while stack:
+            a, b = stack.pop()
+            c = apex.get((a, b))
+            if c is not None and (a, b) not in cavity and _below(pts[a], pts[b], pts[c], P):
+                cavity.update(((a, b), (b, c), (c, a)))
+                tris.append((a, b, c))
+                stack += ((c, b), (a, c))
+        fan = [(b, a) for a, b in edges if (a, b) not in cavity]
+        for a, b, c in tris:
+            for x, y in ((a, b), (b, c), (c, a)):
+                del apex[x, y]
+                if (y, x) not in cavity and ((y, x) in apex or (x, y) not in edges):
+                    fan.append((x, y))
+        for x, y in fan:
+            apex[x, y], apex[y, p], apex[p, x] = p, x, y
+        if tris:  # the vertices left inside the cavity stop being vertices
+            kept = {v for e in fan for v in e}
+            removed.update((v, p) for v in {v for t in tris for v in t}.union(seen) if v not in kept)
+        nxt[u], prv[p], nxt[p], prv[w] = p, u, w, p
+    _check_triangulation(pts, apex, removed)
+    return apex, removed
+
+
+def _check_triangulation(pts, apex, removed) -> None:
+    """Certificates that together imply no point lies below the lifted
+    triangulation: counterclockwise triangles, locally convex interior
+    edges, areas that sum to the base hull's, and each removed point on or
+    above the triangle a walk from its remover finds."""
+    twice = 0
+    for (i, j), k in apex.items():
+        if i < j:
+            if i < k:
+                o = _orient(pts[i], pts[j], pts[k])
+                if o <= 0:
+                    raise ConsistencyError(f"triangle {(i, j, k)} is not counterclockwise")
+                twice += o
+            if (j, i) in apex and _below(pts[i], pts[j], pts[k], pts[apex[j, i]]):
+                raise ConsistencyError(f"lifted edge {(i, j)} is not locally convex")
+    if twice != _twice_area(_convex_loop(list(range(len(pts))), pts), pts):
+        raise ConsistencyError("triangles do not cover the base hull")
+    start = {i: (i, j) for i, j in apex}
+    for r, q in removed.items():
+        while q in removed:
+            q = removed[q]
+        (a, b), R = start[q], pts[r]
+        for _ in apex:
+            c = apex[a, b]
+            out = [(y, x) for x, y in ((a, b), (b, c), (c, a)) if _orient(pts[x], pts[y], R) < 0]
+            if not out or out[0] not in apex:
+                break
+            a, b = out[0]
+        if out or _below(pts[a], pts[b], pts[c], R):
+            raise ConsistencyError(f"removed point {r} is not on or above the triangulation")
 
 
 def _lower_hull_1d(pts, point, d: int, e: int) -> Tuple[Polytope, List[LowerCell]]:

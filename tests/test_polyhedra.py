@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from nama import polyhedra as pg
 from nama.errors import (
+    ConsistencyError,
     DegenerateSpan,
     DimensionMismatch,
     DimensionUnsupported,
@@ -576,6 +577,22 @@ class TestIntegerCoreAgainstPublicLowerHull:
         self.check(1, [(x, 0, abs(x)) for x in range(-5, 6)], 2, 5)
 
 
+def k128_paraboloid():
+    """Delta and 128 generators (2p, |p|^2 + noise) for points p of Delta:
+    close to the Voronoi diagram of the p, so about half keep a cell."""
+    from nama import toric as tc
+
+    rng = random.Random(59)
+    delta = tc.newton_polytope([(0, 0), (4, 0), (5, 3), (2, 5), (0, 3)], 2)
+    pts = set()
+    while len(pts) < 128:
+        p = (F(rng.randint(0, 160), 32), F(rng.randint(0, 160), 32))
+        if delta.body.contains(p):
+            pts.add(p)
+    noise = F(1, 64)
+    return delta, [((2 * x, 2 * y), x * x + y * y + noise * rng.randint(-8, 8)) for x, y in pts]
+
+
 def reference_clip(p, halfspaces):
     """Plain-Fraction Sutherland-Hodgman clip, the reference for pg.clip.
 
@@ -682,15 +699,7 @@ class TestIntegerClipAgainstFractionReference:
         full-dimensional."""
         from nama import toric as tc
 
-        rng = random.Random(59)
-        delta = tc.newton_polytope([(0, 0), (4, 0), (5, 3), (2, 5), (0, 3)], 2)
-        pts = set()
-        while len(pts) < 128:
-            p = (F(rng.randint(0, 160), 32), F(rng.randint(0, 160), 32))
-            if delta.body.contains(p):
-                pts.add(p)
-        noise = F(1, 64)
-        gens = [((2 * x, 2 * y), x * x + y * y + noise * rng.randint(-8, 8)) for x, y in pts]
+        delta, gens = k128_paraboloid()
         f = tc.ToricPsh(delta, gens)
         kept = dict(zip(f.generators, f.cells))
         for xa, ta in sorted(gens):
@@ -904,3 +913,132 @@ def test_integer_volume_centroid_moment_match_fractions():
         assert pg.volume(body) == area
         assert pg.centroid(body) == c
         assert pg.moment(body, a, off) == area * (pg.dot(a, c) + off)
+
+
+# --------------------------------------------------------------------------
+# Laguerre cells cut by the neighbours of the regular triangulation of the
+# lifted sites, on degenerate inputs, against cells cut by every other site
+# (`hull_laguerre_cells`); the triangulation's certificates on bad input.
+# --------------------------------------------------------------------------
+
+
+class TestLaguerreCellsFromTriangulation:
+    def test_coarse_grid_sites(self):
+        """Sites on a 5 x 5 grid: collinear triples, collinear prefixes and
+        sites collinear with hull edges."""
+        rng = random.Random(137)
+        for _ in range(80):
+            body = random_polygon(rng)
+            sites = sorted({(F(rng.randint(-2, 2)), F(rng.randint(-2, 2))) for _ in range(rng.randint(2, 18))})
+            values = [F(rng.randint(-2, 2), 2) for _ in sites]
+            assert_cells_match_hull(body, sites, values)
+
+    def test_paraboloid_ties_give_coplanar_lifts(self):
+        """Sites s on a half-integer grid with values |s|^2 / 2: every four
+        co-circular sites lift to one plane."""
+        rng = random.Random(139)
+        for _ in range(60):
+            body = random_polygon(rng)
+            sites = sorted({(F(rng.randint(-6, 6), 2), F(rng.randint(-6, 6), 2)) for _ in range(rng.randint(3, 24))})
+            assert_cells_match_hull(body, sites, [(x * x + y * y) / 2 for x, y in sites])
+
+    def test_all_sites_collinear(self):
+        rng = random.Random(149)
+        for trial in range(80):
+            body = random_polygon(rng)
+            (a, b), c = rng.choice([(1, 0), (0, 1), (1, 1), (2, -1)]), F(rng.randint(-3, 3), 4)
+            ts = sorted({F(rng.randint(-8, 8), 4) for _ in range(rng.randint(2, 8))})
+            sites = [(a * t + c, b * t - c) for t in ts]
+            if trial % 3 == 0:  # lifts on one line: the middle sites lie on a segment
+                values = [3 * t + c for t in ts]
+            else:
+                values = [F(rng.randint(-6, 6), 4) for _ in ts]
+            assert_cells_match_hull(body, sites, values)
+
+    def test_single_site(self):
+        body = random_polygon(random.Random(151))
+        assert pg.laguerre_cells(body, [(F(1, 3), F(-2))], [F(5)]) == [body]
+        segment = pg.hull([(F(0),), (F(2),)], 1)
+        assert pg.laguerre_cells(segment, [(F(7),)], [F(0)]) == [segment]
+
+    def test_unsorted_sites(self):
+        """Cells come back in input order, whatever that order is."""
+        rng = random.Random(157)
+        for _ in range(60):
+            body = random_polygon(rng)
+            sites = sorted({(F(rng.randint(-6, 6), 2), F(rng.randint(-6, 6), 2)) for _ in range(rng.randint(2, 12))})
+            values = [F(rng.randint(-8, 8), 4) for _ in sites]
+            by_site = dict(zip(sites, pg.laguerre_cells(body, sites, values)))
+            pairs = list(zip(sites, values))
+            rng.shuffle(pairs)
+            shuffled = [s for s, _ in pairs]
+            assert pg.laguerre_cells(body, shuffled, [t for _, t in pairs]) == [by_site[s] for s in shuffled]
+            assert_cells_match_hull(body, shuffled, [t for _, t in pairs])
+
+    def test_duplicate_sites_rejected(self):
+        body = random_polygon(random.Random(163))
+        with pytest.raises(ValueError):
+            pg.laguerre_cells(body, [(F(1), F(0)), (F(0), F(0)), (F(1), F(0))], [F(0), F(1), F(2)])
+
+    def test_k128_cuts_by_neighbours_only(self, monkeypatch):
+        """A work counter free of timing noise: cutting every cell of the
+        128-site instance by all other sites took 12,433 `_cut` calls;
+        cutting it by its triangulation neighbours takes 582."""
+        delta, gens = k128_paraboloid()
+        gens = sorted(gens)
+        calls = []
+        cut = pg._cut
+        monkeypatch.setattr(pg, "_cut", lambda *args: calls.append(args) or cut(*args))
+        pg.laguerre_cells(delta.body, [x for x, _ in gens], [t for _, t in gens])
+        assert len(calls) <= 1000
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-3, 3)),
+        min_size=1,
+        max_size=14,
+        unique_by=lambda p: p[:2],
+    )
+)
+def test_laguerre_cells_on_small_grids_property(points):
+    body = pg.hull([(F(-3, 2), F(-1)), (F(2), F(-3, 2)), (F(1), F(2)), (F(-2), F(1))], 2)
+    sites = [(F(x), F(y)) for x, y, _ in points]
+    assert_cells_match_hull(body, sites, [F(h, 2) for _, _, h in points])
+
+
+# The square (0, 0), (0, 2), (2, 0), (2, 2) as points 0, 1, 2, 3 in
+# lexicographic order, cut along the diagonal 0-3 into the counterclockwise
+# triangles (0, 2, 3) and (0, 3, 1), each under its three directed edges.
+SQUARE_TRIANGLES = {(0, 2): 3, (2, 3): 0, (3, 0): 2, (0, 3): 1, (3, 1): 0, (1, 0): 3}
+
+
+def square(heights):
+    return [(x, y, h) for (x, y), h in zip([(0, 0), (0, 2), (2, 0), (2, 2)], heights)]
+
+
+class TestTriangulationCertificates:
+    def test_a_valid_triangulation_passes(self):
+        pg._check_triangulation(square([0, 1, 1, 0]), SQUARE_TRIANGLES, {})
+        apex, removed = pg._regular_triangulation(square([0, 1, 1, 0]))
+        assert set(apex) == set(SQUARE_TRIANGLES) and removed == {}
+
+    def test_edge_not_locally_convex(self):
+        # Lifting the diagonal's ends above the other corners folds it upward.
+        with pytest.raises(ConsistencyError, match="locally convex"):
+            pg._check_triangulation(square([1, 0, 0, 1]), SQUARE_TRIANGLES, {})
+
+    def test_removed_point_below_its_triangle(self):
+        # The centre (1, 1) is point 2 between the corners; the point that
+        # removed it is corner 4.
+        pts = [(0, 0, 0), (0, 2, 0), (1, 1, -1), (2, 0, 0), (2, 2, 0)]
+        apex = {(0, 3): 4, (3, 4): 0, (4, 0): 3, (0, 4): 1, (4, 1): 0, (1, 0): 4}
+        pg._check_triangulation(pts[:2] + [(1, 1, 1)] + pts[3:], apex, {2: 4})
+        with pytest.raises(ConsistencyError, match="removed point 2"):
+            pg._check_triangulation(pts, apex, {2: 4})
+
+    def test_gap_in_the_cover(self):
+        one = {(0, 2): 3, (2, 3): 0, (3, 0): 2}
+        with pytest.raises(ConsistencyError, match="cover"):
+            pg._check_triangulation(square([0, 1, 1, 0]), one, {})

@@ -9,11 +9,12 @@ Sutherland-Hodgman loop on homogeneous coordinates, whose output is
 already a convex counterclockwise loop.  Laguerre cells come from the
 regular triangulation of the lifted sites, built by inserting them in
 lexicographic order: only its vertices have cells, and each is the body
-cut by the vertex's neighbours.  Lower hulls gift-wrap over integer
-triples (`lower_hull` only converts Fraction input).  `hull` is kept for
-genuine point sets.  Empty and lower-dimensional polytopes are ordinary
-values (volume 0), because cells routinely degenerate while a solver
-walks through potential space.  Dimensions 3 and higher are rejected.
+cut by the vertex's neighbours; the walls between cells are the facets
+their final loops share.  Lower hulls gift-wrap over integer triples
+(`lower_hull` only converts Fraction input).  `hull` is kept for genuine
+point sets.  Empty and lower-dimensional polytopes are ordinary values
+(volume 0), because cells routinely degenerate while a solver walks
+through potential space.  Dimensions 3 and higher are rejected.
 """
 
 from __future__ import annotations
@@ -295,17 +296,23 @@ def clip(p: Polytope, halfspaces) -> Polytope:
     return p if loop is start else _from_loop(loop, n)
 
 
-def laguerre_cells(body: Polytope, sites, values) -> List[Optional[Polytope]]:
+def laguerre_cells(body: Polytope, sites, values) -> Tuple[List[Optional[Polytope]], List[tuple]]:
     """Cells {m in body : <x_a, m> - t_a >= <x_b, m> - t_b for all b} of
     the power diagram of distinct sites x_a with values t_a, clipped to a
-    full-dimensional body.
+    full-dimensional body, and the walls between them.
 
-    Returns one entry per site: its cell, or None when the cell is not
-    full-dimensional.  Sites are scaled by one common denominator D and
-    values by one common denominator E, so the half-space of the pair
-    (a, b) is the integer triple (E (X_b - X_a), D (T_b - T_a)).  Only a
-    vertex of the regular triangulation of the lifted sites (x_a, t_a) has
-    a cell, and only its neighbours in the triangulation cut it.
+    Returns (cells, walls).  cells has one entry per site: its cell, or
+    None when the cell is not full-dimensional.  walls lists (i, j, v0,
+    v1), i < j input indices, for each facet [v0, v1] that the cells of i
+    and j share, v0 -> v1 counterclockwise around the cell of i (v0 = v1
+    in 1-D).  Sites are scaled by one common denominator D and values by
+    one common denominator E, so the half-space of the pair (a, b) is the
+    integer triple (E (X_b - X_a), D (T_b - T_a)).  Only a vertex of the
+    regular triangulation of the lifted sites (x_a, t_a) has a cell, and
+    only its neighbours in the triangulation cut it.  A wall is an edge
+    that two cells' final counterclockwise loops run in opposite
+    directions, keyed by its canonical end points, so it is found even
+    between cells that a degenerate cell keeps from being neighbours.
     """
     n = body.dim
     coords, d = _integers([c for x in sites for c in _planar(x)])
@@ -321,9 +328,10 @@ def laguerre_cells(body: Polytope, sites, values) -> List[Optional[Polytope]]:
         if (j, i) not in apex:
             neighbours[j].append(i)
     start = [_homogeneous(v) for v in body.vertices]
-    full = n + 1  # fewer distinct points cannot span a full-dimensional cell
+    full = n + 1  # fewer loop points span no full-dimensional cell; as many or more do
     point = cache(_from_homogeneous)  # neighbouring cells share vertices
     cells: List[Optional[Polytope]] = [None] * len(pts)
+    owners, walls = {}, []
     for a, (xa, ya, ta) in enumerate(pts):
         loop = start
         for b in neighbours[a]:
@@ -331,10 +339,17 @@ def laguerre_cells(body: Polytope, sites, values) -> List[Optional[Polytope]]:
             loop = _cut(loop, xb - xa, yb - ya, tb - ta)
             if len(loop) < full:
                 break
-        if a not in removed and len(loop) >= full:
-            cell = body if loop is start else _from_loop(loop, n, point)  # body: no wall cuts it
-            cells[order[a]] = cell if cell.is_full_dimensional else None
-    return cells
+        if a in removed or len(loop) < full:
+            continue
+        i = order[a]
+        cells[i] = body if loop is start else _from_loop(loop, n, point)  # body: no wall cuts it
+        for u, v in zip(loop, loop) if n == 1 else zip(loop, loop[1:] + loop[:1]):
+            j = owners.pop((v, u), None)  # the other cell runs the wall backwards
+            if j is None:
+                owners[u, v] = i
+            else:
+                walls.append((j, i, point(v, n), point(u, n)) if j < i else (i, j, point(u, n), point(v, n)))
+    return cells, sorted(walls)
 
 
 def _polygon_sums(p: Polytope):
@@ -426,22 +441,12 @@ class LowerHull:
 
     Being convex and piecewise affine on the hull of the base points, the
     function equals the max of its cell affines everywhere on its domain.
-    `base` is that domain, the hull of the base points.  `dropped`,
-    computed on first read, lists the lifted points strictly above the
-    hull, in input order; `lifted` holds them on integers over `scale`.
+    `base` is that domain, the hull of the base points.
     """
 
     dim: int
     base: Polytope
     cells: Tuple[LowerCell, ...]
-    lifted: Tuple[Tuple[int, int, int], ...]
-    scale: Tuple[int, int]
-
-    @cached_property
-    def dropped(self) -> Tuple[Tuple[Point, Fraction], ...]:
-        (d, e), n = self.scale, self.dim
-        lifted = [(tuple(Fraction(c, d) for c in t[:n]), Fraction(t[2], e)) for t in self.lifted]
-        return tuple((p, h) for p, h in lifted if h > self.value(p))
 
     def value(self, m: Point) -> Fraction:
         return max(dot(c.gradient, m) + c.offset for c in self.cells)
@@ -671,7 +676,6 @@ def _lower_hull_2d(pts, point, d: int, e: int) -> Tuple[Polytope, List[LowerCell
 def _lower_hull(dim: int, lifted, d: int, e: int) -> LowerHull:
     """The integer core of `lower_hull` on the triples (X, Y, H) of the
     lifted points ((X/d, Y/d), H/e), Y = 0 in dimension 1."""
-    lifted = tuple(lifted)
     lowest = {}
     for x, y, h in lifted:  # of duplicate base points only the lowest lift counts
         if lowest.get((x, y), h) >= h:
@@ -679,15 +683,15 @@ def _lower_hull(dim: int, lifted, d: int, e: int) -> LowerHull:
     pts = sorted((x, y, h) for (x, y), h in lowest.items())
     point = cache(lambda i: tuple(Fraction(c, d) for c in pts[i][:dim]))  # made once, on use
     base, cells = (_lower_hull_1d if dim == 1 else _lower_hull_2d)(pts, point, d, e)
-    return LowerHull(dim, base, tuple(cells), lifted, (d, e))
+    return LowerHull(dim, base, tuple(cells))
 
 
 def lower_hull(lifted) -> LowerHull:
     """Lower convex hull of lifted points as a cell complex.
 
     `lifted` is a list of (base point, height).  Cells carry the affine
-    function of the hull on them; lifted points strictly above the hull
-    are reported in `dropped`.  Raises DegenerateSpan when the base
+    function of the hull on them; a lifted point (p, h) lies strictly
+    above the hull iff h > value(p).  Raises DegenerateSpan when the base
     points do not affinely span, and ConsistencyError when a certificate
     fails: a point below a cell's plane, or cell areas that do not sum
     to the area of the base hull.

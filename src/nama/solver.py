@@ -3,21 +3,22 @@
 The concave dual objective F(t) = E(envelope(t)) - sum w_i t_i has gradient
 (cell masses - target weights), so maximizing it solves the equation: it is
 semi-discrete optimal transport from the uniform measure on Delta.  Both
-modes run one damped Newton loop from a start with no empty cell.  Its
-Hessian is minus the weighted Laplacian of the cell-adjacency graph, whose
-weights are exact rationals, so each Newton direction is one exact grounded
-Laplace solve (`linalg.solve_exact`).  The cell geometry at each iterate is
-exact; only the iterate is rounded: to floats in float mode, to bounded
-denominators in rational mode, whose residual is then certified exactly.
+modes run one damped Newton loop from a start with no empty cell.  Each
+iterate and line-search trial is one `polyhedra.laguerre_cells` call: the
+cell volumes are the masses and its walls the edges of the Laplacian whose
+negative is the Hessian, with exact rational weights, so each Newton
+direction is one exact grounded Laplace solve (`linalg.solve_exact`).  The
+potential and its measure are built once, for the returned solution.  The
+cell geometry at each iterate is exact; only the iterate is rounded: to
+floats in float mode, to bounded denominators in rational mode, whose
+residual is then certified exactly.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -119,12 +120,6 @@ def _envelope_at(p: DiracProblem, t) -> ToricPsh:
     return tc.envelope(p.delta, list(zip(p.sites, t)))
 
 
-def _masses_at(p: DiracProblem, phi: ToricPsh):
-    """MA(phi) and its mass at each site."""
-    mu = tc.ma_measure(phi)
-    return mu, tuple(mu.weight_at(x) for x in p.sites)
-
-
 def _value_legendre(p: DiracProblem, phi: ToricPsh, t, ref: ToricPsh) -> Fraction:
     return tc.legendre_energy(phi, ref) - sum(
         (w * Fraction(ti) for w, ti in zip(p.weights, t)), _ZERO
@@ -144,8 +139,8 @@ def dual_objective(p: DiracProblem, t: Sequence, mode: str = "rational"):
     t = tuple(Fraction(x) for x in t)
     phi = _envelope_at(p, t)
     ref = p.reference()
-    _, masses = _masses_at(p, phi)
-    grad = tuple(h - w for h, w in zip(masses, p.weights))
+    mu = tc.ma_measure(phi)
+    grad = tuple(mu.weight_at(x) - w for x, w in zip(p.sites, p.weights))
     value = _value_legendre(p, phi, t, ref)
     if mode == "rational":
         via_mixed = tc.energy_via_mixed(phi, ref) - sum(
@@ -157,8 +152,11 @@ def dual_objective(p: DiracProblem, t: Sequence, mode: str = "rational"):
     return float(value), tuple(float(g) for g in grad)
 
 
-def _solution(p, t, phi, mu, masses, trace) -> Solution:
-    residual = max(abs(h - w) for h, w in zip(masses, p.weights))
+def _solution(p: DiracProblem, t, trace) -> Solution:
+    """The Solution at t: its potential and MA measure are built here."""
+    phi = _envelope_at(p, t)
+    mu = tc.ma_measure(phi)
+    residual = max(abs(mu.weight_at(x) - w) for x, w in zip(p.sites, p.weights))
     return Solution(
         problem=p,
         t=tuple(t),
@@ -186,33 +184,29 @@ def _solve_1d_exact(p: DiracProblem) -> Tuple[Fraction, ...]:
     return tuple(t)
 
 
-def _wall_edges(p: DiracProblem, phi: ToricPsh) -> List[Tuple[int, int, Fraction]]:
-    """Weighted edges (i, j, w) on site indices of the Laplacian whose
-    negative is d(masses)/dt: w = |wall| |x_i - x_j| / |x_i - x_j|^2.
+def _state(p: DiracProblem, t):
+    """One `laguerre_cells` call at t: the cell masses in site order (0 for
+    a missing cell), certified to sum to vol(Delta), the gradient masses -
+    weights, and the walls between the cells."""
+    cells, walls = pg.laguerre_cells(p.delta.body, p.sites, t)
+    masses = [_ZERO if cell is None else pg.volume(cell) for cell in cells]
+    if sum(masses) != p.delta.volume:
+        raise ConsistencyError(f"cells cover mass {sum(masses)}, expected {p.delta.volume}")
+    return masses, [h - w for h, w in zip(masses, p.weights)], walls
 
-    Laguerre cells tile Delta face to face, so cells i and j share a wall
-    exactly when they share `dim` vertices, found through one map from
-    each vertex to its cells.  The wall [v_0, v_1] is perpendicular to
-    x_i - x_j, so |wall| |x_i - x_j| = |cross(x_i - x_j, v_1 - v_0)| in 2-D
-    and |x_i - x_j| in 1-D, and w is exact.
-    """
-    owners = defaultdict(list)
-    for a, cell in enumerate(phi.cells):
-        for v in cell.vertices:
-            owners[v].append(a)
-    shared = defaultdict(list)
-    for v, cells in owners.items():
-        for pair in combinations(cells, 2):
-            shared[pair].append(v)
-    index = {x: i for i, x in enumerate(p.sites)}
-    dim = p.delta.dim
+
+def _conductances(p: DiracProblem, walls) -> List[Tuple[int, int, Fraction]]:
+    """Weighted edges (i, j, w) on site indices of the Laplacian whose
+    negative is d(masses)/dt, one per wall (i, j, v_0, v_1) of
+    `_state`: w = |wall| |x_i - x_j| / |x_i - x_j|^2.  The wall is
+    perpendicular to x_i - x_j, so |wall| |x_i - x_j| =
+    |cross(x_i - x_j, v_1 - v_0)| in 2-D and |x_i - x_j| in 1-D, and w is
+    exact."""
     edges = []
-    for (a, b), wall in shared.items():
-        if len(wall) == dim:
-            (xa, _), (xb, _) = phi.generators[a], phi.generators[b]
-            normal = sub(xa, xb)
-            scaled = abs(normal[0]) if dim == 1 else abs(cross(normal, sub(wall[1], wall[0])))
-            edges.append((index[xa], index[xb], scaled / dot(normal, normal)))
+    for i, j, v0, v1 in walls:
+        normal = sub(p.sites[i], p.sites[j])
+        scaled = abs(normal[0]) if len(normal) == 1 else abs(cross(normal, sub(v1, v0)))
+        edges.append((i, j, scaled / dot(normal, normal)))
     return edges
 
 
@@ -250,14 +244,16 @@ def solve(p: DiracProblem, config: SolverConfig = SolverConfig()) -> Solution:
     2019; global convergence, quadratic near the solution) from
     `start_potentials`, or from `init` moved toward it until no cell is
     empty; 1-D rational instances start from their closed-form solution.
+    Each iterate is one `_state` call: masses and walls, no potential.
     The direction d solves L d = masses - weights, L the Laplacian of
-    `_wall_edges` grounded at the last site.  A step is the first
+    `_conductances` grounded at the last site.  A step is the first
     damping^k whose rounded iterate keeps every mass >= eps (half the
     smallest weight or starting mass) and cuts |grad|_2 by (1 - step / 2),
     tested exactly on squared norms, so a step that rounds back to the
     same iterate never passes.  Rational mode, rounding to denominators at
     most 10^12, succeeds at its default tol 0 only on exact stationarity.
-    The loop is monotone, so NotConverged carries the last iterate.
+    The loop is monotone, so NotConverged carries the last iterate; the
+    potential and measure of the Solution are built for it alone.
     """
     mode = config.mode
     if mode not in ("rational", "float"):
@@ -279,18 +275,13 @@ def solve(p: DiracProblem, config: SolverConfig = SolverConfig()) -> Solution:
     else:
         t = rnd(start_potentials(p))
 
-    def state(tvec):
-        phi = _envelope_at(p, tvec)
-        mu, masses = _masses_at(p, phi)
-        return phi, mu, masses, [h - w for h, w in zip(masses, p.weights)]
-
-    phi, mu, masses, grad = state(t)
+    masses, grad, walls = _state(p, t)
     if min(masses) == 0:
         init, start = t, rnd(start_potentials(p))
         for k in range(10, -1, -1):
             s = Fraction(1, 2**k)
             t = rnd((1 - s) * a + s * b for a, b in zip(init, start))
-            phi, mu, masses, grad = state(t)
+            masses, grad, walls = _state(p, t)
             if min(masses) > 0:
                 break
     eps = min(min(p.weights), min(masses)) / 2
@@ -299,26 +290,26 @@ def solve(p: DiracProblem, config: SolverConfig = SolverConfig()) -> Solution:
 
     for _ in range(config.max_iter):
         if max(abs(g) for g in grad) <= tol * vol:
-            return _solution(p, t, phi, mu, masses, trace)
+            return _solution(p, t, trace)
         try:
-            d = linalg.solve_exact(n, _wall_edges(p, phi), n - 1, grad)
+            d = linalg.solve_exact(n, _conductances(p, walls), n - 1, grad)
         except ValueError:  # a cell with no path of walls to the grounded site
             break
         step = Fraction(1)
         for trials in range(1, 61):
             trial = rnd(ti + step * di for ti, di in zip(t, d))
-            phi2, mu2, masses2, grad2 = state(trial)
+            masses2, grad2, walls2 = _state(p, trial)
             norm2_trial = sum(g * g for g in grad2)
             if min(masses2) >= eps and norm2_trial <= (1 - step / 2) ** 2 * norm2:
                 break
             step *= config.damping
         else:
             break
-        t, phi, mu, masses, grad, norm2 = trial, phi2, mu2, masses2, grad2, norm2_trial
+        t, masses, walls, grad, norm2 = trial, masses2, walls2, grad2, norm2_trial
         residual = max(abs(g) for g in grad)
         trace.append(IterationRecord(residual, math.sqrt(norm2), step, min(masses), trials))
 
-    solution = _solution(p, t, phi, mu, masses, trace)
+    solution = _solution(p, t, trace)
     if solution.residual <= tol * vol:
         return solution
     raise NotConverged(solution, len(trace))

@@ -263,30 +263,24 @@ def lp_hull_value(lifted, m):
     return best
 
 
+def dropped(lh, lifted):
+    """The lifted points strictly above the lower hull, in input order."""
+    return tuple((p, h) for p, h in lifted if h > lh.value(p))
+
+
 class TestLowerHull:
     def test_convex_data_all_on_hull(self):
         lifted = [((x, y), x * x + y * y) for x in range(-2, 3) for y in range(-2, 3)]
         lifted = [(tuple(map(F, p)), F(h)) for p, h in lifted]
         lh = pg.lower_hull(lifted)
-        assert lh.dropped == ()
+        assert dropped(lh, lifted) == ()
         for p, h in lifted:
             assert lh.value(p) == h
 
     def test_collinear_middle_point_dropped(self):
         lifted = [((F(0),), F(0)), ((F(1),), F(5)), ((F(2),), F(0))]
         lh = pg.lower_hull(lifted)
-        assert lh.dropped == (((F(1),), F(5)),)
-
-    def test_dropped_is_computed_on_first_read(self):
-        for lifted in (
-            [((F(0),), F(0)), ((F(1),), F(5)), ((F(2),), F(0)), ((F(1),), F(-1))],
-            [((F(0), F(0)), F(0)), ((F(2), F(0)), F(0)), ((F(0), F(2)), F(0)), ((F(1, 2), F(1, 2)), F(3))],
-        ):
-            lh = pg.lower_hull(lifted)
-            assert "dropped" not in vars(lh)
-            eager = tuple((p, h) for p, h in lifted if h > lh.value(p))
-            assert lh.dropped == eager != ()
-            assert vars(lh)["dropped"] is lh.dropped
+        assert dropped(lh, lifted) == (((F(1),), F(5)),)
 
     def test_degenerate_span(self):
         with pytest.raises(DegenerateSpan):
@@ -300,7 +294,7 @@ class TestLowerHull:
             ((F(1, 2), F(1, 2)), F(3)),
         ]
         lh = pg.lower_hull(lifted)
-        assert lh.dropped == (((F(1, 2), F(1, 2)), F(3)),)
+        assert dropped(lh, lifted) == (((F(1, 2), F(1, 2)), F(3)),)
         assert len(lh.cells) == 1
 
     def test_clip_dimension_mismatch(self):
@@ -438,10 +432,9 @@ def assert_lower_hull_matches_reference(lifted):
             pg.lower_hull(lifted)
         return None
     lh = pg.lower_hull(lifted)
-    assert "dropped" not in vars(lh)  # nothing computed until read
     cells = [(c.cell.vertices, c.gradient, c.offset) for c in lh.cells]
     assert len(cells) == len(want[0]) and set(cells) == set(want[0])
-    assert lh.dropped == want[1]
+    assert dropped(lh, lifted) == want[1]
     assert lh.base == pg.hull([p for p, _ in lifted])
     assert all(type(c) is F for v, g, o in cells for c in sum(v, g + (o,)))
     return lh
@@ -475,7 +468,7 @@ class TestIntegerLowerHullAgainstFractionReference:
                 lifted = [(p, max(pg.dot(a, p) + c for a, c in planes)) for p in grid]
             lh = assert_lower_hull_matches_reference(lifted)
             if lh is not None:
-                assert lh.dropped == ()
+                assert dropped(lh, lifted) == ()
 
     def test_duplicate_base_points(self):
         rng = random.Random(107)
@@ -553,9 +546,7 @@ class TestIntegerCoreAgainstPublicLowerHull:
             return
         got = pg._lower_hull(dim, triples, d, e)
         assert (got.dim, got.base, got.cells) == (want.dim, want.base, want.cells)
-        assert got.dropped == want.dropped == tuple(
-            (p, h) for p, h in lifted if h > want.value(p)
-        )
+        assert dropped(got, lifted) == dropped(want, lifted)
         assert got.base == pg.hull([p for p, _ in lifted], dim)
 
     def test_duplicate_and_collinear_points(self):
@@ -713,15 +704,32 @@ class TestIntegerClipAgainstFractionReference:
 
 def test_laguerre_cells_one_dimensional():
     body = pg.hull([(F(0),), (F(2),)], 1)
-    cells = pg.laguerre_cells(body, [(F(0),), (F(1),), (F(3),)], [F(0), F(1, 2), F(7, 2)])
+    cells, walls = pg.laguerre_cells(body, [(F(0),), (F(1),), (F(3),)], [F(0), F(1, 2), F(7, 2)])
     # u(m) = max(0, m - 1/2, 3m - 7/2): breakpoints at 1/2 and 3/2.
     assert cells == [
         pg.hull([(F(0),), (F(1, 2),)], 1),
         pg.hull([(F(1, 2),), (F(3, 2),)], 1),
         pg.hull([(F(3, 2),), (F(2),)], 1),
     ]
+    assert walls == [(0, 1, (F(1, 2),), (F(1, 2),)), (1, 2, (F(3, 2),), (F(3, 2),))]
     # A site whose affine piece never attains the max has no cell.
-    assert pg.laguerre_cells(body, [(F(0),), (F(1),)], [F(0), F(5)]) == [body, None]
+    assert pg.laguerre_cells(body, [(F(0),), (F(1),)], [F(0), F(5)]) == ([body, None], [])
+
+
+def test_walls_across_a_degenerate_cell():
+    """The middle site's cell is a segment (2-D) or a point (1-D): its two
+    neighbours share the wall through it without being neighbours in the
+    triangulation of the lifted sites."""
+    square = pg.hull([(0, 0), (1, 0), (1, 1), (0, 1)], 2)
+    sites = [(F(0), F(0)), (F(1), F(0)), (F(2), F(0))]
+    cells, walls = pg.laguerre_cells(square, sites, [F(0), F(1, 2), F(1)])
+    left = pg.hull([(0, 0), (F(1, 2), 0), (F(1, 2), 1), (0, 1)])
+    assert cells == [left, None, left.translate((F(1, 2), F(0)))]
+    assert walls == [(0, 2, (F(1, 2), F(0)), (F(1, 2), F(1)))]
+    segment = pg.hull([(F(0),), (F(1),)], 1)
+    cells, walls = pg.laguerre_cells(segment, [(F(2),), (F(0),), (F(1),)], [F(1), F(0), F(1, 2)])
+    assert cells == [pg.hull([(F(1, 2),), (F(1),)]), pg.hull([(F(0),), (F(1, 2),)]), None]
+    assert walls == [(0, 1, (F(1, 2),), (F(1, 2),))]
 
 
 @settings(max_examples=60, deadline=None)
@@ -804,13 +812,30 @@ def hull_laguerre_cells(body, sites, values):
     return cells
 
 
+def hull_walls(sites, values, cells):
+    """(i, j, v0, v1) for each pair of full cells whose common points, cut
+    out of cell i by `hull_clip`, span a facet [v0, v1], with the outward
+    normal x_j - x_i of cell i on the right of v0 -> v1."""
+    walls = []
+    for i, j in combinations(range(len(cells)), 2):
+        if cells[i] is not None and cells[j] is not None:
+            wall = hull_clip(cells[i], [(pg.sub(sites[i], sites[j]), values[i] - values[j])])
+            if wall.affine_dim == wall.dim - 1:
+                v0, v1 = wall.vertices[0], wall.vertices[-1]
+                if wall.dim == 2 and pg.cross(pg.sub(sites[j], sites[i]), pg.sub(v1, v0)) < 0:
+                    v0, v1 = v1, v0
+                walls.append((i, j, v0, v1))
+    return walls
+
+
 def assert_cells_match_hull(body, sites, values):
-    got = pg.laguerre_cells(body, sites, values)
+    got, walls = pg.laguerre_cells(body, sites, values)
     want = hull_laguerre_cells(body, sites, values)
     assert [c is None for c in got] == [c is None for c in want]
     for g, w in zip(got, want):
         if w is not None:
             assert_same_polytope(g, w)
+    assert walls == hull_walls(sites, values, want)
 
 
 def random_polygon(rng, den=4, count=7):
@@ -957,9 +982,9 @@ class TestLaguerreCellsFromTriangulation:
 
     def test_single_site(self):
         body = random_polygon(random.Random(151))
-        assert pg.laguerre_cells(body, [(F(1, 3), F(-2))], [F(5)]) == [body]
+        assert pg.laguerre_cells(body, [(F(1, 3), F(-2))], [F(5)]) == ([body], [])
         segment = pg.hull([(F(0),), (F(2),)], 1)
-        assert pg.laguerre_cells(segment, [(F(7),)], [F(0)]) == [segment]
+        assert pg.laguerre_cells(segment, [(F(7),)], [F(0)]) == ([segment], [])
 
     def test_unsorted_sites(self):
         """Cells come back in input order, whatever that order is."""
@@ -968,11 +993,11 @@ class TestLaguerreCellsFromTriangulation:
             body = random_polygon(rng)
             sites = sorted({(F(rng.randint(-6, 6), 2), F(rng.randint(-6, 6), 2)) for _ in range(rng.randint(2, 12))})
             values = [F(rng.randint(-8, 8), 4) for _ in sites]
-            by_site = dict(zip(sites, pg.laguerre_cells(body, sites, values)))
+            by_site = dict(zip(sites, pg.laguerre_cells(body, sites, values)[0]))
             pairs = list(zip(sites, values))
             rng.shuffle(pairs)
             shuffled = [s for s, _ in pairs]
-            assert pg.laguerre_cells(body, shuffled, [t for _, t in pairs]) == [by_site[s] for s in shuffled]
+            assert pg.laguerre_cells(body, shuffled, [t for _, t in pairs])[0] == [by_site[s] for s in shuffled]
             assert_cells_match_hull(body, shuffled, [t for _, t in pairs])
 
     def test_duplicate_sites_rejected(self):

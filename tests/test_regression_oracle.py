@@ -53,6 +53,19 @@ DIRAC_2D = {
     "weights": ["1/4", "1/3", "1/6", "1/4"],
 }
 
+# Eight sites on a lattice pentagon: a float solve of five Newton steps,
+# the first halved once by the line search.
+DIRAC_8 = {
+    "kind": "toric-dirac",
+    "mode": "float",
+    "polytope": {"vertices": [["0", "0"], ["3", "0"], ["4", "2"], ["2", "4"], ["0", "3"]]},
+    "sites": [
+        ["1/2", "1/2"], ["5/2", "1/3"], ["3", "2"], ["2", "3"],
+        ["1/3", "5/2"], ["3/2", "3/2"], ["-1/2", "1"], ["9/4", "-1/4"],
+    ],
+    "weights": ["2", "4/3", "2/3", "4/3", "2", "8/3", "2/3", "4/3"],
+}
+
 SUITE_DIGESTS = {
     # (suite, dimension) -> sha256 of `nama check --seed 1 --cases 2 --no-timestamp`
     ("capacity", 1): "676ddccc9db4405ceae503cf9966d8b0b9406fb22bfde61ebd393c510216c155",
@@ -85,6 +98,7 @@ COMMAND_DIGESTS = {
     ("envelope", "lattice_2d"): "d4066a9a746dcdddae70e101717ec50c2400c9d710053d144f92f678942dfbf6",
     ("envelope", "lattice_1d"): "a8cdfeeef8b795187cd1d39f8d0a594f78bd0c7bc4d623d9fd7c86726cac9ec6",
     ("solve", "dirac_2d"): "e9ace05db27312ce6b14fe2de6fa50229cf4cdb61e01842026d363d6bb9622cd",
+    ("solve", "dirac_8"): "83331e9d8607c03216e3538dc1c66f213d713e6a683c2ce082f4c1176a9e8ea4",
 }
 
 INSTANCES = {
@@ -92,6 +106,7 @@ INSTANCES = {
     "lattice_2d": LATTICE_2D,
     "lattice_1d": LATTICE_1D,
     "dirac_2d": DIRAC_2D,
+    "dirac_8": DIRAC_8,
 }
 
 

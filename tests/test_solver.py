@@ -323,8 +323,7 @@ class TestNormalize:
         for t in ((F(1, 3), F(-1, 2), F(5)), (F(0), F(0), F(7, 3))):
             phi = tc.envelope(p.delta, list(zip(p.sites, t)))
             assert len(phi.generators) < len(p.sites)
-            mu, masses = sv._masses_at(p, phi)
-            self.assert_matches_max_over_value(sv._solution(p, t, phi, mu, masses, []))
+            self.assert_matches_max_over_value(sv._solution(p, t, []))
 
 
 class TestClMeasure:
@@ -400,13 +399,33 @@ def reference_wall_weights(p, phi):
 
 class TestWallHessian:
     def check(self, p, t):
+        """The conductances of the walls of `laguerre_cells` against the
+        reference, and the masses against `ma_measure`."""
         phi = tc.envelope(p.delta, list(zip(p.sites, t)))
+        masses, _, walls = sv._state(p, t)
+        assert masses == _masses(p, t)
         edges = {}
-        for i, j, w in sv._wall_edges(p, phi):
-            assert w > 0 and (min(i, j), max(i, j)) not in edges
-            edges[(min(i, j), max(i, j))] = w * w
+        for i, j, w in sv._conductances(p, walls):
+            assert w > 0 and i < j and (i, j) not in edges
+            edges[(i, j)] = w * w
         assert edges == reference_wall_weights(p, phi)
         return edges
+
+    def test_wall_across_a_degenerate_cell(self):
+        """The middle cell is a segment: the outer cells share its wall,
+        with conductance |wall| / |x_0 - x_2| = 1/2."""
+        p = _problem(SQ, [(F(0), F(0)), (F(1), F(0)), (F(2), F(0))], [F(1)] * 3)
+        t = [F(0), F(1, 2), F(1)]
+        masses, _, walls = sv._state(p, t)
+        assert masses == [F(1, 2), F(0), F(1, 2)]
+        assert walls == [(0, 2, (F(1, 2), F(0)), (F(1, 2), F(1)))]
+        assert sv._conductances(p, walls) == [(0, 2, F(1, 2))]
+        assert self.check(p, t) == {(0, 2): F(1, 4)}
+        p = _problem(interval(-1, 2), [(F(0),), (F(1),), (F(2),)], [F(1)] * 3)
+        masses, _, walls = sv._state(p, t)
+        assert masses == [F(3, 2), F(0), F(3, 2)]
+        assert sv._conductances(p, walls) == [(0, 2, F(1, 2))]
+        assert self.check(p, t) == {(0, 2): F(1, 4)}
 
     def test_random_2d_instances(self):
         rng = random.Random(41)

@@ -697,14 +697,14 @@ def _suite_capacity(rng: SplitMix64, cfg: GenConfig):
 
 def _newton_corrected(p: sv.DiracProblem, s: sv.Solution) -> List[Fraction]:
     """t + d, d = L^+ (masses - weights) the solver's next Newton step from
-    the returned potential: L is the Laplacian of `solver._conductances` on
-    the walls of its cells, cut at its values at the sites (a pruned site
-    keeps no cell).  The raw t of two converged solves may differ by the
-    residual times L's inverse, which no fixed multiple of tol bounds."""
+    the returned potential: L is the Laplacian of the `solver._state` edges
+    on the walls of its cells, cut at its values at the sites (a pruned
+    site keeps no cell).  The raw t of two converged solves may differ by
+    the residual times L's inverse, which no fixed multiple of tol bounds."""
     n = len(p.sites)
     grad = [h - w for h, w in zip(s.mass_vector(), p.weights)]
-    _, walls = pg.laguerre_cells(p.delta.body, p.sites, [s.potential.value(x) for x in p.sites])
-    d = linalg.solve_exact(n, sv._conductances(p, walls), n - 1, grad)
+    edges = sv._state(p, [s.potential.value(x) for x in p.sites]).edges
+    d = linalg.solve_exact(n, edges, n - 1, grad)
     return [ti + di for ti, di in zip(s.t, d)]
 
 

@@ -6,15 +6,16 @@ all with no rounding.  Points, half-spaces and results cross the API as
 `fractions.Fraction` tuples; inside, everything runs on integers and every
 test is the sign of one integer determinant.  Clipping runs one
 Sutherland-Hodgman loop on homogeneous coordinates, whose output is
-already a convex counterclockwise loop.  Laguerre cells come from the
+already a convex counterclockwise loop.  Power diagrams come from the
 regular triangulation of the lifted sites, built by inserting them in
-lexicographic order: only its vertices have cells, and each is the body
-cut by the vertex's neighbours; the walls between cells are the facets
-their final loops share.  Lower hulls gift-wrap over integer triples
-(`lower_hull` only converts Fraction input).  `hull` is kept for genuine
-point sets.  Empty and lower-dimensional polytopes are ordinary values
-(volume 0), because cells routinely degenerate while a solver walks
-through potential space.  Dimensions 3 and higher are rejected.
+lexicographic order: only its vertices have cells, each the body cut by
+the vertex's neighbours, and the walls are the edges the final loops
+share; those integer loops also give the cell areas.  Lower hulls
+gift-wrap over integer triples (`lower_hull` only converts Fraction
+input).  `hull` is kept for genuine point sets.  Empty and
+lower-dimensional polytopes are ordinary values (volume 0), because cells
+degenerate while a solver walks through potential space.  Dimensions 3
+and higher are rejected.
 """
 
 from __future__ import annotations
@@ -260,16 +261,12 @@ def _cut(loop, a0: int, a1: int, b: int):
 
 
 def _from_loop(loop, n: int, point=_from_homogeneous) -> Polytope:
-    """The polytope bounded by a `_cut` result, built without a hull.
-
-    Fewer than three points are a point or a segment.  Three or more are a
-    strictly convex counterclockwise polygon: every loop `_cut` receives
-    is one (a polytope's vertex list or an earlier `_cut` result), and
-    Sutherland-Hodgman applied to a strictly convex loop keeps a subset of
-    its corners plus at most two crossing points, each inside an edge and
-    on the cutting line, so no three of them are collinear.  The loop is
-    only rotated to start at its lexicographic minimum.
-    """
+    """The polytope bounded by a `_cut` result, built without a hull:
+    fewer than three points are a point or a segment, more a strictly
+    convex counterclockwise polygon (Sutherland-Hodgman on a strictly
+    convex loop keeps some of its corners plus at most two crossing points
+    inside edges, so no three are collinear), only rotated to start at its
+    lexicographic minimum."""
     pts = [point(h, n) for h in loop]
     if len(pts) > 2:
         i0 = pts.index(min(pts))
@@ -297,28 +294,39 @@ def clip(p: Polytope, halfspaces) -> Polytope:
 
 
 def laguerre_cells(body: Polytope, sites, values) -> Tuple[List[Optional[Polytope]], List[tuple]]:
-    """Cells {m in body : <x_a, m> - t_a >= <x_b, m> - t_b for all b} of
-    the power diagram of distinct sites x_a with values t_a, clipped to a
-    full-dimensional body, and the walls between them.
+    """The power diagram of distinct sites x_a with values t_a in a
+    full-dimensional body: the `_power_loops` results as (cells, walls).
 
-    Returns (cells, walls).  cells has one entry per site: its cell, or
-    None when the cell is not full-dimensional.  walls lists (i, j, v0,
-    v1), i < j input indices, for each facet [v0, v1] that the cells of i
-    and j share, v0 -> v1 counterclockwise around the cell of i (v0 = v1
-    in 1-D).  Sites are scaled by one common denominator D and values by
-    one common denominator E, so the half-space of the pair (a, b) is the
-    integer triple (E (X_b - X_a), D (T_b - T_a)).  Only a vertex of the
-    regular triangulation of the lifted sites (x_a, t_a) has a cell, and
-    only its neighbours in the triangulation cut it.  A wall is an edge
-    that two cells' final counterclockwise loops run in opposite
-    directions, keyed by its canonical end points, so it is found even
-    between cells that a degenerate cell keeps from being neighbours.
+    cells has one entry per site: {m in body : <x_a, m> - t_a >= <x_b, m>
+    - t_b for all b}, or None when that is not full-dimensional.  walls
+    lists (i, j, v0, v1), i < j input indices, for each facet [v0, v1]
+    that the cells of i and j share, v0 -> v1 counterclockwise around the
+    cell of i (v0 = v1 in 1-D).
+    """
+    start, loops, walls, _, _ = _power_loops(body, sites, values)
+    point, n = cache(_from_homogeneous), body.dim
+    cells = [None if loop is None else body if loop is start else _from_loop(loop, n, point) for loop in loops]
+    return cells, [(i, j, point(u, n), point(v, n)) for i, j, u, v in walls]
+
+
+def _power_loops(body: Polytope, sites, values):
+    """The integer core of `laguerre_cells`: (start, loops, walls, xs, d).
+
+    Sites are integer pairs xs[i] = (X, Y) over one denominator d, values
+    over e, so the pair (a, b) cuts by (e (X_b - X_a), d (T_b - T_a)).  A
+    site's loop is its cell's final counterclockwise `_cut` loop (`start`,
+    the body's, when nothing cuts it) or None.  Only a vertex of the
+    regular triangulation of the lifted sites has a cell, cut only by its
+    neighbours.  walls (sorted, on homogeneous end points) are the edges
+    two final loops run in opposite directions, so a degenerate cell
+    between two cells does not hide their wall.
     """
     n = body.dim
     coords, d = _integers([c for x in sites for c in _planar(x)])
     ts, e = _integers(values)
-    order = sorted(range(len(ts)), key=lambda i: (coords[2 * i], coords[2 * i + 1]))
-    pts = [(e * coords[2 * i], e * coords[2 * i + 1], d * ts[i]) for i in order]
+    xs = list(zip(coords[0::2], coords[1::2]))
+    order = sorted(range(len(ts)), key=xs.__getitem__)
+    pts = [(e * xs[i][0], e * xs[i][1], d * ts[i]) for i in order]
     if any(p[:2] == q[:2] for p, q in zip(pts, pts[1:])):
         raise ValueError("Laguerre cells need distinct sites")
     apex, removed = _regular_triangulation(pts)
@@ -329,8 +337,7 @@ def laguerre_cells(body: Polytope, sites, values) -> Tuple[List[Optional[Polytop
             neighbours[j].append(i)
     start = [_homogeneous(v) for v in body.vertices]
     full = n + 1  # fewer loop points span no full-dimensional cell; as many or more do
-    point = cache(_from_homogeneous)  # neighbouring cells share vertices
-    cells: List[Optional[Polytope]] = [None] * len(pts)
+    loops: List[Optional[list]] = [None] * len(pts)
     owners, walls = {}, []
     for a, (xa, ya, ta) in enumerate(pts):
         loop = start
@@ -342,14 +349,26 @@ def laguerre_cells(body: Polytope, sites, values) -> Tuple[List[Optional[Polytop
         if a in removed or len(loop) < full:
             continue
         i = order[a]
-        cells[i] = body if loop is start else _from_loop(loop, n, point)  # body: no wall cuts it
+        loops[i] = loop
         for u, v in zip(loop, loop) if n == 1 else zip(loop, loop[1:] + loop[:1]):
             j = owners.pop((v, u), None)  # the other cell runs the wall backwards
             if j is None:
                 owners[u, v] = i
             else:
-                walls.append((j, i, point(v, n), point(u, n)) if j < i else (i, j, point(u, n), point(v, n)))
-    return cells, sorted(walls)
+                walls.append((j, i, v, u) if j < i else (i, j, u, v))
+    return start, loops, sorted(walls), xs, d
+
+
+def _loop_volume(loop, n: int) -> Fraction:
+    """`volume(_from_loop(loop, n))` on integers: the shoelace sum S of the
+    points (X, Y) L / W of a 2-D loop, L the lcm of its W, gives S / 2L^2."""
+    if n == 1:
+        (a0, _, w0), (a1, _, w1) = loop
+        return Fraction(abs(a1 * w0 - a0 * w1), w0 * w1)
+    big = lcm(*(w for _, _, w in loop))
+    pts = [(x * (big // w), y * (big // w)) for x, y, w in loop]
+    twice = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
+    return Fraction(twice, 2 * big * big)
 
 
 def _polygon_sums(p: Polytope):

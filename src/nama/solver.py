@@ -4,28 +4,29 @@ The concave dual objective F(t) = E(envelope(t)) - sum w_i t_i has gradient
 (cell masses - target weights), so maximizing it solves the equation: it is
 semi-discrete optimal transport from the uniform measure on Delta.  Both
 modes run one damped Newton loop from a start with no empty cell.  Each
-iterate and line-search trial is one `polyhedra.laguerre_cells` call: the
-cell volumes are the masses and its walls the edges of the Laplacian whose
-negative is the Hessian, with exact rational weights, so each Newton
-direction is one exact grounded Laplace solve (`linalg.solve_exact`).  The
-potential and its measure are built once, for the returned solution.  The
-cell geometry at each iterate is exact; only the iterate is rounded: to
-floats in float mode, to bounded denominators in rational mode, whose
-residual is then certified exactly.
+iterate and line-search trial is evaluated on the power diagram's integer
+loops and walls (`polyhedra._power_loops`), one Fraction per cell mass and
+per wall weight of the Laplacian whose negative is the Hessian, so each
+Newton direction is one exact grounded Laplace solve (`linalg.solve_exact`).
+Polytopes are built once, for the returned potential.  The geometry is
+exact; only the iterate is rounded: to floats in float mode, to bounded
+denominators in rational mode, whose residual is then certified exactly.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from . import polyhedra as pg
 from . import toric as tc
 from .errors import ArityMismatch, ConsistencyError, MassMismatch, NotConverged
-from .polyhedra import Point, cross, dot, sub
+from .polyhedra import Point, dot, sub
 from .toric import AtomicMeasure, NewtonPolytope, ToricPsh
 
 _ZERO = Fraction(0)
@@ -57,9 +58,7 @@ class DiracProblem:
         if any(w <= 0 for w in weights):
             raise ValueError("weights must be positive")
         if sum(weights) != self.delta.volume:
-            raise MassMismatch(
-                f"total weight {sum(weights)} differs from vol(Delta) = {self.delta.volume}"
-            )
+            raise MassMismatch(f"total weight {sum(weights)} differs from vol(Delta) = {self.delta.volume}")
 
     def barycenter(self) -> Point:
         n = self.delta.dim
@@ -92,7 +91,7 @@ class IterationRecord:
     grad_norm: float  # Euclidean norm of (masses - weights)
     step: Fraction  # accepted step length damping^k
     min_mass: Fraction  # smallest cell mass
-    trials: int  # envelopes evaluated by the line search
+    trials: int  # states evaluated by the line search
 
 
 @dataclass(frozen=True)
@@ -116,18 +115,9 @@ class Solution:
         return tuple(self.masses.weight_at(x) for x in self.problem.sites)
 
 
-def _envelope_at(p: DiracProblem, t) -> ToricPsh:
-    return tc.envelope(p.delta, list(zip(p.sites, t)))
-
-
-def _value_legendre(p: DiracProblem, phi: ToricPsh, t, ref: ToricPsh) -> Fraction:
-    return tc.legendre_energy(phi, ref) - sum(
-        (w * Fraction(ti) for w, ti in zip(p.weights, t)), _ZERO
-    )
-
-
 def dual_objective(p: DiracProblem, t: Sequence, mode: str = "rational"):
-    """Value and gradient of F(t) = E(envelope(t)) - sum w_i t_i.
+    """Value and gradient of F(t) = E(envelope(t)) - sum w_i t_i, on the
+    solver's own `_state` and `_solution` at t.
 
     The gradient is exactly (Laguerre masses - weights); pruned sites get
     gradient -w_i.  In rational mode the value is computed both through
@@ -137,34 +127,30 @@ def dual_objective(p: DiracProblem, t: Sequence, mode: str = "rational"):
     if len(t) != len(p.sites):
         raise ArityMismatch(f"expected {len(p.sites)} potentials, got {len(t)}")
     t = tuple(Fraction(x) for x in t)
-    phi = _envelope_at(p, t)
-    ref = p.reference()
-    mu = tc.ma_measure(phi)
-    grad = tuple(mu.weight_at(x) - w for x, w in zip(p.sites, p.weights))
-    value = _value_legendre(p, phi, t, ref)
+    state = _state(p, t)
+    s = _solution(p, t, [], state)
     if mode == "rational":
-        via_mixed = tc.energy_via_mixed(phi, ref) - sum(
-            (w * ti for w, ti in zip(p.weights, t)), _ZERO
-        )
-        if via_mixed != value:
-            raise ConsistencyError(f"energy routes disagree: {via_mixed} vs {value}")
-        return value, grad
-    return float(value), tuple(float(g) for g in grad)
+        via_mixed = tc.energy_via_mixed(s.potential, p.reference())
+        if via_mixed != s.energy:
+            raise ConsistencyError(f"energy routes disagree: {via_mixed} vs {s.energy}")
+        return s.objective, tuple(state.grad)
+    return float(s.objective), tuple(float(g) for g in state.grad)
 
 
-def _solution(p: DiracProblem, t, trace) -> Solution:
-    """The Solution at t: its potential and MA measure are built here."""
-    phi = _envelope_at(p, t)
-    mu = tc.ma_measure(phi)
-    residual = max(abs(mu.weight_at(x) - w) for x, w in zip(p.sites, p.weights))
+def _solution(p: DiracProblem, t, trace, state) -> Solution:
+    """The Solution at t from its `_state`: the potential's cells are built
+    here, from the state's loops; the measure is the state's masses."""
+    point, n = cache(pg._from_homogeneous), p.delta.dim
+    pairs = [((x, ti), pg._from_loop(loop, n, point)) for x, ti, loop in zip(p.sites, t, state.loops) if loop]
+    phi = ToricPsh._from_cells(p.delta, sorted(pairs, key=lambda pair: pair[0][0]))
     return Solution(
         problem=p,
         t=tuple(t),
         potential=phi,
-        masses=mu,
-        residual=residual,
+        masses=AtomicMeasure.from_items(zip(p.sites, state.masses)),
+        residual=max(abs(g) for g in state.grad),
         iterations=len(trace),
-        objective=_value_legendre(p, phi, t, p.reference()),
+        objective=tc.legendre_energy(phi, p.reference()) - sum(w * ti for w, ti in zip(p.weights, t)),
         trace=tuple(trace),
     )
 
@@ -178,36 +164,36 @@ def _solve_1d_exact(p: DiracProblem) -> Tuple[Fraction, ...]:
     t[order[0]] = _ZERO
     slope = alpha + p.weights[order[0]]
     for prev, cur in zip(order, order[1:]):
-        gap = p.sites[cur][0] - p.sites[prev][0]
-        t[cur] = t[prev] + slope * gap
+        t[cur] = t[prev] + slope * (p.sites[cur][0] - p.sites[prev][0])
         slope += p.weights[cur]
     return tuple(t)
 
 
-def _state(p: DiracProblem, t):
-    """One `laguerre_cells` call at t: the cell masses in site order (0 for
-    a missing cell), certified to sum to vol(Delta), the gradient masses -
-    weights, and the walls between the cells."""
-    cells, walls = pg.laguerre_cells(p.delta.body, p.sites, t)
-    masses = [_ZERO if cell is None else pg.volume(cell) for cell in cells]
+_State = namedtuple("_State", "masses grad edges loops")
+
+
+def _state(p: DiracProblem, t) -> _State:
+    """The power diagram at t from one `_power_loops` call: the masses in
+    site order (`_loop_volume`s, 0 for no cell), certified to sum to
+    vol(Delta), grad = masses - weights, the Laplacian edges and the loops.
+    With N = X_i - X_j on the sites over their denominator D, the wall
+    (i, j, (A_0, B_0, W_0), (A_1, B_1, W_1)) weighs |wall| / |x_i - x_j| =
+    |N_0 (B_1 W_0 - B_0 W_1) - N_1 (A_1 W_0 - A_0 W_1)| D / (W_0 W_1 |N|^2),
+    and D / |N_0| in 1-D.
+    """
+    _, loops, walls, xs, d = pg._power_loops(p.delta.body, p.sites, t)
+    masses = [_ZERO if loop is None else pg._loop_volume(loop, p.delta.dim) for loop in loops]
     if sum(masses) != p.delta.volume:
         raise ConsistencyError(f"cells cover mass {sum(masses)}, expected {p.delta.volume}")
-    return masses, [h - w for h, w in zip(masses, p.weights)], walls
-
-
-def _conductances(p: DiracProblem, walls) -> List[Tuple[int, int, Fraction]]:
-    """Weighted edges (i, j, w) on site indices of the Laplacian whose
-    negative is d(masses)/dt, one per wall (i, j, v_0, v_1) of
-    `_state`: w = |wall| |x_i - x_j| / |x_i - x_j|^2.  The wall is
-    perpendicular to x_i - x_j, so |wall| |x_i - x_j| =
-    |cross(x_i - x_j, v_1 - v_0)| in 2-D and |x_i - x_j| in 1-D, and w is
-    exact."""
     edges = []
-    for i, j, v0, v1 in walls:
-        normal = sub(p.sites[i], p.sites[j])
-        scaled = abs(normal[0]) if len(normal) == 1 else abs(cross(normal, sub(v1, v0)))
-        edges.append((i, j, scaled / dot(normal, normal)))
-    return edges
+    for i, j, (a0, b0, w0), (a1, b1, w1) in walls:
+        n0, n1 = xs[i][0] - xs[j][0], xs[i][1] - xs[j][1]
+        if p.delta.dim == 1:
+            edges.append((i, j, Fraction(d, abs(n0))))
+        else:
+            scaled = abs(n0 * (b1 * w0 - b0 * w1) - n1 * (a1 * w0 - a0 * w1))
+            edges.append((i, j, Fraction(scaled * d, w0 * w1 * (n0 * n0 + n1 * n1))))
+    return _State(masses, [h - w for h, w in zip(masses, p.weights)], edges, loops)
 
 
 def start_potentials(p: DiracProblem) -> Tuple[Fraction, ...]:
@@ -244,24 +230,22 @@ def solve(p: DiracProblem, config: SolverConfig = SolverConfig()) -> Solution:
     2019; global convergence, quadratic near the solution) from
     `start_potentials`, or from `init` moved toward it until no cell is
     empty; 1-D rational instances start from their closed-form solution.
-    Each iterate is one `_state` call: masses and walls, no potential.
-    The direction d solves L d = masses - weights, L the Laplacian of
-    `_conductances` grounded at the last site.  A step is the first
-    damping^k whose rounded iterate keeps every mass >= eps (half the
-    smallest weight or starting mass) and cuts |grad|_2 by (1 - step / 2),
-    tested exactly on squared norms, so a step that rounds back to the
-    same iterate never passes.  Rational mode, rounding to denominators at
-    most 10^12, succeeds at its default tol 0 only on exact stationarity.
-    The loop is monotone, so NotConverged carries the last iterate; the
-    potential and measure of the Solution are built for it alone.
+    Each iterate is one `_state` call on integer loops, no Polytope.  The
+    direction d solves L d = masses - weights, L the state's Laplacian
+    grounded at the last site.  A step is the first damping^k whose
+    rounded iterate keeps every mass >= eps (half the smallest weight or
+    starting mass) and cuts |grad|_2 by (1 - step / 2), tested exactly on
+    squared norms, so a step that rounds back to the same iterate never
+    passes.  Rational mode, rounding to denominators at most 10^12,
+    succeeds at its default tol 0 only on exact stationarity.  The loop is
+    monotone, so NotConverged carries the last iterate; Polytopes are
+    built for the Solution's potential alone, from its state.
     """
     mode = config.mode
     if mode not in ("rational", "float"):
         raise ValueError(f"unknown mode {mode!r}")
-    tol = config.tol
-    if tol is None:
-        tol = _ZERO if mode == "rational" else Fraction(1, 10**10)
-    tol = Fraction(tol)
+    default_tol = _ZERO if mode == "rational" else Fraction(1, 10**10)
+    tol = Fraction(default_tol if config.tol is None else config.tol)
     vol = p.delta.volume
     n = len(p.sites)
     rnd = _rounder(mode)
@@ -275,41 +259,40 @@ def solve(p: DiracProblem, config: SolverConfig = SolverConfig()) -> Solution:
     else:
         t = rnd(start_potentials(p))
 
-    masses, grad, walls = _state(p, t)
-    if min(masses) == 0:
+    state = _state(p, t)
+    if min(state.masses) == 0:
         init, start = t, rnd(start_potentials(p))
         for k in range(10, -1, -1):
             s = Fraction(1, 2**k)
             t = rnd((1 - s) * a + s * b for a, b in zip(init, start))
-            masses, grad, walls = _state(p, t)
-            if min(masses) > 0:
+            state = _state(p, t)
+            if min(state.masses) > 0:
                 break
-    eps = min(min(p.weights), min(masses)) / 2
-    norm2 = sum(g * g for g in grad)
+    eps = min(min(p.weights), min(state.masses)) / 2
+    norm2 = sum(g * g for g in state.grad)
     trace = []
 
     for _ in range(config.max_iter):
-        if max(abs(g) for g in grad) <= tol * vol:
-            return _solution(p, t, trace)
+        if max(abs(g) for g in state.grad) <= tol * vol:
+            return _solution(p, t, trace, state)
         try:
-            d = linalg.solve_exact(n, _conductances(p, walls), n - 1, grad)
+            d = linalg.solve_exact(n, state.edges, n - 1, state.grad)
         except ValueError:  # a cell with no path of walls to the grounded site
             break
         step = Fraction(1)
         for trials in range(1, 61):
             trial = rnd(ti + step * di for ti, di in zip(t, d))
-            masses2, grad2, walls2 = _state(p, trial)
-            norm2_trial = sum(g * g for g in grad2)
-            if min(masses2) >= eps and norm2_trial <= (1 - step / 2) ** 2 * norm2:
+            new = _state(p, trial)
+            norm2_trial = sum(g * g for g in new.grad)
+            if min(new.masses) >= eps and norm2_trial <= (1 - step / 2) ** 2 * norm2:
                 break
             step *= config.damping
         else:
             break
-        t, masses, walls, grad, norm2 = trial, masses2, walls2, grad2, norm2_trial
-        residual = max(abs(g) for g in grad)
-        trace.append(IterationRecord(residual, math.sqrt(norm2), step, min(masses), trials))
+        t, state, norm2 = trial, new, norm2_trial
+        trace.append(IterationRecord(max(map(abs, state.grad)), math.sqrt(norm2), step, min(state.masses), trials))
 
-    solution = _solution(p, t, trace)
+    solution = _solution(p, t, trace, state)
     if solution.residual <= tol * vol:
         return solution
     raise NotConverged(solution, len(trace))
@@ -325,12 +308,10 @@ def normalize(s: Solution) -> Solution:
     shift = max(t[x] if x in t else s.potential.value(x) for x in s.problem.sites)
     if shift == 0:
         return s
-    t = tuple(ti - shift for ti in s.t)
-    return replace(s, t=t, potential=s.potential.shift(-shift))
+    return replace(s, t=tuple(ti - shift for ti in s.t), potential=s.potential.shift(-shift))
 
 
 def cl_measure(f: ToricPsh) -> AtomicMeasure:
     """Chambert-Loir normalization: every MA weight times n!, so the
     total mass is n! vol(Delta) = deg L."""
-    n = f.delta.dim
-    return tc.ma_measure(f).scaled(math.factorial(n))
+    return tc.ma_measure(f).scaled(math.factorial(f.delta.dim))

@@ -845,6 +845,28 @@ def random_polygon(rng, den=4, count=7):
             return body
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_loop_volume_is_the_volume_of_the_loop(dim):
+    """The integer mass of each `_power_loops` loop equals the volume of
+    its polytope, on cells cut by several walls, whose points have
+    different W."""
+    rng = random.Random(71 + dim)
+    mixed = 0
+    for _ in range(60):
+        if dim == 2:
+            body = random_polygon(rng)
+        else:
+            body = pg.hull([(F(rng.randint(-8, 0), 3),), (F(rng.randint(1, 8), 5),)], 1)
+        sites = list({tuple(F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim)) for _ in range(8)})
+        values = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in sites]
+        _, loops, _, _, _ = pg._power_loops(body, sites, values)
+        for loop in loops:
+            if loop is not None:
+                assert pg._loop_volume(loop, dim) == pg.volume(pg._from_loop(loop, dim))
+                mixed += len({w for _, _, w in loop}) > 1
+    assert mixed > 50
+
+
 class TestCellsWithoutSecondHull:
     def test_clip_through_a_vertex_and_along_an_edge(self):
         rng = random.Random(61)

@@ -66,6 +66,26 @@ DIRAC_8 = {
     "weights": ["2", "4/3", "2/3", "4/3", "2", "8/3", "2/3", "4/3"],
 }
 
+# Five sites on a segment: a float solve of one Newton step.
+DIRAC_1D = {
+    "kind": "toric-dirac",
+    "mode": "float",
+    "polytope": {"vertices": [["-1/2"], ["5/2"]]},
+    "sites": [["0"], ["2/3"], ["-1"], ["3/2"], ["5/4"]],
+    "weights": ["1/2", "3/4", "1/4", "1", "1/2"],
+}
+
+# Five sites on a quadrilateral: a rational-mode solve of five full
+# Newton steps, on iterates with denominators up to 10^12.
+DIRAC_RATIONAL_2D = {
+    "kind": "toric-dirac",
+    "mode": "rational",
+    "polytope": {"vertices": [["0", "0"], ["2", "0"], ["2", "1"], ["0", "2"]]},
+    "sites": [["0", "0"], ["1", "1/2"], ["2", "1"], ["1/2", "3/2"], ["3/2", "-1/2"]],
+    "weights": ["1/2", "1", "1/3", "2/3", "1/2"],
+    "solver": {"tol": "1/1000000000000000"},
+}
+
 SUITE_DIGESTS = {
     # (suite, dimension) -> sha256 of `nama check --seed 1 --cases 2 --no-timestamp`
     ("capacity", 1): "676ddccc9db4405ceae503cf9966d8b0b9406fb22bfde61ebd393c510216c155",
@@ -99,6 +119,8 @@ COMMAND_DIGESTS = {
     ("envelope", "lattice_1d"): "a8cdfeeef8b795187cd1d39f8d0a594f78bd0c7bc4d623d9fd7c86726cac9ec6",
     ("solve", "dirac_2d"): "e9ace05db27312ce6b14fe2de6fa50229cf4cdb61e01842026d363d6bb9622cd",
     ("solve", "dirac_8"): "83331e9d8607c03216e3538dc1c66f213d713e6a683c2ce082f4c1176a9e8ea4",
+    ("solve", "dirac_1d"): "ddabf14d698259728bc23cfe5419644ff75c81043503479e01fbbfead05dc506",
+    ("solve", "dirac_rational_2d"): "d726b3e2fe1258adf5a9fa6abc3f3ebe4c3da1f4331b012d362061aa4527e432",
 }
 
 INSTANCES = {
@@ -107,6 +129,8 @@ INSTANCES = {
     "lattice_1d": LATTICE_1D,
     "dirac_2d": DIRAC_2D,
     "dirac_8": DIRAC_8,
+    "dirac_1d": DIRAC_1D,
+    "dirac_rational_2d": DIRAC_RATIONAL_2D,
 }
 
 

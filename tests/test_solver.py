@@ -11,6 +11,8 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nama import cli
 from nama import harness as hx
@@ -227,6 +229,23 @@ def _found_problem():
     )
 
 
+def test_cells_are_built_only_for_the_returned_potential(monkeypatch):
+    """The `DIRAC_8` instance of the regression oracle (five Newton steps,
+    seven states): the iterates and trials stay on integer loops, so
+    `_from_loop` runs once per cell of the returned potential, 8 times
+    (64 when every state and the returned potential built their cells)."""
+    delta = tc.newton_polytope([(0, 0), (3, 0), (4, 2), (2, 4), (0, 3)], 2)
+    sites = [(F(1, 2), F(1, 2)), (F(5, 2), F(1, 3)), (F(3), F(2)), (F(2), F(3)),
+             (F(1, 3), F(5, 2)), (F(3, 2), F(3, 2)), (F(-1, 2), F(1)), (F(9, 4), F(-1, 4))]
+    weights = [F(2), F(4, 3), F(2, 3), F(4, 3), F(2), F(8, 3), F(2, 3), F(4, 3)]
+    calls = []
+    from_loop = pg._from_loop
+    monkeypatch.setattr(pg, "_from_loop", lambda *args: calls.append(args) or from_loop(*args))
+    s = sv.solve(sv.DiracProblem(delta, tuple(sites), tuple(weights)))
+    assert s.iterations == 5 and len(s.potential.cells) == 8
+    assert len(calls) == 8
+
+
 class TestBoundedEnd:
     """Solves that cannot reach their tolerance end in NotConverged within
     seconds at the default max_iter of 10,000."""
@@ -323,7 +342,7 @@ class TestNormalize:
         for t in ((F(1, 3), F(-1, 2), F(5)), (F(0), F(0), F(7, 3))):
             phi = tc.envelope(p.delta, list(zip(p.sites, t)))
             assert len(phi.generators) < len(p.sites)
-            self.assert_matches_max_over_value(sv._solution(p, t, []))
+            self.assert_matches_max_over_value(sv._solution(p, t, [], sv._state(p, t)))
 
 
 class TestClMeasure:
@@ -399,13 +418,13 @@ def reference_wall_weights(p, phi):
 
 class TestWallHessian:
     def check(self, p, t):
-        """The conductances of the walls of `laguerre_cells` against the
-        reference, and the masses against `ma_measure`."""
+        """The weights of the `_state` edges against the reference, and its
+        masses against `ma_measure`."""
         phi = tc.envelope(p.delta, list(zip(p.sites, t)))
-        masses, _, walls = sv._state(p, t)
-        assert masses == _masses(p, t)
+        state = sv._state(p, t)
+        assert state.masses == _masses(p, t)
         edges = {}
-        for i, j, w in sv._conductances(p, walls):
+        for i, j, w in state.edges:
             assert w > 0 and i < j and (i, j) not in edges
             edges[(i, j)] = w * w
         assert edges == reference_wall_weights(p, phi)
@@ -413,19 +432,42 @@ class TestWallHessian:
 
     def test_wall_across_a_degenerate_cell(self):
         """The middle cell is a segment: the outer cells share its wall,
-        with conductance |wall| / |x_0 - x_2| = 1/2."""
+        with weight |wall| / |x_0 - x_2| = 1/2."""
         p = _problem(SQ, [(F(0), F(0)), (F(1), F(0)), (F(2), F(0))], [F(1)] * 3)
         t = [F(0), F(1, 2), F(1)]
-        masses, _, walls = sv._state(p, t)
-        assert masses == [F(1, 2), F(0), F(1, 2)]
+        state = sv._state(p, t)
+        assert state.masses == [F(1, 2), F(0), F(1, 2)]
+        _, walls = pg.laguerre_cells(p.delta.body, p.sites, t)
         assert walls == [(0, 2, (F(1, 2), F(0)), (F(1, 2), F(1)))]
-        assert sv._conductances(p, walls) == [(0, 2, F(1, 2))]
+        assert state.edges == [(0, 2, F(1, 2))]
         assert self.check(p, t) == {(0, 2): F(1, 4)}
         p = _problem(interval(-1, 2), [(F(0),), (F(1),), (F(2),)], [F(1)] * 3)
-        masses, _, walls = sv._state(p, t)
-        assert masses == [F(3, 2), F(0), F(3, 2)]
-        assert sv._conductances(p, walls) == [(0, 2, F(1, 2))]
+        state = sv._state(p, t)
+        assert state.masses == [F(3, 2), F(0), F(3, 2)]
+        assert state.edges == [(0, 2, F(1, 2))]
         assert self.check(p, t) == {(0, 2): F(1, 4)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-3, 3)),
+            min_size=1,
+            max_size=10,
+            unique_by=lambda q: q[:2],
+        ),
+        st.booleans(),
+    )
+    def test_small_grids_property(self, points, one_dimensional):
+        """`_state` on sites of a small grid, in both dimensions: masses
+        equal `ma_measure` and squared edge weights the reference's."""
+        if one_dimensional:
+            points = list({x: (x, h) for x, _, h in points}.values())
+            delta, sites = interval(F(-3, 2), F(5, 2)), [(F(x),) for x, _ in points]
+        else:
+            delta = tc.newton_polytope([(F(-3, 2), F(-1)), (F(2), F(-3, 2)), (F(1), F(2)), (F(-2), F(1))], 2)
+            sites = [(F(x), F(y)) for x, y, _ in points]
+        p = _problem(delta, sites, [F(1)] * len(sites))
+        self.check(p, [F(h, 2) for *_, h in points])
 
     def test_random_2d_instances(self):
         rng = random.Random(41)

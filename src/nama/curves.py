@@ -138,12 +138,6 @@ class GraphMeasure:
             raise ValueError("one weight per vertex required")
         return GraphMeasure(w, _norm_edge_items(graph, edge_atoms))
 
-    @staticmethod
-    def dirac(graph: MetricGraph, vertex: int, weight=1) -> "GraphMeasure":
-        w = [_ZERO] * graph.vertex_count
-        w[vertex] = Fraction(weight)
-        return GraphMeasure.on(graph, w)
-
     @property
     def total_mass(self) -> Fraction:
         return sum(self.vertex_weights, _ZERO) + sum(
@@ -298,30 +292,6 @@ def integrate_graph(graph: MetricGraph, f: GraphFunction, m: GraphMeasure) -> Fr
             if w != 0:
                 total += w * f.value_on_edge(graph, e, p)
     return total
-
-
-def max_graph(graph: MetricGraph, f: GraphFunction, g: GraphFunction) -> GraphFunction:
-    """Pointwise maximum; transversal crossings become breakpoints."""
-    values = tuple(max(a, b) for a, b in zip(f.values, g.values))
-    out_bps: List[List[EdgeAtom]] = [[] for _ in graph.edges]
-    for e in range(len(graph.edges)):
-        pf = f.profile(graph, e)
-        pgr = g.profile(graph, e)
-        pos = sorted({p for p, _ in pf} | {p for p, _ in pgr})
-        for p0, p1 in zip(pos, pos[1:]):
-            a0 = f.value_on_edge(graph, e, p0) - g.value_on_edge(graph, e, p0)
-            a1 = f.value_on_edge(graph, e, p1) - g.value_on_edge(graph, e, p1)
-            if p0 != 0:
-                fv = f.value_on_edge(graph, e, p0)
-                gv = g.value_on_edge(graph, e, p0)
-                out_bps[e].append((p0, max(fv, gv)))
-            if (a0 < 0 < a1) or (a1 < 0 < a0):
-                t = a0 / (a0 - a1)
-                pc = p0 + t * (p1 - p0)
-                out_bps[e].append((pc, f.value_on_edge(graph, e, pc)))
-    return GraphFunction(
-        values, tuple(tuple(sorted(set(b))) for b in out_bps)
-    )
 
 
 class PoissonSolver:

@@ -697,13 +697,13 @@ def _suite_capacity(rng: SplitMix64, cfg: GenConfig):
 
 def _newton_corrected(p: sv.DiracProblem, s: sv.Solution) -> List[Fraction]:
     """t + d, d = L^+ (masses - weights) the solver's next Newton step from
-    the returned potential: L is the Laplacian of the `solver._state` edges
-    on the walls of its cells, cut at its values at the sites (a pruned
-    site keeps no cell).  The raw t of two converged solves may differ by
-    the residual times L's inverse, which no fixed multiple of tol bounds."""
+    the returned potential: L is the Laplacian on the `laguerre_cells` walls
+    of its cells, cut at its values at the sites (a pruned site keeps no
+    cell).  The raw t of two converged solves may differ by the residual
+    times L's inverse, which no fixed multiple of tol bounds."""
     n = len(p.sites)
     grad = [h - w for h, w in zip(s.mass_vector(), p.weights)]
-    edges = sv._state(p, [s.potential.value(x) for x in p.sites]).edges
+    edges = pg.laguerre_cells(p.delta.body, p.sites, [s.potential.value(x) for x in p.sites]).walls
     d = linalg.solve_exact(n, edges, n - 1, grad)
     return [ti + di for ti, di in zip(s.t, d)]
 

@@ -40,10 +40,6 @@ Halfspace = Tuple[Point, Fraction]  # (a, b) encodes {m : <a, m> <= b}
 _ZERO = Fraction(0)
 
 
-def _aspoint(p) -> Point:
-    return tuple(Fraction(c) for c in p)
-
-
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     if len(a) == 2:
         return a[0] * b[0] + a[1] * b[1]
@@ -128,13 +124,6 @@ class Polytope:
             return False
         return all(dot(a, p) <= b for a, b in self.facets)
 
-    def translate(self, v: Point) -> "Polytope":
-        """p + v; a translation keeps the canonical vertex order."""
-        v = _aspoint(v)
-        if len(v) != self.dim:
-            raise DimensionMismatch(f"vector {v} does not have dimension {self.dim}")
-        return Polytope(self.dim, tuple(add(q, v) for q in self.vertices), self.affine_dim)
-
     def scaled(self, s: Fraction) -> "Polytope":
         """s p for s > 0; a positive scaling keeps the canonical vertex order."""
         s = Fraction(s)
@@ -169,7 +158,7 @@ def hull(points, dim: Optional[int] = None) -> Polytope:
     Lower-dimensional hulls are returned flagged with their affine
     dimension; interior and collinear points are dropped.
     """
-    pts = [_aspoint(p) for p in points]
+    pts = [tuple(Fraction(c) for c in p) for p in points]
     if not pts:
         raise EmptyInput("hull of zero points")
     n = dim if dim is not None else len(pts[0])
@@ -293,33 +282,12 @@ def clip(p: Polytope, halfspaces) -> Polytope:
     return p if loop is start else _from_loop(loop, n)
 
 
-def laguerre_cells(body: Polytope, sites, values) -> Tuple[List[Optional[Polytope]], List[tuple]]:
-    """The power diagram of distinct sites x_a with values t_a in a
-    full-dimensional body: the `_power_loops` results as (cells, walls).
-
-    cells has one entry per site: {m in body : <x_a, m> - t_a >= <x_b, m>
-    - t_b for all b}, or None when that is not full-dimensional.  walls
-    lists (i, j, v0, v1), i < j input indices, for each facet [v0, v1]
-    that the cells of i and j share, v0 -> v1 counterclockwise around the
-    cell of i (v0 = v1 in 1-D).
-    """
-    start, loops, walls, _, _ = _power_loops(body, sites, values)
-    point, n = cache(_from_homogeneous), body.dim
-    cells = [None if loop is None else body if loop is start else _from_loop(loop, n, point) for loop in loops]
-    return cells, [(i, j, point(u, n), point(v, n)) for i, j, u, v in walls]
-
-
-def _power_loops(body: Polytope, sites, values):
-    """The integer core of `laguerre_cells`: (start, loops, walls, xs, d).
-
-    Sites are integer pairs xs[i] = (X, Y) over one denominator d, values
-    over e, so the pair (a, b) cuts by (e (X_b - X_a), d (T_b - T_a)).  A
-    site's loop is its cell's final counterclockwise `_cut` loop (`start`,
-    the body's, when nothing cuts it) or None.  Only a vertex of the
-    regular triangulation of the lifted sites has a cell, cut only by its
-    neighbours.  walls (sorted, on homogeneous end points) are the edges
-    two final loops run in opposite directions, so a degenerate cell
-    between two cells does not hide their wall.
+def laguerre_cells(body: Polytope, sites, values) -> "PowerDiagram":
+    """The `PowerDiagram` of distinct sites x_a with values t_a in a
+    full-dimensional body.  Only a vertex of the regular triangulation of
+    the lifted sites has a cell, cut only by its neighbours.  Sites are
+    integer pairs (X, Y) over one denominator d, values over e, so the pair
+    (a, b) cuts by (e (X_b - X_a), d (T_b - T_a)).
     """
     n = body.dim
     coords, d = _integers([c for x in sites for c in _planar(x)])
@@ -356,7 +324,57 @@ def _power_loops(body: Polytope, sites, values):
                 owners[u, v] = i
             else:
                 walls.append((j, i, v, u) if j < i else (i, j, u, v))
-    return start, loops, sorted(walls), xs, d
+    return PowerDiagram(body, start, loops, sorted(walls), xs, d)
+
+
+@dataclass(frozen=True)
+class PowerDiagram:
+    """A `laguerre_cells` result: lists indexed like the sites, each
+    computed on first read.  cells: {m in body : <x_a, m> - t_a >= <x_b, m>
+    - t_b for all b}, or None when that is not full-dimensional.  masses:
+    their volumes, 0 for None.  walls: (i, j, |wall| / |x_i - x_j|), i < j,
+    for each facet the cells of i and j share, the edges of the weighted
+    Laplacian whose negative is the Hessian of the dual objective.  Inside,
+    a cell is its final counterclockwise `_cut` loop (`_start`, the body's
+    own, when nothing cuts it) or None, and `_ends` holds the walls as
+    (i, j, u, v) on homogeneous end points, u -> v counterclockwise around
+    the cell of i (u = v in 1-D): the edges two final loops run in opposite
+    directions, so a degenerate cell between two cells does not hide their
+    wall.
+    """
+
+    body: Polytope
+    _start: list
+    _loops: List[Optional[list]]
+    _ends: List[tuple]
+    _xs: List[Tuple[int, int]]  # the sites as integers over _d
+    _d: int
+
+    @cached_property
+    def cells(self) -> List[Optional[Polytope]]:
+        point, n = cache(_from_homogeneous), self.body.dim
+        cell = lambda loop: self.body if loop is self._start else _from_loop(loop, n, point)
+        return [None if loop is None else cell(loop) for loop in self._loops]
+
+    @cached_property
+    def masses(self) -> List[Fraction]:
+        return [_ZERO if loop is None else _loop_volume(loop, self.body.dim) for loop in self._loops]
+
+    @cached_property
+    def walls(self) -> List[Tuple[int, int, Fraction]]:
+        """With N = X_i - X_j on the sites over their denominator D, the wall
+        (i, j, (A_0, B_0, W_0), (A_1, B_1, W_1)) weighs
+        |N_0 (B_1 W_0 - B_0 W_1) - N_1 (A_1 W_0 - A_0 W_1)| D / (W_0 W_1 |N|^2),
+        and D / |N_0| in 1-D: one Fraction per wall."""
+        xs, d, out = self._xs, self._d, []
+        for i, j, (a0, b0, w0), (a1, b1, w1) in self._ends:
+            n0, n1 = xs[i][0] - xs[j][0], xs[i][1] - xs[j][1]
+            if self.body.dim == 1:
+                out.append((i, j, Fraction(d, abs(n0))))
+            else:
+                scaled = abs(n0 * (b1 * w0 - b0 * w1) - n1 * (a1 * w0 - a0 * w1))
+                out.append((i, j, Fraction(scaled * d, w0 * w1 * (n0 * n0 + n1 * n1))))
+        return out
 
 
 def _loop_volume(loop, n: int) -> Fraction:

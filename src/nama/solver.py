@@ -4,9 +4,9 @@ The concave dual objective F(t) = E(envelope(t)) - sum w_i t_i has gradient
 (cell masses - target weights), so maximizing it solves the equation: it is
 semi-discrete optimal transport from the uniform measure on Delta.  Both
 modes run one damped Newton loop from a start with no empty cell.  Each
-iterate and line-search trial is evaluated on the power diagram's integer
-loops and walls (`polyhedra._power_loops`), one Fraction per cell mass and
-per wall weight of the Laplacian whose negative is the Hessian, so each
+iterate and line-search trial reads the masses and walls of one power
+diagram (`polyhedra.laguerre_cells`), one Fraction per cell mass and per
+wall weight of the Laplacian whose negative is the Hessian, so each
 Newton direction is one exact grounded Laplace solve (`linalg.solve_exact`).
 Polytopes are built once, for the returned potential.  The geometry is
 exact; only the iterate is rounded: to floats in float mode, to bounded
@@ -16,10 +16,8 @@ denominators in rational mode, whose residual is then certified exactly.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -127,28 +125,27 @@ def dual_objective(p: DiracProblem, t: Sequence, mode: str = "rational"):
     if len(t) != len(p.sites):
         raise ArityMismatch(f"expected {len(p.sites)} potentials, got {len(t)}")
     t = tuple(Fraction(x) for x in t)
-    state = _state(p, t)
-    s = _solution(p, t, [], state)
+    diagram, grad = _state(p, t)
+    s = _solution(p, t, [], diagram, grad)
     if mode == "rational":
         via_mixed = tc.energy_via_mixed(s.potential, p.reference())
         if via_mixed != s.energy:
             raise ConsistencyError(f"energy routes disagree: {via_mixed} vs {s.energy}")
-        return s.objective, tuple(state.grad)
-    return float(s.objective), tuple(float(g) for g in state.grad)
+        return s.objective, tuple(grad)
+    return float(s.objective), tuple(float(g) for g in grad)
 
 
-def _solution(p: DiracProblem, t, trace, state) -> Solution:
-    """The Solution at t from its `_state`: the potential's cells are built
-    here, from the state's loops; the measure is the state's masses."""
-    point, n = cache(pg._from_homogeneous), p.delta.dim
-    pairs = [((x, ti), pg._from_loop(loop, n, point)) for x, ti, loop in zip(p.sites, t, state.loops) if loop]
+def _solution(p: DiracProblem, t, trace, diagram, grad) -> Solution:
+    """The Solution at t from its `_state`: the potential's cells are the
+    diagram's cells, the measure its masses."""
+    pairs = [((x, ti), cell) for x, ti, cell in zip(p.sites, t, diagram.cells) if cell is not None]
     phi = ToricPsh._from_cells(p.delta, sorted(pairs, key=lambda pair: pair[0][0]))
     return Solution(
         problem=p,
         t=tuple(t),
         potential=phi,
-        masses=AtomicMeasure.from_items(zip(p.sites, state.masses)),
-        residual=max(abs(g) for g in state.grad),
+        masses=AtomicMeasure.from_items(zip(p.sites, diagram.masses)),
+        residual=max(abs(g) for g in grad),
         iterations=len(trace),
         objective=tc.legendre_energy(phi, p.reference()) - sum(w * ti for w, ti in zip(p.weights, t)),
         trace=tuple(trace),
@@ -169,43 +166,26 @@ def _solve_1d_exact(p: DiracProblem) -> Tuple[Fraction, ...]:
     return tuple(t)
 
 
-_State = namedtuple("_State", "masses grad edges loops")
-
-
-def _state(p: DiracProblem, t) -> _State:
-    """The power diagram at t from one `_power_loops` call: the masses in
-    site order (`_loop_volume`s, 0 for no cell), certified to sum to
-    vol(Delta), grad = masses - weights, the Laplacian edges and the loops.
-    With N = X_i - X_j on the sites over their denominator D, the wall
-    (i, j, (A_0, B_0, W_0), (A_1, B_1, W_1)) weighs |wall| / |x_i - x_j| =
-    |N_0 (B_1 W_0 - B_0 W_1) - N_1 (A_1 W_0 - A_0 W_1)| D / (W_0 W_1 |N|^2),
-    and D / |N_0| in 1-D.
-    """
-    _, loops, walls, xs, d = pg._power_loops(p.delta.body, p.sites, t)
-    masses = [_ZERO if loop is None else pg._loop_volume(loop, p.delta.dim) for loop in loops]
-    if sum(masses) != p.delta.volume:
-        raise ConsistencyError(f"cells cover mass {sum(masses)}, expected {p.delta.volume}")
-    edges = []
-    for i, j, (a0, b0, w0), (a1, b1, w1) in walls:
-        n0, n1 = xs[i][0] - xs[j][0], xs[i][1] - xs[j][1]
-        if p.delta.dim == 1:
-            edges.append((i, j, Fraction(d, abs(n0))))
-        else:
-            scaled = abs(n0 * (b1 * w0 - b0 * w1) - n1 * (a1 * w0 - a0 * w1))
-            edges.append((i, j, Fraction(scaled * d, w0 * w1 * (n0 * n0 + n1 * n1))))
-    return _State(masses, [h - w for h, w in zip(masses, p.weights)], edges, loops)
+def _state(p: DiracProblem, t) -> Tuple[pg.PowerDiagram, List[Fraction]]:
+    """The power diagram at t, its masses certified to sum to vol(Delta),
+    and grad = masses - weights."""
+    diagram = pg.laguerre_cells(p.delta.body, p.sites, t)
+    if sum(diagram.masses) != p.delta.volume:
+        raise ConsistencyError(f"cells cover mass {sum(diagram.masses)}, expected {p.delta.volume}")
+    return diagram, [h - w for h, w in zip(diagram.masses, p.weights)]
 
 
 def start_potentials(p: DiracProblem) -> Tuple[Fraction, ...]:
     """t_i = q(x_i) - q(xbar), q(x) = <x, c> + h |x - c|^2 / 2 with c the
-    centroid of Delta, halving h from 1 until every c + h (x_i - c) lies in
-    Delta.  The cells are then the Voronoi cells of those points in Delta,
-    so none is empty."""
+    centroid of Delta and h = 1 / 2^k the largest with every c + h (x_i - c)
+    in Delta: h <= room = min (b - <a, c>) / <a, x_i - c> over facets
+    <a, m> <= b with <a, x_i - c> > 0.  The cells are then the Voronoi cells
+    of those points in Delta, so none is empty."""
     body = p.delta.body
     c = pg.centroid(body)
-    h = Fraction(1)
-    while not all(body.contains(tuple(ck + h * (xk - ck) for xk, ck in zip(x, c))) for x in p.sites):
-        h /= 2
+    slopes = [(b - dot(a, c), dot(a, sub(x, c))) for a, b in body.facets for x in p.sites]
+    room = min((gap / s for gap, s in slopes if s > 0), default=Fraction(1))
+    h = Fraction(1, 2 ** (math.ceil(1 / room) - 1).bit_length())
 
     def q(x):
         y = sub(x, c)
@@ -259,40 +239,40 @@ def solve(p: DiracProblem, config: SolverConfig = SolverConfig()) -> Solution:
     else:
         t = rnd(start_potentials(p))
 
-    state = _state(p, t)
-    if min(state.masses) == 0:
+    diagram, grad = _state(p, t)
+    if min(diagram.masses) == 0:
         init, start = t, rnd(start_potentials(p))
         for k in range(10, -1, -1):
             s = Fraction(1, 2**k)
             t = rnd((1 - s) * a + s * b for a, b in zip(init, start))
-            state = _state(p, t)
-            if min(state.masses) > 0:
+            diagram, grad = _state(p, t)
+            if min(diagram.masses) > 0:
                 break
-    eps = min(min(p.weights), min(state.masses)) / 2
-    norm2 = sum(g * g for g in state.grad)
+    eps = min(min(p.weights), min(diagram.masses)) / 2
+    norm2 = sum(g * g for g in grad)
     trace = []
 
     for _ in range(config.max_iter):
-        if max(abs(g) for g in state.grad) <= tol * vol:
-            return _solution(p, t, trace, state)
+        if max(abs(g) for g in grad) <= tol * vol:
+            return _solution(p, t, trace, diagram, grad)
         try:
-            d = linalg.solve_exact(n, state.edges, n - 1, state.grad)
+            d = linalg.solve_exact(n, diagram.walls, n - 1, grad)
         except ValueError:  # a cell with no path of walls to the grounded site
             break
         step = Fraction(1)
         for trials in range(1, 61):
             trial = rnd(ti + step * di for ti, di in zip(t, d))
-            new = _state(p, trial)
-            norm2_trial = sum(g * g for g in new.grad)
+            new, new_grad = _state(p, trial)
+            norm2_trial = sum(g * g for g in new_grad)
             if min(new.masses) >= eps and norm2_trial <= (1 - step / 2) ** 2 * norm2:
                 break
             step *= config.damping
         else:
             break
-        t, state, norm2 = trial, new, norm2_trial
-        trace.append(IterationRecord(max(map(abs, state.grad)), math.sqrt(norm2), step, min(state.masses), trials))
+        t, diagram, grad, norm2 = trial, new, new_grad, norm2_trial
+        trace.append(IterationRecord(max(map(abs, grad)), math.sqrt(norm2), step, min(diagram.masses), trials))
 
-    solution = _solution(p, t, trace, state)
+    solution = _solution(p, t, trace, diagram, grad)
     if solution.residual <= tol * vol:
         return solution
     raise NotConverged(solution, len(trace))

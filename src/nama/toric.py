@@ -121,7 +121,7 @@ class ToricPsh:
         for x, _ in gens:
             if len(x) != n:
                 raise DimensionMismatch(f"site {x} vs dimension {n}")
-        laguerre, _ = pg.laguerre_cells(delta.body, [x for x, _ in gens], [t for _, t in gens])
+        laguerre = pg.laguerre_cells(delta.body, [x for x, _ in gens], [t for _, t in gens]).cells
         kept = [(g, cell) for g, cell in zip(gens, laguerre) if cell is not None]
         self.delta, self._table = delta, None
         self.generators, self.cells = zip(*kept)

@@ -174,21 +174,20 @@ class TestClipVolume:
 
     def test_volume_translation_and_dilation(self):
         h = pg.hull([(0, 0), (2, 1), (1, 3)], 2)
-        assert pg.volume(h.translate((F(5), F(-7)))) == pg.volume(h)
+        assert pg.volume(pg.hull([pg.add(q, (F(5), F(-7))) for q in h.vertices])) == pg.volume(h)
         lam = F(3, 2)
         assert pg.volume(h.scaled(lam)) == lam**2 * pg.volume(h)
 
-    def test_translate_and_scale_keep_canonical_order(self):
-        """Mapping the vertices directly gives the polytope that a hull of
-        the mapped vertices gives, in 1-D and 2-D and for degenerate ones."""
+    def test_scaled_keeps_canonical_order(self):
+        """Scaling the vertices directly gives the polytope that a hull of
+        the scaled vertices gives, in 1-D and 2-D and for degenerate ones."""
         rng = random.Random(19)
         for _ in range(60):
             dim = rng.choice((1, 2))
             point = lambda: tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(dim))
             pts = [point() for _ in range(rng.randint(1, 6))]
-            p, v = pg.hull(pts, dim), point()
+            p, _ = pg.hull(pts, dim), point()  # the second draw keeps the seeded sequence
             s = F(rng.randint(1, 9), rng.randint(1, 4))
-            assert p.translate(v) == pg.hull([pg.add(q, v) for q in pts], dim)
             assert p.scaled(s) == pg.hull([pg.scale_point(q, s) for q in pts], dim)
 
     def test_scaled_rejects_nonpositive_factors(self):
@@ -704,16 +703,19 @@ class TestIntegerClipAgainstFractionReference:
 
 def test_laguerre_cells_one_dimensional():
     body = pg.hull([(F(0),), (F(2),)], 1)
-    cells, walls = pg.laguerre_cells(body, [(F(0),), (F(1),), (F(3),)], [F(0), F(1, 2), F(7, 2)])
+    diagram = pg.laguerre_cells(body, [(F(0),), (F(1),), (F(3),)], [F(0), F(1, 2), F(7, 2)])
     # u(m) = max(0, m - 1/2, 3m - 7/2): breakpoints at 1/2 and 3/2.
-    assert cells == [
+    assert diagram.cells == [
         pg.hull([(F(0),), (F(1, 2),)], 1),
         pg.hull([(F(1, 2),), (F(3, 2),)], 1),
         pg.hull([(F(3, 2),), (F(2),)], 1),
     ]
-    assert walls == [(0, 1, (F(1, 2),), (F(1, 2),)), (1, 2, (F(3, 2),), (F(3, 2),))]
+    assert diagram.masses == [F(1, 2), F(1), F(1, 2)]
+    assert wall_ends(diagram) == [(0, 1, (F(1, 2),), (F(1, 2),)), (1, 2, (F(3, 2),), (F(3, 2),))]
+    assert diagram.walls == [(0, 1, F(1)), (1, 2, F(1, 2))]
     # A site whose affine piece never attains the max has no cell.
-    assert pg.laguerre_cells(body, [(F(0),), (F(1),)], [F(0), F(5)]) == ([body, None], [])
+    diagram = pg.laguerre_cells(body, [(F(0),), (F(1),)], [F(0), F(5)])
+    assert (diagram.cells, diagram.masses, diagram.walls) == ([body, None], [F(2), F(0)], [])
 
 
 def test_walls_across_a_degenerate_cell():
@@ -722,14 +724,17 @@ def test_walls_across_a_degenerate_cell():
     triangulation of the lifted sites."""
     square = pg.hull([(0, 0), (1, 0), (1, 1), (0, 1)], 2)
     sites = [(F(0), F(0)), (F(1), F(0)), (F(2), F(0))]
-    cells, walls = pg.laguerre_cells(square, sites, [F(0), F(1, 2), F(1)])
+    diagram = pg.laguerre_cells(square, sites, [F(0), F(1, 2), F(1)])
     left = pg.hull([(0, 0), (F(1, 2), 0), (F(1, 2), 1), (0, 1)])
-    assert cells == [left, None, left.translate((F(1, 2), F(0)))]
-    assert walls == [(0, 2, (F(1, 2), F(0)), (F(1, 2), F(1)))]
+    right = pg.hull([(F(1, 2), 0), (1, 0), (1, 1), (F(1, 2), 1)])
+    assert diagram.cells == [left, None, right]
+    assert wall_ends(diagram) == [(0, 2, (F(1, 2), F(0)), (F(1, 2), F(1)))]
+    assert diagram.walls == [(0, 2, F(1, 2))]
     segment = pg.hull([(F(0),), (F(1),)], 1)
-    cells, walls = pg.laguerre_cells(segment, [(F(2),), (F(0),), (F(1),)], [F(1), F(0), F(1, 2)])
-    assert cells == [pg.hull([(F(1, 2),), (F(1),)]), pg.hull([(F(0),), (F(1, 2),)]), None]
-    assert walls == [(0, 1, (F(1, 2),), (F(1, 2),))]
+    diagram = pg.laguerre_cells(segment, [(F(2),), (F(0),), (F(1),)], [F(1), F(0), F(1, 2)])
+    assert diagram.cells == [pg.hull([(F(1, 2),), (F(1),)]), pg.hull([(F(0),), (F(1, 2),)]), None]
+    assert wall_ends(diagram) == [(0, 1, (F(1, 2),), (F(1, 2),))]
+    assert diagram.walls == [(0, 1, F(1, 2))]
 
 
 @settings(max_examples=60, deadline=None)
@@ -812,6 +817,12 @@ def hull_laguerre_cells(body, sites, values):
     return cells
 
 
+def wall_ends(diagram):
+    """The private wall end points of a `laguerre_cells` result as points."""
+    point = lambda h: pg._from_homogeneous(h, diagram.body.dim)
+    return [(i, j, point(u), point(v)) for i, j, u, v in diagram._ends]
+
+
 def hull_walls(sites, values, cells):
     """(i, j, v0, v1) for each pair of full cells whose common points, cut
     out of cell i by `hull_clip`, span a facet [v0, v1], with the outward
@@ -829,13 +840,23 @@ def hull_walls(sites, values, cells):
 
 
 def assert_cells_match_hull(body, sites, values):
-    got, walls = pg.laguerre_cells(body, sites, values)
+    """Cells, masses, wall end points and squared wall weights against
+    `hull_laguerre_cells` and `hull_walls`."""
+    diagram = pg.laguerre_cells(body, sites, values)
     want = hull_laguerre_cells(body, sites, values)
-    assert [c is None for c in got] == [c is None for c in want]
-    for g, w in zip(got, want):
+    assert [c is None for c in diagram.cells] == [c is None for c in want]
+    for g, w in zip(diagram.cells, want):
         if w is not None:
             assert_same_polytope(g, w)
-    assert walls == hull_walls(sites, values, want)
+    assert diagram.masses == [F(0) if w is None else pg.volume(w) for w in want]
+    assert sum(diagram.masses) == pg.volume(body)
+    walls = hull_walls(sites, values, want)
+    assert wall_ends(diagram) == walls
+    squared = []
+    for i, j, v0, v1 in walls:
+        d, n = pg.sub(v1, v0), pg.sub(sites[i], sites[j])
+        squared.append((i, j, (pg.dot(d, d) if body.dim == 2 else 1) / pg.dot(n, n)))
+    assert [(i, j, w * w) for i, j, w in diagram.walls] == squared
 
 
 def random_polygon(rng, den=4, count=7):
@@ -847,7 +868,7 @@ def random_polygon(rng, den=4, count=7):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_loop_volume_is_the_volume_of_the_loop(dim):
-    """The integer mass of each `_power_loops` loop equals the volume of
+    """The integer mass of each `laguerre_cells` loop equals the volume of
     its polytope, on cells cut by several walls, whose points have
     different W."""
     rng = random.Random(71 + dim)
@@ -859,8 +880,7 @@ def test_loop_volume_is_the_volume_of_the_loop(dim):
             body = pg.hull([(F(rng.randint(-8, 0), 3),), (F(rng.randint(1, 8), 5),)], 1)
         sites = list({tuple(F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim)) for _ in range(8)})
         values = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in sites]
-        _, loops, _, _, _ = pg._power_loops(body, sites, values)
-        for loop in loops:
+        for loop in pg.laguerre_cells(body, sites, values)._loops:
             if loop is not None:
                 assert pg._loop_volume(loop, dim) == pg.volume(pg._from_loop(loop, dim))
                 mixed += len({w for _, _, w in loop}) > 1
@@ -1004,9 +1024,11 @@ class TestLaguerreCellsFromTriangulation:
 
     def test_single_site(self):
         body = random_polygon(random.Random(151))
-        assert pg.laguerre_cells(body, [(F(1, 3), F(-2))], [F(5)]) == ([body], [])
+        diagram = pg.laguerre_cells(body, [(F(1, 3), F(-2))], [F(5)])
+        assert (diagram.cells, diagram.masses, diagram.walls) == ([body], [pg.volume(body)], [])
         segment = pg.hull([(F(0),), (F(2),)], 1)
-        assert pg.laguerre_cells(segment, [(F(7),)], [F(0)]) == ([segment], [])
+        diagram = pg.laguerre_cells(segment, [(F(7),)], [F(0)])
+        assert (diagram.cells, diagram.masses, diagram.walls) == ([segment], [F(2)], [])
 
     def test_unsorted_sites(self):
         """Cells come back in input order, whatever that order is."""
@@ -1015,11 +1037,11 @@ class TestLaguerreCellsFromTriangulation:
             body = random_polygon(rng)
             sites = sorted({(F(rng.randint(-6, 6), 2), F(rng.randint(-6, 6), 2)) for _ in range(rng.randint(2, 12))})
             values = [F(rng.randint(-8, 8), 4) for _ in sites]
-            by_site = dict(zip(sites, pg.laguerre_cells(body, sites, values)[0]))
+            by_site = dict(zip(sites, pg.laguerre_cells(body, sites, values).cells))
             pairs = list(zip(sites, values))
             rng.shuffle(pairs)
             shuffled = [s for s, _ in pairs]
-            assert pg.laguerre_cells(body, shuffled, [t for _, t in pairs])[0] == [by_site[s] for s in shuffled]
+            assert pg.laguerre_cells(body, shuffled, [t for _, t in pairs]).cells == [by_site[s] for s in shuffled]
             assert_cells_match_hull(body, shuffled, [t for _, t in pairs])
 
     def test_duplicate_sites_rejected(self):
@@ -1038,6 +1060,21 @@ class TestLaguerreCellsFromTriangulation:
         monkeypatch.setattr(pg, "_cut", lambda *args: calls.append(args) or cut(*args))
         pg.laguerre_cells(delta.body, [x for x, _ in gens], [t for _, t in gens])
         assert len(calls) <= 1000
+
+    def test_potentials_read_cells_only(self, monkeypatch):
+        """A ToricPsh reads its diagram's cells: no cell mass and no wall
+        weight is computed while it is built."""
+        from nama import toric as tc
+
+        delta, gens = k128_paraboloid()
+        diagrams, volumes = [], []
+        laguerre_cells, loop_volume = pg.laguerre_cells, pg._loop_volume
+        monkeypatch.setattr(pg, "laguerre_cells", lambda *args: diagrams.append(laguerre_cells(*args)) or diagrams[-1])
+        monkeypatch.setattr(pg, "_loop_volume", lambda *args: volumes.append(args) or loop_volume(*args))
+        f = tc.ToricPsh(delta, gens)
+        assert len(diagrams) == 1 and list(f.cells) == [c for c in diagrams[0].cells if c is not None]
+        assert "masses" not in vars(diagrams[0]) and "walls" not in vars(diagrams[0])
+        assert volumes == []
 
 
 @settings(max_examples=80, deadline=None)

@@ -342,7 +342,7 @@ class TestNormalize:
         for t in ((F(1, 3), F(-1, 2), F(5)), (F(0), F(0), F(7, 3))):
             phi = tc.envelope(p.delta, list(zip(p.sites, t)))
             assert len(phi.generators) < len(p.sites)
-            self.assert_matches_max_over_value(sv._solution(p, t, [], sv._state(p, t)))
+            self.assert_matches_max_over_value(sv._solution(p, t, [], *sv._state(p, t)))
 
 
 class TestClMeasure:
@@ -418,13 +418,13 @@ def reference_wall_weights(p, phi):
 
 class TestWallHessian:
     def check(self, p, t):
-        """The weights of the `_state` edges against the reference, and its
-        masses against `ma_measure`."""
+        """The weights of the `_state` diagram's walls against the reference,
+        and its masses against `ma_measure`."""
         phi = tc.envelope(p.delta, list(zip(p.sites, t)))
-        state = sv._state(p, t)
-        assert state.masses == _masses(p, t)
+        diagram, _ = sv._state(p, t)
+        assert diagram.masses == _masses(p, t)
         edges = {}
-        for i, j, w in state.edges:
+        for i, j, w in diagram.walls:
             assert w > 0 and i < j and (i, j) not in edges
             edges[(i, j)] = w * w
         assert edges == reference_wall_weights(p, phi)
@@ -435,16 +435,16 @@ class TestWallHessian:
         with weight |wall| / |x_0 - x_2| = 1/2."""
         p = _problem(SQ, [(F(0), F(0)), (F(1), F(0)), (F(2), F(0))], [F(1)] * 3)
         t = [F(0), F(1, 2), F(1)]
-        state = sv._state(p, t)
-        assert state.masses == [F(1, 2), F(0), F(1, 2)]
-        _, walls = pg.laguerre_cells(p.delta.body, p.sites, t)
-        assert walls == [(0, 2, (F(1, 2), F(0)), (F(1, 2), F(1)))]
-        assert state.edges == [(0, 2, F(1, 2))]
+        diagram, _ = sv._state(p, t)
+        assert diagram.masses == [F(1, 2), F(0), F(1, 2)]
+        ends = [(i, j, pg._from_homogeneous(u, 2), pg._from_homogeneous(v, 2)) for i, j, u, v in diagram._ends]
+        assert ends == [(0, 2, (F(1, 2), F(0)), (F(1, 2), F(1)))]
+        assert diagram.walls == [(0, 2, F(1, 2))]
         assert self.check(p, t) == {(0, 2): F(1, 4)}
         p = _problem(interval(-1, 2), [(F(0),), (F(1),), (F(2),)], [F(1)] * 3)
-        state = sv._state(p, t)
-        assert state.masses == [F(3, 2), F(0), F(3, 2)]
-        assert state.edges == [(0, 2, F(1, 2))]
+        diagram, _ = sv._state(p, t)
+        assert diagram.masses == [F(3, 2), F(0), F(3, 2)]
+        assert diagram.walls == [(0, 2, F(1, 2))]
         assert self.check(p, t) == {(0, 2): F(1, 4)}
 
     @settings(max_examples=60, deadline=None)
@@ -515,6 +515,47 @@ def test_import_nama_cli_loads_no_numpy():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sv.__file__)))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+def halving_start_potentials(p):
+    """(h, t) of `start_potentials` with h halved from 1 until every
+    c + h (x_i - c) lies in Delta, tested by `Polytope.contains`: the
+    reference for its closed-form h."""
+    body = p.delta.body
+    c = pg.centroid(body)
+    h = F(1)
+    while not all(body.contains(tuple(ck + h * (xk - ck) for xk, ck in zip(x, c))) for x in p.sites):
+        h /= 2
+
+    def q(x):
+        y = pg.sub(x, c)
+        return pg.dot(x, c) + h * pg.dot(y, y) / 2
+
+    q_bar = q(p.barycenter())
+    return h, tuple(q(x) - q_bar for x in p.sites)
+
+
+def test_start_potentials_match_the_halving_loop():
+    """On 400 seeded 1-D and 2-D problems, and on sites whose points
+    c + h (x_i - c) land exactly on a facet at h = 1 or 1/2 or never leave
+    Delta."""
+    problems = [
+        _problem(SQ, [(F(3, 2), F(1, 2)), (F(0), F(0))], [F(1), F(1)]),
+        _problem(SQ, [(F(1), F(1)), (F(1, 4), F(0))], [F(1), F(1)]),
+        _problem(SQ, [(F(1, 2), F(1, 2))], [F(1)]),
+        _problem(interval(-1, 2), [(F(7),), (F(-5, 2),)], [F(1), F(2)]),
+    ]
+    for dim in (1, 2):
+        rng = hx.SplitMix64(dim)
+        cfg = hx.GenConfig(seed=dim, dimension=dim)
+        for _ in range(200):
+            problems.append(hx.gen_dirac_problem(rng, hx.gen_polytope(rng, dim, 5), cfg, max_sites=8))
+    hs = set()
+    for p in problems:
+        h, want = halving_start_potentials(p)
+        assert sv.start_potentials(p) == want
+        hs.add(h)
+    assert {F(1), F(1, 2), F(1, 4), F(1, 8)} <= hs
 
 
 class TestNewtonPath:

@@ -88,20 +88,15 @@ def _poisson(inst: io.InstanceFile):
 
 
 def _energy(inst: io.InstanceFile):
-    mode = inst.mode
     if inst.kind == "toric-envelope":
         delta = inst.data["delta"]
         f = tc.envelope(delta, inst.data["constraints"])
-        return {
-            "energy": io._render(tc.energy(f, tc.g_delta(delta)), mode),
-            "total_mass": io._render(tc.ma_measure(f).total_mass, mode),
-        }, 0
-    graph, omega, mu = inst.data["graph"], inst.data["omega"], inst.data["mu"]
-    phi = cv.solve_poisson(graph, omega, mu)
-    return {
-        "energy": io._render(cv.energy_graph(graph, phi, omega), mode),
-        "pairing": io._render(cv.integrate_graph(graph, phi, mu), mode),
-    }, 0
+        values = {"energy": tc.energy(f, tc.g_delta(delta)), "total_mass": tc.ma_measure(f).total_mass}
+    else:
+        graph, omega, mu = inst.data["graph"], inst.data["omega"], inst.data["mu"]
+        phi = cv.solve_poisson(graph, omega, mu)
+        values = {"energy": cv.energy_graph(graph, phi, omega), "pairing": cv.integrate_graph(graph, phi, mu)}
+    return io.energy_payload(inst, values), 0
 
 
 # name -> (help, accepted instance kinds, instance -> (payload, exit code))

@@ -240,15 +240,15 @@ def gen_graph_measure(rng: SplitMix64, n: int, total: Fraction) -> List[Fraction
 # --------------------------------------------------------------------------
 
 
-def normalized_candidate(f: tc.ToricPsh, band: int = 1) -> tc.ToricPsh:
+def normalized_candidate(f: tc.ToricPsh) -> tc.ToricPsh:
     """Shift and, if needed, contract a potential toward the reference so
-    that f - g_Delta takes values in [-band, 0], exactly."""
+    that f - g_Delta takes values in [-1, 0], exactly."""
     ref = tc.g_delta(f.delta)
     lo, hi = tc.difference_range(f, ref)
     f = f.shift(-hi)
     lo = lo - hi
-    if lo < -band:
-        s = Fraction(band, math.ceil(Fraction(-lo)))
+    if lo < -1:
+        s = Fraction(1, math.ceil(Fraction(-lo)))
         f = tc.affine_combination([(1 - s, ref), (s, f)])
     return f
 
@@ -634,7 +634,7 @@ def _suite_capacity(rng: SplitMix64, cfg: GenConfig):
     )
     candidates = [ref, u_over_m, normalized_candidate(gen_psh(rng, delta, cfg))]
     mu_u = tc.ma_measure(u)
-    region = mu_u.points()
+    region = set(mu_u.points())
     witness = {
         "polytope": io.encode_polytope(delta),
         "u": io.encode_generators(u),
@@ -643,8 +643,8 @@ def _suite_capacity(rng: SplitMix64, cfg: GenConfig):
 
     # MA(u)(E) <= M^n MA(u/M)(E) <= M^n * capacity lower bound.
     mu_m = tc.ma_measure(u_over_m)
-    lhs = sum((w for p, w in mu_u.atoms if p in set(region)), _ZERO)
-    mid = sum((w for p, w in mu_m.atoms if p in set(region)), _ZERO)
+    lhs = sum((w for p, w in mu_u.atoms if p in region), _ZERO)
+    mid = sum((w for p, w in mu_m.atoms if p in region), _ZERO)
     try:
         cap = capacity_lower(delta, region, candidates)
     except CandidateOutOfRange:
@@ -845,9 +845,8 @@ def _suite_graph(rng: SplitMix64, cfg: GenConfig):
     if rho.canonical().vertex_weights != tuple(mu_w) or max(phi.values) != 0:
         failures.append(("graph:poisson-round-trip", witness))
 
-    rhs = [a - b for a, b in zip(omega_w, mu_w)]
-    v0 = cv._grounded_laplace_solve(graph, rhs, 0)
-    v1 = cv._grounded_laplace_solve(graph, rhs, n - 1)
+    v0 = cv.PoissonSolver(graph, 0).solve(omega_w, mu_w).values
+    v1 = cv.PoissonSolver(graph, n - 1).solve(omega_w, mu_w).values
     if len({a - b for a, b in zip(v0, v1)}) != 1:
         failures.append(("graph:uniqueness", witness))
 

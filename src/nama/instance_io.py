@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Dict, Optional
@@ -20,7 +21,6 @@ from . import curves as cv
 from . import solver as sv
 from . import toric as tc
 from .errors import ParseError, ValidationError
-from .scalars import format_scalar, parse_scalar
 
 FORMAT_VERSION = 1
 
@@ -36,14 +36,24 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _loads(text: str):
-    """Decode JSON text; whatever the text, a failure is a ParseError."""
+def _document(text: str, kinds=None):
+    """Decode an instance or result file: a JSON object, whose kind is
+    checked first when `kinds` is given, then its mode.  Whatever the
+    text, a failure is a ParseError or a ValidationError."""
     try:
-        return json.loads(text)
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno) from None
     except (RecursionError, ValueError) as exc:  # nested too deep; an integer too long
         raise ParseError(str(exc)) from None
+    if not isinstance(obj, dict):
+        raise ParseError("top-level value must be an object")
+    if kinds is not None and obj.get("kind") not in kinds:
+        raise ValidationError("kind", f"expected one of {', '.join(kinds)}")
+    mode = obj.get("mode", "rational")
+    if mode not in MODES:
+        raise ValidationError("mode", "expected 'rational' or 'float'")
+    return obj, mode
 
 
 # --------------------------------------------------------------------------
@@ -51,9 +61,18 @@ def _loads(text: str):
 # --------------------------------------------------------------------------
 
 
+_DECIMAL_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)$")
+_RATIO_RE = re.compile(r"^([+-]?\d+)\s*/\s*(\d+)$")
+
+
 def _scalar(value, mode: str, field: str) -> Fraction:
+    """A JSON integer, a "p/q" or decimal string, or (float mode only) a
+    finite JSON float, as a Fraction.  Rational mode never goes through
+    float rounding."""
     if isinstance(value, bool):
         raise ValidationError(field, f"not a number: {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
     if isinstance(value, float):
         if mode == "rational":
             raise ValidationError(
@@ -62,10 +81,28 @@ def _scalar(value, mode: str, field: str) -> Fraction:
         if not math.isfinite(value):
             raise ValidationError(field, f"not a finite number: {value!r}")
         return Fraction(value)
-    try:
-        return parse_scalar(value)
+    if not isinstance(value, str):
+        raise ValidationError(field, f"not a rational literal: {value!r}")
+    s = value.strip()
+    try:  # int() refuses strings of more than sys.get_int_max_str_digits() digits
+        m = _RATIO_RE.match(s)
+        if m:
+            num, den = int(m.group(1)), int(m.group(2))
+            if den == 0:
+                raise ValidationError(field, f"zero denominator in {value!r}")
+            return Fraction(num, den)
+        if _DECIMAL_RE.match(s):
+            return Fraction(s)
     except ValueError as exc:
         raise ValidationError(field, str(exc)) from None
+    raise ValidationError(field, f"not a rational literal: {value!r}")
+
+
+def format_scalar(x: Fraction) -> str:
+    """Render a rational as ``"p"`` or ``"p/q"`` (lowest terms)."""
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f"{x.numerator}/{x.denominator}"
 
 
 def _is_int(value) -> bool:
@@ -132,6 +169,18 @@ def encode_generators(f: tc.ToricPsh, mode: str = "rational"):
         {"site": [_render(c, mode) for c in x], "value": _render(t, mode)}
         for x, t in f.generators
     ]
+
+
+def decode_generators(objs, mode: str, field: str, n: int):
+    """(site, value) pairs from a list of {"site", "value"} objects with
+    sites in dimension n: an envelope's constraints or a result's
+    generators."""
+    gens = []
+    for i, g in enumerate(_list(objs, field)):
+        gf = f"{field}[{i}]"
+        _check_keys(g, {"site", "value"}, {"site", "value"}, gf)
+        gens.append((_point(g["site"], mode, f"{gf}.site", n), _scalar(g["value"], mode, f"{gf}.value")))
+    return tuple(gens)
 
 
 def encode_test_function(f: tc.TestFunction, mode: str = "rational"):
@@ -272,15 +321,8 @@ def _grid_points(delta: tc.NewtonPolytope, m: int) -> int:
 def parse_instance(text: str) -> InstanceFile:
     """Strict parse: unknown fields are rejected and every structural
     invariant (mass balance, distinct sites, connectivity) is validated."""
-    obj = _loads(text)
-    if not isinstance(obj, dict):
-        raise ParseError("top-level value must be an object")
-    kind = obj.get("kind")
-    if kind not in KINDS:
-        raise ValidationError("kind", f"expected one of {', '.join(KINDS)}")
-    mode = obj.get("mode", "rational")
-    if mode not in MODES:
-        raise ValidationError("mode", "expected 'rational' or 'float'")
+    obj, mode = _document(text, KINDS)
+    kind = obj["kind"]
     _check_keys(obj, *_TOP_KEYS[kind], "")
     solver_cfg = _parse_solver_block(obj.get("solver"), mode)
     data: Dict[str, Any] = {}
@@ -311,16 +353,10 @@ def parse_instance(text: str) -> InstanceFile:
                 )
             data["problem"] = sv.DiracProblem(delta, tuple(sites), tuple(weights))
         else:
-            if "constraints" not in obj or not _list(obj["constraints"], "constraints"):
+            cons = decode_generators(obj.get("constraints", []), mode, "constraints", n)
+            if not cons:
                 raise ValidationError("constraints", "need at least one constraint")
-            cons = []
-            for i, c in enumerate(obj["constraints"]):
-                cf = f"constraints[{i}]"
-                _check_keys(c, {"site", "value"}, {"site", "value"}, cf)
-                cons.append(
-                    (_point(c["site"], mode, f"{cf}.site", n), _scalar(c["value"], mode, f"{cf}.value"))
-                )
-            data["constraints"] = tuple(cons)
+            data["constraints"] = cons
             if "lattice_m" in obj:
                 m = obj["lattice_m"]
                 if not _is_int(m) or m < 1:
@@ -427,6 +463,11 @@ def graph_function_payload(inst: InstanceFile, f: cv.GraphFunction) -> Dict[str,
     }
 
 
+def energy_payload(inst: InstanceFile, values: Dict[str, Fraction]) -> Dict[str, Any]:
+    """The `energy` command's named rationals, in the instance's mode."""
+    return {name: _render(x, inst.mode) for name, x in values.items()}
+
+
 def revalidate_result(inst: InstanceFile, result: Dict[str, Any]) -> Fraction:
     """Rebuild the potential from the instance plus the result's t vector
     and recompute the residual; exact in rational mode."""
@@ -451,23 +492,14 @@ def export_cells(text: str) -> str:
     """One row per (cell, vertex) of the Laguerre diagram of a toric
     result file's solution, lexicographically ordered, with exact p/q
     columns in rational mode."""
-    result = _loads(text)
-    if not isinstance(result, dict):
-        raise ParseError("top-level value must be an object")
-    mode = result.get("mode", "rational")
-    if mode not in MODES:
-        raise ValidationError("mode", "expected 'rational' or 'float'")
+    result, mode = _document(text)
     sol = result.get("solution")
     if not isinstance(sol, dict) or "generators" not in sol:
         raise ValidationError("solution", "not a toric result file with generators")
     if "polytope" not in sol:
         raise ValidationError("solution.polytope", "missing field")
     delta = decode_polytope(sol["polytope"], mode, "solution.polytope")
-    gens = []
-    for i, g in enumerate(_list(sol["generators"], "solution.generators")):
-        gf = f"solution.generators[{i}]"
-        _check_keys(g, {"site", "value"}, {"site", "value"}, gf)
-        gens.append((_point(g["site"], mode, f"{gf}.site", delta.dim), _scalar(g["value"], mode, f"{gf}.value")))
+    gens = decode_generators(sol["generators"], mode, "solution.generators", delta.dim)
     f = tc.ToricPsh(delta, gens)
     mu = tc.ma_measure(f)
     n = delta.dim

@@ -473,6 +473,75 @@ def test_instance_of_another_kind_exits_two_naming_kind(tmp_path, capsys, comman
     assert not out.exists()
 
 
+def _int_limit_message(digits):
+    """What int() says of a string of `digits` digits, past the limit."""
+    try:
+        int("9" * digits)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _value(value):
+    """ENVELOPE with `value` as its first constraint's value."""
+    return _mutated(ENVELOPE, ["constraints", 0, "value"], value)
+
+
+KINDS_LINE = "error: kind: expected one of toric-dirac, toric-envelope, curve-poisson, curve-green"
+
+# name -> (command, input document, the error line it exits 2 with, or
+# the canonical literal whose output it must reproduce)
+READ_CASES = {
+    "word": ("envelope", _value("abc"), "error: constraints[0].value: not a rational literal: 'abc'"),
+    "zero-denominator": ("envelope", _value("1/0"), "error: constraints[0].value: zero denominator in '1/0'"),
+    "exponent": ("envelope", _value("1e5"), "error: constraints[0].value: not a rational literal: '1e5'"),
+    "empty": ("envelope", _value(""), "error: constraints[0].value: not a rational literal: ''"),
+    "true": ("envelope", _value(True), "error: constraints[0].value: not a number: True"),
+    "null": ("envelope", _value(None), "error: constraints[0].value: not a rational literal: None"),
+    "list": ("envelope", _value([1]), "error: constraints[0].value: not a rational literal: [1]"),
+    "long-numerator": (
+        "energy",
+        _value("9" * 5000 + "/7"),
+        f"error: constraints[0].value: {_int_limit_message(5000)}",
+    ),
+    "spaced-ratio": ("envelope", _value(" 1 / 3 "), "1/3"),
+    "decimal": ("energy", _value("-0.75"), "-3/4"),
+    "json-integer": ("envelope", _value(7), "7"),
+    "kind-before-mode": ("energy", dict(ENVELOPE, kind="toric", mode="exact"), KINDS_LINE),
+    "result-generator-site": (
+        "export-cells",
+        {
+            "solution": {
+                "polytope": DIRAC["polytope"],
+                "generators": [{"site": ["0", "0"], "value": "0"}, {"site": "x", "value": "0"}],
+            }
+        },
+        "error: solution.generators[1].site: expected a coordinate list",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READ_CASES))
+def test_every_rational_and_document_is_read_alike(tmp_path, capsys, name):
+    """Each input exits 2 with its one error line, or gives the output,
+    byte for byte, of the same instance with the canonical literal; only
+    the instance hash differs."""
+    command, doc, expected = READ_CASES[name]
+
+    def run(doc):
+        path, out = tmp_path / "inst.json", tmp_path / "out.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli(tmp_path, command, path, "-o", out, "--no-timestamp")
+        lines = out.read_text().splitlines() if code == 0 else []
+        return code, capsys.readouterr().err, [l for l in lines if "instance_sha256" not in l]
+
+    if expected.startswith("error: "):
+        assert run(doc)[:2] == (2, expected + "\n")
+    else:
+        code, err, output = run(doc)
+        assert (code, err) == (0, "")
+        assert output == run(_value(expected))[2]
+
+
 def test_two_main_calls_build_one_parser(tmp_path, monkeypatch):
     built = []
     add_subparsers = argparse.ArgumentParser.add_subparsers

@@ -1,8 +1,8 @@
 """Regression oracle: pinned sha256 digests of `--no-timestamp` outputs.
 
 Every suite report at seed 1 with two cases, in each dimension the suite
-runs in, and the `envelope`, `energy` and `solve` outputs of fixed
-instances must stay byte-identical.  A digest changes only together with
+runs in, and the `envelope`, `energy`, `solve`, `green` and `poisson`
+outputs of fixed instances must stay byte-identical.  A digest changes only together with
 a deliberate change of results, recorded in CHANGES.md.  A suite report
 without timing holds the suite name, the case count and the failures
 with their witnesses, so its digest pins which assertions fail and how.
@@ -86,6 +86,48 @@ DIRAC_RATIONAL_2D = {
     "solver": {"tol": "1/1000000000000000"},
 }
 
+# Six vertices: a cycle with a chord and a parallel edge, lengths over
+# coprime denominators.
+GRAPH_6 = {
+    "vertex_count": 6,
+    "edges": [
+        [0, 1, "1/2"], [1, 2, "2/3"], [2, 3, "3/5"], [3, 4, "5/7"],
+        [4, 5, "1"], [5, 0, "7/4"], [1, 4, "4/9"], [1, 4, "11/6"],
+    ],
+}
+
+GREEN_6 = {"kind": "curve-green", "mode": "rational", "graph": GRAPH_6, "x": 2, "y": 5}
+
+POISSON_VERTEX_6 = {
+    "kind": "curve-poisson",
+    "mode": "rational",
+    "graph": GRAPH_6,
+    "omega": [{"vertex": v, "weight": "1"} for v in range(6)],
+    "mu": [
+        {"vertex": 0, "weight": "5/2"}, {"vertex": 2, "weight": "4/3"},
+        {"vertex": 3, "weight": "3/4"}, {"vertex": 5, "weight": "17/12"},
+    ],
+}
+
+# Interior atoms at positions over denominators 2, 3, 4, 5, 7 and 11, one
+# edge with two of them, one atom that omega and mu share and one whose
+# charges cancel.
+POISSON_INTERIOR_6 = {
+    "kind": "curve-poisson",
+    "mode": "rational",
+    "graph": GRAPH_6,
+    "omega": [
+        {"vertex": 0, "weight": "2"}, {"vertex": 3, "weight": "3/2"},
+        {"edge": 4, "pos": "2/7", "weight": "5/2"}, {"edge": 6, "pos": "1/2", "weight": "1/4"},
+    ],
+    "mu": [
+        {"vertex": 1, "weight": "1"}, {"edge": 0, "pos": "1/3", "weight": "3/4"},
+        {"edge": 2, "pos": "3/4", "weight": "1/2"}, {"edge": 2, "pos": "1/5", "weight": "5/4"},
+        {"edge": 4, "pos": "2/7", "weight": "1"}, {"edge": 7, "pos": "6/11", "weight": "3/2"},
+        {"edge": 6, "pos": "1/2", "weight": "1/4"},
+    ],
+}
+
 SUITE_DIGESTS = {
     # (suite, dimension) -> sha256 of `nama check --seed 1 --cases 2 --no-timestamp`
     ("capacity", 1): "676ddccc9db4405ceae503cf9966d8b0b9406fb22bfde61ebd393c510216c155",
@@ -121,6 +163,11 @@ COMMAND_DIGESTS = {
     ("solve", "dirac_8"): "83331e9d8607c03216e3538dc1c66f213d713e6a683c2ce082f4c1176a9e8ea4",
     ("solve", "dirac_1d"): "ddabf14d698259728bc23cfe5419644ff75c81043503479e01fbbfead05dc506",
     ("solve", "dirac_rational_2d"): "d726b3e2fe1258adf5a9fa6abc3f3ebe4c3da1f4331b012d362061aa4527e432",
+    ("green", "green_6"): "66ceca50ec49dcad749f7d210080849835b6ffb80ef2a0320c9a47c79f8b4379",
+    ("poisson", "poisson_vertex_6"): "6e090fda98e7471ceeee1b94dcb5f545a63eda2afb6fbe5d257dc9b70473d66b",
+    ("poisson", "poisson_interior_6"): "a9926a928b510a49d333015d409c6cd8744f3efb9b9a058232803a7880aff8d2",
+    ("energy", "poisson_vertex_6"): "432531aee29c724f0654e25e54e4b61397de0075db5b5635dbabb3e9d993e702",
+    ("energy", "poisson_interior_6"): "1189ad41af2e40293f4f6fb609b22baa98d184cf42f1cb6272739709e4650cee",
 }
 
 INSTANCES = {
@@ -131,6 +178,9 @@ INSTANCES = {
     "dirac_8": DIRAC_8,
     "dirac_1d": DIRAC_1D,
     "dirac_rational_2d": DIRAC_RATIONAL_2D,
+    "green_6": GREEN_6,
+    "poisson_vertex_6": POISSON_VERTEX_6,
+    "poisson_interior_6": POISSON_INTERIOR_6,
 }
 
 

@@ -13,11 +13,15 @@ solve is on the original vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from itertools import zip_longest
+from math import lcm
+from operator import add
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .errors import MassMismatch, NotPsh, SameVertex
-from .linalg import ExactLinearSolver, solve_exact
+from .linalg import ExactLinearSolver, integers, solve_exact
 
 _ZERO = Fraction(0)
 
@@ -35,9 +39,7 @@ class MetricGraph:
     edges: Tuple[Tuple[int, int, Fraction], ...]
 
     def __post_init__(self):
-        edges = tuple(
-            (int(u), int(v), Fraction(l)) for u, v, l in self.edges
-        )
+        edges = tuple((int(u), int(v), Fraction(l)) for u, v, l in self.edges)
         object.__setattr__(self, "edges", edges)
         if self.vertex_count < 1:
             raise ValueError("graph needs at least one vertex")
@@ -51,25 +53,21 @@ class MetricGraph:
                 raise ValueError(f"edge {idx} has non-positive length")
             adj[u].append(v)
             adj[v].append(u)
-        seen = [False] * self.vertex_count
-        stack = [0]
-        seen[0] = True
+        seen, stack = {0}, [0]
         while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
+            for v in adj[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
                     stack.append(v)
-        if not all(seen):
+        if len(seen) != self.vertex_count:
             raise ValueError("graph is not connected")
 
 
 def _norm_edge_items(graph: MetricGraph, per_edge) -> Tuple[Tuple[EdgeAtom, ...], ...]:
-    out = []
-    e = len(graph.edges)
-    per_edge = tuple(per_edge) if per_edge else tuple(() for _ in range(e))
-    if len(per_edge) != e:
+    per_edge = tuple(per_edge) if per_edge else ((),) * len(graph.edges)
+    if len(per_edge) != len(graph.edges):
         raise ValueError("per-edge data must match the edge list")
+    out = []
     for items in per_edge:
         items = tuple((Fraction(p), Fraction(x)) for p, x in items)
         for p, _ in items:
@@ -107,8 +105,6 @@ class GraphFunction:
         prof = self.profile(graph, e)
         for (p0, x0), (p1, x1) in zip(prof, prof[1:]):
             if p0 <= pos <= p1:
-                if p0 == p1:
-                    return x0
                 return x0 + (x1 - x0) * (pos - p0) / (p1 - p0)
         raise ValueError(f"position {pos} outside [0,1]")
 
@@ -138,11 +134,10 @@ class GraphMeasure:
             raise ValueError("one weight per vertex required")
         return GraphMeasure(w, _norm_edge_items(graph, edge_atoms))
 
-    @property
+    @cached_property
     def total_mass(self) -> Fraction:
-        return sum(self.vertex_weights, _ZERO) + sum(
-            (x for bps in self.edge_atoms for _, x in bps), _ZERO
-        )
+        """Computed on first read and kept: parsing and solving read it often."""
+        return sum((x for bps in self.edge_atoms for _, x in bps), sum(self.vertex_weights, _ZERO))
 
     def is_positive(self) -> bool:
         return all(w >= 0 for w in self.vertex_weights) and all(
@@ -152,25 +147,8 @@ class GraphMeasure:
     def canonical(self) -> "GraphMeasure":
         """Drop zero-weight interior atoms (vertex entries stay in place)."""
         return GraphMeasure(
-            self.vertex_weights,
-            tuple(
-                tuple((p, x) for p, x in bps if x != 0) for bps in self.edge_atoms
-            ),
+            self.vertex_weights, tuple(tuple((p, x) for p, x in bps if x != 0) for bps in self.edge_atoms)
         )
-
-
-def add_measures(a: GraphMeasure, b: GraphMeasure) -> GraphMeasure:
-    vw = tuple(x + y for x, y in zip(a.vertex_weights, b.vertex_weights))
-    e = max(len(a.edge_atoms), len(b.edge_atoms))
-    atoms = []
-    for i in range(e):
-        merged: Dict[Fraction, Fraction] = {}
-        for src in (a.edge_atoms, b.edge_atoms):
-            if i < len(src):
-                for p, x in src[i]:
-                    merged[p] = merged.get(p, _ZERO) + x
-        atoms.append(tuple(sorted(merged.items())))
-    return GraphMeasure(vw, tuple(atoms))
 
 
 # --------------------------------------------------------------------------
@@ -180,29 +158,39 @@ def add_measures(a: GraphMeasure, b: GraphMeasure) -> GraphMeasure:
 
 def ddc(graph: MetricGraph, f: GraphFunction) -> GraphMeasure:
     """Sum of outgoing slopes at every vertex and breakpoint: the metric
-    graph Laplacian as a signed measure of total mass zero, read from the
-    slopes along each edge's profile."""
-    weights = [_ZERO] * graph.vertex_count
-    atoms = []
-    for e, (u, v, l) in enumerate(graph.edges):
-        prof = f.profile(graph, e)
-        slopes = [(x1 - x0) / (l * (p1 - p0)) for (p0, x0), (p1, x1) in zip(prof, prof[1:])]
-        weights[u] += slopes[0]
-        weights[v] -= slopes[-1]
-        jumps = ((p, b - a) for (p, _), a, b in zip(prof[1:-1], slopes, slopes[1:]))
-        atoms.append(tuple((p, x) for p, x in jumps if x != 0))
-    if sum(weights, _ZERO) + sum((x for a in atoms for _, x in a), _ZERO) != 0:
+    graph Laplacian as a signed measure of total mass zero.  It is the
+    graph Laplacian of the subdivision at f's breakpoints, computed with
+    f's values over one common denominator d and the conductances
+    1 / (l (p1 - p0)) of the segments over another, k."""
+    n, bps = graph.vertex_count, f.breakpoints or ((),) * len(graph.edges)
+    xs, d = integers([*f.values, *(x for b in bps for _, x in b)])
+    segments, m = [], n  # (node, node, conductance num / den); breakpoints are nodes n, n + 1, ...
+    for (u, v, l), b in zip(graph.edges, bps):
+        prof = [(0, 1, u), *((p.numerator, p.denominator, i) for i, (p, _) in enumerate(b, m)), (1, 1, v)]
+        m += len(b)
+        segments += [(i, j, l.denominator * q0 * q1, l.numerator * (p1 * q0 - p0 * q1))
+                     for (p0, q0, i), (p1, q1, j) in zip(prof, prof[1:])]
+    k = lcm(*(den for *_, den in segments))
+    weights = [0] * m
+    for i, j, num, den in segments:
+        slope = num * (k // den) * (xs[j] - xs[i])
+        weights[i] += slope
+        weights[j] -= slope
+    if sum(weights) != 0:
         raise AssertionError("dd^c lost mass")  # structurally impossible
-    return GraphMeasure(tuple(weights), tuple(atoms))
+    kd, atoms = k * d, iter(weights[n:])
+    return GraphMeasure(
+        tuple(Fraction(w, kd) for w in weights[:n]),
+        tuple(tuple((p, Fraction(w, kd)) for (p, _), w in zip(b, atoms) if w) for b in bps),
+    )
 
 
 def green(graph: MetricGraph, x: int, y: int) -> GraphFunction:
     """The potential with dd^c(g) = delta_x - delta_y and g(y) = 0."""
     if x == y:
         raise SameVertex("green function needs distinct poles")
-    rhs = [_ZERO] * graph.vertex_count
-    rhs[y] += 1
-    rhs[x] -= 1
+    rhs = [0] * graph.vertex_count
+    rhs[y], rhs[x] = 1, -1
     return GraphFunction(tuple(_grounded_laplace_solve(graph, rhs, y)))
 
 
@@ -228,11 +216,10 @@ def solve_poisson(graph: MetricGraph, omega: GraphMeasure, mu: GraphMeasure) -> 
     rhs = [a - b for a, b in zip(omega.vertex_weights, mu.vertex_weights)]
     charges: List[Dict[Fraction, Fraction]] = [{} for _ in graph.edges]
     for m, sign in ((omega, 1), (mu, -1)):
-        for e, bps in enumerate(m.edge_atoms):
-            u, v, _ = graph.edges[e]
+        for (u, v, _), bps, q in zip(graph.edges, m.edge_atoms, charges):
             for p, x in bps:
                 if x != 0:
-                    charges[e][p] = charges[e].get(p, _ZERO) + sign * x
+                    q[p] = q.get(p, _ZERO) + sign * x
                     rhs[u] += sign * x * (1 - p)
                     rhs[v] += sign * x * p
     vals = _grounded_laplace_solve(graph, rhs, 0)
@@ -242,10 +229,7 @@ def solve_poisson(graph: MetricGraph, omega: GraphMeasure, mu: GraphMeasure) -> 
         for (u, v, l), q in zip(graph.edges, charges)
     ]
     top = max(vals + [x for b in bps for _, x in b])
-    return GraphFunction(
-        tuple(x - top for x in vals),
-        tuple(tuple((s, x - top) for s, x in b) for b in bps),
-    )
+    return GraphFunction(tuple(vals), tuple(map(tuple, bps))).shift(-top)
 
 
 def _conductances(graph: MetricGraph):
@@ -261,8 +245,15 @@ def _grounded_laplace_solve(graph: MetricGraph, rhs, ground: int) -> List[Fracti
 
 def curvature(graph: MetricGraph, omega: GraphMeasure, phi: GraphFunction) -> GraphMeasure:
     """omega + dd^c(phi) as one measure; its interior atoms sit at the
-    union of omega's atoms and phi's breakpoints."""
-    return add_measures(omega, ddc(graph, phi)).canonical()
+    union of omega's atoms and phi's breakpoints, zero atoms dropped."""
+    rho = ddc(graph, phi)
+    atoms = []
+    for omega_atoms, rho_atoms in zip_longest(omega.edge_atoms, rho.edge_atoms, fillvalue=()):
+        merged = dict(rho_atoms)
+        for p, x in omega_atoms:
+            merged[p] = merged.get(p, _ZERO) + x
+        atoms.append(tuple(sorted((p, x) for p, x in merged.items() if x)))
+    return GraphMeasure(tuple(map(add, omega.vertex_weights, rho.vertex_weights)), tuple(atoms))
 
 
 def energy_graph(graph: MetricGraph, phi: GraphFunction, omega: GraphMeasure) -> Fraction:
@@ -272,26 +263,17 @@ def energy_graph(graph: MetricGraph, phi: GraphFunction, omega: GraphMeasure) ->
     atom, i.e. phi is not omega-psh.
     """
     rho = curvature(graph, omega, phi)
-    for v, w in enumerate(rho.vertex_weights):
+    interior = (((e, p), w) for e, bps in enumerate(rho.edge_atoms) for p, w in bps)
+    for where, w in [*enumerate(rho.vertex_weights), *interior]:
         if w < 0:
-            raise NotPsh(v, w)
-    for e, bps in enumerate(rho.edge_atoms):
-        for p, w in bps:
-            if w < 0:
-                raise NotPsh((e, p), w)
+            raise NotPsh(where, w)
     return (integrate_graph(graph, phi, omega) + integrate_graph(graph, phi, rho)) / 2
 
 
 def integrate_graph(graph: MetricGraph, f: GraphFunction, m: GraphMeasure) -> Fraction:
-    total = _ZERO
-    for v, w in enumerate(m.vertex_weights):
-        if w != 0:
-            total += w * f.values[v]
-    for e, bps in enumerate(m.edge_atoms):
-        for p, w in bps:
-            if w != 0:
-                total += w * f.value_on_edge(graph, e, p)
-    return total
+    total = sum((w * x for w, x in zip(m.vertex_weights, f.values) if w), _ZERO)
+    atoms = (w * f.value_on_edge(graph, e, p) for e, bps in enumerate(m.edge_atoms) for p, w in bps if w)
+    return sum(atoms, total)
 
 
 class PoissonSolver:
@@ -306,12 +288,10 @@ class PoissonSolver:
         if sum(rhs, _ZERO) != 0:
             raise MassMismatch("masses differ")
         vals = self.solver.solve(rhs)
-        top = max(vals)
-        return GraphFunction(tuple(v - top for v in vals))
+        return GraphFunction(tuple(vals)).shift(-max(vals))
 
 
-@dataclass(frozen=True)
-class Subdivision:
+class Subdivision(NamedTuple):
     graph: MetricGraph
     inserted: Tuple[Tuple[int, Fraction, int], ...]  # (edge, pos, new vertex id)
 
@@ -320,9 +300,7 @@ def subdivide(graph: MetricGraph, positions: Sequence[Sequence[Fraction]]) -> Su
     """Insert a vertex at each requested interior position.  No operator
     needs it: it is the reference construction the tests check `ddc` and
     `solve_poisson` against, and the benchmark's tracer names it."""
-    next_id = graph.vertex_count
-    edges: List[Tuple[int, int, Fraction]] = []
-    inserted = []
+    next_id, edges, inserted = graph.vertex_count, [], []
     for e, (u, v, l) in enumerate(graph.edges):
         pos = sorted(set(Fraction(p) for p in positions[e])) if e < len(positions) else []
         prev, prev_pos = u, _ZERO

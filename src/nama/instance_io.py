@@ -15,7 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from . import curves as cv
 from . import solver as sv
@@ -129,7 +129,9 @@ def _render(x: Fraction, mode: str):
     return float(x) if mode == "float" else format_scalar(x)
 
 
-def _check_keys(obj, allowed, required, field: str):
+def _check_keys(obj, allowed, required: Tuple[str, ...], field: str):
+    """Reject unknown fields, then name the first missing one in the
+    order of `required`."""
     if not isinstance(obj, dict):
         raise ValidationError(field, "expected an object")
     for key in obj:
@@ -150,7 +152,7 @@ def encode_polytope(delta: tc.NewtonPolytope, mode: str = "rational"):
 
 
 def decode_polytope(obj, mode: str, field: str) -> tc.NewtonPolytope:
-    _check_keys(obj, {"vertices"}, {"vertices"}, field)
+    _check_keys(obj, {"vertices"}, ("vertices",), field)
     verts = obj["vertices"]
     if not isinstance(verts, list) or not verts:
         raise ValidationError(f"{field}.vertices", "expected a non-empty list")
@@ -178,7 +180,7 @@ def decode_generators(objs, mode: str, field: str, n: int):
     gens = []
     for i, g in enumerate(_list(objs, field)):
         gf = f"{field}[{i}]"
-        _check_keys(g, {"site", "value"}, {"site", "value"}, gf)
+        _check_keys(g, {"site", "value"}, ("site", "value"), gf)
         gens.append((_point(g["site"], mode, f"{gf}.site", n), _scalar(g["value"], mode, f"{gf}.value")))
     return tuple(gens)
 
@@ -202,7 +204,7 @@ def encode_graph(graph: cv.MetricGraph, mode: str = "rational"):
 
 
 def decode_graph(obj, mode: str, field: str) -> cv.MetricGraph:
-    _check_keys(obj, {"vertex_count", "edges"}, {"vertex_count", "edges"}, field)
+    _check_keys(obj, {"vertex_count", "edges"}, ("vertex_count", "edges"), field)
     count = obj["vertex_count"]
     if not _is_int(count) or count < 1:
         raise ValidationError(f"{field}.vertex_count", "expected a positive integer")
@@ -233,13 +235,13 @@ def decode_graph_measure(obj, graph: cv.MetricGraph, mode: str, field: str) -> c
         if not isinstance(atom, dict):
             raise ValidationError(af, "expected an object")
         if "vertex" in atom:
-            _check_keys(atom, {"vertex", "weight"}, {"vertex", "weight"}, af)
+            _check_keys(atom, {"vertex", "weight"}, ("vertex", "weight"), af)
             v = atom["vertex"]
             if not _is_int(v) or not (0 <= v < graph.vertex_count):
                 raise ValidationError(f"{af}.vertex", "vertex index out of range")
             vw[v] += _scalar(atom["weight"], mode, f"{af}.weight")
         else:
-            _check_keys(atom, {"edge", "pos", "weight"}, {"edge", "pos", "weight"}, af)
+            _check_keys(atom, {"edge", "pos", "weight"}, ("edge", "pos", "weight"), af)
             e = atom["edge"]
             if not _is_int(e) or not (0 <= e < len(graph.edges)):
                 raise ValidationError(f"{af}.edge", "edge index out of range")
@@ -292,7 +294,7 @@ _TOP_KEYS = {
 def _parse_solver_block(obj, mode: str) -> sv.SolverConfig:
     if obj is None:
         return sv.SolverConfig(mode=mode)
-    _check_keys(obj, {"tol", "max_iter", "damping"}, set(), "solver")
+    _check_keys(obj, {"tol", "max_iter", "damping"}, (), "solver")
     tol = _scalar(obj["tol"], mode, "solver.tol") if "tol" in obj else None
     if tol is not None and tol < 0:
         raise ValidationError("solver.tol", "tol must be nonnegative")

@@ -1,26 +1,48 @@
 """Exact solves of grounded weighted graph Laplacians.
 
-Every exact graph computation in nama is one linear system: L x = b,
-where L is the Laplacian of a graph with positive edge weights and
-x(ground) = 0.  The metric-graph solves of `curves` are such systems, and
-so is the toric solver's Newton step, on the graph of walls between
-Laguerre cells.  Dropping the ground row and column of a connected
-graph's Laplacian leaves a symmetric positive definite matrix, so
-Gaussian elimination meets a positive pivot in every vertex order and
-needs no pivot search.  The order is minimum degree, ties broken by
-vertex index: a tree then reduces leaf by leaf with no fill, and each
-independent cycle adds little (George-Liu, Computer Solution of Large
-Sparse Positive Definite Systems, 1981).  Factor and solves run on
-plain Fractions held in one dict per row, so results are exact.
+Every exact graph computation in nama is one linear system L x = b: L
+is the Laplacian of a graph with positive edge weights and x(ground) = 0.
+The metric-graph solves of `curves` are such systems, and so is the toric
+solver's Newton step on the walls between Laguerre cells.  Without its
+ground row and column a connected graph's Laplacian is positive definite,
+so elimination meets a positive pivot in every order.  The order is
+minimum degree, ties broken by vertex index: a tree reduces leaf by leaf
+with no fill (George-Liu, Computer Solution of Large Sparse Positive
+Definite Systems, 1981).
+
+Factor and solves run on integers: the weights over their least common
+denominator (`integers`).  Eliminating pivot p replaces each neighbour's
+row by (s row_j - t row_p) / c, s and t the pivot and row j's entry over
+their gcd and c the gcd of the new row (integer-preserving elimination,
+Bareiss, Math. Comp. 1968).  Each row stays a positive multiple of its
+Schur complement row, so no pivot changes sign.  A solve replays these
+steps on the right-hand side, kept as integers over one denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import List
+from math import gcd, lcm
+from typing import List, Tuple
 
-_ZERO = Fraction(0)
+
+def integers(values) -> Tuple[List[int], int]:
+    """Rationals as integers over their least common denominator."""
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _put(b, den, i, num, q):
+    """Set b[i] = num / q, num and b over den, scaling b and den up when q
+    does not divide num; return the new den."""
+    if num % q:
+        k = q // gcd(num, q)
+        b[:] = [x * k for x in b]
+        den, num = den * k, num * k
+    b[i] = num // q
+    return den
 
 
 class ExactLinearSolver:
@@ -35,56 +57,56 @@ class ExactLinearSolver:
     def __init__(self, vertex_count: int, weighted_edges, ground: int):
         if not 0 <= ground < vertex_count:
             raise ValueError(f"ground {ground} outside 0..{vertex_count - 1}")
-        diag = [_ZERO] * vertex_count
-        rows = [{} for _ in range(vertex_count)]
-        for u, v, w in weighted_edges:
-            w = Fraction(w)
-            diag[u] += w
-            diag[v] += w
+        edges = list(weighted_edges)
+        weights, self._scale = integers([w for _, _, w in edges])
+        rows = [{p: 0} for p in range(vertex_count)]  # row p holds its diagonal
+        for (u, v, _), w in zip(edges, weights):
+            rows[u][u] += w
+            rows[v][v] += w
             if ground not in (u, v):
-                rows[u][v] = rows[v][u] = rows[u].get(v, _ZERO) - w
+                rows[u][v] = rows[v][u] = rows[u].get(v, 0) - w
         heap = [(len(row), p) for p, row in enumerate(rows) if p != ground]
         heapify(heap)
-        done = [False] * vertex_count
-        # One (vertex, pivot, [(neighbour, entry / pivot)]) per elimination.
+        # One (vertex, pivot, [(j, row_p[j], s, t, c)]) per elimination.
         self._steps = []
         while heap:
             degree, p = heappop(heap)
             row = rows[p]
-            if done[p] or degree != len(row):
+            if row is None or degree != len(row):
                 continue
-            pivot = diag[p]
+            pivot = row.pop(p)
             if pivot <= 0:
                 raise ValueError(
                     "grounded Laplacian is not positive definite: not every vertex reaches the ground"
                 )
-            done[p] = True
-            col = [(j, a / pivot) for j, a in row.items()]
-            for i, (j, lj) in enumerate(col):
-                rj = rows[j]
-                del rj[p]
-                diag[j] -= row[j] * lj
-                for k, lk in col[i + 1:]:
-                    rj[k] = rows[k][j] = rj.get(k, _ZERO) - row[j] * lk
-            for j, _ in col:
+            rows[p], col = None, []
+            for j, a in row.items():
+                ajp = rows[j].pop(p)
+                g = gcd(pivot, ajp)
+                s, t = pivot // g, ajp // g
+                rj = {k: s * x for k, x in rows[j].items()}
+                for k, x in row.items():
+                    rj[k] = rj.get(k, 0) - t * x
+                c = gcd(*rj.values())
+                rows[j] = {k: x // c for k, x in rj.items()} if c > 1 else rj
+                col.append((j, a, s, t, c))
+            for j in row:
                 heappush(heap, (len(rows[j]), j))
             self._steps.append((p, pivot, col))
-        self.vertex_count = vertex_count
+        self.vertex_count, self.ground = vertex_count, ground
 
     def solve(self, rhs) -> List[Fraction]:
         """The x with L x = rhs off the ground and x(ground) = 0."""
         if len(rhs) != self.vertex_count:
             raise ValueError("one right-hand side entry per vertex required")
-        b = [Fraction(x) for x in rhs]
+        b, den = integers(rhs)
         for p, _, col in self._steps:
-            bp = b[p]
-            if bp:
-                for j, lj in col:
-                    b[j] -= lj * bp
-        x = [_ZERO] * self.vertex_count
+            for j, _, s, t, c in col:
+                den = _put(b, den, j, s * b[j] - t * b[p], c)
+        b[self.ground] = 0
         for p, pivot, col in reversed(self._steps):
-            x[p] = b[p] / pivot - sum((lj * x[j] for j, lj in col), _ZERO)
-        return x
+            den = _put(b, den, p, b[p] - sum(a * b[j] for j, a, *_ in col), pivot)
+        return [Fraction(x * self._scale, den) for x in b]  # the factor is of scale * L
 
 
 def solve_exact(vertex_count: int, weighted_edges, ground: int, rhs) -> List[Fraction]:

@@ -33,6 +33,7 @@ from .errors import (
     DimensionUnsupported,
     EmptyInput,
 )
+from .linalg import integers
 
 Point = Tuple[Fraction, ...]
 Halfspace = Tuple[Point, Fraction]  # (a, b) encodes {m : <a, m> <= b}
@@ -66,7 +67,7 @@ def cross(a: Point, b: Point) -> Fraction:
 
 def _primitive(a: Point) -> Point:
     """Scale a rational vector to a primitive integer vector, same direction."""
-    ints, _ = _integers(a)
+    ints, _ = integers(a)
     g = gcd(*ints) or 1
     return tuple(Fraction(v // g) for v in ints)
 
@@ -180,7 +181,7 @@ def hull(points, dim: Optional[int] = None) -> Polytope:
     uniq = sorted(set(pts))
     if len(uniq) == 1:
         return Polytope(2, (uniq[0],), 0)
-    coords, _ = _integers([c for p in uniq for c in p])
+    coords, _ = integers([c for p in uniq for c in p])
     loop = _convex_loop(list(range(len(uniq))), list(zip(coords[0::2], coords[1::2])))
     return Polytope(2, tuple(uniq[i] for i in loop), min(len(loop), 3) - 1)
 
@@ -196,20 +197,13 @@ def hull(points, dim: Optional[int] = None) -> Polytope:
 # --------------------------------------------------------------------------
 
 
-def _integers(values) -> Tuple[List[int], int]:
-    """Rationals as integers over their least common denominator."""
-    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def _planar(p) -> tuple:
     """A 1-D point or normal as its 2-D embedding (x, 0)."""
     return (p[0], 0) if len(p) == 1 else tuple(p)
 
 
 def _homogeneous(p) -> Tuple[int, int, int]:
-    (x, y), w = _integers(_planar(p))
+    (x, y), w = integers(_planar(p))
     return (x, y, w)
 
 
@@ -273,7 +267,7 @@ def clip(p: Polytope, halfspaces) -> Polytope:
     for a, b in halfspaces:
         if len(a) != n:
             raise DimensionMismatch(f"normal {tuple(a)} does not have dimension {n}")
-        cuts.append(_integers(_planar(a) + (b,))[0])
+        cuts.append(integers(_planar(a) + (b,))[0])
     start = loop = [_homogeneous(v) for v in p.vertices]
     for cut in cuts:
         loop = _cut(loop, *cut)
@@ -290,8 +284,8 @@ def laguerre_cells(body: Polytope, sites, values) -> "PowerDiagram":
     (a, b) cuts by (e (X_b - X_a), d (T_b - T_a)).
     """
     n = body.dim
-    coords, d = _integers([c for x in sites for c in _planar(x)])
-    ts, e = _integers(values)
+    coords, d = integers([c for x in sites for c in _planar(x)])
+    ts, e = integers(values)
     xs = list(zip(coords[0::2], coords[1::2]))
     order = sorted(range(len(ts)), key=xs.__getitem__)
     pts = [(e * xs[i][0], e * xs[i][1], d * ts[i]) for i in order]
@@ -393,7 +387,7 @@ def _polygon_sums(p: Polytope):
     """(S, Mx, My, d) of a polygon, on its vertices as integers over their
     least common denominator d: the area is S / 2d^2 and the integrals of
     x and y over p are Mx / 6d^3 and My / 6d^3."""
-    coords, d = _integers([c for v in p.vertices for c in v])
+    coords, d = integers([c for v in p.vertices for c in v])
     xs, ys = coords[0::2], coords[1::2]
     s = mx = my = 0
     for x0, y0, x1, y1 in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1]):
@@ -429,7 +423,7 @@ def moment(p: Polytope, a: Point, c: Fraction) -> Fraction:
     if p.dim == 1:
         return volume(p) * (dot(a, centroid(p)) + Fraction(c))
     s, mx, my, d = _polygon_sums(p)
-    (a0, a1, c0), e = _integers([a[0], a[1], c])
+    (a0, a1, c0), e = integers([a[0], a[1], c])
     return Fraction(a0 * mx + a1 * my + 3 * d * c0 * s, 6 * d**3 * e)
 
 
@@ -741,6 +735,6 @@ def lower_hull(lifted) -> LowerHull:
         raise DimensionUnsupported(f"lower hulls support dimensions 1 and 2, got {dim}")
     if any(len(p) != dim for p, _ in lifted):
         raise DimensionMismatch("mixed dimensions in lifted points")
-    coords, d = _integers([c for p, _ in lifted for c in _planar(p)])
-    hs, e = _integers([h for _, h in lifted])
+    coords, d = integers([c for p, _ in lifted for c in _planar(p)])
+    hs, e = integers([h for _, h in lifted])
     return _lower_hull(dim, zip(coords[0::2], coords[1::2], hs), d, e)

@@ -31,6 +31,7 @@ from .errors import (
     NotDominated,
     WrongArity,
 )
+from .linalg import integers
 from .polyhedra import Point, Polytope, sub
 
 _ZERO = Fraction(0)
@@ -89,8 +90,8 @@ def _dual_forms(gens, d: int) -> Tuple[List[Tuple[int, int, int]], int]:
     """The affine functions <x_a, m> - t_a of generators (x_a, t_a) at
     points m = K / d on integers: forms (A, B, C) and a denominator E, a
     multiple of d, with <x_a, m> - t_a = (A K_0 + B K_1 - C) / E."""
-    xs, dx = pg._integers([c for x, _ in gens for c in pg._planar(x)])
-    ts, dt = pg._integers([t for _, t in gens])
+    xs, dx = integers([c for x, _ in gens for c in pg._planar(x)])
+    ts, dt = integers([t for _, t in gens])
     return [(dt * xs[2 * a], dt * xs[2 * a + 1], d * dx * t) for a, t in enumerate(ts)], d * dx * dt
 
 
@@ -146,7 +147,7 @@ class ToricPsh:
         u = U / D, read off any generator (x, t) whose cell has the slope."""
         if self._table is None:
             cells = self.cells
-            vs, dv = pg._integers([c for p in cells for v in p.vertices for c in pg._planar(v)])
+            vs, dv = integers([c for p in cells for v in p.vertices for c in pg._planar(v)])
             forms, e = _dual_forms(self.generators, dv)
             owner = [g for g, cell in zip(forms, cells) for _ in cell.vertices]
             u = {(x, y): a * x + b * y - c for (a, b, c), x, y in zip(owner, vs[::2], vs[1::2])}
@@ -170,7 +171,7 @@ class ToricPsh:
         if len(y) != self.delta.dim:
             y = tuple(Fraction(c) for c in y)
             raise DimensionMismatch(f"point {y} vs dimension {self.delta.dim}")
-        (y0, y1), dy = pg._integers(pg._planar(y))
+        (y0, y1), dy = integers(pg._planar(y))
         den, rows = self.table
         return Fraction(max(a * y0 + b * y1 - c * dy for a, b, c in rows), den * dy)
 

@@ -176,6 +176,36 @@ class TestLinalg:
                     b = random_rhs(rng, n)
                     assert fact.solve(b) == reference_grounded_solve(n, conductances(g), ground, b)
 
+    def test_coprime_weights_parallel_edges_every_ground(self):
+        """Weights over many coprime denominators, as the toric solver's
+        walls have, with parallel edges, every vertex as the ground and
+        several right-hand sides, integer and rational, on one factor."""
+        rng = random.Random(5)
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+        for n in range(2, 11):
+            edges = [(v, rng.randrange(v), F(rng.randint(1, 40), rng.choice(primes))) for v in range(1, n)]
+            u, v, _ = edges[-1]
+            edges.append((v, u, F(rng.randint(1, 40), rng.choice(primes))))
+            for _ in range(n):
+                u, v = rng.sample(range(n), 2)
+                edges.append((u, v, F(rng.randint(1, 40), rng.choice(primes) * rng.choice(primes))))
+            for ground in range(n):
+                fact = ExactLinearSolver(n, edges, ground)
+                for b in (random_rhs(rng, n), random_rhs(rng, n), [rng.randint(-9, 9) for _ in range(n)]):
+                    assert fact.solve(b) == reference_grounded_solve(n, edges, ground, b)
+
+    def test_integer_right_hand_side_with_a_rational_solution(self):
+        """Integer weights and right-hand sides whose solutions are not
+        integral: the solve has to scale its common denominator up, in the
+        elimination (the triangle) or in the back substitution (the path)."""
+        triangle = [(0, 1, 1), (1, 2, 1), (2, 0, 1), (2, 3, 1)]
+        path = [(1, 0, 2), (2, 1, 2)]
+        for edges, b in ((triangle, [-1, 1, 0, 0]), (triangle, [0, 1, 0, 0]), (path, [-1, 0, 1])):
+            n = len(b)
+            got = solve_exact(n, edges, 0, b)
+            assert got == reference_grounded_solve(n, edges, 0, b)
+            assert any(x.denominator > 1 for x in got)
+
     def test_singular(self):
         """Edge sets that leave a vertex unconnected to the ground."""
         split = [(0, 1, F(1)), (2, 3, F(2))]

@@ -350,6 +350,26 @@ class TestCli:
         assert proc.returncode == 0
         assert "solve" in proc.stdout
 
+    def test_missing_field_error_is_the_same_under_every_hash_seed(self, tmp_path):
+        """An interior atom missing `edge` and `pos` names the first of
+        them in field order, whatever the interpreter's string hashing."""
+        doc = dict(POISSON, omega=[{"vertex": 0, "weight": "2"}, {"weight": "1"}])
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(doc))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        lines = set()
+        for seed in ("0", "1"):  # these two seeds order the field names differently
+            proc = subprocess.run(
+                [sys.executable, "-m", "nama.cli", "poisson", str(inst), "-o", str(tmp_path / "out.json")],
+                capture_output=True,
+                text=True,
+                env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+            )
+            assert proc.returncode == 2
+            lines.add(proc.stderr)
+        assert lines == {"error: omega[1].edge: missing field\n"}
+
 
 class TestRevalidation:
     def test_float_mode_revalidates_within_1e12(self, tmp_path):

@@ -13,11 +13,10 @@ MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 
 # module file -> the private names of other nama modules it may use.
 # `toric` lifts its potentials' points onto the integer core that
-# `polyhedra` shares with it: rationals over one common denominator
-# (`_integers`), a 1-D point as its 2-D embedding (`_planar`) and the
-# lower hull of integer lifted points (`_lower_hull`).
+# `polyhedra` shares with it: a 1-D point as its 2-D embedding
+# (`_planar`) and the lower hull of integer lifted points (`_lower_hull`).
 ALLOWED = {
-    "toric.py": ["polyhedra._integers", "polyhedra._lower_hull", "polyhedra._planar"],
+    "toric.py": ["polyhedra._lower_hull", "polyhedra._planar"],
 }
 
 

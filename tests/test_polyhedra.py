@@ -16,6 +16,7 @@ from nama.errors import (
     DimensionUnsupported,
     EmptyInput,
 )
+from nama.linalg import integers
 
 
 def frac(lo=-4, hi=4, den=8):
@@ -803,7 +804,7 @@ def hull_clip(p, halfspaces):
     n = p.dim
     loop = [pg._homogeneous(v) for v in p.vertices]
     for a, b in halfspaces:
-        loop = pg._cut(loop, *pg._integers(pg._planar(tuple(a)) + (b,))[0])
+        loop = pg._cut(loop, *integers(pg._planar(tuple(a)) + (b,))[0])
         if not loop:
             return pg._empty(n)
     return pg.hull([pg._from_homogeneous(h, n) for h in loop], n)

@@ -1,8 +1,9 @@
 """Regression oracle: pinned sha256 digests of `--no-timestamp` outputs.
 
 Every suite report at seed 1 with two cases, in each dimension the suite
-runs in, and the `envelope`, `energy`, `solve`, `green` and `poisson`
-outputs of fixed instances must stay byte-identical.  A digest changes only together with
+runs in, the `envelope`, `energy`, `solve`, `green` and `poisson`
+outputs of fixed instances and the `export-cells` CSV of their solve
+results must stay byte-identical.  A digest changes only together with
 a deliberate change of results, recorded in CHANGES.md.  A suite report
 without timing holds the suite name, the case count and the failures
 with their witnesses, so its digest pins which assertions fail and how.
@@ -170,6 +171,13 @@ COMMAND_DIGESTS = {
     ("energy", "poisson_interior_6"): "1189ad41af2e40293f4f6fb609b22baa98d184cf42f1cb6272739709e4650cee",
 }
 
+EXPORT_DIGESTS = {
+    # instance name -> sha256 of `export-cells` on its `solve --no-timestamp` result
+    "dirac_2d": "b2642d3cbe4840a53c0e0e02d37c4349c64967c74fec0357d9d60efad5ffd2f8",
+    "dirac_1d": "fb9a540e7cb0fc4708d23caf012f9432b8b83a08050bd65a76569a7a791ba586",
+    "dirac_rational_2d": "6b11737d98c030ffd458de16040a8fb92739cc1e1e56854687c138d36cb516e1",
+}
+
 INSTANCES = {
     "envelope_2d": ENVELOPE_2D,
     "lattice_2d": LATTICE_2D,
@@ -209,6 +217,15 @@ def test_command_output_is_pinned(tmp_path, command, name):
     inst.write_text(json.dumps(INSTANCES[name]))
     assert cli.main([command, str(inst), "-o", str(out), "--no-timestamp"]) == 0
     assert _digest(out) == COMMAND_DIGESTS[command, name]
+
+
+@pytest.mark.parametrize("name", sorted(EXPORT_DIGESTS))
+def test_export_cells_is_pinned(tmp_path, name):
+    inst, result, out = tmp_path / "inst.json", tmp_path / "result.json", tmp_path / "cells.csv"
+    inst.write_text(json.dumps(INSTANCES[name]))
+    assert cli.main(["solve", str(inst), "-o", str(result), "--no-timestamp"]) == 0
+    assert cli.main(["export-cells", str(result), "-o", str(out)]) == 0
+    assert _digest(out) == EXPORT_DIGESTS[name]
 
 
 def test_every_suite_is_pinned():

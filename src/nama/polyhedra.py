@@ -2,26 +2,28 @@
 
 Hulls, half-space clipping, Laguerre (power-diagram) cells, volumes,
 centroids, Minkowski sums and lower convex hulls of lifted point sets,
-all with no rounding.  Points, half-spaces and results cross the API as
-`fractions.Fraction` tuples; inside, everything runs on integers and every
-test is the sign of one integer determinant.  Clipping runs one
-Sutherland-Hodgman loop on homogeneous coordinates, whose output is
-already a convex counterclockwise loop.  Power diagrams come from the
-regular triangulation of the lifted sites, built by inserting them in
-lexicographic order: only its vertices have cells, each the body cut by
-the vertex's neighbours, and the walls are the edges the final loops
-share; those integer loops also give the cell areas.  Lower hulls
-gift-wrap over integer triples (`lower_hull` only converts Fraction
-input).  `hull` is kept for genuine point sets.  Empty and
-lower-dimensional polytopes are ordinary values (volume 0), because cells
-degenerate while a solver walks through potential space.  Dimensions 3
-and higher are rejected.
+all with no rounding.  A polytope holds its vertices once, as a
+canonical loop of integer homogeneous points (X, Y, W); every builder
+produces that loop and every kernel reads it, and every test is the sign
+of one integer determinant.  Points and half-spaces enter the API as
+`fractions.Fraction` tuples, and `Polytope.vertices` is a Fraction view
+made only when it is read.  Clipping runs one Sutherland-Hodgman loop on
+the homogeneous points, whose output is already a convex counterclockwise
+loop.  Power diagrams come from the regular triangulation of the lifted
+sites, built by inserting them in lexicographic order: only its vertices
+have cells, each the body cut by the vertex's neighbours, and the walls
+are the edges the final loops share.  One integer shoelace gives every
+area and moment.  Lower hulls gift-wrap over integer triples
+(`lower_hull` only converts Fraction input).  `hull` is kept for genuine
+point sets.  Empty and lower-dimensional polytopes are ordinary values
+(volume 0), because cells degenerate while a solver walks through
+potential space.  Dimensions 3 and higher are rejected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
@@ -57,10 +59,6 @@ def add(a: Point, b: Point) -> Point:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def scale_point(a: Point, s: Fraction) -> Point:
-    return tuple(s * x for x in a)
-
-
 def cross(a: Point, b: Point) -> Fraction:
     return a[0] * b[1] - a[1] * b[0]
 
@@ -74,19 +72,26 @@ def _primitive(a: Point) -> Point:
 
 @dataclass(frozen=True)
 class Polytope:
-    """A rational polytope given by its irredundant vertex list.
+    """A rational polytope given by its irredundant vertices.
 
-    vertices are stored canonically: sorted for dim <= 1, counterclockwise
-    from the lexicographic minimum for polygons.  `affine_dim` is -1 for
-    the empty polytope.  `facets`, computed on first read, is a consistent
-    half-space description (for lower-dimensional polytopes it includes
-    both sides of the carrier line plus end caps, so the inequalities
-    still cut out the set exactly).
+    Vertices are stored canonically as `loop`, integer homogeneous points
+    (X, Y, W) for (X/W, Y/W), W > 0, gcd(X, Y, W) = 1 and Y = 0 in 1-D,
+    counterclockwise from the lexicographic minimum (sorted for fewer than
+    three vertices), so equal polytopes are equal values.  `affine_dim`
+    is -1 for the empty polytope.  `vertices`, the Fraction points, and
+    `facets`, a consistent half-space description, are computed on first
+    read (for lower-dimensional polytopes the facets include both sides
+    of the carrier line plus end caps, so they still cut out the set
+    exactly).
     """
 
     dim: int
-    vertices: Tuple[Point, ...]
+    loop: Tuple[Tuple[int, int, int], ...]
     affine_dim: int
+
+    @cached_property
+    def vertices(self) -> Tuple[Point, ...]:
+        return tuple(_from_homogeneous(h, self.dim) for h in self.loop)
 
     @cached_property
     def facets(self) -> Tuple[Halfspace, ...]:
@@ -130,7 +135,8 @@ class Polytope:
         s = Fraction(s)
         if s <= 0:
             raise ValueError("scaling factor must be positive")
-        return Polytope(self.dim, tuple(scale_point(q, s) for q in self.vertices), self.affine_dim)
+        a, b = s.numerator, s.denominator
+        return Polytope(self.dim, tuple(_point(a * x, a * y, b * w) for x, y, w in self.loop), self.affine_dim)
 
 
 def _convex_loop(idx: List[int], pts) -> List[int]:
@@ -157,7 +163,9 @@ def hull(points, dim: Optional[int] = None) -> Polytope:
     """Convex hull with an irredundant vertex list and consistent facets.
 
     Lower-dimensional hulls are returned flagged with their affine
-    dimension; interior and collinear points are dropped.
+    dimension; interior and collinear points are dropped.  The points are
+    put over one common denominator d, so the monotone chain runs on
+    integers and each corner is canonicalised with one gcd.
     """
     pts = [tuple(Fraction(c) for c in p) for p in points]
     if not pts:
@@ -171,19 +179,10 @@ def hull(points, dim: Optional[int] = None) -> Polytope:
         if len(p) != n:
             raise DimensionMismatch(f"point {p} does not have dimension {n}")
 
-    if n == 1:
-        lo = min(p[0] for p in pts)
-        hi = max(p[0] for p in pts)
-        if lo == hi:
-            return Polytope(1, ((lo,),), 0)
-        return Polytope(1, ((lo,), (hi,)), 1)
-
-    uniq = sorted(set(pts))
-    if len(uniq) == 1:
-        return Polytope(2, (uniq[0],), 0)
-    coords, _ = integers([c for p in uniq for c in p])
-    loop = _convex_loop(list(range(len(uniq))), list(zip(coords[0::2], coords[1::2])))
-    return Polytope(2, tuple(uniq[i] for i in loop), min(len(loop), 3) - 1)
+    coords, d = integers([c for p in pts for c in _planar(p)])
+    uniq = sorted(set(zip(coords[0::2], coords[1::2])))
+    loop = _convex_loop(list(range(len(uniq))), uniq) or [0]
+    return Polytope(n, tuple(_point(*uniq[i], d) for i in loop), min(len(loop), 3) - 1)
 
 
 # --------------------------------------------------------------------------
@@ -202,9 +201,10 @@ def _planar(p) -> tuple:
     return (p[0], 0) if len(p) == 1 else tuple(p)
 
 
-def _homogeneous(p) -> Tuple[int, int, int]:
-    (x, y), w = integers(_planar(p))
-    return (x, y, w)
+def _point(x: int, y: int, w: int) -> Tuple[int, int, int]:
+    """The canonical homogeneous point of (x/w, y/w), w > 0."""
+    g = gcd(x, y, w)
+    return (x // g, y // g, w // g)
 
 
 def _from_homogeneous(h, dim: int) -> Point:
@@ -243,19 +243,19 @@ def _cut(loop, a0: int, a1: int, b: int):
     return list(dict.fromkeys(out))
 
 
-def _from_loop(loop, n: int, point=_from_homogeneous) -> Polytope:
+def _from_loop(loop, n: int) -> Polytope:
     """The polytope bounded by a `_cut` result, built without a hull:
     fewer than three points are a point or a segment, more a strictly
     convex counterclockwise polygon (Sutherland-Hodgman on a strictly
     convex loop keeps some of its corners plus at most two crossing points
     inside edges, so no three are collinear), only rotated to start at its
-    lexicographic minimum."""
-    pts = [point(h, n) for h in loop]
-    if len(pts) > 2:
-        i0 = pts.index(min(pts))
-        return Polytope(n, tuple(pts[i0:] + pts[:i0]), 2)
-    pts.sort()
-    return Polytope(n, tuple(pts), len(pts) - 1)
+    lexicographic minimum, found by comparing cross-multiplied integers."""
+    i0 = 0
+    for i, (x, y, w) in enumerate(loop):
+        x0, y0, w0 = loop[i0]
+        if (x * w0, y * w0) < (x0 * w, y0 * w):
+            i0 = i
+    return Polytope(n, tuple(loop[i0:] + loop[:i0]), min(len(loop), 3) - 1)
 
 
 def clip(p: Polytope, halfspaces) -> Polytope:
@@ -268,12 +268,12 @@ def clip(p: Polytope, halfspaces) -> Polytope:
         if len(a) != n:
             raise DimensionMismatch(f"normal {tuple(a)} does not have dimension {n}")
         cuts.append(integers(_planar(a) + (b,))[0])
-    start = loop = [_homogeneous(v) for v in p.vertices]
+    loop = p.loop
     for cut in cuts:
         loop = _cut(loop, *cut)
         if not loop:
             return _empty(n)
-    return p if loop is start else _from_loop(loop, n)
+    return p if loop is p.loop else _from_loop(loop, n)
 
 
 def laguerre_cells(body: Polytope, sites, values) -> "PowerDiagram":
@@ -297,12 +297,11 @@ def laguerre_cells(body: Polytope, sites, values) -> "PowerDiagram":
         neighbours[i].append(j)
         if (j, i) not in apex:
             neighbours[j].append(i)
-    start = [_homogeneous(v) for v in body.vertices]
     full = n + 1  # fewer loop points span no full-dimensional cell; as many or more do
     loops: List[Optional[list]] = [None] * len(pts)
     owners, walls = {}, []
     for a, (xa, ya, ta) in enumerate(pts):
-        loop = start
+        loop = body.loop
         for b in neighbours[a]:
             xb, yb, tb = pts[b]
             loop = _cut(loop, xb - xa, yb - ya, tb - ta)
@@ -318,7 +317,7 @@ def laguerre_cells(body: Polytope, sites, values) -> "PowerDiagram":
                 owners[u, v] = i
             else:
                 walls.append((j, i, v, u) if j < i else (i, j, u, v))
-    return PowerDiagram(body, start, loops, sorted(walls), xs, d)
+    return PowerDiagram(body, loops, sorted(walls), xs, d)
 
 
 @dataclass(frozen=True)
@@ -329,8 +328,8 @@ class PowerDiagram:
     their volumes, 0 for None.  walls: (i, j, |wall| / |x_i - x_j|), i < j,
     for each facet the cells of i and j share, the edges of the weighted
     Laplacian whose negative is the Hessian of the dual objective.  Inside,
-    a cell is its final counterclockwise `_cut` loop (`_start`, the body's
-    own, when nothing cuts it) or None, and `_ends` holds the walls as
+    a cell is its final counterclockwise `_cut` loop (the body's own
+    `loop` when nothing cuts it) or None, and `_ends` holds the walls as
     (i, j, u, v) on homogeneous end points, u -> v counterclockwise around
     the cell of i (u = v in 1-D): the edges two final loops run in opposite
     directions, so a degenerate cell between two cells does not hide their
@@ -338,7 +337,6 @@ class PowerDiagram:
     """
 
     body: Polytope
-    _start: list
     _loops: List[Optional[list]]
     _ends: List[tuple]
     _xs: List[Tuple[int, int]]  # the sites as integers over _d
@@ -346,8 +344,8 @@ class PowerDiagram:
 
     @cached_property
     def cells(self) -> List[Optional[Polytope]]:
-        point, n = cache(_from_homogeneous), self.body.dim
-        cell = lambda loop: self.body if loop is self._start else _from_loop(loop, n, point)
+        body = self.body
+        cell = lambda loop: body if loop is body.loop else _from_loop(loop, body.dim)
         return [None if loop is None else cell(loop) for loop in self._loops]
 
     @cached_property
@@ -371,39 +369,34 @@ class PowerDiagram:
         return out
 
 
+def _polygon_sums(loop):
+    """(S, Mx, My, L) of a counterclockwise homogeneous loop, on its points
+    (X, Y) L / W, L the lcm of its W: the area is S / 2L^2 and the
+    integrals of x and y over the polygon are Mx / 6L^3 and My / 6L^3."""
+    big = lcm(*(w for _, _, w in loop))
+    pts = [(x * (big // w), y * (big // w)) for x, y, w in loop]
+    s = mx = my = 0
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
+        c = x0 * y1 - x1 * y0
+        s, mx, my = s + c, mx + (x0 + x1) * c, my + (y0 + y1) * c
+    return s, mx, my, big
+
+
 def _loop_volume(loop, n: int) -> Fraction:
-    """`volume(_from_loop(loop, n))` on integers: the shoelace sum S of the
-    points (X, Y) L / W of a 2-D loop, L the lcm of its W, gives S / 2L^2."""
+    """The volume of a full-dimensional loop: a segment's length, or a
+    polygon's shoelace area."""
     if n == 1:
         (a0, _, w0), (a1, _, w1) = loop
         return Fraction(abs(a1 * w0 - a0 * w1), w0 * w1)
-    big = lcm(*(w for _, _, w in loop))
-    pts = [(x * (big // w), y * (big // w)) for x, y, w in loop]
-    twice = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
-    return Fraction(twice, 2 * big * big)
-
-
-def _polygon_sums(p: Polytope):
-    """(S, Mx, My, d) of a polygon, on its vertices as integers over their
-    least common denominator d: the area is S / 2d^2 and the integrals of
-    x and y over p are Mx / 6d^3 and My / 6d^3."""
-    coords, d = integers([c for v in p.vertices for c in v])
-    xs, ys = coords[0::2], coords[1::2]
-    s = mx = my = 0
-    for x0, y0, x1, y1 in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1]):
-        c = x0 * y1 - x1 * y0
-        s, mx, my = s + c, mx + (x0 + x1) * c, my + (y0 + y1) * c
-    return s, mx, my, d
+    s, _, _, d = _polygon_sums(loop)
+    return Fraction(s, 2 * d * d)
 
 
 def volume(p: Polytope) -> Fraction:
     """Exact n-dimensional Lebesgue volume; 0 for lower-dimensional sets."""
     if p.is_empty or p.affine_dim < p.dim:
         return _ZERO
-    if p.dim == 1:
-        return p.vertices[1][0] - p.vertices[0][0]
-    s, _, _, d = _polygon_sums(p)
-    return Fraction(s, 2 * d * d)
+    return _loop_volume(p.loop, p.dim)
 
 
 def centroid(p: Polytope) -> Point:
@@ -411,8 +404,9 @@ def centroid(p: Polytope) -> Point:
     if p.is_empty or p.affine_dim < p.dim:
         raise EmptyInput("centroid needs a full-dimensional polytope")
     if p.dim == 1:
-        return ((p.vertices[0][0] + p.vertices[1][0]) / 2,)
-    s, mx, my, d = _polygon_sums(p)
+        (a0, _, w0), (a1, _, w1) = p.loop
+        return (Fraction(a0 * w1 + a1 * w0, 2 * w0 * w1),)
+    s, mx, my, d = _polygon_sums(p.loop)
     return (Fraction(mx, 3 * d * s), Fraction(my, 3 * d * s))
 
 
@@ -422,7 +416,7 @@ def moment(p: Polytope, a: Point, c: Fraction) -> Fraction:
         return _ZERO
     if p.dim == 1:
         return volume(p) * (dot(a, centroid(p)) + Fraction(c))
-    s, mx, my, d = _polygon_sums(p)
+    s, mx, my, d = _polygon_sums(p.loop)
     (a0, a1, c0), e = integers([a[0], a[1], c])
     return Fraction(a0 * mx + a1 * my + 3 * d * c0 * s, 6 * d**3 * e)
 
@@ -712,7 +706,7 @@ def _lower_hull(dim: int, lifted, d: int, e: int) -> LowerHull:
         if lowest.get((x, y), h) >= h:
             lowest[x, y] = h
     pts = sorted((x, y, h) for (x, y), h in lowest.items())
-    point = cache(lambda i: tuple(Fraction(c, d) for c in pts[i][:dim]))  # made once, on use
+    point = lambda i: _point(pts[i][0], pts[i][1], d)
     base, cells = (_lower_hull_1d if dim == 1 else _lower_hull_2d)(pts, point, d, e)
     return LowerHull(dim, base, tuple(cells))
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import polyhedra as pg
@@ -144,13 +144,16 @@ class ToricPsh:
     def table(self) -> Tuple[int, List[Tuple[int, int, int]]]:
         """The pieces on integers, built on first read: (D, sorted rows
         (V_0, V_1, U)), a slope V / D (V_1 = 0 in 1-D) and its dual value
-        u = U / D, read off any generator (x, t) whose cell has the slope."""
+        u = U / D, read off any generator (x, t) whose cell has the slope.
+        The slopes are the cells' loop points over the lcm of their W."""
         if self._table is None:
-            cells = self.cells
-            vs, dv = integers([c for p in cells for v in p.vertices for c in pg._planar(v)])
+            dv = lcm(*(w for cell in self.cells for _, _, w in cell.loop))
             forms, e = _dual_forms(self.generators, dv)
-            owner = [g for g, cell in zip(forms, cells) for _ in cell.vertices]
-            u = {(x, y): a * x + b * y - c for (a, b, c), x, y in zip(owner, vs[::2], vs[1::2])}
+            u = {}
+            for (a, b, c), cell in zip(forms, self.cells):
+                for x, y, w in cell.loop:
+                    x, y = x * (dv // w), y * (dv // w)
+                    u[x, y] = a * x + b * y - c
             s = e // dv
             self._table = e, [(x * s, y * s, h) for (x, y), h in sorted(u.items())]
         return self._table
@@ -493,19 +496,21 @@ def energy(f: ToricPsh, ref: ToricPsh) -> Fraction:
 
 def _lattice_points(delta: NewtonPolytope, m: int) -> List[Tuple[int, int]]:
     """The points q of Delta on the (1/m)-lattice as integer pairs m q
-    (second entry 0 in dimension 1), in lexicographic order."""
+    (second entry 0 in dimension 1), in lexicographic order, each row's
+    range read off the integer loop points (X, Y, W) of its clip."""
+    def span(loop, k):  # the K with K / m between the loop's extremes in coordinate k
+        lo = min(-(-p[k] * m // p[2]) for p in loop)
+        return range(lo, max(p[k] * m // p[2] for p in loop) + 1)
+
     body = delta.body
     if delta.dim == 1:
-        lo, hi = body.vertices[0][0], body.vertices[-1][0]
-        return [(k, 0) for k in range(ceil(lo * m), floor(hi * m) + 1)]
+        return [(k, 0) for k in span(body.loop, 0)]
     points = []
-    ys = [v[1] for v in body.vertices]
-    for ky in range(ceil(min(ys) * m), floor(max(ys) * m) + 1):
+    for ky in span(body.loop, 1):
         y = Fraction(ky, m)
         row = pg.clip(body, [((_ZERO, Fraction(1)), y), ((_ZERO, Fraction(-1)), -y)])
         if not row.is_empty:
-            xs = [v[0] for v in row.vertices]
-            points += [(kx, ky) for kx in range(ceil(min(xs) * m), floor(max(xs) * m) + 1)]
+            points += [(kx, ky) for kx in span(row.loop, 0)]
     return points
 
 

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -189,7 +190,7 @@ class TestClipVolume:
             pts = [point() for _ in range(rng.randint(1, 6))]
             p, _ = pg.hull(pts, dim), point()  # the second draw keeps the seeded sequence
             s = F(rng.randint(1, 9), rng.randint(1, 4))
-            assert p.scaled(s) == pg.hull([pg.scale_point(q, s) for q in pts], dim)
+            assert p.scaled(s) == pg.hull([tuple(s * c for c in q) for q in pts], dim)
 
     def test_scaled_rejects_nonpositive_factors(self):
         h = pg.hull([(0, 0), (2, 1), (1, 3)], 2)
@@ -738,11 +739,40 @@ def test_walls_across_a_degenerate_cell():
     assert diagram.walls == [(0, 1, F(1, 2))]
 
 
+def same_polytopes(h, dim, a=(F(1), F(2)), b=F(0)):
+    """Polytopes every builder makes of h: each must be h's one canonical
+    loop.  A cut {<a, m> <= b} of h is checked against the hull of its own
+    vertices."""
+    a, w = a[:dim], h.loop[0][2]
+    top = max(pg.dot(a, v) for v in h.vertices)
+    out = [pg.hull(h.vertices, dim), pg.hull(h.vertices[::-1], dim), pg.clip(h, [(a, top + 1)])]
+    out.append(h.scaled(F(6 * w, 35)).scaled(F(35, 6 * w)))  # s shares w's factors
+    if h.is_full_dimensional:
+        out.append(pg.laguerre_cells(h, [a], [F(0)]).cells[0])
+        out.append(pg.lower_hull([(v, pg.dot(v, v)) for v in h.vertices]).base)
+    cut = pg.clip(h, [(a, b)])
+    return out + ([] if cut.is_empty else [(cut, pg.hull(cut.vertices, dim))])
+
+
+def assert_canonical(h, dim, *args):
+    for q in same_polytopes(h, dim, *args):
+        p, q = q if isinstance(q, tuple) else (h, q)
+        assert (q.loop, q, hash(q)) == (p.loop, p, hash(p))
+        assert all(w > 0 and gcd(x, y, w) == 1 and (dim == 2 or y == 0) for x, y, w in q.loop)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.lists(pt2(), min_size=1, max_size=12))
-def test_hull_idempotent_property(pts):
+@given(st.lists(pt2(), min_size=1, max_size=12), pt2())
+def test_hull_idempotent_property(pts, a):
     h = pg.hull(pts, 2)
     assert pg.hull(h.vertices, 2) == h
+    assert_canonical(h, 2, a if a != (0, 0) else (F(1), F(2)), F(1, 3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(frac(), min_size=1, max_size=6), frac())
+def test_segments_are_canonical(xs, b):
+    assert_canonical(pg.hull([(x,) for x in xs], 1), 1, (F(1), F(0)), b)
 
 
 @settings(max_examples=60, deadline=None)
@@ -802,7 +832,7 @@ def hull_clip(p, halfspaces):
     """`clip` as it was: the same integer Sutherland-Hodgman loop, with its
     surviving points handed to `hull`."""
     n = p.dim
-    loop = [pg._homogeneous(v) for v in p.vertices]
+    loop = p.loop
     for a, b in halfspaces:
         loop = pg._cut(loop, *integers(pg._planar(tuple(a)) + (b,))[0])
         if not loop:

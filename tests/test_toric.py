@@ -281,7 +281,7 @@ def ref_intersect_edges(p0, d0, r0, p1, d1, r1):
         return []
     if t < 0 or (r1 is not None and t > r1):
         return []
-    return [pg.add(p0, pg.scale_point(d0, s))]
+    return [pg.add(p0, tuple(s * c for c in d0))]
 
 
 def ref_dual_edges(f):
@@ -752,6 +752,17 @@ class TestIntegerPiecesAgainstFractions:
             assert g.pieces == tuple((v, u - c) for v, u in f.pieces) == ref_pieces(g)
             for y in ((0, 0), (F(1, 3), F(-5, 2)), (7, F(10**12 + 1, 10**9))):
                 assert g.value(y) == f.value(y) + c
+
+
+    def test_cell_vertices_stay_an_unbuilt_view(self):
+        """Envelope, measure, energy and table read the cells' integer
+        loops; no cell's Fraction vertices are made on the way."""
+        delta = tc.newton_polytope([(0, 0), (2, 0), (3, 2), (1, 3), (0, 1)], 2)
+        f = tc.envelope(delta, [((0, 0), 0), ((F(1, 2), F(-1, 3)), F(1, 4)), ((-1, F(1, 2)), F(3, 5))])
+        ref = tc.g_delta(delta)
+        tc.ma_measure(f), tc.energy(f, ref), f.table, ref.table
+        assert all("vertices" not in cell.__dict__ for p in (f, ref) for cell in p.cells)
+        assert f.cells[0].vertices and "vertices" in f.cells[0].__dict__
 
 
 class TestLatticeDualHeights:

@@ -294,21 +294,14 @@ _TOP_KEYS = {
 def _parse_solver_block(obj, mode: str) -> sv.SolverConfig:
     if obj is None:
         return sv.SolverConfig(mode=mode)
-    _check_keys(obj, {"tol", "max_iter", "damping"}, (), "solver")
+    _check_keys(obj, {"tol", "max_iter"}, (), "solver")
     tol = _scalar(obj["tol"], mode, "solver.tol") if "tol" in obj else None
     if tol is not None and tol < 0:
         raise ValidationError("solver.tol", "tol must be nonnegative")
     max_iter = obj.get("max_iter", 10_000)
     if not _is_int(max_iter) or max_iter < 1:
         raise ValidationError("solver.max_iter", "expected a positive integer")
-    damping = (
-        _scalar(obj["damping"], mode, "solver.damping")
-        if "damping" in obj
-        else Fraction(1, 2)
-    )
-    if not (0 < damping < 1):
-        raise ValidationError("solver.damping", "damping must be in (0,1)")
-    return sv.SolverConfig(tol=tol, max_iter=max_iter, damping=damping, mode=mode)
+    return sv.SolverConfig(tol=tol, max_iter=max_iter, mode=mode)
 
 
 def _grid_points(delta: tc.NewtonPolytope, m: int) -> int:

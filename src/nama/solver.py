@@ -76,7 +76,6 @@ class DiracProblem:
 class SolverConfig:
     tol: Optional[Fraction] = None  # None: 0 in rational mode, 1e-10 in float
     max_iter: int = 10_000
-    damping: Fraction = Fraction(1, 2)
     mode: str = "float"
     init: Optional[Tuple[Fraction, ...]] = None
 
@@ -87,7 +86,7 @@ class IterationRecord:
 
     residual: Fraction  # max |mass_i - w_i|
     grad_norm: float  # Euclidean norm of (masses - weights)
-    step: Fraction  # accepted step length damping^k
+    step: Fraction  # accepted step length 2^-k
     min_mass: Fraction  # smallest cell mass
     trials: int  # states evaluated by the line search
 
@@ -212,7 +211,7 @@ def solve(p: DiracProblem, config: SolverConfig = SolverConfig()) -> Solution:
     empty; 1-D rational instances start from their closed-form solution.
     Each iterate is one `_state` call on integer loops, no Polytope.  The
     direction d solves L d = masses - weights, L the state's Laplacian
-    grounded at the last site.  A step is the first damping^k whose
+    grounded at the last site.  A step is the first 2^-k whose
     rounded iterate keeps every mass >= eps (half the smallest weight or
     starting mass) and cuts |grad|_2 by (1 - step / 2), tested exactly on
     squared norms, so a step that rounds back to the same iterate never
@@ -266,7 +265,7 @@ def solve(p: DiracProblem, config: SolverConfig = SolverConfig()) -> Solution:
             norm2_trial = sum(g * g for g in new_grad)
             if min(new.masses) >= eps and norm2_trial <= (1 - step / 2) ** 2 * norm2:
                 break
-            step *= config.damping
+            step /= 2
         else:
             break
         t, diagram, grad, norm2 = trial, new, new_grad, norm2_trial

@@ -527,6 +527,7 @@ READ_CASES = {
     "decimal": ("energy", _value("-0.75"), "-3/4"),
     "json-integer": ("envelope", _value(7), "7"),
     "kind-before-mode": ("energy", dict(ENVELOPE, kind="toric", mode="exact"), KINDS_LINE),
+    "solver-damping": ("solve", dict(DIRAC, solver={"damping": "1/4"}), "error: solver.damping: unknown field"),
     "result-generator-site": (
         "export-cells",
         {

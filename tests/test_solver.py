@@ -574,7 +574,7 @@ class TestNewtonPath:
             eps = min(min(p.weights), min(masses0)) / 2
             norm = math.sqrt(sum(float(h - w) ** 2 for h, w in zip(masses0, p.weights)))
             for rec in s.trace:
-                assert rec.step == cfg.damping ** (rec.trials - 1)
+                assert rec.step == F(1, 2) ** (rec.trials - 1)
                 assert rec.grad_norm <= (1 - float(rec.step) / 2) * norm
                 assert rec.min_mass >= eps
                 norm = rec.grad_norm

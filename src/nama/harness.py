@@ -194,19 +194,6 @@ def gen_dirac_measure(rng: SplitMix64, delta: tc.NewtonPolytope, sites) -> tc.At
     )
 
 
-def gen_toric_instance(cfg: GenConfig):
-    """Deterministic-in-seed toric instance: a full-dimensional Newton
-    polytope, potentials, test functions, and a measure whose total mass
-    equals vol(Delta) (the Dirac-problem constraint)."""
-    rng = SplitMix64(cfg.seed)
-    delta = gen_polytope(rng, cfg.dimension, cfg.polytope_complexity)
-    phis = [gen_psh(rng, delta, cfg) for _ in range(3)]
-    tfs = [gen_test_function(rng, delta, cfg) for _ in range(2)]
-    sites = gen_sites(rng, delta, cfg, 1 + rng.below(4))
-    measure = gen_dirac_measure(rng, delta, sites)
-    return delta, phis, tfs, measure
-
-
 def gen_dirac_problem(rng: SplitMix64, delta: tc.NewtonPolytope, cfg: GenConfig, max_sites=4):
     sites = gen_sites(rng, delta, cfg, 1 + rng.below(max_sites))
     mu = gen_dirac_measure(rng, delta, sites)

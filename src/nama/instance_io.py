@@ -278,7 +278,6 @@ class InstanceFile:
     mode: str
     data: Dict[str, Any]
     solver: sv.SolverConfig
-    canonical: Dict[str, Any]
     sha256: str  # of the canonical text
 
 
@@ -386,11 +385,7 @@ def parse_instance(text: str) -> InstanceFile:
             data["x"], data["y"] = obj["x"], obj["y"]
 
     sha256 = hashlib.sha256(dumps_canonical(obj).encode("utf-8")).hexdigest()
-    return InstanceFile(kind, mode, data, solver_cfg, canonical=obj, sha256=sha256)
-
-
-def serialize_instance(inst: InstanceFile) -> str:
-    return dumps_canonical(inst.canonical)
+    return InstanceFile(kind, mode, data, solver_cfg, sha256)
 
 
 # --------------------------------------------------------------------------
@@ -461,21 +456,6 @@ def graph_function_payload(inst: InstanceFile, f: cv.GraphFunction) -> Dict[str,
 def energy_payload(inst: InstanceFile, values: Dict[str, Fraction]) -> Dict[str, Any]:
     """The `energy` command's named rationals, in the instance's mode."""
     return {name: _render(x, inst.mode) for name, x in values.items()}
-
-
-def revalidate_result(inst: InstanceFile, result: Dict[str, Any]) -> Fraction:
-    """Rebuild the potential from the instance plus the result's t vector
-    and recompute the residual; exact in rational mode."""
-    if inst.kind != "toric-dirac":
-        raise ValidationError("kind", "revalidation applies to toric-dirac results")
-    p = inst.data["problem"]
-    t = [
-        _scalar(x, inst.mode, f"solution.t[{i}]")
-        for i, x in enumerate(result["solution"]["t"])
-    ]
-    phi = tc.envelope(p.delta, list(zip(p.sites, t)))
-    mu = tc.ma_measure(phi)
-    return max(abs(mu.weight_at(x) - w) for x, w in zip(p.sites, p.weights))
 
 
 # --------------------------------------------------------------------------

@@ -10,6 +10,19 @@ from nama import toric as tc
 from nama.errors import CandidateOutOfRange, UnknownSuite
 
 
+def gen_toric_instance(cfg: hx.GenConfig):
+    """Deterministic-in-seed toric instance: a full-dimensional Newton
+    polytope, potentials, test functions, and a measure whose total mass
+    equals vol(Delta) (the Dirac-problem constraint)."""
+    rng = hx.SplitMix64(cfg.seed)
+    delta = hx.gen_polytope(rng, cfg.dimension, cfg.polytope_complexity)
+    phis = [hx.gen_psh(rng, delta, cfg) for _ in range(3)]
+    tfs = [hx.gen_test_function(rng, delta, cfg) for _ in range(2)]
+    sites = hx.gen_sites(rng, delta, cfg, 1 + rng.below(4))
+    measure = hx.gen_dirac_measure(rng, delta, sites)
+    return delta, phis, tfs, measure
+
+
 class TestRng:
     def test_splitmix_reference_values(self):
         # First outputs for seed 0 of the documented splitmix64 transition.
@@ -25,8 +38,8 @@ class TestRng:
 class TestGenerators:
     def test_same_seed_identical_instances(self):
         cfg = hx.GenConfig(seed=42, dimension=2)
-        a = hx.gen_toric_instance(cfg)
-        b = hx.gen_toric_instance(cfg)
+        a = gen_toric_instance(cfg)
+        b = gen_toric_instance(cfg)
         assert a[0] == b[0]
         assert a[1] == b[1]
         assert a[2] == b[2]
@@ -34,7 +47,7 @@ class TestGenerators:
 
     def test_dimension_and_complexity_bounds(self):
         cfg = hx.GenConfig(seed=5, dimension=1, function_complexity=2)
-        delta, phis, tfs, mu = hx.gen_toric_instance(cfg)
+        delta, phis, tfs, mu = gen_toric_instance(cfg)
         assert delta.dim == 1
         for f in phis:
             assert len(f.generators) <= 2
@@ -45,7 +58,7 @@ class TestGenerators:
         and the measure mass equals vol(Delta)."""
         for seed in range(300):
             cfg = hx.GenConfig(seed=seed, dimension=1 + seed % 2)
-            delta, phis, tfs, mu = hx.gen_toric_instance(cfg)
+            delta, phis, tfs, mu = gen_toric_instance(cfg)
             assert mu.total_mass == delta.volume
             for f in phis:
                 assert tc.ma_measure(f).total_mass == delta.volume
@@ -99,7 +112,7 @@ class TestSuites:
 
     def test_witnesses_serialize_as_json(self):
         cfg = hx.GenConfig(seed=31, dimension=2)
-        delta, phis, tfs, _ = hx.gen_toric_instance(cfg)
+        delta, phis, tfs, _ = gen_toric_instance(cfg)
         env = tc.psh_envelope(tfs[0])
         measure = tc.ma_measure(env)
         corrupted = tc.AtomicMeasure.from_items(
@@ -120,7 +133,7 @@ class TestSuites:
     def test_orthogonality_mutation_names_atom(self):
         """Corrupting one MA weight by 1/1000 must fail with the atom named."""
         cfg = hx.GenConfig(seed=77, dimension=2)
-        delta, phis, tfs, _ = hx.gen_toric_instance(cfg)
+        delta, phis, tfs, _ = gen_toric_instance(cfg)
         f = tfs[0]
         env = tc.psh_envelope(f)
         measure = tc.ma_measure(env)

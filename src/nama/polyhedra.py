@@ -188,9 +188,10 @@ def hull(points, dim: Optional[int] = None) -> Polytope:
 # --------------------------------------------------------------------------
 # Half-space clipping on integer homogeneous coordinates.
 #
-# Inside the clipping loop a point m is the integer triple (X, Y, W) with
-# W > 0 and gcd(X, Y, W) = 1, so m = (X/W, Y/W); a 1-D point is (X, 0, W).
-# The representation is canonical, so equal points are equal tuples.  A
+# A polytope's loop, and so the clipping loop, holds a point m as the
+# integer triple (X, Y, W) with W > 0 and gcd(X, Y, W) = 1, so
+# m = (X/W, Y/W); a 1-D point is (X, 0, W).  The representation is
+# canonical, so equal points are equal tuples.  A
 # half-space {<a, m> <= b} is the integer triple (A0, A1, B), (a, b) times
 # a positive common denominator; m satisfies it iff A0 X + A1 Y - B W <= 0.
 # --------------------------------------------------------------------------

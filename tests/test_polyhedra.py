@@ -739,24 +739,20 @@ def test_walls_across_a_degenerate_cell():
     assert diagram.walls == [(0, 1, F(1, 2))]
 
 
-def same_polytopes(h, dim, a=(F(1), F(2)), b=F(0)):
-    """Polytopes every builder makes of h: each must be h's one canonical
-    loop.  A cut {<a, m> <= b} of h is checked against the hull of its own
-    vertices."""
-    a, w = a[:dim], h.loop[0][2]
+def assert_canonical(h, dim, a, b):
+    """Every builder makes h's one canonical loop, with equal values and
+    hashes; a cut {<a, m> <= b} of h is checked against the hull of its
+    own vertices."""
+    a, w0 = a[:dim], h.loop[0][2]
     top = max(pg.dot(a, v) for v in h.vertices)
-    out = [pg.hull(h.vertices, dim), pg.hull(h.vertices[::-1], dim), pg.clip(h, [(a, top + 1)])]
-    out.append(h.scaled(F(6 * w, 35)).scaled(F(35, 6 * w)))  # s shares w's factors
+    same = [pg.hull(h.vertices, dim), pg.hull(h.vertices[::-1], dim), pg.clip(h, [(a, top + 1)])]
+    same.append(h.scaled(F(6 * w0, 35)).scaled(F(35, 6 * w0)))  # s shares factors with W
     if h.is_full_dimensional:
-        out.append(pg.laguerre_cells(h, [a], [F(0)]).cells[0])
-        out.append(pg.lower_hull([(v, pg.dot(v, v)) for v in h.vertices]).base)
+        same.append(pg.laguerre_cells(h, [a], [F(0)]).cells[0])
+        same.append(pg.lower_hull([(v, pg.dot(v, v)) for v in h.vertices]).base)
+    pairs = [(h, q) for q in same]
     cut = pg.clip(h, [(a, b)])
-    return out + ([] if cut.is_empty else [(cut, pg.hull(cut.vertices, dim))])
-
-
-def assert_canonical(h, dim, *args):
-    for q in same_polytopes(h, dim, *args):
-        p, q = q if isinstance(q, tuple) else (h, q)
+    for p, q in pairs if cut.is_empty else pairs + [(cut, pg.hull(cut.vertices, dim))]:
         assert (q.loop, q, hash(q)) == (p.loop, p, hash(p))
         assert all(w > 0 and gcd(x, y, w) == 1 and (dim == 2 or y == 0) for x, y, w in q.loop)
 

@@ -149,11 +149,9 @@ class ToricPsh:
         if self._table is None:
             dv = lcm(*(w for cell in self.cells for _, _, w in cell.loop))
             forms, e = _dual_forms(self.generators, dv)
-            u = {}
-            for (a, b, c), cell in zip(forms, self.cells):
-                for x, y, w in cell.loop:
-                    x, y = x * (dv // w), y * (dv // w)
-                    u[x, y] = a * x + b * y - c
+            cells = zip(forms, self.cells)
+            pts = [(g, x * (dv // w), y * (dv // w)) for g, cell in cells for x, y, w in cell.loop]
+            u = {(x, y): a * x + b * y - c for (a, b, c), x, y in pts}
             s = e // dv
             self._table = e, [(x * s, y * s, h) for (x, y), h in sorted(u.items())]
         return self._table

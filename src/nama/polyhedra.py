@@ -2,10 +2,10 @@
 
 Hulls, half-space clipping, Laguerre (power-diagram) cells, volumes,
 centroids, Minkowski sums and lower convex hulls of lifted point sets,
-all with no rounding.  A polytope holds its vertices once, as a
-canonical loop of integer homogeneous points (X, Y, W); every builder
-produces that loop and every kernel reads it, and every test is the sign
-of one integer determinant.  Points and half-spaces enter the API as
+all with no rounding.  A polytope holds its vertices once, as a canonical
+loop of integer homogeneous points (X, Y, W); every constructor makes
+that loop, every kernel reads it, and every test is the sign of one
+integer determinant.  Points and half-spaces enter the API as
 `fractions.Fraction` tuples, and `Polytope.vertices` is a Fraction view
 made only when it is read.  Clipping runs one Sutherland-Hodgman loop on
 the homogeneous points, whose output is already a convex counterclockwise

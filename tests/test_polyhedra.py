@@ -740,7 +740,7 @@ def test_walls_across_a_degenerate_cell():
 
 
 def assert_canonical(h, dim, a, b):
-    """Every builder makes h's one canonical loop, with equal values and
+    """Every constructor makes h's one canonical loop, with equal values and
     hashes; a cut {<a, m> <= b} of h is checked against the hull of its
     own vertices."""
     a, w0 = a[:dim], h.loop[0][2]

@@ -3,7 +3,8 @@
 Every suite report at seed 1 with two cases, in each dimension the suite
 runs in, the `envelope`, `energy`, `solve`, `green` and `poisson`
 outputs of fixed instances and the `export-cells` CSV of their solve
-results must stay byte-identical.  A digest changes only together with
+results must stay byte-identical, and so must the path of the solver
+on three of those instances: iterates, steps and trial counts.  A digest changes only together with
 a deliberate change of results, recorded in CHANGES.md.  A suite report
 without timing holds the suite name, the case count and the failures
 with their witnesses, so its digest pins which assertions fail and how.
@@ -11,11 +12,15 @@ with their witnesses, so its digest pins which assertions fail and how.
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
 from nama import cli
 from nama import harness as hx
+from nama import instance_io as io
+from nama import solver as sv
+from nama.errors import NotConverged
 
 ENVELOPE_2D = {
     "kind": "toric-envelope",
@@ -178,6 +183,15 @@ EXPORT_DIGESTS = {
     "dirac_rational_2d": "6b11737d98c030ffd458de16040a8fb92739cc1e1e56854687c138d36cb516e1",
 }
 
+PATH_DIGESTS = {
+    # (instance name, max_iter or None) -> sha256 of repr((t, trace, objective,
+    # residual)) of its Solution, NotConverged's when max_iter stops it early
+    ("dirac_8", None): "a1aadef151de01a905c0c3c1d3b471850512c8c764a423e1384c51ff0b630bf4",
+    ("dirac_1d", None): "59a865dcb1b860a9d12424b99cba9fd8c61808681a1d52efbf23b6c1c5e1107b",
+    ("dirac_rational_2d", None): "822cbd0a22398de65e0cfad67e3a98c04fc46c03f832e2a9087ee32b491ff86d",
+    ("dirac_8", 2): "5605abdd7504b37a6dee062c6ff8c3dc0ad245049936fe4d556416bc20e900a3",
+}
+
 INSTANCES = {
     "envelope_2d": ENVELOPE_2D,
     "lattice_2d": LATTICE_2D,
@@ -226,6 +240,21 @@ def test_export_cells_is_pinned(tmp_path, name):
     assert cli.main(["solve", str(inst), "-o", str(result), "--no-timestamp"]) == 0
     assert cli.main(["export-cells", str(result), "-o", str(out)]) == 0
     assert _digest(out) == EXPORT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name, max_iter", sorted(PATH_DIGESTS, key=str))
+def test_solver_path_is_pinned(name, max_iter):
+    """The iterates, steps, trial counts and gradient norms of a solve,
+    which the result files do not print."""
+    inst = io.parse_instance(json.dumps(INSTANCES[name]))
+    if max_iter is None:
+        s = sv.solve(inst.data["problem"], inst.solver)
+    else:
+        with pytest.raises(NotConverged) as err:
+            sv.solve(inst.data["problem"], replace(inst.solver, max_iter=max_iter))
+        s = err.value.solution
+    payload = repr((s.t, s.trace, s.objective, s.residual)).encode("utf-8")
+    assert hashlib.sha256(payload).hexdigest() == PATH_DIGESTS[name, max_iter]
 
 
 def test_every_suite_is_pinned():

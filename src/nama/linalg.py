@@ -16,7 +16,8 @@ row by (s row_j - t row_p) / c, s and t the pivot and row j's entry over
 their gcd and c the gcd of the new row (integer-preserving elimination,
 Bareiss, Math. Comp. 1968).  Each row stays a positive multiple of its
 Schur complement row, so no pivot changes sign.  A solve replays these
-steps on the right-hand side, kept as integers over one denominator.
+steps on the right-hand side, integers over one denominator in and out
+(`solve_over`; `solve` is its Fraction view).
 """
 
 from __future__ import annotations
@@ -95,18 +96,23 @@ class ExactLinearSolver:
             self._steps.append((p, pivot, col))
         self.vertex_count, self.ground = vertex_count, ground
 
-    def solve(self, rhs) -> List[Fraction]:
-        """The x with L x = rhs off the ground and x(ground) = 0."""
+    def solve_over(self, rhs: List[int], den: int) -> Tuple[List[int], int]:
+        """(x, d): L x / d = rhs / den off the ground, x(ground) = 0; rhs is kept."""
         if len(rhs) != self.vertex_count:
             raise ValueError("one right-hand side entry per vertex required")
-        b, den = integers(rhs)
+        b = list(rhs)
         for p, _, col in self._steps:
             for j, _, s, t, c in col:
                 den = _put(b, den, j, s * b[j] - t * b[p], c)
         b[self.ground] = 0
         for p, pivot, col in reversed(self._steps):
             den = _put(b, den, p, b[p] - sum(a * b[j] for j, a, *_ in col), pivot)
-        return [Fraction(x * self._scale, den) for x in b]  # the factor is of scale * L
+        return [x * self._scale for x in b], den  # the factor is of scale * L
+
+    def solve(self, rhs) -> List[Fraction]:
+        """The x with L x = rhs off the ground and x(ground) = 0."""
+        x, den = self.solve_over(*integers(rhs))
+        return [Fraction(v, den) for v in x]
 
 
 def solve_exact(vertex_count: int, weighted_edges, ground: int, rhs) -> List[Fraction]:

@@ -12,8 +12,9 @@ the homogeneous points, whose output is already a convex counterclockwise
 loop.  Power diagrams come from the regular triangulation of the lifted
 sites, built by inserting them in lexicographic order: only its vertices
 have cells, each the body cut by the vertex's neighbours, and the walls
-are the edges the final loops share.  One integer shoelace gives every
-area and moment.  Lower hulls gift-wrap over integer triples
+are the edges the final loops share; `power_diagram` takes the sites and
+values as integers over their denominators.  One integer shoelace gives
+every area, mass and moment.  Lower hulls gift-wrap over integer triples
 (`lower_hull` only converts Fraction input).  `hull` is kept for genuine
 point sets.  Empty and lower-dimensional polytopes are ordinary values
 (volume 0), because cells degenerate while a solver walks through
@@ -57,10 +58,6 @@ def sub(a: Point, b: Point) -> Point:
 
 def add(a: Point, b: Point) -> Point:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def cross(a: Point, b: Point) -> Fraction:
-    return a[0] * b[1] - a[1] * b[0]
 
 
 def _primitive(a: Point) -> Point:
@@ -278,16 +275,18 @@ def clip(p: Polytope, halfspaces) -> Polytope:
 
 
 def laguerre_cells(body: Polytope, sites, values) -> "PowerDiagram":
-    """The `PowerDiagram` of distinct sites x_a with values t_a in a
-    full-dimensional body.  Only a vertex of the regular triangulation of
-    the lifted sites has a cell, cut only by its neighbours.  Sites are
-    integer pairs (X, Y) over one denominator d, values over e, so the pair
-    (a, b) cuts by (e (X_b - X_a), d (T_b - T_a)).
-    """
-    n = body.dim
+    """The `power_diagram` of rational sites and values."""
     coords, d = integers([c for x in sites for c in _planar(x)])
     ts, e = integers(values)
-    xs = list(zip(coords[0::2], coords[1::2]))
+    return power_diagram(body, list(zip(coords[0::2], coords[1::2])), d, ts, e)
+
+
+def power_diagram(body: Polytope, xs: List[Tuple[int, int]], d: int, ts: List[int], e: int) -> "PowerDiagram":
+    """The `PowerDiagram` of distinct sites x_a = (X_a, Y_a) / d (Y_a = 0 in
+    1-D) with values t_a = T_a / e in a full-dimensional body.  Only a vertex
+    of the regular triangulation of the lifted sites has a cell, cut only by
+    its neighbours: the pair (a, b) cuts by (e (X_b - X_a), d (T_b - T_a))."""
+    n = body.dim
     order = sorted(range(len(ts)), key=xs.__getitem__)
     pts = [(e * xs[i][0], e * xs[i][1], d * ts[i]) for i in order]
     if any(p[:2] == q[:2] for p, q in zip(pts, pts[1:])):
@@ -323,12 +322,13 @@ def laguerre_cells(body: Polytope, sites, values) -> "PowerDiagram":
 
 @dataclass(frozen=True)
 class PowerDiagram:
-    """A `laguerre_cells` result: lists indexed like the sites, each
+    """A `power_diagram` result: lists indexed like the sites, each
     computed on first read.  cells: {m in body : <x_a, m> - t_a >= <x_b, m>
     - t_b for all b}, or None when that is not full-dimensional.  masses:
-    their volumes, 0 for None.  walls: (i, j, |wall| / |x_i - x_j|), i < j,
-    for each facet the cells of i and j share, the edges of the weighted
-    Laplacian whose negative is the Hessian of the dual objective.  Inside,
+    their volumes, 0 for None, the Fraction view of `integer_masses`.
+    walls: (i, j, |wall| / |x_i - x_j|), i < j, for each facet the cells of
+    i and j share, the edges of the weighted Laplacian whose negative is
+    the Hessian of the dual objective.  Inside,
     a cell is its final counterclockwise `_cut` loop (the body's own
     `loop` when nothing cuts it) or None, and `_ends` holds the walls as
     (i, j, u, v) on homogeneous end points, u -> v counterclockwise around
@@ -350,8 +350,15 @@ class PowerDiagram:
         return [None if loop is None else cell(loop) for loop in self._loops]
 
     @cached_property
+    def integer_masses(self) -> Tuple[List[int], int]:
+        """(M, D): the masses M_a / D, D the lcm of their reduced denominators."""
+        vols = [(0, 1) if loop is None else _loop_volume(loop, self.body.dim) for loop in self._loops]
+        den = lcm(*(q // gcd(m, q) for m, q in vols))
+        return [m * den // q for m, q in vols], den
+
+    @cached_property
     def masses(self) -> List[Fraction]:
-        return [_ZERO if loop is None else _loop_volume(loop, self.body.dim) for loop in self._loops]
+        return [Fraction(m, self.integer_masses[1]) for m in self.integer_masses[0]]
 
     @cached_property
     def walls(self) -> List[Tuple[int, int, Fraction]]:
@@ -383,21 +390,21 @@ def _polygon_sums(loop):
     return s, mx, my, big
 
 
-def _loop_volume(loop, n: int) -> Fraction:
-    """The volume of a full-dimensional loop: a segment's length, or a
-    polygon's shoelace area."""
+def _loop_volume(loop, n: int) -> Tuple[int, int]:
+    """The volume of a full-dimensional loop, a segment's length or a
+    polygon's shoelace area, as a pair (numerator, denominator)."""
     if n == 1:
         (a0, _, w0), (a1, _, w1) = loop
-        return Fraction(abs(a1 * w0 - a0 * w1), w0 * w1)
+        return abs(a1 * w0 - a0 * w1), w0 * w1
     s, _, _, d = _polygon_sums(loop)
-    return Fraction(s, 2 * d * d)
+    return s, 2 * d * d
 
 
 def volume(p: Polytope) -> Fraction:
     """Exact n-dimensional Lebesgue volume; 0 for lower-dimensional sets."""
     if p.is_empty or p.affine_dim < p.dim:
         return _ZERO
-    return _loop_volume(p.loop, p.dim)
+    return Fraction(*_loop_volume(p.loop, p.dim))
 
 
 def centroid(p: Polytope) -> Point:

@@ -3,12 +3,13 @@
 The concave dual objective F(t) = E(envelope(t)) - sum w_i t_i has gradient
 (cell masses - target weights), so maximizing it solves the equation: it is
 semi-discrete optimal transport from the uniform measure on Delta.  Both
-modes run one damped Newton loop from a start with no empty cell.  Each
-iterate and line-search trial reads the masses and walls of one power
-diagram (`polyhedra.laguerre_cells`), one Fraction per cell mass and per
-wall weight of the Laplacian whose negative is the Hessian, so each
-Newton direction is one exact grounded Laplace solve (`linalg.solve_exact`).
-Polytopes are built once, for the returned potential.  The geometry is
+modes run one damped Newton loop on integer vectors over common
+denominators, from a start with no empty cell.  Each iterate and
+line-search trial is one power diagram (`polyhedra.power_diagram`), whose
+masses come over one denominator and whose walls weigh the Laplacian whose
+negative is the Hessian, so each Newton direction is one exact grounded
+Laplace solve (`linalg.ExactLinearSolver.solve_over`).  Fractions and
+Polytopes are made only for the Solution and its trace.  The geometry is
 exact; only the iterate is rounded: to floats in float mode, to bounded
 denominators in rational mode, whose residual is then certified exactly.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -59,12 +61,14 @@ class DiracProblem:
             raise MassMismatch(f"total weight {sum(weights)} differs from vol(Delta) = {self.delta.volume}")
 
     def barycenter(self) -> Point:
-        n = self.delta.dim
-        total = sum(self.weights)
-        return tuple(
-            sum((w * x[k] for x, w in zip(self.sites, self.weights)), _ZERO) / total
-            for k in range(n)
-        )
+        pairs = list(zip(self.sites, self.weights))  # the weights sum to vol(Delta)
+        return tuple(sum(w * x[k] for x, w in pairs) / self.delta.volume for k in range(self.delta.dim))
+
+    @cached_property
+    def _integers(self) -> tuple:
+        """The sites as integer pairs over d (Y = 0 in 1-D), the weights over wd."""
+        coords, d = linalg.integers([c for x in self.sites for c in (*x, 0)[:2]])
+        return list(zip(coords[0::2], coords[1::2])), d, *linalg.integers(self.weights)
 
     def reference(self) -> ToricPsh:
         """Canonical reference potential: the envelope pinned at the
@@ -114,64 +118,81 @@ class Solution:
 
 def dual_objective(p: DiracProblem, t: Sequence, mode: str = "rational"):
     """Value and gradient of F(t) = E(envelope(t)) - sum w_i t_i, on the
-    solver's own `_state` and `_solution` at t.
+    solver's own state and `_solution` at t.
 
     The gradient is exactly (Laguerre masses - weights); pruned sites get
     gradient -w_i.  In rational mode the value is computed both through
     the mixed-measure energy and through the Legendre integral, and the
     two must agree exactly.
     """
+    if mode not in ("rational", "float"):
+        raise ValueError(f"unknown mode {mode!r}")
     if len(t) != len(p.sites):
         raise ArityMismatch(f"expected {len(p.sites)} potentials, got {len(t)}")
     t = tuple(Fraction(x) for x in t)
-    diagram, grad = _state(p, t)
-    s = _solution(p, t, [], diagram, grad)
+    state = _State(p, *linalg.integers(t))
+    s = _solution(p, t, [], state.diagram)
+    grad = tuple(Fraction(g, state.den) for g in state.g)
     if mode == "rational":
         via_mixed = tc.energy_via_mixed(s.potential, p.reference())
         if via_mixed != s.energy:
             raise ConsistencyError(f"energy routes disagree: {via_mixed} vs {s.energy}")
-        return s.objective, tuple(grad)
+        return s.objective, grad
     return float(s.objective), tuple(float(g) for g in grad)
 
 
-def _solution(p: DiracProblem, t, trace, diagram, grad) -> Solution:
-    """The Solution at t from its `_state`: the potential's cells are the
-    diagram's cells, the measure its masses."""
+def _solution(p: DiracProblem, t, trace, diagram: pg.PowerDiagram) -> Solution:
+    """The Solution at t from its power diagram: the potential's cells are
+    the diagram's cells, the measure its masses."""
     pairs = [((x, ti), cell) for x, ti, cell in zip(p.sites, t, diagram.cells) if cell is not None]
     phi = ToricPsh._from_cells(p.delta, sorted(pairs, key=lambda pair: pair[0][0]))
-    return Solution(
-        problem=p,
-        t=tuple(t),
-        potential=phi,
-        masses=AtomicMeasure.from_items(zip(p.sites, diagram.masses)),
-        residual=max(abs(g) for g in grad),
-        iterations=len(trace),
-        objective=tc.legendre_energy(phi, p.reference()) - sum(w * ti for w, ti in zip(p.weights, t)),
-        trace=tuple(trace),
-    )
+    masses = AtomicMeasure.from_items(zip(p.sites, diagram.masses))
+    residual = max(abs(h - w) for h, w in zip(diagram.masses, p.weights))
+    objective = tc.legendre_energy(phi, p.reference()) - sum(w * ti for w, ti in zip(p.weights, t))
+    return Solution(p, tuple(t), phi, masses, residual, len(trace), objective, tuple(trace))
 
 
 def _solve_1d_exact(p: DiracProblem) -> Tuple[Fraction, ...]:
     """Closed-form 1-D solution: slopes of the potential jump by w_i at
     x_i, starting at the left endpoint of Delta."""
-    alpha = p.delta.body.vertices[0][0]
-    order = sorted(range(len(p.sites)), key=lambda i: p.sites[i])
-    t = [None] * len(p.sites)
-    t[order[0]] = _ZERO
-    slope = alpha + p.weights[order[0]]
+    order = sorted(range(len(p.sites)), key=p.sites.__getitem__)
+    t, slope = {order[0]: _ZERO}, p.delta.body.vertices[0][0] + p.weights[order[0]]
     for prev, cur in zip(order, order[1:]):
         t[cur] = t[prev] + slope * (p.sites[cur][0] - p.sites[prev][0])
         slope += p.weights[cur]
-    return tuple(t)
+    return tuple(t[i] for i in range(len(p.sites)))
 
 
-def _state(p: DiracProblem, t) -> Tuple[pg.PowerDiagram, List[Fraction]]:
-    """The power diagram at t, its masses certified to sum to vol(Delta),
-    and grad = masses - weights."""
-    diagram = pg.laguerre_cells(p.delta.body, p.sites, t)
-    if sum(diagram.masses) != p.delta.volume:
-        raise ConsistencyError(f"cells cover mass {sum(diagram.masses)}, expected {p.delta.volume}")
-    return diagram, [h - w for h, w in zip(diagram.masses, p.weights)]
+class _State:
+    """An iterate t / e, its power diagram, whose masses are certified to sum
+    to vol(Delta), and grad = masses - weights = g / den, |grad|^2 = norm2 / den^2."""
+
+    def __init__(self, p: DiracProblem, t: List[int], e: int):
+        xs, d, ws, wd = p._integers
+        self.t, self.e, self.diagram = t, e, pg.power_diagram(p.delta.body, xs, d, t, e)
+        ms, md = self.diagram.integer_masses
+        vol = p.delta.volume
+        if sum(ms) * vol.denominator != vol.numerator * md:
+            raise ConsistencyError(f"cells cover mass {Fraction(sum(ms), md)}, expected {vol}")
+        self.den = den = math.lcm(md, wd)
+        self.g = [m * (den // md) - w * (den // wd) for m, w in zip(ms, ws)]
+        self.norm2 = sum(x * x for x in self.g)
+
+
+def _start(p: DiracProblem) -> Tuple[List[int], int]:
+    """`start_potentials` over one denominator: with c, xbar, x_i over L as C, B, X_i
+    and the facets as integers (A, F), 1 / room = max <A, X_i - C> / (F L - <A, C>)
+    and t_i = (2^(k+1) <X_i - B, C> + |X_i - C|^2 - |B - C|^2) / (2^(k+1) L^2)."""
+    n, body = p.delta.dim, p.delta.body
+    coords, big = linalg.integers([*pg.centroid(body), *p.barycenter(), *(c for x in p.sites for c in x)])
+    c, b, xs = coords[:n], coords[n : 2 * n], [coords[i : i + n] for i in range(2 * n, len(coords), n)]
+    facets, _ = linalg.integers([v for a, f in body.facets for v in (*a, f)])
+    top = 1  # ceil(1 / room), 1 when no site moves toward a facet
+    for *a, f in (facets[i : i + n + 1] for i in range(0, len(facets), n + 1)):
+        gap = f * big - dot(a, c)
+        top = max([top] + [-(-s // gap) for s in (dot(a, sub(x, c)) for x in xs) if s > 0])
+    two, bc = 2 ** ((top - 1).bit_length() + 1), sub(b, c)  # 2^(k+1), h = 1 / 2^k
+    return [two * dot(sub(x, b), c) + dot(sub(x, c), sub(x, c)) - dot(bc, bc) for x in xs], two * big * big
 
 
 def start_potentials(p: DiracProblem) -> Tuple[Fraction, ...]:
@@ -180,25 +201,19 @@ def start_potentials(p: DiracProblem) -> Tuple[Fraction, ...]:
     in Delta: h <= room = min (b - <a, c>) / <a, x_i - c> over facets
     <a, m> <= b with <a, x_i - c> > 0.  The cells are then the Voronoi cells
     of those points in Delta, so none is empty."""
-    body = p.delta.body
-    c = pg.centroid(body)
-    slopes = [(b - dot(a, c), dot(a, sub(x, c))) for a, b in body.facets for x in p.sites]
-    room = min((gap / s for gap, s in slopes if s > 0), default=Fraction(1))
-    h = Fraction(1, 2 ** (math.ceil(1 / room) - 1).bit_length())
-
-    def q(x):
-        y = sub(x, c)
-        return dot(x, c) + h * dot(y, y) / 2
-
-    q_bar = q(p.barycenter())
-    return tuple(q(x) - q_bar for x in p.sites)
+    t, den = _start(p)
+    return tuple(Fraction(x, den) for x in t)
 
 
-def _rounder(mode: str):
-    """How an iterate is rounded: to floats, or to bounded denominators."""
-    if mode == "float":
-        return lambda t: [Fraction(float(x)) for x in t]
-    return lambda t: [Fraction(x).limit_denominator(_MAX_DENOMINATOR) for x in t]
+def _rounded(t: List[int], e: int, mode: str) -> Tuple[List[int], int]:
+    """The iterate t / e rounded to floats or to denominators at most
+    10^12, over one denominator.  Int true division is correctly rounded,
+    so a float entry is exactly Fraction(float(Fraction(t_i, e)))."""
+    if mode == "rational":
+        return linalg.integers([Fraction(x, e).limit_denominator(_MAX_DENOMINATOR) for x in t])
+    pairs = [(x / e).as_integer_ratio() for x in t]
+    den = max(q for _, q in pairs)  # powers of two
+    return [x * (den // q) for x, q in pairs], den
 
 
 def solve(p: DiracProblem, config: SolverConfig = SolverConfig()) -> Solution:
@@ -209,70 +224,62 @@ def solve(p: DiracProblem, config: SolverConfig = SolverConfig()) -> Solution:
     2019; global convergence, quadratic near the solution) from
     `start_potentials`, or from `init` moved toward it until no cell is
     empty; 1-D rational instances start from their closed-form solution.
-    Each iterate is one `_state` call on integer loops, no Polytope.  The
-    direction d solves L d = masses - weights, L the state's Laplacian
-    grounded at the last site.  A step is the first 2^-k whose
-    rounded iterate keeps every mass >= eps (half the smallest weight or
-    starting mass) and cuts |grad|_2 by (1 - step / 2), tested exactly on
-    squared norms, so a step that rounds back to the same iterate never
-    passes.  Rational mode, rounding to denominators at most 10^12,
-    succeeds at its default tol 0 only on exact stationarity.  The loop is
-    monotone, so NotConverged carries the last iterate; Polytopes are
-    built for the Solution's potential alone, from its state.
-    """
+    At each iterate, a `_State`, the direction d solves L d = grad, L the
+    diagram's Laplacian grounded at the last site.  A step is the first
+    2^-k whose rounded iterate keeps every mass >= eps (half the smallest
+    weight or starting mass) and cuts |grad|_2 by (1 - step / 2), both
+    tested on cross-multiplied integers, so a step that rounds back to the
+    same iterate never passes.  Rational mode, rounding to denominators at
+    most 10^12, succeeds at its default tol 0 only on exact stationarity.
+    The loop is monotone, so NotConverged carries the last iterate."""
     mode = config.mode
     if mode not in ("rational", "float"):
         raise ValueError(f"unknown mode {mode!r}")
     default_tol = _ZERO if mode == "rational" else Fraction(1, 10**10)
-    tol = Fraction(default_tol if config.tol is None else config.tol)
-    vol = p.delta.volume
+    bound = Fraction(default_tol if config.tol is None else config.tol) * p.delta.volume
     n = len(p.sites)
-    rnd = _rounder(mode)
 
     if config.init is not None:
         if len(config.init) != n:
             raise ArityMismatch("init vector has wrong length")
-        t = rnd(config.init)
+        s = _State(p, *_rounded(*linalg.integers(config.init), mode))
     elif mode == "rational" and p.delta.dim == 1:
-        t = list(_solve_1d_exact(p))
+        s = _State(p, *linalg.integers(_solve_1d_exact(p)))
     else:
-        t = rnd(start_potentials(p))
+        s = _State(p, *_rounded(*_start(p), mode))
 
-    diagram, grad = _state(p, t)
-    if min(diagram.masses) == 0:
-        init, start = t, rnd(start_potentials(p))
-        for k in range(10, -1, -1):
-            s = Fraction(1, 2**k)
-            t = rnd((1 - s) * a + s * b for a, b in zip(init, start))
-            diagram, grad = _state(p, t)
-            if min(diagram.masses) > 0:
+    if min(s.diagram.integer_masses[0]) == 0:
+        init, (start, es) = s, _rounded(*_start(p), mode)
+        for k in range(10, -1, -1):  # (1 - 2^-k) init + 2^-k start
+            mix = [((1 << k) - 1) * a * es + b * init.e for a, b in zip(init.t, start)]
+            s = _State(p, *_rounded(mix, init.e * es << k, mode))
+            if min(s.diagram.integer_masses[0]) > 0:
                 break
-    eps = min(min(p.weights), min(diagram.masses)) / 2
-    norm2 = sum(g * g for g in grad)
+    ms, md = s.diagram.integer_masses
+    eps = min(min(p.weights), Fraction(min(ms), md)) / 2
     trace = []
 
     for _ in range(config.max_iter):
-        if max(abs(g) for g in grad) <= tol * vol:
-            return _solution(p, t, trace, diagram, grad)
+        if max(map(abs, s.g)) * bound.denominator <= bound.numerator * s.den:
+            break
         try:
-            d = linalg.solve_exact(n, diagram.walls, n - 1, grad)
+            d, dd = linalg.ExactLinearSolver(n, s.diagram.walls, n - 1).solve_over(s.g, s.den)
         except ValueError:  # a cell with no path of walls to the grounded site
             break
-        step = Fraction(1)
-        for trials in range(1, 61):
-            trial = rnd(ti + step * di for ti, di in zip(t, d))
-            new, new_grad = _state(p, trial)
-            norm2_trial = sum(g * g for g in new_grad)
-            if min(new.masses) >= eps and norm2_trial <= (1 - step / 2) ** 2 * norm2:
+        for k in range(60):  # t + d / 2^k = (t dd 2^k + d e) / (e dd 2^k)
+            new = _State(p, *_rounded([(ti * dd << k) + di * s.e for ti, di in zip(s.t, d)], s.e * dd << k, mode))
+            ms, md = new.diagram.integer_masses
+            decrease = new.norm2 * s.den**2 << 2 * k + 2 <= ((2 << k) - 1) ** 2 * s.norm2 * new.den**2
+            if decrease and min(ms) * eps.denominator >= eps.numerator * md:
                 break
-            step /= 2
         else:
             break
-        t, diagram, grad, norm2 = trial, new, new_grad, norm2_trial
-        trace.append(IterationRecord(max(map(abs, grad)), math.sqrt(norm2), step, min(diagram.masses), trials))
+        s = new
+        residual, norm = Fraction(max(map(abs, s.g)), s.den), math.sqrt(s.norm2 / s.den**2)
+        trace.append(IterationRecord(residual, norm, Fraction(1, 1 << k), Fraction(min(ms), md), k + 1))
 
-    solution = _solution(p, t, trace, diagram, grad)
-    if solution.residual <= tol * vol:
+    solution = _solution(p, [Fraction(x, s.e) for x in s.t], trace, s.diagram)
+    if solution.residual <= bound:
         return solution
     raise NotConverged(solution, len(trace))
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from nama import cli
 from nama import harness as hx
+from nama import linalg
 from nama import polyhedra as pg
 from nama import solver as sv
 from nama import toric as tc
@@ -107,6 +108,8 @@ class TestDualObjective:
         p = sv.DiracProblem(SQ, ((F(0), F(0)),), (F(1),))
         with pytest.raises(ArityMismatch):
             sv.dual_objective(p, (F(0), F(0)))
+        with pytest.raises(ValueError, match="unknown mode 'exact'"):
+            sv.dual_objective(p, (F(0),), mode="exact")
 
     def test_concavity_along_segments(self):
         p = sv.DiracProblem(
@@ -342,7 +345,7 @@ class TestNormalize:
         for t in ((F(1, 3), F(-1, 2), F(5)), (F(0), F(0), F(7, 3))):
             phi = tc.envelope(p.delta, list(zip(p.sites, t)))
             assert len(phi.generators) < len(p.sites)
-            self.assert_matches_max_over_value(sv._solution(p, t, [], *sv._state(p, t)))
+            self.assert_matches_max_over_value(sv._solution(p, t, [], _diagram(p, t)))
 
 
 class TestClMeasure:
@@ -362,6 +365,11 @@ def _problem(delta, sites, raw):
     weights = [r * delta.volume / sum(raw) for r in raw]
     weights[-1] = delta.volume - sum(weights[:-1])
     return sv.DiracProblem(delta, tuple(sites), tuple(weights))
+
+
+def _diagram(p, t):
+    """The solver's power diagram at t, its masses certified to sum to vol(Delta)."""
+    return sv._State(p, *linalg.integers(t)).diagram
 
 
 def _rounded_start(p):
@@ -418,10 +426,10 @@ def reference_wall_weights(p, phi):
 
 class TestWallHessian:
     def check(self, p, t):
-        """The weights of the `_state` diagram's walls against the reference,
+        """The weights of the solver's diagram's walls against the reference,
         and its masses against `ma_measure`."""
         phi = tc.envelope(p.delta, list(zip(p.sites, t)))
-        diagram, _ = sv._state(p, t)
+        diagram = _diagram(p, t)
         assert diagram.masses == _masses(p, t)
         edges = {}
         for i, j, w in diagram.walls:
@@ -435,14 +443,14 @@ class TestWallHessian:
         with weight |wall| / |x_0 - x_2| = 1/2."""
         p = _problem(SQ, [(F(0), F(0)), (F(1), F(0)), (F(2), F(0))], [F(1)] * 3)
         t = [F(0), F(1, 2), F(1)]
-        diagram, _ = sv._state(p, t)
+        diagram = _diagram(p, t)
         assert diagram.masses == [F(1, 2), F(0), F(1, 2)]
         ends = [(i, j, pg._from_homogeneous(u, 2), pg._from_homogeneous(v, 2)) for i, j, u, v in diagram._ends]
         assert ends == [(0, 2, (F(1, 2), F(0)), (F(1, 2), F(1)))]
         assert diagram.walls == [(0, 2, F(1, 2))]
         assert self.check(p, t) == {(0, 2): F(1, 4)}
         p = _problem(interval(-1, 2), [(F(0),), (F(1),), (F(2),)], [F(1)] * 3)
-        diagram, _ = sv._state(p, t)
+        diagram = _diagram(p, t)
         assert diagram.masses == [F(3, 2), F(0), F(3, 2)]
         assert diagram.walls == [(0, 2, F(1, 2))]
         assert self.check(p, t) == {(0, 2): F(1, 4)}
@@ -458,7 +466,7 @@ class TestWallHessian:
         st.booleans(),
     )
     def test_small_grids_property(self, points, one_dimensional):
-        """`_state` on sites of a small grid, in both dimensions: masses
+        """The solver's diagram on sites of a small grid, in both dimensions: masses
         equal `ma_measure` and squared edge weights the reference's."""
         if one_dimensional:
             points = list({x: (x, h) for x, _, h in points}.values())
@@ -556,6 +564,40 @@ def test_start_potentials_match_the_halving_loop():
         assert sv.start_potentials(p) == want
         hs.add(h)
     assert {F(1), F(1, 2), F(1, 4), F(1, 8)} <= hs
+
+
+def test_integer_rounding_matches_the_fraction_rounding():
+    """`_rounded` rounds t / e on integers exactly as Fractions would:
+    Fraction(float(Fraction(t_i, e))) in float mode, whose int true
+    division is correctly rounded, and limit_denominator(10^12) in
+    rational mode."""
+    big = 2**53
+    assert float(F(big + 1)) == big and float(F(big + 3)) == big + 4  # ties to even
+    assert float(F(1, 2**1075)) == 0 and float(F(3, 2**1075)) == 2 * 2.0**-1074  # subnormal ties
+    cases = [
+        (big + 1, 1), (big + 3, 1), (-(big + 1), 1), (3 * (big + 1), 3), (2 * big + 2, 2),  # ties to even
+        (2**80 + 1, 3), (-(7 * 2**70 + 5), 11), (10**30 + 1, 10**12 + 39),  # above 2^53
+        (1, 2**1074), (1, 2**1075), (3, 2**1075), (-3, 2**1075), (5, 3 * 2**1072),  # subnormal
+        (1, 2**1076), (-1, 10**400), (0, 7),  # round to 0
+        (1, 3), (-2, 3), (22, 7), (-355, 113), (10**12 + 1, 10**13 + 7),
+    ]
+    rng = random.Random(59)
+    cases += [(rng.getrandbits(600) - 2**599, rng.getrandbits(600) | 1) for _ in range(40)]
+    cases += [(rng.getrandbits(600) - 2**599, rng.getrandbits(80) | 1) for _ in range(20)]
+    cases += [(rng.randint(-(10**9), 10**9), rng.randint(1, 10**9)) for _ in range(100)]
+    for n, d in cases:
+        for mode, want in (
+            ("float", F(float(F(n, d)))),
+            ("rational", F(n, d).limit_denominator(10**12)),
+        ):
+            t, e = sv._rounded([n], d, mode)
+            assert F(t[0], e) == want, (n, d, mode)
+    nums = [n for n, _ in cases[-30:]]
+    for d in (7, 2**1075, 3**400):  # several entries come back over one denominator
+        t, e = sv._rounded(nums, d, "float")
+        assert [F(x, e) for x in t] == [F(float(F(n, d))) for n in nums]
+        t, e = sv._rounded(nums, d, "rational")
+        assert [F(x, e) for x in t] == [F(n, d).limit_denominator(10**12) for n in nums]
 
 
 class TestNewtonPath:

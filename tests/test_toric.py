@@ -12,6 +12,11 @@ from nama import toric as tc
 from nama.errors import DeltaMismatch, EmptyLattice, NotDominated, WrongArity
 
 
+def cross(a, b):
+    """The 2-D cross product a_0 b_1 - a_1 b_0."""
+    return a[0] * b[1] - a[1] * b[0]
+
+
 def interval(a, b):
     return tc.newton_polytope([(a,), (b,)], 1)
 
@@ -271,12 +276,12 @@ class TestMixedMa:
 def ref_intersect_edges(p0, d0, r0, p1, d1, r1):
     """Transversal crossing of two edges {p + s d : 0 <= s <= r} (r None
     for a ray), as a list of zero or one point."""
-    det = pg.cross(d0, d1)
+    det = cross(d0, d1)
     if det == 0:
         return []
     rhs = pg.sub(p1, p0)
-    s = pg.cross(rhs, d1) / det
-    t = pg.cross(rhs, d0) / det
+    s = cross(rhs, d1) / det
+    t = cross(rhs, d0) / det
     if s < 0 or (r0 is not None and s > r0):
         return []
     if t < 0 or (r1 is not None and t > r1):

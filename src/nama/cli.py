@@ -1,10 +1,10 @@
 """Command-line surface.
 
 Commands: solve, envelope, green, poisson, check, export-cells, energy.
-Exit codes: 0 success, 2 validation or parse error, 3 no convergence
-(the best iterate is still written), 4 suite failure.  Output files are
-byte-identical for identical inputs and flags once --no-timestamp is
-passed.
+Exit codes: 0 success, 2 validation or parse error (or a float-mode
+value beyond the double range), 3 no convergence (the best iterate is
+still written), 4 suite failure.  Output files are byte-identical for
+identical inputs and flags once --no-timestamp is passed.
 """
 
 from __future__ import annotations
@@ -209,6 +209,9 @@ def main(argv=None) -> int:
         return 3
     except (NamaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # a float-mode result beyond the double range
+        print(f"error: value outside float mode's range: {exc}", file=sys.stderr)
         return 2
 
 

@@ -39,7 +39,10 @@ class MetricGraph:
     edges: Tuple[Tuple[int, int, Fraction], ...]
 
     def __post_init__(self):
-        edges = tuple((int(u), int(v), Fraction(l)) for u, v, l in self.edges)
+        for idx, (u, v, _) in enumerate(self.edges):
+            if not all(isinstance(e, int) and not isinstance(e, bool) for e in (u, v)):
+                raise ValueError(f"edge {idx} endpoints must be integers")
+        edges = tuple((u, v, Fraction(l)) for u, v, l in self.edges)
         object.__setattr__(self, "edges", edges)
         if self.vertex_count < 1:
             raise ValueError("graph needs at least one vertex")

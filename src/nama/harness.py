@@ -341,19 +341,14 @@ def _two_psh(rng, cfg):
 def _suite_locality(rng: SplitMix64, cfg: GenConfig):
     delta, phi, psi = _two_psh(rng, cfg)
     failures = []
-    h = tc.max_combine(phi, psi)
-    mu_h, mu_phi, mu_psi = tc.ma_measure(h), tc.ma_measure(phi), tc.ma_measure(psi)
-    for region_of, inner, mu_inner, tag in (
-        (phi, psi, mu_phi, "phi"),
-        (psi, phi, mu_psi, "psi"),
-    ):
-        pts = set(mu_h.points()) | set(mu_inner.points())
-        for p in pts:
-            if region_of.value(p) > inner.value(p):
-                if mu_h.weight_at(p) != mu_inner.weight_at(p):
-                    failures.append(
-                        (f"locality:{tag}-side:{p}", _w_pair(delta, phi, psi))
-                    )
+    mu_h = tc.ma_measure(tc.max_combine(phi, psi))
+    sides = (("phi", tc.ma_measure(phi)), ("psi", tc.ma_measure(psi)))
+    pts = set(mu_h.points()).union(*(mu.points() for _, mu in sides))
+    at = {p: (phi.value(p), psi.value(p)) for p in pts}
+    for i, (tag, mu_inner) in enumerate(sides):
+        for p in set(mu_h.points()) | set(mu_inner.points()):
+            if at[p][i] > at[p][1 - i] and mu_h.weight_at(p) != mu_inner.weight_at(p):
+                failures.append((f"locality:{tag}-side:{p}", _w_pair(delta, phi, psi)))
     return failures
 
 
@@ -397,13 +392,13 @@ def _suite_envelope_axioms(rng: SplitMix64, cfg: GenConfig):
         for _ in range(12)
     ] + list(pf.sites) + list(pgr.sites)
 
+    pf_at = [pf.value(y) for y in samples]
+
     # Monotonicity: min(f, g) <= f pointwise, so P(min) <= P(f).
     fmin = tc.TestFunction(list(f.branches) + list(g.branches))
     pmin = tc.psh_envelope(fmin)
-    for y in samples:
-        if pmin.value(y) > pf.value(y):
-            failures.append(("envelope:monotone", witness))
-            break
+    if any(pmin.value(y) > v for y, v in zip(samples, pf_at)):
+        failures.append(("envelope:monotone", witness))
 
     # Exact commutation with constants.
     c = Fraction(rng.int_between(-5, 5), 3)
@@ -420,6 +415,7 @@ def _suite_envelope_axioms(rng: SplitMix64, cfg: GenConfig):
         failures.append(("envelope:lipschitz", witness))
 
     # Concavity at sampled points.
+    at = [(y, a, pgr.value(y)) for y, a in zip(samples[:6], pf_at)]
     for t in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
         mix = tc.TestFunction(
             [
@@ -429,10 +425,8 @@ def _suite_envelope_axioms(rng: SplitMix64, cfg: GenConfig):
             ]
         )
         pmix = tc.psh_envelope(mix)
-        for y in samples[:6]:
-            if pmix.value(y) < t * pf.value(y) + (1 - t) * pgr.value(y):
-                failures.append((f"envelope:concavity:t={t}", witness))
-                break
+        if any(pmix.value(y) < t * a + (1 - t) * b for y, a, b in at):
+            failures.append((f"envelope:concavity:t={t}", witness))
     return failures
 
 
@@ -552,56 +546,51 @@ def _suite_energy_identities(rng: SplitMix64, cfg: GenConfig):
     if e_phi != tc.energy_via_mixed(phi, ref) or e_psi != tc.energy_via_mixed(psi, ref):
         failures.append(("energy:legendre-vs-mixed", witness))
 
-    # e202: difference formula through the mixed pairings.
-    total = _ZERO
-    for j in range(n + 1):
-        mu = tc.mixed_ma([phi] * j + [psi] * (n - j))
-        total += sum((w * (psi.value(q) - phi.value(q)) for q, w in mu.atoms), _ZERO)
-    if e_psi - e_phi != total / (n + 1):
+    def against(h1, h2, mu):
+        return tc.integrate(h1, mu) - tc.integrate(h2, mu)
+
+    # e202: difference formula through the mixed pairings; the j = n
+    # pairing is the one against MA(phi).
+    pairings = [against(psi, phi, tc.mixed_ma([phi] * j + [psi] * (n - j))) for j in range(n + 1)]
+    if e_psi - e_phi != sum(pairings) / (n + 1):
         failures.append(("energy:e202", witness))
 
     # e2008: the mixing path is a polynomial of degree <= n+1 whose
     # derivative at 0 is the pairing against MA(phi).
+    path = {Fraction(0): e_phi, Fraction(1): e_psi}
+
+    def path_energy(x: Fraction) -> Fraction:
+        if x not in path:
+            path[x] = tc.legendre_energy(tc.convex_path(phi, psi, x), ref)
+        return path[x]
+
     nodes = [Fraction(j, n + 1) for j in range(n + 2)]
-    values = [
-        tc.legendre_energy(tc.convex_path(phi, psi, x), ref) for x in nodes
-    ]
-    coeffs = _poly_fit(nodes, values)
+    coeffs = _poly_fit(nodes, [path_energy(x) for x in nodes])
     probe = Fraction(1, 2 * n + 3)
-    if _poly_eval(coeffs, probe) != tc.legendre_energy(tc.convex_path(phi, psi, probe), ref):
+    if _poly_eval(coeffs, probe) != path_energy(probe):
         failures.append(("energy:path-not-polynomial", witness))
     derivative = coeffs[1] if len(coeffs) > 1 else _ZERO
-    expected = tc.integrate(psi, tc.ma_measure(phi)) - tc.integrate(phi, tc.ma_measure(phi))
-    if derivative != expected:
+    if derivative != pairings[n]:
         failures.append(("energy:e2008", witness))
 
     # Concavity and monotonicity.
-    mid = tc.convex_path(phi, psi, Fraction(1, 2))
-    if tc.legendre_energy(mid, ref) < (e_phi + e_psi) / 2:
+    if path_energy(Fraction(1, 2)) < (e_phi + e_psi) / 2:
         failures.append(("energy:concavity", witness))
     upper = tc.max_combine(phi, psi)
     if tc.legendre_energy(upper, ref) < e_phi:
         failures.append(("energy:monotone", witness))
 
-    # Cauchy-Schwarz negativity and integration-by-parts symmetry.
-    chi = gen_psh(rng, delta, cfg)
+    # Cauchy-Schwarz negativity and integration-by-parts symmetry, pairing
+    # h1 - h2 against MA(h, chi) - MA(h', chi) (MA(h) - MA(h') in 1-D).
+    chi, eta = gen_psh(rng, delta, cfg), gen_psh(rng, delta, cfg)
+    m_phi, m_psi, m_chi, m_eta = [tc.mixed_ma([h] + [chi] * (n - 1)) for h in (phi, psi, chi, eta)]
 
-    def pairing(h1a, h1b, h2a, h2b):
-        if n == 1:
-            m_a, m_b = tc.ma_measure(h2a), tc.ma_measure(h2b)
-        else:
-            m_a, m_b = tc.mixed_ma([h2a, chi]), tc.mixed_ma([h2b, chi])
-        out = _ZERO
-        for q, w in m_a.atoms:
-            out += w * (h1a.value(q) - h1b.value(q))
-        for q, w in m_b.atoms:
-            out -= w * (h1a.value(q) - h1b.value(q))
-        return out
+    def pairing(h1, h2, m1, m2):
+        return against(h1, h2, m1) - against(h1, h2, m2)
 
-    if pairing(phi, psi, phi, psi) > 0:
+    if pairing(phi, psi, m_phi, m_psi) > 0:
         failures.append(("energy:cauchy-schwarz", witness))
-    eta = gen_psh(rng, delta, cfg)
-    if pairing(phi, psi, chi, eta) != pairing(chi, eta, phi, psi):
+    if pairing(phi, psi, m_chi, m_eta) != pairing(chi, eta, m_phi, m_psi):
         failures.append(("energy:ibp-symmetry", witness))
     return failures
 
@@ -654,29 +643,15 @@ def _suite_capacity(rng: SplitMix64, cfg: GenConfig):
             failures.append(("capacity:point-positive", witness))
 
     # Implication-safe form of the sublevel estimate, per candidate:
-    # t^n MA(c)({phi<psi}) <= MA(phi)({phi < (1-t) psi + t}).
+    # t^n MA(c)({phi<psi}) <= MA(phi)({phi < (1-t) psi + t (g_Delta + 1)}).
     phi_p = normalized_candidate(gen_psh(rng, delta, cfg))
     psi_p = normalized_candidate(gen_psh(rng, delta, cfg))
-    mu_phi = tc.ma_measure(phi_p)
-    for cand in candidates:
-        mu_c = tc.ma_measure(cand)
-        for t in (Fraction(1, 4), Fraction(1, 2)):
-            lhs2 = sum(
-                (
-                    w
-                    for p, w in mu_c.atoms
-                    if phi_p.value(p) < psi_p.value(p)
-                ),
-                _ZERO,
-            )
-            rhs2 = sum(
-                (
-                    w
-                    for p, w in mu_phi.atoms
-                    if phi_p.value(p) < (1 - t) * psi_p.value(p) + t * ref.value(p) + t
-                ),
-                _ZERO,
-            )
+    at = [(w, phi_p.value(p), psi_p.value(p), ref.value(p)) for p, w in tc.ma_measure(phi_p).atoms]
+    ts = (Fraction(1, 4), Fraction(1, 2))
+    rhs = [sum((w for w, a, b, g in at if a < (1 - t) * b + t * g + t), _ZERO) for t in ts]
+    for mu_c in (tc.ma_measure(ref), mu_m, tc.ma_measure(candidates[2])):  # MA of each candidate
+        lhs2 = sum((w for p, w in mu_c.atoms if phi_p.value(p) < psi_p.value(p)), _ZERO)
+        for t, rhs2 in zip(ts, rhs):
             if t**n * lhs2 > rhs2:
                 failures.append((f"capacity:sublevel:t={t}", witness))
     return failures
@@ -832,13 +807,13 @@ def _suite_graph(rng: SplitMix64, cfg: GenConfig):
     if rho.canonical().vertex_weights != tuple(mu_w) or max(phi.values) != 0:
         failures.append(("graph:poisson-round-trip", witness))
 
-    v0 = cv.PoissonSolver(graph, 0).solve(omega_w, mu_w).values
+    solver = cv.PoissonSolver(graph)  # grounded at 0
+    v0 = solver.solve(omega_w, mu_w).values
     v1 = cv.PoissonSolver(graph, n - 1).solve(omega_w, mu_w).values
     if len({a - b for a, b in zip(v0, v1)}) != 1:
         failures.append(("graph:uniqueness", witness))
 
     best = cv.energy_graph(graph, phi, omega) - cv.integrate_graph(graph, phi, mu)
-    solver = cv.PoissonSolver(graph)
     for _ in range(20):
         nu = gen_graph_measure(rng, n, Fraction(n))
         psi = solver.solve(omega_w, nu)

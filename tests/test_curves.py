@@ -227,6 +227,11 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             cv.MetricGraph(2, ((0, 0, F(1)),))
 
+    @pytest.mark.parametrize("edge", [(0, 1.5, 1), (0, F(1), 1), (False, True, 1), ("0", 1, 1)])
+    def test_non_integer_endpoint_rejected(self, edge):
+        with pytest.raises(ValueError, match="edge 1 endpoints must be integers"):
+            cv.MetricGraph(2, ((0, 1, F(1)), edge))
+
     def test_parallel_edges_allowed(self):
         g = cv.MetricGraph(2, ((0, 1, F(1)), (0, 1, F(2))))
         assert len(g.edges) == 2

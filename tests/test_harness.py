@@ -103,6 +103,89 @@ class TestSuites:
         failures = hx._suite_uniqueness(hx.SplitMix64(self.UNIQUENESS_CASE), cfg)
         assert [a for a, _ in failures] == ["uniqueness:constant-gap"]
 
+    # Planted faults in the inputs of the check-suites assertions, on cases
+    # k of `check --dimension 2 --seed 1` (case seed case_seed(1, k)).  Each
+    # case passes unplanted; planted, it reports the exact failure list.
+    CFG_2D = hx.GenConfig(seed=1, dimension=2)
+
+    def _planted(self, monkeypatch, suite, k, patches):
+        rng = lambda: hx.SplitMix64(hx.case_seed(1, k))
+        assert suite(rng(), self.CFG_2D) == []
+        for owner, name, value in patches:
+            monkeypatch.setattr(owner, name, value)
+        return [a for a, _ in suite(rng(), self.CFG_2D)]
+
+    def test_graph_uniqueness_reports_planted_shift(self, monkeypatch):
+        class Shifted(hx.cv.PoissonSolver):
+            """Moves the last vertex's value of every solve grounded there."""
+
+            def __init__(self, graph, ground=0):
+                super().__init__(graph, ground)
+                self.faulty = ground == graph.vertex_count - 1
+
+            def solve(self, omega_weights, mu_weights):
+                g = super().solve(omega_weights, mu_weights)
+                if not self.faulty:
+                    return g
+                return hx.cv.GraphFunction(g.values[:-1] + (g.values[-1] + F(1, 7),))
+
+        found = self._planted(monkeypatch, hx._suite_graph, 0, [(hx.cv, "PoissonSolver", Shifted)])
+        assert found == ["graph:uniqueness"]
+
+    def _mixed_fault(self, target):
+        """gen_psh and mixed_ma replacements: the energy suite draws phi,
+        psi, chi, eta (0-3) in that order, and MA(h, chi) of the target-th
+        comes back with its first atom's weight tripled."""
+        drawn, gen_psh, mixed_ma = [], hx.gen_psh, hx.tc.mixed_ma
+
+        def record(*args):
+            drawn.append(gen_psh(*args))
+            return drawn[-1]
+
+        def faulty(fs):
+            m = mixed_ma(fs)
+            if len(drawn) > max(target, 2) and fs[0] is drawn[target] and fs[1] is drawn[2]:
+                (p, w), *rest = m.atoms
+                return tc.AtomicMeasure(((p, 3 * w), *rest))
+            return m
+
+        return [(hx, "gen_psh", record), (hx.tc, "mixed_ma", faulty)]
+
+    def test_energy_cauchy_schwarz_reports_planted_mixed_mass(self, monkeypatch):
+        # MA(phi, chi) enters both pairings of the symmetry check too.
+        found = self._planted(monkeypatch, hx._suite_energy_identities, 11, self._mixed_fault(0))
+        assert found == ["energy:cauchy-schwarz", "energy:ibp-symmetry"]
+
+    def test_energy_ibp_symmetry_reports_planted_mixed_mass(self, monkeypatch):
+        found = self._planted(monkeypatch, hx._suite_energy_identities, 11, self._mixed_fault(3))
+        assert found == ["energy:ibp-symmetry"]
+
+    @pytest.mark.parametrize(
+        "k, expected",
+        [
+            (3, ["capacity:sublevel:t=1/4", "capacity:sublevel:t=1/2", "capacity:sublevel:t=1/2"]),
+            (6, ["capacity:sublevel:t=1/4", "capacity:sublevel:t=1/2"]),
+        ],
+    )
+    def test_capacity_sublevel_reports_planted_mass_loss(self, monkeypatch, k, expected):
+        """MA(phi') at 1/64 of its weights shrinks both right-hand sides, so
+        some of the six (candidate, t) checks fail; with the two sides'
+        t swapped, case 6 would report t = 1/2 alone."""
+        drawn, normalized, ma_measure = [], hx.normalized_candidate, hx.tc.ma_measure
+
+        def record(f):  # the third candidate, phi', psi'
+            drawn.append(normalized(f))
+            return drawn[-1]
+
+        def faulty(f):
+            m = ma_measure(f)
+            if len(drawn) > 1 and f is drawn[1]:
+                return tc.AtomicMeasure(tuple((p, w / 64) for p, w in m.atoms))
+            return m
+
+        patches = [(hx, "normalized_candidate", record), (hx.tc, "ma_measure", faulty)]
+        assert self._planted(monkeypatch, hx._suite_capacity, k, patches) == expected
+
     def test_report_deterministic(self):
         cfg = hx.GenConfig(seed=9, dimension=1)
         a = hx.run_suite("locality", cfg, 5)

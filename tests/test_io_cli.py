@@ -440,6 +440,22 @@ class TestMalformedInstancesExitTwo:
         doc = dict(DIRAC, mode="float", sites=[[0.5, 0.5]], weights=[float("nan")])
         assert self.run(tmp_path, "solve", doc) == 2
 
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            # The rendered pieces of the envelope reach 10^400.
+            ("envelope", dict(ENVELOPE, mode="float", polytope={"vertices": [["0"], ["1" + "0" * 400]]},
+                              constraints=[{"site": ["0"], "value": "0"}])),
+            # The Newton iterates' gradient norm reaches 10^200 squared.
+            ("solve", dict(DIRAC, mode="float", polytope={"vertices": [["0"], ["1" + "0" * 200]]},
+                           sites=[["0"], ["1"]], weights=["5" + "0" * 199] * 2)),
+        ],
+    )
+    def test_float_result_beyond_double_range(self, tmp_path, capsys, command, doc):
+        assert self.run(tmp_path, command, doc) == 2
+        assert "outside float mode's range" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
     @pytest.mark.parametrize("key", ["sites", "weights"])
     def test_dirac_list_field_not_a_list(self, tmp_path, key):
         assert self.run(tmp_path, "solve", dict(DIRAC, **{key: 5})) == 2

@@ -134,6 +134,12 @@ POISSON_INTERIOR_6 = {
     ],
 }
 
+# The same three curve instances in float mode: the same exact solve,
+# written as doubles.
+GREEN_6_FLOAT = dict(GREEN_6, mode="float")
+POISSON_VERTEX_6_FLOAT = dict(POISSON_VERTEX_6, mode="float")
+POISSON_INTERIOR_6_FLOAT = dict(POISSON_INTERIOR_6, mode="float")
+
 SUITE_DIGESTS = {
     # (suite, dimension) -> sha256 of `nama check --seed 1 --cases 2 --no-timestamp`
     ("capacity", 1): "676ddccc9db4405ceae503cf9966d8b0b9406fb22bfde61ebd393c510216c155",
@@ -174,6 +180,11 @@ COMMAND_DIGESTS = {
     ("poisson", "poisson_interior_6"): "a9926a928b510a49d333015d409c6cd8744f3efb9b9a058232803a7880aff8d2",
     ("energy", "poisson_vertex_6"): "432531aee29c724f0654e25e54e4b61397de0075db5b5635dbabb3e9d993e702",
     ("energy", "poisson_interior_6"): "1189ad41af2e40293f4f6fb609b22baa98d184cf42f1cb6272739709e4650cee",
+    ("green", "green_6_float"): "d7b7b3e0615a1b1c737a7001629949d7b98ee459096868db001ec961ba178e0b",
+    ("poisson", "poisson_vertex_6_float"): "94e2d00a4e3fb68b44ce9af981931c829ed972cce15b4ca3dd62cc012e4e7923",
+    ("poisson", "poisson_interior_6_float"): "b3131ccfaab87858aa8d341454a4d46de43abe9fac5ecfedd47989e8ccf7a9eb",
+    ("energy", "poisson_vertex_6_float"): "91bd8ca4c2db2aaa216648ba6c2bfe43304798e3318cf2e8162298c31f7f31b0",
+    ("energy", "poisson_interior_6_float"): "a2e343c3c56dd72d122abbda7fe30b593d95356840578c9ddbd12c67fe6b588a",
 }
 
 EXPORT_DIGESTS = {
@@ -203,6 +214,9 @@ INSTANCES = {
     "green_6": GREEN_6,
     "poisson_vertex_6": POISSON_VERTEX_6,
     "poisson_interior_6": POISSON_INTERIOR_6,
+    "green_6_float": GREEN_6_FLOAT,
+    "poisson_vertex_6_float": POISSON_VERTEX_6_FLOAT,
+    "poisson_interior_6_float": POISSON_INTERIOR_6_FLOAT,
 }
 
 

@@ -7,21 +7,20 @@ optionally at edge-interior points.  Every operator works on the graph
 as given: `ddc` reads slopes along each edge, and `solve_poisson`
 eliminates interior points in closed form (Kron reduction: a point on an
 edge is a degree-2 vertex of the electrical network), so the only linear
-solve is on the original vertices.
-"""
+solve is on the original vertices.  The operators run on integers over
+common denominators and make one Fraction per number they return."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import zip_longest
 from math import lcm
-from operator import add
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from operator import mul
+from typing import List, Sequence, Tuple
 
 from .errors import MassMismatch, NotPsh, SameVertex
-from .linalg import ExactLinearSolver, integers, solve_exact
+from .linalg import ExactLinearSolver, integers
 
 _ZERO = Fraction(0)
 
@@ -30,25 +29,23 @@ EdgeAtom = Tuple[Fraction, Fraction]  # (position in (0,1), weight/value)
 
 @dataclass(frozen=True)
 class MetricGraph:
-    """Connected multigraph with positive rational edge lengths.
-
-    Parallel edges are allowed, self-loops are not.
-    """
+    """Connected multigraph with positive rational (int or Fraction) edge
+    lengths.  Parallel edges are allowed, self-loops are not."""
 
     vertex_count: int
     edges: Tuple[Tuple[int, int, Fraction], ...]
 
     def __post_init__(self):
-        for idx, (u, v, _) in enumerate(self.edges):
-            if not all(isinstance(e, int) and not isinstance(e, bool) for e in (u, v)):
-                raise ValueError(f"edge {idx} endpoints must be integers")
-        edges = tuple((u, v, Fraction(l)) for u, v, l in self.edges)
-        object.__setattr__(self, "edges", edges)
-        if self.vertex_count < 1:
+        n = self.vertex_count
+        if n < 1:
             raise ValueError("graph needs at least one vertex")
-        adj = [[] for _ in range(self.vertex_count)]
-        for idx, (u, v, l) in enumerate(edges):
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
+        if n > len(self.edges) + 1:  # before anything of size n is built
+            raise ValueError(f"graph is not connected: {n} vertices but {len(self.edges)} edges")
+        adj = [[] for _ in range(n)]
+        for idx, (u, v, l) in enumerate(self.edges):
+            if not (isinstance(u, int) and isinstance(v, int)) or isinstance(u, bool) or isinstance(v, bool):
+                raise ValueError(f"edge {idx} endpoints must be integers")
+            if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {idx} endpoint out of range")
             if u == v:
                 raise ValueError(f"edge {idx} is a self-loop")
@@ -62,24 +59,29 @@ class MetricGraph:
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)
-        if len(seen) != self.vertex_count:
+        if len(seen) != n:
             raise ValueError("graph is not connected")
 
+    @cached_property
+    def conductances(self) -> Tuple[List[Tuple[int, int, int]], int]:
+        """([(u, v, c)], k): each edge (u, v, l) conducts 1 / l = c / k, k
+        the lcm of the lengths' numerators; computed on first read, kept."""
+        k = lcm(*(l.numerator for *_, l in self.edges))
+        return [(u, v, l.denominator * (k // l.numerator)) for u, v, l in self.edges], k
 
-def _norm_edge_items(graph: MetricGraph, per_edge) -> Tuple[Tuple[EdgeAtom, ...], ...]:
-    per_edge = tuple(per_edge) if per_edge else ((),) * len(graph.edges)
-    if len(per_edge) != len(graph.edges):
-        raise ValueError("per-edge data must match the edge list")
-    out = []
+
+def _on(graph: MetricGraph, per_vertex, per_edge):
+    """(per-vertex tuple, per-edge sorted tuples), checked against graph."""
+    per_vertex, per_edge = tuple(per_vertex), tuple(per_edge) if per_edge else ((),) * len(graph.edges)
+    if len(per_vertex) != graph.vertex_count or len(per_edge) != len(graph.edges):
+        raise ValueError("one entry per vertex and one list per edge required")
     for items in per_edge:
-        items = tuple((Fraction(p), Fraction(x)) for p, x in items)
         for p, _ in items:
             if not (0 < p < 1):
                 raise ValueError(f"interior position {p} outside (0,1)")
         if len({p for p, _ in items}) != len(items):
             raise ValueError("duplicate interior positions on one edge")
-        out.append(tuple(sorted(items)))
-    return tuple(out)
+    return per_vertex, tuple(tuple(sorted(items)) for items in per_edge)
 
 
 @dataclass(frozen=True)
@@ -92,66 +94,42 @@ class GraphFunction:
 
     @staticmethod
     def on(graph: MetricGraph, values, breakpoints=None) -> "GraphFunction":
-        values = tuple(Fraction(v) for v in values)
-        if len(values) != graph.vertex_count:
-            raise ValueError("one value per vertex required")
-        return GraphFunction(values, _norm_edge_items(graph, breakpoints))
-
-    def profile(self, graph: MetricGraph, e: int) -> List[EdgeAtom]:
-        """Positions and values along edge e, endpoints included."""
-        u, v, _ = graph.edges[e]
-        bps = self.breakpoints[e] if e < len(self.breakpoints) else ()
-        return [(_ZERO, self.values[u]), *bps, (Fraction(1), self.values[v])]
+        return GraphFunction(*_on(graph, values, breakpoints))
 
     def value_on_edge(self, graph: MetricGraph, e: int, pos: Fraction) -> Fraction:
-        pos = Fraction(pos)
-        prof = self.profile(graph, e)
+        (u, v, _), bps = graph.edges[e], self.breakpoints[e] if e < len(self.breakpoints) else ()
+        prof = [(_ZERO, self.values[u]), *bps, (Fraction(1), self.values[v])]
         for (p0, x0), (p1, x1) in zip(prof, prof[1:]):
             if p0 <= pos <= p1:
                 return x0 + (x1 - x0) * (pos - p0) / (p1 - p0)
         raise ValueError(f"position {pos} outside [0,1]")
 
-    def shift(self, c) -> "GraphFunction":
-        c = Fraction(c)
-        return GraphFunction(
-            tuple(v + c for v in self.values),
-            tuple(tuple((p, x + c) for p, x in bps) for bps in self.breakpoints),
-        )
-
 
 @dataclass(frozen=True)
 class GraphMeasure:
     """Atomic measure: vertex weights plus optional edge-interior atoms.
-
     Weights may be signed (dd^c outputs are); inputs to the Poisson
-    solver are validated to be positive where required.
-    """
+    solver are validated to be positive where required."""
 
     vertex_weights: Tuple[Fraction, ...]
     edge_atoms: Tuple[Tuple[EdgeAtom, ...], ...] = ()
 
     @staticmethod
     def on(graph: MetricGraph, vertex_weights, edge_atoms=None) -> "GraphMeasure":
-        w = tuple(Fraction(x) for x in vertex_weights)
-        if len(w) != graph.vertex_count:
-            raise ValueError("one weight per vertex required")
-        return GraphMeasure(w, _norm_edge_items(graph, edge_atoms))
+        return GraphMeasure(*_on(graph, vertex_weights, edge_atoms))
+
+    @cached_property
+    def integer_weights(self) -> Tuple[List[int], int]:
+        """The vertex weights, then the atoms' in edge order, as integers
+        over one denominator; computed on first read and kept."""
+        return integers([*self.vertex_weights, *(x for bps in self.edge_atoms for _, x in bps)])
 
     @cached_property
     def total_mass(self) -> Fraction:
-        """Computed on first read and kept: parsing and solving read it often."""
-        return sum((x for bps in self.edge_atoms for _, x in bps), sum(self.vertex_weights, _ZERO))
+        return Fraction(sum(self.integer_weights[0]), self.integer_weights[1])
 
     def is_positive(self) -> bool:
-        return all(w >= 0 for w in self.vertex_weights) and all(
-            x >= 0 for bps in self.edge_atoms for _, x in bps
-        )
-
-    def canonical(self) -> "GraphMeasure":
-        """Drop zero-weight interior atoms (vertex entries stay in place)."""
-        return GraphMeasure(
-            self.vertex_weights, tuple(tuple((p, x) for p, x in bps if x != 0) for bps in self.edge_atoms)
-        )
+        return min(self.integer_weights[0]) >= 0
 
 
 # --------------------------------------------------------------------------
@@ -159,33 +137,108 @@ class GraphMeasure:
 # --------------------------------------------------------------------------
 
 
-def ddc(graph: MetricGraph, f: GraphFunction) -> GraphMeasure:
-    """Sum of outgoing slopes at every vertex and breakpoint: the metric
-    graph Laplacian as a signed measure of total mass zero.  It is the
-    graph Laplacian of the subdivision at f's breakpoints, computed with
-    f's values over one common denominator d and the conductances
-    1 / (l (p1 - p0)) of the segments over another, k."""
+def _ddc(graph: MetricGraph, f: GraphFunction):
+    """(xs, d, ws, den): f's values xs / d and outgoing slope sums ws / den
+    at the vertices, then at f's breakpoints in edge order.  A segment
+    from a0/q0 to a1/q1 of an edge conducting c / k conducts
+    c q0 q1 / (k (a1 q0 - a0 q1))."""
     n, bps = graph.vertex_count, f.breakpoints or ((),) * len(graph.edges)
     xs, d = integers([*f.values, *(x for b in bps for _, x in b)])
-    segments, m = [], n  # (node, node, conductance num / den); breakpoints are nodes n, n + 1, ...
-    for (u, v, l), b in zip(graph.edges, bps):
+    (cs, k), segments, m = graph.conductances, [], n  # breakpoints are nodes n, n + 1, ...
+    for (u, v, c), b in zip(cs, bps):
         prof = [(0, 1, u), *((p.numerator, p.denominator, i) for i, (p, _) in enumerate(b, m)), (1, 1, v)]
         m += len(b)
-        segments += [(i, j, l.denominator * q0 * q1, l.numerator * (p1 * q0 - p0 * q1))
-                     for (p0, q0, i), (p1, q1, j) in zip(prof, prof[1:])]
-    k = lcm(*(den for *_, den in segments))
-    weights = [0] * m
+        segments += [(i, j, c * q0 * q1, a1 * q0 - a0 * q1) for (a0, q0, i), (a1, q1, j) in zip(prof, prof[1:])]
+    s, ws = lcm(*(den for *_, den in segments)), [0] * m
     for i, j, num, den in segments:
-        slope = num * (k // den) * (xs[j] - xs[i])
-        weights[i] += slope
-        weights[j] -= slope
-    if sum(weights) != 0:
+        slope = num * (s // den) * (xs[j] - xs[i])
+        ws[i] += slope
+        ws[j] -= slope
+    if sum(ws) != 0:
         raise AssertionError("dd^c lost mass")  # structurally impossible
-    kd, atoms = k * d, iter(weights[n:])
+    return xs, d, ws, k * s * d
+
+
+def _curvature(graph: MetricGraph, omega, f: GraphFunction, ws, k):
+    """omega + dd^c(f), given dd^c(f) = ws / k from `_ddc`, as vertex weights,
+    per edge sorted nonzero (position, weight) atoms, and their denominator."""
+    n, blank = graph.vertex_count, ((),) * len(graph.edges)
+    os, e = omega.integer_weights if omega else ([0] * n, 1)
+    f_atoms, o_atoms, atoms = iter(ws[n:]), iter(os[n:]), []
+    for b, a in zip(f.breakpoints or blank, omega and omega.edge_atoms or blank):
+        merged = {p: w * e for (p, _), w in zip(b, f_atoms)}
+        for (p, _), x in zip(a, o_atoms):
+            merged[p] = merged.get(p, 0) + x * k
+        atoms.append(sorted((p, x) for p, x in merged.items() if x))
+    return [w * e + x * k for w, x in zip(ws, os[:n])], atoms, k * e
+
+
+def ddc(graph: MetricGraph, f: GraphFunction) -> GraphMeasure:
+    """Sum of outgoing slopes at every vertex and breakpoint: the graph
+    Laplacian of the subdivision at f's breakpoints, a measure of mass zero."""
+    return curvature(graph, None, f)
+
+
+def curvature(graph: MetricGraph, omega: GraphMeasure, phi: GraphFunction) -> GraphMeasure:
+    """omega + dd^c(phi) as one measure (dd^c(phi) when omega is None); its
+    interior atoms sit at the union of omega's atoms and phi's
+    breakpoints, zero atoms dropped."""
+    rho, atoms, den = _curvature(graph, omega, phi, *_ddc(graph, phi)[2:])
     return GraphMeasure(
-        tuple(Fraction(w, kd) for w in weights[:n]),
-        tuple(tuple((p, Fraction(w, kd)) for (p, _), w in zip(b, atoms) if w) for b in bps),
+        tuple(Fraction(x, den) for x in rho), tuple(tuple((p, Fraction(x, den)) for p, x in a) for a in atoms)
     )
+
+
+class PoissonSolver:
+    """Factor the grounded Laplacian once, then solve many right-hand sides:
+    the one graph solve behind green, solve_poisson and the suites."""
+
+    def __init__(self, graph: MetricGraph, ground: int = 0):
+        edges, self.k = graph.conductances  # so the factor is of k L
+        self.graph, self.solver = graph, ExactLinearSolver(graph.vertex_count, edges, ground)
+
+    def solve_over(self, rhs: List[int], den: int) -> Tuple[List[int], int]:
+        """(x, d): L x / d = rhs / den, x = 0 at the ground; rhs must sum to zero."""
+        if sum(rhs) != 0:
+            raise MassMismatch("laplace right-hand side must have total mass zero")
+        x, d = self.solver.solve_over(rhs, den)
+        return [v * self.k for v in x], d
+
+    def solve(self, omega_weights, mu_weights) -> GraphFunction:
+        """phi with omega + dd^c(phi) = mu for vertex weights, sup(phi) = 0."""
+        return self._poisson(GraphMeasure(tuple(omega_weights)), GraphMeasure(tuple(mu_weights)))
+
+    def _poisson(self, omega: GraphMeasure, mu: GraphMeasure) -> GraphFunction:
+        """`solve_poisson` on this factor, unchecked.  Weights over w, positions
+        over s, lengths over b and phi(u) = x_u / d: phi is shifted over d s^2 w b."""
+        n, edges = self.graph.vertex_count, self.graph.edges
+        (ow, od), (mw, md) = omega.integer_weights, mu.integer_weights
+        w, charges = lcm(od, md), [{} for _ in edges]  # per edge: position -> net charge over w
+        for m, ws, scale in ((omega, ow, w // od), (mu, mw, -(w // md))):
+            for (q, p), c in zip([(q, p) for q, b in zip(charges, m.edge_atoms) for p, _ in b], ws[n:]):
+                if c:
+                    q[p] = q.get(p, 0) + c * scale
+        s = lcm(*(p.denominator for q in charges for p in q))
+        at = {p: p.numerator * (s // p.denominator) for q in charges for p in q}  # position -> p s
+        rhs = [(a * (w // od) - b * (w // md)) * s for a, b in zip(ow[:n], mw[:n])]
+        for (u, v, _), q in zip(edges, charges):
+            for p, c in q.items():
+                rhs[u] += c * (s - at[p])
+                rhs[v] += c * at[p]
+        xs, d = self.solve_over(rhs, w * s)
+        values, den, bps = xs, d, ((),) * len(edges)
+        if at:
+            ls, lb = integers([l for *_, l in edges])
+            g = s * w * lb
+            values, den = [x * s * g for x in xs], d * s * g
+            bps = [[(p, ((s - at[p]) * xs[u] + at[p] * xs[v]) * g
+                     + l * d * sum(c * min(at[p], at[r]) * (s - max(at[p], at[r])) for r, c in q.items()))
+                    for p in sorted(q)] for (u, v, _), l, q in zip(edges, ls, charges)]
+        top = max(values + [x for b in bps for _, x in b])
+        return GraphFunction(
+            tuple(Fraction(x - top, den) for x in values),
+            tuple(tuple((p, Fraction(x - top, den)) for p, x in b) for b in bps),
+        )
 
 
 def green(graph: MetricGraph, x: int, y: int) -> GraphFunction:
@@ -194,7 +247,8 @@ def green(graph: MetricGraph, x: int, y: int) -> GraphFunction:
         raise SameVertex("green function needs distinct poles")
     rhs = [0] * graph.vertex_count
     rhs[y], rhs[x] = 1, -1
-    return GraphFunction(tuple(_grounded_laplace_solve(graph, rhs, y)))
+    vals, d = PoissonSolver(graph, y).solve_over(rhs, 1)
+    return GraphFunction(tuple(Fraction(v, d) for v in vals))
 
 
 def solve_poisson(graph: MetricGraph, omega: GraphMeasure, mu: GraphMeasure) -> GraphFunction:
@@ -211,97 +265,40 @@ def solve_poisson(graph: MetricGraph, omega: GraphMeasure, mu: GraphMeasure) -> 
     if not omega.is_positive() or not mu.is_positive():
         raise ValueError("omega and mu must be positive measures")
     if omega.total_mass != mu.total_mass:
-        raise MassMismatch(
-            f"mass(omega) = {omega.total_mass} differs from mass(mu) = {mu.total_mass}"
-        )
+        raise MassMismatch(f"mass(omega) = {omega.total_mass} differs from mass(mu) = {mu.total_mass}")
     if omega.total_mass <= 0:
         raise MassMismatch("total mass must be positive")
-    rhs = [a - b for a, b in zip(omega.vertex_weights, mu.vertex_weights)]
-    charges: List[Dict[Fraction, Fraction]] = [{} for _ in graph.edges]
-    for m, sign in ((omega, 1), (mu, -1)):
-        for (u, v, _), bps, q in zip(graph.edges, m.edge_atoms, charges):
-            for p, x in bps:
-                if x != 0:
-                    q[p] = q.get(p, _ZERO) + sign * x
-                    rhs[u] += sign * x * (1 - p)
-                    rhs[v] += sign * x * p
-    vals = _grounded_laplace_solve(graph, rhs, 0)
-    bps = [
-        [(s, (1 - s) * vals[u] + s * vals[v]
-          + l * sum(c * min(s, p) * (1 - max(s, p)) for p, c in q.items())) for s in sorted(q)]
-        for (u, v, l), q in zip(graph.edges, charges)
-    ]
-    top = max(vals + [x for b in bps for _, x in b])
-    return GraphFunction(tuple(vals), tuple(map(tuple, bps))).shift(-top)
-
-
-def _conductances(graph: MetricGraph):
-    return [(u, v, 1 / l) for u, v, l in graph.edges]
-
-
-def _grounded_laplace_solve(graph: MetricGraph, rhs, ground: int) -> List[Fraction]:
-    """Solve L phi = rhs with phi(ground) = 0; rhs must sum to zero."""
-    if sum(rhs, _ZERO) != 0:
-        raise MassMismatch("laplace right-hand side must have total mass zero")
-    return solve_exact(graph.vertex_count, _conductances(graph), ground, rhs)
-
-
-def curvature(graph: MetricGraph, omega: GraphMeasure, phi: GraphFunction) -> GraphMeasure:
-    """omega + dd^c(phi) as one measure; its interior atoms sit at the
-    union of omega's atoms and phi's breakpoints, zero atoms dropped."""
-    rho = ddc(graph, phi)
-    atoms = []
-    for omega_atoms, rho_atoms in zip_longest(omega.edge_atoms, rho.edge_atoms, fillvalue=()):
-        merged = dict(rho_atoms)
-        for p, x in omega_atoms:
-            merged[p] = merged.get(p, _ZERO) + x
-        atoms.append(tuple(sorted((p, x) for p, x in merged.items() if x)))
-    return GraphMeasure(tuple(map(add, omega.vertex_weights, rho.vertex_weights)), tuple(atoms))
+    return PoissonSolver(graph)._poisson(omega, mu)
 
 
 def energy_graph(graph: MetricGraph, phi: GraphFunction, omega: GraphMeasure) -> Fraction:
-    """E(phi) = (int phi d omega + int phi d(omega + dd^c phi)) / 2.
+    """E(phi) = (int phi d omega + int phi d(omega + dd^c phi)) / 2
+    = int phi d omega - 1/2 sum (phi_j - phi_i)^2 / l_ij over the segments
+    of the subdivision at phi's breakpoints (int phi d(dd^c phi) by parts).
 
     Raises NotPsh (with a witness) when omega + dd^c(phi) has a negative
     atom, i.e. phi is not omega-psh.
     """
-    rho = curvature(graph, omega, phi)
-    interior = (((e, p), w) for e, bps in enumerate(rho.edge_atoms) for p, w in bps)
-    for where, w in [*enumerate(rho.vertex_weights), *interior]:
-        if w < 0:
-            raise NotPsh(where, w)
-    return (integrate_graph(graph, phi, omega) + integrate_graph(graph, phi, rho)) / 2
+    xs, d, ws, k = _ddc(graph, phi)
+    rho, atoms, den = _curvature(graph, omega, phi, ws, k)
+    interior = (((e, p), x) for e, a in enumerate(atoms) for p, x in a)
+    for where, x in [*enumerate(rho), *interior]:
+        if x < 0:
+            raise NotPsh(where, Fraction(x, den))
+    return integrate_graph(graph, phi, omega) + Fraction(sum(map(mul, xs, ws)), 2 * d * k)
 
 
 def integrate_graph(graph: MetricGraph, f: GraphFunction, m: GraphMeasure) -> Fraction:
-    total = sum((w * x for w, x in zip(m.vertex_weights, f.values) if w), _ZERO)
+    """int f dm: the vertex part on integers, then each interior atom."""
+    (xs, d), (ws, dm), n = integers(f.values), m.integer_weights, graph.vertex_count
     atoms = (w * f.value_on_edge(graph, e, p) for e, bps in enumerate(m.edge_atoms) for p, w in bps if w)
-    return sum(atoms, total)
+    return sum(atoms, Fraction(sum(map(mul, xs, ws[:n])), d * dm))
 
 
-class PoissonSolver:
-    """Factor the grounded Laplacian once, then solve many vertex-supported
-    right-hand sides (used by the verification suites)."""
-
-    def __init__(self, graph: MetricGraph, ground: int = 0):
-        self.solver = ExactLinearSolver(graph.vertex_count, _conductances(graph), ground)
-
-    def solve(self, omega_weights, mu_weights) -> GraphFunction:
-        rhs = [a - b for a, b in zip(omega_weights, mu_weights)]
-        if sum(rhs, _ZERO) != 0:
-            raise MassMismatch("masses differ")
-        vals = self.solver.solve(rhs)
-        return GraphFunction(tuple(vals)).shift(-max(vals))
-
-
-class Subdivision(NamedTuple):
-    graph: MetricGraph
-    inserted: Tuple[Tuple[int, Fraction, int], ...]  # (edge, pos, new vertex id)
-
-
-def subdivide(graph: MetricGraph, positions: Sequence[Sequence[Fraction]]) -> Subdivision:
-    """Insert a vertex at each requested interior position.  No operator
-    needs it: it is the reference construction the tests check `ddc` and
+def subdivide(graph: MetricGraph, positions: Sequence[Sequence[Fraction]]):
+    """(the subdivided graph, its new vertices as (edge, pos, vertex id)):
+    a vertex at each requested interior position.  No operator needs it:
+    it is the reference construction the tests check `ddc` and
     `solve_poisson` against, and the benchmark's tracer names it."""
     next_id, edges, inserted = graph.vertex_count, [], []
     for e, (u, v, l) in enumerate(graph.edges):
@@ -313,4 +310,4 @@ def subdivide(graph: MetricGraph, positions: Sequence[Sequence[Fraction]]) -> Su
             prev, prev_pos = next_id, p
             next_id += 1
         edges.append((prev, v, l * (1 - prev_pos)))
-    return Subdivision(MetricGraph(next_id, tuple(edges)), tuple(inserted))
+    return MetricGraph(next_id, tuple(edges)), tuple(inserted)

@@ -33,7 +33,33 @@ MAX_LATTICE_POINTS = 100_000
 
 
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """json.dumps(obj, sort_keys=True, indent=2) + "\\n" for str-keyed
+    objects, written by one direct recursion: json's indenting encoder
+    runs in pure Python.  Instance hashes and every output file use it."""
+    return _json(obj, "\n") + "\n"
+
+
+def _json(obj, nl: str) -> str:
+    if isinstance(obj, str):
+        return _quote(obj)
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        items = [f"{_quote(k)}: {_json(v, inner)}" for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + nl + "}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in obj]) + nl + "]" if obj else "[]"
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"  # json's spellings
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+_quote = json.encoder.encode_basestring_ascii
 
 
 def _document(text: str, kinds=None):
@@ -197,10 +223,8 @@ def encode_measure(mu: tc.AtomicMeasure, mode: str = "rational"):
 
 
 def encode_graph(graph: cv.MetricGraph, mode: str = "rational"):
-    return {
-        "vertex_count": graph.vertex_count,
-        "edges": [[u, v, _render(l, mode)] for u, v, l in graph.edges],
-    }
+    edges = [[u, v, _render(l, mode)] for u, v, l in graph.edges]
+    return {"vertex_count": graph.vertex_count, "edges": edges}
 
 
 def decode_graph(obj, mode: str, field: str) -> cv.MetricGraph:
@@ -228,8 +252,8 @@ def decode_graph(obj, mode: str, field: str) -> cv.MetricGraph:
 def decode_graph_measure(obj, graph: cv.MetricGraph, mode: str, field: str) -> cv.GraphMeasure:
     if not isinstance(obj, list):
         raise ValidationError(field, "expected a list of atoms")
-    vw = [Fraction(0)] * graph.vertex_count
-    per_edge: Dict[int, list] = {}
+    zero = Fraction(0)
+    vw, per_edge = [zero] * graph.vertex_count, [[] for _ in graph.edges]
     for i, atom in enumerate(obj):
         af = f"{field}[{i}]"
         if not isinstance(atom, dict):
@@ -239,7 +263,8 @@ def decode_graph_measure(obj, graph: cv.MetricGraph, mode: str, field: str) -> c
             v = atom["vertex"]
             if not _is_int(v) or not (0 <= v < graph.vertex_count):
                 raise ValidationError(f"{af}.vertex", "vertex index out of range")
-            vw[v] += _scalar(atom["weight"], mode, f"{af}.weight")
+            w = _scalar(atom["weight"], mode, f"{af}.weight")
+            vw[v] = w if vw[v] is zero else vw[v] + w
         else:
             _check_keys(atom, {"edge", "pos", "weight"}, ("edge", "pos", "weight"), af)
             e = atom["edge"]
@@ -248,23 +273,19 @@ def decode_graph_measure(obj, graph: cv.MetricGraph, mode: str, field: str) -> c
             pos = _scalar(atom["pos"], mode, f"{af}.pos")
             if not (0 < pos < 1):
                 raise ValidationError(f"{af}.pos", "interior position must be in (0,1)")
-            per_edge.setdefault(e, []).append((pos, _scalar(atom["weight"], mode, f"{af}.weight")))
-    atoms = [tuple(sorted(per_edge.get(e, ()))) for e in range(len(graph.edges))]
+            per_edge[e].append((pos, _scalar(atom["weight"], mode, f"{af}.weight")))
     try:
-        return cv.GraphMeasure.on(graph, vw, atoms)
+        return cv.GraphMeasure.on(graph, vw, per_edge)
     except ValueError as exc:
         raise ValidationError(field, str(exc)) from None
 
 
 def encode_graph_measure(mu: cv.GraphMeasure, mode: str = "rational"):
-    out = []
-    for v, w in enumerate(mu.vertex_weights):
-        if w != 0:
-            out.append({"vertex": v, "weight": _render(w, mode)})
-    for e, bps in enumerate(mu.edge_atoms):
-        for p, w in bps:
-            out.append({"edge": e, "pos": _render(p, mode), "weight": _render(w, mode)})
-    return out
+    out = [{"vertex": v, "weight": _render(w, mode)} for v, w in enumerate(mu.vertex_weights) if w != 0]
+    return out + [
+        {"edge": e, "pos": _render(p, mode), "weight": _render(w, mode)}
+        for e, bps in enumerate(mu.edge_atoms) for p, w in bps
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -366,10 +387,9 @@ def parse_instance(text: str) -> InstanceFile:
         if kind == "curve-poisson":
             omega = decode_graph_measure(obj["omega"], graph, mode, "omega")
             mu = decode_graph_measure(obj["mu"], graph, mode, "mu")
-            if not omega.is_positive() or omega.total_mass <= 0:
-                raise ValidationError("omega", "must be a positive measure")
-            if not mu.is_positive() or mu.total_mass <= 0:
-                raise ValidationError("mu", "must be a positive measure")
+            for name, m in (("omega", omega), ("mu", mu)):
+                if not m.is_positive() or m.total_mass <= 0:
+                    raise ValidationError(name, "must be a positive measure")
             if omega.total_mass != mu.total_mass:
                 raise ValidationError(
                     "mu", f"mass {mu.total_mass} must equal mass(omega) = {omega.total_mass}"
@@ -444,13 +464,8 @@ def envelope_payload(inst: InstanceFile, f: tc.ToricPsh) -> Dict[str, Any]:
 
 def graph_function_payload(inst: InstanceFile, f: cv.GraphFunction) -> Dict[str, Any]:
     mode = inst.mode
-    return {
-        "values": [_render(v, mode) for v in f.values],
-        "breakpoints": [
-            [[_render(p, mode), _render(x, mode)] for p, x in bps]
-            for bps in f.breakpoints
-        ],
-    }
+    bps = [[[_render(p, mode), _render(x, mode)] for p, x in b] for b in f.breakpoints]
+    return {"values": [_render(v, mode) for v in f.values], "breakpoints": bps}
 
 
 def energy_payload(inst: InstanceFile, values: Dict[str, Fraction]) -> Dict[str, Any]:
@@ -477,26 +492,13 @@ def export_cells(text: str) -> str:
     gens = decode_generators(sol["generators"], mode, "solution.generators", delta.dim)
     f = tc.ToricPsh(delta, gens)
     mu = tc.ma_measure(f)
-    n = delta.dim
-    cols = ["cell_id"]
-    cols += [f"site_x{k+1}" for k in range(n)]
-    cols += ["weight"]
-    cols += [f"vertex_x{k+1}" for k in range(n)]
-    if mode == "rational":
-        cols += [f"site_x{k+1}_exact" for k in range(n)]
-        cols += ["weight_exact"]
-        cols += [f"vertex_x{k+1}_exact" for k in range(n)]
-    lines = [",".join(cols)]
+    axes, exact = range(1, delta.dim + 1), mode == "rational"
+    cols = [*(f"site_x{k}" for k in axes), "weight", *(f"vertex_x{k}" for k in axes)]
+    lines = [",".join(["cell_id", *cols, *([f"{c}_exact" for c in cols] if exact else [])])]
     for cell_id, ((site, _), cell) in enumerate(zip(f.generators, f.cells)):
         w = mu.weight_at(site)
         for v in sorted(cell.vertices):
-            row = [str(cell_id)]
-            row += [repr(float(c)) for c in site]
-            row += [repr(float(w))]
-            row += [repr(float(c)) for c in v]
-            if mode == "rational":
-                row += [format_scalar(c) for c in site]
-                row += [format_scalar(w)]
-                row += [format_scalar(c) for c in v]
-            lines.append(",".join(row))
+            row = [*site, w, *v]
+            exact_row = map(format_scalar, row) if exact else ()
+            lines.append(",".join([str(cell_id), *(repr(float(c)) for c in row), *exact_row]))
     return "\n".join(lines) + "\n"

@@ -69,13 +69,26 @@ def reference_grounded_solve(n, weighted_edges, ground, rhs):
     return out
 
 
+def shift(f, c):
+    """f + c, breakpoints included."""
+    bps = tuple(tuple((p, x + c) for p, x in b) for b in f.breakpoints)
+    return cv.GraphFunction(tuple(v + c for v in f.values), bps)
+
+
+def profile(graph, f, e):
+    """Positions and values of f along edge e, endpoints included."""
+    u, v, _ = graph.edges[e]
+    bps = f.breakpoints[e] if f.breakpoints else ()
+    return [(F(0), f.values[u]), *bps, (F(1), f.values[v])]
+
+
 def max_graph(graph, f, g):
     """Pointwise maximum; transversal crossings become breakpoints."""
     values = tuple(max(a, b) for a, b in zip(f.values, g.values))
     out_bps = [[] for _ in graph.edges]
     for e in range(len(graph.edges)):
-        pf = f.profile(graph, e)
-        pgr = g.profile(graph, e)
+        pf = profile(graph, f, e)
+        pgr = profile(graph, g, e)
         pos = sorted({p for p, _ in pf} | {p for p, _ in pgr})
         for p0, p1 in zip(pos, pos[1:]):
             a0 = f.value_on_edge(graph, e, p0) - g.value_on_edge(graph, e, p0)
@@ -117,14 +130,14 @@ def random_rhs(rng, n):
 def ref_ddc(g, f):
     """dd^c on the subdivision at f's breakpoints: the vertex stencil,
     with the inserted vertices' weights read back as interior atoms."""
-    sub = cv.subdivide(g, [[p for p, _ in bps] for bps in f.breakpoints])
-    vals = list(f.values) + [f.value_on_edge(g, e, p) for e, p, _ in sub.inserted]
-    weights = [F(0)] * sub.graph.vertex_count
-    for u, v, l in sub.graph.edges:
+    sub, inserted = cv.subdivide(g, [[p for p, _ in bps] for bps in f.breakpoints])
+    vals = list(f.values) + [f.value_on_edge(g, e, p) for e, p, _ in inserted]
+    weights = [F(0)] * sub.vertex_count
+    for u, v, l in sub.edges:
         weights[u] += (vals[v] - vals[u]) / l
         weights[v] -= (vals[v] - vals[u]) / l
     atoms = [[] for _ in g.edges]
-    for e, p, vid in sub.inserted:
+    for e, p, vid in inserted:
         if weights[vid] != 0:
             atoms[e].append((p, weights[vid]))
     return cv.GraphMeasure(tuple(weights[: g.vertex_count]), tuple(tuple(a) for a in atoms))
@@ -137,19 +150,19 @@ def ref_solve_poisson(g, omega, mu):
     for m in (omega, mu):
         for e, bps in enumerate(m.edge_atoms):
             positions[e].update(p for p, x in bps if x != 0)
-    sub = cv.subdivide(g, positions)
-    vid = {(e, p): i for e, p, i in sub.inserted}
+    sub, inserted = cv.subdivide(g, positions)
+    vid = {(e, p): i for e, p, i in inserted}
     rhs = [a - b for a, b in zip(omega.vertex_weights, mu.vertex_weights)]
-    rhs += [F(0)] * len(sub.inserted)
+    rhs += [F(0)] * len(inserted)
     for m, sign in ((omega, 1), (mu, -1)):
         for e, bps in enumerate(m.edge_atoms):
             for p, x in bps:
                 if x != 0:
                     rhs[vid[(e, p)]] += sign * x
-    vals = solve_exact(sub.graph.vertex_count, conductances(sub.graph), 0, rhs)
+    vals = solve_exact(sub.vertex_count, conductances(sub), 0, rhs)
     top = max(vals)
     bps = [[] for _ in g.edges]
-    for e, p, i in sub.inserted:
+    for e, p, i in inserted:
         bps[e].append((p, vals[i] - top))
     return cv.GraphFunction(
         tuple(x - top for x in vals[: g.vertex_count]), tuple(tuple(b) for b in bps)
@@ -231,6 +244,10 @@ class TestGraphBasics:
     def test_non_integer_endpoint_rejected(self, edge):
         with pytest.raises(ValueError, match="edge 1 endpoints must be integers"):
             cv.MetricGraph(2, ((0, 1, F(1)), edge))
+
+    def test_more_vertices_than_edges_plus_one_rejected(self):
+        with pytest.raises(ValueError, match="graph is not connected: 1000000000 vertices but 1 edges"):
+            cv.MetricGraph(10**9, ((0, 1, F(1)),))
 
     def test_parallel_edges_allowed(self):
         g = cv.MetricGraph(2, ((0, 1, F(1)), (0, 1, F(2))))
@@ -382,9 +399,8 @@ class TestPoisson:
         w2 = [F(rng.randint(1, 4)) for _ in range(n)]
         scale = F(sum(w1), sum(w2))
         w2 = [x * scale for x in w2]
-        rhs = [a - b for a, b in zip(w1, w2)]
-        v0 = cv._grounded_laplace_solve(g, rhs, 0)
-        v1 = cv._grounded_laplace_solve(g, rhs, n - 1)
+        v0 = cv.PoissonSolver(g, 0).solve(w1, w2).values
+        v1 = cv.PoissonSolver(g, n - 1).solve(w1, w2).values
         diffs = {a - b for a, b in zip(v0, v1)}
         assert len(diffs) == 1
 
@@ -454,7 +470,8 @@ class TestAgainstSubdivisionReference:
         phi = cv.solve_poisson(g, omega, mu)
         assert phi == ref_solve_poisson(g, omega, mu)
         assert cv.ddc(g, phi) == ref_ddc(g, phi)
-        assert cv.curvature(g, omega, phi) == mu.canonical()
+        nonzero = tuple(tuple((p, x) for p, x in b if x) for b in mu.edge_atoms)
+        assert cv.curvature(g, omega, phi) == cv.GraphMeasure(mu.vertex_weights, nonzero)
         return phi
 
     def test_seeded_interior_atoms(self):
@@ -499,11 +516,37 @@ class TestAgainstSubdivisionReference:
             x, y = rng.below(n), rng.below(n)
             gf = cv.green(g, x, y) if x != y else cv.GraphFunction.on(g, [F(0)] * n)
             phi = cv.solve_poisson(g, omega, mu)
-            for f in (gf, phi, max_graph(g, gf, phi), max_graph(g, phi, gf.shift(-1))):
+            for f in (gf, phi, max_graph(g, gf, phi), max_graph(g, phi, shift(gf, -1))):
                 assert cv.ddc(g, f) == ref_ddc(g, f)
 
 
 class TestEnergy:
+    def test_closed_form_agrees_with_the_curvature_route(self):
+        """On vertex-supported harness instances the closed form equals
+        (int phi d omega + int phi d(omega + dd^c phi)) / 2, and a potential
+        that is not omega-psh raises NotPsh at the first negative vertex
+        of omega + dd^c phi, with its weight."""
+        rng = hx.SplitMix64(71)
+        outcomes = set()
+        for _ in range(60):
+            g = hx.gen_graph(rng, 12)
+            n = g.vertex_count
+            omega = cv.GraphMeasure.on(g, hx.gen_graph_measure(rng, n, F(n)))
+            mu = cv.GraphMeasure.on(g, hx.gen_graph_measure(rng, n, F(n)))
+            psi = cv.GraphFunction.on(g, [F(rng.int_between(-6, 6), rng.int_between(1, 3)) for _ in range(n)])
+            for phi in (cv.solve_poisson(g, omega, mu), psi):
+                rho = cv.curvature(g, omega, phi)
+                negative = [(v, w) for v, w in enumerate(rho.vertex_weights) if w < 0]
+                outcomes.add(bool(negative))
+                if negative:
+                    with pytest.raises(NotPsh) as exc:
+                        cv.energy_graph(g, phi, omega)
+                    assert (exc.value.witness, exc.value.value) == negative[0]
+                else:
+                    route = (cv.integrate_graph(g, phi, omega) + cv.integrate_graph(g, phi, rho)) / 2
+                    assert cv.energy_graph(g, phi, omega) == route
+        assert outcomes == {False, True}
+
     def test_zero_function(self):
         g = cycle3()
         omega = cv.GraphMeasure.on(g, [F(1), F(1), F(1)])
@@ -516,7 +559,7 @@ class TestEnergy:
         phi = cv.GraphFunction.on(g, [F(0), F(-1, 2), F(-1, 3)])
         c = F(5, 7)
         e0 = cv.energy_graph(g, phi, omega)
-        e1 = cv.energy_graph(g, phi.shift(c), omega)
+        e1 = cv.energy_graph(g, shift(phi, c), omega)
         assert e1 == e0 + c * omega.total_mass
 
     def test_not_psh_witness(self):

@@ -120,6 +120,20 @@ class TestParsing:
             io.parse_instance(json.dumps(bad))
 
 
+def test_vertex_count_past_the_edges_exits_two_before_allocating(tmp_path, capsys):
+    """A connected graph has at most one vertex more than it has edges, so
+    10^9 vertices on one edge are refused before anything of that size is
+    built: exit 2 with a ValidationError naming the graph."""
+    doc = dict(GREEN, graph={"vertex_count": 10**9, "edges": [[0, 1, "1"]]})
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc))
+    assert cli.main(["green", str(inst), "-o", str(tmp_path / "out.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: graph.edges: graph is not connected")
+    with pytest.raises(ValidationError) as exc:
+        io.parse_instance(json.dumps(doc))
+    assert exc.value.field == "graph.edges"
+
+
 def run_cli(tmp_path, *argv):
     return cli.main([str(a) for a in argv])
 

@@ -12,6 +12,7 @@ with their witnesses, so its digest pins which assertions fail and how.
 
 import hashlib
 import json
+import sys
 from dataclasses import replace
 
 import pytest
@@ -273,3 +274,39 @@ def test_solver_path_is_pinned(name, max_iter):
 
 def test_every_suite_is_pinned():
     assert set(SUITE_DIGESTS) == set(_suite_runs())
+
+
+# Values json spells in every way it can: empty and nested containers,
+# tuples, literals, non-ASCII and control characters in strings and keys,
+# 5,000-digit integers and the float edge cases.
+WRITER_SAMPLES = [
+    {}, [], (), [[], {}, ()], {"b": {"d": [], "c": {}}, "a": [None, True, False]},
+    (1, (2, [3, {"x": (4,)}])),
+    ["\u00e9\u00df", "\x00\x1f\x7f", "\u2028\ud800\U0001f600", "tab\there \"quoted\" \\"],
+    {"\u2603": 1, "\n": 2, "\u00e9": {"\x01": "\u00ff"}, "": ""},
+    10**4999 + 7, [-(10**4999), 0, -1],
+    [-0.0, 0.0, 1e-300, 1e300, 5e-324, 0.1, float("nan"), float("inf"), float("-inf")],
+]
+
+
+def test_canonical_writer_is_json(tmp_path, monkeypatch):
+    """dumps_canonical(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\\n"
+    on the samples above and on every instance, result and suite report
+    this oracle writes."""
+    writer, seen = io.dumps_canonical, []
+    monkeypatch.setattr(io, "dumps_canonical", lambda obj: seen.append(obj) or writer(obj))
+    for i, (command, name) in enumerate(sorted(COMMAND_DIGESTS)):
+        inst = tmp_path / f"inst{i}.json"
+        inst.write_text(json.dumps(INSTANCES[name]))
+        assert cli.main([command, str(inst), "-o", str(tmp_path / f"out{i}.json"), "--no-timestamp"]) == 0
+    for suite, dim in _suite_runs():
+        argv = ["check", "--suite", suite, "--seed", "1", "--cases", "2", "--dimension", str(dim)]
+        assert cli.main(argv + ["-o", str(tmp_path / "report.json"), "--no-timestamp"]) == 0
+    assert len(seen) == 2 * len(COMMAND_DIGESTS) + len(SUITE_DIGESTS)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for obj in WRITER_SAMPLES + seen:
+            assert writer(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)

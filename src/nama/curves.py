@@ -63,11 +63,11 @@ class MetricGraph:
             raise ValueError("graph is not connected")
 
     @cached_property
-    def conductances(self) -> Tuple[List[Tuple[int, int, int]], int]:
-        """([(u, v, c)], k): each edge (u, v, l) conducts 1 / l = c / k, k
-        the lcm of the lengths' numerators; computed on first read, kept."""
+    def conductances(self) -> Tuple[Tuple[Tuple[int, int, int], ...], int]:
+        """(((u, v, c), ...), k): each edge (u, v, l) conducts 1 / l = c / k,
+        k the lcm of the lengths' numerators; computed on first read, kept."""
         k = lcm(*(l.numerator for *_, l in self.edges))
-        return [(u, v, l.denominator * (k // l.numerator)) for u, v, l in self.edges], k
+        return tuple((u, v, l.denominator * (k // l.numerator)) for u, v, l in self.edges), k
 
 
 def _on(graph: MetricGraph, per_vertex, per_edge):
@@ -119,10 +119,11 @@ class GraphMeasure:
         return GraphMeasure(*_on(graph, vertex_weights, edge_atoms))
 
     @cached_property
-    def integer_weights(self) -> Tuple[List[int], int]:
+    def integer_weights(self) -> Tuple[Tuple[int, ...], int]:
         """The vertex weights, then the atoms' in edge order, as integers
         over one denominator; computed on first read and kept."""
-        return integers([*self.vertex_weights, *(x for bps in self.edge_atoms for _, x in bps)])
+        ws, den = integers([*self.vertex_weights, *(x for bps in self.edge_atoms for _, x in bps)])
+        return tuple(ws), den
 
     @cached_property
     def total_mass(self) -> Fraction:

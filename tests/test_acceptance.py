@@ -11,6 +11,7 @@ from nama import curves as cv
 from nama import harness as hx
 from nama import solver as sv
 from nama import toric as tc
+from nama.linalg import integers
 from nama.polyhedra import sub
 
 BASE_SEED = 20260811
@@ -235,9 +236,9 @@ def test_criterion_10_curve_suite():
         assert cv.curvature(graph, omega, phi).vertex_weights == tuple(mu_w)
         assert max(phi.values) == 0
 
-        v0 = cv.PoissonSolver(graph, 0).solve(omega_w, mu_w).values
-        v1 = cv.PoissonSolver(graph, n - 1).solve(omega_w, mu_w).values
-        assert len({a - b for a, b in zip(v0, v1)}) == 1
+        rhs, den = integers([a - b for a, b in zip(omega_w, mu_w)])
+        (x0, d0), (x1, d1) = (cv.PoissonSolver(graph, g).solve_over(rhs, den) for g in (0, n - 1))
+        assert len({F(a, d0) - F(b, d1) for a, b in zip(x0, x1)}) == 1
 
         best = cv.energy_graph(graph, phi, omega) - cv.integrate_graph(graph, phi, mu)
         solver = cv.PoissonSolver(graph)

@@ -8,7 +8,7 @@ import pytest
 from nama import curves as cv
 from nama import harness as hx
 from nama.errors import MassMismatch, NotPsh, SameVertex
-from nama.linalg import ExactLinearSolver, solve_exact
+from nama.linalg import ExactLinearSolver, integers, solve_exact
 
 
 def path2():
@@ -67,6 +67,12 @@ def reference_grounded_solve(n, weighted_edges, ground, rhs):
     for v, i in index.items():
         out[v] = x[i]
     return out
+
+
+def grounded_solve(g, rhs, ground):
+    """x with L x = rhs and x(ground) = 0, through PoissonSolver.solve_over."""
+    x, d = cv.PoissonSolver(g, ground).solve_over(*integers(rhs))
+    return [F(v, d) for v in x]
 
 
 def shift(f, c):
@@ -399,8 +405,8 @@ class TestPoisson:
         w2 = [F(rng.randint(1, 4)) for _ in range(n)]
         scale = F(sum(w1), sum(w2))
         w2 = [x * scale for x in w2]
-        v0 = cv.PoissonSolver(g, 0).solve(w1, w2).values
-        v1 = cv.PoissonSolver(g, n - 1).solve(w1, w2).values
+        rhs = [a - b for a, b in zip(w1, w2)]
+        v0, v1 = grounded_solve(g, rhs, 0), grounded_solve(g, rhs, n - 1)
         diffs = {a - b for a, b in zip(v0, v1)}
         assert len(diffs) == 1
 

@@ -8,7 +8,8 @@ as given: `ddc` reads slopes along each edge, and `solve_poisson`
 eliminates interior points in closed form (Kron reduction: a point on an
 edge is a degree-2 vertex of the electrical network), so the only linear
 solve is on the original vertices.  The operators run on integers over
-common denominators and make one Fraction per number they return."""
+common denominators, make one Fraction per number they return, and build
+tuples from lists, not generators, which fill CPython's tuple free lists."""
 
 from __future__ import annotations
 
@@ -66,8 +67,8 @@ class MetricGraph:
     def conductances(self) -> Tuple[Tuple[Tuple[int, int, int], ...], int]:
         """(((u, v, c), ...), k): each edge (u, v, l) conducts 1 / l = c / k,
         k the lcm of the lengths' numerators; computed on first read, kept."""
-        k = lcm(*(l.numerator for *_, l in self.edges))
-        return tuple((u, v, l.denominator * (k // l.numerator)) for u, v, l in self.edges), k
+        k = lcm(*[l.numerator for *_, l in self.edges])
+        return tuple([(u, v, l.denominator * (k // l.numerator)) for u, v, l in self.edges]), k
 
 
 def _on(graph: MetricGraph, per_vertex, per_edge):
@@ -81,7 +82,7 @@ def _on(graph: MetricGraph, per_vertex, per_edge):
                 raise ValueError(f"interior position {p} outside (0,1)")
         if len({p for p, _ in items}) != len(items):
             raise ValueError("duplicate interior positions on one edge")
-    return per_vertex, tuple(tuple(sorted(items)) for items in per_edge)
+    return per_vertex, tuple([tuple(sorted(items)) for items in per_edge])
 
 
 @dataclass(frozen=True)
@@ -150,7 +151,7 @@ def _ddc(graph: MetricGraph, f: GraphFunction):
         prof = [(0, 1, u), *((p.numerator, p.denominator, i) for i, (p, _) in enumerate(b, m)), (1, 1, v)]
         m += len(b)
         segments += [(i, j, c * q0 * q1, a1 * q0 - a0 * q1) for (a0, q0, i), (a1, q1, j) in zip(prof, prof[1:])]
-    s, ws = lcm(*(den for *_, den in segments)), [0] * m
+    s, ws = lcm(*[den for *_, den in segments]), [0] * m
     for i, j, num, den in segments:
         slope = num * (s // den) * (xs[j] - xs[i])
         ws[i] += slope
@@ -185,9 +186,8 @@ def curvature(graph: MetricGraph, omega: GraphMeasure, phi: GraphFunction) -> Gr
     interior atoms sit at the union of omega's atoms and phi's
     breakpoints, zero atoms dropped."""
     rho, atoms, den = _curvature(graph, omega, phi, *_ddc(graph, phi)[2:])
-    return GraphMeasure(
-        tuple(Fraction(x, den) for x in rho), tuple(tuple((p, Fraction(x, den)) for p, x in a) for a in atoms)
-    )
+    vertex = tuple([Fraction(x, den) for x in rho])
+    return GraphMeasure(vertex, tuple([tuple([(p, Fraction(x, den)) for p, x in a]) for a in atoms]))
 
 
 class PoissonSolver:
@@ -219,7 +219,7 @@ class PoissonSolver:
             for (q, p), c in zip([(q, p) for q, b in zip(charges, m.edge_atoms) for p, _ in b], ws[n:]):
                 if c:
                     q[p] = q.get(p, 0) + c * scale
-        s = lcm(*(p.denominator for q in charges for p in q))
+        s = lcm(*[p.denominator for q in charges for p in q])
         at = {p: p.numerator * (s // p.denominator) for q in charges for p in q}  # position -> p s
         rhs = [(a * (w // od) - b * (w // md)) * s for a, b in zip(ow[:n], mw[:n])]
         for (u, v, _), q in zip(edges, charges):
@@ -237,8 +237,8 @@ class PoissonSolver:
                     for p in sorted(q)] for (u, v, _), l, q in zip(edges, ls, charges)]
         top = max(values + [x for b in bps for _, x in b])
         return GraphFunction(
-            tuple(Fraction(x - top, den) for x in values),
-            tuple(tuple((p, Fraction(x - top, den)) for p, x in b) for b in bps),
+            tuple([Fraction(x - top, den) for x in values]),
+            tuple([tuple([(p, Fraction(x - top, den)) for p, x in b]) for b in bps]),
         )
 
 
@@ -249,7 +249,7 @@ def green(graph: MetricGraph, x: int, y: int) -> GraphFunction:
     rhs = [0] * graph.vertex_count
     rhs[y], rhs[x] = 1, -1
     vals, d = PoissonSolver(graph, y).solve_over(rhs, 1)
-    return GraphFunction(tuple(Fraction(v, d) for v in vals))
+    return GraphFunction(tuple([Fraction(v, d) for v in vals]))
 
 
 def solve_poisson(graph: MetricGraph, omega: GraphMeasure, mu: GraphMeasure) -> GraphFunction:

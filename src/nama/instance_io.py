@@ -33,9 +33,8 @@ MAX_LATTICE_POINTS = 100_000
 
 
 def dumps_canonical(obj) -> str:
-    """json.dumps(obj, sort_keys=True, indent=2) + "\\n" for str-keyed
-    objects, written by one direct recursion: json's indenting encoder
-    runs in pure Python.  Instance hashes and every output file use it."""
+    """json.dumps(obj, sort_keys=True, indent=2) + "\\n" for str-keyed objects,
+    written by one direct recursion: json's indenting encoder runs in pure Python."""
     return _json(obj, "\n") + "\n"
 
 

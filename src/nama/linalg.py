@@ -31,7 +31,7 @@ from typing import List, Tuple
 def integers(values) -> Tuple[List[int], int]:
     """Rationals as integers over their least common denominator."""
     values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-    den = lcm(*(v.denominator for v in values))
+    den = lcm(*[v.denominator for v in values])  # a list: a generator would grow a tuple (see curves)
     return [v.numerator * (den // v.denominator) for v in values], den
 
 

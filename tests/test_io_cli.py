@@ -502,6 +502,36 @@ class TestMalformedInstancesExitTwo:
         )
         assert self.run(tmp_path, "poisson", bad) == 2
 
+    @pytest.mark.parametrize(
+        "command, doc, path, value, prefix",
+        [
+            ("green", GREEN, ["graph", "edges", 1, 0], 1.5, "graph.edges"),
+            ("poisson", POISSON, ["graph", "edges", 2, 1], "0", "graph.edges"),
+            *(
+                ("poisson", POISSON, [key, 0], {"edge": 1, "pos": pos, "weight": w}, key)
+                for pos in ("0", "1", "3/2")
+                for key, w in (("omega", "2"), ("mu", "3"))
+            ),
+            (
+                "poisson", POISSON, ["mu"],
+                [{"vertex": 2, "weight": "1"}, {"edge": 0, "pos": "1/2", "weight": "1"},
+                 {"edge": 0, "pos": "2/4", "weight": "1"}],
+                "mu",
+            ),
+        ],
+    )
+    def test_bad_edge_endpoint_or_atom_position_names_its_field(
+        self, tmp_path, capsys, command, doc, path, value, prefix
+    ):
+        """An edge endpoint that is not an integer, an interior atom off
+        (0, 1) and two atoms at one position: exit 2 and one error line
+        naming the field, with no output file."""
+        assert self.run(tmp_path, command, _mutated(doc, path, value)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {prefix}") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.json").exists()
+
 
 ACCEPTED_KINDS = {
     "solve": ("toric-dirac",),

@@ -52,6 +52,44 @@ LATTICE_1D = {
     "lattice_m": 5,
 }
 
+# Repeated sites: one given at two values (the higher first), one given
+# twice at one value, and one whose every copy lies above the envelope.
+# Only the lowest copy of a site counts; the lattice variants repeat the
+# same constraints through the lattice envelope.
+REPEATED_2D = {
+    "kind": "toric-envelope",
+    "mode": "rational",
+    "polytope": {"vertices": [["0", "0"], ["2", "0"], ["3", "2"], ["1", "3"], ["0", "1"]]},
+    "constraints": [
+        {"site": ["1/2", "-1/3"], "value": "3/4"},
+        {"site": ["0", "0"], "value": "0"},
+        {"site": ["-1", "1/2"], "value": "-1/5"},
+        {"site": ["1/5", "2/7"], "value": "5/2"},
+        {"site": ["1/2", "-1/3"], "value": "1/4"},
+        {"site": ["2/3", "1"], "value": "1"},
+        {"site": ["-1", "1/2"], "value": "-1/5"},
+        {"site": ["1/5", "2/7"], "value": "2"},
+    ],
+}
+
+REPEATED_1D = {
+    "kind": "toric-envelope",
+    "mode": "rational",
+    "polytope": {"vertices": [["-1/3"], ["5/2"]]},
+    "constraints": [
+        {"site": ["3/2"], "value": "1"},
+        {"site": ["1/3"], "value": "0"},
+        {"site": ["-2/3"], "value": "1/5"},
+        {"site": ["1/2"], "value": "4"},
+        {"site": ["3/2"], "value": "2/7"},
+        {"site": ["-2/3"], "value": "1/5"},
+        {"site": ["1/2"], "value": "3"},
+    ],
+}
+
+REPEATED_LATTICE_2D = dict(REPEATED_2D, lattice_m=4)
+REPEATED_LATTICE_1D = dict(REPEATED_1D, lattice_m=3)
+
 DIRAC_2D = {
     "kind": "toric-dirac",
     "mode": "float",
@@ -172,6 +210,12 @@ COMMAND_DIGESTS = {
     ("energy", "envelope_2d"): "54e4f0d2963050f5fc0cabd612397ebea63637245f7b4d215a7345f99e723d48",
     ("envelope", "lattice_2d"): "d4066a9a746dcdddae70e101717ec50c2400c9d710053d144f92f678942dfbf6",
     ("envelope", "lattice_1d"): "a8cdfeeef8b795187cd1d39f8d0a594f78bd0c7bc4d623d9fd7c86726cac9ec6",
+    ("envelope", "repeated_2d"): "9ae140aac3593c63c48ec3980984649af3d31267d1b2aa0ddbb82cafdeec1d22",
+    ("energy", "repeated_2d"): "8ea325a575de55859547bfb626e6e2646ffc8fa716cc8bf8faecc6b8ca5702e6",
+    ("envelope", "repeated_1d"): "7bdf5e70d9ccc58fd4ec3fcded48fe151f01c53030ee0a41b85f99a3afb6789c",
+    ("energy", "repeated_1d"): "3845c3f6de84f12bd6be2bd9173628ae7a540fb625bc49f4d3cb514f46d1e581",
+    ("envelope", "repeated_lattice_2d"): "6acc6f477ef7957160e7ba72d5875d6abcedb94993ed725bf03f7ad51baaf68f",
+    ("envelope", "repeated_lattice_1d"): "fdcd7fc7bad268510bfd192f2b4c4f1f2e73e93bdc653f5e77255629e947753b",
     ("solve", "dirac_2d"): "e9ace05db27312ce6b14fe2de6fa50229cf4cdb61e01842026d363d6bb9622cd",
     ("solve", "dirac_8"): "83331e9d8607c03216e3538dc1c66f213d713e6a683c2ce082f4c1176a9e8ea4",
     ("solve", "dirac_1d"): "ddabf14d698259728bc23cfe5419644ff75c81043503479e01fbbfead05dc506",
@@ -208,6 +252,10 @@ INSTANCES = {
     "envelope_2d": ENVELOPE_2D,
     "lattice_2d": LATTICE_2D,
     "lattice_1d": LATTICE_1D,
+    "repeated_2d": REPEATED_2D,
+    "repeated_1d": REPEATED_1D,
+    "repeated_lattice_2d": REPEATED_LATTICE_2D,
+    "repeated_lattice_1d": REPEATED_LATTICE_1D,
     "dirac_2d": DIRAC_2D,
     "dirac_8": DIRAC_8,
     "dirac_1d": DIRAC_1D,

@@ -15,10 +15,11 @@ have cells, each the body cut by the vertex's neighbours, and the walls
 are the edges the final loops share; `power_diagram` takes the sites and
 values as integers over their denominators.  One integer shoelace gives
 every area, mass and moment.  Lower hulls gift-wrap over integer triples
-(`lower_hull` only converts Fraction input).  `hull` is kept for genuine
-point sets.  Empty and lower-dimensional polytopes are ordinary values
-(volume 0), because cells degenerate while a solver walks through
-potential space.  Dimensions 3 and higher are rejected.
+(`lower_hull` only converts Fraction input).  `power_diagram` and
+`_lower_hull` own one rule: a repeated site counts at its lowest value.
+Empty and lower-dimensional polytopes are ordinary values (volume 0), as
+cells degenerate while a solver walks through potential space.
+Dimensions 3 and higher are rejected.
 """
 
 from __future__ import annotations
@@ -282,15 +283,16 @@ def laguerre_cells(body: Polytope, sites, values) -> "PowerDiagram":
 
 
 def power_diagram(body: Polytope, xs: List[Tuple[int, int]], d: int, ts: List[int], e: int) -> "PowerDiagram":
-    """The `PowerDiagram` of distinct sites x_a = (X_a, Y_a) / d (Y_a = 0 in
-    1-D) with values t_a = T_a / e in a full-dimensional body.  Only a vertex
-    of the regular triangulation of the lifted sites has a cell, cut only by
-    its neighbours: the pair (a, b) cuts by (e (X_b - X_a), d (T_b - T_a))."""
+    """The `PowerDiagram` of sites x_a = (X_a, Y_a) / d (Y_a = 0 in 1-D) with
+    values t_a = T_a / e in a full-dimensional body.  One lowest copy of a
+    repeated site stands for it, and the others get no cell (a higher copy's
+    is empty).  Only a vertex of the regular triangulation of the lifted
+    sites has a cell, cut only by its neighbours: (a, b) cuts by
+    (e (X_b - X_a), d (T_b - T_a))."""
     n = body.dim
-    order = sorted(range(len(ts)), key=xs.__getitem__)
+    lowest = {xs[i]: i for i in sorted(range(len(ts)), key=ts.__getitem__, reverse=True)}
+    order = sorted(lowest.values(), key=xs.__getitem__)
     pts = [(e * xs[i][0], e * xs[i][1], d * ts[i]) for i in order]
-    if any(p[:2] == q[:2] for p, q in zip(pts, pts[1:])):
-        raise ValueError("Laguerre cells need distinct sites")
     apex, removed = _regular_triangulation(pts)
     neighbours: List[List[int]] = [[] for _ in pts]
     for i, j in apex:  # a hull or chain edge has one direction only
@@ -298,7 +300,7 @@ def power_diagram(body: Polytope, xs: List[Tuple[int, int]], d: int, ts: List[in
         if (j, i) not in apex:
             neighbours[j].append(i)
     full = n + 1  # fewer loop points span no full-dimensional cell; as many or more do
-    loops: List[Optional[list]] = [None] * len(pts)
+    loops: List[Optional[list]] = [None] * len(ts)
     owners, walls = {}, []
     for a, (xa, ya, ta) in enumerate(pts):
         loop = body.loop
@@ -324,8 +326,9 @@ def power_diagram(body: Polytope, xs: List[Tuple[int, int]], d: int, ts: List[in
 class PowerDiagram:
     """A `power_diagram` result: lists indexed like the sites, each
     computed on first read.  cells: {m in body : <x_a, m> - t_a >= <x_b, m>
-    - t_b for all b}, or None when that is not full-dimensional.  masses:
-    their volumes, 0 for None, the Fraction view of `integer_masses`.
+    - t_b for all b}, or None when that is not full-dimensional or a is a
+    repeated site's other copy.  masses: their volumes, 0 for None, the
+    Fraction view of `integer_masses`.
     walls: (i, j, |wall| / |x_i - x_j|), i < j, for each facet the cells of
     i and j share, the edges of the weighted Laplacian whose negative is
     the Hessian of the dual objective.  Inside,

@@ -76,16 +76,6 @@ def support_value(delta: NewtonPolytope, y: Point) -> Fraction:
     return pg.support_value(delta.body, tuple(Fraction(c) for c in y))
 
 
-def _merge_constraints(constraints) -> List[Tuple[Point, Fraction]]:
-    merged: Dict[Point, Fraction] = {}
-    for x, t in constraints:
-        x = tuple(Fraction(c) for c in x)
-        t = Fraction(t)
-        if x not in merged or t < merged[x]:
-            merged[x] = t
-    return sorted(merged.items())
-
-
 def _dual_forms(gens, d: int) -> Tuple[List[Tuple[int, int, int]], int]:
     """The affine functions <x_a, m> - t_a of generators (x_a, t_a) at
     points m = K / d on integers: forms (A, B, C) and a denominator E, a
@@ -106,16 +96,17 @@ def _common_tables(f: "ToricPsh", g: "ToricPsh"):
 class ToricPsh:
     """A semipositive toric potential in canonical envelope form.
 
-    Construction canonicalizes: duplicate sites are merged keeping the
-    smallest value, and generators whose cell in Delta is not
-    full-dimensional are pruned (they never carry mass and do not change
-    the function).  After that, f(x_a) = t_a holds for every generator.
+    Construction canonicalizes: the generators are sorted, and those
+    without a full-dimensional cell in Delta are pruned (they carry no mass
+    and do not change the function), as are the copies of a repeated site
+    that `power_diagram` passes over for its lowest value.  After that,
+    f(x_a) = t_a holds for every generator.
     """
 
     __slots__ = ("delta", "generators", "cells", "_table")
 
     def __init__(self, delta: NewtonPolytope, generators):
-        gens = _merge_constraints(generators)
+        gens = sorted((tuple(Fraction(c) for c in x), Fraction(t)) for x, t in generators)
         if not gens:
             raise EmptyInput("a potential needs at least one generator")
         n = delta.dim
@@ -207,8 +198,8 @@ class ToricPsh:
 def envelope(delta: NewtonPolytope, constraints) -> ToricPsh:
     """Largest convex function with slopes in Delta and f(x_a) <= t_a.
 
-    Duplicate sites are merged keeping the minimal value.  The result
-    interpolates: f(x_a) = t_a for every retained generator.
+    A repeated site counts at its lowest value.  The result interpolates:
+    f(x_a) = t_a for every retained generator.
     """
     return ToricPsh(delta, constraints)
 
@@ -312,9 +303,9 @@ class AtomicMeasure:
 
 def ma_measure(f: ToricPsh) -> AtomicMeasure:
     """Monge-Ampere measure: an atom at each generator site whose weight
-    is the exact volume of its cell in Delta.  Total mass = vol(Delta)."""
-    items = [(x, pg.volume(cell)) for (x, _), cell in zip(f.generators, f.cells)]
-    measure = AtomicMeasure.from_items(items)
+    is the exact volume of its cell in Delta.  Total mass = vol(Delta).
+    A potential's sites are sorted and distinct, its cells full-dimensional."""
+    measure = AtomicMeasure(tuple((x, pg.volume(cell)) for (x, _), cell in zip(f.generators, f.cells)))
     if measure.total_mass != f.delta.volume:
         raise ConsistencyError(
             f"cells cover mass {measure.total_mass}, expected {f.delta.volume}"
@@ -524,13 +515,13 @@ def lattice_envelope(delta: NewtonPolytope, constraints, m: int) -> ToricPsh:
     """
     if m < 1:
         raise ValueError("lattice order must be >= 1")
-    gens = _merge_constraints(constraints)
-    if not gens:
+    constraints = list(constraints)
+    if not constraints:
         raise EmptyInput("need at least one constraint")
     points = _lattice_points(delta, m)
     if not points:
         raise EmptyLattice(f"Delta contains no point of the 1/{m} lattice")
-    forms, e = _dual_forms(gens, m)
+    forms, e = _dual_forms(constraints, m)  # the max over forms takes a repeated site's lowest value
     lifted = [(k0, k1, max(a * k0 + b * k1 - c for a, b, c in forms)) for k0, k1 in points]
     try:
         hull = pg._lower_hull(delta.dim, lifted, m, e)

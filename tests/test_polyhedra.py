@@ -521,7 +521,6 @@ class TestIntegerLowerHullAgainstFractionReference:
             delta = tc.newton_polytope(vertices, 2)
             sites = [(F(rng.randint(-12, 12), 4), F(rng.randint(-12, 12), 4)) for _ in range(8)]
             constraints = [(x, (x[0] * x[0] + x[1] * x[1]) / 4 + F(rng.randint(-4, 4), 16)) for x in sites]
-            gens = tc._merge_constraints(constraints)
             for m in range(1, 9):
                 pts = [
                     (F(i, m), F(j, m))
@@ -529,7 +528,7 @@ class TestIntegerLowerHullAgainstFractionReference:
                     for j in range(3 * m + 1)
                     if delta.body.contains((F(i, m), F(j, m)))
                 ]
-                lifted = [(q, max(pg.dot(x, q) - t for x, t in gens)) for q in pts]
+                lifted = [(q, max(pg.dot(x, q) - t for x, t in constraints)) for q in pts]
                 base = pg.hull(pts, 2)
                 cells, _ = reference_lower_hull(lifted)
                 out_delta = delta if base == delta.body else tc.NewtonPolytope(base)
@@ -1078,10 +1077,32 @@ class TestLaguerreCellsFromTriangulation:
             assert pg.laguerre_cells(body, shuffled, [t for _, t in pairs]).cells == [by_site[s] for s in shuffled]
             assert_cells_match_hull(body, shuffled, [t for _, t in pairs])
 
-    def test_duplicate_sites_rejected(self):
-        body = random_polygon(random.Random(163))
-        with pytest.raises(ValueError):
-            pg.laguerre_cells(body, [(F(1), F(0)), (F(0), F(0)), (F(1), F(0))], [F(0), F(1), F(2)])
+    def test_repeated_site_counts_at_its_lowest_value(self):
+        """Copies of sites at lower, equal and higher values, shuffled: one
+        lowest copy of each site gets exactly the cell the site gets with
+        the other copies removed, the other copies get None, and the walls
+        and masses are those of the diagram without them."""
+        rng = random.Random(163)
+        for _ in range(60):
+            body = random_polygon(rng)
+            sites = sorted({(F(rng.randint(-6, 6), 2), F(rng.randint(-6, 6), 2)) for _ in range(rng.randint(2, 8))})
+            values = [F(rng.randint(-8, 8), 4) for _ in sites]
+            copies = rng.choices(range(len(sites)), k=rng.randint(1, 2 * len(sites)))
+            given = list(enumerate(values)) + [(a, values[a] + F(rng.randint(-2, 2), 4)) for a in copies]
+            rng.shuffle(given)
+            lowest = [min(t for b, t in given if b == a) for a in range(len(sites))]
+            want = pg.laguerre_cells(body, sites, lowest)
+            got = pg.laguerre_cells(body, [sites[a] for a, _ in given], [t for _, t in given])
+            owner = {}
+            for a, cell in enumerate(want.cells):
+                mine = [i for i, (b, _) in enumerate(given) if b == a]
+                kept = [i for i in mine if got.cells[i] is not None]
+                assert len(kept) == (cell is not None)
+                if kept:
+                    (owner[a],) = kept
+                    assert given[owner[a]][1] == lowest[a] and got.cells[owner[a]] == cell
+            assert sorted(got.walls) == sorted((*sorted((owner[a], owner[b])), w) for a, b, w in want.walls)
+            assert got.masses == [want.masses[a] if owner.get(a) == i else 0 for i, (a, _) in enumerate(given)]
 
     def test_k128_cuts_by_neighbours_only(self, monkeypatch):
         """A work counter free of timing noise: cutting every cell of the

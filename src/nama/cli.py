@@ -62,13 +62,17 @@ def _solve(inst: io.InstanceFile):
     return io.solution_payload(inst, sv.normalize(solution)), code
 
 
-def _envelope(inst: io.InstanceFile):
+def _potential(inst: io.InstanceFile) -> tc.ToricPsh:
+    """A toric-envelope instance's potential: its lattice envelope when it
+    sets lattice_m, its envelope otherwise."""
     delta, constraints = inst.data["delta"], inst.data["constraints"]
     if "lattice_m" in inst.data:
-        f = tc.lattice_envelope(delta, constraints, inst.data["lattice_m"])
-    else:
-        f = tc.envelope(delta, constraints)
-    return io.envelope_payload(inst, f), 0
+        return tc.lattice_envelope(delta, constraints, inst.data["lattice_m"])
+    return tc.envelope(delta, constraints)
+
+
+def _envelope(inst: io.InstanceFile):
+    return io.envelope_payload(inst, _potential(inst)), 0
 
 
 def _green(inst: io.InstanceFile):
@@ -89,9 +93,11 @@ def _poisson(inst: io.InstanceFile):
 
 def _energy(inst: io.InstanceFile):
     if inst.kind == "toric-envelope":
-        delta = inst.data["delta"]
-        f = tc.envelope(delta, inst.data["constraints"])
-        values = {"energy": tc.energy(f, tc.g_delta(delta)), "total_mass": tc.ma_measure(f).total_mass}
+        f = _potential(inst)
+        if f.delta != inst.data["delta"]:  # as in `envelope`, whose payload then omits the energy
+            m = inst.data["lattice_m"]
+            raise ValidationError("lattice_m", f"the 1/{m} lattice hull is smaller than Delta, which the energy needs")
+        values = {"energy": tc.energy(f, tc.g_delta(f.delta)), "total_mass": tc.ma_measure(f).total_mass}
     else:
         graph, omega, mu = inst.data["graph"], inst.data["omega"], inst.data["mu"]
         phi = cv.solve_poisson(graph, omega, mu)

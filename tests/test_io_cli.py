@@ -296,6 +296,35 @@ class TestCli:
             assert run_cli(tmp_path, "envelope", inst, "-o", out, "--no-timestamp") == 0
             assert ("energy" in json.loads(out.read_text())["solution"]) == has_energy
 
+    def test_energy_of_a_lattice_envelope_is_the_one_envelope_reports(self, tmp_path):
+        doc = {
+            "kind": "toric-envelope",
+            "mode": "rational",
+            "polytope": {"vertices": [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]},
+            "constraints": [
+                {"site": ["0", "0"], "value": "0"},
+                {"site": ["1", "0"], "value": "1/3"},
+                {"site": ["0", "1"], "value": "2/5"},
+            ],
+            "lattice_m": 2,
+        }
+        inst, solutions = self.write(tmp_path, doc), {}
+        for command in ("envelope", "energy"):
+            out = tmp_path / f"{command}.json"
+            assert run_cli(tmp_path, command, inst, "-o", out, "--no-timestamp") == 0
+            solutions[command] = json.loads(out.read_text())["solution"]
+        assert solutions["energy"] == {"energy": "-41/120", "total_mass": "1"}
+        assert solutions["envelope"]["energy"] == "-41/120"
+
+    def test_energy_over_a_smaller_lattice_hull_exits_two_naming_lattice_m(self, tmp_path, capsys):
+        """Where the lattice hull is smaller than Delta, `envelope` omits the
+        energy and `energy` refuses the instance."""
+        doc = dict(ENVELOPE, polytope={"vertices": [["1/3"], ["5/2"]]}, lattice_m=1)
+        out = tmp_path / "out.json"
+        assert run_cli(tmp_path, "energy", self.write(tmp_path, doc), "-o", out) == 2
+        assert capsys.readouterr().err.startswith("error: lattice_m: ")
+        assert not out.exists()
+
     def test_lattice_envelope_command(self, tmp_path):
         doc = json.loads(json.dumps(ENVELOPE))
         doc["lattice_m"] = 1

@@ -239,7 +239,7 @@ def decode_graph(obj, mode: str, field: str) -> cv.MetricGraph:
         if not isinstance(e, list) or len(e) != 3:
             raise ValidationError(f"{field}.edges[{i}]", "expected [u, v, length]")
         parsed.append((e[0], e[1], _scalar(e[2], mode, f"{field}.edges[{i}].length")))
-    try:  # the graph checks the endpoints, the edge list, the connectivity
+    try:  # MetricGraph checks the endpoints, the lengths and the connectivity
         return cv.MetricGraph(count, tuple(parsed))
     except ValueError as exc:
         raise ValidationError(f"{field}.edges", str(exc)) from None
@@ -268,7 +268,7 @@ def decode_graph_measure(obj, graph: cv.MetricGraph, mode: str, field: str) -> c
                 raise ValidationError(f"{af}.edge", "edge index out of range")
             pos, w = _scalar(atom["pos"], mode, f"{af}.pos"), _scalar(atom["weight"], mode, f"{af}.weight")
             per_edge[e].append((pos, w))
-    try:  # the measure checks the positions
+    try:  # GraphMeasure checks the positions
         return cv.GraphMeasure.on(graph, vw, per_edge)
     except ValueError as exc:
         raise ValidationError(field, str(exc)) from None

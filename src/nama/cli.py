@@ -135,18 +135,15 @@ def _cmd_export_cells(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.suite in hx.ONE_DIMENSIONAL_SUITES and args.dimension == 2:
+        raise ValidationError("dimension", f"suite {args.suite} runs in dimension 1 only")
     cfg = hx.GenConfig(
         seed=args.seed,
-        dimension=args.dimension,
+        dimension=args.dimension or hx.GenConfig.dimension,
         polytope_complexity=args.polytope_complexity,
         function_complexity=args.function_complexity,
         coefficient_bound=args.coefficient_bound,
     )
-    if args.suite in hx.ONE_DIMENSIONAL_SUITES and args.dimension != 1:
-        print(
-            f"check: suite {args.suite} runs in dimension 1; --dimension {args.dimension} is not used",
-            file=sys.stderr,
-        )
     report = hx.run_suite(args.suite, cfg, args.cases)
     text = io.dumps_canonical(report.to_dict(with_timing=not args.no_timestamp))
     if args.output:
@@ -196,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, choices=list(hx.SUITE_NAMES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=100)
-    p.add_argument("--dimension", type=int, default=2, choices=(1, 2))
+    p.add_argument("--dimension", type=int, choices=(1, 2), help="default 2; a 1-D suite takes only 1")
     p.add_argument("--polytope-complexity", type=int, default=6)
     p.add_argument("--function-complexity", type=int, default=3)
     p.add_argument("--coefficient-bound", type=int, default=4)

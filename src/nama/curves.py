@@ -9,7 +9,9 @@ eliminates interior points in closed form (Kron reduction: a point on an
 edge is a degree-2 vertex of the electrical network), so the only linear
 solve is on the original vertices.  The operators run on integers over
 common denominators, make one Fraction per number they return, and build
-tuples from lists, not generators, which fill CPython's tuple free lists."""
+tuples from lists, not generators, which fill CPython's tuple free lists.
+Parsed lengths and weights arrive as integers, and their Fraction views
+are made only when read."""
 
 from __future__ import annotations
 
@@ -28,29 +30,32 @@ _ZERO = Fraction(0)
 EdgeAtom = Tuple[Fraction, Fraction]  # (position in (0,1), weight/value)
 
 
-@dataclass(frozen=True)
 class MetricGraph:
     """Connected multigraph with positive rational (int or Fraction) edge
-    lengths.  Parallel edges are allowed, self-loops are not."""
+    lengths.  Parallel edges are allowed, self-loops are not.  The edges
+    (u, v, length) are kept as `integer_edges` (u, v, p, q), length p / q
+    in lowest terms, q > 0, which the parser hands over instead; `edges`
+    is then made only when read."""
 
-    vertex_count: int
-    edges: Tuple[Tuple[int, int, Fraction], ...]
-
-    def __post_init__(self):
-        n = self.vertex_count
+    def __init__(self, vertex_count: int, edges=None, *, integer_edges=None):
+        if integer_edges is None:
+            self.edges = edges
+            integer_edges = tuple([(u, v, l.numerator, l.denominator) for u, v, l in edges])
+        self.vertex_count, self.integer_edges = vertex_count, integer_edges
+        n, edges = vertex_count, integer_edges
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        if n > len(self.edges) + 1:  # before anything of size n is built
-            raise ValueError(f"graph is not connected: {n} vertices but {len(self.edges)} edges")
+        if n > len(edges) + 1:  # before anything of size n is built
+            raise ValueError(f"graph is not connected: {n} vertices but {len(edges)} edges")
         adj = [[] for _ in range(n)]
-        for idx, (u, v, l) in enumerate(self.edges):
+        for idx, (u, v, p, _) in enumerate(edges):
             if not (isinstance(u, int) and isinstance(v, int)) or isinstance(u, bool) or isinstance(v, bool):
                 raise ValueError(f"edge {idx} endpoints must be integers")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {idx} endpoint out of range")
             if u == v:
                 raise ValueError(f"edge {idx} is a self-loop")
-            if l <= 0:
+            if p <= 0:
                 raise ValueError(f"edge {idx} has non-positive length")
             adj[u].append(v)
             adj[v].append(u)
@@ -64,17 +69,22 @@ class MetricGraph:
             raise ValueError("graph is not connected")
 
     @cached_property
+    def edges(self) -> Tuple[Tuple[int, int, Fraction], ...]:
+        return tuple([(u, v, Fraction(p, q)) for u, v, p, q in self.integer_edges])
+
+    @cached_property
     def conductances(self) -> Tuple[Tuple[Tuple[int, int, int], ...], int]:
-        """(((u, v, c), ...), k): each edge (u, v, l) conducts 1 / l = c / k,
+        """(((u, v, c), ...), k): each edge (u, v, p, q) conducts q / p = c / k,
         k the lcm of the lengths' numerators; computed on first read, kept."""
-        k = lcm(*[l.numerator for *_, l in self.edges])
-        return tuple([(u, v, l.denominator * (k // l.numerator)) for u, v, l in self.edges]), k
+        k = lcm(*[p for _, _, p, _ in self.integer_edges])
+        return tuple([(u, v, q * (k // p)) for u, v, p, q in self.integer_edges]), k
 
 
 def _on(graph: MetricGraph, per_vertex, per_edge):
     """(per-vertex tuple, per-edge sorted tuples), checked against graph."""
-    per_vertex, per_edge = tuple(per_vertex), tuple(per_edge) if per_edge else ((),) * len(graph.edges)
-    if len(per_vertex) != graph.vertex_count or len(per_edge) != len(graph.edges):
+    m = len(graph.integer_edges)
+    per_vertex, per_edge = tuple(per_vertex), tuple(per_edge) if per_edge else ((),) * m
+    if len(per_vertex) != graph.vertex_count or len(per_edge) != m:
         raise ValueError("one entry per vertex and one list per edge required")
     for items in per_edge:
         for p, _ in items:
@@ -98,7 +108,7 @@ class GraphFunction:
         return GraphFunction(*_on(graph, values, breakpoints))
 
     def value_on_edge(self, graph: MetricGraph, e: int, pos: Fraction) -> Fraction:
-        (u, v, _), bps = graph.edges[e], self.breakpoints[e] if e < len(self.breakpoints) else ()
+        (u, v, *_), bps = graph.integer_edges[e], self.breakpoints[e] if e < len(self.breakpoints) else ()
         prof = [(_ZERO, self.values[u]), *bps, (Fraction(1), self.values[v])]
         for (p0, x0), (p1, x1) in zip(prof, prof[1:]):
             if p0 <= pos <= p1:
@@ -106,18 +116,33 @@ class GraphFunction:
         raise ValueError(f"position {pos} outside [0,1]")
 
 
-@dataclass(frozen=True)
 class GraphMeasure:
     """Atomic measure: vertex weights plus optional edge-interior atoms.
     Weights may be signed (dd^c outputs are); inputs to the Poisson
     solver are validated to be positive where required."""
 
-    vertex_weights: Tuple[Fraction, ...]
-    edge_atoms: Tuple[Tuple[EdgeAtom, ...], ...] = ()
+    def __init__(self, vertex_weights: Tuple[Fraction, ...], edge_atoms=(), den=None):
+        """With den, every weight is an integer over den, as the parser reads
+        them, and the vertex weights' Fractions are made only when read."""
+        if den is None:
+            self.vertex_weights = vertex_weights
+        else:
+            self.integer_weights = (*vertex_weights, *[w for a in edge_atoms for _, w in a]), den
+            edge_atoms = tuple([tuple([(p, Fraction(w, den)) for p, w in a]) for a in edge_atoms])
+        self.edge_atoms = edge_atoms
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GraphMeasure) and (self.vertex_weights, self.edge_atoms) == (
+            other.vertex_weights, other.edge_atoms)
 
     @staticmethod
-    def on(graph: MetricGraph, vertex_weights, edge_atoms=None) -> "GraphMeasure":
-        return GraphMeasure(*_on(graph, vertex_weights, edge_atoms))
+    def on(graph: MetricGraph, vertex_weights, edge_atoms=None, den=None) -> "GraphMeasure":
+        return GraphMeasure(*_on(graph, vertex_weights, edge_atoms), den)
+
+    @cached_property
+    def vertex_weights(self) -> Tuple[Fraction, ...]:
+        ws, den = self.integer_weights
+        return tuple([Fraction(w, den) for w in ws[: len(ws) - sum(map(len, self.edge_atoms))]])
 
     @cached_property
     def integer_weights(self) -> Tuple[Tuple[int, ...], int]:
@@ -144,7 +169,7 @@ def _ddc(graph: MetricGraph, f: GraphFunction):
     at the vertices, then at f's breakpoints in edge order.  A segment
     from a0/q0 to a1/q1 of an edge conducting c / k conducts
     c q0 q1 / (k (a1 q0 - a0 q1))."""
-    n, bps = graph.vertex_count, f.breakpoints or ((),) * len(graph.edges)
+    n, bps = graph.vertex_count, f.breakpoints or ((),) * len(graph.integer_edges)
     xs, d = integers([*f.values, *(x for b in bps for _, x in b)])
     (cs, k), segments, m = graph.conductances, [], n  # breakpoints are nodes n, n + 1, ...
     for (u, v, c), b in zip(cs, bps):
@@ -164,7 +189,7 @@ def _ddc(graph: MetricGraph, f: GraphFunction):
 def _curvature(graph: MetricGraph, omega, f: GraphFunction, ws, k):
     """omega + dd^c(f), given dd^c(f) = ws / k from `_ddc`, as vertex weights,
     per edge sorted nonzero (position, weight) atoms, and their denominator."""
-    n, blank = graph.vertex_count, ((),) * len(graph.edges)
+    n, blank = graph.vertex_count, ((),) * len(graph.integer_edges)
     os, e = omega.integer_weights if omega else ([0] * n, 1)
     f_atoms, o_atoms, atoms = iter(ws[n:]), iter(os[n:]), []
     for b, a in zip(f.breakpoints or blank, omega and omega.edge_atoms or blank):
@@ -212,7 +237,7 @@ class PoissonSolver:
     def _poisson(self, omega: GraphMeasure, mu: GraphMeasure) -> GraphFunction:
         """`solve_poisson` on this factor, unchecked.  Weights over w, positions
         over s, lengths over b and phi(u) = x_u / d: phi is shifted over d s^2 w b."""
-        n, edges = self.graph.vertex_count, self.graph.edges
+        n, edges = self.graph.vertex_count, self.graph.integer_edges
         (ow, od), (mw, md) = omega.integer_weights, mu.integer_weights
         w, charges = lcm(od, md), [{} for _ in edges]  # per edge: position -> net charge over w
         for m, ws, scale in ((omega, ow, w // od), (mu, mw, -(w // md))):
@@ -222,19 +247,19 @@ class PoissonSolver:
         s = lcm(*[p.denominator for q in charges for p in q])
         at = {p: p.numerator * (s // p.denominator) for q in charges for p in q}  # position -> p s
         rhs = [(a * (w // od) - b * (w // md)) * s for a, b in zip(ow[:n], mw[:n])]
-        for (u, v, _), q in zip(edges, charges):
+        for (u, v, *_), q in zip(edges, charges):
             for p, c in q.items():
                 rhs[u] += c * (s - at[p])
                 rhs[v] += c * at[p]
         xs, d = self.solve_over(rhs, w * s)
         values, den, bps = xs, d, ((),) * len(edges)
         if at:
-            ls, lb = integers([l for *_, l in edges])
+            lb = lcm(*[q for *_, q in edges])  # lengths over lb
             g = s * w * lb
             values, den = [x * s * g for x in xs], d * s * g
             bps = [[(p, ((s - at[p]) * xs[u] + at[p] * xs[v]) * g
-                     + l * d * sum(c * min(at[p], at[r]) * (s - max(at[p], at[r])) for r, c in q.items()))
-                    for p in sorted(q)] for (u, v, _), l, q in zip(edges, ls, charges)]
+                     + l * (lb // ql) * d * sum(c * min(at[p], at[r]) * (s - max(at[p], at[r])) for r, c in q.items()))
+                    for p in sorted(q)] for (u, v, l, ql), q in zip(edges, charges)]
         top = max(values + [x for b in bps for _, x in b])
         return GraphFunction(
             tuple([Fraction(x - top, den) for x in values]),

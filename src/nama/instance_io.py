@@ -4,7 +4,10 @@ string-encoded rationals.
 Rational mode never round-trips through binary floats: rationals are
 serialized as "p/q" or decimal strings and any bare JSON float in a
 rational-mode instance is rejected.  Unknown fields are rejected
-everywhere so that typos fail loudly instead of being ignored.
+everywhere so that typos fail loudly instead of being ignored.  A
+literal is read in one pass to integers in lowest terms (`_ratio`),
+which curve fields keep; the canonical writer puts str and int leaves
+inline, with no call per leaf.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Any, Dict, Optional, Tuple
 from . import curves as cv
 from . import solver as sv
 from . import toric as tc
-from .errors import ParseError, ValidationError
+from .errors import ArityMismatch, MassMismatch, ParseError, ValidationError
 
 FORMAT_VERSION = 1
 
@@ -39,14 +42,21 @@ def dumps_canonical(obj) -> str:
 
 
 def _json(obj, nl: str) -> str:
-    if isinstance(obj, str):
-        return _quote(obj)
+    """obj's canonical text, its nested lines indented past `nl`; a str or
+    int member is written inline in its container's comprehension."""
     inner = nl + "  "
     if isinstance(obj, dict):
-        items = [f"{_quote(k)}: {_json(v, inner)}" for k, v in sorted(obj.items())]
+        items = [
+            _quote(k) + ": "
+            + (_quote(v) if v.__class__ is str else repr(v) if v.__class__ is int else _json(v, inner))
+            for k, v in sorted(obj.items())
+        ]
         return "{" + inner + ("," + inner).join(items) + nl + "}" if items else "{}"
     if isinstance(obj, (list, tuple)):
-        return "[" + inner + ("," + inner).join([_json(v, inner) for v in obj]) + nl + "]" if obj else "[]"
+        items = [_quote(v) if v.__class__ is str else repr(v) if v.__class__ is int else _json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + nl + "]" if items else "[]"
+    if isinstance(obj, str):
+        return _quote(obj)
     if obj is None or isinstance(obj, bool):
         return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, int):
@@ -90,37 +100,44 @@ _DECIMAL_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)$")
 _RATIO_RE = re.compile(r"^([+-]?\d+)\s*/\s*(\d+)$")
 
 
-def _scalar(value, mode: str, field: str) -> Fraction:
+def _ratio(value, mode: str, field: str) -> Tuple[int, int]:
     """A JSON integer, a "p/q" or decimal string, or (float mode only) a
-    finite JSON float, as a Fraction.  Rational mode never goes through
-    float rounding."""
+    finite JSON float, as (p, q) in lowest terms, q > 0, never through
+    float rounding in rational mode.  The common literal, ASCII digits
+    with at most one slash between them, is read by int() alone; any other
+    string goes through the regular expressions, which word every refusal."""
+    if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        try:  # int() refuses strings of more than sys.get_int_max_str_digits() digits
+            if not (value.isascii() and num.isdigit() and (den.isdigit() or not slash)):
+                m = _RATIO_RE.match(s := value.strip())
+                if not m and _DECIMAL_RE.match(s):
+                    return Fraction(s).as_integer_ratio()
+                if not m:
+                    raise ValidationError(field, f"not a rational literal: {value!r}")
+                num, den = m.groups()
+            p, q = int(num), int(den or 1)
+        except ValueError as exc:
+            raise ValidationError(field, str(exc)) from None
+        if q == 0:
+            raise ValidationError(field, f"zero denominator in {value!r}")
+        g = math.gcd(p, q)
+        return p // g, q // g
     if isinstance(value, bool):
         raise ValidationError(field, f"not a number: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        if mode == "rational":
-            raise ValidationError(
-                field, "binary floats are not allowed in rational mode; use 'p/q' strings"
-            )
-        if not math.isfinite(value):
-            raise ValidationError(field, f"not a finite number: {value!r}")
-        return Fraction(value)
-    if not isinstance(value, str):
+    if isinstance(value, float) and mode == "rational":
+        raise ValidationError(field, "binary floats are not allowed in rational mode; use 'p/q' strings")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValidationError(field, f"not a finite number: {value!r}")
+    if not isinstance(value, (int, float)):
         raise ValidationError(field, f"not a rational literal: {value!r}")
-    s = value.strip()
-    try:  # int() refuses strings of more than sys.get_int_max_str_digits() digits
-        m = _RATIO_RE.match(s)
-        if m:
-            num, den = int(m.group(1)), int(m.group(2))
-            if den == 0:
-                raise ValidationError(field, f"zero denominator in {value!r}")
-            return Fraction(num, den)
-        if _DECIMAL_RE.match(s):
-            return Fraction(s)
-    except ValueError as exc:
-        raise ValidationError(field, str(exc)) from None
-    raise ValidationError(field, f"not a rational literal: {value!r}")
+    return value.as_integer_ratio()
+
+
+def _scalar(value, mode: str, field: str) -> Fraction:
+    """The literal `_ratio` reads, as one Fraction: toric fields, solver
+    settings and atom positions are kept as Fractions."""
+    return Fraction(*_ratio(value, mode, field))
 
 
 def format_scalar(x: Fraction) -> str:
@@ -238,9 +255,9 @@ def decode_graph(obj, mode: str, field: str) -> cv.MetricGraph:
     for i, e in enumerate(edges):
         if not isinstance(e, list) or len(e) != 3:
             raise ValidationError(f"{field}.edges[{i}]", "expected [u, v, length]")
-        parsed.append((e[0], e[1], _scalar(e[2], mode, f"{field}.edges[{i}].length")))
+        parsed.append((e[0], e[1], *_ratio(e[2], mode, f"{field}.edges[{i}].length")))
     try:  # MetricGraph checks the endpoints, the lengths and the connectivity
-        return cv.MetricGraph(count, tuple(parsed))
+        return cv.MetricGraph(count, integer_edges=tuple(parsed))
     except ValueError as exc:
         raise ValidationError(f"{field}.edges", str(exc)) from None
 
@@ -248,28 +265,27 @@ def decode_graph(obj, mode: str, field: str) -> cv.MetricGraph:
 def decode_graph_measure(obj, graph: cv.MetricGraph, mode: str, field: str) -> cv.GraphMeasure:
     if not isinstance(obj, list):
         raise ValidationError(field, "expected a list of atoms")
-    zero = Fraction(0)
-    vw, per_edge = [zero] * graph.vertex_count, [[] for _ in graph.edges]
+    n, m, atoms = graph.vertex_count, len(graph.integer_edges), []  # (vertex or edge, position or None, p, q)
     for i, atom in enumerate(obj):
         af = f"{field}[{i}]"
         if not isinstance(atom, dict):
             raise ValidationError(af, "expected an object")
-        if "vertex" in atom:
-            _check_keys(atom, {"vertex", "weight"}, ("vertex", "weight"), af)
-            v = atom["vertex"]
-            if not _is_int(v) or not (0 <= v < graph.vertex_count):
-                raise ValidationError(f"{af}.vertex", "vertex index out of range")
-            w = _scalar(atom["weight"], mode, f"{af}.weight")
-            vw[v] = w if vw[v] is zero else vw[v] + w
+        keys = ("vertex", "weight") if "vertex" in atom else ("edge", "pos", "weight")
+        _check_keys(atom, set(keys), keys, af)
+        k = atom[keys[0]]
+        if not _is_int(k) or not (0 <= k < (m if "pos" in keys else n)):
+            raise ValidationError(f"{af}.{keys[0]}", f"{keys[0]} index out of range")
+        pos = _scalar(atom["pos"], mode, f"{af}.pos") if "pos" in keys else None
+        atoms.append((k, pos, *_ratio(atom["weight"], mode, f"{af}.weight")))
+    den = math.lcm(*[q for *_, q in atoms])
+    vw, per_edge = [0] * n, [[] for _ in range(m)]
+    for i, pos, p, q in atoms:
+        if pos is None:
+            vw[i] += p * (den // q)
         else:
-            _check_keys(atom, {"edge", "pos", "weight"}, ("edge", "pos", "weight"), af)
-            e = atom["edge"]
-            if not _is_int(e) or not (0 <= e < len(graph.edges)):
-                raise ValidationError(f"{af}.edge", "edge index out of range")
-            pos, w = _scalar(atom["pos"], mode, f"{af}.pos"), _scalar(atom["weight"], mode, f"{af}.weight")
-            per_edge[e].append((pos, w))
+            per_edge[i].append((pos, p * (den // q)))
     try:  # GraphMeasure checks the positions
-        return cv.GraphMeasure.on(graph, vw, per_edge)
+        return cv.GraphMeasure.on(graph, vw, per_edge, den)
     except ValueError as exc:
         raise ValidationError(field, str(exc)) from None
 
@@ -318,6 +334,12 @@ def _parse_solver_block(obj, mode: str) -> sv.SolverConfig:
     return sv.SolverConfig(tol=tol, max_iter=max_iter, mode=mode)
 
 
+def _weights(obj, mode: str):
+    """A toric-dirac file's weights, each read when it is iterated."""
+    for i, w in enumerate(_list(obj, "weights")):
+        yield _scalar(w, mode, f"weights[{i}]")
+
+
 def _grid_points(delta: tc.NewtonPolytope, m: int) -> int:
     """Number of points of the 1/m grid in Delta's bounding box."""
     count = 1
@@ -341,26 +363,11 @@ def parse_instance(text: str) -> InstanceFile:
         data["delta"] = delta
         n = delta.dim
         if kind == "toric-dirac":
-            sites = [
-                _point(s, mode, f"sites[{i}]", n)
-                for i, s in enumerate(_list(obj["sites"], "sites"))
-            ]
-            if len(set(sites)) != len(sites):
-                raise ValidationError("sites", "sites must be distinct")
-            weights = [
-                _scalar(w, mode, f"weights[{i}]")
-                for i, w in enumerate(_list(obj["weights"], "weights"))
-            ]
-            if len(weights) != len(sites):
-                raise ValidationError("weights", "one weight per site required")
-            if any(w <= 0 for w in weights):
-                raise ValidationError("weights", "weights must be positive")
-            if sum(weights) != delta.volume:
-                raise ValidationError(
-                    "weights",
-                    f"total weight {sum(weights)} must equal vol(Delta) = {delta.volume}",
-                )
-            data["problem"] = sv.DiracProblem(delta, tuple(sites), tuple(weights))
+            sites = tuple(_point(s, mode, f"sites[{i}]", n) for i, s in enumerate(_list(obj["sites"], "sites")))
+            try:  # DiracProblem owns the rules, and reads the weights only once the sites pass
+                data["problem"] = sv.DiracProblem(delta, sites, _weights(obj["weights"], mode))
+            except (ValueError, ArityMismatch, MassMismatch) as exc:
+                raise ValidationError("sites" if str(exc) == "sites must be distinct" else "weights", str(exc)) from None
         else:
             cons = decode_generators(obj.get("constraints", []), mode, "constraints", n)
             if not cons:
@@ -385,9 +392,7 @@ def parse_instance(text: str) -> InstanceFile:
                 if not m.is_positive() or m.total_mass <= 0:
                     raise ValidationError(name, "must be a positive measure")
             if omega.total_mass != mu.total_mass:
-                raise ValidationError(
-                    "mu", f"mass {mu.total_mass} must equal mass(omega) = {omega.total_mass}"
-                )
+                raise ValidationError("mu", f"mass {mu.total_mass} must equal mass(omega) = {omega.total_mass}")
             data["omega"], data["mu"] = omega, mu
         else:
             for key in ("x", "y"):

@@ -35,7 +35,9 @@ _MAX_DENOMINATOR = 10**12  # keeps rational iterates small; far below float spac
 
 @dataclass(frozen=True)
 class DiracProblem:
-    """Target measure sum w_i delta_{x_i} with total mass vol(Delta)."""
+    """Target measure sum w_i delta_{x_i} with total mass vol(Delta).  Owns
+    its rules: distinct sites, then, with the weights read only after
+    them, one weight per site, positive weights and the mass balance."""
 
     delta: NewtonPolytope
     sites: Tuple[Point, ...]
@@ -43,22 +45,20 @@ class DiracProblem:
 
     def __post_init__(self):
         sites = tuple(tuple(Fraction(c) for c in x) for x in self.sites)
-        weights = tuple(Fraction(w) for w in self.weights)
         object.__setattr__(self, "sites", sites)
-        object.__setattr__(self, "weights", weights)
-        if len(sites) != len(weights):
-            raise ArityMismatch("one weight per site required")
-        if not sites:
-            raise ArityMismatch("need at least one site")
         if len(set(sites)) != len(sites):
             raise ValueError("sites must be distinct")
         for x in sites:
             if len(x) != self.delta.dim:
                 raise ArityMismatch(f"site {x} vs dimension {self.delta.dim}")
+        weights = tuple(Fraction(w) for w in self.weights)
+        object.__setattr__(self, "weights", weights)
+        if len(sites) != len(weights):
+            raise ArityMismatch("one weight per site required")
         if any(w <= 0 for w in weights):
             raise ValueError("weights must be positive")
         if sum(weights) != self.delta.volume:
-            raise MassMismatch(f"total weight {sum(weights)} differs from vol(Delta) = {self.delta.volume}")
+            raise MassMismatch(f"total weight {sum(weights)} must equal vol(Delta) = {self.delta.volume}")
 
     def barycenter(self) -> Point:
         pairs = list(zip(self.sites, self.weights))  # the weights sum to vol(Delta)
@@ -181,14 +181,22 @@ class _State:
 
 def _start(p: DiracProblem) -> Tuple[List[int], int]:
     """`start_potentials` over one denominator: with c, xbar, x_i over L as C, B, X_i
-    and the facets as integers (A, F), 1 / room = max <A, X_i - C> / (F L - <A, C>)
-    and t_i = (2^(k+1) <X_i - B, C> + |X_i - C|^2 - |B - C|^2) / (2^(k+1) L^2)."""
+    and the facets <A, m> <= F on integers, 1 / room = max <A, X_i - C> / (F L - <A, C>)
+    and t_i = (2^(k+1) <X_i - B, C> + |X_i - C|^2 - |B - C|^2) / (2^(k+1) L^2).  Each
+    facet comes off Delta's loop of (X, Y, W) times a positive factor, which leaves
+    room as it is: the ends -W0 m <= -X0, W1 m <= X1 in 1-D, each edge's
+    (Y1 W0 - Y0 W1, X0 W1 - X1 W0) <.> m <= X0 Y1 - X1 Y0 in 2-D."""
     n, body = p.delta.dim, p.delta.body
     coords, big = linalg.integers([*pg.centroid(body), *p.barycenter(), *(c for x in p.sites for c in x)])
     c, b, xs = coords[:n], coords[n : 2 * n], [coords[i : i + n] for i in range(2 * n, len(coords), n)]
-    facets, _ = linalg.integers([v for a, f in body.facets for v in (*a, f)])
+    if n == 1:
+        (x0, _, w0), (x1, _, w1) = body.loop
+        facets = [((-w0,), -x0), ((w1,), x1)]
+    else:
+        facets = [((y1 * w0 - y0 * w1, x0 * w1 - x1 * w0), x0 * y1 - x1 * y0)
+                  for (x0, y0, w0), (x1, y1, w1) in zip(body.loop, body.loop[1:] + body.loop[:1])]
     top = 1  # ceil(1 / room), 1 when no site moves toward a facet
-    for *a, f in (facets[i : i + n + 1] for i in range(0, len(facets), n + 1)):
+    for a, f in facets:
         gap = f * big - dot(a, c)
         top = max([top] + [-(-s // gap) for s in (dot(a, sub(x, c)) for x in xs) if s > 0])
     two, bc = 2 ** ((top - 1).bit_length() + 1), sub(b, c)  # 2^(k+1), h = 1 / 2^k

@@ -134,6 +134,34 @@ def test_vertex_count_past_the_edges_exits_two_before_allocating(tmp_path, capsy
     assert exc.value.field == "graph.edges"
 
 
+def test_parsing_a_curve_file_makes_no_fraction_per_literal(monkeypatch):
+    """Lengths and weights reach MetricGraph and GraphMeasure as integers:
+    parsing a curve-poisson file of 61 length and weight literals makes
+    Fractions only for its one interior atom (position and weight) and for
+    each measure's total mass, whose balance the parser checks."""
+    import fractions
+
+    n = 20
+    doc = dict(
+        POISSON,
+        graph={"vertex_count": n, "edges": [[v - 1, v, f"{v}/3"] for v in range(1, n)] + [[0, n - 1, "7/2"]]},
+        omega=[{"vertex": v, "weight": "1/2"} for v in range(n)],
+        mu=[{"vertex": v, "weight": "1/4"} for v in range(n)] + [{"edge": 0, "pos": "1/3", "weight": "5"}],
+    )
+    text, created, new = json.dumps(doc), [], fractions.Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        created.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counted))
+    inst = io.parse_instance(text)
+    assert len(created) == 4
+    monkeypatch.undo()
+    assert inst.data["mu"].edge_atoms[0] == ((F(1, 3), F(5)),)
+    assert inst.data["graph"].edges[0] == (0, 1, F(1, 3))
+
+
 def run_cli(tmp_path, *argv):
     return cli.main([str(a) for a in argv])
 
@@ -602,6 +630,26 @@ def _value(value):
     return _mutated(ENVELOPE, ["constraints", 0, "value"], value)
 
 
+def _length(value):
+    """GREEN with `value` as its first edge's length."""
+    return _mutated(GREEN, ["graph", "edges", 0, 2], value)
+
+
+def _pos(value):
+    """POISSON whose first omega atom is one of weight 2 at `value` on edge 0."""
+    return _mutated(POISSON, ["omega", 0], {"edge": 0, "pos": value, "weight": "2"})
+
+
+def _weight(value):
+    """POISSON with `value` as its first mu atom's weight (3 balances omega)."""
+    return _mutated(POISSON, ["mu", 0, "weight"], value)
+
+
+def _dirac(sites, weights):
+    """DIRAC on the unit square with these sites and weights."""
+    return dict(DIRAC, sites=sites, weights=weights)
+
+
 KINDS_LINE = "error: kind: expected one of toric-dirac, toric-envelope, curve-poisson, curve-green"
 
 # name -> (command, input document, the error line it exits 2 with, or
@@ -634,14 +682,69 @@ READ_CASES = {
         },
         "error: solution.generators[1].site: expected a coordinate list",
     ),
+    # Literals at the edge of the common forms (an ASCII integer, or p/q of
+    # ASCII digits): a sign, leading zeros, spaces, digit separators and
+    # non-ASCII digits are read, or refused, by one rule on every field.
+    "plus-sign": ("envelope", _value("+3"), "3"),
+    "minus-zero": ("envelope", _value("-0"), "0"),
+    "leading-zeros": ("envelope", _value("007"), "7"),
+    "zero-padded-denominator": ("envelope", _value("3/04"), "3/4"),
+    "zero-padded-zero-denominator": ("envelope", _value("1/00"), "error: constraints[0].value: zero denominator in '1/00'"),
+    "no-denominator": ("envelope", _value("3/"), "error: constraints[0].value: not a rational literal: '3/'"),
+    "no-numerator": ("envelope", _value("/3"), "error: constraints[0].value: not a rational literal: '/3'"),
+    "double-slash": ("envelope", _value("3//4"), "error: constraints[0].value: not a rational literal: '3//4'"),
+    "digit-separator": ("envelope", _value("1_000"), "error: constraints[0].value: not a rational literal: '1_000'"),
+    "signed-denominator": ("envelope", _value("1/-2"), "error: constraints[0].value: not a rational literal: '1/-2'"),
+    "padded-integer": ("envelope", _value(" 7 "), "7"),
+    "space-before-slash": ("envelope", _value("1 /2"), "1/2"),
+    "arabic-indic-digit": ("envelope", _value("\u0663"), "3"),
+    "length-plus-sign": ("green", _length("+3"), _length("3")),
+    "length-arabic-indic-digit": ("green", _length("\u0663"), _length("3")),
+    "length-zero-padded": ("green", _length("007/04"), _length("7/4")),
+    "length-minus-zero": ("green", _length("-0"), "error: graph.edges: edge 0 has non-positive length"),
+    "length-zero-denominator": ("green", _length("1/00"), "error: graph.edges[0].length: zero denominator in '1/00'"),
+    "length-digit-separator": ("green", _length("1_000"), "error: graph.edges[0].length: not a rational literal: '1_000'"),
+    "pos-spaced-ratio": ("poisson", _pos("1 /2"), _pos("1/2")),
+    "pos-signed-ratio": ("poisson", _pos("+1/2"), _pos("1/2")),
+    "pos-zero-denominator": ("poisson", _pos("1/00"), "error: omega[0].pos: zero denominator in '1/00'"),
+    "pos-signed-denominator": ("poisson", _pos("1/-2"), "error: omega[0].pos: not a rational literal: '1/-2'"),
+    "pos-leading-zeros": ("poisson", _pos("007"), "error: omega: interior position 7 outside (0,1)"),
+    "weight-unreduced": ("energy", _weight("6/2"), _weight("3")),
+    "weight-padded": ("poisson", _weight(" 3 "), _weight("3")),
+    "weight-arabic-indic-digit": ("poisson", _weight("\u0663"), _weight("3")),
+    "weight-no-numerator": ("poisson", _weight("/3"), "error: mu[0].weight: not a rational literal: '/3'"),
+    "weight-double-slash": ("poisson", _weight("3//1"), "error: mu[0].weight: not a rational literal: '3//1'"),
+    # toric-dirac sites and weights: the first broken rule names its field.
+    "dirac-literals": ("solve", _dirac([["+1/3", "2/04"]], [" 1 "]), _dirac([["1/3", "1/2"]], ["1"])),
+    "dirac-site-arity": ("solve", _dirac([["1/3"]], ["1"]), "error: sites[0]: expected 2 coordinates, got 1"),
+    "dirac-sites-not-a-list": ("solve", _dirac(5, ["1"]), "error: sites: expected a list"),
+    "dirac-repeated-site": (
+        "solve", _dirac([["0", "0"], ["0", "0"]], ["1/2", "1/2"]), "error: sites: sites must be distinct"
+    ),
+    "dirac-repeated-site-bad-weight": (
+        "solve", _dirac([["0", "0"], ["0", "0"]], ["x", "1/2"]), "error: sites: sites must be distinct"
+    ),
+    "dirac-repeated-site-weights-not-a-list": (
+        "solve", _dirac([["0", "0"], ["0", "0"]], 5), "error: sites: sites must be distinct"
+    ),
+    "dirac-weight-literal": ("solve", _dirac([["0", "0"]], ["1", "x"]), "error: weights[1]: not a rational literal: 'x'"),
+    "dirac-weight-count": (
+        "solve", _dirac([["0", "0"], ["1", "0"]], ["1"]), "error: weights: one weight per site required"
+    ),
+    "dirac-weight-sign": (
+        "solve", _dirac([["0", "0"], ["1", "0"]], ["3/2", "-1/2"]), "error: weights: weights must be positive"
+    ),
+    "dirac-mass": ("solve", _dirac([["0", "0"]], ["1/2"]), "error: weights: total weight 1/2 must equal vol(Delta) = 1"),
+    "dirac-no-sites": ("solve", _dirac([], []), "error: weights: total weight 0 must equal vol(Delta) = 1"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(READ_CASES))
 def test_every_rational_and_document_is_read_alike(tmp_path, capsys, name):
     """Each input exits 2 with its one error line, or gives the output,
-    byte for byte, of the same instance with the canonical literal; only
-    the instance hash differs."""
+    byte for byte, of the same instance with the canonical literal (given
+    as the literal of ENVELOPE's value or as the whole document); only the
+    instance hash differs."""
     command, doc, expected = READ_CASES[name]
 
     def run(doc):
@@ -651,12 +754,12 @@ def test_every_rational_and_document_is_read_alike(tmp_path, capsys, name):
         lines = out.read_text().splitlines() if code == 0 else []
         return code, capsys.readouterr().err, [l for l in lines if "instance_sha256" not in l]
 
-    if expected.startswith("error: "):
+    if isinstance(expected, str) and expected.startswith("error: "):
         assert run(doc)[:2] == (2, expected + "\n")
     else:
         code, err, output = run(doc)
         assert (code, err) == (0, "")
-        assert output == run(_value(expected))[2]
+        assert output == run(expected if isinstance(expected, dict) else _value(expected))[2]
 
 
 def test_two_main_calls_build_one_parser(tmp_path, monkeypatch):
@@ -723,22 +826,23 @@ def test_negative_solver_tol_exits_two_naming_the_field(tmp_path, capsys):
     assert "solver.tol" in capsys.readouterr().err
 
 
-def test_zariski_defect_notes_that_it_ignores_dimension_two(tmp_path, capsys):
-    """The suite always runs in dimension 1; asking for 2 says so on stderr
-    and leaves the report as it is."""
-    reports = {}
-    for dim in (1, 2):
-        out = tmp_path / f"r{dim}.json"
-        code = run_cli(
-            tmp_path,
-            "check", "--suite", "zariski_defect", "--seed", "3", "--cases", "2",
-            "--dimension", dim, "--no-timestamp", "-o", out,
-        )
-        assert code == 0
-        reports[dim] = (out.read_bytes(), capsys.readouterr().err)
-    assert reports[1][1] == ""
-    assert "zariski_defect runs in dimension 1" in reports[2][1]
-    assert reports[1][0] == reports[2][0]
+def test_zariski_defect_rejects_dimension_two(tmp_path, capsys):
+    """The suite runs in dimension 1 only: --dimension 2 exits 2 naming the
+    flag and writes no report, and a run without the flag gives the report
+    of --dimension 1 with nothing on stderr."""
+    def check(*flags):
+        out = tmp_path / "r.json"
+        argv = ["check", "--suite", "zariski_defect", "--seed", "3", "--cases", "2", *flags]
+        code = run_cli(tmp_path, *argv, "--no-timestamp", "-o", out)
+        report = out.read_bytes() if out.exists() else None
+        if out.exists():
+            out.unlink()
+        return code, report, capsys.readouterr().err
+
+    assert check("--dimension", 2) == (2, None, "error: dimension: suite zariski_defect runs in dimension 1 only\n")
+    code, report, err = check()
+    assert (code, err) == (0, "")
+    assert check("--dimension", 1) == (0, report, "")
 
 
 @pytest.mark.parametrize(

@@ -135,8 +135,9 @@ def _ratio(value, mode: str, field: str) -> Tuple[int, int]:
 
 
 def _scalar(value, mode: str, field: str) -> Fraction:
-    """The literal `_ratio` reads, as one Fraction: toric fields, solver
-    settings and atom positions are kept as Fractions."""
+    """A literal as one Fraction, made from the integers `_ratio` reads in
+    one pass (one split and int() for the common forms, no regex); toric
+    fields, solver settings and atom positions are kept as Fractions."""
     return Fraction(*_ratio(value, mode, field))
 
 

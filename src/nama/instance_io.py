@@ -364,7 +364,7 @@ def parse_instance(text: str) -> InstanceFile:
         data["delta"] = delta
         n = delta.dim
         if kind == "toric-dirac":
-            sites = tuple(_point(s, mode, f"sites[{i}]", n) for i, s in enumerate(_list(obj["sites"], "sites")))
+            sites = tuple([_point(s, mode, f"sites[{i}]", n) for i, s in enumerate(_list(obj["sites"], "sites"))])
             try:  # DiracProblem owns the rules, and reads the weights only once the sites pass
                 data["problem"] = sv.DiracProblem(delta, sites, _weights(obj["weights"], mode))
             except (ValueError, ArityMismatch, MassMismatch) as exc:

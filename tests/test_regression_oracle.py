@@ -4,7 +4,7 @@ Every suite report at seed 1 with two cases, in each dimension the suite
 runs in, the `envelope`, `energy`, `solve`, `green` and `poisson`
 outputs of fixed instances and the `export-cells` CSV of their solve
 results must stay byte-identical, and so must the path of the solver
-on three of those instances: iterates, steps and trial counts.  A digest changes only together with
+on four of those instances: iterates, steps and trial counts.  A digest changes only together with
 a deliberate change of results, recorded in CHANGES.md.  A suite report
 without timing holds the suite name, the case count and the failures
 with their witnesses, so its digest pins which assertions fail and how.
@@ -131,6 +131,33 @@ DIRAC_RATIONAL_2D = {
     "solver": {"tol": "1/1000000000000000"},
 }
 
+# Four sites on a segment in rational mode: the closed-form 1-D solution,
+# at which the solver stops before its first step.
+DIRAC_RATIONAL_1D = {
+    "kind": "toric-dirac",
+    "mode": "rational",
+    "polytope": {"vertices": [["2"], ["-1"]]},
+    "sites": [["1/2"], ["-2/3"], ["3/2"], ["0"]],
+    "weights": ["1", "1/4", "5/4", "1/2"],
+}
+
+# A float-mode envelope whose literals are JSON integers, JSON floats and
+# decimal strings, one site given twice.
+ENVELOPE_FLOAT_2D = {
+    "kind": "toric-envelope",
+    "mode": "float",
+    "polytope": {"vertices": [[0, 0], [2.5, 0], ["3", 1.5], [1, "2.75"], ["0.5", 2]]},
+    "constraints": [
+        {"site": [0, 0], "value": 0},
+        {"site": [0.5, "-0.25"], "value": "0.125"},
+        {"site": ["-1", 0.75], "value": 0.6},
+        {"site": ["2/3", 1], "value": "1.5"},
+        {"site": [-0.25, -1.0], "value": "7/6"},
+        {"site": [0.5, "-0.25"], "value": -0.5},
+        {"site": ["0.2", "0.3"], "value": -0.125},
+    ],
+}
+
 # Six vertices: a cycle with a chord and a parallel edge, lengths over
 # coprime denominators.
 GRAPH_6 = {
@@ -208,6 +235,8 @@ COMMAND_DIGESTS = {
     # (command, instance name) -> sha256 of the `--no-timestamp` output
     ("envelope", "envelope_2d"): "0d42ebdb7445e2fe41aed1e53fcca79a9d94c17526caea749ed2d9793e4b8f58",
     ("energy", "envelope_2d"): "54e4f0d2963050f5fc0cabd612397ebea63637245f7b4d215a7345f99e723d48",
+    ("envelope", "envelope_float_2d"): "257e335b6c628abfd89a48c5fb3a4deee21ff62ba0329d63b85b66c3999b9ad1",
+    ("energy", "envelope_float_2d"): "b6e21138b3f637d757537f5b44c1d94eb9a497c570d9e12e38f1c3f90e41117f",
     ("envelope", "lattice_2d"): "d4066a9a746dcdddae70e101717ec50c2400c9d710053d144f92f678942dfbf6",
     ("envelope", "lattice_1d"): "a8cdfeeef8b795187cd1d39f8d0a594f78bd0c7bc4d623d9fd7c86726cac9ec6",
     ("envelope", "repeated_2d"): "9ae140aac3593c63c48ec3980984649af3d31267d1b2aa0ddbb82cafdeec1d22",
@@ -219,6 +248,7 @@ COMMAND_DIGESTS = {
     ("solve", "dirac_2d"): "e9ace05db27312ce6b14fe2de6fa50229cf4cdb61e01842026d363d6bb9622cd",
     ("solve", "dirac_8"): "83331e9d8607c03216e3538dc1c66f213d713e6a683c2ce082f4c1176a9e8ea4",
     ("solve", "dirac_1d"): "ddabf14d698259728bc23cfe5419644ff75c81043503479e01fbbfead05dc506",
+    ("solve", "dirac_rational_1d"): "b6d546ef78565145876a83b6ecf9706868c0a2c1003c4467c5c59f4567ae0c74",
     ("solve", "dirac_rational_2d"): "d726b3e2fe1258adf5a9fa6abc3f3ebe4c3da1f4331b012d362061aa4527e432",
     ("green", "green_6"): "66ceca50ec49dcad749f7d210080849835b6ffb80ef2a0320c9a47c79f8b4379",
     ("poisson", "poisson_vertex_6"): "6e090fda98e7471ceeee1b94dcb5f545a63eda2afb6fbe5d257dc9b70473d66b",
@@ -236,6 +266,7 @@ EXPORT_DIGESTS = {
     # instance name -> sha256 of `export-cells` on its `solve --no-timestamp` result
     "dirac_2d": "b2642d3cbe4840a53c0e0e02d37c4349c64967c74fec0357d9d60efad5ffd2f8",
     "dirac_1d": "fb9a540e7cb0fc4708d23caf012f9432b8b83a08050bd65a76569a7a791ba586",
+    "dirac_rational_1d": "3fb700499a15b1be66a36fff86a2ae8df615c90aabbbd07eec742e978e2624f5",
     "dirac_rational_2d": "6b11737d98c030ffd458de16040a8fb92739cc1e1e56854687c138d36cb516e1",
 }
 
@@ -244,6 +275,7 @@ PATH_DIGESTS = {
     # residual)) of its Solution, NotConverged's when max_iter stops it early
     ("dirac_8", None): "a1aadef151de01a905c0c3c1d3b471850512c8c764a423e1384c51ff0b630bf4",
     ("dirac_1d", None): "59a865dcb1b860a9d12424b99cba9fd8c61808681a1d52efbf23b6c1c5e1107b",
+    ("dirac_rational_1d", None): "87994626f7b11ed78579185aed9b8fa928ae7422467912ab1f6f34cf58cbbe2a",
     ("dirac_rational_2d", None): "822cbd0a22398de65e0cfad67e3a98c04fc46c03f832e2a9087ee32b491ff86d",
     ("dirac_8", 2): "5605abdd7504b37a6dee062c6ff8c3dc0ad245049936fe4d556416bc20e900a3",
 }
@@ -260,6 +292,8 @@ INSTANCES = {
     "dirac_8": DIRAC_8,
     "dirac_1d": DIRAC_1D,
     "dirac_rational_2d": DIRAC_RATIONAL_2D,
+    "dirac_rational_1d": DIRAC_RATIONAL_1D,
+    "envelope_float_2d": ENVELOPE_FLOAT_2D,
     "green_6": GREEN_6,
     "poisson_vertex_6": POISSON_VERTEX_6,
     "poisson_interior_6": POISSON_INTERIOR_6,

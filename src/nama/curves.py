@@ -221,7 +221,7 @@ class PoissonSolver:
 
     def __init__(self, graph: MetricGraph, ground: int = 0):
         edges, self.k = graph.conductances  # so the factor is of k L
-        self.graph, self.solver = graph, ExactLinearSolver(graph.vertex_count, edges, ground)
+        self.graph, self.solver = graph, ExactLinearSolver(graph.vertex_count, edges, ground, 1)
 
     def solve_over(self, rhs: List[int], den: int) -> Tuple[List[int], int]:
         """(x, d): L x / d = rhs / den, x = 0 at the ground; rhs must sum to zero."""

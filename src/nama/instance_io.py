@@ -5,9 +5,11 @@ Rational mode never round-trips through binary floats: rationals are
 serialized as "p/q" or decimal strings and any bare JSON float in a
 rational-mode instance is rejected.  Unknown fields are rejected
 everywhere so that typos fail loudly instead of being ignored.  A
-literal is read in one pass to integers in lowest terms (`_ratio`),
-which curve fields keep; the canonical writer puts str and int leaves
-inline, with no call per leaf.
+literal is read in one pass to integers in lowest terms (`_ratio`).
+Curve fields, polytope vertices and envelope constraints keep them, over
+one denominator per field, so an envelope makes Fractions only for the
+generators it keeps; the canonical writer puts str and int leaves inline,
+with no call per leaf.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from fractions import Fraction
 from typing import Any, Dict, Optional, Tuple
 
 from . import curves as cv
+from . import polyhedra as pg
 from . import solver as sv
 from . import toric as tc
 from .errors import ArityMismatch, MassMismatch, ParseError, ValidationError
@@ -104,12 +107,14 @@ def _ratio(value, mode: str, field: str) -> Tuple[int, int]:
     """A JSON integer, a "p/q" or decimal string, or (float mode only) a
     finite JSON float, as (p, q) in lowest terms, q > 0, never through
     float rounding in rational mode.  The common literal, ASCII digits
-    with at most one slash between them, is read by int() alone; any other
-    string goes through the regular expressions, which word every refusal."""
+    after an optional minus sign with at most one slash between them, is
+    read by int() alone; any other string goes through the regular
+    expressions, which word every refusal."""
     if isinstance(value, str):
         num, slash, den = value.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
         try:  # int() refuses strings of more than sys.get_int_max_str_digits() digits
-            if not (value.isascii() and num.isdigit() and (den.isdigit() or not slash)):
+            if not (value.isascii() and digits.isdigit() and (den.isdigit() or not slash)):
                 m = _RATIO_RE.match(s := value.strip())
                 if not m and _DECIMAL_RE.match(s):
                     return Fraction(s).as_integer_ratio()
@@ -136,9 +141,16 @@ def _ratio(value, mode: str, field: str) -> Tuple[int, int]:
 
 def _scalar(value, mode: str, field: str) -> Fraction:
     """A literal as one Fraction, made from the integers `_ratio` reads in
-    one pass (one split and int() for the common forms, no regex); toric
-    fields, solver settings and atom positions are kept as Fractions."""
+    one pass (one split and int() for the common forms, no regex); dirac
+    sites and weights, solver settings and atom positions are kept as
+    Fractions."""
     return Fraction(*_ratio(value, mode, field))
+
+
+def _over_one(pairs) -> Tuple[list, int]:
+    """(p, q) pairs as integers over their least common denominator."""
+    den = math.lcm(*[q for _, q in pairs])
+    return [p * (den // q) for p, q in pairs], den
 
 
 def format_scalar(x: Fraction) -> str:
@@ -160,9 +172,10 @@ def _list(obj, field: str) -> list:
 
 
 def _point(value, mode: str, field: str, dim: Optional[int] = None):
+    """A coordinate list as its coordinates' (p, q) pairs."""
     if not isinstance(value, (list, tuple)):
         raise ValidationError(field, "expected a coordinate list")
-    pt = tuple(_scalar(c, mode, f"{field}[{i}]") for i, c in enumerate(value))
+    pt = tuple([_ratio(c, mode, f"{field}[{i}]") for i, c in enumerate(value)])
     if dim is not None and len(pt) != dim:
         raise ValidationError(field, f"expected {dim} coordinates, got {len(pt)}")
     return pt
@@ -204,7 +217,7 @@ def decode_polytope(obj, mode: str, field: str) -> tc.NewtonPolytope:
     if len(dims) != 1:
         raise ValidationError(f"{field}.vertices", "mixed dimensions")
     try:
-        return tc.newton_polytope(pts, dims.pop())
+        return tc.NewtonPolytope(pg.hull_over(dims.pop(), *_over_one([c for p in pts for c in p])))
     except Exception as exc:
         raise ValidationError(f"{field}.vertices", str(exc)) from None
 
@@ -216,16 +229,19 @@ def encode_generators(f: tc.ToricPsh, mode: str = "rational"):
     ]
 
 
-def decode_generators(objs, mode: str, field: str, n: int):
-    """(site, value) pairs from a list of {"site", "value"} objects with
-    sites in dimension n: an envelope's constraints or a result's
-    generators."""
-    gens = []
+def decode_generators(objs, mode: str, field: str, n: int) -> tc.IntegerGenerators:
+    """The (site, value) pairs of a list of {"site", "value"} objects with
+    sites in dimension n, on integers: an envelope's constraints or a
+    result's generators."""
+    sites, values = [], []
     for i, g in enumerate(_list(objs, field)):
         gf = f"{field}[{i}]"
         _check_keys(g, {"site", "value"}, ("site", "value"), gf)
-        gens.append((_point(g["site"], mode, f"{gf}.site", n), _scalar(g["value"], mode, f"{gf}.value")))
-    return tuple(gens)
+        sites.append(_point(g["site"], mode, f"{gf}.site", n))
+        values.append(_ratio(g["value"], mode, f"{gf}.value"))
+    coords, d = _over_one([c for x in sites for c in x])
+    xs = list(zip(coords[0::2], coords[1::2])) if n == 2 else [(x, 0) for x in coords]
+    return tc.IntegerGenerators(xs, d, *_over_one(values))
 
 
 def encode_test_function(f: tc.TestFunction, mode: str = "rational"):
@@ -342,11 +358,12 @@ def _weights(obj, mode: str):
 
 
 def _grid_points(delta: tc.NewtonPolytope, m: int) -> int:
-    """Number of points of the 1/m grid in Delta's bounding box."""
-    count = 1
+    """Number of points of the 1/m grid in Delta's bounding box, read off
+    its integer loop points (X, Y, W)."""
+    count, loop = 1, delta.body.loop
     for k in range(delta.dim):
-        coords = [v[k] for v in delta.body.vertices]
-        count *= max(0, math.floor(max(coords) * m) - math.ceil(min(coords) * m) + 1)
+        hi, lo = max(p[k] * m // p[2] for p in loop), min(-(-p[k] * m // p[2]) for p in loop)
+        count *= max(0, hi - lo + 1)
     return count
 
 
@@ -364,14 +381,15 @@ def parse_instance(text: str) -> InstanceFile:
         data["delta"] = delta
         n = delta.dim
         if kind == "toric-dirac":
-            sites = tuple([_point(s, mode, f"sites[{i}]", n) for i, s in enumerate(_list(obj["sites"], "sites"))])
+            sites = tuple([tuple([Fraction(*c) for c in _point(s, mode, f"sites[{i}]", n)])
+                           for i, s in enumerate(_list(obj["sites"], "sites"))])
             try:  # DiracProblem owns the rules, and reads the weights only once the sites pass
                 data["problem"] = sv.DiracProblem(delta, sites, _weights(obj["weights"], mode))
             except (ValueError, ArityMismatch, MassMismatch) as exc:
                 raise ValidationError("sites" if str(exc) == "sites must be distinct" else "weights", str(exc)) from None
         else:
             cons = decode_generators(obj.get("constraints", []), mode, "constraints", n)
-            if not cons:
+            if not cons.ts:
                 raise ValidationError("constraints", "need at least one constraint")
             data["constraints"] = cons
             if "lattice_m" in obj:
@@ -440,8 +458,8 @@ def solution_payload(inst: InstanceFile, solution: sv.Solution) -> Dict[str, Any
         "generators": encode_generators(solution.potential, mode),
         "atoms": encode_measure(solution.masses, mode),
         "energy": _render(solution.energy, mode),
-        "objective": _render(Fraction(solution.objective), mode),
-        "residual": _render(Fraction(solution.residual), mode),
+        "objective": _render(solution.objective, mode),
+        "residual": _render(solution.residual, mode),
         "iterations": solution.iterations,
     }
 

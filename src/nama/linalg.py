@@ -11,7 +11,8 @@ with no fill (George-Liu, Computer Solution of Large Sparse Positive
 Definite Systems, 1981).
 
 Factor and solves run on integers: the weights over their least common
-denominator (`integers`).  Eliminating pivot p replaces each neighbour's
+denominator (`integers`), or over the denominator the caller already
+has them over.  Eliminating pivot p replaces each neighbour's
 row by (s row_j - t row_p) / c, s and t the pivot and row j's entry over
 their gcd and c the gcd of the new row (integer-preserving elimination,
 Bareiss, Math. Comp. 1968).  Each row stays a positive multiple of its
@@ -25,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 
 def integers(values) -> Tuple[List[int], int]:
@@ -50,16 +51,18 @@ class ExactLinearSolver:
     """Factor the grounded Laplacian of `weighted_edges` (u, v, weight)
     once, then solve many right-hand sides.
 
-    Parallel edges add up.  Raises ValueError when a pivot is not
-    positive: the grounded matrix is then not positive definite, as when
-    the edges do not connect every vertex to `ground`.
+    Parallel edges add up.  With `den`, the weights are already integers
+    over den and are used as they are.  Raises ValueError when a pivot is
+    not positive: the grounded matrix is then not positive definite, as
+    when the edges do not connect every vertex to `ground`.
     """
 
-    def __init__(self, vertex_count: int, weighted_edges, ground: int):
+    def __init__(self, vertex_count: int, weighted_edges, ground: int, den: Optional[int] = None):
         if not 0 <= ground < vertex_count:
             raise ValueError(f"ground {ground} outside 0..{vertex_count - 1}")
         edges = list(weighted_edges)
-        weights, self._scale = integers([w for _, _, w in edges])
+        weights = [w for _, _, w in edges]
+        weights, self._scale = integers(weights) if den is None else (weights, den)
         rows = [{p: 0} for p in range(vertex_count)]  # row p holds its diagonal
         for (u, v, _), w in zip(edges, weights):
             rows[u][u] += w

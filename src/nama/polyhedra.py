@@ -13,8 +13,10 @@ loop.  Power diagrams come from the regular triangulation of the lifted
 sites, built by inserting them in lexicographic order: only its vertices
 have cells, each the body cut by the vertex's neighbours, and the walls
 are the edges the final loops share; `power_diagram` takes the sites and
-values as integers over their denominators.  One integer shoelace gives
-every area, mass and moment.  Lower hulls gift-wrap over integer triples
+values as integers over their denominators, as `hull_over` takes points,
+and gives masses and wall weights over one denominator each.  One integer
+moment sum per loop gives every volume, mass, centroid and integral.
+Lower hulls gift-wrap over integer triples
 (`lower_hull` only converts Fraction input).  `power_diagram` and
 `_lower_hull` own one rule: a repeated site counts at its lowest value.
 Empty and lower-dimensional polytopes are ordinary values (volume 0), as
@@ -162,23 +164,27 @@ def hull(points, dim: Optional[int] = None) -> Polytope:
 
     Lower-dimensional hulls are returned flagged with their affine
     dimension; interior and collinear points are dropped.  The points are
-    put over one common denominator d, so the monotone chain runs on
-    integers and each corner is canonicalised with one gcd.
+    put over one common denominator d for `hull_over`.
     """
-    pts = [tuple(Fraction(c) for c in p) for p in points]
+    pts = [tuple(p) for p in points]
     if not pts:
         raise EmptyInput("hull of zero points")
     n = dim if dim is not None else len(pts[0])
+    for p in pts:
+        if len(p) != n:
+            raise DimensionMismatch(f"point {p} does not have dimension {n}")
+    return hull_over(n, *integers([c for p in pts for c in p]))
+
+
+def hull_over(n: int, coords: List[int], d: int) -> Polytope:
+    """The hull of the points whose n coordinates, listed point by point,
+    are the integers `coords` over d: the monotone chain runs on integers
+    and each corner is canonicalised with one gcd."""
     if n >= 3:
         raise DimensionUnsupported(f"exact mode supports dimensions 1 and 2, got {n}")
     if n < 1:
         raise DimensionUnsupported(f"dimension must be >= 1, got {n}")
-    for p in pts:
-        if len(p) != n:
-            raise DimensionMismatch(f"point {p} does not have dimension {n}")
-
-    coords, d = integers([c for p in pts for c in _planar(p)])
-    uniq = sorted(set(zip(coords[0::2], coords[1::2])))
+    uniq = sorted(set(zip(coords[0::2], coords[1::2]) if n == 2 else [(x, 0) for x in coords]))
     loop = _convex_loop(list(range(len(uniq))), uniq) or [0]
     return Polytope(n, tuple(_point(*uniq[i], d) for i in loop), min(len(loop), 3) - 1)
 
@@ -355,37 +361,47 @@ class PowerDiagram:
     @cached_property
     def integer_masses(self) -> Tuple[List[int], int]:
         """(M, D): the masses M_a / D, D the lcm of their reduced denominators."""
-        vols = [(0, 1) if loop is None else _loop_volume(loop, self.body.dim) for loop in self._loops]
-        den = lcm(*(q // gcd(m, q) for m, q in vols))
-        return [m * den // q for m, q in vols], den
+        return volumes_over(self._loops, self.body.dim)
 
     @cached_property
     def masses(self) -> List[Fraction]:
         return [Fraction(m, self.integer_masses[1]) for m in self.integer_masses[0]]
 
     @cached_property
-    def walls(self) -> List[Tuple[int, int, Fraction]]:
-        """With N = X_i - X_j on the sites over their denominator D, the wall
-        (i, j, (A_0, B_0, W_0), (A_1, B_1, W_1)) weighs
-        |N_0 (B_1 W_0 - B_0 W_1) - N_1 (A_1 W_0 - A_0 W_1)| D / (W_0 W_1 |N|^2),
-        and D / |N_0| in 1-D: one Fraction per wall."""
-        xs, d, out = self._xs, self._d, []
+    def integer_walls(self) -> Tuple[List[Tuple[int, int, int]], int]:
+        """(walls, D): (i, j, V) of weight V / D, D the lcm of the reduced
+        denominators.  With N = X_i - X_j on the sites over d, the wall (i, j,
+        (A_0, B_0, W_0), (A_1, B_1, W_1)) weighs d / |N_0| in 1-D and
+        |N_0 (B_1 W_0 - B_0 W_1) - N_1 (A_1 W_0 - A_0 W_1)| d / (W_0 W_1 |N|^2)."""
+        xs, d, ratios = self._xs, self._d, []
         for i, j, (a0, b0, w0), (a1, b1, w1) in self._ends:
             n0, n1 = xs[i][0] - xs[j][0], xs[i][1] - xs[j][1]
             if self.body.dim == 1:
-                out.append((i, j, Fraction(d, abs(n0))))
+                num, den = d, abs(n0)
             else:
-                scaled = abs(n0 * (b1 * w0 - b0 * w1) - n1 * (a1 * w0 - a0 * w1))
-                out.append((i, j, Fraction(scaled * d, w0 * w1 * (n0 * n0 + n1 * n1))))
-        return out
+                num, den = abs(n0 * (b1 * w0 - b0 * w1) - n1 * (a1 * w0 - a0 * w1)) * d, w0 * w1 * (n0 * n0 + n1 * n1)
+            g = gcd(num, den)
+            ratios.append((i, j, num // g, den // g))
+        top = lcm(*[q for *_, q in ratios])
+        return [(i, j, p * (top // q)) for i, j, p, q in ratios], top
+
+    @cached_property
+    def walls(self) -> List[Tuple[int, int, Fraction]]:
+        """The Fraction view of `integer_walls`: (i, j, |wall| / |x_i - x_j|)."""
+        walls, den = self.integer_walls
+        return [(i, j, Fraction(v, den)) for i, j, v in walls]
 
 
-def _polygon_sums(loop):
-    """(S, Mx, My, L) of a counterclockwise homogeneous loop, on its points
-    (X, Y) L / W, L the lcm of its W: the area is S / 2L^2 and the
-    integrals of x and y over the polygon are Mx / 6L^3 and My / 6L^3."""
+def _moment_sums(loop, n: int):
+    """(S, Mx, My, L) of a full-dimensional loop, a segment or a
+    counterclockwise polygon, on its points (X, Y) L / W, L the lcm of its
+    W: its volume is S / (n! L^n) and the integrals of x and y over it are
+    Mx / ((n+1)! L^(n+1)) and My / ((n+1)! L^(n+1)), My = 0 in 1-D."""
     big = lcm(*(w for _, _, w in loop))
     pts = [(x * (big // w), y * (big // w)) for x, y, w in loop]
+    if n == 1:
+        (x0, _), (x1, _) = sorted(pts)
+        return x1 - x0, x1 * x1 - x0 * x0, 0, big
     s = mx = my = 0
     for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
         c = x0 * y1 - x1 * y0
@@ -394,13 +410,29 @@ def _polygon_sums(loop):
 
 
 def _loop_volume(loop, n: int) -> Tuple[int, int]:
-    """The volume of a full-dimensional loop, a segment's length or a
-    polygon's shoelace area, as a pair (numerator, denominator)."""
-    if n == 1:
-        (a0, _, w0), (a1, _, w1) = loop
-        return abs(a1 * w0 - a0 * w1), w0 * w1
-    s, _, _, d = _polygon_sums(loop)
-    return s, 2 * d * d
+    """The volume of a full-dimensional loop as a pair (numerator, denominator)."""
+    s, _, _, big = _moment_sums(loop, n)
+    return s, n * big**n  # n! = n for n <= 2
+
+
+def volumes_over(loops, n: int) -> Tuple[List[int], int]:
+    """(M, D): the volumes M_a / D of full-dimensional loops, 0 for None,
+    D the lcm of their reduced denominators."""
+    vols = [(0, 1) if loop is None else _loop_volume(loop, n) for loop in loops]
+    den = lcm(*(q // gcd(m, q) for m, q in vols))
+    return [m * den // q for m, q in vols], den
+
+
+def integral_over(loops, n: int, forms, e: int) -> Tuple[int, int]:
+    """(numerator, denominator) of the integral of (A m_0 + B m_1 - C) / e
+    over the full-dimensional loop of each form (A, B, C): on one loop it is
+    (A Mx + B My - (n+1) L C S) / ((n+1)! L^(n+1) e), put over the lcm of the L."""
+    terms = []
+    for loop, (a, b, c) in zip(loops, forms):
+        s, mx, my, big = _moment_sums(loop, n)
+        terms.append((a * mx + b * my - (n + 1) * big * c * s, big))
+    top = lcm(*[big for _, big in terms])
+    return sum(t * (top // big) ** (n + 1) for t, big in terms), n * (n + 1) * top ** (n + 1) * e
 
 
 def volume(p: Polytope) -> Fraction:
@@ -414,22 +446,16 @@ def centroid(p: Polytope) -> Point:
     """Centroid of a full-dimensional polytope (exact)."""
     if p.is_empty or p.affine_dim < p.dim:
         raise EmptyInput("centroid needs a full-dimensional polytope")
-    if p.dim == 1:
-        (a0, _, w0), (a1, _, w1) = p.loop
-        return (Fraction(a0 * w1 + a1 * w0, 2 * w0 * w1),)
-    s, mx, my, d = _polygon_sums(p.loop)
-    return (Fraction(mx, 3 * d * s), Fraction(my, 3 * d * s))
+    s, mx, my, d = _moment_sums(p.loop, p.dim)
+    return tuple([Fraction(m, (p.dim + 1) * d * s) for m in (mx, my)[: p.dim]])
 
 
 def moment(p: Polytope, a: Point, c: Fraction) -> Fraction:
     """Exact integral of the affine map m -> <a, m> + c over p."""
     if p.is_empty or p.affine_dim < p.dim:
         return _ZERO
-    if p.dim == 1:
-        return volume(p) * (dot(a, centroid(p)) + Fraction(c))
-    s, mx, my, d = _polygon_sums(p.loop)
-    (a0, a1, c0), e = integers([a[0], a[1], c])
-    return Fraction(a0 * mx + a1 * my + 3 * d * c0 * s, 6 * d**3 * e)
+    (a0, a1, c0), e = integers([*_planar(a), -c])
+    return Fraction(*integral_over([p.loop], p.dim, [(a0, a1, c0)], e))
 
 
 def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:

@@ -6,12 +6,14 @@ semi-discrete optimal transport from the uniform measure on Delta.  Both
 modes run one damped Newton loop on integer vectors over common
 denominators, from a start with no empty cell.  Each iterate and
 line-search trial is one power diagram (`polyhedra.power_diagram`), whose
-masses come over one denominator and whose walls weigh the Laplacian whose
-negative is the Hessian, so each Newton direction is one exact grounded
-Laplace solve (`linalg.ExactLinearSolver.solve_over`).  Fractions and
-Polytopes are made only for the Solution and its trace.  The geometry is
-exact; only the iterate is rounded: to floats in float mode, to bounded
-denominators in rational mode, whose residual is then certified exactly.
+masses and wall weights come over one denominator each; the walls weigh
+the Laplacian whose negative is the Hessian, so each Newton direction is
+one exact grounded Laplace solve (`linalg.ExactLinearSolver.solve_over`).
+The objective is read in closed form off the final cells' integer loops,
+with no reference envelope, and Fractions and Polytopes are made only for
+the Solution and its trace.  The geometry is exact; only the iterate is
+rounded: to floats in float mode, to bounded denominators in rational
+mode, whose residual is then certified exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -30,45 +31,44 @@ from .polyhedra import Point, dot, sub
 from .toric import AtomicMeasure, NewtonPolytope, ToricPsh
 
 _ZERO = Fraction(0)
+_rational = lambda c: c if isinstance(c, Fraction) else Fraction(c)
 _MAX_DENOMINATOR = 10**12  # keeps rational iterates small; far below float spacing
 
 
 @dataclass(frozen=True)
 class DiracProblem:
     """Target measure sum w_i delta_{x_i} with total mass vol(Delta).  Owns
-    its rules: distinct sites, then, with the weights read only after
-    them, one weight per site, positive weights and the mass balance."""
+    its rules: distinct sites, then, with the weights read only after them,
+    one weight per site, positive weights and the mass balance.  `_integers`
+    holds the sites as integer pairs over d and the weights over wd."""
 
     delta: NewtonPolytope
     sites: Tuple[Point, ...]
     weights: Tuple[Fraction, ...]
 
     def __post_init__(self):
-        sites = tuple(tuple(Fraction(c) for c in x) for x in self.sites)
+        sites = tuple([tuple([_rational(c) for c in x]) for x in self.sites])
         object.__setattr__(self, "sites", sites)
         if len(set(sites)) != len(sites):
             raise ValueError("sites must be distinct")
         for x in sites:
             if len(x) != self.delta.dim:
                 raise ArityMismatch(f"site {x} vs dimension {self.delta.dim}")
-        weights = tuple(Fraction(w) for w in self.weights)
+        weights = tuple([_rational(w) for w in self.weights])
         object.__setattr__(self, "weights", weights)
         if len(sites) != len(weights):
             raise ArityMismatch("one weight per site required")
+        coords, d = linalg.integers([c for x in sites for c in (*x, 0)[:2]])  # Y = 0 in 1-D
+        object.__setattr__(self, "_integers", (list(zip(coords[0::2], coords[1::2])), d, *linalg.integers(weights)))
         if any(w <= 0 for w in weights):
             raise ValueError("weights must be positive")
         if sum(weights) != self.delta.volume:
             raise MassMismatch(f"total weight {sum(weights)} must equal vol(Delta) = {self.delta.volume}")
 
     def barycenter(self) -> Point:
-        pairs = list(zip(self.sites, self.weights))  # the weights sum to vol(Delta)
-        return tuple(sum(w * x[k] for x, w in pairs) / self.delta.volume for k in range(self.delta.dim))
-
-    @cached_property
-    def _integers(self) -> tuple:
-        """The sites as integer pairs over d (Y = 0 in 1-D), the weights over wd."""
-        coords, d = linalg.integers([c for x in self.sites for c in (*x, 0)[:2]])
-        return list(zip(coords[0::2], coords[1::2])), d, *linalg.integers(self.weights)
+        (xs, d, ws, wd), vol = self._integers, self.delta.volume  # the weights sum to vol(Delta)
+        sums = [sum(w * x[k] for x, w in zip(xs, ws)) * vol.denominator for k in range(self.delta.dim)]
+        return tuple([Fraction(s, d * wd * vol.numerator) for s in sums])
 
     def reference(self) -> ToricPsh:
         """Canonical reference potential: the envelope pinned at the
@@ -108,8 +108,8 @@ class Solution:
 
     @property
     def energy(self) -> Fraction:
-        """E(potential, problem.reference()), exact: the objective is that
-        energy minus sum w_i t_i."""
+        """E(potential, problem.reference()), exact: the closed-form
+        objective of `_solution` plus sum w_i t_i."""
         return self.objective + sum((w * ti for w, ti in zip(self.problem.weights, self.t)), _ZERO)
 
     def mass_vector(self) -> Tuple[Fraction, ...]:
@@ -121,17 +121,14 @@ def dual_objective(p: DiracProblem, t: Sequence, mode: str = "rational"):
     solver's own state and `_solution` at t.
 
     The gradient is exactly (Laguerre masses - weights); pruned sites get
-    gradient -w_i.  In rational mode the value is computed both through
-    the mixed-measure energy and through the Legendre integral, and the
-    two must agree exactly.
+    gradient -w_i.  In rational mode the value is computed both through the
+    mixed-measure energy and in `_solution`'s closed form, which must agree.
     """
     if mode not in ("rational", "float"):
         raise ValueError(f"unknown mode {mode!r}")
     if len(t) != len(p.sites):
         raise ArityMismatch(f"expected {len(p.sites)} potentials, got {len(t)}")
-    t = tuple(Fraction(x) for x in t)
-    state = _State(p, *linalg.integers(t))
-    s = _solution(p, t, [], state.diagram)
+    s = _solution(p, state := _State(p, *linalg.integers(t)), [])
     grad = tuple(Fraction(g, state.den) for g in state.g)
     if mode == "rational":
         via_mixed = tc.energy_via_mixed(s.potential, p.reference())
@@ -141,15 +138,19 @@ def dual_objective(p: DiracProblem, t: Sequence, mode: str = "rational"):
     return float(s.objective), tuple(float(g) for g in grad)
 
 
-def _solution(p: DiracProblem, t, trace, diagram: pg.PowerDiagram) -> Solution:
-    """The Solution at t from its power diagram: the potential's cells are
-    the diagram's cells, the measure its masses."""
-    pairs = [((x, ti), cell) for x, ti, cell in zip(p.sites, t, diagram.cells) if cell is not None]
-    phi = ToricPsh._from_cells(p.delta, sorted(pairs, key=lambda pair: pair[0][0]))
-    masses = AtomicMeasure.from_items(zip(p.sites, diagram.masses))
-    residual = max(abs(h - w) for h, w in zip(diagram.masses, p.weights))
-    objective = tc.legendre_energy(phi, p.reference()) - sum(w * ti for w, ti in zip(p.weights, t))
-    return Solution(p, tuple(t), phi, masses, residual, len(trace), objective, tuple(trace))
+def _solution(p: DiracProblem, s: "_State", trace) -> Solution:
+    """The Solution at the state s, with its diagram's cells and masses and the objective
+    sum_a w_a <x_a, c> - sum_a <x_a, int_{cell_a} m dm> + sum_a t_a (mass_a - w_a), c the
+    centroid of Delta: the reference's u = <xbar, m> integrates to vol(Delta) <xbar, c>."""
+    xs, d, _, _ = p._integers
+    t, cells, (ms, md) = tuple([Fraction(x, s.e) for x in s.t]), s.diagram.cells, s.diagram.integer_masses
+    kept = [a for a, cell in enumerate(cells) if cell is not None]
+    phi = ToricPsh._from_cells(p.delta, sorted([((p.sites[a], t[a]), cells[a]) for a in kept], key=lambda g: g[0][0]))
+    masses = AtomicMeasure(tuple(sorted([(p.sites[a], Fraction(ms[a], md)) for a in kept])))
+    moments = pg.integral_over([cells[a].loop for a in kept], p.delta.dim, [(*xs[a], 0) for a in kept], d)
+    objective = p.delta.volume * dot(p.barycenter(), pg.centroid(p.delta.body)) - Fraction(*moments)
+    objective += Fraction(sum(ti * g for ti, g in zip(s.t, s.g)), s.e * s.den)
+    return Solution(p, t, phi, masses, Fraction(max(map(abs, s.g)), s.den), len(trace), objective, tuple(trace))
 
 
 def _solve_1d_exact(p: DiracProblem) -> Tuple[Fraction, ...]:
@@ -171,9 +172,7 @@ class _State:
         xs, d, ws, wd = p._integers
         self.t, self.e, self.diagram = t, e, pg.power_diagram(p.delta.body, xs, d, t, e)
         ms, md = self.diagram.integer_masses
-        vol = p.delta.volume
-        if sum(ms) * vol.denominator != vol.numerator * md:
-            raise ConsistencyError(f"cells cover mass {Fraction(sum(ms), md)}, expected {vol}")
+        p.delta.certify_mass(ms, md)
         self.den = den = math.lcm(md, wd)
         self.g = [m * (den // md) - w * (den // wd) for m, w in zip(ms, ws)]
         self.norm2 = sum(x * x for x in self.g)
@@ -270,8 +269,9 @@ def solve(p: DiracProblem, config: SolverConfig = SolverConfig()) -> Solution:
     for _ in range(config.max_iter):
         if max(map(abs, s.g)) * bound.denominator <= bound.numerator * s.den:
             break
+        walls, wd = s.diagram.integer_walls
         try:
-            d, dd = linalg.ExactLinearSolver(n, s.diagram.walls, n - 1).solve_over(s.g, s.den)
+            d, dd = linalg.ExactLinearSolver(n, walls, n - 1, wd).solve_over(s.g, s.den)
         except ValueError:  # a cell with no path of walls to the grounded site
             break
         for k in range(60):  # t + d / 2^k = (t dd 2^k + d e) / (e dd 2^k)
@@ -286,18 +286,17 @@ def solve(p: DiracProblem, config: SolverConfig = SolverConfig()) -> Solution:
         residual, norm = Fraction(max(map(abs, s.g)), s.den), math.sqrt(s.norm2 / s.den**2)
         trace.append(IterationRecord(residual, norm, Fraction(1, 1 << k), Fraction(min(ms), md), k + 1))
 
-    solution = _solution(p, [Fraction(x, s.e) for x in s.t], trace, s.diagram)
+    solution = _solution(p, s, trace)
     if solution.residual <= bound:
         return solution
     raise NotConverged(solution, len(trace))
 
 
 def normalize(s: Solution) -> Solution:
-    """Shift t by a constant so the potential's maximum over the sites
-    (hence over the hull of sites and atoms) is exactly 0.  The cells,
-    masses and objective do not change; the energy moves with sum w_i t_i
-    because the weights sum to vol(Delta).  phi(x_a) = t_a at a retained
-    site, so only pruned sites are evaluated."""
+    """Shift t by a constant so the potential's maximum over the sites (hence
+    over the hull of sites and atoms) is exactly 0.  The cells, masses and
+    objective do not change; the energy moves with sum w_i t_i because the
+    weights sum to vol(Delta).  phi(x_a) = t_a at a retained site."""
     t = dict(s.potential.generators)
     shift = max(t[x] if x in t else s.potential.value(x) for x in s.problem.sites)
     if shift == 0:

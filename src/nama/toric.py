@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import polyhedra as pg
 from .errors import (
@@ -40,16 +40,22 @@ _ZERO = Fraction(0)
 class NewtonPolytope:
     """A full-dimensional rational polytope carrying the reference class.
 
-    Its volume is the total Monge-Ampere mass of every potential below.
+    Its volume, computed when first read, is the total Monge-Ampere mass of every potential below.
     """
-
-    __slots__ = ("body", "volume")
 
     def __init__(self, body: Polytope):
         if not body.is_full_dimensional:
             raise EmptyInput("a Newton polytope must be full-dimensional")
         self.body = body
-        self.volume = pg.volume(body)
+
+    @cached_property
+    def volume(self) -> Fraction:
+        return pg.volume(self.body)
+
+    def certify_mass(self, ms: List[int], md: int) -> None:
+        """The mass-sum certificate: masses ms / md of cells must cover the volume."""
+        if sum(ms) * self.volume.denominator != self.volume.numerator * md:
+            raise ConsistencyError(f"cells cover mass {Fraction(sum(ms), md)}, expected {self.volume}")
 
     @property
     def dim(self) -> int:
@@ -76,13 +82,33 @@ def support_value(delta: NewtonPolytope, y: Point) -> Fraction:
     return pg.support_value(delta.body, tuple(Fraction(c) for c in y))
 
 
+class IntegerGenerators(NamedTuple):
+    """Generators on integers, as the parser reads them: sites (X_a, Y_a) / d (Y_a = 0 in 1-D), values T_a / e."""
+
+    xs: List[Tuple[int, int]]
+    d: int
+    ts: List[int]
+    e: int
+
+
+def _on_integers(gens, n: Optional[int] = None) -> IntegerGenerators:
+    """(site, value) pairs as IntegerGenerators, sites checked against a given dimension n."""
+    if isinstance(gens, IntegerGenerators):
+        return gens
+    gens = list(gens)
+    for x, _ in gens:
+        if n is not None and len(x) != n:
+            raise DimensionMismatch(f"site {tuple(x)} vs dimension {n}")
+    coords, d = integers([c for x, _ in gens for c in pg._planar(x)])
+    return IntegerGenerators(list(zip(coords[0::2], coords[1::2])), d, *integers([t for _, t in gens]))
+
+
 def _dual_forms(gens, d: int) -> Tuple[List[Tuple[int, int, int]], int]:
     """The affine functions <x_a, m> - t_a of generators (x_a, t_a) at
     points m = K / d on integers: forms (A, B, C) and a denominator E, a
     multiple of d, with <x_a, m> - t_a = (A K_0 + B K_1 - C) / E."""
-    xs, dx = integers([c for x, _ in gens for c in pg._planar(x)])
-    ts, dt = integers([t for _, t in gens])
-    return [(dt * xs[2 * a], dt * xs[2 * a + 1], d * dx * t) for a, t in enumerate(ts)], d * dx * dt
+    xs, dx, ts, dt = _on_integers(gens)
+    return [(dt * x, dt * y, d * dx * t) for (x, y), t in zip(xs, ts)], d * dx * dt
 
 
 def _common_tables(f: "ToricPsh", g: "ToricPsh"):
@@ -100,23 +126,23 @@ class ToricPsh:
     without a full-dimensional cell in Delta are pruned (they carry no mass
     and do not change the function), as are the copies of a repeated site
     that `power_diagram` passes over for its lowest value.  After that,
-    f(x_a) = t_a holds for every generator.
+    f(x_a) = t_a holds for every generator.  Only kept generators are made
+    Fractions, so the parser hands IntegerGenerators.
     """
 
     __slots__ = ("delta", "generators", "cells", "_table")
 
     def __init__(self, delta: NewtonPolytope, generators):
-        gens = sorted((tuple(Fraction(c) for c in x), Fraction(t)) for x, t in generators)
-        if not gens:
-            raise EmptyInput("a potential needs at least one generator")
         n = delta.dim
-        for x, _ in gens:
-            if len(x) != n:
-                raise DimensionMismatch(f"site {x} vs dimension {n}")
-        laguerre = pg.laguerre_cells(delta.body, [x for x, _ in gens], [t for _, t in gens]).cells
-        kept = [(g, cell) for g, cell in zip(gens, laguerre) if cell is not None]
+        xs, d, ts, e = _on_integers(generators, n)
+        if not ts:
+            raise EmptyInput("a potential needs at least one generator")
+        gens = sorted(zip(xs, ts))
+        cells = pg.power_diagram(delta.body, [x for x, _ in gens], d, [t for _, t in gens], e).cells
+        kept = [(x, t, cell) for (x, t), cell in zip(gens, cells) if cell is not None]
         self.delta, self._table = delta, None
-        self.generators, self.cells = zip(*kept)
+        self.generators = tuple([(tuple([Fraction(c, d) for c in x[:n]]), Fraction(t, e)) for x, t, _ in kept])
+        self.cells = tuple([cell for _, _, cell in kept])
 
     @classmethod
     def _from_cells(cls, delta: NewtonPolytope, pairs) -> "ToricPsh":
@@ -282,7 +308,7 @@ class AtomicMeasure:
                 raise ValueError("atomic measures here are positive")
         return AtomicMeasure(atoms)
 
-    @property
+    @cached_property
     def total_mass(self) -> Fraction:
         return sum((w for _, w in self.atoms), _ZERO)
 
@@ -303,13 +329,13 @@ class AtomicMeasure:
 
 def ma_measure(f: ToricPsh) -> AtomicMeasure:
     """Monge-Ampere measure: an atom at each generator site whose weight
-    is the exact volume of its cell in Delta.  Total mass = vol(Delta).
+    is the exact volume of its cell in Delta.  Total mass = vol(Delta),
+    certified on the cells' integer volumes over one denominator.
     A potential's sites are sorted and distinct, its cells full-dimensional."""
-    measure = AtomicMeasure(tuple((x, pg.volume(cell)) for (x, _), cell in zip(f.generators, f.cells)))
-    if measure.total_mass != f.delta.volume:
-        raise ConsistencyError(
-            f"cells cover mass {measure.total_mass}, expected {f.delta.volume}"
-        )
+    ms, md = pg.volumes_over([cell.loop for cell in f.cells], f.delta.dim)
+    f.delta.certify_mass(ms, md)
+    measure = AtomicMeasure(tuple([(x, Fraction(m, md)) for (x, _), m in zip(f.generators, ms)]))
+    measure.__dict__["total_mass"] = f.delta.volume  # the certified sum
     return measure
 
 
@@ -448,11 +474,13 @@ def mixed_ma(fs: Sequence[ToricPsh]) -> AtomicMeasure:
 def legendre_energy(f: ToricPsh, ref: ToricPsh) -> Fraction:
     """Energy as the exact integral of (u_ref - u_f) over Delta, linear in
     u: each integral is a sum of affine moments over that potential's own
-    cells.  Agrees with the mixed-measure energy sum."""
+    cells, taken on their integer loops over one denominator.  Agrees with
+    the mixed-measure energy sum."""
     if f.delta != ref.delta:
         raise DeltaMismatch("energy of potentials over different polytopes")
-    integral = lambda p: sum(pg.moment(c, x, -t) for (x, t), c in zip(p.generators, p.cells))
-    return integral(ref) - integral(f)
+    integral = lambda p: pg.integral_over([c.loop for c in p.cells], p.delta.dim, *_dual_forms(p.generators, 1))
+    (nr, dr), (nf, df) = integral(ref), integral(f)
+    return Fraction(nr * df - nf * dr, dr * df)
 
 
 def energy_via_mixed(f: ToricPsh, ref: ToricPsh) -> Fraction:
@@ -515,8 +543,8 @@ def lattice_envelope(delta: NewtonPolytope, constraints, m: int) -> ToricPsh:
     """
     if m < 1:
         raise ValueError("lattice order must be >= 1")
-    constraints = list(constraints)
-    if not constraints:
+    constraints = _on_integers(constraints, delta.dim)
+    if not constraints.ts:
         raise EmptyInput("need at least one constraint")
     points = _lattice_points(delta, m)
     if not points:

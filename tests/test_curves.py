@@ -213,6 +213,21 @@ class TestLinalg:
                 for b in (random_rhs(rng, n), random_rhs(rng, n), [rng.randint(-9, 9) for _ in range(n)]):
                     assert fact.solve(b) == reference_grounded_solve(n, edges, ground, b)
 
+    def test_weights_already_over_one_denominator(self):
+        """Weights handed over as integers over their denominator give the
+        same factor and solves as the same weights as rationals."""
+        rng = random.Random(27)
+        for n in range(2, 9):
+            edges = [(v, rng.randrange(v), F(rng.randint(1, 40), rng.randint(1, 12))) for v in range(1, n)]
+            edges += [(*rng.sample(range(n), 2), F(rng.randint(1, 40), rng.randint(1, 12))) for _ in range(n)]
+            ws, den = integers([w for *_, w in edges])
+            over = [(u, v, w) for (u, v, _), w in zip(edges, ws)]
+            for ground in (0, n - 1):
+                fact, whole = ExactLinearSolver(n, over, ground, den), ExactLinearSolver(n, edges, ground)
+                for b in (random_rhs(rng, n), [rng.randint(-9, 9) for _ in range(n)]):
+                    assert fact.solve_over(*integers(b)) == whole.solve_over(*integers(b))
+                    assert fact.solve(b) == reference_grounded_solve(n, edges, ground, b)
+
     def test_integer_right_hand_side_with_a_rational_solution(self):
         """Integer weights and right-hand sides whose solutions are not
         integral: the solve has to scale its common denominator up, in the

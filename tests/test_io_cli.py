@@ -5,6 +5,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -160,6 +161,36 @@ def test_parsing_a_curve_file_makes_no_fraction_per_literal(monkeypatch):
     monkeypatch.undo()
     assert inst.data["mu"].edge_atoms[0] == ((F(1, 3), F(5)),)
     assert inst.data["graph"].edges[0] == (0, 1, F(1, 3))
+
+
+def test_parsing_and_building_an_envelope_makes_a_fraction_per_kept_number(monkeypatch):
+    """Vertices and constraints reach the hull and the power diagram as
+    integers: parsing a toric-envelope file of 40 constraints and building
+    its envelope makes one Fraction per coordinate and value of each kept
+    generator, and none for a pruned one or a vertex."""
+    import fractions
+
+    rng = random.Random(27)
+    sites = {(F(rng.randint(-8, 8), rng.randint(1, 4)), F(rng.randint(-8, 8), rng.randint(1, 4))) for _ in range(40)}
+    cons = [(x, (x[0] ** 2 + x[1] ** 2) / 4 + F(rng.randint(-4, 4), 3)) for x in sorted(sites)]
+    doc = dict(
+        ENVELOPE,
+        polytope={"vertices": [["0", "0"], ["5/2", "0"], ["3", "3/2"], ["1", "11/4"], ["-1/2", "2"]]},
+        constraints=[{"site": [io.format_scalar(c) for c in x], "value": io.format_scalar(t)} for x, t in cons],
+    )
+    text, created, new = json.dumps(doc), [], fractions.Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        created.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counted))
+    inst = io.parse_instance(text)
+    f = tc.envelope(inst.data["delta"], inst.data["constraints"])
+    monkeypatch.undo()
+    assert 10 < len(f.generators) < len(cons)
+    assert len(created) == 3 * len(f.generators)
+    assert f == tc.envelope(inst.data["delta"], cons)
 
 
 def run_cli(tmp_path, *argv):

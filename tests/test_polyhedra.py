@@ -920,6 +920,33 @@ def test_loop_volume_is_the_volume_of_the_loop(dim):
     assert mixed > 50
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_integer_walls_are_the_fraction_walls(dim):
+    """`integer_walls` puts the wall weights over the lcm of their reduced
+    denominators, which is what `linalg.integers` makes of the Fraction
+    weights, and the weights are those of `hull_walls`."""
+    rng = random.Random(2727 + dim)
+    count = 0
+    for _ in range(40):
+        if dim == 2:
+            body = random_polygon(rng)
+        else:
+            body = pg.hull([(F(rng.randint(-8, 0), 3),), (F(rng.randint(1, 8), 5),)], 1)
+        sites = list({tuple(F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim)) for _ in range(8)})
+        values = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in sites]
+        diagram = pg.laguerre_cells(body, sites, values)
+        walls, den = diagram.integer_walls
+        weights = [w for _, _, w in diagram.walls]
+        assert [(i, j) for i, j, _ in walls] == [(i, j) for i, j, _ in diagram.walls]
+        assert ([v for _, _, v in walls], den) == integers(weights)
+        ends = hull_walls(sites, values, hull_laguerre_cells(body, sites, values))
+        for (i, j, v0, v1), (_, _, v) in zip(ends, walls):
+            d, n = pg.sub(v1, v0), pg.sub(sites[i], sites[j])
+            assert F(v, den) ** 2 == (pg.dot(d, d) if dim == 2 else 1) / pg.dot(n, n)
+        count += len(walls)
+    assert count > 40 * dim
+
+
 class TestCellsWithoutSecondHull:
     def test_clip_through_a_vertex_and_along_an_edge(self):
         rng = random.Random(61)
@@ -1123,12 +1150,12 @@ class TestLaguerreCellsFromTriangulation:
 
         delta, gens = k128_paraboloid()
         diagrams, volumes = [], []
-        laguerre_cells, loop_volume = pg.laguerre_cells, pg._loop_volume
-        monkeypatch.setattr(pg, "laguerre_cells", lambda *args: diagrams.append(laguerre_cells(*args)) or diagrams[-1])
+        power_diagram, loop_volume = pg.power_diagram, pg._loop_volume
+        monkeypatch.setattr(pg, "power_diagram", lambda *args: diagrams.append(power_diagram(*args)) or diagrams[-1])
         monkeypatch.setattr(pg, "_loop_volume", lambda *args: volumes.append(args) or loop_volume(*args))
         f = tc.ToricPsh(delta, gens)
         assert len(diagrams) == 1 and list(f.cells) == [c for c in diagrams[0].cells if c is not None]
-        assert "masses" not in vars(diagrams[0]) and "walls" not in vars(diagrams[0])
+        assert not {"masses", "integer_masses", "walls", "integer_walls"} & set(vars(diagrams[0]))
         assert volumes == []
 
 

@@ -345,7 +345,7 @@ class TestNormalize:
         for t in ((F(1, 3), F(-1, 2), F(5)), (F(0), F(0), F(7, 3))):
             phi = tc.envelope(p.delta, list(zip(p.sites, t)))
             assert len(phi.generators) < len(p.sites)
-            self.assert_matches_max_over_value(sv._solution(p, t, [], _diagram(p, t)))
+            self.assert_matches_max_over_value(sv._solution(p, sv._State(p, *linalg.integers(t)), []))
 
 
 class TestClMeasure:
@@ -650,3 +650,43 @@ class TestNewtonPath:
         assert exc.value.iterations == best.iterations == len(best.trace) == 1
         assert best.residual == best.trace[0].residual > F(1, 10**10)
         assert best.mass_vector() == tuple(_masses(p, best.t))
+
+
+def _reference_objective(p, t, phi):
+    """The objective through the reference envelope: E(phi, p.reference()) - sum w_i t_i."""
+    return tc.legendre_energy(phi, p.reference()) - sum(w * x for w, x in zip(p.weights, t))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_closed_form_objective_is_the_reference_energy(dim, mode):
+    """`_solution` takes the objective in closed form from the final cells;
+    it equals the Legendre energy against `p.reference()` minus sum w_i t_i,
+    at the solution or, for solves stopped after three steps, at the last
+    iterate."""
+    rng, cfg = hx.SplitMix64(2700 + dim), hx.GenConfig(seed=2700 + dim, dimension=dim)
+    for _ in range(8):
+        p = hx.gen_dirac_problem(rng, hx.gen_polytope(rng, dim, 5), cfg, max_sites=5)
+        try:
+            s = sv.solve(p, sv.SolverConfig(mode=mode, max_iter=3))
+        except NotConverged as exc:
+            s = exc.solution
+        assert s.objective == _reference_objective(p, s.t, s.potential)
+        assert s.energy == tc.legendre_energy(s.potential, p.reference())
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_dual_objective_with_a_site_without_cell(dim):
+    """At a t where sites have no cell, `dual_objective` equals the
+    reference energy of envelope(t) minus sum w_i t_i in both modes."""
+    if dim == 1:
+        delta, sites = interval(0, 2), [(F(1, 2),), (F(3, 2),), (F(1),)]
+    else:
+        delta, sites = square(2), [(F(0), F(0)), (F(2), F(0)), (F(1), F(2)), (F(1), F(1, 2))]
+    p = _problem(delta, sites, [F(1)] * len(sites))
+    t = [F(0)] * (len(sites) - 1) + [F(5)]
+    phi = tc.envelope(delta, list(zip(p.sites, t)))
+    assert len(phi.generators) < len(sites)
+    want = _reference_objective(p, t, phi)
+    assert sv.dual_objective(p, t) == (want, tuple(tc.ma_measure(phi).weight_at(x) - w for x, w in zip(p.sites, p.weights)))
+    assert sv.dual_objective(p, t, mode="float")[0] == float(want)

@@ -9,7 +9,7 @@ import pytest
 from nama import harness as hx
 from nama import polyhedra as pg
 from nama import toric as tc
-from nama.errors import DeltaMismatch, EmptyLattice, NotDominated, WrongArity
+from nama.errors import ConsistencyError, DeltaMismatch, EmptyLattice, NotDominated, WrongArity
 
 
 def cross(a, b):
@@ -475,6 +475,17 @@ class TestCarriedCellsAgainstReclipping:
             lat = tc.lattice_envelope(delta, constraints, 1)
             assert lat.delta != delta
             self.assert_carried(lat)
+
+
+def test_ma_measure_rejects_a_forged_cell():
+    """A potential whose cell is not its Laguerre cell loses mass: the
+    integer mass-sum certificate of `ma_measure` raises."""
+    f = tc.envelope(SQ, [((F(0), F(0)), F(0)), ((F(1), F(1)), F(1, 2))])
+    shrunk = pg.clip(f.cells[0], [((F(1), F(0)), F(1, 4))])
+    forged = tc.ToricPsh._from_cells(SQ, zip(f.generators, (shrunk, f.cells[1])))
+    assert tc.ma_measure(f).total_mass == SQ.volume
+    with pytest.raises(ConsistencyError, match="cells cover mass"):
+        tc.ma_measure(forged)
 
 
 def ref_legendre_energy(f, ref):

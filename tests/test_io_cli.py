@@ -767,6 +767,19 @@ READ_CASES = {
     ),
     "dirac-mass": ("solve", _dirac([["0", "0"]], ["1/2"]), "error: weights: total weight 1/2 must equal vol(Delta) = 1"),
     "dirac-no-sites": ("solve", _dirac([], []), "error: weights: total weight 0 must equal vol(Delta) = 1"),
+    # curve-poisson measures: omega, then mu, nonnegative with positive
+    # mass, then equal masses; the first broken rule names its field.
+    "poisson-omega-negative": (
+        "poisson", _mutated(POISSON, ["omega", 1, "weight"], "-1"), "error: omega: must be a positive measure"
+    ),
+    "poisson-omega-zero-mass": (
+        "energy",
+        _mutated(POISSON, ["omega"], [{"vertex": 0, "weight": "0"}]),
+        "error: omega: must be a positive measure",
+    ),
+    "poisson-mu-negative": ("poisson", _weight("-3"), "error: mu: must be a positive measure"),
+    "poisson-mu-zero-mass": ("energy", _weight("0"), "error: mu: must be a positive measure"),
+    "poisson-mass": ("poisson", _weight("5/2"), "error: mu: mass 5/2 must equal mass(omega) = 3"),
 }
 
 

@@ -1027,6 +1027,41 @@ def test_lazy_facets_match_the_eager_construction():
     assert {p.affine_dim for p in shapes} == {-1, 0, 1, 2}
 
 
+def test_contains_matches_the_eager_facets_on_every_kind_of_polytope():
+    """`contains` on the empty polytope, 1-D points and segments and 2-D
+    points, segments and polygons with rational and negative vertices,
+    against the half-spaces of `eager_facets`: at the vertices, edge
+    midpoints and the vertex mean, between the mean and each vertex, just
+    off each vertex, on the carrier beyond each end and at random points."""
+    rng = random.Random(101)
+    coord = lambda: F(rng.randint(-9, 9), rng.randint(1, 4))
+    shapes = [pg._empty(1), pg._empty(2)]
+    for _ in range(60):
+        pts = [(coord(), coord()) for _ in range(rng.randint(3, 7))]
+        shapes += [pg.hull(pts, 2), pg.hull(pts[:2], 2), pg.hull(pts[:1], 2)]
+        shapes += [pg.hull([p[:1] for p in pts], 1), pg.hull([pts[0][:1]], 1)]
+    kinds, answers = set(), set()
+    for p in shapes:
+        kinds.add((p.dim, p.affine_dim))
+        v = list(p.vertices)
+        probes = [tuple(coord() for _ in range(p.dim)) for _ in range(8)]
+        if v:
+            c = tuple(sum(q[k] for q in v) / len(v) for k in range(p.dim))
+            probes += v + [c] + [tuple((a + b) / 2 for a, b in zip(q, r)) for q, r in zip(v, v[1:] + v[:1])]
+            for q in v:
+                probes += [tuple((a + b) / 2 for a, b in zip(q, c)), tuple(2 * a - b for a, b in zip(q, c))]
+                for k in range(p.dim):
+                    for eps in (F(1, 1000), F(-1, 1000)):
+                        probes.append(tuple(a + eps * (i == k) for i, a in enumerate(q)))
+        facets = eager_facets(p)
+        for q in probes:
+            inside = all(pg.dot(a, q) <= b for a, b in facets)
+            assert p.contains(q) == inside
+            answers.add(inside)
+    assert kinds == {(1, -1), (1, 0), (1, 1), (2, -1), (2, 0), (2, 1), (2, 2)}
+    assert answers == {False, True}
+
+
 def test_integer_volume_centroid_moment_match_fractions():
     rng = random.Random(97)
     for _ in range(100):

@@ -1,5 +1,6 @@
 """Toric potential tests: envelopes, measures, duality, energy."""
 
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -817,6 +818,27 @@ class TestLatticeDualHeights:
             q = [(F(k0, m), F(k1, m)) for k0, k1 in tc._lattice_points(delta, m)]
             assert lat.delta.body == pg.hull(q, 2) != delta.body
             assert tc.ma_measure(lat).total_mass == lat.delta.volume < delta.volume
+
+
+def test_lattice_points_are_the_box_points_delta_contains():
+    """`_lattice_points` against a scan of Delta's 1/m bounding box,
+    row by row in the second entry, filtered by `contains`, at m = 1..12
+    on 1-D and 2-D polytopes with rational and negative vertices."""
+    rng = random.Random(239)
+    coord = lambda: F(rng.randint(-6, 6), rng.randint(1, 4))
+    deltas = [tc.newton_polytope([(F(-7, 3), F(-1, 2)), (F(5, 4), F(-1, 2)), (F(5, 4), F(2, 3)), (F(-7, 3), F(2, 3))], 2)]
+    for dim in (1, 2):
+        while len(deltas) < 6 * dim:
+            body = pg.hull([tuple(coord() for _ in range(dim)) for _ in range(rng.randint(2, 6))], dim)
+            if body.is_full_dimensional:
+                deltas.append(tc.NewtonPolytope(body))
+    for delta in deltas:
+        n, v = delta.dim, delta.body.vertices
+        for m in range(1, 13):
+            box = [range(math.ceil(min(q[k] for q in v) * m), math.floor(max(q[k] for q in v) * m) + 1) for k in range(n)]
+            rows = box[1] if n == 2 else [0]
+            want = [(kx, ky) for ky in rows for kx in box[0] if delta.body.contains((F(kx, m), F(ky, m))[:n])]
+            assert tc._lattice_points(delta, m) == want
 
 
 class TestWeightAt:

@@ -18,7 +18,6 @@ from .solver import (
     DiracProblem,
     Solution,
     SolverConfig,
-    cl_measure,
     dual_objective,
     normalize,
     solve,
@@ -40,7 +39,6 @@ from .toric import (
     orthogonality_defect,
     psh_envelope,
     support_value,
-    to_pieces,
 )
 
 __version__ = "0.1.0"

@@ -277,23 +277,32 @@ def green(graph: MetricGraph, x: int, y: int) -> GraphFunction:
     return GraphFunction(tuple([Fraction(v, d) for v in vals]))
 
 
+def check_poisson_measures(omega: GraphMeasure, mu: GraphMeasure) -> None:
+    """The rules omega + dd^c(phi) = mu puts on its measures, in order:
+    omega, then mu, has no negative weight (else ValueError) and a positive
+    total mass (else MassMismatch), then the two masses are equal (else
+    MassMismatch).  Each message is the measure at fault, ": ", the rule."""
+    for name, m in (("omega", omega), ("mu", mu)):
+        if not m.is_positive():
+            raise ValueError(f"{name}: must be a positive measure")
+        if m.total_mass <= 0:
+            raise MassMismatch(f"{name}: must be a positive measure")
+    if omega.total_mass != mu.total_mass:
+        raise MassMismatch(f"mu: mass {mu.total_mass} must equal mass(omega) = {omega.total_mass}")
+
+
 def solve_poisson(graph: MetricGraph, omega: GraphMeasure, mu: GraphMeasure) -> GraphFunction:
     """Solve omega + dd^c(phi) = mu exactly, normalized to sup(phi) = 0.
 
-    Both measures must be positive with the same positive total mass.
-    A net charge c = omega-atom - mu-atom at position p of edge (u, v, l)
-    is split between the end vertices as c (1 - p) and c p, the graph is
-    solved once, and the edge is filled in closed form:
+    The measures must pass `check_poisson_measures`.  A net charge
+    c = omega-atom - mu-atom at position p of edge (u, v, l) is split
+    between the end vertices as c (1 - p) and c p, the graph is solved
+    once, and the edge is filled in closed form:
     phi(s) = (1 - s) phi(u) + s phi(v) + l sum_i c_i min(s, p_i) (1 - max(s, p_i)).
     The result has a breakpoint wherever either measure has a nonzero
     atom, a net-zero charge included.
     """
-    if not omega.is_positive() or not mu.is_positive():
-        raise ValueError("omega and mu must be positive measures")
-    if omega.total_mass != mu.total_mass:
-        raise MassMismatch(f"mass(omega) = {omega.total_mass} differs from mass(mu) = {mu.total_mass}")
-    if omega.total_mass <= 0:
-        raise MassMismatch("total mass must be positive")
+    check_poisson_measures(omega, mu)
     return PoissonSolver(graph)._poisson(omega, mu)
 
 

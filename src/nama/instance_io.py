@@ -357,16 +357,6 @@ def _weights(obj, mode: str):
         yield _scalar(w, mode, f"weights[{i}]")
 
 
-def _grid_points(delta: tc.NewtonPolytope, m: int) -> int:
-    """Number of points of the 1/m grid in Delta's bounding box, read off
-    its integer loop points (X, Y, W)."""
-    count, loop = 1, delta.body.loop
-    for k in range(delta.dim):
-        hi, lo = max(p[k] * m // p[2] for p in loop), min(-(-p[k] * m // p[2]) for p in loop)
-        count *= max(0, hi - lo + 1)
-    return count
-
-
 def parse_instance(text: str) -> InstanceFile:
     """Strict parse: unknown fields are rejected and every structural
     invariant (mass balance, distinct sites, connectivity) is validated."""
@@ -396,7 +386,8 @@ def parse_instance(text: str) -> InstanceFile:
                 m = obj["lattice_m"]
                 if not _is_int(m) or m < 1:
                     raise ValidationError("lattice_m", "expected a positive integer")
-                if _grid_points(delta, m) > MAX_LATTICE_POINTS:
+                # stop - start, as len() of a range past sys.maxsize raises OverflowError
+                if math.prod(r.stop - r.start for r in tc.lattice_box(delta, m)) > MAX_LATTICE_POINTS:
                     raise ValidationError(
                         "lattice_m", f"the 1/{m} grid over Delta has more than {MAX_LATTICE_POINTS} points"
                     )
@@ -407,11 +398,10 @@ def parse_instance(text: str) -> InstanceFile:
         if kind == "curve-poisson":
             omega = decode_graph_measure(obj["omega"], graph, mode, "omega")
             mu = decode_graph_measure(obj["mu"], graph, mode, "mu")
-            for name, m in (("omega", omega), ("mu", mu)):
-                if not m.is_positive() or m.total_mass <= 0:
-                    raise ValidationError(name, "must be a positive measure")
-            if omega.total_mass != mu.total_mass:
-                raise ValidationError("mu", f"mass {mu.total_mass} must equal mass(omega) = {omega.total_mass}")
+            try:  # curves owns the rules; each message names omega or mu first
+                cv.check_poisson_measures(omega, mu)
+            except (ValueError, MassMismatch) as exc:
+                raise ValidationError(*str(exc).split(": ", 1)) from None
             data["omega"], data["mu"] = omega, mu
         else:
             for key in ("x", "y"):

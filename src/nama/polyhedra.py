@@ -5,7 +5,8 @@ centroids, Minkowski sums and lower convex hulls of lifted point sets,
 all with no rounding.  A polytope holds its vertices once, as a canonical
 loop of integer homogeneous points (X, Y, W); every constructor makes
 that loop, every kernel reads it, and every test is the sign of one
-integer determinant.  Points and half-spaces enter the API as
+integer determinant.  A full-dimensional polytope's facets are read off
+the loop once, as integer half-spaces (`integer_facets`).  Points and half-spaces enter the API as
 `fractions.Fraction` tuples, and `Polytope.vertices` is a Fraction view
 made only when it is read.  Clipping runs one Sutherland-Hodgman loop on
 the homogeneous points, whose output is already a convex counterclockwise
@@ -42,7 +43,6 @@ from .errors import (
 from .linalg import integers
 
 Point = Tuple[Fraction, ...]
-Halfspace = Tuple[Point, Fraction]  # (a, b) encodes {m : <a, m> <= b}
 
 _ZERO = Fraction(0)
 
@@ -63,13 +63,6 @@ def add(a: Point, b: Point) -> Point:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _primitive(a: Point) -> Point:
-    """Scale a rational vector to a primitive integer vector, same direction."""
-    ints, _ = integers(a)
-    g = gcd(*ints) or 1
-    return tuple(Fraction(v // g) for v in ints)
-
-
 @dataclass(frozen=True)
 class Polytope:
     """A rational polytope given by its irredundant vertices.
@@ -79,10 +72,8 @@ class Polytope:
     counterclockwise from the lexicographic minimum (sorted for fewer than
     three vertices), so equal polytopes are equal values.  `affine_dim`
     is -1 for the empty polytope.  `vertices`, the Fraction points, and
-    `facets`, a consistent half-space description, are computed on first
-    read (for lower-dimensional polytopes the facets include both sides
-    of the carrier line plus end caps, so they still cut out the set
-    exactly).
+    `integer_facets`, a full-dimensional polytope's half-spaces on
+    integers, are computed on first read.
     """
 
     dim: int
@@ -94,28 +85,19 @@ class Polytope:
         return tuple(_from_homogeneous(h, self.dim) for h in self.loop)
 
     @cached_property
-    def facets(self) -> Tuple[Halfspace, ...]:
-        v = self.vertices
-        if self.is_empty:
-            # <0, m> <= -1 is infeasible, so the facet list is honest.
-            return ((tuple(_ZERO for _ in range(self.dim)), Fraction(-1)),)
-        if self.affine_dim == 2:  # the outward normal of each edge of the CCW loop
-            normals = [_primitive((w[1] - u[1], u[0] - w[0])) for u, w in zip(v, v[1:] + v[:1])]
-            return tuple((a, dot(a, u)) for a, u in zip(normals, v))
-        # Lower-dimensional: both sides of `dim` independent directions.
-        one = Fraction(1)
+    def integer_facets(self) -> Tuple[Tuple[int, int, int], ...]:
+        """The facets of a full-dimensional polytope as `_cut` takes them:
+        (A0, A1, B) for {A0 X + A1 Y <= B W}, read off the loop, each a
+        facet's outward normal and offset times a positive factor.  In 1-D
+        they are the ends -W0 X <= -X0 W and W1 X <= X1 W; in 2-D each edge
+        (X0, Y0, W0) -> (X1, Y1, W1) of the counterclockwise loop gives
+        (Y1 W0 - Y0 W1, X0 W1 - X1 W0, X0 Y1 - X1 Y0)."""
+        loop = self.loop
         if self.dim == 1:
-            directions = ((one,),)
-        elif self.affine_dim == 0:
-            directions = ((one, _ZERO), (_ZERO, one))
-        else:
-            d = sub(v[1], v[0])
-            directions = (_primitive((d[1], -d[0])), _primitive(d))
-        out = []
-        for a in directions:
-            values = [dot(a, u) for u in v]
-            out += [(a, max(values)), (tuple(-c for c in a), -min(values))]
-        return tuple(out)
+            (x0, _, w0), (x1, _, w1) = loop
+            return ((-w0, 0, -x0), (w1, 0, x1))
+        return tuple([(y1 * w0 - y0 * w1, x0 * w1 - x1 * w0, x0 * y1 - x1 * y0)
+                      for (x0, y0, w0), (x1, y1, w1) in zip(loop, loop[1:] + loop[:1])])
 
     @property
     def is_empty(self) -> bool:
@@ -126,9 +108,18 @@ class Polytope:
         return self.affine_dim == self.dim
 
     def contains(self, p: Point) -> bool:
+        """Whether p lies in the polytope: inside every facet when it is
+        full-dimensional, else on the carrier of its point or segment
+        (X0, Y0, W0) -> (X1, Y1, W1), lexicographically between the ends."""
         if self.is_empty:
             return False
-        return all(dot(a, p) <= b for a, b in self.facets)
+        (x, y), w = integers(_planar(p))
+        if self.is_full_dimensional:
+            return all(a0 * x + a1 * y <= b * w for a0, a1, b in self.integer_facets)
+        (x0, y0, w0), (x1, y1, w1) = self.loop[0], self.loop[-1]
+        if (x1 * w0 - x0 * w1) * (y * w0 - y0 * w) != (y1 * w0 - y0 * w1) * (x * w0 - x0 * w):
+            return False
+        return (x0 * w, y0 * w) <= (x * w0, y * w0) and (x * w1, y * w1) <= (x1 * w, y1 * w)
 
     def scaled(self, s: Fraction) -> "Polytope":
         """s p for s > 0; a positive scaling keeps the canonical vertex order."""
@@ -160,7 +151,7 @@ def _empty(dim: int) -> Polytope:
 
 
 def hull(points, dim: Optional[int] = None) -> Polytope:
-    """Convex hull with an irredundant vertex list and consistent facets.
+    """Convex hull with an irredundant vertex list.
 
     Lower-dimensional hulls are returned flagged with their affine
     dimension; interior and collinear points are dropped.  The points are

@@ -179,37 +179,23 @@ class _State:
 
 
 def _start(p: DiracProblem) -> Tuple[List[int], int]:
-    """`start_potentials` over one denominator: with c, xbar, x_i over L as C, B, X_i
-    and the facets <A, m> <= F on integers, 1 / room = max <A, X_i - C> / (F L - <A, C>)
-    and t_i = (2^(k+1) <X_i - B, C> + |X_i - C|^2 - |B - C|^2) / (2^(k+1) L^2).  Each
-    facet comes off Delta's loop of (X, Y, W) times a positive factor, which leaves
-    room as it is: the ends -W0 m <= -X0, W1 m <= X1 in 1-D, each edge's
-    (Y1 W0 - Y0 W1, X0 W1 - X1 W0) <.> m <= X0 Y1 - X1 Y0 in 2-D."""
+    """The start t_i = q(x_i) - q(xbar), q(x) = <x, c> + h |x - c|^2 / 2, over one
+    denominator: c is the centroid of Delta and h = 1 / 2^k the largest with every
+    c + h (x_i - c) in Delta, h <= room = min (b - <a, c>) / <a, x_i - c> over the
+    facets <a, m> <= b with <a, x_i - c> > 0.  The cells are then the Voronoi cells
+    of those points in Delta, so none is empty.  With c, xbar, x_i over L as C, B, X_i
+    and Delta's `integer_facets` (A, F), 1 / room = max <A, X_i - C> / (F L - <A, C>)
+    and t_i = (2^(k+1) <X_i - B, C> + |X_i - C|^2 - |B - C|^2) / (2^(k+1) L^2)."""
     n, body = p.delta.dim, p.delta.body
     coords, big = linalg.integers([*pg.centroid(body), *p.barycenter(), *(c for x in p.sites for c in x)])
     c, b, xs = coords[:n], coords[n : 2 * n], [coords[i : i + n] for i in range(2 * n, len(coords), n)]
-    if n == 1:
-        (x0, _, w0), (x1, _, w1) = body.loop
-        facets = [((-w0,), -x0), ((w1,), x1)]
-    else:
-        facets = [((y1 * w0 - y0 * w1, x0 * w1 - x1 * w0), x0 * y1 - x1 * y0)
-                  for (x0, y0, w0), (x1, y1, w1) in zip(body.loop, body.loop[1:] + body.loop[:1])]
     top = 1  # ceil(1 / room), 1 when no site moves toward a facet
-    for a, f in facets:
+    for a0, a1, f in body.integer_facets:
+        a = (a0, a1)[:n]
         gap = f * big - dot(a, c)
         top = max([top] + [-(-s // gap) for s in (dot(a, sub(x, c)) for x in xs) if s > 0])
     two, bc = 2 ** ((top - 1).bit_length() + 1), sub(b, c)  # 2^(k+1), h = 1 / 2^k
     return [two * dot(sub(x, b), c) + dot(sub(x, c), sub(x, c)) - dot(bc, bc) for x in xs], two * big * big
-
-
-def start_potentials(p: DiracProblem) -> Tuple[Fraction, ...]:
-    """t_i = q(x_i) - q(xbar), q(x) = <x, c> + h |x - c|^2 / 2 with c the
-    centroid of Delta and h = 1 / 2^k the largest with every c + h (x_i - c)
-    in Delta: h <= room = min (b - <a, c>) / <a, x_i - c> over facets
-    <a, m> <= b with <a, x_i - c> > 0.  The cells are then the Voronoi cells
-    of those points in Delta, so none is empty."""
-    t, den = _start(p)
-    return tuple(Fraction(x, den) for x in t)
 
 
 def _rounded(t: List[int], e: int, mode: str) -> Tuple[List[int], int]:
@@ -228,9 +214,9 @@ def solve(p: DiracProblem, config: SolverConfig = SolverConfig()) -> Solution:
     masses match the target weights within tol * vol(Delta).
 
     Both modes run the damped Newton of Kitagawa-Merigot-Thibert (JEMS
-    2019; global convergence, quadratic near the solution) from
-    `start_potentials`, or from `init` moved toward it until no cell is
-    empty; 1-D rational instances start from their closed-form solution.
+    2019; global convergence, quadratic near the solution) from `_start`,
+    or from `init` moved toward it until no cell is empty; 1-D rational
+    instances start from their closed-form solution.
     At each iterate, a `_State`, the direction d solves L d = grad, L the
     diagram's Laplacian grounded at the last site.  A step is the first
     2^-k whose rounded iterate keeps every mass >= eps (half the smallest
@@ -303,8 +289,3 @@ def normalize(s: Solution) -> Solution:
         return s
     return replace(s, t=tuple(ti - shift for ti in s.t), potential=s.potential.shift(-shift))
 
-
-def cl_measure(f: ToricPsh) -> AtomicMeasure:
-    """Chambert-Loir normalization: every MA weight times n!, so the
-    total mass is n! vol(Delta) = deg L."""
-    return tc.ma_measure(f).scaled(math.factorial(f.delta.dim))

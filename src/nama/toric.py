@@ -281,15 +281,6 @@ def psh_envelope(f: TestFunction) -> ToricPsh:
     return envelope(f.delta, constraints)
 
 
-def to_pieces(f: ToricPsh):
-    """Primal view: (slope, intercept) pairs with f = max(<slope,y> + c).
-
-    The slopes are the vertices of the regular subdivision of Delta
-    induced by the dual function.
-    """
-    return tuple((v, -uv) for v, uv in f.pieces)
-
-
 @dataclass(frozen=True)
 class AtomicMeasure:
     """Finitely many distinct rational points with positive weights."""
@@ -321,10 +312,6 @@ class AtomicMeasure:
 
     def points(self) -> Tuple[Point, ...]:
         return tuple(p for p, _ in self.atoms)
-
-    def scaled(self, s) -> "AtomicMeasure":
-        s = Fraction(s)
-        return AtomicMeasure.from_items((p, s * w) for p, w in self.atoms)
 
 
 def ma_measure(f: ToricPsh) -> AtomicMeasure:
@@ -511,23 +498,29 @@ def energy(f: ToricPsh, ref: ToricPsh) -> Fraction:
 # --------------------------------------------------------------------------
 
 
+def lattice_box(delta: NewtonPolytope, m: int) -> List[range]:
+    """For each coordinate k, the integers K with K / m between Delta's
+    extremes in k, read off its integer loop points (X, Y, W): the
+    (1/m)-lattice of Delta's bounding box."""
+    loop = delta.body.loop
+    return [range(min(-(-p[k] * m // p[2]) for p in loop), max(p[k] * m // p[2] for p in loop) + 1)
+            for k in range(delta.dim)]
+
+
 def _lattice_points(delta: NewtonPolytope, m: int) -> List[Tuple[int, int]]:
     """The points q of Delta on the (1/m)-lattice as integer pairs m q
-    (second entry 0 in dimension 1), in lexicographic order, each row's
-    range read off the integer loop points (X, Y, W) of its clip."""
-    def span(loop, k):  # the K with K / m between the loop's extremes in coordinate k
-        lo = min(-(-p[k] * m // p[2]) for p in loop)
-        return range(lo, max(p[k] * m // p[2] for p in loop) + 1)
-
-    body = delta.body
-    if delta.dim == 1:
-        return [(k, 0) for k in span(body.loop, 0)]
+    (second entry 0 in dimension 1), row by row in the second entry K_1
+    and along each row in the first: a row's range of K_0 is cut from
+    Delta's `integer_facets` (A0, A1, B), A0 K_0 <= B m - A1 K_1, by
+    integer floor and ceiling.  A facet with A0 = 0 is a bottom or top
+    edge, which no row of the box crosses."""
+    facets = delta.body.integer_facets
     points = []
-    for ky in span(body.loop, 1):
-        y = Fraction(ky, m)
-        row = pg.clip(body, [((_ZERO, Fraction(1)), y), ((_ZERO, Fraction(-1)), -y)])
-        if not row.is_empty:
-            points += [(kx, ky) for kx in span(row.loop, 0)]
+    for ky in lattice_box(delta, m)[1] if delta.dim == 2 else (0,):
+        cuts = [(a0, b * m - a1 * ky) for a0, a1, b in facets if a0]
+        lo = max(-(r // -a0) for a0, r in cuts if a0 < 0)
+        hi = min(r // a0 for a0, r in cuts if a0 > 0)
+        points += [(kx, ky) for kx in range(lo, hi + 1)]
     return points
 
 

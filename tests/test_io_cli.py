@@ -910,6 +910,15 @@ def test_huge_lattice_m_exits_two_naming_the_field_at_once(tmp_path, capsys, ver
     assert "lattice_m" in capsys.readouterr().err
 
 
+def test_lattice_m_past_the_index_range_is_a_validation_error():
+    """A box of more than sys.maxsize points per row is counted, not
+    measured with len()."""
+    doc = dict(ENVELOPE, constraints=[{"site": ["0"], "value": "0"}], lattice_m=10**30)
+    with pytest.raises(ValidationError) as exc:
+        io.parse_instance(json.dumps(doc))
+    assert exc.value.field == "lattice_m"
+
+
 def test_lattice_m_bound_counts_the_grid_of_the_bounding_box():
     """The benchmark's lattice envelopes (m = 4 on the unit triangle, m = 8
     on the unit square) stay far inside the bound; the bound itself is the

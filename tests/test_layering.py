@@ -1,12 +1,13 @@
 """Module layering: each nama module uses only the public names of the
 others, so the power diagram's integer format stays inside `polyhedra`,
 the solver's state inside `solver` and the file format inside
-`instance_io`."""
+`instance_io`; and nothing is defined that only the tests use."""
 
 import ast
 from pathlib import Path
 
 import pytest
+from test_trace_layers import _layers
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "nama"
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
@@ -52,3 +53,37 @@ def test_no_private_names_across_modules(name):
 def test_the_check_sees_aliases_and_imports():
     source = "from . import polyhedra as pg\nfrom .solver import _state, solve\nx = pg._cut, pg.clip\n"
     assert private_uses(source, ("polyhedra", "solver")) == ["polyhedra._cut", "solver._state"]
+
+
+def unreferenced(sources: dict, traced: dict) -> list:
+    """The top-level functions and classes of `sources` (module -> source)
+    whose name no module but `__init__` reads, as a name or an attribute,
+    and that `traced` (module -> names, as in the tracer's LAYERS) does
+    not list."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(module, node.name) for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        if module != "__init__":
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Name, ast.Attribute)):
+                    used.add(node.id if isinstance(node, ast.Name) else node.attr)
+    return [f"{m}.{name}" for m, name in defined if name not in used and name not in traced.get(m, ())]
+
+
+def test_every_definition_is_read_in_the_package_or_traced():
+    """A function or class that only the tests and `nama.__init__` name
+    belongs in the tests; the benchmark's tracer may name kernels that
+    nama itself does not call."""
+    sources = {m: (SRC / f"{m}.py").read_text(encoding="utf-8") for m in MODULES}
+    assert unreferenced(sources, _layers()) == []
+
+
+def test_the_reference_check_skips_init_and_traced_names():
+    sources = {
+        "__init__": "from .toric import lonely\nlonely()\n",
+        "toric": "def f(): pass\ndef g(): return f()\ndef lonely(): pass\ndef traced(): pass\n",
+        "polyhedra": "class Cell:\n    pass\n",
+        "solver": "x = pg.Cell\n",
+    }
+    assert unreferenced(sources, {"toric": ["traced"]}) == ["toric.g", "toric.lonely"]

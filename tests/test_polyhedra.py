@@ -168,7 +168,7 @@ class TestClipVolume:
         cuts = [((1, 1), F(5)), ((-1, 2), F(3))]
         clipped = pg.clip(poly, cuts)
         exact = float(pg.volume(clipped))
-        facets = [((float(a[0]), float(a[1])), float(b)) for a, b in clipped.facets]
+        facets = [((float(a[0]), float(a[1])), float(b)) for a, b in eager_facets(clipped)]
         n = 200_000
         hits = 0
         for _ in range(n):
@@ -642,7 +642,7 @@ def random_halfspaces(rng, body, count, floats=False):
         elif kind == 1:  # through a vertex
             b = pg.dot(a, rng.choice(verts))
         elif kind == 2 and body.affine_dim == 2:  # along an edge, either side
-            a, b = rng.choice(body.facets)
+            a, b = rng.choice(eager_facets(body))
             if rng.random() < 0.5:
                 a, b = tuple(-c for c in a), -b
         elif kind == 3:  # below every vertex: empty
@@ -788,12 +788,21 @@ def test_split_additivity_property(pts, ax, ay, b):
 
 # --------------------------------------------------------------------------
 # Cells and clips built straight from the integer loop, against the loop's
-# points re-hulled; lazy facets against the eager construction.
+# points re-hulled; containment against the eager facet construction.
 # --------------------------------------------------------------------------
 
 
+def primitive(a):
+    """A rational vector scaled to a primitive integer vector, same direction."""
+    ints, _ = integers(a)
+    g = gcd(*ints) or 1
+    return tuple(F(v // g) for v in ints)
+
+
 def eager_facets(p):
-    """The facet list every Polytope carried before facets became lazy."""
+    """The Fraction half-spaces (a, b), {<a, m> <= b}, that once cut out
+    every Polytope: both sides of the carrier plus end caps for a point or
+    segment, and <0, m> <= -1 for the empty polytope."""
     if p.is_empty:
         return ((tuple(F(0) for _ in range(p.dim)), F(-1)),)
     v = p.vertices
@@ -807,7 +816,7 @@ def eager_facets(p):
     if p.affine_dim == 1:
         q, r = v
         d = pg.sub(r, q)
-        n, t = pg._primitive((d[1], -d[0])), pg._primitive(d)
+        n, t = primitive((d[1], -d[0])), primitive(d)
         return (
             (n, pg.dot(n, q)),
             (tuple(-c for c in n), -pg.dot(n, q)),
@@ -817,14 +826,13 @@ def eager_facets(p):
     out = []
     for q, r in zip(v, v[1:] + v[:1]):
         d = pg.sub(r, q)
-        a = pg._primitive((d[1], -d[0]))
+        a = primitive((d[1], -d[0]))
         out.append((a, pg.dot(a, q)))
     return tuple(out)
 
 
 def assert_same_polytope(got, want):
     assert (got.dim, got.vertices, got.affine_dim) == (want.dim, want.vertices, want.affine_dim)
-    assert got.facets == want.facets == eager_facets(want)
     assert all(type(c) is F for v in got.vertices for c in v)
 
 
@@ -960,7 +968,7 @@ class TestCellsWithoutSecondHull:
                         a = (F(1), F(0))
                     cuts.append((a, pg.dot(a, rng.choice(body.vertices))))
                 else:  # along an edge, keeping either side
-                    a, b = rng.choice(body.facets)
+                    a, b = rng.choice(eager_facets(body))
                     cuts.append((a, b) if rng.random() < 0.5 else (tuple(-c for c in a), -b))
             assert_same_polytope(pg.clip(body, cuts), hull_clip(body, cuts))
 
@@ -1014,17 +1022,15 @@ class TestCellsWithoutSecondHull:
             assert_same_polytope(pg.clip(body, cuts), hull_clip(body, cuts))
 
 
-def test_lazy_facets_match_the_eager_construction():
-    rng = random.Random(89)
-    shapes = [pg._empty(1), pg._empty(2)]
-    for _ in range(100):
-        pts = [(F(rng.randint(-8, 8), 3), F(rng.randint(-8, 8), 3)) for _ in range(rng.randint(1, 7))]
-        shapes += [pg.hull(pts, 2), pg.hull(pts[:2], 2), pg.hull(pts[:1], 2)]
-        shapes += [pg.hull([p[:1] for p in pts], 1), pg.hull([pts[0][:1]], 1)]
-    for p in shapes:
-        assert "facets" not in vars(p)  # nothing computed until read
-        assert p.facets == eager_facets(p)
-    assert {p.affine_dim for p in shapes} == {-1, 0, 1, 2}
+def test_integer_facets_are_the_eager_facets_times_positive_factors():
+    rng = random.Random(103)
+    for _ in range(200):
+        dim = rng.choice((1, 2))
+        p = pg.hull([tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(dim)) for _ in range(5)], dim)
+        if p.is_full_dimensional:
+            got = [(a0, a1, b, gcd(a0, a1)) for a0, a1, b in p.integer_facets]
+            assert {((F(a0 // g), F(a1 // g))[:dim], F(b, g)) for a0, a1, b, g in got} == set(eager_facets(p))
+            assert len(got) == len(eager_facets(p))
 
 
 def test_contains_matches_the_eager_facets_on_every_kind_of_polytope():

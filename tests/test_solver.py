@@ -348,16 +348,23 @@ class TestNormalize:
             self.assert_matches_max_over_value(sv._solution(p, sv._State(p, *linalg.integers(t)), []))
 
 
+def cl_measure(f):
+    """Chambert-Loir normalization: every MA weight times n!, so the
+    total mass is n! vol(Delta) = deg L."""
+    s = math.factorial(f.delta.dim)
+    return tc.AtomicMeasure.from_items((p, s * w) for p, w in tc.ma_measure(f).atoms)
+
+
 class TestClMeasure:
     def test_factor_matches_dimension(self):
         f2 = tc.g_delta(SQ)
-        cl = sv.cl_measure(f2)
+        cl = cl_measure(f2)
         assert cl.total_mass == 2 * SQ.volume
         f1 = tc.g_delta(UNIT)
-        assert sv.cl_measure(f1) == tc.ma_measure(f1)
+        assert cl_measure(f1) == tc.ma_measure(f1)
 
     def test_g_delta_dirac(self):
-        cl = sv.cl_measure(tc.g_delta(SQ))
+        cl = cl_measure(tc.g_delta(SQ))
         assert cl.atoms == (((F(0), F(0)), F(2)),)
 
 
@@ -372,8 +379,14 @@ def _diagram(p, t):
     return sv._State(p, *linalg.integers(t)).diagram
 
 
+def start_potentials(p):
+    """The solver's start `_start` as Fractions."""
+    t, den = sv._start(p)
+    return tuple(F(x, den) for x in t)
+
+
 def _rounded_start(p):
-    return [F(float(x)) for x in sv.start_potentials(p)]
+    return [F(float(x)) for x in start_potentials(p)]
 
 
 def _masses(p, t):
@@ -497,7 +510,7 @@ class TestWallHessian:
         # Collinear sites on a diagonal, walls through corners of Delta.
         p = _problem(SQ, [(F(i, 2), F(i, 2)) for i in range(4)], [F(1)] * 4)
         self.check(p, [F(0), F(1, 4), F(3, 4), F(3, 2)])
-        self.check(p, sv.start_potentials(p))
+        self.check(p, start_potentials(p))
         # A wall that only touches the cell at a vertex of Delta.
         p = _problem(SQ, [(F(0), F(0)), (F(1), F(1)), (F(1), F(0))], [F(1)] * 3)
         self.check(p, [F(0), F(1), F(1, 2)])
@@ -506,7 +519,7 @@ class TestWallHessian:
         for _ in range(10):
             sites = list({(F(rng.randint(0, 4), 4), F(rng.randint(0, 4), 4)) for _ in range(5)})
             p = _problem(SQ, sites, [F(1)] * len(sites))
-            base = sv.start_potentials(p)
+            base = start_potentials(p)
             self.check(p, [ti + F(rng.randint(-1, 1), 10**6) for ti in base])
 
     def test_1d_instances(self):
@@ -561,7 +574,7 @@ def test_start_potentials_match_the_halving_loop():
     hs = set()
     for p in problems:
         h, want = halving_start_potentials(p)
-        assert sv.start_potentials(p) == want
+        assert start_potentials(p) == want
         hs.add(h)
     assert {F(1), F(1, 2), F(1, 4), F(1, 8)} <= hs
 
@@ -603,7 +616,7 @@ def test_integer_rounding_matches_the_fraction_rounding():
 class TestNewtonPath:
     def test_default_start_leaves_no_empty_cell_on_criterion_8(self):
         for p in _criterion_8_problems():
-            assert min(_masses(p, sv.start_potentials(p))) > 0
+            assert min(_masses(p, start_potentials(p))) > 0
             assert min(_masses(p, _rounded_start(p))) > 0
 
     def test_trace_records_every_iteration_and_the_kmt_decrease(self):

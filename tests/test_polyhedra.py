@@ -743,6 +743,57 @@ def test_walls_across_a_degenerate_cell():
     assert diagram.walls == [(0, 1, F(1, 2))]
 
 
+def shared_edges(cells, dim):
+    """(i, j, u, v) for i < j and each edge u -> v of cell i's
+    counterclockwise loop that cell j runs as v -> u (in 1-D each end u
+    the two cells share, as u -> u), sorted."""
+    edges = lambda loop: list(zip(loop, loop)) if dim == 1 else list(zip(loop, loop[1:] + loop[:1]))
+    out = []
+    for i, j in combinations([a for a, cell in enumerate(cells) if cell is not None], 2):
+        theirs = {(v, u) for u, v in edges(cells[j].loop)}
+        out += [(i, j, u, v) for u, v in edges(cells[i].loop) if (u, v) in theirs]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_walls_are_the_edges_the_cells_share(dim):
+    """`_ends` and `walls` against a pairwise match of the final cells'
+    edges, read before and after `cells` and `masses`, on random diagrams
+    with repeated sites and a site between two others at their mean value,
+    whose cell is at most a segment (a point in 1-D)."""
+    rng = random.Random(89 + dim)
+    squeezed = 0
+    for _ in range(80):
+        if dim == 2:
+            body = random_polygon(rng)
+        else:
+            body = pg.hull([(F(rng.randint(-8, 0), 3),), (F(rng.randint(1, 8), 5),)], 1)
+        sites = [tuple(F(rng.randint(-6, 6), 2) for _ in range(dim)) for _ in range(rng.randint(2, 7))]
+        values = [F(rng.randint(-9, 9), 4) for _ in sites]
+        a, b = rng.sample(range(len(sites)), 2)
+        mid = len(sites)
+        sites.append(tuple((p + q) / 2 for p, q in zip(sites[a], sites[b])))
+        values.append((values[a] + values[b]) / 2)
+        for c in rng.choices(range(len(sites)), k=rng.randint(0, 3)):
+            sites.append(sites[c])
+            values.append(values[c] + F(rng.randint(0, 2), 4))
+        walls_first = pg.laguerre_cells(body, sites, values)
+        walls, ends = walls_first.walls, list(walls_first._ends)
+        cells_first = pg.laguerre_cells(body, sites, values)
+        cells, _ = cells_first.cells, cells_first.masses
+        assert walls_first.cells == cells and cells_first.walls == walls and cells_first._ends == ends
+        assert ends == shared_edges(cells, dim)
+        point = lambda h: pg._from_homogeneous(h, dim)
+        squared = []
+        for i, j, u, v in ends:
+            d, n = pg.sub(point(v), point(u)), pg.sub(sites[i], sites[j])
+            squared.append((i, j, (pg.dot(d, d) if dim == 2 else 1) / pg.dot(n, n)))
+        assert [(i, j, w * w) for i, j, w in walls] == squared
+        if cells[mid] is None and (min(a, b), max(a, b)) in [w[:2] for w in walls]:
+            squeezed += 1
+    assert squeezed > 5
+
+
 def assert_canonical(h, dim, a, b):
     """Every constructor makes h's one canonical loop, with equal values and
     hashes; a cut {<a, m> <= b} of h is checked against the hull of its

@@ -12,8 +12,10 @@ with their witnesses, so its digest pins which assertions fail and how.
 
 import hashlib
 import json
+import random
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -158,6 +160,29 @@ ENVELOPE_FLOAT_2D = {
     ],
 }
 
+
+def _paraboloid(k: int, seed: int) -> dict:
+    """k constraints (2p, |p|^2 + noise) for points p on the 1/8 grid of
+    Delta's bounding box: close to the Voronoi diagram of the p, so many
+    of them keep a cell."""
+    rng = random.Random(seed)
+    constraints = []
+    for _ in range(k):
+        x, y = Fraction(rng.randint(0, 40), 8), Fraction(rng.randint(0, 40), 8)
+        value = x * x + y * y + Fraction(rng.randint(-8, 8), 64)
+        constraints.append({"site": [str(2 * x), str(2 * y)], "value": str(value)})
+    return {
+        "kind": "toric-envelope",
+        "mode": "rational",
+        "polytope": {"vertices": [["0", "0"], ["4", "0"], ["5", "3"], ["2", "5"], ["0", "3"]]},
+        "constraints": constraints,
+    }
+
+
+# 32 sites, 26 of which keep a cell: the envelope and energy of an
+# instance past the handful of sites of the ones above.
+PARABOLOID_32 = _paraboloid(32, 32)
+
 # Six vertices: a cycle with a chord and a parallel edge, lengths over
 # coprime denominators.
 GRAPH_6 = {
@@ -237,6 +262,8 @@ COMMAND_DIGESTS = {
     ("energy", "envelope_2d"): "54e4f0d2963050f5fc0cabd612397ebea63637245f7b4d215a7345f99e723d48",
     ("envelope", "envelope_float_2d"): "257e335b6c628abfd89a48c5fb3a4deee21ff62ba0329d63b85b66c3999b9ad1",
     ("energy", "envelope_float_2d"): "b6e21138b3f637d757537f5b44c1d94eb9a497c570d9e12e38f1c3f90e41117f",
+    ("envelope", "paraboloid_32"): "d5a40cf6f7c03c4e3a35c5c4233866c98aee5e75ba01fe3f8a791e38a95e0bb9",
+    ("energy", "paraboloid_32"): "a49afe25f4c0452f02f81c0bd6ae67753921d65b521a471beee05f6c4c2035b4",
     ("envelope", "lattice_2d"): "d4066a9a746dcdddae70e101717ec50c2400c9d710053d144f92f678942dfbf6",
     ("envelope", "lattice_1d"): "a8cdfeeef8b795187cd1d39f8d0a594f78bd0c7bc4d623d9fd7c86726cac9ec6",
     ("envelope", "repeated_2d"): "9ae140aac3593c63c48ec3980984649af3d31267d1b2aa0ddbb82cafdeec1d22",
@@ -294,6 +321,7 @@ INSTANCES = {
     "dirac_rational_2d": DIRAC_RATIONAL_2D,
     "dirac_rational_1d": DIRAC_RATIONAL_1D,
     "envelope_float_2d": ENVELOPE_FLOAT_2D,
+    "paraboloid_32": PARABOLOID_32,
     "green_6": GREEN_6,
     "poisson_vertex_6": POISSON_VERTEX_6,
     "poisson_interior_6": POISSON_INTERIOR_6,

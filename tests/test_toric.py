@@ -123,6 +123,24 @@ class TestPshEnvelope:
         assert any(env.value(x) == tf.value(x) for x in env.sites)
 
 
+@pytest.mark.parametrize(
+    "delta",
+    [UNIT, interval(F(-1, 3), F(5, 2)), SQ, TRI, tc.newton_polytope([(0, 0), (F(7, 2), 0), (5, 3), (2, F(9, 2)), (0, 3)], 2)],
+)
+def test_g_delta_is_the_envelope_of_the_origin_at_zero(delta):
+    """g_Delta and the potential built from the one generator (0, 0) agree
+    in generators, cells, table, values and measure; its one cell is Delta."""
+    g, f = tc.g_delta(delta), tc.ToricPsh(delta, [(tuple([F(0)] * delta.dim), F(0))])
+    assert g.generators == f.generators == ((tuple([F(0)] * delta.dim), F(0)),)
+    assert g.cells == f.cells == (delta.body,)
+    assert g.table == f.table
+    rng = random.Random(delta.dim)
+    for _ in range(20):
+        y = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(delta.dim))
+        assert g.value(y) == f.value(y) == tc.support_value(delta, y)
+    assert tc.ma_measure(g) == tc.ma_measure(f)
+
+
 class TestPieces:
     def test_g_delta_pieces(self):
         assert tc.g_delta(UNIT).pieces == (((F(0),), F(0)), ((F(1),), F(0)))

@@ -13,10 +13,11 @@ the homogeneous points, whose output is already a convex counterclockwise
 loop.  Power diagrams come from the regular triangulation of the lifted
 sites, built by inserting them in lexicographic order: only its vertices
 have cells, each the body cut by the vertex's neighbours, and the walls
-are the edges the final loops share; `power_diagram` takes the sites and
-values as integers over their denominators, as `hull_over` takes points,
-and gives masses and wall weights over one denominator each.  One integer
-moment sum per loop gives every volume, mass, centroid and integral.
+are the edges the final loops share, matched when read; `power_diagram`
+takes the sites and values as integers over their denominators, as
+`hull_over` takes points, and gives masses and wall weights over one
+denominator each.  One integer moment sum per loop, kept on its polytope
+(`moment_sums`), gives every volume, mass, centroid and integral.
 Lower hulls gift-wrap over integer triples
 (`lower_hull` only converts Fraction input).  `power_diagram` and
 `_lower_hull` own one rule: a repeated site counts at its lowest value.
@@ -71,9 +72,9 @@ class Polytope:
     (X, Y, W) for (X/W, Y/W), W > 0, gcd(X, Y, W) = 1 and Y = 0 in 1-D,
     counterclockwise from the lexicographic minimum (sorted for fewer than
     three vertices), so equal polytopes are equal values.  `affine_dim`
-    is -1 for the empty polytope.  `vertices`, the Fraction points, and
-    `integer_facets`, a full-dimensional polytope's half-spaces on
-    integers, are computed on first read.
+    is -1 for the empty polytope.  `vertices`, the Fraction points, and,
+    of a full-dimensional polytope, `integer_facets`, its half-spaces on
+    integers, and `moment_sums`, are computed on first read.
     """
 
     dim: int
@@ -98,6 +99,11 @@ class Polytope:
             return ((-w0, 0, -x0), (w1, 0, x1))
         return tuple([(y1 * w0 - y0 * w1, x0 * w1 - x1 * w0, x0 * y1 - x1 * y0)
                       for (x0, y0, w0), (x1, y1, w1) in zip(loop, loop[1:] + loop[:1])])
+
+    @cached_property
+    def moment_sums(self) -> Tuple[int, int, int, int]:
+        """The `_moment_sums` of a full-dimensional polytope's loop."""
+        return _moment_sums(self.loop, self.dim)
 
     @property
     def is_empty(self) -> bool:
@@ -298,7 +304,6 @@ def power_diagram(body: Polytope, xs: List[Tuple[int, int]], d: int, ts: List[in
             neighbours[j].append(i)
     full = n + 1  # fewer loop points span no full-dimensional cell; as many or more do
     loops: List[Optional[list]] = [None] * len(ts)
-    owners, walls = {}, []
     for a, (xa, ya, ta) in enumerate(pts):
         loop = body.loop
         for b in neighbours[a]:
@@ -306,17 +311,9 @@ def power_diagram(body: Polytope, xs: List[Tuple[int, int]], d: int, ts: List[in
             loop = _cut(loop, xb - xa, yb - ya, tb - ta)
             if len(loop) < full:
                 break
-        if a in removed or len(loop) < full:
-            continue
-        i = order[a]
-        loops[i] = loop
-        for u, v in zip(loop, loop) if n == 1 else zip(loop, loop[1:] + loop[:1]):
-            j = owners.pop((v, u), None)  # the other cell runs the wall backwards
-            if j is None:
-                owners[u, v] = i
-            else:
-                walls.append((j, i, v, u) if j < i else (i, j, u, v))
-    return PowerDiagram(body, loops, sorted(walls), xs, d)
+        if a not in removed and len(loop) >= full:
+            loops[order[a]] = loop
+    return PowerDiagram(body, loops, xs, d)
 
 
 @dataclass(frozen=True)
@@ -330,18 +327,31 @@ class PowerDiagram:
     i and j share, the edges of the weighted Laplacian whose negative is
     the Hessian of the dual objective.  Inside,
     a cell is its final counterclockwise `_cut` loop (the body's own
-    `loop` when nothing cuts it) or None, and `_ends` holds the walls as
-    (i, j, u, v) on homogeneous end points, u -> v counterclockwise around
-    the cell of i (u = v in 1-D): the edges two final loops run in opposite
-    directions, so a degenerate cell between two cells does not hide their
-    wall.
+    `loop` when nothing cuts it) or None, and `_ends`, matched only when
+    the walls are read, holds them as (i, j, u, v) on homogeneous end
+    points, u -> v counterclockwise around the cell of i (u = v in 1-D).
     """
 
     body: Polytope
     _loops: List[Optional[list]]
-    _ends: List[tuple]
     _xs: List[Tuple[int, int]]  # the sites as integers over _d
     _d: int
+
+    @cached_property
+    def _ends(self) -> List[tuple]:
+        """The edges two final loops run in opposite directions, sorted: a
+        degenerate cell between two cells does not hide their wall."""
+        owners, ends = {}, []
+        for i, loop in enumerate(self._loops):
+            if loop is None:
+                continue
+            for u, v in zip(loop, loop) if self.body.dim == 1 else zip(loop, loop[1:] + loop[:1]):
+                j = owners.pop((v, u), None)  # the other cell, j < i, runs the wall backwards
+                if j is None:
+                    owners[u, v] = i
+                else:
+                    ends.append((j, i, v, u))
+        return sorted(ends)
 
     @cached_property
     def cells(self) -> List[Optional[Polytope]]:
@@ -352,7 +362,8 @@ class PowerDiagram:
     @cached_property
     def integer_masses(self) -> Tuple[List[int], int]:
         """(M, D): the masses M_a / D, D the lcm of their reduced denominators."""
-        return volumes_over(self._loops, self.body.dim)
+        n = self.body.dim
+        return volumes_over([loop and _moment_sums(loop, n) for loop in self._loops], n)
 
     @cached_property
     def masses(self) -> List[Fraction]:
@@ -400,27 +411,20 @@ def _moment_sums(loop, n: int):
     return s, mx, my, big
 
 
-def _loop_volume(loop, n: int) -> Tuple[int, int]:
-    """The volume of a full-dimensional loop as a pair (numerator, denominator)."""
-    s, _, _, big = _moment_sums(loop, n)
-    return s, n * big**n  # n! = n for n <= 2
-
-
-def volumes_over(loops, n: int) -> Tuple[List[int], int]:
-    """(M, D): the volumes M_a / D of full-dimensional loops, 0 for None,
-    D the lcm of their reduced denominators."""
-    vols = [(0, 1) if loop is None else _loop_volume(loop, n) for loop in loops]
+def volumes_over(sums, n: int) -> Tuple[List[int], int]:
+    """(M, D): the volumes M_a / D, S / (n! L^n), of loops given by their
+    `_moment_sums`, 0 for None, D the lcm of their reduced denominators."""
+    vols = [(0, 1) if s is None else (s[0], n * s[3] ** n) for s in sums]  # n! = n for n <= 2
     den = lcm(*(q // gcd(m, q) for m, q in vols))
     return [m * den // q for m, q in vols], den
 
 
-def integral_over(loops, n: int, forms, e: int) -> Tuple[int, int]:
+def integral_over(sums, n: int, forms, e: int) -> Tuple[int, int]:
     """(numerator, denominator) of the integral of (A m_0 + B m_1 - C) / e
-    over the full-dimensional loop of each form (A, B, C): on one loop it is
+    over the loop of each form (A, B, C), given by its `_moment_sums`: it is
     (A Mx + B My - (n+1) L C S) / ((n+1)! L^(n+1) e), put over the lcm of the L."""
     terms = []
-    for loop, (a, b, c) in zip(loops, forms):
-        s, mx, my, big = _moment_sums(loop, n)
+    for (s, mx, my, big), (a, b, c) in zip(sums, forms):
         terms.append((a * mx + b * my - (n + 1) * big * c * s, big))
     top = lcm(*[big for _, big in terms])
     return sum(t * (top // big) ** (n + 1) for t, big in terms), n * (n + 1) * top ** (n + 1) * e
@@ -430,14 +434,15 @@ def volume(p: Polytope) -> Fraction:
     """Exact n-dimensional Lebesgue volume; 0 for lower-dimensional sets."""
     if p.is_empty or p.affine_dim < p.dim:
         return _ZERO
-    return Fraction(*_loop_volume(p.loop, p.dim))
+    s, _, _, big = p.moment_sums
+    return Fraction(s, p.dim * big**p.dim)
 
 
 def centroid(p: Polytope) -> Point:
     """Centroid of a full-dimensional polytope (exact)."""
     if p.is_empty or p.affine_dim < p.dim:
         raise EmptyInput("centroid needs a full-dimensional polytope")
-    s, mx, my, d = _moment_sums(p.loop, p.dim)
+    s, mx, my, d = p.moment_sums
     return tuple([Fraction(m, (p.dim + 1) * d * s) for m in (mx, my)[: p.dim]])
 
 
@@ -446,7 +451,7 @@ def moment(p: Polytope, a: Point, c: Fraction) -> Fraction:
     if p.is_empty or p.affine_dim < p.dim:
         return _ZERO
     (a0, a1, c0), e = integers([*_planar(a), -c])
-    return Fraction(*integral_over([p.loop], p.dim, [(a0, a1, c0)], e))
+    return Fraction(*integral_over([p.moment_sums], p.dim, [(a0, a1, c0)], e))
 
 
 def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:

@@ -147,7 +147,7 @@ def _solution(p: DiracProblem, s: "_State", trace) -> Solution:
     kept = [a for a, cell in enumerate(cells) if cell is not None]
     phi = ToricPsh._from_cells(p.delta, sorted([((p.sites[a], t[a]), cells[a]) for a in kept], key=lambda g: g[0][0]))
     masses = AtomicMeasure(tuple(sorted([(p.sites[a], Fraction(ms[a], md)) for a in kept])))
-    moments = pg.integral_over([cells[a].loop for a in kept], p.delta.dim, [(*xs[a], 0) for a in kept], d)
+    moments = pg.integral_over([cells[a].moment_sums for a in kept], p.delta.dim, [(*xs[a], 0) for a in kept], d)
     objective = p.delta.volume * dot(p.barycenter(), pg.centroid(p.delta.body)) - Fraction(*moments)
     objective += Fraction(sum(ti * g for ti, g in zip(s.t, s.g)), s.e * s.den)
     return Solution(p, t, phi, masses, Fraction(max(map(abs, s.g)), s.den), len(trace), objective, tuple(trace))

@@ -40,7 +40,7 @@ _ZERO = Fraction(0)
 class NewtonPolytope:
     """A full-dimensional rational polytope carrying the reference class.
 
-    Its volume, computed when first read, is the total Monge-Ampere mass of every potential below.
+    Its volume, the total Monge-Ampere mass of every potential below, and g_Delta are computed once.
     """
 
     def __init__(self, body: Polytope):
@@ -51,6 +51,11 @@ class NewtonPolytope:
     @cached_property
     def volume(self) -> Fraction:
         return pg.volume(self.body)
+
+    @cached_property
+    def reference(self) -> "ToricPsh":
+        """g_Delta: the generator (0, 0), whose cell is all of Delta."""
+        return ToricPsh._from_cells(self, [((tuple([_ZERO] * self.dim), _ZERO), self.body)])
 
     def certify_mass(self, ms: List[int], md: int) -> None:
         """The mass-sum certificate: masses ms / md of cells must cover the volume."""
@@ -127,10 +132,11 @@ class ToricPsh:
     and do not change the function), as are the copies of a repeated site
     that `power_diagram` passes over for its lowest value.  After that,
     f(x_a) = t_a holds for every generator.  Only kept generators are made
-    Fractions, so the parser hands IntegerGenerators.
+    Fractions, and their integers are kept (`_from_cells` reads them off
+    the Fractions on first need), as are the table and MA measure once read.
     """
 
-    __slots__ = ("delta", "generators", "cells", "_table")
+    __slots__ = ("delta", "generators", "cells", "_integers", "_table", "_measure")
 
     def __init__(self, delta: NewtonPolytope, generators):
         n = delta.dim
@@ -140,7 +146,8 @@ class ToricPsh:
         gens = sorted(zip(xs, ts))
         cells = pg.power_diagram(delta.body, [x for x, _ in gens], d, [t for _, t in gens], e).cells
         kept = [(x, t, cell) for (x, t), cell in zip(gens, cells) if cell is not None]
-        self.delta, self._table = delta, None
+        self.delta, self._table, self._measure = delta, None, None
+        self._integers = IntegerGenerators([x for x, _, _ in kept], d, [t for _, t, _ in kept], e)
         self.generators = tuple([(tuple([Fraction(c, d) for c in x[:n]]), Fraction(t, e)) for x, t, _ in kept])
         self.cells = tuple([cell for _, _, cell in kept])
 
@@ -149,9 +156,15 @@ class ToricPsh:
         """A potential from (generator, cell) pairs, sorted by site, whose
         cells are known to be its Laguerre cells; nothing is clipped."""
         out = object.__new__(cls)
-        out.delta, out._table = delta, None
+        out.delta, out._integers, out._table, out._measure = delta, None, None, None
         out.generators, out.cells = zip(*pairs)
         return out
+
+    @property
+    def integer_generators(self) -> IntegerGenerators:
+        if self._integers is None:
+            self._integers = _on_integers(self.generators)
+        return self._integers
 
     @property
     def sites(self) -> Tuple[Point, ...]:
@@ -165,7 +178,7 @@ class ToricPsh:
         The slopes are the cells' loop points over the lcm of their W."""
         if self._table is None:
             dv = lcm(*(w for cell in self.cells for _, _, w in cell.loop))
-            forms, e = _dual_forms(self.generators, dv)
+            forms, e = _dual_forms(self.integer_generators, dv)
             cells = zip(forms, self.cells)
             pts = [(g, x * (dv // w), y * (dv // w)) for g, cell in cells for x, y, w in cell.loop]
             u = {(x, y): a * x + b * y - c for (a, b, c), x, y in pts}
@@ -231,9 +244,8 @@ def envelope(delta: NewtonPolytope, constraints) -> ToricPsh:
 
 
 def g_delta(delta: NewtonPolytope) -> ToricPsh:
-    """The reference potential: the support function of Delta itself."""
-    origin = tuple(_ZERO for _ in range(delta.dim))
-    return ToricPsh(delta, [(origin, _ZERO)])
+    """The reference potential, the support function of Delta, built once per polytope."""
+    return delta.reference
 
 
 class TestFunction:
@@ -317,13 +329,15 @@ class AtomicMeasure:
 def ma_measure(f: ToricPsh) -> AtomicMeasure:
     """Monge-Ampere measure: an atom at each generator site whose weight
     is the exact volume of its cell in Delta.  Total mass = vol(Delta),
-    certified on the cells' integer volumes over one denominator.
+    certified on the cells' integer volumes over one denominator when it
+    is first computed; the potential keeps it.
     A potential's sites are sorted and distinct, its cells full-dimensional."""
-    ms, md = pg.volumes_over([cell.loop for cell in f.cells], f.delta.dim)
-    f.delta.certify_mass(ms, md)
-    measure = AtomicMeasure(tuple([(x, Fraction(m, md)) for (x, _), m in zip(f.generators, ms)]))
-    measure.__dict__["total_mass"] = f.delta.volume  # the certified sum
-    return measure
+    if f._measure is None:
+        ms, md = pg.volumes_over([cell.moment_sums for cell in f.cells], f.delta.dim)
+        f.delta.certify_mass(ms, md)
+        f._measure = measure = AtomicMeasure(tuple([(x, Fraction(m, md)) for (x, _), m in zip(f.generators, ms)]))
+        measure.__dict__["total_mass"] = f.delta.volume  # the certified sum
+    return f._measure
 
 
 def integrate(g, mu: AtomicMeasure) -> Fraction:
@@ -439,7 +453,7 @@ def mixed_ma(fs: Sequence[ToricPsh]) -> AtomicMeasure:
     f, g = fs
     if f == g:
         return ma_measure(f)
-    mf, mg = dict(ma_measure(f).atoms), dict(ma_measure(g).atoms)
+    mf, mg = ma_measure(f)._weights, ma_measure(g)._weights
     acc: Dict[Point, Fraction] = {}
     for c in _sum_hull(f, g).cells:
         y = c.gradient
@@ -461,11 +475,12 @@ def mixed_ma(fs: Sequence[ToricPsh]) -> AtomicMeasure:
 def legendre_energy(f: ToricPsh, ref: ToricPsh) -> Fraction:
     """Energy as the exact integral of (u_ref - u_f) over Delta, linear in
     u: each integral is a sum of affine moments over that potential's own
-    cells, taken on their integer loops over one denominator.  Agrees with
-    the mixed-measure energy sum."""
+    cells, on their `moment_sums` and its integer generators over one
+    denominator.  Agrees with the mixed-measure energy sum."""
     if f.delta != ref.delta:
         raise DeltaMismatch("energy of potentials over different polytopes")
-    integral = lambda p: pg.integral_over([c.loop for c in p.cells], p.delta.dim, *_dual_forms(p.generators, 1))
+    n = f.delta.dim
+    integral = lambda p: pg.integral_over([c.moment_sums for c in p.cells], n, *_dual_forms(p.integer_generators, 1))
     (nr, dr), (nf, df) = integral(ref), integral(f)
     return Fraction(nr * df - nf * dr, dr * df)
 

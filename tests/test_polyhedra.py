@@ -1236,19 +1236,49 @@ class TestLaguerreCellsFromTriangulation:
         assert len(calls) <= 1000
 
     def test_potentials_read_cells_only(self, monkeypatch):
-        """A ToricPsh reads its diagram's cells: no cell mass and no wall
-        weight is computed while it is built."""
+        """A ToricPsh reads its diagram's cells: no moment sum, so no cell
+        mass, and no wall end, so no wall weight, is computed while it is
+        built."""
         from nama import toric as tc
 
         delta, gens = k128_paraboloid()
-        diagrams, volumes = [], []
-        power_diagram, loop_volume = pg.power_diagram, pg._loop_volume
+        diagrams, sums = [], []
+        power_diagram, moment_sums = pg.power_diagram, pg._moment_sums
         monkeypatch.setattr(pg, "power_diagram", lambda *args: diagrams.append(power_diagram(*args)) or diagrams[-1])
-        monkeypatch.setattr(pg, "_loop_volume", lambda *args: volumes.append(args) or loop_volume(*args))
+        monkeypatch.setattr(pg, "_moment_sums", lambda *args: sums.append(args) or moment_sums(*args))
         f = tc.ToricPsh(delta, gens)
         assert len(diagrams) == 1 and list(f.cells) == [c for c in diagrams[0].cells if c is not None]
-        assert not {"masses", "integer_masses", "walls", "integer_walls"} & set(vars(diagrams[0]))
-        assert volumes == []
+        assert not {"masses", "integer_masses", "walls", "integer_walls", "_ends"} & set(vars(diagrams[0]))
+        assert sums == []
+
+    def test_an_energy_op_computes_each_quantity_once(self, tmp_path, monkeypatch):
+        """A work counter free of timing noise: one `energy` op on the
+        128-site instance builds one power diagram, for the potential (g_Delta
+        is Delta's own cell), matches no wall end, and sums each cell once:
+        the potential's, shared by its energy and its MA measure, and Delta,
+        shared by g_Delta's energy and the volume."""
+        import json
+
+        from nama import cli
+
+        delta, gens = k128_paraboloid()
+        doc = {
+            "kind": "toric-envelope",
+            "mode": "rational",
+            "polytope": {"vertices": [[str(c) for c in v] for v in delta.body.vertices]},
+            "constraints": [{"site": [str(c) for c in x], "value": str(t)} for x, t in gens],
+        }
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(doc))
+        diagrams, sums = [], []
+        power_diagram, moment_sums = pg.power_diagram, pg._moment_sums
+        monkeypatch.setattr(pg, "power_diagram", lambda *args: diagrams.append(power_diagram(*args)) or diagrams[-1])
+        monkeypatch.setattr(pg, "_moment_sums", lambda *args: sums.append(args) or moment_sums(*args))
+        assert cli.main(["energy", str(inst), "-o", str(tmp_path / "out.json"), "--no-timestamp"]) == 0
+        assert len(diagrams) == 1 and "_ends" not in vars(diagrams[0])
+        cells = [c for c in diagrams[0].cells if c is not None]
+        assert 40 < len(cells) < 128
+        assert sorted(loop for loop, _ in sums) == sorted([c.loop for c in cells] + [delta.body.loop])
 
 
 @settings(max_examples=80, deadline=None)

@@ -1330,3 +1330,45 @@ class TestTriangulationCertificates:
         one = {(0, 2): 3, (2, 3): 0, (3, 0): 2}
         with pytest.raises(ConsistencyError, match="cover"):
             pg._check_triangulation(square([0, 1, 1, 0]), one, {})
+
+
+# One integer form for sites with values: the same rationals reach the same
+# (xs, d, ts, e) from (site, value) pairs, from a Dirac problem's sites and
+# weights and from the parser's literals.
+INTEGER_FORM_PAIRS = {
+    1: [((F(1, 2),), F(3, 4)), ((F(-2),), F(1, 4)), ((F(5, 3),), F(2)), ((F(1, 2),), F(-7, 6))],
+    2: [((F(1, 2), F(-3)), F(1, 3)), ((F(-2, 3), F(0)), F(5, 2)), ((F(4), F(7, 4)), F(7, 6)), ((F(1, 2), F(-3)), F(-1, 4))],
+}
+
+
+def integer_form(pairs):
+    """The converter's integer form of rational (site, value) pairs."""
+    from nama import toric as tc
+
+    return tuple(tc._on_integers(pairs))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sites_reach_one_integer_form_by_every_route(dim):
+    """Repeated sites, negative, integer and rational coordinates: the
+    converter, `DiracProblem._integers` (its weights as the values) and
+    `decode_generators` of the equivalent literals agree."""
+    from nama import instance_io as io
+    from nama import solver as sv
+    from nama import toric as tc
+
+    pairs = INTEGER_FORM_PAIRS[dim]
+    want = integer_form(pairs)
+    literal = lambda x: x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    objs = [{"site": [literal(c) for c in x], "value": literal(t)} for x, t in pairs]
+    assert tuple(io.decode_generators(objs, "rational", "constraints", dim)) == want
+    distinct = pairs[:3]  # a problem's sites are distinct and its weights positive
+    total = sum(w for _, w in distinct)
+    delta = tc.newton_polytope([(0,), (total,)] if dim == 1 else [(0, 0), (total, 0), (total, 1), (0, 1)], dim)
+    p = sv.DiracProblem(delta, tuple(x for x, _ in distinct), tuple(w for _, w in distinct))
+    assert tuple(p._integers) == integer_form(distinct)
+
+
+def test_integer_form_by_hand():
+    assert integer_form(INTEGER_FORM_PAIRS[2]) == ([(6, -36), (-8, 0), (48, 21), (6, -36)], 12, [4, 30, 14, -3], 12)
+    assert integer_form(INTEGER_FORM_PAIRS[1]) == ([(3, 0), (-12, 0), (10, 0), (3, 0)], 6, [9, 3, 24, -14], 12)

@@ -1,5 +1,7 @@
 """Dual-objective and solver tests for the Dirac Monge-Ampere problem."""
 
+import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -703,3 +705,59 @@ def test_dual_objective_with_a_site_without_cell(dim):
     want = _reference_objective(p, t, phi)
     assert sv.dual_objective(p, t) == (want, tuple(tc.ma_measure(phi).weight_at(x) - w for x, w in zip(p.sites, p.weights)))
     assert sv.dual_objective(p, t, mode="float")[0] == float(want)
+
+
+# The Newton-corrected iterate t + d that the uniqueness suite compares, d
+# the solver's next Newton step on the walls at the potential's values at
+# the sites, pinned on seeded float solves, a rational 1-D solve, a state
+# with a pruned site (no wall reaches it, so the grounded Laplacian is
+# singular) and a planted gap (t moved without the potential).
+def newton_corrected(s):
+    return hx._newton_corrected(s.problem, s)
+
+
+def _seeded_solution(dim, seed, mode="float"):
+    rng = hx.SplitMix64(seed)
+    delta = hx.gen_polytope(rng, dim, 5)
+    p = hx.gen_dirac_problem(rng, delta, hx.GenConfig(dimension=dim))
+    return sv.solve(p, sv.SolverConfig(mode=mode, tol=F(1, 10**10) if mode == "float" else None))
+
+
+def _pruned_site():
+    p = sv.DiracProblem(SQ, ((F(0), F(0)), (F(1), F(0)), (F(1, 2), F(1, 2))), (F(1, 4), F(1, 4), F(1, 2)))
+    return sv._solution(p, sv._State(p, *linalg.integers((F(1, 3), F(-1, 2), F(5)))), [])
+
+
+def _planted_gap():
+    s = _seeded_solution(2, 2)
+    return dataclasses.replace(s, t=(s.t[0] + F(1, 10**6),) + s.t[1:])
+
+
+NEWTON_CASES = {
+    **{f"{dim}d-{seed}": (lambda dim=dim, seed=seed: _seeded_solution(dim, seed)) for dim in (1, 2) for seed in range(4)},
+    "1d-rational": lambda: _seeded_solution(1, 5, "rational"),
+    "pruned-site": _pruned_site,
+    "planted-gap": _planted_gap,
+}
+NEWTON_DIGESTS = {
+    "1d-0": "8ef2f9d26ab5d5625a846c5c841773a7a8acffad3cf91f66359b7fbf3770502c",
+    "1d-1": "03c87613b3cf53db7e6eb982ef3befe2b82a7924c4e9d79a68f9a170ec1e3c72",
+    "1d-2": "41829d683e531a0230e2895da22d691d90b56ca07b59380cf6619821fcbbd353",
+    "1d-3": "d4a6d3ee9d21370c802950919a18b64bda8bbcc86481ad23258d96f32d0bee0e",
+    "1d-rational": "3564b2bcd74f8a1674e1be13b91c281933c0a8472b12eb76ad2d9cd95b1b065a",
+    "2d-0": "fea1e36023b37c0e870d257a5ee4b4958d070c162a5ffefac1930b3bc75750e9",
+    "2d-1": "5c437da56781938e8435c407cd75e0884e9e8ac42e8da46f17a9ba36796c9141",
+    "2d-2": "5651115ae7e8c0379712fd122ee55e40095658540a8fc05223201748657104a5",
+    "2d-3": "9169be45193ecfd87aab75a47dd058215297da0606d16ffa91c70b1091c6e4ad",
+    "planted-gap": "1318b92159273d2d8f0f4914d21f0026d7e0c46485dba0fc6a9bb63ad513240b",
+    "pruned-site": "b6276ba72bbc508431b11298180ac724c3eef76599d6862ff5914355b7524739",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEWTON_CASES))
+def test_newton_corrected_is_pinned(name):
+    try:
+        out = repr(tuple(newton_corrected(NEWTON_CASES[name]())))
+    except ValueError:
+        out = "ValueError"
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == NEWTON_DIGESTS[name]

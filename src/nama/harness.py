@@ -27,7 +27,6 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from . import curves as cv
 from . import instance_io as io
-from . import linalg
 from . import polyhedra as pg
 from . import solver as sv
 from . import toric as tc
@@ -657,19 +656,6 @@ def _suite_capacity(rng: SplitMix64, cfg: GenConfig):
     return failures
 
 
-def _newton_corrected(p: sv.DiracProblem, s: sv.Solution) -> List[Fraction]:
-    """t + d, d = L^+ (masses - weights) the solver's next Newton step from
-    the returned potential: L is the Laplacian on the `laguerre_cells` walls
-    of its cells, cut at its values at the sites (a pruned site keeps no
-    cell).  The raw t of two converged solves may differ by the residual
-    times L's inverse, which no fixed multiple of tol bounds."""
-    n = len(p.sites)
-    grad = [h - w for h, w in zip(s.mass_vector(), p.weights)]
-    edges = pg.laguerre_cells(p.delta.body, p.sites, [s.potential.value(x) for x in p.sites]).walls
-    d = linalg.solve_exact(n, edges, n - 1, grad)
-    return [ti + di for ti, di in zip(s.t, d)]
-
-
 def _suite_uniqueness(rng: SplitMix64, cfg: GenConfig):
     """Solver existence/uniqueness.  Float-mode constants are fixed:
     solver tolerance 1e-10 (times vol(Delta)), init-independence gap
@@ -709,7 +695,7 @@ def _suite_uniqueness(rng: SplitMix64, cfg: GenConfig):
     except NotConverged:
         failures.append(("uniqueness:converge", witness))
         return failures
-    diffs = [float(a - b) for a, b in zip(_newton_corrected(p, s1), _newton_corrected(p, s2))]
+    diffs = [float(a - b) for a, b in zip(sv.newton_corrected(s1), sv.newton_corrected(s2))]
     if max(diffs) - min(diffs) > 10 * 1e-10:
         failures.append(("uniqueness:constant-gap", witness))
     # Domination corollary: normalized potentials agreeing on the MA

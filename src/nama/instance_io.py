@@ -229,7 +229,7 @@ def encode_generators(f: tc.ToricPsh, mode: str = "rational"):
     ]
 
 
-def decode_generators(objs, mode: str, field: str, n: int) -> tc.IntegerGenerators:
+def decode_generators(objs, mode: str, field: str, n: int) -> pg.IntegerSites:
     """The (site, value) pairs of a list of {"site", "value"} objects with
     sites in dimension n, on integers: an envelope's constraints or a
     result's generators."""
@@ -241,7 +241,7 @@ def decode_generators(objs, mode: str, field: str, n: int) -> tc.IntegerGenerato
         values.append(_ratio(g["value"], mode, f"{gf}.value"))
     coords, d = _over_one([c for x in sites for c in x])
     xs = list(zip(coords[0::2], coords[1::2])) if n == 2 else [(x, 0) for x in coords]
-    return tc.IntegerGenerators(xs, d, *_over_one(values))
+    return pg.IntegerSites(xs, d, *_over_one(values))
 
 
 def encode_test_function(f: tc.TestFunction, mode: str = "rational"):

@@ -1,29 +1,26 @@
 """Exact rational convex geometry in ambient dimension 1 and 2.
 
-Hulls, half-space clipping, Laguerre (power-diagram) cells, volumes,
-centroids, Minkowski sums and lower convex hulls of lifted point sets,
-all with no rounding.  A polytope holds its vertices once, as a canonical
-loop of integer homogeneous points (X, Y, W); every constructor makes
-that loop, every kernel reads it, and every test is the sign of one
-integer determinant.  A full-dimensional polytope's facets are read off
-the loop once, as integer half-spaces (`integer_facets`).  Points and half-spaces enter the API as
-`fractions.Fraction` tuples, and `Polytope.vertices` is a Fraction view
-made only when it is read.  Clipping runs one Sutherland-Hodgman loop on
-the homogeneous points, whose output is already a convex counterclockwise
-loop.  Power diagrams come from the regular triangulation of the lifted
-sites, built by inserting them in lexicographic order: only its vertices
-have cells, each the body cut by the vertex's neighbours, and the walls
-are the edges the final loops share, matched when read; `power_diagram`
-takes the sites and values as integers over their denominators, as
-`hull_over` takes points, and gives masses and wall weights over one
-denominator each.  One integer moment sum per loop, kept on its polytope
-(`moment_sums`), gives every volume, mass, centroid and integral.
-Lower hulls gift-wrap over integer triples
-(`lower_hull` only converts Fraction input).  `power_diagram` and
-`_lower_hull` own one rule: a repeated site counts at its lowest value.
-Empty and lower-dimensional polytopes are ordinary values (volume 0), as
-cells degenerate while a solver walks through potential space.
-Dimensions 3 and higher are rejected.
+Hulls, half-space clipping, power diagrams (Laguerre cells), volumes,
+centroids, Minkowski sums and lower convex hulls of lifted point sets, all
+with no rounding.  A polytope holds its vertices once, as a canonical loop
+of integer homogeneous points (X, Y, W); every constructor makes that loop,
+every kernel reads it, and every test is the sign of one integer
+determinant.  Its facets (`integer_facets`) and moment sums (`moment_sums`,
+which give every volume, mass, centroid and integral) are read off the loop
+once.  Points and half-spaces enter the API as `fractions.Fraction` tuples;
+`Polytope.vertices` is a Fraction view made only when read.  Clipping runs
+one Sutherland-Hodgman loop on the homogeneous points.  Sites with values
+enter the power diagram as one `IntegerSites`, integer pairs over one
+denominator and values over another, and `integer_sites` is the one
+converter from rational (site, value) pairs.  The diagram comes from the
+regular triangulation of the lifted sites: only its vertices have cells,
+each the body cut by its neighbours; the walls are the edges the final
+loops share, matched when read; masses and wall weights come over one
+denominator each.  Lower hulls gift-wrap over integer triples.
+`power_diagram` and `_lower_hull` own one rule: a repeated site counts at
+its lowest value.  Empty and lower-dimensional polytopes are ordinary values
+(volume 0), as cells degenerate while a solver walks through potential
+space.  Dimensions 3 and higher are rejected.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     ConsistencyError,
@@ -278,21 +275,37 @@ def clip(p: Polytope, halfspaces) -> Polytope:
     return p if loop is p.loop else _from_loop(loop, n)
 
 
-def laguerre_cells(body: Polytope, sites, values) -> "PowerDiagram":
-    """The `power_diagram` of rational sites and values."""
-    coords, d = integers([c for x in sites for c in _planar(x)])
-    ts, e = integers(values)
-    return power_diagram(body, list(zip(coords[0::2], coords[1::2])), d, ts, e)
+class IntegerSites(NamedTuple):
+    """Sites with values on integers, the input of `power_diagram`: sites
+    x_a = (X_a, Y_a) / d (Y_a = 0 in 1-D) and values t_a = T_a / e."""
+
+    xs: List[Tuple[int, int]]
+    d: int
+    ts: List[int]
+    e: int
 
 
-def power_diagram(body: Polytope, xs: List[Tuple[int, int]], d: int, ts: List[int], e: int) -> "PowerDiagram":
-    """The `PowerDiagram` of sites x_a = (X_a, Y_a) / d (Y_a = 0 in 1-D) with
-    values t_a = T_a / e in a full-dimensional body.  One lowest copy of a
-    repeated site stands for it, and the others get no cell (a higher copy's
-    is empty).  Only a vertex of the regular triangulation of the lifted
-    sites has a cell, cut only by its neighbours: (a, b) cuts by
+def integer_sites(pairs, n: Optional[int] = None) -> IntegerSites:
+    """Rational (site, value) pairs as IntegerSites, the sites and the values
+    each over the lcm of their denominators, sites checked against a given
+    dimension n; IntegerSites pass as they are."""
+    if isinstance(pairs, IntegerSites):
+        return pairs
+    pairs = list(pairs)
+    for x, _ in pairs:
+        if n is not None and len(x) != n:
+            raise DimensionMismatch(f"site {tuple(x)} vs dimension {n}")
+    coords, d = integers([c for x, _ in pairs for c in _planar(x)])
+    return IntegerSites(list(zip(coords[0::2], coords[1::2])), d, *integers([t for _, t in pairs]))
+
+
+def power_diagram(body: Polytope, sites: IntegerSites) -> "PowerDiagram":
+    """The `PowerDiagram` of `sites` in a full-dimensional body.  One lowest
+    copy of a repeated site stands for it, and the others get no cell (a
+    higher copy's is empty).  Only a vertex of the regular triangulation of
+    the lifted sites has a cell, cut only by its neighbours: (a, b) cuts by
     (e (X_b - X_a), d (T_b - T_a))."""
-    n = body.dim
+    (xs, d, ts, e), n = sites, body.dim
     lowest = {xs[i]: i for i in sorted(range(len(ts)), key=ts.__getitem__, reverse=True)}
     order = sorted(lowest.values(), key=xs.__getitem__)
     pts = [(e * xs[i][0], e * xs[i][1], d * ts[i]) for i in order]
@@ -313,7 +326,7 @@ def power_diagram(body: Polytope, xs: List[Tuple[int, int]], d: int, ts: List[in
                 break
         if a not in removed and len(loop) >= full:
             loops[order[a]] = loop
-    return PowerDiagram(body, loops, xs, d)
+    return PowerDiagram(body, loops, sites)
 
 
 @dataclass(frozen=True)
@@ -334,8 +347,7 @@ class PowerDiagram:
 
     body: Polytope
     _loops: List[Optional[list]]
-    _xs: List[Tuple[int, int]]  # the sites as integers over _d
-    _d: int
+    _sites: IntegerSites
 
     @cached_property
     def _ends(self) -> List[tuple]:
@@ -355,15 +367,24 @@ class PowerDiagram:
 
     @cached_property
     def cells(self) -> List[Optional[Polytope]]:
-        body = self.body
-        cell = lambda loop: body if loop is body.loop else _from_loop(loop, body.dim)
-        return [None if loop is None else cell(loop) for loop in self._loops]
+        """Each keeps the moment sums `integer_masses` took of its loop, if it
+        did: a loop's sums do not depend on where the loop starts."""
+        body, sums = self.body, self.__dict__.get("_sums", ())
+        cells = [loop and (body if loop is body.loop else _from_loop(loop, body.dim)) for loop in self._loops]
+        for cell, s in zip(cells, sums):
+            if s:
+                cell.__dict__["moment_sums"] = s
+        return cells
+
+    @cached_property
+    def _sums(self) -> List[Optional[tuple]]:
+        n = self.body.dim
+        return [loop and _moment_sums(loop, n) for loop in self._loops]
 
     @cached_property
     def integer_masses(self) -> Tuple[List[int], int]:
         """(M, D): the masses M_a / D, D the lcm of their reduced denominators."""
-        n = self.body.dim
-        return volumes_over([loop and _moment_sums(loop, n) for loop in self._loops], n)
+        return volumes_over(self._sums, self.body.dim)
 
     @cached_property
     def masses(self) -> List[Fraction]:
@@ -375,7 +396,7 @@ class PowerDiagram:
         denominators.  With N = X_i - X_j on the sites over d, the wall (i, j,
         (A_0, B_0, W_0), (A_1, B_1, W_1)) weighs d / |N_0| in 1-D and
         |N_0 (B_1 W_0 - B_0 W_1) - N_1 (A_1 W_0 - A_0 W_1)| d / (W_0 W_1 |N|^2)."""
-        xs, d, ratios = self._xs, self._d, []
+        (xs, d, _, _), ratios = self._sites, []
         for i, j, (a0, b0, w0), (a1, b1, w1) in self._ends:
             n0, n1 = xs[i][0] - xs[j][0], xs[i][1] - xs[j][1]
             if self.body.dim == 1:
@@ -762,6 +783,5 @@ def lower_hull(lifted) -> LowerHull:
         raise DimensionUnsupported(f"lower hulls support dimensions 1 and 2, got {dim}")
     if any(len(p) != dim for p, _ in lifted):
         raise DimensionMismatch("mixed dimensions in lifted points")
-    coords, d = integers([c for p, _ in lifted for c in _planar(p)])
-    hs, e = integers([h for _, h in lifted])
-    return _lower_hull(dim, zip(coords[0::2], coords[1::2], hs), d, e)
+    xs, d, hs, e = integer_sites(lifted)
+    return _lower_hull(dim, [(x, y, h) for (x, y), h in zip(xs, hs)], d, e)

@@ -3,17 +3,17 @@
 The concave dual objective F(t) = E(envelope(t)) - sum w_i t_i has gradient
 (cell masses - target weights), so maximizing it solves the equation: it is
 semi-discrete optimal transport from the uniform measure on Delta.  Both
-modes run one damped Newton loop on integer vectors over common
-denominators, from a start with no empty cell.  Each iterate and
-line-search trial is one power diagram (`polyhedra.power_diagram`), whose
-masses and wall weights come over one denominator each; the walls weigh
-the Laplacian whose negative is the Hessian, so each Newton direction is
-one exact grounded Laplace solve (`linalg.ExactLinearSolver.solve_over`).
-The objective is read in closed form off the final cells' integer loops,
-with no reference envelope, and Fractions and Polytopes are made only for
-the Solution and its trace.  The geometry is exact; only the iterate is
-rounded: to floats in float mode, to bounded denominators in rational
-mode, whose residual is then certified exactly.
+modes run one damped Newton loop on integers over common denominators, from
+a start with no empty cell.  Each iterate and line-search trial is a `_State`:
+the power diagram of the problem's `polyhedra.IntegerSites` at t, with masses
+and wall weights over one denominator each.  The walls weigh the Laplacian
+whose negative is the Hessian, so the Newton direction is one exact grounded
+Laplace solve (`_State.direction`), which the loop steps along and
+`newton_corrected` adds to a Solution.  The objective is read in closed form
+off the moment sums the final masses took; Fractions and Polytopes are made
+only for the Solution.  The geometry is exact; only the iterate is rounded:
+to floats in float mode, to bounded denominators in rational mode, whose
+residual is then certified exactly.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class DiracProblem:
     """Target measure sum w_i delta_{x_i} with total mass vol(Delta).  Owns
     its rules: distinct sites, then, with the weights read only after them,
     one weight per site, positive weights and the mass balance.  `_integers`
-    holds the sites as integer pairs over d and the weights over wd."""
+    holds the sites with the weights as their values, `polyhedra.IntegerSites`."""
 
     delta: NewtonPolytope
     sites: Tuple[Point, ...]
@@ -58,8 +58,7 @@ class DiracProblem:
         object.__setattr__(self, "weights", weights)
         if len(sites) != len(weights):
             raise ArityMismatch("one weight per site required")
-        coords, d = linalg.integers([c for x in sites for c in (*x, 0)[:2]])  # Y = 0 in 1-D
-        object.__setattr__(self, "_integers", (list(zip(coords[0::2], coords[1::2])), d, *linalg.integers(weights)))
+        object.__setattr__(self, "_integers", pg.integer_sites(zip(sites, weights)))
         if any(w <= 0 for w in weights):
             raise ValueError("weights must be positive")
         if sum(weights) != self.delta.volume:
@@ -170,12 +169,27 @@ class _State:
 
     def __init__(self, p: DiracProblem, t: List[int], e: int):
         xs, d, ws, wd = p._integers
-        self.t, self.e, self.diagram = t, e, pg.power_diagram(p.delta.body, xs, d, t, e)
+        self.t, self.e, self.diagram = t, e, pg.power_diagram(p.delta.body, pg.IntegerSites(xs, d, t, e))
         ms, md = self.diagram.integer_masses
         p.delta.certify_mass(ms, md)
         self.den = den = math.lcm(md, wd)
         self.g = [m * (den // md) - w * (den // wd) for m, w in zip(ms, ws)]
         self.norm2 = sum(x * x for x in self.g)
+
+    def direction(self) -> Tuple[List[int], int]:
+        """d / dd with L d = grad, L the Laplacian of the diagram's walls grounded at the
+        last site; ValueError when a cell has no path of walls to that site."""
+        (walls, wd), n = self.diagram.integer_walls, len(self.t)
+        return linalg.ExactLinearSolver(n, walls, n - 1, wd).solve_over(self.g, self.den)
+
+
+def newton_corrected(s: Solution) -> Tuple[Fraction, ...]:
+    """t + d, d the Newton direction at the potential's values at the sites (a pruned
+    site keeps no cell): the raw t of two converged solves may differ by the residual
+    times L's inverse, which no fixed multiple of tol bounds."""
+    p = s.problem
+    d, dd = _State(p, *linalg.integers([s.potential.value(x) for x in p.sites])).direction()
+    return tuple([t + Fraction(x, dd) for t, x in zip(s.t, d)])
 
 
 def _start(p: DiracProblem) -> Tuple[List[int], int]:
@@ -217,8 +231,7 @@ def solve(p: DiracProblem, config: SolverConfig = SolverConfig()) -> Solution:
     2019; global convergence, quadratic near the solution) from `_start`,
     or from `init` moved toward it until no cell is empty; 1-D rational
     instances start from their closed-form solution.
-    At each iterate, a `_State`, the direction d solves L d = grad, L the
-    diagram's Laplacian grounded at the last site.  A step is the first
+    At each iterate, a `_State`, d is its `direction`.  A step is the first
     2^-k whose rounded iterate keeps every mass >= eps (half the smallest
     weight or starting mass) and cuts |grad|_2 by (1 - step / 2), both
     tested on cross-multiplied integers, so a step that rounds back to the
@@ -230,10 +243,9 @@ def solve(p: DiracProblem, config: SolverConfig = SolverConfig()) -> Solution:
         raise ValueError(f"unknown mode {mode!r}")
     default_tol = _ZERO if mode == "rational" else Fraction(1, 10**10)
     bound = Fraction(default_tol if config.tol is None else config.tol) * p.delta.volume
-    n = len(p.sites)
 
     if config.init is not None:
-        if len(config.init) != n:
+        if len(config.init) != len(p.sites):
             raise ArityMismatch("init vector has wrong length")
         s = _State(p, *_rounded(*linalg.integers(config.init), mode))
     elif mode == "rational" and p.delta.dim == 1:
@@ -255,9 +267,8 @@ def solve(p: DiracProblem, config: SolverConfig = SolverConfig()) -> Solution:
     for _ in range(config.max_iter):
         if max(map(abs, s.g)) * bound.denominator <= bound.numerator * s.den:
             break
-        walls, wd = s.diagram.integer_walls
         try:
-            d, dd = linalg.ExactLinearSolver(n, walls, n - 1, wd).solve_over(s.g, s.den)
+            d, dd = s.direction()
         except ValueError:  # a cell with no path of walls to the grounded site
             break
         for k in range(60):  # t + d / 2^k = (t dd 2^k + d e) / (e dd 2^k)

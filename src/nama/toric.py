@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import polyhedra as pg
 from .errors import (
@@ -87,32 +87,11 @@ def support_value(delta: NewtonPolytope, y: Point) -> Fraction:
     return pg.support_value(delta.body, tuple(Fraction(c) for c in y))
 
 
-class IntegerGenerators(NamedTuple):
-    """Generators on integers, as the parser reads them: sites (X_a, Y_a) / d (Y_a = 0 in 1-D), values T_a / e."""
-
-    xs: List[Tuple[int, int]]
-    d: int
-    ts: List[int]
-    e: int
-
-
-def _on_integers(gens, n: Optional[int] = None) -> IntegerGenerators:
-    """(site, value) pairs as IntegerGenerators, sites checked against a given dimension n."""
-    if isinstance(gens, IntegerGenerators):
-        return gens
-    gens = list(gens)
-    for x, _ in gens:
-        if n is not None and len(x) != n:
-            raise DimensionMismatch(f"site {tuple(x)} vs dimension {n}")
-    coords, d = integers([c for x, _ in gens for c in pg._planar(x)])
-    return IntegerGenerators(list(zip(coords[0::2], coords[1::2])), d, *integers([t for _, t in gens]))
-
-
-def _dual_forms(gens, d: int) -> Tuple[List[Tuple[int, int, int]], int]:
+def _dual_forms(gens: pg.IntegerSites, d: int) -> Tuple[List[Tuple[int, int, int]], int]:
     """The affine functions <x_a, m> - t_a of generators (x_a, t_a) at
     points m = K / d on integers: forms (A, B, C) and a denominator E, a
     multiple of d, with <x_a, m> - t_a = (A K_0 + B K_1 - C) / E."""
-    xs, dx, ts, dt = _on_integers(gens)
+    xs, dx, ts, dt = gens
     return [(dt * x, dt * y, d * dx * t) for (x, y), t in zip(xs, ts)], d * dx * dt
 
 
@@ -140,14 +119,14 @@ class ToricPsh:
 
     def __init__(self, delta: NewtonPolytope, generators):
         n = delta.dim
-        xs, d, ts, e = _on_integers(generators, n)
+        xs, d, ts, e = pg.integer_sites(generators, n)
         if not ts:
             raise EmptyInput("a potential needs at least one generator")
         gens = sorted(zip(xs, ts))
-        cells = pg.power_diagram(delta.body, [x for x, _ in gens], d, [t for _, t in gens], e).cells
+        cells = pg.power_diagram(delta.body, pg.IntegerSites([x for x, _ in gens], d, [t for _, t in gens], e)).cells
         kept = [(x, t, cell) for (x, t), cell in zip(gens, cells) if cell is not None]
         self.delta, self._table, self._measure = delta, None, None
-        self._integers = IntegerGenerators([x for x, _, _ in kept], d, [t for _, t, _ in kept], e)
+        self._integers = pg.IntegerSites([x for x, _, _ in kept], d, [t for _, t, _ in kept], e)
         self.generators = tuple([(tuple([Fraction(c, d) for c in x[:n]]), Fraction(t, e)) for x, t, _ in kept])
         self.cells = tuple([cell for _, _, cell in kept])
 
@@ -161,9 +140,9 @@ class ToricPsh:
         return out
 
     @property
-    def integer_generators(self) -> IntegerGenerators:
+    def integer_generators(self) -> pg.IntegerSites:
         if self._integers is None:
-            self._integers = _on_integers(self.generators)
+            self._integers = pg.integer_sites(self.generators)
         return self._integers
 
     @property
@@ -551,7 +530,7 @@ def lattice_envelope(delta: NewtonPolytope, constraints, m: int) -> ToricPsh:
     """
     if m < 1:
         raise ValueError("lattice order must be >= 1")
-    constraints = _on_integers(constraints, delta.dim)
+    constraints = pg.integer_sites(constraints, delta.dim)
     if not constraints.ts:
         raise EmptyInput("need at least one constraint")
     points = _lattice_points(delta, m)

@@ -1,7 +1,9 @@
 """Module layering: each nama module uses only the public names of the
-others, so the power diagram's integer format stays inside `polyhedra`,
-the solver's state inside `solver` and the file format inside
-`instance_io`; and nothing is defined that only the tests use."""
+others, so the power diagram's integer format stays inside `polyhedra`
+(others hand it `IntegerSites`, made by its `integer_sites` or, from
+literal integers, by the parser), the solver's state and its Newton step
+inside `solver` and the file format inside `instance_io`; and nothing is
+defined that only the tests use."""
 
 import ast
 from pathlib import Path

@@ -20,6 +20,11 @@ from nama.errors import (
 from nama.linalg import integers
 
 
+def laguerre_cells(body, sites, values):
+    """The `power_diagram` of rational sites and values."""
+    return pg.power_diagram(body, pg.integer_sites(zip(sites, values)))
+
+
 def cross(a, b):
     """The 2-D cross product a_0 b_1 - a_1 b_0."""
     return a[0] * b[1] - a[1] * b[0]
@@ -709,7 +714,7 @@ class TestIntegerClipAgainstFractionReference:
 
 def test_laguerre_cells_one_dimensional():
     body = pg.hull([(F(0),), (F(2),)], 1)
-    diagram = pg.laguerre_cells(body, [(F(0),), (F(1),), (F(3),)], [F(0), F(1, 2), F(7, 2)])
+    diagram = laguerre_cells(body, [(F(0),), (F(1),), (F(3),)], [F(0), F(1, 2), F(7, 2)])
     # u(m) = max(0, m - 1/2, 3m - 7/2): breakpoints at 1/2 and 3/2.
     assert diagram.cells == [
         pg.hull([(F(0),), (F(1, 2),)], 1),
@@ -720,7 +725,7 @@ def test_laguerre_cells_one_dimensional():
     assert wall_ends(diagram) == [(0, 1, (F(1, 2),), (F(1, 2),)), (1, 2, (F(3, 2),), (F(3, 2),))]
     assert diagram.walls == [(0, 1, F(1)), (1, 2, F(1, 2))]
     # A site whose affine piece never attains the max has no cell.
-    diagram = pg.laguerre_cells(body, [(F(0),), (F(1),)], [F(0), F(5)])
+    diagram = laguerre_cells(body, [(F(0),), (F(1),)], [F(0), F(5)])
     assert (diagram.cells, diagram.masses, diagram.walls) == ([body, None], [F(2), F(0)], [])
 
 
@@ -730,14 +735,14 @@ def test_walls_across_a_degenerate_cell():
     triangulation of the lifted sites."""
     square = pg.hull([(0, 0), (1, 0), (1, 1), (0, 1)], 2)
     sites = [(F(0), F(0)), (F(1), F(0)), (F(2), F(0))]
-    diagram = pg.laguerre_cells(square, sites, [F(0), F(1, 2), F(1)])
+    diagram = laguerre_cells(square, sites, [F(0), F(1, 2), F(1)])
     left = pg.hull([(0, 0), (F(1, 2), 0), (F(1, 2), 1), (0, 1)])
     right = pg.hull([(F(1, 2), 0), (1, 0), (1, 1), (F(1, 2), 1)])
     assert diagram.cells == [left, None, right]
     assert wall_ends(diagram) == [(0, 2, (F(1, 2), F(0)), (F(1, 2), F(1)))]
     assert diagram.walls == [(0, 2, F(1, 2))]
     segment = pg.hull([(F(0),), (F(1),)], 1)
-    diagram = pg.laguerre_cells(segment, [(F(2),), (F(0),), (F(1),)], [F(1), F(0), F(1, 2)])
+    diagram = laguerre_cells(segment, [(F(2),), (F(0),), (F(1),)], [F(1), F(0), F(1, 2)])
     assert diagram.cells == [pg.hull([(F(1, 2),), (F(1),)]), pg.hull([(F(0),), (F(1, 2),)]), None]
     assert wall_ends(diagram) == [(0, 1, (F(1, 2),), (F(1, 2),))]
     assert diagram.walls == [(0, 1, F(1, 2))]
@@ -777,9 +782,9 @@ def test_walls_are_the_edges_the_cells_share(dim):
         for c in rng.choices(range(len(sites)), k=rng.randint(0, 3)):
             sites.append(sites[c])
             values.append(values[c] + F(rng.randint(0, 2), 4))
-        walls_first = pg.laguerre_cells(body, sites, values)
+        walls_first = laguerre_cells(body, sites, values)
         walls, ends = walls_first.walls, list(walls_first._ends)
-        cells_first = pg.laguerre_cells(body, sites, values)
+        cells_first = laguerre_cells(body, sites, values)
         cells, _ = cells_first.cells, cells_first.masses
         assert walls_first.cells == cells and cells_first.walls == walls and cells_first._ends == ends
         assert ends == shared_edges(cells, dim)
@@ -803,7 +808,7 @@ def assert_canonical(h, dim, a, b):
     same = [pg.hull(h.vertices, dim), pg.hull(h.vertices[::-1], dim), pg.clip(h, [(a, top + 1)])]
     same.append(h.scaled(F(6 * w0, 35)).scaled(F(35, 6 * w0)))  # s shares factors with W
     if h.is_full_dimensional:
-        same.append(pg.laguerre_cells(h, [a], [F(0)]).cells[0])
+        same.append(laguerre_cells(h, [a], [F(0)]).cells[0])
         same.append(pg.lower_hull([(v, pg.dot(v, v)) for v in h.vertices]).base)
     pairs = [(h, q) for q in same]
     cut = pg.clip(h, [(a, b)])
@@ -932,7 +937,7 @@ def hull_walls(sites, values, cells):
 def assert_cells_match_hull(body, sites, values):
     """Cells, masses, wall end points and squared wall weights against
     `hull_laguerre_cells` and `hull_walls`."""
-    diagram = pg.laguerre_cells(body, sites, values)
+    diagram = laguerre_cells(body, sites, values)
     want = hull_laguerre_cells(body, sites, values)
     assert [c is None for c in diagram.cells] == [c is None for c in want]
     for g, w in zip(diagram.cells, want):
@@ -970,7 +975,7 @@ def test_loop_volume_is_the_volume_of_the_loop(dim):
             body = pg.hull([(F(rng.randint(-8, 0), 3),), (F(rng.randint(1, 8), 5),)], 1)
         sites = list({tuple(F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim)) for _ in range(8)})
         values = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in sites]
-        diagram = pg.laguerre_cells(body, sites, values)
+        diagram = laguerre_cells(body, sites, values)
         masses, den = diagram.integer_masses
         for loop, mass in zip(diagram._loops, masses):
             if loop is not None:
@@ -993,7 +998,7 @@ def test_integer_walls_are_the_fraction_walls(dim):
             body = pg.hull([(F(rng.randint(-8, 0), 3),), (F(rng.randint(1, 8), 5),)], 1)
         sites = list({tuple(F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim)) for _ in range(8)})
         values = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in sites]
-        diagram = pg.laguerre_cells(body, sites, values)
+        diagram = laguerre_cells(body, sites, values)
         walls, den = diagram.integer_walls
         weights = [w for _, _, w in diagram.walls]
         assert [(i, j) for i, j, _ in walls] == [(i, j) for i, j, _ in diagram.walls]
@@ -1176,10 +1181,10 @@ class TestLaguerreCellsFromTriangulation:
 
     def test_single_site(self):
         body = random_polygon(random.Random(151))
-        diagram = pg.laguerre_cells(body, [(F(1, 3), F(-2))], [F(5)])
+        diagram = laguerre_cells(body, [(F(1, 3), F(-2))], [F(5)])
         assert (diagram.cells, diagram.masses, diagram.walls) == ([body], [pg.volume(body)], [])
         segment = pg.hull([(F(0),), (F(2),)], 1)
-        diagram = pg.laguerre_cells(segment, [(F(7),)], [F(0)])
+        diagram = laguerre_cells(segment, [(F(7),)], [F(0)])
         assert (diagram.cells, diagram.masses, diagram.walls) == ([segment], [F(2)], [])
 
     def test_unsorted_sites(self):
@@ -1189,11 +1194,11 @@ class TestLaguerreCellsFromTriangulation:
             body = random_polygon(rng)
             sites = sorted({(F(rng.randint(-6, 6), 2), F(rng.randint(-6, 6), 2)) for _ in range(rng.randint(2, 12))})
             values = [F(rng.randint(-8, 8), 4) for _ in sites]
-            by_site = dict(zip(sites, pg.laguerre_cells(body, sites, values).cells))
+            by_site = dict(zip(sites, laguerre_cells(body, sites, values).cells))
             pairs = list(zip(sites, values))
             rng.shuffle(pairs)
             shuffled = [s for s, _ in pairs]
-            assert pg.laguerre_cells(body, shuffled, [t for _, t in pairs]).cells == [by_site[s] for s in shuffled]
+            assert laguerre_cells(body, shuffled, [t for _, t in pairs]).cells == [by_site[s] for s in shuffled]
             assert_cells_match_hull(body, shuffled, [t for _, t in pairs])
 
     def test_repeated_site_counts_at_its_lowest_value(self):
@@ -1210,8 +1215,8 @@ class TestLaguerreCellsFromTriangulation:
             given = list(enumerate(values)) + [(a, values[a] + F(rng.randint(-2, 2), 4)) for a in copies]
             rng.shuffle(given)
             lowest = [min(t for b, t in given if b == a) for a in range(len(sites))]
-            want = pg.laguerre_cells(body, sites, lowest)
-            got = pg.laguerre_cells(body, [sites[a] for a, _ in given], [t for _, t in given])
+            want = laguerre_cells(body, sites, lowest)
+            got = laguerre_cells(body, [sites[a] for a, _ in given], [t for _, t in given])
             owner = {}
             for a, cell in enumerate(want.cells):
                 mine = [i for i, (b, _) in enumerate(given) if b == a]
@@ -1232,7 +1237,7 @@ class TestLaguerreCellsFromTriangulation:
         calls = []
         cut = pg._cut
         monkeypatch.setattr(pg, "_cut", lambda *args: calls.append(args) or cut(*args))
-        pg.laguerre_cells(delta.body, [x for x, _ in gens], [t for _, t in gens])
+        laguerre_cells(delta.body, [x for x, _ in gens], [t for _, t in gens])
         assert len(calls) <= 1000
 
     def test_potentials_read_cells_only(self, monkeypatch):
@@ -1343,9 +1348,7 @@ INTEGER_FORM_PAIRS = {
 
 def integer_form(pairs):
     """The converter's integer form of rational (site, value) pairs."""
-    from nama import toric as tc
-
-    return tuple(tc._on_integers(pairs))
+    return tuple(pg.integer_sites(pairs))
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -712,10 +712,6 @@ def test_dual_objective_with_a_site_without_cell(dim):
 # the sites, pinned on seeded float solves, a rational 1-D solve, a state
 # with a pruned site (no wall reaches it, so the grounded Laplacian is
 # singular) and a planted gap (t moved without the potential).
-def newton_corrected(s):
-    return hx._newton_corrected(s.problem, s)
-
-
 def _seeded_solution(dim, seed, mode="float"):
     rng = hx.SplitMix64(seed)
     delta = hx.gen_polytope(rng, dim, 5)
@@ -757,7 +753,22 @@ NEWTON_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(NEWTON_CASES))
 def test_newton_corrected_is_pinned(name):
     try:
-        out = repr(tuple(newton_corrected(NEWTON_CASES[name]())))
+        out = repr(tuple(sv.newton_corrected(NEWTON_CASES[name]())))
     except ValueError:
         out = "ValueError"
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == NEWTON_DIGESTS[name]
+
+
+def test_a_solve_sums_each_loop_once(monkeypatch):
+    """A work counter free of timing noise: over one solve, `_moment_sums`
+    runs once per loop of each objective evaluation's power diagram, since
+    the final cells keep the sums their masses took."""
+    p = _problem(square(2), [(F(1, 4), F(1, 3)), (F(3, 2), F(1, 2)), (F(1), F(7, 4)), (F(1, 2), F(1))], [1, 2, 3, 4])
+    diagrams, sums = [], []
+    power_diagram, moment_sums = pg.power_diagram, pg._moment_sums
+    monkeypatch.setattr(pg, "power_diagram", lambda *args: diagrams.append(power_diagram(*args)) or diagrams[-1])
+    monkeypatch.setattr(pg, "_moment_sums", lambda *args: sums.append(args) or moment_sums(*args))
+    s = sv.solve(p, sv.SolverConfig(mode="float"))
+    loops = [loop for diagram in diagrams for loop in diagram._loops if loop is not None]
+    assert len(diagrams) == 1 + sum(r.trials for r in s.trace) > 3  # the start, then each line-search trial
+    assert sorted(tuple(loop) for loop, _ in sums) == sorted(tuple(loop) for loop in loops)

@@ -823,7 +823,7 @@ class TestLatticeDualHeights:
             ]
             for m in (1, 2, 3, 5, 8, 16, 32, 64):
                 points = tc._lattice_points(delta, m)
-                forms, e = tc._dual_forms(constraints, m)
+                forms, e = tc._dual_forms(pg.integer_sites(constraints), m)
                 if m > 16:
                     points = rng.sample(points, min(300, len(points)))
                 for k0, k1 in points:

@@ -16,7 +16,10 @@ converter from rational (site, value) pairs.  The diagram comes from the
 regular triangulation of the lifted sites: only its vertices have cells,
 each the body cut by its neighbours; the walls are the edges the final
 loops share, matched when read; masses and wall weights come over one
-denominator each.  Lower hulls gift-wrap over integer triples.
+denominator each.  Every diagram is certified: its masses sum to the
+body's volume (`certified_volumes`, which `toric.ma_measure` also calls),
+and a walk shows each removed site on or above the triangulation.  Lower
+hulls gift-wrap over integer triples.
 `power_diagram` and `_lower_hull` own one rule: a repeated site counts at
 its lowest value.  Empty and lower-dimensional polytopes are ordinary values
 (volume 0), as cells degenerate while a solver walks through potential
@@ -310,6 +313,7 @@ def power_diagram(body: Polytope, sites: IntegerSites) -> "PowerDiagram":
     order = sorted(lowest.values(), key=xs.__getitem__)
     pts = [(e * xs[i][0], e * xs[i][1], d * ts[i]) for i in order]
     apex, removed = _regular_triangulation(pts)
+    _check_removed(pts, apex, removed)
     neighbours: List[List[int]] = [[] for _ in pts]
     for i, j in apex:  # a hull or chain edge has one direction only
         neighbours[i].append(j)
@@ -326,28 +330,31 @@ def power_diagram(body: Polytope, sites: IntegerSites) -> "PowerDiagram":
                 break
         if a not in removed and len(loop) >= full:
             loops[order[a]] = loop
-    return PowerDiagram(body, loops, sites)
+    sums = [loop and _moment_sums(loop, n) for loop in loops]
+    return PowerDiagram(body, loops, sites, sums, certified_volumes(sums, body))
 
 
 @dataclass(frozen=True)
 class PowerDiagram:
-    """A `power_diagram` result: lists indexed like the sites, each
-    computed on first read.  cells: {m in body : <x_a, m> - t_a >= <x_b, m>
-    - t_b for all b}, or None when that is not full-dimensional or a is a
-    repeated site's other copy.  masses: their volumes, 0 for None, the
-    Fraction view of `integer_masses`.
-    walls: (i, j, |wall| / |x_i - x_j|), i < j, for each facet the cells of
-    i and j share, the edges of the weighted Laplacian whose negative is
-    the Hessian of the dual objective.  Inside,
-    a cell is its final counterclockwise `_cut` loop (the body's own
-    `loop` when nothing cuts it) or None, and `_ends`, matched only when
-    the walls are read, holds them as (i, j, u, v) on homogeneous end
-    points, u -> v counterclockwise around the cell of i (u = v in 1-D).
+    """A `power_diagram` result: lists indexed like the sites, cells, masses
+    and walls each computed on first read.  cells: {m in body : <x_a, m> -
+    t_a >= <x_b, m> - t_b for all b}, or None when that is not full-dimensional
+    or a is a repeated site's other copy.  masses: their volumes, 0 for None,
+    the Fraction view of `integer_masses`, certified when the diagram was
+    built.  walls: (i, j, |wall| / |x_i - x_j|), i < j, for each facet the
+    cells of i and j share, the edges of the weighted Laplacian whose negative
+    is the Hessian of the dual objective.  Inside, a cell is its final
+    counterclockwise `_cut` loop (the body's own `loop` when nothing cuts it)
+    or None, `_sums` its `_moment_sums`, and `_ends`, matched only when the
+    walls are read, holds them as (i, j, u, v) on homogeneous end points,
+    u -> v counterclockwise around the cell of i (u = v in 1-D).
     """
 
     body: Polytope
     _loops: List[Optional[list]]
     _sites: IntegerSites
+    _sums: List[Optional[tuple]]
+    integer_masses: Tuple[List[int], int]
 
     @cached_property
     def _ends(self) -> List[tuple]:
@@ -367,24 +374,14 @@ class PowerDiagram:
 
     @cached_property
     def cells(self) -> List[Optional[Polytope]]:
-        """Each keeps the moment sums `integer_masses` took of its loop, if it
-        did: a loop's sums do not depend on where the loop starts."""
-        body, sums = self.body, self.__dict__.get("_sums", ())
+        """Each keeps the moment sums of its loop: a loop's sums do not
+        depend on where the loop starts."""
+        body = self.body
         cells = [loop and (body if loop is body.loop else _from_loop(loop, body.dim)) for loop in self._loops]
-        for cell, s in zip(cells, sums):
+        for cell, s in zip(cells, self._sums):
             if s:
                 cell.__dict__["moment_sums"] = s
         return cells
-
-    @cached_property
-    def _sums(self) -> List[Optional[tuple]]:
-        n = self.body.dim
-        return [loop and _moment_sums(loop, n) for loop in self._loops]
-
-    @cached_property
-    def integer_masses(self) -> Tuple[List[int], int]:
-        """(M, D): the masses M_a / D, D the lcm of their reduced denominators."""
-        return volumes_over(self._sums, self.body.dim)
 
     @cached_property
     def masses(self) -> List[Fraction]:
@@ -432,12 +429,17 @@ def _moment_sums(loop, n: int):
     return s, mx, my, big
 
 
-def volumes_over(sums, n: int) -> Tuple[List[int], int]:
+def certified_volumes(sums, body: Polytope) -> Tuple[List[int], int]:
     """(M, D): the volumes M_a / D, S / (n! L^n), of loops given by their
-    `_moment_sums`, 0 for None, D the lcm of their reduced denominators."""
-    vols = [(0, 1) if s is None else (s[0], n * s[3] ** n) for s in sums]  # n! = n for n <= 2
+    `_moment_sums`, 0 for None, D the lcm of their reduced denominators, each
+    loop in `body`, certified as one integer equality to sum to its volume."""
+    (s, _, _, big), n = body.moment_sums, body.dim
+    vols = [(0, 1) if v is None else (v[0], n * v[3] ** n) for v in sums]  # n! = n for n <= 2
     den = lcm(*(q // gcd(m, q) for m, q in vols))
-    return [m * den // q for m, q in vols], den
+    ms = [m * den // q for m, q in vols]
+    if sum(ms) * n * big**n != s * den:
+        raise ConsistencyError(f"cells cover mass {Fraction(sum(ms), den)}, expected {Fraction(s, n * big**n)}")
+    return ms, den
 
 
 def integral_over(sums, n: int, forms, e: int) -> Tuple[int, int]:
@@ -626,39 +628,36 @@ def _regular_triangulation(pts):
             kept = {v for e in fan for v in e}
             removed.update((v, p) for v in {v for t in tris for v in t}.union(seen) if v not in kept)
         nxt[u], prv[p], nxt[p], prv[w] = p, u, w, p
-    _check_triangulation(pts, apex, removed)
     return apex, removed
 
 
-def _check_triangulation(pts, apex, removed) -> None:
-    """Certificates that together imply no point lies below the lifted
-    triangulation: counterclockwise triangles, locally convex interior
-    edges, areas that sum to the base hull's, and each removed point on or
-    above the triangle a walk from its remover finds."""
-    twice = 0
-    for (i, j), k in apex.items():
-        if i < j:
-            if i < k:
-                o = _orient(pts[i], pts[j], pts[k])
-                if o <= 0:
-                    raise ConsistencyError(f"triangle {(i, j, k)} is not counterclockwise")
-                twice += o
-            if (j, i) in apex and _below(pts[i], pts[j], pts[k], pts[apex[j, i]]):
-                raise ConsistencyError(f"lifted edge {(i, j)} is not locally convex")
-    if twice != _twice_area(_convex_loop(list(range(len(pts))), pts), pts):
-        raise ConsistencyError("triangles do not cover the base hull")
-    start = {i: (i, j) for i, j in apex}
+def _check_removed(pts, apex, removed) -> None:
+    """What the mass sum cannot see: each removed point r on or above the
+    lifted triangulation, so without a cell.  Over a chain, r is one sign
+    against the edge (i, j), i < r < j; else a walk from r's remover, across
+    each edge x_r lies strictly outside, stops at a triangle that must be
+    strictly counterclockwise, so it holds x_r, and not above r."""
+    start, chain = {i: (i, j) for i, j in apex}, None in apex.values()
     for r, q in removed.items():
-        while q in removed:
-            q = removed[q]
-        (a, b), R = start[q], pts[r]
-        for _ in apex:
-            c = apex[a, b]
-            out = [(y, x) for x, y in ((a, b), (b, c), (c, a)) if _orient(pts[x], pts[y], R) < 0]
-            if not out or out[0] not in apex:
-                break
-            a, b = out[0]
-        if out or _below(pts[a], pts[b], pts[c], R):
+        R, ok = pts[r], False
+        if chain:
+            i, j = next(((i, j) for i, j in apex if i < r < j), (r, r))
+            (ux, uy, uh), (vx, vy, vh) = sub(pts[j], pts[i]), sub(R, pts[i])
+            ok = i < r and vh * (ux * ux + uy * uy) >= uh * (ux * vx + uy * vy)
+        else:
+            while q in removed:
+                q = removed[q]
+            a, b = start.get(q, (r, r))  # (r, r) is no edge: a remover in no triangle fails
+            for _ in apex:
+                if (a, b) not in apex:
+                    break
+                c = apex[a, b]
+                out = [(y, x) for x, y in ((a, b), (b, c), (c, a)) if _orient(pts[x], pts[y], R) < 0]
+                if not out:
+                    ok = _orient(pts[a], pts[b], pts[c]) > 0 and not _below(pts[a], pts[b], pts[c], R)
+                    break
+                a, b = out[0]
+        if not ok:
             raise ConsistencyError(f"removed point {r} is not on or above the triangulation")
 
 

@@ -164,14 +164,13 @@ def _solve_1d_exact(p: DiracProblem) -> Tuple[Fraction, ...]:
 
 
 class _State:
-    """An iterate t / e, its power diagram, whose masses are certified to sum
+    """An iterate t / e, its power diagram, whose masses `power_diagram` certified to sum
     to vol(Delta), and grad = masses - weights = g / den, |grad|^2 = norm2 / den^2."""
 
     def __init__(self, p: DiracProblem, t: List[int], e: int):
         xs, d, ws, wd = p._integers
         self.t, self.e, self.diagram = t, e, pg.power_diagram(p.delta.body, pg.IntegerSites(xs, d, t, e))
         ms, md = self.diagram.integer_masses
-        p.delta.certify_mass(ms, md)
         self.den = den = math.lcm(md, wd)
         self.g = [m * (den // md) - w * (den // wd) for m, w in zip(ms, ws)]
         self.norm2 = sum(x * x for x in self.g)

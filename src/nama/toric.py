@@ -57,11 +57,6 @@ class NewtonPolytope:
         """g_Delta: the generator (0, 0), whose cell is all of Delta."""
         return ToricPsh._from_cells(self, [((tuple([_ZERO] * self.dim), _ZERO), self.body)])
 
-    def certify_mass(self, ms: List[int], md: int) -> None:
-        """The mass-sum certificate: masses ms / md of cells must cover the volume."""
-        if sum(ms) * self.volume.denominator != self.volume.numerator * md:
-            raise ConsistencyError(f"cells cover mass {Fraction(sum(ms), md)}, expected {self.volume}")
-
     @property
     def dim(self) -> int:
         return self.body.dim
@@ -308,12 +303,12 @@ class AtomicMeasure:
 def ma_measure(f: ToricPsh) -> AtomicMeasure:
     """Monge-Ampere measure: an atom at each generator site whose weight
     is the exact volume of its cell in Delta.  Total mass = vol(Delta),
-    certified on the cells' integer volumes over one denominator when it
-    is first computed; the potential keeps it.
-    A potential's sites are sorted and distinct, its cells full-dimensional."""
+    certified by `polyhedra.certified_volumes` on the cells' kept moment sums
+    when it is first computed, the check every power diagram passes; the
+    potential keeps it.  A potential's sites are sorted and distinct, its
+    cells full-dimensional."""
     if f._measure is None:
-        ms, md = pg.volumes_over([cell.moment_sums for cell in f.cells], f.delta.dim)
-        f.delta.certify_mass(ms, md)
+        ms, md = pg.certified_volumes([cell.moment_sums for cell in f.cells], f.delta.body)
         f._measure = measure = AtomicMeasure(tuple([(x, Fraction(m, md)) for (x, _), m in zip(f.generators, ms)]))
         measure.__dict__["total_mass"] = f.delta.volume  # the certified sum
     return f._measure

@@ -1241,9 +1241,9 @@ class TestLaguerreCellsFromTriangulation:
         assert len(calls) <= 1000
 
     def test_potentials_read_cells_only(self, monkeypatch):
-        """A ToricPsh reads its diagram's cells: no moment sum, so no cell
-        mass, and no wall end, so no wall weight, is computed while it is
-        built."""
+        """Building a ToricPsh sums each loop once, its diagram's cells and
+        Delta, for the mass-sum certificate; the cells keep those sums, and
+        no wall end, so no wall weight, is computed."""
         from nama import toric as tc
 
         delta, gens = k128_paraboloid()
@@ -1253,14 +1253,17 @@ class TestLaguerreCellsFromTriangulation:
         monkeypatch.setattr(pg, "_moment_sums", lambda *args: sums.append(args) or moment_sums(*args))
         f = tc.ToricPsh(delta, gens)
         assert len(diagrams) == 1 and list(f.cells) == [c for c in diagrams[0].cells if c is not None]
-        assert not {"masses", "integer_masses", "walls", "integer_walls", "_ends"} & set(vars(diagrams[0]))
-        assert sums == []
+        assert not {"walls", "integer_walls", "_ends"} & set(vars(diagrams[0]))
+        loops = [tuple(loop) for loop in diagrams[0]._loops if loop is not None]
+        assert sorted(tuple(loop) for loop, _ in sums) == sorted(loops + [delta.body.loop])
+        assert [vars(c)["moment_sums"] for c in f.cells] == [moment_sums(c.loop, 2) for c in f.cells]
 
     def test_an_energy_op_computes_each_quantity_once(self, tmp_path, monkeypatch):
         """A work counter free of timing noise: one `energy` op on the
         128-site instance builds one power diagram, for the potential (g_Delta
-        is Delta's own cell), matches no wall end, and sums each cell once:
-        the potential's, shared by its energy and its MA measure, and Delta,
+        is Delta's own cell), matches no wall end, and sums each loop once,
+        wherever the loop starts: the diagram's cut loops, whose sums its
+        cells keep for the potential's energy and MA measure, and Delta,
         shared by g_Delta's energy and the volume."""
         import json
 
@@ -1283,7 +1286,16 @@ class TestLaguerreCellsFromTriangulation:
         assert len(diagrams) == 1 and "_ends" not in vars(diagrams[0])
         cells = [c for c in diagrams[0].cells if c is not None]
         assert 40 < len(cells) < 128
-        assert sorted(loop for loop, _ in sums) == sorted([c.loop for c in cells] + [delta.body.loop])
+        assert sorted(map(rotated, (loop for loop, _ in sums))) == sorted(map(rotated, [c.loop for c in cells] + [delta.body.loop]))
+
+
+def rotated(loop):
+    """A loop started at its least point: the same for every start."""
+    i = loop.index(min(loop))
+    return tuple(loop[i:] + loop[:i])
+
+
+SMALL_GRID_BODY = pg.hull([(F(-3, 2), F(-1)), (F(2), F(-3, 2)), (F(1), F(2)), (F(-2), F(1))], 2)
 
 
 @settings(max_examples=80, deadline=None)
@@ -1296,45 +1308,125 @@ class TestLaguerreCellsFromTriangulation:
     )
 )
 def test_laguerre_cells_on_small_grids_property(points):
-    body = pg.hull([(F(-3, 2), F(-1)), (F(2), F(-3, 2)), (F(1), F(2)), (F(-2), F(1))], 2)
     sites = [(F(x), F(y)) for x, y, _ in points]
-    assert_cells_match_hull(body, sites, [F(h, 2) for _, _, h in points])
+    assert_cells_match_hull(SMALL_GRID_BODY, sites, [F(h, 2) for _, _, h in points])
 
 
+# Planted triangulation faults.  `power_diagram` certifies what it builds
+# on a triangulation by the cells' mass sum and by a walk to each removed
+# site, so each test hands it a broken `_regular_triangulation` result:
+# every fault must raise ConsistencyError or leave the cells exact.
+#
 # The square (0, 0), (0, 2), (2, 0), (2, 2) as points 0, 1, 2, 3 in
 # lexicographic order, cut along the diagonal 0-3 into the counterclockwise
 # triangles (0, 2, 3) and (0, 3, 1), each under its three directed edges.
 SQUARE_TRIANGLES = {(0, 2): 3, (2, 3): 0, (3, 0): 2, (0, 3): 1, (3, 1): 0, (1, 0): 3}
+SQUARE = [(0, 0), (0, 2), (2, 0), (2, 2)]
+UNIT_BOX = pg.hull([(F(-1), F(-1)), (F(1), F(-1)), (F(1), F(1)), (F(-1), F(1))], 2)
 
 
-def square(heights):
-    return [(x, y, h) for (x, y), h in zip([(0, 0), (0, 2), (2, 0), (2, 2)], heights)]
+def planted(monkeypatch, apex, removed):
+    monkeypatch.setattr(pg, "_regular_triangulation", lambda pts: (dict(apex), dict(removed)))
+
+
+def integer_diagram(body, sites, heights):
+    """The power diagram of integer sites (X, Y) with integer values."""
+    return pg.power_diagram(body, pg.IntegerSites(list(sites), 1, list(heights), 1))
+
+
+def assert_reference_cells(body, sites, heights, diagram):
+    points = [tuple(F(c) for c in x[: body.dim]) for x in sites]
+    assert diagram.cells == hull_laguerre_cells(body, points, [F(h) for h in heights])
 
 
 class TestTriangulationCertificates:
-    def test_a_valid_triangulation_passes(self):
-        pg._check_triangulation(square([0, 1, 1, 0]), SQUARE_TRIANGLES, {})
-        apex, removed = pg._regular_triangulation(square([0, 1, 1, 0]))
-        assert set(apex) == set(SQUARE_TRIANGLES) and removed == {}
+    def test_a_valid_triangulation_passes(self, monkeypatch):
+        assert pg._regular_triangulation([(x, y, h) for (x, y), h in zip(SQUARE, [0, 1, 1, 0])]) == (
+            SQUARE_TRIANGLES,
+            {},
+        )
+        planted(monkeypatch, SQUARE_TRIANGLES, {})
+        assert_reference_cells(UNIT_BOX, SQUARE, [0, 1, 1, 0], integer_diagram(UNIT_BOX, SQUARE, [0, 1, 1, 0]))
 
-    def test_edge_not_locally_convex(self):
-        # Lifting the diagonal's ends above the other corners folds it upward.
-        with pytest.raises(ConsistencyError, match="locally convex"):
-            pg._check_triangulation(square([1, 0, 0, 1]), SQUARE_TRIANGLES, {})
+    def test_edge_not_locally_convex(self, monkeypatch):
+        # Lifting the diagonal's ends above the other corners folds it
+        # upward: the cells of 1 and 2, never cut by each other, overlap.
+        planted(monkeypatch, SQUARE_TRIANGLES, {})
+        with pytest.raises(ConsistencyError, match="cells cover mass"):
+            integer_diagram(UNIT_BOX, SQUARE, [1, 0, 0, 1])
 
-    def test_removed_point_below_its_triangle(self):
+    def test_gap_in_the_cover(self, monkeypatch):
+        # Without the triangle (0, 3, 1), corner 1 is cut by nothing.
+        planted(monkeypatch, {(0, 2): 3, (2, 3): 0, (3, 0): 2}, {})
+        with pytest.raises(ConsistencyError, match="cells cover mass"):
+            integer_diagram(UNIT_BOX, SQUARE, [0, 1, 1, 0])
+
+    def test_removed_point_below_its_triangle(self, monkeypatch):
         # The centre (1, 1) is point 2 between the corners; the point that
-        # removed it is corner 4.
-        pts = [(0, 0, 0), (0, 2, 0), (1, 1, -1), (2, 0, 0), (2, 2, 0)]
-        apex = {(0, 3): 4, (3, 4): 0, (4, 0): 3, (0, 4): 1, (4, 1): 0, (1, 0): 4}
-        pg._check_triangulation(pts[:2] + [(1, 1, 1)] + pts[3:], apex, {2: 4})
+        # removed it is corner 4.  Below the corners' plane it is visible,
+        # and the corners' cells still tile the box: only the walk sees it.
+        sites = [(0, 0), (0, 2), (1, 1), (2, 0), (2, 2)]
+        planted(monkeypatch, {(0, 3): 4, (3, 4): 0, (4, 0): 3, (0, 4): 1, (4, 1): 0, (1, 0): 4}, {2: 4})
+        assert_reference_cells(UNIT_BOX, sites, [0, 0, 1, 0, 0], integer_diagram(UNIT_BOX, sites, [0, 0, 1, 0, 0]))
         with pytest.raises(ConsistencyError, match="removed point 2"):
-            pg._check_triangulation(pts, apex, {2: 4})
+            integer_diagram(UNIT_BOX, sites, [0, 0, -1, 0, 0])
 
-    def test_gap_in_the_cover(self):
-        one = {(0, 2): 3, (2, 3): 0, (3, 0): 2}
-        with pytest.raises(ConsistencyError, match="cover"):
-            pg._check_triangulation(square([0, 1, 1, 0]), one, {})
+    @pytest.mark.parametrize("kind", ["degenerate", "clockwise"])
+    def test_walk_must_end_on_a_counterclockwise_triangle(self, kind, monkeypatch):
+        """A walk to a removed point must stop at a counterclockwise triangle.
+        Degenerate: point 2 = (1, 0), visible, lies on the line of the flat
+        triangle (4, 0, 3) where the walk from 4 starts, and no lifted plane
+        is below it there; the cells of 0, 1 and 4 tile the box without it.
+        Clockwise: the square's triangles listed backwards, with the centre
+        2 above them: the cells are right, but no walk ever stops."""
+        if kind == "degenerate":
+            sites, heights = [(0, 0), (0, 2), (1, 0), (2, 0), (3, 0)], [0, 0, -5, 0, 0]
+            apex = {(0, 4): 1, (4, 1): 0, (1, 0): 4, (0, 3): 4, (3, 4): 0, (4, 0): 3}
+        else:
+            sites, heights = [(0, 0), (0, 2), (1, 1), (2, 0), (2, 2)], [0, 0, 1, 0, 0]
+            apex = {(0, 1): 4, (1, 4): 0, (4, 0): 1, (0, 4): 3, (4, 3): 0, (3, 0): 4}
+        planted(monkeypatch, apex, {2: 4})
+        with pytest.raises(ConsistencyError, match="removed point 2"):
+            integer_diagram(UNIT_BOX, sites, heights)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_a_chain_that_drops_a_visible_site(self, dim, monkeypatch):
+        """Collinear sites (0, 0), (1, d - 1), (2, 2 d - 2): a lower chain
+        that removes the middle one is certified only above it."""
+        body = UNIT_BOX if dim == 2 else pg.hull([(F(-1),), (F(1),)], 1)
+        sites = [(k, (dim - 1) * k) for k in range(3)]
+        planted(monkeypatch, {(0, 2): None}, {1: 2})
+        assert_reference_cells(body, sites, [0, 1, 0], integer_diagram(body, sites, [0, 1, 0]))
+        with pytest.raises(ConsistencyError, match="removed point 1"):
+            integer_diagram(body, sites, [0, -1, 0])
+
+    def test_random_faults_on_small_grids(self, monkeypatch):
+        """The small-grid generator with one planted fault per case: an edge
+        pair dropped, or a kept vertex marked removed by another."""
+        rng = random.Random(167)
+        triangulate, outcomes = pg._regular_triangulation, {"raised": 0, "exact": 0}
+        for _ in range(300):
+            grid = rng.sample([(x, y) for x in range(-2, 3) for y in range(-2, 3)], rng.randint(2, 14))
+            sites, heights = sorted(grid), [rng.randint(-3, 3) for _ in grid]
+            apex, removed = triangulate([(2 * x, 2 * y, h) for (x, y), h in zip(sites, heights)])
+            edges = sorted({tuple(sorted(e)) for e in apex})
+            kept = sorted({v for e in apex for v in e})
+            if rng.random() < 0.5 and len(edges) > 1:
+                i, j = rng.choice(edges)
+                apex.pop((i, j), None), apex.pop((j, i), None)
+            else:
+                v, p = rng.sample(kept, 2)
+                removed[v] = p
+            planted(monkeypatch, apex, removed)
+            try:
+                diagram = integer_diagram(SMALL_GRID_BODY, [(2 * x, 2 * y) for x, y in sites], heights)
+            except ConsistencyError:
+                outcomes["raised"] += 1
+                continue
+            points = [(F(x), F(y)) for x, y in sites]
+            assert diagram.cells == hull_laguerre_cells(SMALL_GRID_BODY, points, [F(h, 2) for h in heights])
+            outcomes["exact"] += 1
+        assert outcomes["raised"] > 200 and outcomes["exact"] > 0, outcomes
 
 
 # One integer form for sites with values: the same rationals reach the same

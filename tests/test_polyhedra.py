@@ -1413,7 +1413,8 @@ class TestTriangulationCertificates:
             kept = sorted({v for e in apex for v in e})
             if rng.random() < 0.5 and len(edges) > 1:
                 i, j = rng.choice(edges)
-                apex.pop((i, j), None), apex.pop((j, i), None)
+                for edge in ((i, j), (j, i)):
+                    apex.pop(edge, None)
             else:
                 v, p = rng.sample(kept, 2)
                 removed[v] = p

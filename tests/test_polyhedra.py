@@ -352,6 +352,37 @@ class TestLowerHull:
         assert len(lh.cells) == 4
 
 
+PARABOLOID_5X5 = [((F(x), F(y)), F(x * x + y * y)) for x in range(-2, 3) for y in range(-2, 3)]
+
+
+class TestLowerHullCertificates:
+    """Planted faults that a certificate of the lower hull must catch."""
+
+    def test_a_seed_ridge_that_skips_a_lower_point(self, monkeypatch):
+        # The bottom edge holds five points; every plane through its two
+        # ends has the three between them below it.
+        monkeypatch.setattr(pg, "_lower_chain", lambda ts, hs: [0, len(ts) - 1])
+        with pytest.raises(ConsistencyError, match="non-supporting plane"):
+            pg.lower_hull(PARABOLOID_5X5)
+
+    def test_a_cell_that_loses_a_corner(self, monkeypatch):
+        # The first loop is the base; the second cell, a unit square, keeps
+        # three corners, so the cells cover 31/2 of the base's 16.
+        convex_loop, loops = pg._convex_loop, []
+
+        def dropping(idx, pts):
+            loop = convex_loop(idx, pts)
+            if len(loop) >= 3:
+                loops.append(loop)
+                if len(loops) == 3:
+                    return loop[:-1]
+            return loop
+
+        monkeypatch.setattr(pg, "_convex_loop", dropping)
+        with pytest.raises(ConsistencyError, match="cover"):
+            pg.lower_hull(PARABOLOID_5X5)
+
+
 # --------------------------------------------------------------------------
 # The integer lower hull against the Fraction gift-wrap it replaced.
 # --------------------------------------------------------------------------

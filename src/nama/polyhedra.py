@@ -19,7 +19,8 @@ loops share, matched when read; masses and wall weights come over one
 denominator each.  Every diagram is certified: its masses sum to the
 body's volume (`certified_volumes`, which `toric.ma_measure` also calls),
 and a walk shows each removed site on or above the triangulation.  Lower
-hulls gift-wrap over integer triples.
+hulls gift-wrap over integer triples, pass the same mass sum and hand out
+their generators as `IntegerSites`; `lower_hull` only converts Fractions.
 `power_diagram` and `_lower_hull` own one rule: a repeated site counts at
 its lowest value.  Empty and lower-dimensional polytopes are ordinary values
 (volume 0), as cells degenerate while a solver walks through potential
@@ -508,29 +509,19 @@ def support_value(p: Polytope, y: Point) -> Fraction:
 
 
 @dataclass(frozen=True)
-class LowerCell:
-    """One linearity cell of a lower-hull function: <gradient, m> + offset."""
-
-    cell: Polytope
-    gradient: Point
-    offset: Fraction
-
-
-@dataclass(frozen=True)
 class LowerHull:
-    """The function whose graph is the lower convex hull of lifted points.
-
-    Being convex and piecewise affine on the hull of the base points, the
-    function equals the max of its cell affines everywhere on its domain.
-    `base` is that domain, the hull of the base points.
+    """The function u(m) = max_a(<x_a, m> - t_a) whose graph is the lower
+    convex hull of lifted points, on `base`, the hull of the base points.
+    `generators` holds one (x_a, t_a) per cell as `IntegerSites`, sorted by
+    site: x_a is the hull's gradient on the cell and t_a minus its offset.
+    `cells[a]`, where the affine function of a is the max, keeps the
+    moment sums that its certificate read.
     """
 
     dim: int
     base: Polytope
-    cells: Tuple[LowerCell, ...]
-
-    def value(self, m: Point) -> Fraction:
-        return max(dot(c.gradient, m) + c.offset for c in self.cells)
+    cells: Tuple[Polytope, ...]
+    generators: IntegerSites
 
 
 def _lower_chain(ts, hs) -> List[int]:
@@ -545,10 +536,6 @@ def _lower_chain(ts, hs) -> List[int]:
             out.pop()
         out.append(i)
     return out
-
-
-def _twice_area(loop: List[int], pts) -> int:
-    return sum(_orient(pts[loop[0]], pts[i], pts[j]) for i, j in zip(loop[1:], loop[2:]))
 
 
 def _orient(p, q, r) -> int:
@@ -661,27 +648,23 @@ def _check_removed(pts, apex, removed) -> None:
             raise ConsistencyError(f"removed point {r} is not on or above the triangulation")
 
 
-def _lower_hull_1d(pts, point, d: int, e: int) -> Tuple[Polytope, List[LowerCell]]:
+def _lower_hull_1d(pts, d: int, e: int):
     if len(pts) < 2:
         raise DegenerateSpan("need two distinct base points")
     xs, hs = [p[0] for p in pts], [p[2] for p in pts]
     chain = _lower_chain(xs, hs)
-    cells = []
-    for i, j in zip(chain, chain[1:]):
-        run = e * (xs[j] - xs[i])
-        gradient = (Fraction(d * (hs[j] - hs[i]), run),)
-        offset = Fraction(hs[i] * xs[j] - hs[j] * xs[i], run)
-        cells.append(LowerCell(Polytope(1, (point(i), point(j)), 1), gradient, offset))
-    return Polytope(1, (point(0), point(len(pts) - 1)), 1), cells
+    return [0, len(pts) - 1], [(d * (hs[j] - hs[i]), 0, hs[j] * xs[i] - hs[i] * xs[j], e * (xs[j] - xs[i]), (i, j))
+                               for i, j in zip(chain, chain[1:])]
 
 
-def _lower_hull_2d(pts, point, d: int, e: int) -> Tuple[Polytope, List[LowerCell]]:
+def _lower_hull_2d(pts, d: int, e: int):
     """Gift-wrapping over indices of the integer lifted points `pts`.
 
     The facet plane through a ridge (a, b) and a point q has the integer
     normal N = (P_b - P_a) x (P_q - P_a), oriented upward, so point i lies
     below it iff N.P_i < N.P_a: every test is the sign of one integer 3x3
-    determinant.
+    determinant.  On the plane N.P = k, h = (k - N_0 X - N_1 Y) / (N_2 e) at
+    m = (X, Y) / d: the generator is (-N_0 d, -N_1 d) / c and -k / c, c = N_2 e.
     """
     idx = list(range(len(pts)))
     base = _convex_loop(idx, pts)
@@ -701,8 +684,7 @@ def _lower_hull_2d(pts, point, d: int, e: int) -> Tuple[Polytope, List[LowerCell
     stack = [ridge + ((1, -1),)]
     done = {ridge}
     seen = set()
-    cells = []
-    covered = 0
+    faces = []
     while stack:
         a, b, sides = stack.pop()
         ax, ay, ah = pts[a]
@@ -733,46 +715,47 @@ def _lower_hull_2d(pts, point, d: int, e: int) -> Tuple[Polytope, List[LowerCell
             if min(vals) < k:
                 raise ConsistencyError("gift-wrap produced a non-supporting plane")
             loop = _convex_loop([i for i, v in enumerate(vals) if v == k], pts)
-            covered += _twice_area(loop, pts)
-            den = nz * e
-            gradient = (Fraction(-nx * d, den), Fraction(-ny * d, den))
-            cell = Polytope(2, tuple(point(i) for i in loop), 2)
-            cells.append(LowerCell(cell, gradient, Fraction(k, den)))
+            faces.append((-nx * d, -ny * d, -k, nz * e, loop))
             for i, j in zip(loop, loop[1:] + loop[:1]):
                 r = (i, j) if i < j else (j, i)
                 if r not in done:
                     done.add(r)
                     # The cell lies left of i -> j; only the other side is new.
                     stack.append(r + ((-1,) if i < j else (1,),))
-    area = _twice_area(base, pts)  # cells and base share the denominator 2 d^2
-    if covered != area:
-        covered, area = Fraction(covered, 2 * d * d), Fraction(area, 2 * d * d)
-        raise ConsistencyError(f"lower-hull cells cover {covered}, base hull has volume {area}")
-    return Polytope(2, tuple(point(i) for i in base), 2), cells
+    return base, faces
 
 
 def _lower_hull(dim: int, lifted, d: int, e: int) -> LowerHull:
     """The integer core of `lower_hull` on the triples (X, Y, H) of the
-    lifted points ((X/d, Y/d), H/e), Y = 0 in dimension 1."""
+    lifted points ((X/d, Y/d), H/e), Y = 0 in dimension 1.  Its faces come
+    as generators (X, Y) / c and T / c, c > 0, with loops of point indices;
+    the cell volumes must sum to the base's, and the sites and the values
+    are each put over the lcm of their reduced denominators."""
     lowest = {}
     for x, y, h in lifted:  # of duplicate base points only the lowest lift counts
         if lowest.get((x, y), h) >= h:
             lowest[x, y] = h
     pts = sorted((x, y, h) for (x, y), h in lowest.items())
-    point = lambda i: _point(pts[i][0], pts[i][1], d)
-    base, cells = (_lower_hull_1d if dim == 1 else _lower_hull_2d)(pts, point, d, e)
-    return LowerHull(dim, base, tuple(cells))
+    base, faces = (_lower_hull_1d if dim == 1 else _lower_hull_2d)(pts, d, e)
+    polytope = lambda loop: Polytope(dim, tuple([_point(pts[i][0], pts[i][1], d) for i in loop]), dim)
+    base, cells = polytope(base), [polytope(loop) for *_, loop in faces]
+    certified_volumes([cell.moment_sums for cell in cells], base)
+    dx, dt = lcm(*(c // gcd(x, y, c) for x, y, _, c, _ in faces)), lcm(*(c // gcd(t, c) for _, _, t, c, _ in faces))
+    gens = [((x * dx // c, y * dx // c), t * dt // c, cell) for (x, y, t, c, _), cell in zip(faces, cells)]
+    gens.sort(key=lambda g: g[0])
+    sites = IntegerSites([x for x, _, _ in gens], dx, [t for _, t, _ in gens], dt)
+    return LowerHull(dim, base, tuple([cell for _, _, cell in gens]), sites)
 
 
 def lower_hull(lifted) -> LowerHull:
-    """Lower convex hull of lifted points as a cell complex.
+    """Lower convex hull of lifted points as a cell complex: the Fraction
+    front end of `_lower_hull`, which only converts its input.
 
-    `lifted` is a list of (base point, height).  Cells carry the affine
-    function of the hull on them; a lifted point (p, h) lies strictly
-    above the hull iff h > value(p).  Raises DegenerateSpan when the base
-    points do not affinely span, and ConsistencyError when a certificate
-    fails: a point below a cell's plane, or cell areas that do not sum
-    to the area of the base hull.
+    `lifted` is a list of (base point, height).  A lifted point (p, h) lies
+    strictly above the hull iff h > u(p), the max over its generators.
+    Raises DegenerateSpan when the base points do not affinely span, and
+    ConsistencyError when a certificate fails: a point below a cell's
+    plane, or cell volumes that do not sum to the volume of the base hull.
     """
     lifted = list(lifted)
     if not lifted:

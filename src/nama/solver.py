@@ -143,9 +143,10 @@ def _solution(p: DiracProblem, s: "_State", trace) -> Solution:
     centroid of Delta: the reference's u = <xbar, m> integrates to vol(Delta) <xbar, c>."""
     xs, d, _, _ = p._integers
     t, cells, (ms, md) = tuple([Fraction(x, s.e) for x in s.t]), s.diagram.cells, s.diagram.integer_masses
-    kept = [a for a, cell in enumerate(cells) if cell is not None]
-    phi = ToricPsh._from_cells(p.delta, sorted([((p.sites[a], t[a]), cells[a]) for a in kept], key=lambda g: g[0][0]))
-    masses = AtomicMeasure(tuple(sorted([(p.sites[a], Fraction(ms[a], md)) for a in kept])))
+    kept = sorted([a for a, cell in enumerate(cells) if cell is not None], key=xs.__getitem__)
+    sites = pg.IntegerSites([xs[a] for a in kept], d, [s.t[a] for a in kept], s.e)
+    phi = ToricPsh._from_cells(p.delta, sites, [cells[a] for a in kept])
+    masses = AtomicMeasure(tuple([(p.sites[a], Fraction(ms[a], md)) for a in kept]))
     moments = pg.integral_over([cells[a].moment_sums for a in kept], p.delta.dim, [(*xs[a], 0) for a in kept], d)
     objective = p.delta.volume * dot(p.barycenter(), pg.centroid(p.delta.body)) - Fraction(*moments)
     objective += Fraction(sum(ti * g for ti, g in zip(s.t, s.g)), s.e * s.den)
@@ -293,8 +294,7 @@ def normalize(s: Solution) -> Solution:
     over the hull of sites and atoms) is exactly 0.  The cells, masses and
     objective do not change; the energy moves with sum w_i t_i because the
     weights sum to vol(Delta).  phi(x_a) = t_a at a retained site."""
-    t = dict(s.potential.generators)
-    shift = max(t[x] if x in t else s.potential.value(x) for x in s.problem.sites)
+    shift = max(s.potential.value(x) for x in s.problem.sites)
     if shift == 0:
         return s
     return replace(s, t=tuple(ti - shift for ti in s.t), potential=s.potential.shift(-shift))

@@ -7,9 +7,9 @@ polytope is u(m) = max_a(<x_a, m> - t_a) and the potential itself is
 f(y) = sup_{m in Delta}(<m, y> - u(m)).  Monge-Ampere masses are then
 exact cell volumes of the induced subdivision of Delta, and envelopes are
 closure operations on generator lists.  All arithmetic is rational;
-integers carry it where it is hot.  Each potential keeps one integer table
-of its affine pieces, on which `value` is one integer max, and sums,
-maxima and lattice envelopes hand integer lifted points to the lower hull.
+integers carry it where it is hot.  A potential keeps its generators and
+the table of its pieces on integers, so `value` is one integer max; sums,
+maxima and lattice envelopes take theirs from the integer lower hull.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class NewtonPolytope:
     @cached_property
     def reference(self) -> "ToricPsh":
         """g_Delta: the generator (0, 0), whose cell is all of Delta."""
-        return ToricPsh._from_cells(self, [((tuple([_ZERO] * self.dim), _ZERO), self.body)])
+        return ToricPsh._from_cells(self, pg.IntegerSites([(0, 0)], 1, [0], 1), [self.body])
 
     @property
     def dim(self) -> int:
@@ -105,12 +105,12 @@ class ToricPsh:
     without a full-dimensional cell in Delta are pruned (they carry no mass
     and do not change the function), as are the copies of a repeated site
     that `power_diagram` passes over for its lowest value.  After that,
-    f(x_a) = t_a holds for every generator.  Only kept generators are made
-    Fractions, and their integers are kept (`_from_cells` reads them off
-    the Fractions on first need), as are the table and MA measure once read.
+    f(x_a) = t_a holds for every generator.  The generators are kept once,
+    as `integer_generators`; their Fraction view `generators`, the table
+    and the MA measure are made on first read.
     """
 
-    __slots__ = ("delta", "generators", "cells", "_integers", "_table", "_measure")
+    __slots__ = ("delta", "integer_generators", "cells", "_generators", "_table", "_measure")
 
     def __init__(self, delta: NewtonPolytope, generators):
         n = delta.dim
@@ -120,25 +120,26 @@ class ToricPsh:
         gens = sorted(zip(xs, ts))
         cells = pg.power_diagram(delta.body, pg.IntegerSites([x for x, _ in gens], d, [t for _, t in gens], e)).cells
         kept = [(x, t, cell) for (x, t), cell in zip(gens, cells) if cell is not None]
-        self.delta, self._table, self._measure = delta, None, None
-        self._integers = pg.IntegerSites([x for x, _, _ in kept], d, [t for _, t, _ in kept], e)
-        self.generators = tuple([(tuple([Fraction(c, d) for c in x[:n]]), Fraction(t, e)) for x, t, _ in kept])
+        self.delta, self._generators, self._table, self._measure = delta, None, None, None
+        self.integer_generators = pg.IntegerSites([x for x, _, _ in kept], d, [t for _, t, _ in kept], e)
         self.cells = tuple([cell for _, _, cell in kept])
 
     @classmethod
-    def _from_cells(cls, delta: NewtonPolytope, pairs) -> "ToricPsh":
-        """A potential from (generator, cell) pairs, sorted by site, whose
-        cells are known to be its Laguerre cells; nothing is clipped."""
+    def _from_cells(cls, delta: NewtonPolytope, sites: pg.IntegerSites, cells) -> "ToricPsh":
+        """A potential from its generators, sorted by site, and the cells
+        known to be their Laguerre cells; nothing is clipped."""
         out = object.__new__(cls)
-        out.delta, out._integers, out._table, out._measure = delta, None, None, None
-        out.generators, out.cells = zip(*pairs)
+        out.delta, out.integer_generators, out.cells = delta, sites, tuple(cells)
+        out._generators, out._table, out._measure = None, None, None
         return out
 
     @property
-    def integer_generators(self) -> pg.IntegerSites:
-        if self._integers is None:
-            self._integers = pg.integer_sites(self.generators)
-        return self._integers
+    def generators(self) -> Tuple[Tuple[Point, Fraction], ...]:
+        """The Fraction view of `integer_generators`: (site, value) pairs."""
+        if self._generators is None:
+            (xs, d, ts, e), n = self.integer_generators, self.delta.dim
+            self._generators = tuple([(tuple([Fraction(c, d) for c in x[:n]]), Fraction(t, e)) for x, t in zip(xs, ts)])
+        return self._generators
 
     @property
     def sites(self) -> Tuple[Point, ...]:
@@ -181,11 +182,12 @@ class ToricPsh:
         return Fraction(max(a * y0 + b * y1 - c * dy for a, b, c in rows), den * dy)
 
     def shift(self, c) -> "ToricPsh":
-        """f + c, through the values t_a + c.  A constant added to every
-        value moves no wall, so the cells are kept, not rebuilt."""
-        c = Fraction(c)
-        gens = [(x, t + c) for x, t in self.generators]
-        return ToricPsh._from_cells(self.delta, zip(gens, self.cells))
+        """f + c, c = p / q: the values t_a + c over lcm(e, q).  A constant
+        added to every value moves no wall, so the cells are kept, not rebuilt."""
+        (xs, d, ts, e), ((p,), q) = self.integer_generators, integers([c])
+        den = lcm(e, q)
+        ts = [t * (den // e) + p * (den // q) for t in ts]
+        return ToricPsh._from_cells(self.delta, pg.IntegerSites(xs, d, ts, den), self.cells)
 
     def subdifferential(self, y: Point) -> Polytope:
         """The polytope of maximizing slopes at y (a cell of the dual
@@ -339,24 +341,8 @@ def max_combine(f: ToricPsh, g: ToricPsh) -> ToricPsh:
 def _from_hull(delta: NewtonPolytope, hull: pg.LowerHull) -> ToricPsh:
     """The potential whose dual function is a lower hull over Delta: each
     hull cell, where its affine function is the max, is the Laguerre cell
-    of the generator (gradient, -offset)."""
-    pairs = [((c.gradient, -c.offset), c.cell) for c in hull.cells]
-    return ToricPsh._from_cells(delta, sorted(pairs, key=lambda pair: pair[0]))
-
-
-def _sum_hull(f: ToricPsh, g: ToricPsh) -> pg.LowerHull:
-    """The dual of f + g: the lower hull of the pairwise sums of both
-    functions' lifted pieces, i.e. the infimal convolution of u_f and u_g.
-
-    Its cells form the mixed subdivision of Delta_f + Delta_g; the cell
-    with gradient y is df(y) + dg(y), so the gradients are the vertices of
-    the common refinement of the two complexes.
-    """
-    if f.delta.dim != g.delta.dim:
-        raise DimensionMismatch("sum of potentials in different dimensions")
-    den, rf, rg = _common_tables(f, g)
-    lifted = [(a0 + b0, a1 + b1, a2 + b2) for a0, a1, a2 in rf for b0, b1, b2 in rg]
-    return pg._lower_hull(f.delta.dim, lifted, den, den)
+    of its generator."""
+    return ToricPsh._from_cells(delta, hull.generators, hull.cells)
 
 
 def scale_potential(f: ToricPsh, s) -> ToricPsh:
@@ -366,19 +352,23 @@ def scale_potential(f: ToricPsh, s) -> ToricPsh:
     if s <= 0:
         raise ValueError("scaling coefficient must be positive")
     delta = NewtonPolytope(f.delta.body.scaled(s))
-    gens = [(x, s * t) for x, t in f.generators]
-    return ToricPsh._from_cells(delta, zip(gens, [cell.scaled(s) for cell in f.cells]))
+    xs, d, ts, e = f.integer_generators
+    gens = pg.IntegerSites(xs, d, [t * s.numerator for t in ts], e * s.denominator)
+    return ToricPsh._from_cells(delta, gens, [cell.scaled(s) for cell in f.cells])
 
 
 def _pair_sum(f: ToricPsh, g: ToricPsh) -> ToricPsh:
-    """Pointwise sum, read off the lower hull of the summed pieces.
-
-    Each cell of the hull gives one generator of f + g, and its cell: its
-    gradient y as the site and minus its offset, (f + g)(y), as the value.
-    The hull's base is Delta_f + Delta_g, and its cover certificate checks
-    that the cells fill it.
+    """Pointwise sum, read off the lower hull of the pairwise sums of both
+    functions' lifted pieces (the infimal convolution of u_f and u_g): each
+    hull cell gives a generator of f + g, the gradient y as the site and
+    minus the offset, (f + g)(y), as the value.  Its cell is df(y) + dg(y),
+    a cell of the mixed subdivision of the base, Delta_f + Delta_g.
     """
-    hull = _sum_hull(f, g)
+    if f.delta.dim != g.delta.dim:
+        raise DimensionMismatch("sum of potentials in different dimensions")
+    den, rf, rg = _common_tables(f, g)
+    lifted = [(a0 + b0, a1 + b1, a2 + b2) for a0, a1, a2 in rf for b0, b1, b2 in rg]
+    hull = pg._lower_hull(f.delta.dim, lifted, den, den)
     return _from_hull(NewtonPolytope(hull.base), hull)
 
 
@@ -407,10 +397,10 @@ def convex_path(f: ToricPsh, g: ToricPsh, t) -> ToricPsh:
 def mixed_ma(fs: Sequence[ToricPsh]) -> AtomicMeasure:
     """Polarized Monge-Ampere measure of n potentials.
 
-    In 2-D the atom at y carries (vol(df(y) + dg(y)) - MA(f)(y) -
-    MA(g)(y)) / 2, read off the cells of the lower hull of the summed
-    pieces; every atom of MA(f) or MA(g) is one of their gradients.
-    Symmetric, multilinear, and of total mass vol(Delta).
+    In 2-D it is (MA(f + g) - MA(f) - MA(g)) / 2: the atom at y carries
+    (vol(df(y) + dg(y)) - MA(f)(y) - MA(g)(y)) / 2, with f + g read off the
+    lower hull of the summed pieces; every atom of MA(f) or MA(g) is at one
+    of its sites.  Symmetric, multilinear, and of total mass vol(Delta).
     """
     fs = list(fs)
     if not fs:
@@ -428,10 +418,7 @@ def mixed_ma(fs: Sequence[ToricPsh]) -> AtomicMeasure:
     if f == g:
         return ma_measure(f)
     mf, mg = ma_measure(f)._weights, ma_measure(g)._weights
-    acc: Dict[Point, Fraction] = {}
-    for c in _sum_hull(f, g).cells:
-        y = c.gradient
-        acc[y] = (pg.volume(c.cell) - mf.get(y, _ZERO) - mg.get(y, _ZERO)) / 2
+    acc = {y: (w - mf.get(y, _ZERO) - mg.get(y, _ZERO)) / 2 for y, w in ma_measure(_pair_sum(f, g)).atoms}
     for p, w in acc.items():
         if w < 0:
             raise ConsistencyError(f"negative mixed mass {w} at {p}")

@@ -163,11 +163,12 @@ def test_parsing_a_curve_file_makes_no_fraction_per_literal(monkeypatch):
     assert inst.data["graph"].edges[0] == (0, 1, F(1, 3))
 
 
-def test_parsing_and_building_an_envelope_makes_a_fraction_per_kept_number(monkeypatch):
+def test_an_envelope_makes_its_fractions_only_when_its_generators_are_read(monkeypatch):
     """Vertices and constraints reach the hull and the power diagram as
-    integers: parsing a toric-envelope file of 40 constraints and building
-    its envelope makes one Fraction per coordinate and value of each kept
-    generator, and none for a pruned one or a vertex."""
+    integers, and a potential keeps its generators as integers: parsing a
+    toric-envelope file of 40 constraints and building its envelope makes
+    no Fraction, and reading the generators makes one per coordinate and
+    value of each kept generator, none for a pruned one or a vertex."""
     import fractions
 
     rng = random.Random(27)
@@ -187,9 +188,11 @@ def test_parsing_and_building_an_envelope_makes_a_fraction_per_kept_number(monke
     monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counted))
     inst = io.parse_instance(text)
     f = tc.envelope(inst.data["delta"], inst.data["constraints"])
+    assert created == []
+    gens = f.generators
     monkeypatch.undo()
-    assert 10 < len(f.generators) < len(cons)
-    assert len(created) == 3 * len(f.generators)
+    assert 10 < len(gens) < len(cons)
+    assert len(created) == 3 * len(gens)
     assert f == tc.envelope(inst.data["delta"], cons)
 
 

@@ -274,9 +274,21 @@ def lp_hull_value(lifted, m):
     return best
 
 
+def hull_value(lh, m):
+    """The lower hull's function at m: max_a <x_a, m> - t_a over its generators."""
+    (xs, d, ts, e), (m0, m1) = lh.generators, pg._planar(m)
+    return max(F(x * m0 + y * m1, d) - F(t, e) for (x, y), t in zip(xs, ts))
+
+
+def hull_cells(lh):
+    """(vertices, gradient, offset) of each cell of a lower hull, as Fractions."""
+    xs, d, ts, e = lh.generators
+    return [(c.vertices, tuple(F(v, d) for v in x[: lh.dim]), -F(t, e)) for c, x, t in zip(lh.cells, xs, ts)]
+
+
 def dropped(lh, lifted):
     """The lifted points strictly above the lower hull, in input order."""
-    return tuple((p, h) for p, h in lifted if h > lh.value(p))
+    return tuple((p, h) for p, h in lifted if h > hull_value(lh, p))
 
 
 class TestLowerHull:
@@ -286,7 +298,7 @@ class TestLowerHull:
         lh = pg.lower_hull(lifted)
         assert dropped(lh, lifted) == ()
         for p, h in lifted:
-            assert lh.value(p) == h
+            assert hull_value(lh, p) == h
 
     def test_collinear_middle_point_dropped(self):
         lifted = [((F(0),), F(0)), ((F(1),), F(5)), ((F(2),), F(0))]
@@ -337,7 +349,7 @@ class TestLowerHull:
                     sum(w * p[1] for w, (p, _) in zip(ws, lifted)) / tot,
                 )
                 assert base.contains(m)
-                assert lh.value(m) == lp_hull_value(lifted, m)
+                assert hull_value(lh, m) == lp_hull_value(lifted, m)
 
     def test_cells_partition_base(self):
         lifted = [
@@ -348,7 +360,7 @@ class TestLowerHull:
             ((F(1), F(1)), F(-1)),
         ]
         lh = pg.lower_hull(lifted)
-        assert sum(pg.volume(c.cell) for c in lh.cells) == 4
+        assert sum(pg.volume(c) for c in lh.cells) == 4
         assert len(lh.cells) == 4
 
 
@@ -381,6 +393,13 @@ class TestLowerHullCertificates:
         monkeypatch.setattr(pg, "_convex_loop", dropping)
         with pytest.raises(ConsistencyError, match="cover"):
             pg.lower_hull(PARABOLOID_5X5)
+
+    def test_a_chain_that_loses_a_segment(self, monkeypatch):
+        # Without its last point the chain over [-2, 2] stops at 1.
+        lower_chain = pg._lower_chain
+        monkeypatch.setattr(pg, "_lower_chain", lambda ts, hs: lower_chain(ts, hs)[:-1])
+        with pytest.raises(ConsistencyError, match="cover"):
+            pg.lower_hull([((F(x),), F(x * x)) for x in range(-2, 3)])
 
 
 # --------------------------------------------------------------------------
@@ -474,7 +493,7 @@ def assert_lower_hull_matches_reference(lifted):
             pg.lower_hull(lifted)
         return None
     lh = pg.lower_hull(lifted)
-    cells = [(c.cell.vertices, c.gradient, c.offset) for c in lh.cells]
+    cells = hull_cells(lh)
     assert len(cells) == len(want[0]) and set(cells) == set(want[0])
     assert dropped(lh, lifted) == want[1]
     assert lh.base == pg.hull([p for p, _ in lifted])
@@ -586,7 +605,9 @@ class TestIntegerCoreAgainstPublicLowerHull:
                 pg._lower_hull(dim, triples, d, e)
             return
         got = pg._lower_hull(dim, triples, d, e)
-        assert (got.dim, got.base, got.cells) == (want.dim, want.base, want.cells)
+        assert got == want  # the generators too, over the lcm of their reduced denominators
+        assert got.generators == pg.integer_sites((x, -o) for _, x, o in hull_cells(got))
+        assert all(c.__dict__["moment_sums"] == pg._moment_sums(c.loop, dim) for c in got.cells)
         assert dropped(got, lifted) == dropped(want, lifted)
         assert got.base == pg.hull([p for p, _ in lifted], dim)
 

@@ -386,9 +386,9 @@ def ref_difference_range(f, g):
 
 
 def hull_difference_range(f, g):
-    """f - g at every vertex of the common refinement: the cell gradients
-    of the summed-pieces lower hull."""
-    vals = [f.value(c.gradient) - g.value(c.gradient) for c in tc._sum_hull(f, g).cells]
+    """f - g at every vertex of the common refinement: the sites of f + g,
+    the cell gradients of the summed-pieces lower hull."""
+    vals = [f.value(y) - g.value(y) for y in tc._pair_sum(f, g).sites]
     return min(vals), max(vals)
 
 
@@ -506,12 +506,48 @@ class TestCarriedCellsAgainstReclipping:
             self.assert_carried(lat)
 
 
+def test_hull_potentials_make_no_fraction_until_their_generators_are_read(monkeypatch):
+    """`max_combine` and `lattice_envelope` hand the lower hull's integer
+    generators to the potential: building one makes no Fraction and
+    converts nothing through `integer_sites`, and reading `generators`
+    then makes three Fractions per generator."""
+    import fractions
+
+    f = tc.envelope(SQ, [((F(0), F(0)), F(0)), ((F(1), F(1)), F(1, 2)), ((F(1, 3), F(2)), F(1, 5))])
+    g = tc.envelope(SQ, [((F(1, 2), F(-1)), F(1, 7)), ((F(2), F(1, 2)), F(3, 4))])
+    cons = pg.integer_sites([((F(1, 4), F(1, 3)), F(0)), ((F(1), F(-1)), F(1, 2)), ((F(-1), F(2)), F(2, 3))])
+    created, converted, new, integer_sites = [], [], fractions.Fraction.__new__, pg.integer_sites
+
+    def counted(cls, *args, **kwargs):
+        created.append(args)
+        return new(cls, *args, **kwargs)
+
+    def converting(pairs, n=None):
+        if not isinstance(pairs, pg.IntegerSites):
+            converted.append(pairs)
+        return integer_sites(pairs, n)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counted))
+    monkeypatch.setattr(pg, "integer_sites", converting)
+    built = [tc.max_combine(f, g), tc.lattice_envelope(SQ, cons, 4)]
+    assert (created, converted) == ([], [])
+    gens = []
+    for h in built:
+        del created[:]
+        gens.append(h.generators)
+        assert len(created) == 3 * len(gens[-1])
+    monkeypatch.undo()
+    assert converted == [] and all(len(g) > 1 for g in gens)
+    for h, hg in zip(built, gens):
+        assert list(hg) == sorted(hg) and all(h.value(x) == t for x, t in hg)
+
+
 def test_ma_measure_rejects_a_forged_cell():
     """A potential whose cell is not its Laguerre cell loses mass: the
     integer mass-sum certificate of `ma_measure` raises."""
     f = tc.envelope(SQ, [((F(0), F(0)), F(0)), ((F(1), F(1)), F(1, 2))])
     shrunk = pg.clip(f.cells[0], [((F(1), F(0)), F(1, 4))])
-    forged = tc.ToricPsh._from_cells(SQ, zip(f.generators, (shrunk, f.cells[1])))
+    forged = tc.ToricPsh._from_cells(SQ, f.integer_generators, (shrunk, f.cells[1]))
     assert tc.ma_measure(f).total_mass == SQ.volume
     with pytest.raises(ConsistencyError, match="cells cover mass"):
         tc.ma_measure(forged)

@@ -114,20 +114,6 @@ class Polytope:
     def is_full_dimensional(self) -> bool:
         return self.affine_dim == self.dim
 
-    def contains(self, p: Point) -> bool:
-        """Whether p lies in the polytope: inside every facet when it is
-        full-dimensional, else on the carrier of its point or segment
-        (X0, Y0, W0) -> (X1, Y1, W1), lexicographically between the ends."""
-        if self.is_empty:
-            return False
-        (x, y), w = integers(_planar(p))
-        if self.is_full_dimensional:
-            return all(a0 * x + a1 * y <= b * w for a0, a1, b in self.integer_facets)
-        (x0, y0, w0), (x1, y1, w1) = self.loop[0], self.loop[-1]
-        if (x1 * w0 - x0 * w1) * (y * w0 - y0 * w) != (y1 * w0 - y0 * w1) * (x * w0 - x0 * w):
-            return False
-        return (x0 * w, y0 * w) <= (x * w0, y * w0) and (x * w1, y * w1) <= (x1 * w, y1 * w)
-
     def scaled(self, s: Fraction) -> "Polytope":
         """s p for s > 0; a positive scaling keeps the canonical vertex order."""
         s = Fraction(s)

@@ -111,9 +111,6 @@ class Solution:
         objective of `_solution` plus sum w_i t_i."""
         return self.objective + sum((w * ti for w, ti in zip(self.problem.weights, self.t)), _ZERO)
 
-    def mass_vector(self) -> Tuple[Fraction, ...]:
-        return tuple(self.masses.weight_at(x) for x in self.problem.sites)
-
 
 def dual_objective(p: DiracProblem, t: Sequence, mode: str = "rational"):
     """Value and gradient of F(t) = E(envelope(t)) - sum w_i t_i, on the

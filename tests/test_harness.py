@@ -8,6 +8,7 @@ import pytest
 from nama import harness as hx
 from nama import toric as tc
 from nama.errors import CandidateOutOfRange, UnknownSuite
+from test_polyhedra import contains
 
 
 def gen_toric_instance(cfg: hx.GenConfig):
@@ -66,7 +67,7 @@ class TestGenerators:
                     assert f.value(x) == t
                 hull_body = delta.body
                 for v, _uv in f.pieces:
-                    assert hull_body.contains(v)
+                    assert contains(hull_body, v)
 
 
 class TestSuites:

@@ -58,25 +58,34 @@ def test_the_check_sees_aliases_and_imports():
 
 
 def unreferenced(sources: dict, traced: dict) -> list:
-    """The top-level functions and classes of `sources` (module -> source)
+    """The top-level functions and classes of `sources` (module -> source),
+    and the methods and properties of those classes other than dunders,
     whose name no module but `__init__` reads, as a name or an attribute,
-    and that `traced` (module -> names, as in the tracer's LAYERS) does
-    not list."""
+    and that `traced` (module -> names, as in the tracer's LAYERS, a
+    method as "Class.method") does not list."""
     defined, used = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
-        defined += [(module, node.name) for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (module, f"{node.name}.{item.name}", item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
+                ]
         if module != "__init__":
             for node in ast.walk(tree):
                 if isinstance(node, (ast.Name, ast.Attribute)):
                     used.add(node.id if isinstance(node, ast.Name) else node.attr)
-    return [f"{m}.{name}" for m, name in defined if name not in used and name not in traced.get(m, ())]
+    return [f"{m}.{qual}" for m, qual, name in defined if name not in used and qual not in traced.get(m, ())]
 
 
 def test_every_definition_is_read_in_the_package_or_traced():
-    """A function or class that only the tests and `nama.__init__` name
-    belongs in the tests; the benchmark's tracer may name kernels that
-    nama itself does not call."""
+    """A function, class, method or property that only the tests and
+    `nama.__init__` name belongs in the tests; the benchmark's tracer may
+    name kernels that nama itself does not call."""
     sources = {m: (SRC / f"{m}.py").read_text(encoding="utf-8") for m in MODULES}
     assert unreferenced(sources, _layers()) == []
 
@@ -89,3 +98,20 @@ def test_the_reference_check_skips_init_and_traced_names():
         "solver": "x = pg.Cell\n",
     }
     assert unreferenced(sources, {"toric": ["traced"]}) == ["toric.g", "toric.lonely"]
+
+
+def test_the_reference_check_sees_methods_and_properties():
+    sources = {
+        "__init__": "from .toric import Psh\nPsh().unread()\n",
+        "toric": (
+            "class Psh:\n"
+            "    def __init__(self): self.read()\n"
+            "    def read(self): pass\n"
+            "    @property\n"
+            "    def view(self): pass\n"
+            "    def unread(self): pass\n"
+            "    def traced(self): pass\n"
+        ),
+        "solver": "x = Psh()\n",
+    }
+    assert unreferenced(sources, {"toric": ["Psh.traced"]}) == ["toric.Psh.view", "toric.Psh.unread"]

@@ -622,6 +622,7 @@ class TestIntegerCoreAgainstPublicLowerHull:
         got = pg._lower_hull(dim, triples, d, e)
         assert got == want  # the generators too, over the lcm of their reduced denominators
         assert got.generators == pg.integer_sites((x, -o) for _, x, o in hull_cells(got))
+        assert got.generators.xs == sorted(got.generators.xs)
         assert all(c.__dict__["moment_sums"] == pg._moment_sums(c.loop, dim) for c in got.cells)
         assert dropped(got, lifted) == dropped(want, lifted)
         assert got.base == pg.hull([p for p, _ in lifted], dim)

@@ -274,6 +274,14 @@ class TestGraphBasics:
         g = cv.MetricGraph(2, ((0, 1, F(1)), (0, 1, F(2))))
         assert len(g.edges) == 2
 
+    def test_a_function_never_equals_a_measure_with_the_same_numbers(self):
+        g = path2()
+        f = cv.GraphFunction.on(g, [F(1), F(-1, 2)], [((F(1, 2), F(3)),)])
+        m = cv.GraphMeasure.on(g, [F(1), F(-1, 2)], [((F(1, 2), F(3)),)])
+        assert f == cv.GraphFunction.on(g, [F(1), F(-1, 2)], [((F(1, 2), F(3)),)])
+        assert m == cv.GraphMeasure.on(g, [F(1), F(-1, 2)], [((F(1, 2), F(3)),)])
+        assert f != m and m != f
+
 
 class TestDdc:
     def test_constant_function(self):

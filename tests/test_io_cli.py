@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from nama import cli
+from nama import curves as cv
 from nama import harness as hx
 from nama import instance_io as io
 from nama import toric as tc
@@ -161,6 +162,27 @@ def test_parsing_a_curve_file_makes_no_fraction_per_literal(monkeypatch):
     monkeypatch.undo()
     assert inst.data["mu"].edge_atoms[0] == ((F(1, 3), F(5)),)
     assert inst.data["graph"].edges[0] == (0, 1, F(1, 3))
+
+
+def test_curve_payloads_keep_their_breakpoint_lists():
+    """A Green function has no breakpoint lists, so its payload reads
+    "breakpoints": []; a Poisson solve with no interior atom has one empty
+    list per edge."""
+    ginst, pinst = io.parse_instance(json.dumps(GREEN)), io.parse_instance(json.dumps(POISSON))
+    gf = cv.green(ginst.data["graph"], ginst.data["x"], ginst.data["y"])
+    assert io.graph_function_payload(ginst, gf)["breakpoints"] == []
+    phi = cv.solve_poisson(pinst.data["graph"], pinst.data["omega"], pinst.data["mu"])
+    assert io.graph_function_payload(pinst, phi)["breakpoints"] == [[], [], []]
+
+
+def test_a_parsed_measure_equals_the_measure_on_its_fractions():
+    """Two atoms at one vertex sum to 4/2 over the parser's denominator;
+    the parsed measure still equals the one built from Fractions."""
+    mu = [{"vertex": 2, "weight": "1/2"}, {"vertex": 2, "weight": "3/2"}, {"edge": 1, "pos": "1/3", "weight": "1"}]
+    inst = io.parse_instance(json.dumps(dict(POISSON, mu=mu)))
+    graph = inst.data["graph"]
+    assert inst.data["mu"] == cv.GraphMeasure.on(graph, [F(0), F(0), F(2)], [(), ((F(1, 3), F(1)),), ()])
+    assert inst.data["omega"] == cv.GraphMeasure.on(graph, [F(2), F(1), F(0)])
 
 
 def test_an_envelope_makes_its_fractions_only_when_its_generators_are_read(monkeypatch):

@@ -3,22 +3,21 @@ the Poisson equation omega + dd^c(phi) = mu, all in exact rationals.
 
 Functions are piecewise affine in arc length: values at vertices plus
 optional interior breakpoints per edge.  Measures sit at vertices and
-optionally at edge-interior points.  Every operator works on the graph
-as given: `ddc` reads slopes along each edge, and `solve_poisson`
-eliminates interior points in closed form (Kron reduction: a point on an
-edge is a degree-2 vertex of the electrical network), so the only linear
-solve is on the original vertices.  The operators run on integers over
-common denominators, make one Fraction per number they return, and build
-tuples from lists, not generators, which fill CPython's tuple free lists.
-Parsed lengths and weights arrive as integers, and their Fraction views
-are made only when read."""
+optionally at edge-interior points.  Both keep their numbers once, as
+integers over one denominator, and make their Fraction views only when
+read.  Every operator works on the graph as given: `ddc` reads slopes
+along each edge, and `solve_poisson` eliminates interior points in
+closed form (Kron reduction: a point on an edge is a degree-2 vertex of
+the electrical network), so the only linear solve is on the original
+vertices.  The operators read and return those integers, and build
+tuples from lists, not generators, which fill CPython's tuple free
+lists.  Parsed lengths and weights arrive as integers."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import List, Sequence, Tuple
 
@@ -26,8 +25,6 @@ from .errors import MassMismatch, NotPsh, SameVertex
 from .linalg import ExactLinearSolver, integers
 
 _ZERO = Fraction(0)
-
-EdgeAtom = Tuple[Fraction, Fraction]  # (position in (0,1), weight/value)
 
 
 class MetricGraph:
@@ -80,32 +77,57 @@ class MetricGraph:
         return tuple([(u, v, q * (k // p)) for u, v, p, q in self.integer_edges]), k
 
 
-def _on(graph: MetricGraph, per_vertex, per_edge):
-    """(per-vertex tuple, per-edge sorted tuples), checked against graph."""
-    m = len(graph.integer_edges)
-    per_vertex, per_edge = tuple(per_vertex), tuple(per_edge) if per_edge else ((),) * m
-    if len(per_vertex) != graph.vertex_count or len(per_edge) != m:
-        raise ValueError("one entry per vertex and one list per edge required")
-    for items in per_edge:
-        for p, _ in items:
-            if not (0 < p < 1):
-                raise ValueError(f"interior position {p} outside (0,1)")
-        if len({p for p, _ in items}) != len(items):
-            raise ValueError("duplicate interior positions on one edge")
-    return per_vertex, tuple([tuple(sorted(items)) for items in per_edge])
+class _OnGraph:
+    """Numbers at a graph's vertices, then at interior points of its edges,
+    kept once: `integers` (xs, d), the vertex entries and then the interior
+    ones in edge order as xs / d in lowest terms, and `positions`, each
+    edge's sorted interior positions, or () when there are none at all.
+    The vertex and the edge Fraction views are each made on first read."""
+
+    def __init__(self, xs, d: int, positions=()):
+        g = gcd(d, *xs)
+        self.integers = tuple(xs) if g == 1 else tuple([x // g for x in xs]), d // g
+        self.positions = positions
+
+    @classmethod
+    def on(cls, graph: MetricGraph, per_vertex, per_edge=None, den=None):
+        """Entries per vertex and (position, entry) lists per edge, checked
+        against graph; the entries are rationals, or integers over den as
+        the parser reads them."""
+        m = len(graph.integer_edges)
+        per_edge = [sorted(items) for items in per_edge] if per_edge else [()] * m
+        if len(per_vertex) != graph.vertex_count or len(per_edge) != m:
+            raise ValueError("one entry per vertex and one list per edge required")
+        for items in per_edge:
+            for p, _ in items:
+                if not (0 < p < 1):
+                    raise ValueError(f"interior position {p} outside (0,1)")
+            if len({p for p, _ in items}) != len(items):
+                raise ValueError("duplicate interior positions on one edge")
+        entries = [*per_vertex, *[x for items in per_edge for _, x in items]]
+        xs, d = integers(entries) if den is None else (entries, den)
+        return cls(xs, d, tuple([tuple([p for p, _ in items]) for items in per_edge]))
+
+    def _vertex_view(self) -> Tuple[Fraction, ...]:
+        xs, d = self.integers
+        return tuple([Fraction(x, d) for x in xs[: len(xs) - sum(map(len, self.positions))]])
+
+    def _edge_view(self) -> Tuple[Tuple[Tuple[Fraction, Fraction], ...], ...]:
+        xs, d = self.integers
+        interior = iter(xs[len(xs) - sum(map(len, self.positions)) :])
+        return tuple([tuple([(p, Fraction(next(interior), d)) for p in ps]) for ps in self.positions])
+
+    def __eq__(self, other) -> bool:
+        """Lowest terms make equal views exactly equal integers and positions."""
+        return type(other) is type(self) and (self.integers, self.positions) == (other.integers, other.positions)
 
 
-@dataclass(frozen=True)
-class GraphFunction:
+class GraphFunction(_OnGraph):
     """Continuous piecewise-affine function: vertex values plus optional
     interior breakpoints (position, value) per edge."""
 
-    values: Tuple[Fraction, ...]
-    breakpoints: Tuple[Tuple[EdgeAtom, ...], ...] = ()
-
-    @staticmethod
-    def on(graph: MetricGraph, values, breakpoints=None) -> "GraphFunction":
-        return GraphFunction(*_on(graph, values, breakpoints))
+    values = cached_property(_OnGraph._vertex_view)
+    breakpoints = cached_property(_OnGraph._edge_view)
 
     def value_on_edge(self, graph: MetricGraph, e: int, pos: Fraction) -> Fraction:
         (u, v, *_), bps = graph.integer_edges[e], self.breakpoints[e] if e < len(self.breakpoints) else ()
@@ -116,47 +138,20 @@ class GraphFunction:
         raise ValueError(f"position {pos} outside [0,1]")
 
 
-class GraphMeasure:
+class GraphMeasure(_OnGraph):
     """Atomic measure: vertex weights plus optional edge-interior atoms.
     Weights may be signed (dd^c outputs are); inputs to the Poisson
     solver are validated to be positive where required."""
 
-    def __init__(self, vertex_weights: Tuple[Fraction, ...], edge_atoms=(), den=None):
-        """With den, every weight is an integer over den, as the parser reads
-        them, and the vertex weights' Fractions are made only when read."""
-        if den is None:
-            self.vertex_weights = vertex_weights
-        else:
-            self.integer_weights = (*vertex_weights, *[w for a in edge_atoms for _, w in a]), den
-            edge_atoms = tuple([tuple([(p, Fraction(w, den)) for p, w in a]) for a in edge_atoms])
-        self.edge_atoms = edge_atoms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GraphMeasure) and (self.vertex_weights, self.edge_atoms) == (
-            other.vertex_weights, other.edge_atoms)
-
-    @staticmethod
-    def on(graph: MetricGraph, vertex_weights, edge_atoms=None, den=None) -> "GraphMeasure":
-        return GraphMeasure(*_on(graph, vertex_weights, edge_atoms), den)
-
-    @cached_property
-    def vertex_weights(self) -> Tuple[Fraction, ...]:
-        ws, den = self.integer_weights
-        return tuple([Fraction(w, den) for w in ws[: len(ws) - sum(map(len, self.edge_atoms))]])
-
-    @cached_property
-    def integer_weights(self) -> Tuple[Tuple[int, ...], int]:
-        """The vertex weights, then the atoms' in edge order, as integers
-        over one denominator; computed on first read and kept."""
-        ws, den = integers([*self.vertex_weights, *(x for bps in self.edge_atoms for _, x in bps)])
-        return tuple(ws), den
+    vertex_weights = cached_property(_OnGraph._vertex_view)
+    edge_atoms = cached_property(_OnGraph._edge_view)
 
     @cached_property
     def total_mass(self) -> Fraction:
-        return Fraction(sum(self.integer_weights[0]), self.integer_weights[1])
+        return Fraction(sum(self.integers[0]), self.integers[1])
 
     def is_positive(self) -> bool:
-        return min(self.integer_weights[0]) >= 0
+        return min(self.integers[0]) >= 0
 
 
 # --------------------------------------------------------------------------
@@ -169,11 +164,10 @@ def _ddc(graph: MetricGraph, f: GraphFunction):
     at the vertices, then at f's breakpoints in edge order.  A segment
     from a0/q0 to a1/q1 of an edge conducting c / k conducts
     c q0 q1 / (k (a1 q0 - a0 q1))."""
-    n, bps = graph.vertex_count, f.breakpoints or ((),) * len(graph.integer_edges)
-    xs, d = integers([*f.values, *(x for b in bps for _, x in b)])
-    (cs, k), segments, m = graph.conductances, [], n  # breakpoints are nodes n, n + 1, ...
-    for (u, v, c), b in zip(cs, bps):
-        prof = [(0, 1, u), *((p.numerator, p.denominator, i) for i, (p, _) in enumerate(b, m)), (1, 1, v)]
+    bps = f.positions or ((),) * len(graph.integer_edges)
+    (xs, d), (cs, k), segments, m = f.integers, graph.conductances, [], graph.vertex_count
+    for (u, v, c), b in zip(cs, bps):  # breakpoints are nodes n, n + 1, ...
+        prof = [(0, 1, u), *((p.numerator, p.denominator, i) for i, p in enumerate(b, m)), (1, 1, v)]
         m += len(b)
         segments += [(i, j, c * q0 * q1, a1 * q0 - a0 * q1) for (a0, q0, i), (a1, q1, j) in zip(prof, prof[1:])]
     s, ws = lcm(*[den for *_, den in segments]), [0] * m
@@ -190,11 +184,11 @@ def _curvature(graph: MetricGraph, omega, f: GraphFunction, ws, k):
     """omega + dd^c(f), given dd^c(f) = ws / k from `_ddc`, as vertex weights,
     per edge sorted nonzero (position, weight) atoms, and their denominator."""
     n, blank = graph.vertex_count, ((),) * len(graph.integer_edges)
-    os, e = omega.integer_weights if omega else ([0] * n, 1)
+    os, e = omega.integers if omega else ([0] * n, 1)
     f_atoms, o_atoms, atoms = iter(ws[n:]), iter(os[n:]), []
-    for b, a in zip(f.breakpoints or blank, omega and omega.edge_atoms or blank):
-        merged = {p: w * e for (p, _), w in zip(b, f_atoms)}
-        for (p, _), x in zip(a, o_atoms):
+    for b, a in zip(f.positions or blank, omega and omega.positions or blank):
+        merged = {p: w * e for p, w in zip(b, f_atoms)}
+        for p, x in zip(a, o_atoms):
             merged[p] = merged.get(p, 0) + x * k
         atoms.append(sorted((p, x) for p, x in merged.items() if x))
     return [w * e + x * k for w, x in zip(ws, os[:n])], atoms, k * e
@@ -211,8 +205,8 @@ def curvature(graph: MetricGraph, omega: GraphMeasure, phi: GraphFunction) -> Gr
     interior atoms sit at the union of omega's atoms and phi's
     breakpoints, zero atoms dropped."""
     rho, atoms, den = _curvature(graph, omega, phi, *_ddc(graph, phi)[2:])
-    vertex = tuple([Fraction(x, den) for x in rho])
-    return GraphMeasure(vertex, tuple([tuple([(p, Fraction(x, den)) for p, x in a]) for a in atoms]))
+    positions = tuple([tuple([p for p, _ in a]) for a in atoms])
+    return GraphMeasure([*rho, *[x for a in atoms for _, x in a]], den, positions)
 
 
 class PoissonSolver:
@@ -230,18 +224,14 @@ class PoissonSolver:
         x, d = self.solver.solve_over(rhs, den)
         return [v * self.k for v in x], d
 
-    def solve(self, omega_weights, mu_weights) -> GraphFunction:
-        """phi with omega + dd^c(phi) = mu for vertex weights, sup(phi) = 0."""
-        return self._poisson(GraphMeasure(tuple(omega_weights)), GraphMeasure(tuple(mu_weights)))
-
-    def _poisson(self, omega: GraphMeasure, mu: GraphMeasure) -> GraphFunction:
+    def solve(self, omega: GraphMeasure, mu: GraphMeasure) -> GraphFunction:
         """`solve_poisson` on this factor, unchecked.  Weights over w, positions
         over s, lengths over b and phi(u) = x_u / d: phi is shifted over d s^2 w b."""
         n, edges = self.graph.vertex_count, self.graph.integer_edges
-        (ow, od), (mw, md) = omega.integer_weights, mu.integer_weights
+        (ow, od), (mw, md) = omega.integers, mu.integers
         w, charges = lcm(od, md), [{} for _ in edges]  # per edge: position -> net charge over w
         for m, ws, scale in ((omega, ow, w // od), (mu, mw, -(w // md))):
-            for (q, p), c in zip([(q, p) for q, b in zip(charges, m.edge_atoms) for p, _ in b], ws[n:]):
+            for (q, p), c in zip([(q, p) for q, ps in zip(charges, m.positions) for p in ps], ws[n:]):
                 if c:
                     q[p] = q.get(p, 0) + c * scale
         s = lcm(*[p.denominator for q in charges for p in q])
@@ -252,19 +242,18 @@ class PoissonSolver:
                 rhs[u] += c * (s - at[p])
                 rhs[v] += c * at[p]
         xs, d = self.solve_over(rhs, w * s)
-        values, den, bps = xs, d, ((),) * len(edges)
+        positions = tuple([tuple(sorted(q)) for q in charges])
         if at:
             lb = lcm(*[q for *_, q in edges])  # lengths over lb
             g = s * w * lb
-            values, den = [x * s * g for x in xs], d * s * g
-            bps = [[(p, ((s - at[p]) * xs[u] + at[p] * xs[v]) * g
-                     + l * (lb // ql) * d * sum(c * min(at[p], at[r]) * (s - max(at[p], at[r])) for r, c in q.items()))
-                    for p in sorted(q)] for (u, v, l, ql), q in zip(edges, charges)]
-        top = max(values + [x for b in bps for _, x in b])
-        return GraphFunction(
-            tuple([Fraction(x - top, den) for x in values]),
-            tuple([tuple([(p, Fraction(x - top, den)) for p, x in b]) for b in bps]),
-        )
+            interior = [
+                ((s - at[p]) * xs[u] + at[p] * xs[v]) * g
+                + l * (lb // ql) * d * sum(c * min(at[p], at[r]) * (s - max(at[p], at[r])) for r, c in q.items())
+                for (u, v, l, ql), q, ps in zip(edges, charges, positions) for p in ps
+            ]
+            xs, d = [x * s * g for x in xs] + interior, d * s * g
+        top = max(xs)
+        return GraphFunction([x - top for x in xs], d, positions)
 
 
 def green(graph: MetricGraph, x: int, y: int) -> GraphFunction:
@@ -273,8 +262,7 @@ def green(graph: MetricGraph, x: int, y: int) -> GraphFunction:
         raise SameVertex("green function needs distinct poles")
     rhs = [0] * graph.vertex_count
     rhs[y], rhs[x] = 1, -1
-    vals, d = PoissonSolver(graph, y).solve_over(rhs, 1)
-    return GraphFunction(tuple([Fraction(v, d) for v in vals]))
+    return GraphFunction(*PoissonSolver(graph, y).solve_over(rhs, 1))
 
 
 def check_poisson_measures(omega: GraphMeasure, mu: GraphMeasure) -> None:
@@ -303,7 +291,7 @@ def solve_poisson(graph: MetricGraph, omega: GraphMeasure, mu: GraphMeasure) -> 
     atom, a net-zero charge included.
     """
     check_poisson_measures(omega, mu)
-    return PoissonSolver(graph)._poisson(omega, mu)
+    return PoissonSolver(graph).solve(omega, mu)
 
 
 def energy_graph(graph: MetricGraph, phi: GraphFunction, omega: GraphMeasure) -> Fraction:
@@ -325,7 +313,7 @@ def energy_graph(graph: MetricGraph, phi: GraphFunction, omega: GraphMeasure) ->
 
 def integrate_graph(graph: MetricGraph, f: GraphFunction, m: GraphMeasure) -> Fraction:
     """int f dm: the vertex part on integers, then each interior atom."""
-    (xs, d), (ws, dm), n = integers(f.values), m.integer_weights, graph.vertex_count
+    (xs, d), (ws, dm), n = f.integers, m.integers, graph.vertex_count
     atoms = (w * f.value_on_edge(graph, e, p) for e, bps in enumerate(m.edge_atoms) for p, w in bps if w)
     return sum(atoms, Fraction(sum(map(mul, xs, ws[:n])), d * dm))
 

@@ -794,15 +794,15 @@ def _suite_graph(rng: SplitMix64, cfg: GenConfig):
         failures.append(("graph:poisson-round-trip", witness))
 
     solver = cv.PoissonSolver(graph)  # grounded at 0
-    v0 = solver.solve(omega_w, mu_w).values
-    v1 = cv.PoissonSolver(graph, n - 1).solve(omega_w, mu_w).values
+    v0 = solver.solve(omega, mu).values
+    v1 = cv.PoissonSolver(graph, n - 1).solve(omega, mu).values
     if len({a - b for a, b in zip(v0, v1)}) != 1:
         failures.append(("graph:uniqueness", witness))
 
     best = cv.energy_graph(graph, phi, omega) - cv.integrate_graph(graph, phi, mu)
     for _ in range(20):
-        nu = gen_graph_measure(rng, n, Fraction(n))
-        psi = solver.solve(omega_w, nu)
+        nu = cv.GraphMeasure.on(graph, gen_graph_measure(rng, n, Fraction(n)))
+        psi = solver.solve(omega, nu)
         val = cv.energy_graph(graph, psi, omega) - cv.integrate_graph(graph, psi, mu)
         if val > best:
             failures.append(("graph:variational-max", witness))

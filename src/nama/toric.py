@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import polyhedra as pg
@@ -90,6 +90,16 @@ def _dual_forms(gens: pg.IntegerSites, d: int) -> Tuple[List[Tuple[int, int, int
     return [(dt * x, dt * y, d * dx * t) for (x, y), t in zip(xs, ts)], d * dx * dt
 
 
+def _lowest(sites: pg.IntegerSites) -> pg.IntegerSites:
+    """The sites and the values each over their least denominator, as
+    `integer_sites` gives them."""
+    xs, d, ts, e = sites
+    g, h = gcd(d, *[c for x in xs for c in x]), gcd(e, *ts)
+    if g == h == 1:
+        return sites
+    return pg.IntegerSites([(x // g, y // g) for x, y in xs], d // g, [t // h for t in ts], e // h)
+
+
 def _common_tables(f: "ToricPsh", g: "ToricPsh"):
     """The piece rows of f and of g over one common denominator D."""
     (df, rf), (dg, rg) = f.table, g.table
@@ -106,8 +116,9 @@ class ToricPsh:
     and do not change the function), as are the copies of a repeated site
     that `power_diagram` passes over for its lowest value.  After that,
     f(x_a) = t_a holds for every generator.  The generators are kept once,
-    as `integer_generators`; their Fraction view `generators`, the table
-    and the MA measure are made on first read.
+    as `integer_generators`, sites and values each in lowest terms; their
+    Fraction view `generators`, the table and the MA measure are made on
+    first read.
     """
 
     __slots__ = ("delta", "integer_generators", "cells", "_generators", "_table", "_measure")
@@ -121,7 +132,7 @@ class ToricPsh:
         cells = pg.power_diagram(delta.body, pg.IntegerSites([x for x, _ in gens], d, [t for _, t in gens], e)).cells
         kept = [(x, t, cell) for (x, t), cell in zip(gens, cells) if cell is not None]
         self.delta, self._generators, self._table, self._measure = delta, None, None, None
-        self.integer_generators = pg.IntegerSites([x for x, _, _ in kept], d, [t for _, t, _ in kept], e)
+        self.integer_generators = _lowest(pg.IntegerSites([x for x, _, _ in kept], d, [t for _, t, _ in kept], e))
         self.cells = tuple([cell for _, _, cell in kept])
 
     @classmethod
@@ -129,7 +140,7 @@ class ToricPsh:
         """A potential from its generators, sorted by site, and the cells
         known to be their Laguerre cells; nothing is clipped."""
         out = object.__new__(cls)
-        out.delta, out.integer_generators, out.cells = delta, sites, tuple(cells)
+        out.delta, out.integer_generators, out.cells = delta, _lowest(sites), tuple(cells)
         out._generators, out._table, out._measure = None, None, None
         return out
 
@@ -182,12 +193,10 @@ class ToricPsh:
         return Fraction(max(a * y0 + b * y1 - c * dy for a, b, c in rows), den * dy)
 
     def shift(self, c) -> "ToricPsh":
-        """f + c, c = p / q: the values t_a + c over lcm(e, q).  A constant
-        added to every value moves no wall, so the cells are kept, not rebuilt."""
+        """f + c, c = p / q: the values t_a + c over e q.  A constant added
+        to every value moves no wall, so the cells are kept, not rebuilt."""
         (xs, d, ts, e), ((p,), q) = self.integer_generators, integers([c])
-        den = lcm(e, q)
-        ts = [t * (den // e) + p * (den // q) for t in ts]
-        return ToricPsh._from_cells(self.delta, pg.IntegerSites(xs, d, ts, den), self.cells)
+        return ToricPsh._from_cells(self.delta, pg.IntegerSites(xs, d, [t * q + p * e for t in ts], e * q), self.cells)
 
     def subdifferential(self, y: Point) -> Polytope:
         """The polytope of maximizing slopes at y (a cell of the dual

@@ -244,7 +244,7 @@ def test_criterion_10_curve_suite():
         solver = cv.PoissonSolver(graph)
         for _ in range(100):
             nu = hx.gen_graph_measure(rng, n, F(n))
-            psi = solver.solve(omega_w, nu)
+            psi = solver.solve(omega, cv.GraphMeasure.on(graph, nu))
             val = cv.energy_graph(graph, psi, omega) - cv.integrate_graph(graph, psi, mu)
             assert val <= best
     _report("10 (curve suite, 200 graphs)", 60.0, start)

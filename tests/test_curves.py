@@ -75,10 +75,17 @@ def grounded_solve(g, rhs, ground):
     return [F(v, d) for v in x]
 
 
+def built(cls, per_vertex, per_edge=()):
+    """A GraphFunction or GraphMeasure from Fraction entries per vertex and
+    sorted (position, entry) lists per edge, () for no lists, unchecked."""
+    xs, d = integers([*per_vertex, *(x for items in per_edge for _, x in items)])
+    return cls(xs, d, tuple(tuple(p for p, _ in items) for items in per_edge))
+
+
 def shift(f, c):
     """f + c, breakpoints included."""
     bps = tuple(tuple((p, x + c) for p, x in b) for b in f.breakpoints)
-    return cv.GraphFunction(tuple(v + c for v in f.values), bps)
+    return built(cv.GraphFunction, [v + c for v in f.values], bps)
 
 
 def profile(graph, f, e):
@@ -107,7 +114,7 @@ def max_graph(graph, f, g):
                 t = a0 / (a0 - a1)
                 pc = p0 + t * (p1 - p0)
                 out_bps[e].append((pc, f.value_on_edge(graph, e, pc)))
-    return cv.GraphFunction(values, tuple(tuple(sorted(set(b))) for b in out_bps))
+    return built(cv.GraphFunction, values, [sorted(set(b)) for b in out_bps])
 
 
 def harness_graphs(seed=41):
@@ -146,7 +153,7 @@ def ref_ddc(g, f):
     for e, p, vid in inserted:
         if weights[vid] != 0:
             atoms[e].append((p, weights[vid]))
-    return cv.GraphMeasure(tuple(weights[: g.vertex_count]), tuple(tuple(a) for a in atoms))
+    return built(cv.GraphMeasure, weights[: g.vertex_count], atoms)
 
 
 def ref_solve_poisson(g, omega, mu):
@@ -170,9 +177,7 @@ def ref_solve_poisson(g, omega, mu):
     bps = [[] for _ in g.edges]
     for e, p, i in inserted:
         bps[e].append((p, vals[i] - top))
-    return cv.GraphFunction(
-        tuple(x - top for x in vals[: g.vertex_count]), tuple(tuple(b) for b in bps)
-    )
+    return built(cv.GraphFunction, [x - top for x in vals[: g.vertex_count]], bps)
 
 
 class TestLinalg:
@@ -445,7 +450,9 @@ class TestPoisson:
                     rhs = [a - b for a, b in zip(omega, mu)]
                     want = reference_grounded_solve(n, conductances(g), ground, rhs)
                     top = max(want)
-                    assert solver.solve(omega, mu).values == tuple(v - top for v in want)
+                    assert solver.solve(cv.GraphMeasure.on(g, omega), cv.GraphMeasure.on(g, mu)).values == tuple(
+                        v - top for v in want
+                    )
 
     def test_interior_atom_subdivision(self):
         g = path2()
@@ -500,7 +507,7 @@ class TestAgainstSubdivisionReference:
         assert phi == ref_solve_poisson(g, omega, mu)
         assert cv.ddc(g, phi) == ref_ddc(g, phi)
         nonzero = tuple(tuple((p, x) for p, x in b if x) for b in mu.edge_atoms)
-        assert cv.curvature(g, omega, phi) == cv.GraphMeasure(mu.vertex_weights, nonzero)
+        assert cv.curvature(g, omega, phi) == built(cv.GraphMeasure, mu.vertex_weights, nonzero)
         return phi
 
     def test_seeded_interior_atoms(self):
@@ -628,7 +635,7 @@ class TestEnergy:
             if sum(nu) == 0:
                 continue
             nu = [x * F(n, sum(nu)) for x in nu]
-            psi = solver.solve(omega_w, nu)
+            psi = solver.solve(omega, cv.GraphMeasure.on(g, nu))
             val = cv.energy_graph(g, psi, omega) - cv.integrate_graph(g, psi, mu)
             assert val <= best
 
@@ -655,7 +662,7 @@ class TestMaxAndLocality:
                 if sum(nu) == 0:
                     nu[0] = F(1)
                 nu = [x * F(2 * n, sum(nu)) for x in nu]
-                return solver.solve([F(2)] * n, nu)
+                return solver.solve(omega, cv.GraphMeasure.on(g, nu))
 
             phi, psi = random_psh(), random_psh()
             h = max_graph(g, phi, psi)
@@ -679,7 +686,7 @@ class TestMaxAndLocality:
                 if sum(nu) == 0:
                     nu[0] = F(1)
                 nu = [x * F(2 * n, sum(nu)) for x in nu]
-                return solver.solve(omega_w, nu)
+                return solver.solve(omega, cv.GraphMeasure.on(g, nu))
 
             phi, psi = random_psh(), random_psh()
             rho_phi = cv.curvature(g, omega, phi)
@@ -688,3 +695,31 @@ class TestMaxAndLocality:
             lhs = sum(rho_psi.vertex_weights[v] for v in region)
             rhs = sum(rho_phi.vertex_weights[v] for v in region)
             assert lhs <= rhs
+
+
+def test_the_operators_make_no_fraction_until_values_are_read(monkeypatch):
+    """green, ddc and curvature read and return integers; solve_poisson
+    makes only the two total masses its check reads, and reading a
+    function's values makes one Fraction per vertex."""
+    import fractions
+
+    g = star()
+    omega = cv.GraphMeasure.on(g, [F(1)] * 4)
+    mu = cv.GraphMeasure.on(g, [F(0), F(1), F(1), F(0)], [((F(1, 3), F(2)),), (), ()])
+    created, new = [], fractions.Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        created.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counted))
+    cv.ddc(g, cv.green(g, 1, 2))
+    assert created == []
+    phi = cv.solve_poisson(g, omega, mu)
+    assert len(created) == 2
+    rho = cv.curvature(g, omega, phi)
+    assert len(created) == 2
+    values = phi.values
+    assert len(created) == 2 + 4
+    monkeypatch.undo()
+    assert rho == mu and max(values) == 0 and len(phi.breakpoints[0]) == 1

@@ -124,11 +124,11 @@ class TestSuites:
                 super().__init__(graph, ground)
                 self.faulty = ground == graph.vertex_count - 1
 
-            def solve(self, omega_weights, mu_weights):
-                g = super().solve(omega_weights, mu_weights)
+            def solve(self, omega, mu):
+                g = super().solve(omega, mu)
                 if not self.faulty:
                     return g
-                return hx.cv.GraphFunction(g.values[:-1] + (g.values[-1] + F(1, 7),))
+                return hx.cv.GraphFunction.on(self.graph, g.values[:-1] + (g.values[-1] + F(1, 7),))
 
         found = self._planted(monkeypatch, hx._suite_graph, 0, [(hx.cv, "PoissonSolver", Shifted)])
         assert found == ["graph:uniqueness"]

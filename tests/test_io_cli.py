@@ -139,8 +139,8 @@ def test_vertex_count_past_the_edges_exits_two_before_allocating(tmp_path, capsy
 def test_parsing_a_curve_file_makes_no_fraction_per_literal(monkeypatch):
     """Lengths and weights reach MetricGraph and GraphMeasure as integers:
     parsing a curve-poisson file of 61 length and weight literals makes
-    Fractions only for its one interior atom (position and weight) and for
-    each measure's total mass, whose balance the parser checks."""
+    Fractions only for its one interior atom's position and for each
+    measure's total mass, whose balance the parser checks."""
     import fractions
 
     n = 20
@@ -158,7 +158,7 @@ def test_parsing_a_curve_file_makes_no_fraction_per_literal(monkeypatch):
 
     monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counted))
     inst = io.parse_instance(text)
-    assert len(created) == 4
+    assert len(created) == 3
     monkeypatch.undo()
     assert inst.data["mu"].edge_atoms[0] == ((F(1, 3), F(5)),)
     assert inst.data["graph"].edges[0] == (0, 1, F(1, 3))

@@ -834,6 +834,17 @@ class TestIntegerPiecesAgainstFractions:
             for y in ((0, 0), (F(1, 3), F(-5, 2)), (7, F(10**12 + 1, 10**9))):
                 assert g.value(y) == f.value(y) + c
 
+    def test_shifted_and_scaled_values_are_in_lowest_terms(self):
+        """shift and scale_potential keep their sites and values in lowest
+        terms, as the potential built from the same generators does."""
+        for dim in (1, 2):
+            for f, _ in _seeded_pairs(dim, range(6)):
+                for c in (F(-7, 3), F(1, 4), F(5, 6)):
+                    shifted = [(x, t + c) for x, t in f.generators]
+                    assert f.shift(c).integer_generators == tc.ToricPsh(f.delta, shifted).integer_generators
+                g = tc.scale_potential(f, F(5, 3))
+                assert g.integer_generators == tc.ToricPsh(g.delta, g.generators).integer_generators
+
 
     def test_cell_vertices_stay_an_unbuilt_view(self):
         """Envelope, measure, energy and table read the cells' integer

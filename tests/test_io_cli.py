@@ -2,6 +2,7 @@
 determinism, exit codes."""
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -286,6 +287,14 @@ class TestCli:
         out = tmp_path / "best.json"
         assert run_cli(tmp_path, "solve", inst, "-o", out) == 3
         assert out.exists()  # best iterate still written
+        # Its atoms are the cell volumes of its written generators, which sum to vol(Delta) = 1.
+        atoms = json.loads(out.read_text())["solution"]["atoms"]
+        csv_path = tmp_path / "best.csv"
+        assert run_cli(tmp_path, "export-cells", out, "-o", csv_path) == 0
+        rows = csv.DictReader(csv_path.read_text().splitlines())
+        exact = {(r["site_x1_exact"], r["site_x2_exact"]): r["weight_exact"] for r in rows}
+        assert {tuple(a["point"]): a["weight"] for a in atoms} == exact and len(exact) == len(atoms)
+        assert sum(F(a["weight"]) for a in atoms) == 1
 
     def test_envelope_and_export_cells(self, tmp_path):
         doc = {

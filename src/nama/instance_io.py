@@ -446,7 +446,7 @@ def solution_payload(inst: InstanceFile, solution: sv.Solution) -> Dict[str, Any
         "sites": [[_render(c, mode) for c in x] for x in p.sites],
         "t": [_render(t, mode) for t in solution.t],
         "generators": encode_generators(solution.potential, mode),
-        "atoms": encode_measure(solution.masses, mode),
+        "atoms": encode_measure(tc.ma_measure(solution.potential), mode),
         "energy": _render(solution.energy, mode),
         "objective": _render(solution.objective, mode),
         "residual": _render(solution.residual, mode),

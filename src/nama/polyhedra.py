@@ -15,16 +15,18 @@ denominator and values over another, and `integer_sites` is the one
 converter from rational (site, value) pairs.  The diagram comes from the
 regular triangulation of the lifted sites: only its vertices have cells,
 each the body cut by its neighbours; the walls are the edges the final
-loops share, matched when read; masses and wall weights come over one
-denominator each.  Every diagram is certified: its masses sum to the
-body's volume (`certified_volumes`, which `toric.ma_measure` also calls),
-and a walk shows each removed site on or above the triangulation.  Lower
-hulls gift-wrap over integer triples, pass the same mass sum and hand out
-their generators as `IntegerSites`; `lower_hull` only converts Fractions.
-`power_diagram` and `_lower_hull` own one rule: a repeated site counts at
-its lowest value.  Empty and lower-dimensional polytopes are ordinary values
-(volume 0), as cells degenerate while a solver walks through potential
-space.  Dimensions 3 and higher are rejected.
+loops share, matched when read.  The diagram hands out its cells, and its
+masses and wall weights only as integers over one denominator each
+(`integer_masses`, `integer_walls`).  Every diagram is certified: its
+masses sum to the body's volume (`certified_volumes`, which
+`toric.ma_measure` also calls), and a walk shows each removed site on or
+above the triangulation.  Lower hulls gift-wrap over integer triples, pass
+the same mass sum and hand out their generators as `IntegerSites`;
+`lower_hull` only converts Fractions.  `power_diagram` and `_lower_hull`
+own one rule: a repeated site counts at its lowest value.  Empty and
+lower-dimensional polytopes are ordinary values (volume 0), as cells
+degenerate while a solver walks through potential space.  Dimensions 3
+and higher are rejected.
 """
 
 from __future__ import annotations
@@ -323,13 +325,13 @@ def power_diagram(body: Polytope, sites: IntegerSites) -> "PowerDiagram":
 
 @dataclass(frozen=True)
 class PowerDiagram:
-    """A `power_diagram` result: lists indexed like the sites, cells, masses
-    and walls each computed on first read.  cells: {m in body : <x_a, m> -
-    t_a >= <x_b, m> - t_b for all b}, or None when that is not full-dimensional
-    or a is a repeated site's other copy.  masses: their volumes, 0 for None,
-    the Fraction view of `integer_masses`, certified when the diagram was
-    built.  walls: (i, j, |wall| / |x_i - x_j|), i < j, for each facet the
-    cells of i and j share, the edges of the weighted Laplacian whose negative
+    """A `power_diagram` result, indexed like the sites.  cells, made on first
+    read: {m in body : <x_a, m> - t_a >= <x_b, m> - t_b for all b}, or None
+    when that is not full-dimensional or a is a repeated site's other copy.
+    integer_masses: their volumes over one denominator, 0 for None, certified
+    when the diagram was built.  integer_walls, matched on first read: the
+    weights |wall| / |x_i - x_j| over one denominator of the pairs i < j whose
+    cells share a facet, the edges of the weighted Laplacian whose negative
     is the Hessian of the dual objective.  Inside, a cell is its final
     counterclockwise `_cut` loop (the body's own `loop` when nothing cuts it)
     or None, `_sums` its `_moment_sums`, and `_ends`, matched only when the
@@ -371,10 +373,6 @@ class PowerDiagram:
         return cells
 
     @cached_property
-    def masses(self) -> List[Fraction]:
-        return [Fraction(m, self.integer_masses[1]) for m in self.integer_masses[0]]
-
-    @cached_property
     def integer_walls(self) -> Tuple[List[Tuple[int, int, int]], int]:
         """(walls, D): (i, j, V) of weight V / D, D the lcm of the reduced
         denominators.  With N = X_i - X_j on the sites over d, the wall (i, j,
@@ -391,12 +389,6 @@ class PowerDiagram:
             ratios.append((i, j, num // g, den // g))
         top = lcm(*[q for *_, q in ratios])
         return [(i, j, p * (top // q)) for i, j, p, q in ratios], top
-
-    @cached_property
-    def walls(self) -> List[Tuple[int, int, Fraction]]:
-        """The Fraction view of `integer_walls`: (i, j, |wall| / |x_i - x_j|)."""
-        walls, den = self.integer_walls
-        return [(i, j, Fraction(v, den)) for i, j, v in walls]
 
 
 def _moment_sums(loop, n: int):

@@ -28,7 +28,7 @@ from . import polyhedra as pg
 from . import toric as tc
 from .errors import ArityMismatch, ConsistencyError, MassMismatch, NotConverged
 from .polyhedra import Point, dot, sub
-from .toric import AtomicMeasure, NewtonPolytope, ToricPsh
+from .toric import NewtonPolytope, ToricPsh
 
 _ZERO = Fraction(0)
 _rational = lambda c: c if isinstance(c, Fraction) else Fraction(c)
@@ -96,10 +96,13 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class Solution:
+    """A solve's iterate t and the potential it gives.  The solution's measure
+    is that potential's, `toric.ma_measure(potential)`: an atom at each site
+    that keeps a cell, weighing the cell's volume."""
+
     problem: DiracProblem
     t: Tuple[Fraction, ...]
     potential: ToricPsh
-    masses: AtomicMeasure
     residual: Fraction
     iterations: int
     objective: Fraction
@@ -135,19 +138,18 @@ def dual_objective(p: DiracProblem, t: Sequence, mode: str = "rational"):
 
 
 def _solution(p: DiracProblem, s: "_State", trace) -> Solution:
-    """The Solution at the state s, with its diagram's cells and masses and the objective
-    sum_a w_a <x_a, c> - sum_a <x_a, int_{cell_a} m dm> + sum_a t_a (mass_a - w_a), c the
-    centroid of Delta: the reference's u = <xbar, m> integrates to vol(Delta) <xbar, c>."""
+    """The Solution at the state s, its potential built on the diagram's cells, and the
+    objective sum_a w_a <x_a, c> - sum_a <x_a, int_{cell_a} m dm> + sum_a t_a (mass_a - w_a),
+    c the centroid of Delta: the reference's u = <xbar, m> integrates to vol(Delta) <xbar, c>."""
     xs, d, _, _ = p._integers
-    t, cells, (ms, md) = tuple([Fraction(x, s.e) for x in s.t]), s.diagram.cells, s.diagram.integer_masses
+    t, cells = tuple([Fraction(x, s.e) for x in s.t]), s.diagram.cells
     kept = sorted([a for a, cell in enumerate(cells) if cell is not None], key=xs.__getitem__)
     sites = pg.IntegerSites([xs[a] for a in kept], d, [s.t[a] for a in kept], s.e)
     phi = ToricPsh._from_cells(p.delta, sites, [cells[a] for a in kept])
-    masses = AtomicMeasure(tuple([(p.sites[a], Fraction(ms[a], md)) for a in kept]))
     moments = pg.integral_over([cells[a].moment_sums for a in kept], p.delta.dim, [(*xs[a], 0) for a in kept], d)
     objective = p.delta.volume * dot(p.barycenter(), pg.centroid(p.delta.body)) - Fraction(*moments)
     objective += Fraction(sum(ti * g for ti, g in zip(s.t, s.g)), s.e * s.den)
-    return Solution(p, t, phi, masses, Fraction(max(map(abs, s.g)), s.den), len(trace), objective, tuple(trace))
+    return Solution(p, t, phi, Fraction(max(map(abs, s.g)), s.den), len(trace), objective, tuple(trace))
 
 
 def _solve_1d_exact(p: DiracProblem) -> Tuple[Fraction, ...]:
@@ -288,9 +290,10 @@ def solve(p: DiracProblem, config: SolverConfig = SolverConfig()) -> Solution:
 
 def normalize(s: Solution) -> Solution:
     """Shift t by a constant so the potential's maximum over the sites (hence
-    over the hull of sites and atoms) is exactly 0.  The cells, masses and
-    objective do not change; the energy moves with sum w_i t_i because the
-    weights sum to vol(Delta).  phi(x_a) = t_a at a retained site."""
+    over the hull of sites and atoms) is exactly 0.  The cells, hence the
+    potential's measure, and the objective do not change; the energy moves
+    with sum w_i t_i because the weights sum to vol(Delta).  phi(x_a) = t_a
+    at a retained site."""
     shift = max(s.potential.value(x) for x in s.problem.sites)
     if shift == 0:
         return s

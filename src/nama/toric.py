@@ -464,7 +464,7 @@ def energy_via_mixed(f: ToricPsh, ref: ToricPsh) -> Fraction:
     total = _ZERO
     for j in range(n + 1):
         mu = mixed_ma([f] * j + [ref] * (n - j))
-        total += sum((w * (f.value(p) - ref.value(p)) for p, w in mu.atoms), _ZERO)
+        total += integrate(f, mu) - integrate(ref, mu)
     return total / (n + 1)
 
 
@@ -549,7 +549,7 @@ def orthogonality_defect(f: TestFunction, phi: ToricPsh) -> Fraction:
     for p in sorted(checkpoints):
         if phi.value(p) > f.value(p):
             raise NotDominated(f"phi exceeds f at {p}")
-    return sum((w * (f.value(p) - phi.value(p)) for p, w in measure.atoms), _ZERO)
+    return integrate(f, measure) - integrate(phi, measure)
 
 
 # --------------------------------------------------------------------------

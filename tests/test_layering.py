@@ -58,12 +58,14 @@ def test_the_check_sees_aliases_and_imports():
 
 
 def unreferenced(sources: dict, traced: dict) -> list:
-    """The top-level functions and classes of `sources` (module -> source),
-    and the methods and properties of those classes other than dunders,
+    """The top-level functions and classes of `sources` (module -> source)
     whose name no module but `__init__` reads, as a name or an attribute,
-    and that `traced` (module -> names, as in the tracer's LAYERS, a
-    method as "Class.method") does not list."""
-    defined, used = [], set()
+    and the methods and properties of those classes other than dunders
+    that no module but `__init__` reads as an attribute (a local variable
+    of the same name does not read them), leaving out what `traced`
+    (module -> names, as in the tracer's LAYERS, a method as
+    "Class.method") lists."""
+    defined, names, attributes = [], set(), set()
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
@@ -77,9 +79,15 @@ def unreferenced(sources: dict, traced: dict) -> list:
                 ]
         if module != "__init__":
             for node in ast.walk(tree):
-                if isinstance(node, (ast.Name, ast.Attribute)):
-                    used.add(node.id if isinstance(node, ast.Name) else node.attr)
-    return [f"{m}.{qual}" for m, qual, name in defined if name not in used and qual not in traced.get(m, ())]
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    attributes.add(node.attr)
+    return [
+        f"{m}.{qual}"
+        for m, qual, name in defined
+        if name not in attributes and (name != qual or name not in names) and qual not in traced.get(m, ())
+    ]
 
 
 def test_every_definition_is_read_in_the_package_or_traced():
@@ -114,4 +122,6 @@ def test_the_reference_check_sees_methods_and_properties():
         ),
         "solver": "x = Psh()\n",
     }
+    assert unreferenced(sources, {"toric": ["Psh.traced"]}) == ["toric.Psh.view", "toric.Psh.unread"]
+    sources["solver"] = "view = Psh()\nx = view\n"  # a variable named like the unread property
     assert unreferenced(sources, {"toric": ["Psh.traced"]}) == ["toric.Psh.view", "toric.Psh.unread"]

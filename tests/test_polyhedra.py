@@ -25,6 +25,18 @@ def laguerre_cells(body, sites, values):
     return pg.power_diagram(body, pg.integer_sites(zip(sites, values)))
 
 
+def fraction_masses(diagram):
+    """The cell volumes of a `power_diagram` as Fractions, 0 for a None cell."""
+    ms, md = diagram.integer_masses
+    return [F(m, md) for m in ms]
+
+
+def fraction_walls(diagram):
+    """The walls of a `power_diagram` as (i, j, |wall| / |x_i - x_j|), the weights Fractions."""
+    walls, den = diagram.integer_walls
+    return [(i, j, F(v, den)) for i, j, v in walls]
+
+
 def contains(p, q):
     """Whether q lies in the polytope p: inside every facet when p is
     full-dimensional, else on the carrier of its point or segment
@@ -789,12 +801,12 @@ def test_laguerre_cells_one_dimensional():
         pg.hull([(F(1, 2),), (F(3, 2),)], 1),
         pg.hull([(F(3, 2),), (F(2),)], 1),
     ]
-    assert diagram.masses == [F(1, 2), F(1), F(1, 2)]
+    assert fraction_masses(diagram) == [F(1, 2), F(1), F(1, 2)]
     assert wall_ends(diagram) == [(0, 1, (F(1, 2),), (F(1, 2),)), (1, 2, (F(3, 2),), (F(3, 2),))]
-    assert diagram.walls == [(0, 1, F(1)), (1, 2, F(1, 2))]
+    assert fraction_walls(diagram) == [(0, 1, F(1)), (1, 2, F(1, 2))]
     # A site whose affine piece never attains the max has no cell.
     diagram = laguerre_cells(body, [(F(0),), (F(1),)], [F(0), F(5)])
-    assert (diagram.cells, diagram.masses, diagram.walls) == ([body, None], [F(2), F(0)], [])
+    assert (diagram.cells, fraction_masses(diagram), fraction_walls(diagram)) == ([body, None], [F(2), F(0)], [])
 
 
 def test_walls_across_a_degenerate_cell():
@@ -808,12 +820,12 @@ def test_walls_across_a_degenerate_cell():
     right = pg.hull([(F(1, 2), 0), (1, 0), (1, 1), (F(1, 2), 1)])
     assert diagram.cells == [left, None, right]
     assert wall_ends(diagram) == [(0, 2, (F(1, 2), F(0)), (F(1, 2), F(1)))]
-    assert diagram.walls == [(0, 2, F(1, 2))]
+    assert fraction_walls(diagram) == [(0, 2, F(1, 2))]
     segment = pg.hull([(F(0),), (F(1),)], 1)
     diagram = laguerre_cells(segment, [(F(2),), (F(0),), (F(1),)], [F(1), F(0), F(1, 2)])
     assert diagram.cells == [pg.hull([(F(1, 2),), (F(1),)]), pg.hull([(F(0),), (F(1, 2),)]), None]
     assert wall_ends(diagram) == [(0, 1, (F(1, 2),), (F(1, 2),))]
-    assert diagram.walls == [(0, 1, F(1, 2))]
+    assert fraction_walls(diagram) == [(0, 1, F(1, 2))]
 
 
 def shared_edges(cells, dim):
@@ -831,7 +843,7 @@ def shared_edges(cells, dim):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_walls_are_the_edges_the_cells_share(dim):
     """`_ends` and `walls` against a pairwise match of the final cells'
-    edges, read before and after `cells` and `masses`, on random diagrams
+    edges, read before and after `cells`, on random diagrams
     with repeated sites and a site between two others at their mean value,
     whose cell is at most a segment (a point in 1-D)."""
     rng = random.Random(89 + dim)
@@ -851,10 +863,10 @@ def test_walls_are_the_edges_the_cells_share(dim):
             sites.append(sites[c])
             values.append(values[c] + F(rng.randint(0, 2), 4))
         walls_first = laguerre_cells(body, sites, values)
-        walls, ends = walls_first.walls, list(walls_first._ends)
+        walls, ends = fraction_walls(walls_first), list(walls_first._ends)
         cells_first = laguerre_cells(body, sites, values)
-        cells, _ = cells_first.cells, cells_first.masses
-        assert walls_first.cells == cells and cells_first.walls == walls and cells_first._ends == ends
+        cells = cells_first.cells
+        assert walls_first.cells == cells and fraction_walls(cells_first) == walls and cells_first._ends == ends
         assert ends == shared_edges(cells, dim)
         point = lambda h: pg._from_homogeneous(h, dim)
         squared = []
@@ -1011,15 +1023,15 @@ def assert_cells_match_hull(body, sites, values):
     for g, w in zip(diagram.cells, want):
         if w is not None:
             assert_same_polytope(g, w)
-    assert diagram.masses == [F(0) if w is None else pg.volume(w) for w in want]
-    assert sum(diagram.masses) == pg.volume(body)
+    assert fraction_masses(diagram) == [F(0) if w is None else pg.volume(w) for w in want]
+    assert sum(fraction_masses(diagram)) == pg.volume(body)
     walls = hull_walls(sites, values, want)
     assert wall_ends(diagram) == walls
     squared = []
     for i, j, v0, v1 in walls:
         d, n = pg.sub(v1, v0), pg.sub(sites[i], sites[j])
         squared.append((i, j, (pg.dot(d, d) if body.dim == 2 else 1) / pg.dot(n, n)))
-    assert [(i, j, w * w) for i, j, w in diagram.walls] == squared
+    assert [(i, j, w * w) for i, j, w in fraction_walls(diagram)] == squared
 
 
 def random_polygon(rng, den=4, count=7):
@@ -1068,8 +1080,8 @@ def test_integer_walls_are_the_fraction_walls(dim):
         values = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in sites]
         diagram = laguerre_cells(body, sites, values)
         walls, den = diagram.integer_walls
-        weights = [w for _, _, w in diagram.walls]
-        assert [(i, j) for i, j, _ in walls] == [(i, j) for i, j, _ in diagram.walls]
+        weights = [w for _, _, w in fraction_walls(diagram)]
+        assert [(i, j) for i, j, _ in walls] == [(i, j) for i, j, _ in fraction_walls(diagram)]
         assert ([v for _, _, v in walls], den) == integers(weights)
         ends = hull_walls(sites, values, hull_laguerre_cells(body, sites, values))
         for (i, j, v0, v1), (_, _, v) in zip(ends, walls):
@@ -1250,10 +1262,10 @@ class TestLaguerreCellsFromTriangulation:
     def test_single_site(self):
         body = random_polygon(random.Random(151))
         diagram = laguerre_cells(body, [(F(1, 3), F(-2))], [F(5)])
-        assert (diagram.cells, diagram.masses, diagram.walls) == ([body], [pg.volume(body)], [])
+        assert (diagram.cells, fraction_masses(diagram), fraction_walls(diagram)) == ([body], [pg.volume(body)], [])
         segment = pg.hull([(F(0),), (F(2),)], 1)
         diagram = laguerre_cells(segment, [(F(7),)], [F(0)])
-        assert (diagram.cells, diagram.masses, diagram.walls) == ([segment], [F(2)], [])
+        assert (diagram.cells, fraction_masses(diagram), fraction_walls(diagram)) == ([segment], [F(2)], [])
 
     def test_unsorted_sites(self):
         """Cells come back in input order, whatever that order is."""
@@ -1293,8 +1305,9 @@ class TestLaguerreCellsFromTriangulation:
                 if kept:
                     (owner[a],) = kept
                     assert given[owner[a]][1] == lowest[a] and got.cells[owner[a]] == cell
-            assert sorted(got.walls) == sorted((*sorted((owner[a], owner[b])), w) for a, b, w in want.walls)
-            assert got.masses == [want.masses[a] if owner.get(a) == i else 0 for i, (a, _) in enumerate(given)]
+            walls, masses = fraction_walls(want), fraction_masses(want)
+            assert sorted(fraction_walls(got)) == sorted((*sorted((owner[a], owner[b])), w) for a, b, w in walls)
+            assert fraction_masses(got) == [masses[a] if owner.get(a) == i else 0 for i, (a, _) in enumerate(given)]
 
     def test_k128_cuts_by_neighbours_only(self, monkeypatch):
         """A work counter free of timing noise: cutting every cell of the

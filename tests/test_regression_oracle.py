@@ -1,8 +1,9 @@
 """Regression oracle: pinned sha256 digests of `--no-timestamp` outputs.
 
 Every suite report at seed 1 with two cases, in each dimension the suite
-runs in, the `envelope`, `energy`, `solve`, `green` and `poisson`
-outputs of fixed instances and the `export-cells` CSV of their solve
+runs in, every suite report at seeds 1-12 with four cases, which holds
+no seed while it passes, the `envelope`, `energy`, `solve`, `green` and
+`poisson` outputs of fixed instances and the `export-cells` CSV of their solve
 results must stay byte-identical, and so must the path of the solver
 on four of those instances: iterates, steps and trial counts.  A digest changes only together with
 a deliberate change of results, recorded in CHANGES.md.  A suite report
@@ -348,6 +349,18 @@ def test_suite_report_is_pinned(tmp_path, suite, dim):
     argv = ["check", "--suite", suite, "--seed", "1", "--cases", "2", "--dimension", str(dim)]
     assert cli.main(argv + ["-o", str(out), "--no-timestamp"]) == 0
     assert _digest(out) == SUITE_DIGESTS[suite, dim]
+
+
+def test_every_suite_passes_at_twelve_seeds():
+    """Every suite, in each dimension it runs in, at seeds 1-12 with four
+    cases: a passing report holds no seed, so every report passing is
+    every report byte-identical."""
+    failed = []
+    for suite, dim in _suite_runs():
+        for seed in range(1, 13):
+            report = hx.run_suite(suite, hx.GenConfig(seed=seed, dimension=dim), 4)
+            failed += [(suite, dim, seed, f.assertion) for f in report.failures]
+    assert failed == []
 
 
 @pytest.mark.parametrize("command, name", sorted(COMMAND_DIGESTS))

@@ -723,3 +723,32 @@ def test_the_operators_make_no_fraction_until_values_are_read(monkeypatch):
     assert len(created) == 2 + 4
     monkeypatch.undo()
     assert rho == mu and max(values) == 0 and len(phi.breakpoints[0]) == 1
+
+
+def test_pairing_off_the_breakpoints_interpolates_exactly():
+    """An atom that is not at one of f's breakpoints pairs with f's value
+    interpolated along its edge.  A Green function has no breakpoints, so
+    every interior atom is such an atom; a Poisson solution has its
+    breakpoints at its own atoms, and a second measure puts one atom on
+    and one off them.  Each pairing equals the Fraction route through
+    `value_on_edge`, and for the Green function the linear interpolation
+    of its vertex values."""
+    for g in harness_graphs()[::4]:
+        n, m = g.vertex_count, len(g.edges)
+        per_vertex = [F(v % 3, 2) for v in range(n)]
+        off = cv.GraphMeasure.on(g, per_vertex, [[(F(1, 5), F(e - 2, 3)), (F(3, 4), F(1, 2))] for e in range(m)])
+        gf = cv.green(g, 0, n - 1)
+        omega = cv.GraphMeasure.on(g, [F(1)] * n)
+        mu = cv.GraphMeasure.on(g, [F(0)] * (n - 1) + [F(n - 1)], [[(F(1, 5), F(1, m))]] * m)
+        phi = cv.solve_poisson(g, omega, mu)
+        assert all(len(b) == 1 for b in phi.breakpoints)
+        for f in (gf, phi):
+            route = sum(w * x for w, x in zip(off.vertex_weights, f.values)) + sum(
+                w * f.value_on_edge(g, e, p) for e, atoms in enumerate(off.edge_atoms) for p, w in atoms
+            )
+            assert cv.integrate_graph(g, f, off) == route
+        linear = sum(w * x for w, x in zip(off.vertex_weights, gf.values)) + sum(
+            w * ((1 - p) * gf.values[u] + p * gf.values[v])
+            for (u, v, _), atoms in zip(g.edges, off.edge_atoms) for p, w in atoms
+        )
+        assert cv.integrate_graph(g, gf, off) == linear

@@ -176,6 +176,45 @@ def test_curve_payloads_keep_their_breakpoint_lists():
     assert io.graph_function_payload(pinst, phi)["breakpoints"] == [[], [], []]
 
 
+def test_curve_writers_reduce_each_entry_on_its_own():
+    """Entries over one shared denominator reduce each to its own lowest
+    terms: (0, -2, 3, 4) / 4 read "0", "-1/2", "3/4", "1".  A zero vertex
+    weight is left out, while an interior atom is written even at zero."""
+    inst = io.parse_instance(json.dumps(GREEN))
+    f = cv.GraphFunction([0, -2, 3, 4], 4, ((F(1, 2),), (), ()))
+    assert io.graph_function_payload(inst, f) == {
+        "values": ["0", "-1/2", "3/4"],
+        "breakpoints": [[["1/2", "1"]], [], []],
+    }
+    mu = cv.GraphMeasure([0, -2, 3, 4, 0], 4, ((F(1, 3), F(2, 3)), (), ()))
+    assert io.encode_graph_measure(mu) == [
+        {"vertex": 1, "weight": "-1/2"},
+        {"vertex": 2, "weight": "3/4"},
+        {"edge": 0, "pos": "1/3", "weight": "1"},
+        {"edge": 0, "pos": "2/3", "weight": "0"},
+    ]
+
+
+def test_float_curve_payloads_are_the_fractions_rounded_once():
+    """A float-mode entry x / d is written as float(Fraction(x, d)), also for
+    a numerator past 2^53, where float(x) / d would round twice."""
+    inst = io.parse_instance(json.dumps(dict(GREEN, mode="float")))
+    big = 2**60 + 33
+    assert float(big) / 3 != float(F(big, 3))
+    xs = [big, -7, 0, 5]
+    f = cv.GraphFunction(xs, 3, ((F(1, 3),), (), ()))
+    assert io.graph_function_payload(inst, f) == {
+        "values": [float(F(x, 3)) for x in xs[:3]],
+        "breakpoints": [[[float(F(1, 3)), float(F(5, 3))]], [], []],
+    }
+    mu = cv.GraphMeasure(xs, 3, ((F(1, 3),), (), ()))
+    assert io.encode_graph_measure(mu, "float") == [
+        {"vertex": 0, "weight": float(F(big, 3))},
+        {"vertex": 1, "weight": float(F(-7, 3))},
+        {"edge": 0, "pos": float(F(1, 3)), "weight": float(F(5, 3))},
+    ]
+
+
 def test_a_parsed_measure_equals_the_measure_on_its_fractions():
     """Two atoms at one vertex sum to 4/2 over the parser's denominator;
     the parsed measure still equals the one built from Fractions."""
@@ -585,6 +624,11 @@ class TestMalformedInstancesExitTwo:
             # The Newton iterates' gradient norm reaches 10^200 squared.
             ("solve", dict(DIRAC, mode="float", polytope={"vertices": [["0"], ["1" + "0" * 200]]},
                            sites=[["0"], ["1"]], weights=["5" + "0" * 199] * 2)),
+            # A Green function and a Poisson solve across an edge of length 10^400.
+            ("green", dict(GREEN, mode="float", graph={"vertex_count": 2, "edges": [[0, 1, "1" + "0" * 400]]},
+                           x=0, y=1)),
+            ("poisson", dict(POISSON, mode="float", graph={"vertex_count": 2, "edges": [[0, 1, "1" + "0" * 400]]},
+                             omega=[{"vertex": 0, "weight": "1"}], mu=[{"vertex": 1, "weight": "1"}])),
         ],
     )
     def test_float_result_beyond_double_range(self, tmp_path, capsys, command, doc):

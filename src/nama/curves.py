@@ -24,9 +24,6 @@ from typing import List, Sequence, Tuple
 from .errors import MassMismatch, NotPsh, SameVertex
 from .linalg import ExactLinearSolver, integers
 
-_ZERO = Fraction(0)
-
-
 class MetricGraph:
     """Connected multigraph with positive rational (int or Fraction) edge
     lengths.  Parallel edges are allowed, self-loops are not.  The edges
@@ -82,7 +79,7 @@ class _OnGraph:
     kept once: `integers` (xs, d), the vertex entries and then the interior
     ones in edge order as xs / d in lowest terms, and `positions`, each
     edge's sorted interior positions, or () when there are none at all.
-    The vertex and the edge Fraction views are each made on first read."""
+    `split` cuts a per-entry list along them; the vertex view is made when read."""
 
     def __init__(self, xs, d: int, positions=()):
         g = gcd(d, *xs)
@@ -108,14 +105,15 @@ class _OnGraph:
         xs, d = integers(entries) if den is None else (entries, den)
         return cls(xs, d, tuple([tuple([p for p, _ in items]) for items in per_edge]))
 
+    def split(self, items: Sequence):
+        """items, one per entry, as (vertex part, per edge its (position, item) list)."""
+        n = len(items) - sum(map(len, self.positions))
+        interior = iter(items[n:])
+        return items[:n], [list(zip(ps, interior)) for ps in self.positions]
+
     def _vertex_view(self) -> Tuple[Fraction, ...]:
         xs, d = self.integers
-        return tuple([Fraction(x, d) for x in xs[: len(xs) - sum(map(len, self.positions))]])
-
-    def _edge_view(self) -> Tuple[Tuple[Tuple[Fraction, Fraction], ...], ...]:
-        xs, d = self.integers
-        interior = iter(xs[len(xs) - sum(map(len, self.positions)) :])
-        return tuple([tuple([(p, Fraction(next(interior), d)) for p in ps]) for ps in self.positions])
+        return tuple([Fraction(x, d) for x in self.split(xs)[0]])
 
     def __eq__(self, other) -> bool:
         """Lowest terms make equal views exactly equal integers and positions."""
@@ -127,15 +125,6 @@ class GraphFunction(_OnGraph):
     interior breakpoints (position, value) per edge."""
 
     values = cached_property(_OnGraph._vertex_view)
-    breakpoints = cached_property(_OnGraph._edge_view)
-
-    def value_on_edge(self, graph: MetricGraph, e: int, pos: Fraction) -> Fraction:
-        (u, v, *_), bps = graph.integer_edges[e], self.breakpoints[e] if e < len(self.breakpoints) else ()
-        prof = [(_ZERO, self.values[u]), *bps, (Fraction(1), self.values[v])]
-        for (p0, x0), (p1, x1) in zip(prof, prof[1:]):
-            if p0 <= pos <= p1:
-                return x0 + (x1 - x0) * (pos - p0) / (p1 - p0)
-        raise ValueError(f"position {pos} outside [0,1]")
 
 
 class GraphMeasure(_OnGraph):
@@ -144,7 +133,6 @@ class GraphMeasure(_OnGraph):
     solver are validated to be positive where required."""
 
     vertex_weights = cached_property(_OnGraph._vertex_view)
-    edge_atoms = cached_property(_OnGraph._edge_view)
 
     @cached_property
     def total_mass(self) -> Fraction:
@@ -312,10 +300,17 @@ def energy_graph(graph: MetricGraph, phi: GraphFunction, omega: GraphMeasure) ->
 
 
 def integrate_graph(graph: MetricGraph, f: GraphFunction, m: GraphMeasure) -> Fraction:
-    """int f dm: the vertex part on integers, then each interior atom."""
+    """int f dm on integers: an atom at a vertex or at one of f's breakpoints
+    (every atom, when f solves a Poisson equation in m) meets f's entry there,
+    and only an atom between two breakpoints takes f's interpolated value."""
     (xs, d), (ws, dm), n = f.integers, m.integers, graph.vertex_count
-    atoms = (w * f.value_on_edge(graph, e, p) for e, bps in enumerate(m.edge_atoms) for p, w in bps if w)
-    return sum(atoms, Fraction(sum(map(mul, xs, ws[:n])), d * dm))
+    total, at = sum(map(mul, xs, ws[:n])), f.split(range(len(xs)))[1] if len(ws) > n else []
+    for w, (e, p) in zip(ws[n:], ((e, p) for e, ps in enumerate(m.positions) for p in ps)):
+        u, v, *_ = graph.integer_edges[e]
+        prof = [(0, u), *(at[e] if at else ()), (1, v)]  # (position, index into xs) along edge e
+        (p0, i), (p1, j) = next(seg for seg in zip(prof, prof[1:]) if p <= seg[1][0])
+        total += w * xs[j] if p == p1 else w * (xs[i] * (p1 - p) + xs[j] * (p - p0)) / (p1 - p0)
+    return Fraction(total, d * dm)
 
 
 def subdivide(graph: MetricGraph, positions: Sequence[Sequence[Fraction]]):
@@ -326,7 +321,7 @@ def subdivide(graph: MetricGraph, positions: Sequence[Sequence[Fraction]]):
     next_id, edges, inserted = graph.vertex_count, [], []
     for e, (u, v, l) in enumerate(graph.edges):
         pos = sorted(set(Fraction(p) for p in positions[e])) if e < len(positions) else []
-        prev, prev_pos = u, _ZERO
+        prev, prev_pos = u, 0
         for p in pos:
             edges.append((prev, next_id, l * (p - prev_pos)))
             inserted.append((e, p, next_id))

@@ -185,6 +185,13 @@ def _render(x: Fraction, mode: str):
     return float(x) if mode == "float" else format_scalar(x)
 
 
+def _rendered(xs, d: int, mode: str) -> list:
+    """Each x / d as `_render` writes Fraction(x, d), with no Fraction made."""
+    if mode == "float":
+        return [x / d for x in xs]
+    return [str(x // g) if (g := math.gcd(x, d)) == d else f"{x // g}/{d // g}" for x in xs]
+
+
 def _check_keys(obj, allowed, required: Tuple[str, ...], field: str):
     """Reject unknown fields, then name the first missing one in the
     order of `required`."""
@@ -308,11 +315,9 @@ def decode_graph_measure(obj, graph: cv.MetricGraph, mode: str, field: str) -> c
 
 
 def encode_graph_measure(mu: cv.GraphMeasure, mode: str = "rational"):
-    out = [{"vertex": v, "weight": _render(w, mode)} for v, w in enumerate(mu.vertex_weights) if w != 0]
-    return out + [
-        {"edge": e, "pos": _render(p, mode), "weight": _render(w, mode)}
-        for e, bps in enumerate(mu.edge_atoms) for p, w in bps
-    ]
+    vertex, edges = mu.split(_rendered(*mu.integers, mode))
+    out = [{"vertex": v, "weight": w} for v, (w, x) in enumerate(zip(vertex, mu.integers[0])) if x]
+    return out + [{"edge": e, "pos": _render(p, mode), "weight": w} for e, atoms in enumerate(edges) for p, w in atoms]
 
 
 # --------------------------------------------------------------------------
@@ -471,9 +476,8 @@ def envelope_payload(inst: InstanceFile, f: tc.ToricPsh) -> Dict[str, Any]:
 
 
 def graph_function_payload(inst: InstanceFile, f: cv.GraphFunction) -> Dict[str, Any]:
-    mode = inst.mode
-    bps = [[[_render(p, mode), _render(x, mode)] for p, x in b] for b in f.breakpoints]
-    return {"values": [_render(v, mode) for v in f.values], "breakpoints": bps}
+    values, bps = f.split(_rendered(*f.integers, inst.mode))
+    return {"values": values, "breakpoints": [[[_render(p, inst.mode), x] for p, x in b] for b in bps]}
 
 
 def energy_payload(inst: InstanceFile, values: Dict[str, Fraction]) -> Dict[str, Any]:

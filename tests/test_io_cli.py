@@ -21,6 +21,7 @@ from nama import harness as hx
 from nama import instance_io as io
 from nama import toric as tc
 from nama.errors import ParseError, ValidationError
+from test_curves import on_edges
 
 DIRAC = {
     "kind": "toric-dirac",
@@ -161,7 +162,7 @@ def test_parsing_a_curve_file_makes_no_fraction_per_literal(monkeypatch):
     inst = io.parse_instance(text)
     assert len(created) == 3
     monkeypatch.undo()
-    assert inst.data["mu"].edge_atoms[0] == ((F(1, 3), F(5)),)
+    assert on_edges(inst.data["mu"])[0] == ((F(1, 3), F(5)),)
     assert inst.data["graph"].edges[0] == (0, 1, F(1, 3))
 
 
@@ -260,6 +261,45 @@ def test_an_envelope_makes_its_fractions_only_when_its_generators_are_read(monke
 
 def run_cli(tmp_path, *argv):
     return cli.main([str(a) for a in argv])
+
+
+def test_curve_results_are_written_and_paired_from_their_integers(tmp_path, monkeypatch):
+    """Over a float-mode green, a poisson and an energy op whose measure has
+    an interior atom, which the solution has a breakpoint at, the two curve
+    writers make no Fraction and `integrate_graph` only the one it returns,
+    once for the energy and once for the pairing."""
+    import fractions
+
+    created, inside, new = [], [], fractions.Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        created.append(inside[-1] if inside else None)
+        return new(cls, *args, **kwargs)
+
+    def watched(fn):
+        def call(*args, **kwargs):
+            inside.append(fn.__name__)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        return call
+
+    poisson = dict(POISSON, mu=[{"vertex": 2, "weight": "2"}, {"edge": 0, "pos": "1/3", "weight": "1"}])
+    ops = [("green", dict(GREEN, mode="float")), ("poisson", poisson), ("energy", poisson)]
+    for command, doc in ops:
+        (tmp_path / f"{command}.json").write_text(json.dumps(doc))
+    monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counted))
+    for module, name in ((io, "graph_function_payload"), (io, "encode_graph_measure"), (cv, "integrate_graph")):
+        monkeypatch.setattr(module, name, watched(getattr(module, name)))
+    for command, _ in ops:
+        out = tmp_path / f"{command}.out.json"
+        assert run_cli(tmp_path, command, tmp_path / f"{command}.json", "-o", out, "--no-timestamp") == 0
+    monkeypatch.undo()
+    solution = json.loads((tmp_path / "poisson.out.json").read_text())["solution"]
+    assert [p for p, _ in solution["breakpoints"][0]] == ["1/3"]
+    assert [c for c in created if c is not None] == ["integrate_graph"] * 2
 
 
 class TestCli:

@@ -60,9 +60,10 @@ def test_the_check_sees_aliases_and_imports():
 def unreferenced(sources: dict, traced: dict) -> list:
     """The top-level functions and classes of `sources` (module -> source)
     whose name no module but `__init__` reads, as a name or an attribute,
-    and the methods and properties of those classes other than dunders
-    that no module but `__init__` reads as an attribute (a local variable
-    of the same name does not read them), leaving out what `traced`
+    and the methods, properties and class-level names (`values =
+    cached_property(...)`) of those classes other than dunders that no
+    module but `__init__` reads as an attribute (a local variable of the
+    same name does not read them), leaving out what `traced`
     (module -> names, as in the tracer's LAYERS, a method as
     "Class.method") lists."""
     defined, names, attributes = [], set(), set()
@@ -72,11 +73,12 @@ def unreferenced(sources: dict, traced: dict) -> list:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.append((module, node.name, node.name))
             if isinstance(node, ast.ClassDef):
-                defined += [
-                    (module, f"{node.name}.{item.name}", item.name)
-                    for item in node.body
-                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
+                members = [item.name for item in node.body if isinstance(item, ast.FunctionDef)]
+                members += [
+                    t.id for item in node.body if isinstance(item, ast.Assign) for t in item.targets
+                    if isinstance(t, ast.Name)
                 ]
+                defined += [(module, f"{node.name}.{name}", name) for name in members if not name.startswith("__")]
         if module != "__init__":
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
@@ -125,3 +127,19 @@ def test_the_reference_check_sees_methods_and_properties():
     assert unreferenced(sources, {"toric": ["Psh.traced"]}) == ["toric.Psh.view", "toric.Psh.unread"]
     sources["solver"] = "view = Psh()\nx = view\n"  # a variable named like the unread property
     assert unreferenced(sources, {"toric": ["Psh.traced"]}) == ["toric.Psh.view", "toric.Psh.unread"]
+
+
+def test_the_reference_check_sees_class_level_views():
+    """A view assigned in a class body (`values = cached_property(...)`)
+    is a definition like a method: unread, it is reported; a dunder
+    assignment is not."""
+    sources = {
+        "curves": (
+            "class Fn:\n"
+            "    __slots__ = ()\n"
+            "    read = property(lambda self: 0)\n"
+            "    unread = property(lambda self: 1)\n"
+        ),
+        "cli": "x = Fn().read\nunread = 2\n",
+    }
+    assert unreferenced(sources, {}) == ["curves.Fn.unread"]

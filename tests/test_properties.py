@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nama import curves as cv
+from nama import polyhedra as pg
 from nama import toric as tc
 
 
@@ -59,6 +60,14 @@ def test_mass_is_polytope_volume(f):
 def test_generators_are_interpolated(f):
     for x, t in f.generators:
         assert f.value(x) == t
+
+
+@settings(max_examples=40, deadline=None)
+@given(potential_pairs(), st.builds(F, st.integers(1, 12), st.just(4)))
+def test_kept_masses_are_cell_volumes(pair, s):
+    f, g = pair
+    for h in (f, f.shift(s), tc.max_combine(f, g), tc.affine_combination([(s, f), (1, g)])):
+        assert [w for _, w in tc.ma_measure(h).atoms] == [pg.volume(c) for c in h.cells]
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,6 +9,7 @@ import pytest
 
 from nama import harness as hx
 from nama import polyhedra as pg
+from nama import solver as sv
 from nama import toric as tc
 from nama.errors import ConsistencyError, DeltaMismatch, EmptyLattice, NotDominated, WrongArity
 from test_polyhedra import contains, eager_facets
@@ -543,14 +544,48 @@ def test_hull_potentials_make_no_fraction_until_their_generators_are_read(monkey
 
 
 def test_ma_measure_rejects_a_forged_cell():
-    """A potential whose cell is not its Laguerre cell loses mass: the
-    integer mass-sum certificate of `ma_measure` raises."""
+    """A cell that is not its Laguerre cell loses mass: the integer mass-sum
+    certificate raises where a complex is built, the one step that makes
+    the masses a potential keeps and `ma_measure` reads."""
     f = tc.envelope(SQ, [((F(0), F(0)), F(0)), ((F(1), F(1)), F(1, 2))])
     shrunk = pg.clip(f.cells[0], [((F(1), F(0)), F(1, 4))])
-    forged = tc.ToricPsh._from_cells(SQ, f.integer_generators, (shrunk, f.cells[1]))
     assert tc.ma_measure(f).total_mass == SQ.volume
     with pytest.raises(ConsistencyError, match="cells cover mass"):
-        tc.ma_measure(forged)
+        pg.certified_volumes([shrunk.moment_sums, f.cells[1].moment_sums], SQ.body)
+
+
+class TestKeptMassesAreCellVolumes:
+    """Each `ma_measure` weight is `polyhedra.volume` of the matching cell,
+    on every route that makes a potential: an independent reference for
+    the masses a potential is handed where its complex is built, which
+    would catch masses left in face order after the hull's sort by site or
+    a scaling by s instead of s^n."""
+
+    def assert_volumes(self, f):
+        assert tc.ma_measure(f).atoms == tuple(zip(f.sites, map(pg.volume, f.cells)))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_constructors(self, dim):
+        for f in _derived_potentials(dim, range(12)):
+            self.assert_volumes(f)
+        for f, g in _seeded_pairs(dim, range(6)):
+            self.assert_volumes(tc.affine_combination([(F(1, 3), f), (2, g), (F(5, 4), f)]))
+            self.assert_volumes(tc.scale_potential(tc.max_combine(f, g), F(2, 7)).shift(F(9, 5)))
+
+    def test_references(self):
+        for delta in (UNIT, SQ, TRI, interval(F(-1, 3), 2), square(F(3, 2))):
+            self.assert_volumes(tc.g_delta(delta))
+            self.assert_volumes(tc.scale_potential(tc.g_delta(delta), F(3, 2)))
+
+    def test_solutions(self):
+        problems = [
+            (sv.DiracProblem(SQ, ((F(1, 4), F(1, 4)), (F(3, 4), F(1, 4)), (F(1, 2), F(3, 4))), (F(1, 3),) * 3), "float"),
+            (sv.DiracProblem(interval(0, 2), ((F(1, 4),), (F(3, 2),), (F(7, 4),)), (F(1, 2), 1, F(1, 2))), "rational"),
+        ]
+        for p, mode in problems:
+            s = sv.solve(p, sv.SolverConfig(mode=mode))
+            self.assert_volumes(s.potential)
+            self.assert_volumes(sv.normalize(s).potential)
 
 
 def ref_legendre_energy(f, ref):

@@ -254,16 +254,16 @@ def green(graph: MetricGraph, x: int, y: int) -> GraphFunction:
 
 
 def check_poisson_measures(omega: GraphMeasure, mu: GraphMeasure) -> None:
-    """The rules omega + dd^c(phi) = mu puts on its measures, in order:
-    omega, then mu, has no negative weight (else ValueError) and a positive
-    total mass (else MassMismatch), then the two masses are equal (else
+    """The rules omega + dd^c(phi) = mu puts on its measures, in order, on
+    integers: omega, then mu, has no negative weight (else ValueError) and a
+    positive total mass (else MassMismatch), then the masses are equal (else
     MassMismatch).  Each message is the measure at fault, ": ", the rule."""
     for name, m in (("omega", omega), ("mu", mu)):
         if not m.is_positive():
             raise ValueError(f"{name}: must be a positive measure")
-        if m.total_mass <= 0:
+        if sum(m.integers[0]) <= 0:
             raise MassMismatch(f"{name}: must be a positive measure")
-    if omega.total_mass != mu.total_mass:
+    if sum(omega.integers[0]) * mu.integers[1] != sum(mu.integers[0]) * omega.integers[1]:
         raise MassMismatch(f"mu: mass {mu.total_mass} must equal mass(omega) = {omega.total_mass}")
 
 

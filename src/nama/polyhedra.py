@@ -17,11 +17,11 @@ regular triangulation of the lifted sites: only its vertices have cells,
 each the body cut by its neighbours; the walls are the edges the final
 loops share, matched when read.  The diagram hands out its cells, and its
 masses and wall weights only as integers over one denominator each
-(`integer_masses`, `integer_walls`).  Every diagram is certified: its
-masses sum to the body's volume (`certified_volumes`, which
-`toric.ma_measure` also calls), and a walk shows each removed site on or
-above the triangulation.  Lower hulls gift-wrap over integer triples, pass
-the same mass sum and hand out their generators as `IntegerSites`;
+(`integer_masses`, `integer_walls`).  Every diagram is certified once: its
+masses sum to the body's volume (`certified_volumes`), and a walk shows
+each removed site on or above the triangulation.  Lower hulls gift-wrap
+over integer triples, pass the same mass sum and hand out their generators
+as `IntegerSites` and the masses it certified, which a potential keeps;
 `lower_hull` only converts Fractions.  `power_diagram` and `_lower_hull`
 own one rule: a repeated site counts at its lowest value.  Empty and
 lower-dimensional polytopes are ordinary values (volume 0), as cells
@@ -492,14 +492,15 @@ class LowerHull:
     convex hull of lifted points, on `base`, the hull of the base points.
     `generators` holds one (x_a, t_a) per cell as `IntegerSites`, sorted by
     site: x_a is the hull's gradient on the cell and t_a minus its offset.
-    `cells[a]`, where the affine function of a is the max, keeps the
-    moment sums that its certificate read.
+    `cells[a]`, where the affine function of a is the max, keeps the moment
+    sums its certificate read; `masses` holds the volumes it certified.
     """
 
     dim: int
     base: Polytope
     cells: Tuple[Polytope, ...]
     generators: IntegerSites
+    masses: Tuple[List[int], int]
 
 
 def _lower_chain(ts, hs) -> List[int]:
@@ -707,8 +708,8 @@ def _lower_hull(dim: int, lifted, d: int, e: int) -> LowerHull:
     """The integer core of `lower_hull` on the triples (X, Y, H) of the
     lifted points ((X/d, Y/d), H/e), Y = 0 in dimension 1.  Its faces come
     as generators (X, Y) / c and T / c, c > 0, with loops of point indices;
-    the cell volumes must sum to the base's, and the sites and the values
-    are each put over the lcm of their reduced denominators."""
+    the cell volumes must sum to the base's and are kept, and the sites
+    and the values are each put over the lcm of their reduced denominators."""
     lowest = {}
     for x, y, h in lifted:  # of duplicate base points only the lowest lift counts
         if lowest.get((x, y), h) >= h:
@@ -717,12 +718,11 @@ def _lower_hull(dim: int, lifted, d: int, e: int) -> LowerHull:
     base, faces = (_lower_hull_1d if dim == 1 else _lower_hull_2d)(pts, d, e)
     polytope = lambda loop: Polytope(dim, tuple([_point(pts[i][0], pts[i][1], d) for i in loop]), dim)
     base, cells = polytope(base), [polytope(loop) for *_, loop in faces]
-    certified_volumes([cell.moment_sums for cell in cells], base)
+    ms, md = certified_volumes([cell.moment_sums for cell in cells], base)
     dx, dt = lcm(*(c // gcd(x, y, c) for x, y, _, c, _ in faces)), lcm(*(c // gcd(t, c) for _, _, t, c, _ in faces))
-    gens = [((x * dx // c, y * dx // c), t * dt // c, cell) for (x, y, t, c, _), cell in zip(faces, cells)]
-    gens.sort(key=lambda g: g[0])
+    gens = sorted(((x * dx // c, y * dx // c), t * dt // c, a) for a, (x, y, t, c, _) in enumerate(faces))
     sites = IntegerSites([x for x, _, _ in gens], dx, [t for _, t, _ in gens], dt)
-    return LowerHull(dim, base, tuple([cell for _, _, cell in gens]), sites)
+    return LowerHull(dim, base, tuple([cells[a] for *_, a in gens]), sites, ([ms[a] for *_, a in gens], md))
 
 
 def lower_hull(lifted) -> LowerHull:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import takewhile
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -138,14 +139,14 @@ def dual_objective(p: DiracProblem, t: Sequence, mode: str = "rational"):
 
 
 def _solution(p: DiracProblem, s: "_State", trace) -> Solution:
-    """The Solution at the state s, its potential built on the diagram's cells, and the
+    """The Solution at the state s, its potential built on the diagram's cells and masses, and the
     objective sum_a w_a <x_a, c> - sum_a <x_a, int_{cell_a} m dm> + sum_a t_a (mass_a - w_a),
     c the centroid of Delta: the reference's u = <xbar, m> integrates to vol(Delta) <xbar, c>."""
-    xs, d, _, _ = p._integers
+    (xs, d, _, _), (ms, md) = p._integers, s.diagram.integer_masses
     t, cells = tuple([Fraction(x, s.e) for x in s.t]), s.diagram.cells
     kept = sorted([a for a, cell in enumerate(cells) if cell is not None], key=xs.__getitem__)
     sites = pg.IntegerSites([xs[a] for a in kept], d, [s.t[a] for a in kept], s.e)
-    phi = ToricPsh._from_cells(p.delta, sites, [cells[a] for a in kept])
+    phi = ToricPsh._from_cells(p.delta, sites, [cells[a] for a in kept], ([ms[a] for a in kept], md))
     moments = pg.integral_over([cells[a].moment_sums for a in kept], p.delta.dim, [(*xs[a], 0) for a in kept], d)
     objective = p.delta.volume * dot(p.barycenter(), pg.centroid(p.delta.body)) - Fraction(*moments)
     objective += Fraction(sum(ti * g for ti, g in zip(s.t, s.g)), s.e * s.den)
@@ -233,8 +234,9 @@ def solve(p: DiracProblem, config: SolverConfig = SolverConfig()) -> Solution:
     At each iterate, a `_State`, d is its `direction`.  A step is the first
     2^-k whose rounded iterate keeps every mass >= eps (half the smallest
     weight or starting mass) and cuts |grad|_2 by (1 - step / 2), both
-    tested on cross-multiplied integers, so a step that rounds back to the
-    same iterate never passes.  Rational mode, rounding to denominators at
+    tested on cross-multiplied integers.  The search ends at the first trial
+    that rounds back to the iterate: it fails, and so would every shorter
+    one, which rounds back too.  Rational mode, rounding to denominators at
     most 10^12, succeeds at its default tol 0 only on exact stationarity.
     The loop is monotone, so NotConverged carries the last iterate."""
     mode = config.mode
@@ -270,8 +272,11 @@ def solve(p: DiracProblem, config: SolverConfig = SolverConfig()) -> Solution:
             d, dd = s.direction()
         except ValueError:  # a cell with no path of walls to the grounded site
             break
-        for k in range(60):  # t + d / 2^k = (t dd 2^k + d e) / (e dd 2^k)
-            new = _State(p, *_rounded([(ti * dd << k) + di * s.e for ti, di in zip(s.t, d)], s.e * dd << k, mode))
+        # trial k: t + d / 2^k = (t dd 2^k + d e) / (e dd 2^k), rounded to t' / e'; it has moved if t' e != t e'
+        trial = lambda k: _rounded([(ti * dd << k) + di * s.e for ti, di in zip(s.t, d)], s.e * dd << k, mode)
+        moved = lambda te: any(ti * s.e != si * te[1] for ti, si in zip(te[0], s.t))
+        for k, (t, e) in enumerate(takewhile(moved, map(trial, range(60)))):
+            new = _State(p, t, e)
             ms, md = new.diagram.integer_masses
             decrease = new.norm2 * s.den**2 << 2 * k + 2 <= ((2 << k) - 1) ** 2 * s.norm2 * new.den**2
             if decrease and min(ms) * eps.denominator >= eps.numerator * md:

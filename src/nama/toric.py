@@ -54,8 +54,8 @@ class NewtonPolytope:
 
     @cached_property
     def reference(self) -> "ToricPsh":
-        """g_Delta: the generator (0, 0), whose cell is all of Delta."""
-        return ToricPsh._from_cells(self, pg.IntegerSites([(0, 0)], 1, [0], 1), [self.body])
+        """g_Delta: the generator (0, 0), whose cell is all of Delta, of mass vol(Delta)."""
+        return ToricPsh._from_cells(self, pg.IntegerSites([(0, 0)], 1, [0], 1), [self.body], integers([self.volume]))
 
     @property
     def dim(self) -> int:
@@ -116,31 +116,30 @@ class ToricPsh:
     and do not change the function), as are the copies of a repeated site
     that `power_diagram` passes over for its lowest value.  After that,
     f(x_a) = t_a holds for every generator.  The generators are kept once,
-    as `integer_generators`, sites and values each in lowest terms; their
-    Fraction view `generators`, the table and the MA measure are made on
-    first read.
+    as `integer_generators` in lowest terms, and next to them `masses`, the
+    cell volumes over one denominator as the cells' complex certified them;
+    `generators`, the table and the MA measure are made on first read.
     """
 
-    __slots__ = ("delta", "integer_generators", "cells", "_generators", "_table", "_measure")
+    __slots__ = ("delta", "integer_generators", "cells", "masses", "_generators", "_table", "_measure")
 
     def __init__(self, delta: NewtonPolytope, generators):
-        n = delta.dim
-        xs, d, ts, e = pg.integer_sites(generators, n)
+        xs, d, ts, e = pg.integer_sites(generators, delta.dim)
         if not ts:
             raise EmptyInput("a potential needs at least one generator")
         gens = sorted(zip(xs, ts))
-        cells = pg.power_diagram(delta.body, pg.IntegerSites([x for x, _ in gens], d, [t for _, t in gens], e)).cells
-        kept = [(x, t, cell) for (x, t), cell in zip(gens, cells) if cell is not None]
+        diagram = pg.power_diagram(delta.body, pg.IntegerSites([x for x, _ in gens], d, [t for _, t in gens], e))
+        (ms, md), kept = diagram.integer_masses, [a for a, cell in enumerate(diagram.cells) if cell is not None]
         self.delta, self._generators, self._table, self._measure = delta, None, None, None
-        self.integer_generators = _lowest(pg.IntegerSites([x for x, _, _ in kept], d, [t for _, t, _ in kept], e))
-        self.cells = tuple([cell for _, _, cell in kept])
+        self.integer_generators = _lowest(pg.IntegerSites([gens[a][0] for a in kept], d, [gens[a][1] for a in kept], e))
+        self.cells, self.masses = tuple([diagram.cells[a] for a in kept]), ([ms[a] for a in kept], md)
 
     @classmethod
-    def _from_cells(cls, delta: NewtonPolytope, sites: pg.IntegerSites, cells) -> "ToricPsh":
-        """A potential from its generators, sorted by site, and the cells
-        known to be their Laguerre cells; nothing is clipped."""
+    def _from_cells(cls, delta: NewtonPolytope, sites: pg.IntegerSites, cells, masses) -> "ToricPsh":
+        """A potential from its generators, sorted by site, their Laguerre
+        cells and the cells' certified masses; nothing is clipped or certified."""
         out = object.__new__(cls)
-        out.delta, out.integer_generators, out.cells = delta, _lowest(sites), tuple(cells)
+        out.delta, out.integer_generators, out.cells, out.masses = delta, _lowest(sites), tuple(cells), masses
         out._generators, out._table, out._measure = None, None, None
         return out
 
@@ -194,9 +193,10 @@ class ToricPsh:
 
     def shift(self, c) -> "ToricPsh":
         """f + c, c = p / q: the values t_a + c over e q.  A constant added
-        to every value moves no wall, so the cells are kept, not rebuilt."""
+        to every value moves no wall, so the cells and masses are kept."""
         (xs, d, ts, e), ((p,), q) = self.integer_generators, integers([c])
-        return ToricPsh._from_cells(self.delta, pg.IntegerSites(xs, d, [t * q + p * e for t in ts], e * q), self.cells)
+        shifted = pg.IntegerSites(xs, d, [t * q + p * e for t in ts], e * q)
+        return ToricPsh._from_cells(self.delta, shifted, self.cells, self.masses)
 
     def subdifferential(self, y: Point) -> Polytope:
         """The polytope of maximizing slopes at y (a cell of the dual
@@ -257,10 +257,7 @@ class TestFunction:
         return TestFunction([b.shift(c) for b in self.branches])
 
     def generator_sites(self) -> Tuple[Point, ...]:
-        out = []
-        for b in self.branches:
-            out.extend(b.sites)
-        return tuple(sorted(set(out)))
+        return tuple(sorted({x for b in self.branches for x in b.sites}))
 
     def __eq__(self, other):
         return isinstance(other, TestFunction) and self.branches == other.branches
@@ -272,10 +269,7 @@ class TestFunction:
 def psh_envelope(f: TestFunction) -> ToricPsh:
     """Largest potential below f: the envelope over the union of all
     branch generators (conjugating a min gives the max of the duals)."""
-    constraints = []
-    for b in f.branches:
-        constraints.extend(b.generators)
-    return envelope(f.delta, constraints)
+    return envelope(f.delta, [g for b in f.branches for g in b.generators])
 
 
 @dataclass(frozen=True)
@@ -313,13 +307,13 @@ class AtomicMeasure:
 
 def ma_measure(f: ToricPsh) -> AtomicMeasure:
     """Monge-Ampere measure: an atom at each generator site whose weight
-    is the exact volume of its cell in Delta.  Total mass = vol(Delta),
-    certified by `polyhedra.certified_volumes` on the cells' kept moment sums
-    when it is first computed, the check every power diagram passes; the
-    potential keeps it.  A potential's sites are sorted and distinct, its
-    cells full-dimensional."""
+    is the exact volume of its cell in Delta, read off the potential's
+    `masses`.  One certificate per built complex: `power_diagram` or
+    `_lower_hull` certified those masses to sum to vol(Delta) when it built
+    the cells, and no measure certifies them again.  The potential keeps
+    the measure; its sites are sorted and distinct, its cells full-dimensional."""
     if f._measure is None:
-        ms, md = pg.certified_volumes([cell.moment_sums for cell in f.cells], f.delta.body)
+        ms, md = f.masses
         f._measure = measure = AtomicMeasure(tuple([(x, Fraction(m, md)) for (x, _), m in zip(f.generators, ms)]))
         measure.__dict__["total_mass"] = f.delta.volume  # the certified sum
     return f._measure
@@ -351,19 +345,18 @@ def _from_hull(delta: NewtonPolytope, hull: pg.LowerHull) -> ToricPsh:
     """The potential whose dual function is a lower hull over Delta: each
     hull cell, where its affine function is the max, is the Laguerre cell
     of its generator."""
-    return ToricPsh._from_cells(delta, hull.generators, hull.cells)
+    return ToricPsh._from_cells(delta, hull.generators, hull.cells, hull.masses)
 
 
 def scale_potential(f: ToricPsh, s) -> ToricPsh:
-    """The potential s*f for s > 0; its slope polytope is s*Delta and its
-    cells are s times the cells of f."""
+    """The potential s*f for s > 0; its slope polytope is s*Delta, its
+    cells are s times the cells of f and their masses s^n times theirs."""
     s = Fraction(s)
     if s <= 0:
         raise ValueError("scaling coefficient must be positive")
-    delta = NewtonPolytope(f.delta.body.scaled(s))
-    xs, d, ts, e = f.integer_generators
-    gens = pg.IntegerSites(xs, d, [t * s.numerator for t in ts], e * s.denominator)
-    return ToricPsh._from_cells(delta, gens, [cell.scaled(s) for cell in f.cells])
+    (xs, d, ts, e), (ms, md), (p, q), n = f.integer_generators, f.masses, s.as_integer_ratio(), f.delta.dim
+    gens, masses = pg.IntegerSites(xs, d, [t * p for t in ts], e * q), ([m * p**n for m in ms], md * q**n)
+    return ToricPsh._from_cells(NewtonPolytope(f.delta.body.scaled(s)), gens, [c.scaled(s) for c in f.cells], masses)
 
 
 def _pair_sum(f: ToricPsh, g: ToricPsh) -> ToricPsh:

@@ -409,6 +409,22 @@ class TestPoisson:
         with pytest.raises(MassMismatch):
             cv.solve_poisson(g, w1, w2)
 
+    def test_measure_rules_are_decided_on_integers(self, monkeypatch):
+        """Positive and equal masses over different denominators pass with
+        no Fraction made; only a broken rule's message makes them."""
+        g = cycle3()
+        omega = cv.GraphMeasure.on(g, [F(1, 2), F(1, 3), F(0)])
+        mu = cv.GraphMeasure.on(g, [F(0), F(0), F(2, 3)], [((F(1, 2), F(1, 6)),), (), ()])
+        created, new = [], F.__new__
+        monkeypatch.setattr(F, "__new__", staticmethod(lambda cls, *a, **k: created.append(a) or new(cls, *a, **k)))
+        cv.check_poisson_measures(omega, mu)
+        monkeypatch.undo()
+        assert created == []
+        with pytest.raises(MassMismatch, match=r"^mu: mass 5/7 must equal mass\(omega\) = 5/6$"):
+            cv.check_poisson_measures(omega, cv.GraphMeasure.on(g, [F(0), F(0), F(5, 7)]))
+        with pytest.raises(MassMismatch, match="^mu: must be a positive measure$"):
+            cv.check_poisson_measures(omega, cv.GraphMeasure.on(g, [F(0), F(0), F(0)]))
+
     def test_round_trip_exact(self):
         rng = random.Random(17)
         for _ in range(15):
@@ -714,9 +730,9 @@ class TestMaxAndLocality:
 
 
 def test_the_operators_make_no_fraction_until_values_are_read(monkeypatch):
-    """green, ddc and curvature read and return integers; solve_poisson
-    makes only the two total masses its check reads, and reading a
-    function's values makes one Fraction per vertex."""
+    """green, ddc, solve_poisson (its measure check included) and
+    curvature read and return integers, and reading a function's values
+    makes one Fraction per vertex."""
     import fractions
 
     g = star()
@@ -732,11 +748,11 @@ def test_the_operators_make_no_fraction_until_values_are_read(monkeypatch):
     cv.ddc(g, cv.green(g, 1, 2))
     assert created == []
     phi = cv.solve_poisson(g, omega, mu)
-    assert len(created) == 2
+    assert created == []
     rho = cv.curvature(g, omega, phi)
-    assert len(created) == 2
+    assert created == []
     values = phi.values
-    assert len(created) == 2 + 4
+    assert len(created) == 4
     monkeypatch.undo()
     assert rho == mu and max(values) == 0 and len(on_edges(phi)[0]) == 1
 

@@ -257,6 +257,21 @@ def test_cells_are_built_only_for_the_returned_potential(monkeypatch):
     assert len(calls) == 8
 
 
+def test_a_search_ends_at_its_first_trial_that_rounds_back(monkeypatch):
+    """The 3-site rational solve on the unit square ends in NotConverged
+    (its stationary t is irrational): six steps, each passing at its first
+    trial, then a search whose first trial rounds back to the iterate.  No
+    shorter step can pass, so that search builds no `_State`: 7 in all, the
+    start and one per step (67 when every search ran its 60 trials)."""
+    built = []
+    state = sv._State
+    monkeypatch.setattr(sv, "_State", lambda *args: built.append(args) or state(*args))
+    with pytest.raises(NotConverged) as exc:
+        sv.solve(_found_problem(), sv.SolverConfig(mode="rational"))
+    assert [rec.trials for rec in exc.value.solution.trace] == [1] * 6
+    assert len(built) == 7
+
+
 class TestBoundedEnd:
     """Solves that cannot reach their tolerance end in NotConverged within
     seconds at the default max_iter of 10,000."""

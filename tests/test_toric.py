@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import time
 from fractions import Fraction as F
 
@@ -552,6 +553,42 @@ def test_ma_measure_rejects_a_forged_cell():
     assert tc.ma_measure(f).total_mass == SQ.volume
     with pytest.raises(ConsistencyError, match="cells cover mass"):
         pg.certified_volumes([shrunk.moment_sums, f.cells[1].moment_sums], SQ.body)
+
+
+def test_one_certificate_per_complex(monkeypatch):
+    """`power_diagram` and `_lower_hull` each run the mass-sum certificate
+    once, and a potential keeps the masses it returned: `ma_measure` runs
+    none, and `mixed_ma` and `energy_via_mixed` only the one of each pair
+    sum they build."""
+    callers = []
+    certify = pg.certified_volumes
+
+    def counted(sums, body):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return certify(sums, body)
+
+    def runs(build):
+        del callers[:]
+        out = build()
+        return out, list(callers)
+
+    monkeypatch.setattr(pg, "certified_volumes", counted)
+    sites = pg.IntegerSites([(0, 0), (2, 1), (1, 3), (1, 1)], 2, [0, 1, 2, 0], 3)
+    assert runs(lambda: pg.power_diagram(SQ.body, sites))[1] == ["power_diagram"]
+    assert runs(lambda: pg.lower_hull([((0, 0), 0), ((1, 0), 1), ((0, 1), 1), ((1, 1), 0)]))[1] == ["_lower_hull"]
+    f, made = runs(lambda: tc.envelope(SQ, [((0, 0), 0), ((1, 1), F(1, 2)), ((-1, 2), F(3, 4))]))
+    g, made_g = runs(lambda: tc.envelope(SQ, [((1, 0), 0), ((0, 2), F(1, 3))]))
+    assert made == made_g == ["power_diagram"]
+    h, made = runs(lambda: tc.max_combine(f, g))
+    assert made == ["_lower_hull"]
+    potentials = [f, g, h, f.shift(F(2, 3)), tc.scale_potential(h, F(3, 2)), tc._pair_sum(f, g), tc.g_delta(SQ)]
+    potentials.append(tc.lattice_envelope(SQ, [((0, 0), 0), ((1, 1), F(1, 2))], 3))
+    potentials.append(tc.lattice_envelope(UNIT, [((F(1, 2),), 0), ((2,), 1)], 4))
+    for p in potentials:
+        assert runs(lambda: tc.ma_measure(p))[1] == []
+    assert runs(lambda: tc.mixed_ma([f, g]))[1] == ["_lower_hull"]
+    assert runs(lambda: tc.mixed_ma([h, h]))[1] == []
+    assert runs(lambda: tc.energy_via_mixed(f, g))[1] == ["_lower_hull"]
 
 
 class TestKeptMassesAreCellVolumes:

@@ -216,6 +216,147 @@ def test_float_curve_payloads_are_the_fractions_rounded_once():
     ]
 
 
+ENVELOPE_2D = {
+    "kind": "toric-envelope",
+    "mode": "rational",
+    "polytope": {"vertices": [["0", "0"], ["3/2", "0"], ["1", "1/2"], ["0", "1"]]},
+    "constraints": [
+        {"site": ["0", "0"], "value": "0"},
+        {"site": ["1/2", "1/4"], "value": "1/6"},
+        {"site": ["3/4", "1"], "value": "1/3"},
+        {"site": ["-1/4", "1/2"], "value": "1/12"},
+    ],
+}
+
+
+def floated(obj):
+    """A rational-mode payload with every "p/q" leaf as float(Fraction(p, q))."""
+    if isinstance(obj, str):
+        return float(F(obj))
+    if isinstance(obj, dict):
+        return {k: floated(v) for k, v in obj.items()}
+    return [floated(v) for v in obj] if isinstance(obj, list) else obj
+
+
+def envelope_of(doc):
+    inst = io.parse_instance(json.dumps(doc))
+    return inst, io.envelope_payload(inst, tc.envelope(inst.data["delta"], inst.data["constraints"]))
+
+
+def test_toric_writers_reduce_each_entry_on_its_own():
+    """Sites over 4, values over 12 and masses over 360 are each written in
+    their own lowest terms, and float mode writes each entry rounded once."""
+    _, payload = envelope_of(ENVELOPE_2D)
+    site = lambda x, y: {"point": [x, y]}
+    assert payload == {
+        "polytope": {"vertices": [["0", "0"], ["3/2", "0"], ["1", "1/2"], ["0", "1"]]},
+        "generators": [
+            {"site": ["-1/4", "1/2"], "value": "1/12"},
+            {"site": ["0", "0"], "value": "0"},
+            {"site": ["1/2", "1/4"], "value": "1/6"},
+            {"site": ["3/4", "1"], "value": "1/3"},
+        ],
+        "atoms": [
+            dict(site("-1/4", "1/2"), weight="1/45"),
+            dict(site("0", "0"), weight="1/18"),
+            dict(site("1/2", "1/4"), weight="1/45"),
+            dict(site("3/4", "1"), weight="31/40"),
+        ],
+        "total_mass": "7/8",
+        "energy": "-673/1728",
+    }
+    assert envelope_of(dict(ENVELOPE_2D, mode="float"))[1] == floated(payload)
+
+
+def test_toric_writers_on_one_dimensional_sites():
+    """A 1-D site is a one-entry list; a pruned constraint is not written."""
+    constraints = [{"site": ["1/3"], "value": "0"}, {"site": ["-2/3"], "value": "-1/5"}, {"site": ["0"], "value": "1"}]
+    _, payload = envelope_of(dict(ENVELOPE, constraints=constraints))
+    assert payload == {
+        "polytope": {"vertices": [["0"], ["1"]]},
+        "generators": [{"site": ["-2/3"], "value": "-1/5"}, {"site": ["1/3"], "value": "0"}],
+        "atoms": [{"point": ["-2/3"], "weight": "1/5"}, {"point": ["1/3"], "weight": "4/5"}],
+        "total_mass": "1",
+        "energy": "-14/75",
+    }
+
+
+def test_float_toric_payloads_are_the_fractions_rounded_once():
+    """A float-mode site, value or mass x / d with x past 2^53 is written as
+    float(Fraction(x, d)), where float(x) / d would round twice."""
+    big = 2**60 + 33
+    assert float(big) / 3 != float(F(big, 3))
+    doc = dict(
+        ENVELOPE,
+        mode="float",
+        constraints=[{"site": [f"{big}/3"], "value": "0"}, {"site": ["-7/3"], "value": f"-{big}/3"}],
+    )
+    _, payload = envelope_of(doc)
+    # The cells meet at m = big / (big + 7): there the two affine functions agree.
+    assert payload["generators"] == [
+        {"site": [float(F(-7, 3))], "value": float(F(-big, 3))},
+        {"site": [float(F(big, 3))], "value": 0.0},
+    ]
+    assert payload["atoms"] == [
+        {"point": [float(F(-7, 3))], "weight": float(F(big, big + 7))},
+        {"point": [float(F(big, 3))], "weight": float(F(7, big + 7))},
+    ]
+    assert payload["total_mass"] == 1.0
+
+
+DIRAC_1D = dict(DIRAC, polytope={"vertices": [["0"], ["3/2"]]}, sites=[["1/4"], ["-1/2"]], weights=["1/2", "1"])
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_solve_payloads_are_pinned(mode):
+    inst = io.parse_instance(json.dumps(dict(DIRAC_1D, mode=mode)))
+    payload, code = cli._solve(inst)
+    assert code == 0
+    want = {
+        "polytope": {"vertices": [["0"], ["3/2"]]},
+        "sites": [["1/4"], ["-1/2"]],
+        "t": ["0", "-3/4"],
+        "generators": [{"site": ["-1/2"], "value": "-3/4"}, {"site": ["1/4"], "value": "0"}],
+        "atoms": [{"point": ["-1/2"], "weight": "1"}, {"point": ["1/4"], "weight": "1/2"}],
+        "energy": "-15/16",
+        "objective": "-3/16",
+        "residual": "0",
+        "iterations": 0 if mode == "rational" else 1,
+    }
+    assert payload == (want if mode == "rational" else floated(want))
+
+
+def test_a_two_dimensional_float_solve_payload_is_pinned():
+    doc = {
+        "kind": "toric-dirac",
+        "mode": "float",
+        "polytope": {"vertices": [["0", "0"], ["1", "0"], ["0", "1"]]},
+        "sites": [["1/4", "0"], ["-1/2", "1/3"], ["1/2", "1/2"]],
+        "weights": ["1/6", "1/6", "1/6"],
+    }
+    payload, code = cli._solve(io.parse_instance(json.dumps(doc)))
+    assert code == 0
+    assert payload == {
+        "polytope": {"vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]},
+        "sites": [[0.25, 0.0], [-0.5, 0.3333333333333333], [0.5, 0.5]],
+        "t": [-0.24494662790198368, -0.30278331122160373, 0.0],
+        "generators": [
+            {"site": [-0.5, 0.3333333333333333], "value": -0.30278331122160373},
+            {"site": [0.25, 0.0], "value": -0.24494662790198368},
+            {"site": [0.5, 0.5], "value": 0.0},
+        ],
+        "atoms": [
+            {"point": [-0.5, 0.3333333333333333], "weight": 0.16666666666666655},
+            {"point": [0.25, 0.0], "weight": 0.16666666666666718},
+            {"point": [0.5, 0.5], "weight": 0.16666666666666627},
+        ],
+        "energy": -0.14061647072888206,
+        "objective": -0.04932814754161748,
+        "residual": 5.158156159894325e-16,
+        "iterations": 3,
+    }
+
+
 def test_a_parsed_measure_equals_the_measure_on_its_fractions():
     """Two atoms at one vertex sum to 4/2 over the parser's denominator;
     the parsed measure still equals the one built from Fractions."""

@@ -6,7 +6,7 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nama import polyhedra as pg
@@ -1549,3 +1549,49 @@ def test_sites_reach_one_integer_form_by_every_route(dim):
 def test_integer_form_by_hand():
     assert integer_form(INTEGER_FORM_PAIRS[2]) == ([(6, -36), (-8, 0), (48, 21), (6, -36)], 12, [4, 30, 14, -3], 12)
     assert integer_form(INTEGER_FORM_PAIRS[1]) == ([(3, 0), (-12, 0), (10, 0), (3, 0)], 6, [9, 3, 24, -14], 12)
+
+
+class TestCutOnDegenerateLoops:
+    """A segment is a 2-point loop and a point a 1-point loop; `_cut`
+    takes both, as `clip` hands it a lower-dimensional polytope's loop."""
+
+    def test_a_crossed_segment_gives_its_crossing_point_once(self):
+        # The loop runs the segment there and back: two edges cross the line at one point.
+        assert pg._cut([(0, 0, 1), (2, 0, 1)], 1, 0, 1) == [(1, 0, 1), (0, 0, 1)]
+        assert pg._cut([(0, 0, 1), (1, 1, 1)], -1, -1, -1) == [(1, 1, 2), (1, 1, 1)]
+        assert pg._cut([(-1, 0, 2), (5, 0, 3)], -3, 0, 0) == [(0, 0, 1), (5, 0, 3)]
+
+    def test_a_one_point_loop(self):
+        point = [(1, 2, 3)]
+        assert pg._cut(point, 3, 0, 1) is point  # on the line
+        assert pg._cut(point, 0, 3, 1) == []
+        assert pg._cut(point, -3, 0, 1) is point
+
+    def test_clip_cuts_segments_and_points(self):
+        seg = pg.hull([(F(0), F(0)), (F(2), F(2))], 2)
+        assert pg.clip(seg, [((F(1), F(0)), F(1))]).vertices == ((F(0), F(0)), (F(1), F(1)))
+        assert pg.clip(seg, [((F(1), F(1)), F(0))]).vertices == ((F(0), F(0)),)
+        point = pg.hull([(F(1, 2), F(1, 3))], 2)
+        assert pg.clip(point, [((F(0), F(3)), F(1))]) == point
+        assert pg.clip(point, [((F(0), F(3)), F(0))]).is_empty
+
+
+@st.composite
+def convex_loops(draw):
+    """The loop of a strictly convex polygon: the hull of integer points
+    over a common denominator, kept when it has three or more corners."""
+    coords = draw(st.lists(st.integers(-12, 12), min_size=6, max_size=24).filter(lambda c: len(c) % 2 == 0))
+    p = pg.hull_over(2, coords, draw(st.integers(1, 6)))
+    assume(len(p.loop) >= 3)
+    return list(p.loop)
+
+
+@settings(max_examples=200, deadline=None)
+@given(convex_loops(), st.integers(-5, 5), st.integers(-5, 5), st.integers(-40, 40))
+def test_cut_of_a_strictly_convex_loop_repeats_no_point(loop, a0, a1, b):
+    """Its crossing points lie strictly inside distinct edges, so none is a
+    corner or another crossing point."""
+    assume((a0, a1) != (0, 0))
+    out = pg._cut(loop, a0, a1, b)
+    assert len(set(out)) == len(out)
+    assert set(out) >= {h for h in loop if a0 * h[0] + a1 * h[1] <= b * h[2]}

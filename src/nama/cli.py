@@ -97,7 +97,7 @@ def _energy(inst: io.InstanceFile):
         if f.delta != inst.data["delta"]:  # as in `envelope`, whose payload then omits the energy
             m = inst.data["lattice_m"]
             raise ValidationError("lattice_m", f"the 1/{m} lattice hull is smaller than Delta, which the energy needs")
-        values = {"energy": tc.energy(f, tc.g_delta(f.delta)), "total_mass": tc.ma_measure(f).total_mass}
+        values = {"energy": tc.energy(f, tc.g_delta(f.delta)), "total_mass": f.delta.volume}
     else:
         graph, omega, mu = inst.data["graph"], inst.data["omega"], inst.data["mu"]
         phi = cv.solve_poisson(graph, omega, mu)

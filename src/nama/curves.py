@@ -296,13 +296,20 @@ def energy_graph(graph: MetricGraph, phi: GraphFunction, omega: GraphMeasure) ->
     for where, x in [*enumerate(rho), *interior]:
         if x < 0:
             raise NotPsh(where, Fraction(x, den))
-    return integrate_graph(graph, phi, omega) + Fraction(sum(map(mul, xs, ws)), 2 * d * k)
+    num, q = _pairing(graph, phi, omega)  # one Fraction of the two terms over q * 2 d k
+    return Fraction(num * 2 * d * k + q * sum(map(mul, xs, ws)), q * 2 * d * k)
 
 
 def integrate_graph(graph: MetricGraph, f: GraphFunction, m: GraphMeasure) -> Fraction:
-    """int f dm on integers: an atom at a vertex or at one of f's breakpoints
-    (every atom, when f solves a Poisson equation in m) meets f's entry there,
-    and only an atom between two breakpoints takes f's interpolated value."""
+    """int f dm, one Fraction of `_pairing`'s integers."""
+    return Fraction(*_pairing(graph, f, m))
+
+
+def _pairing(graph: MetricGraph, f: GraphFunction, m: GraphMeasure):
+    """int f dm as (numerator, denominator) on integers: an atom at a vertex
+    or at one of f's breakpoints (every atom, when f solves a Poisson
+    equation in m) meets f's entry there, and only an atom between two
+    breakpoints takes f's interpolated value."""
     (xs, d), (ws, dm), n = f.integers, m.integers, graph.vertex_count
     total, at = sum(map(mul, xs, ws[:n])), f.split(range(len(xs)))[1] if len(ws) > n else []
     for w, (e, p) in zip(ws[n:], ((e, p) for e, ps in enumerate(m.positions) for p in ps)):
@@ -310,7 +317,7 @@ def integrate_graph(graph: MetricGraph, f: GraphFunction, m: GraphMeasure) -> Fr
         prof = [(0, u), *(at[e] if at else ()), (1, v)]  # (position, index into xs) along edge e
         (p0, i), (p1, j) = next(seg for seg in zip(prof, prof[1:]) if p <= seg[1][0])
         total += w * xs[j] if p == p1 else w * (xs[i] * (p1 - p) + xs[j] * (p - p0)) / (p1 - p0)
-    return Fraction(total, d * dm)
+    return total, d * dm
 
 
 def subdivide(graph: MetricGraph, positions: Sequence[Sequence[Fraction]]):

@@ -82,6 +82,8 @@ class GenConfig:
     coefficient_bound: int = 4
 
     def __post_init__(self):
+        if not 0 <= self.seed <= _MASK:  # SplitMix64 would reduce it mod 2^64 without a word
+            raise ValidationError("seed", "must be in [0, 2^64)")
         if self.dimension not in (1, 2):
             raise ValidationError("dimension", "must be 1 or 2")
         for name in ("polytope_complexity", "function_complexity", "coefficient_bound"):

@@ -6,10 +6,9 @@ serialized as "p/q" or decimal strings and any bare JSON float in a
 rational-mode instance is rejected.  Unknown fields are rejected
 everywhere so that typos fail loudly instead of being ignored.  A
 literal is read in one pass to integers in lowest terms (`_ratio`).
-Curve fields, polytope vertices and envelope constraints keep them, over
-one denominator per field, so an envelope makes Fractions only for the
-generators it keeps; the canonical writer puts str and int leaves inline,
-with no call per leaf.
+Curve fields, polytope vertices and envelope constraints keep them over
+one denominator per field, and results are written from their integers
+(`_rendered`); the canonical writer puts str and int leaves inline.
 """
 
 from __future__ import annotations
@@ -211,7 +210,7 @@ def _check_keys(obj, allowed, required: Tuple[str, ...], field: str):
 
 
 def encode_polytope(delta: tc.NewtonPolytope, mode: str = "rational"):
-    return {"vertices": [[_render(c, mode) for c in v] for v in delta.body.vertices]}
+    return {"vertices": [_rendered((x, y)[: delta.dim], w, mode) for x, y, w in delta.body.loop]}
 
 
 def decode_polytope(obj, mode: str, field: str) -> tc.NewtonPolytope:
@@ -229,11 +228,14 @@ def decode_polytope(obj, mode: str, field: str) -> tc.NewtonPolytope:
         raise ValidationError(f"{field}.vertices", str(exc)) from None
 
 
+def _sites(f: tc.ToricPsh, mode: str) -> list:
+    """A potential's sites, written from `integer_generators`."""
+    (xs, d, _, _), n = f.integer_generators, f.delta.dim
+    return [_rendered(x[:n], d, mode) for x in xs]
+
+
 def encode_generators(f: tc.ToricPsh, mode: str = "rational"):
-    return [
-        {"site": [_render(c, mode) for c in x], "value": _render(t, mode)}
-        for x, t in f.generators
-    ]
+    return [{"site": x, "value": t} for x, t in zip(_sites(f, mode), _rendered(*f.integer_generators[2:], mode))]
 
 
 def decode_generators(objs, mode: str, field: str, n: int) -> pg.IntegerSites:
@@ -255,11 +257,9 @@ def encode_test_function(f: tc.TestFunction, mode: str = "rational"):
     return {"branches": [encode_generators(b, mode) for b in f.branches]}
 
 
-def encode_measure(mu: tc.AtomicMeasure, mode: str = "rational"):
-    return [
-        {"point": [_render(c, mode) for c in p], "weight": _render(w, mode)}
-        for p, w in mu.atoms
-    ]
+def encode_measure(f: tc.ToricPsh, mode: str = "rational"):
+    """MA(f) as `ma_measure` reads it: at each site its cell's kept mass."""
+    return [{"point": x, "weight": w} for x, w in zip(_sites(f, mode), _rendered(*f.masses, mode))]
 
 
 def encode_graph(graph: cv.MetricGraph, mode: str = "rational"):
@@ -451,7 +451,7 @@ def solution_payload(inst: InstanceFile, solution: sv.Solution) -> Dict[str, Any
         "sites": [[_render(c, mode) for c in x] for x in p.sites],
         "t": [_render(t, mode) for t in solution.t],
         "generators": encode_generators(solution.potential, mode),
-        "atoms": encode_measure(tc.ma_measure(solution.potential), mode),
+        "atoms": encode_measure(solution.potential, mode),
         "energy": _render(solution.energy, mode),
         "objective": _render(solution.objective, mode),
         "residual": _render(solution.residual, mode),
@@ -460,15 +460,15 @@ def solution_payload(inst: InstanceFile, solution: sv.Solution) -> Dict[str, Any
 
 
 def envelope_payload(inst: InstanceFile, f: tc.ToricPsh) -> Dict[str, Any]:
-    """The energy is reported only over the instance's own polytope, not
+    """The total mass is vol(Delta), which the masses are certified to sum
+    to; the energy is reported only over the instance's own polytope, not
     over the smaller one of a lattice envelope."""
     mode = inst.mode
-    mu = tc.ma_measure(f)
     payload = {
         "polytope": encode_polytope(f.delta, mode),
         "generators": encode_generators(f, mode),
-        "atoms": encode_measure(mu, mode),
-        "total_mass": _render(mu.total_mass, mode),
+        "atoms": encode_measure(f, mode),
+        "total_mass": _render(f.delta.volume, mode),
     }
     if f.delta == inst.data["delta"]:
         payload["energy"] = _render(tc.energy(f, tc.g_delta(f.delta)), mode)

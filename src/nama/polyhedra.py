@@ -206,11 +206,12 @@ def _from_homogeneous(h, dim: int) -> Point:
 def _cut(loop, a0: int, a1: int, b: int):
     """One Sutherland-Hodgman pass of `loop` against {a0 X + a1 Y <= b W}.
 
-    `loop` lists distinct homogeneous points in boundary order: a convex
-    polygon, or any order for collinear points (a segment is a 2-point
-    loop, a point a 1-point loop).  Returns `loop` itself when no point
-    violates the half-space, [] when every point does, and otherwise the
-    kept points plus the crossing points of the edges, without repeats.
+    `loop` lists distinct homogeneous points in boundary order: a strictly
+    convex polygon, a segment (2 points) or a point.  Returns `loop` itself
+    when no point violates the half-space, [] when every point does, and
+    otherwise the kept points plus the crossing points, without repeats.  A
+    polygon's crossing points lie strictly inside distinct edges, so only a
+    segment, whose loop runs there and back, needs the dedupe pass.
     """
     vals = [a0 * x + a1 * y - b * w for x, y, w in loop]
     if max(vals) <= 0:
@@ -230,8 +231,7 @@ def _cut(loop, a0: int, a1: int, b: int):
         if fq <= 0:
             out.append(q)
         p, fp = q, fq
-    # Collinear loops meet the line once but cross it on several edges.
-    return list(dict.fromkeys(out))
+    return out if len(loop) > 2 else list(dict.fromkeys(out))
 
 
 def _from_loop(loop, n: int) -> Polytope:

@@ -243,6 +243,28 @@ def envelope_of(doc):
     return inst, io.envelope_payload(inst, tc.envelope(inst.data["delta"], inst.data["constraints"]))
 
 
+def test_an_envelope_payload_makes_only_its_energy_and_volume(monkeypatch):
+    """Writing the payload of a built potential makes two Fractions, the
+    energy and vol(Delta): the polytope, the generators, the atoms and the
+    total mass are written from their integers, in both modes."""
+    import fractions
+
+    for mode in ("rational", "float"):
+        inst = io.parse_instance(json.dumps(dict(ENVELOPE_2D, mode=mode)))
+        f = tc.envelope(inst.data["delta"], inst.data["constraints"])
+        created, new = [], fractions.Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            created.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counted))
+        payload = io.envelope_payload(inst, f)
+        monkeypatch.undo()
+        assert len(created) == 2
+        assert F(payload["total_mass"]) == f.delta.volume == F(7, 8)
+
+
 def test_toric_writers_reduce_each_entry_on_its_own():
     """Sites over 4, values over 12 and masses over 360 are each written in
     their own lowest terms, and float mode writes each entry rounded once."""
@@ -407,8 +429,8 @@ def run_cli(tmp_path, *argv):
 def test_curve_results_are_written_and_paired_from_their_integers(tmp_path, monkeypatch):
     """Over a float-mode green, a poisson and an energy op whose measure has
     an interior atom, which the solution has a breakpoint at, the two curve
-    writers make no Fraction and `integrate_graph` only the one it returns,
-    once for the energy and once for the pairing."""
+    writers make no Fraction, and `energy_graph` and `integrate_graph` only
+    the one each returns: one integer sum over a common denominator each."""
     import fractions
 
     created, inside, new = [], [], fractions.Fraction.__new__
@@ -432,7 +454,8 @@ def test_curve_results_are_written_and_paired_from_their_integers(tmp_path, monk
     for command, doc in ops:
         (tmp_path / f"{command}.json").write_text(json.dumps(doc))
     monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counted))
-    for module, name in ((io, "graph_function_payload"), (io, "encode_graph_measure"), (cv, "integrate_graph")):
+    watch = ((io, "graph_function_payload"), (io, "encode_graph_measure"), (cv, "energy_graph"), (cv, "integrate_graph"))
+    for module, name in watch:
         monkeypatch.setattr(module, name, watched(getattr(module, name)))
     for command, _ in ops:
         out = tmp_path / f"{command}.out.json"
@@ -440,7 +463,7 @@ def test_curve_results_are_written_and_paired_from_their_integers(tmp_path, monk
     monkeypatch.undo()
     solution = json.loads((tmp_path / "poisson.out.json").read_text())["solution"]
     assert [p for p, _ in solution["breakpoints"][0]] == ["1/3"]
-    assert [c for c in created if c is not None] == ["integrate_graph"] * 2
+    assert [c for c in created if c is not None] == ["energy_graph", "integrate_graph"]
 
 
 class TestCli:
@@ -1226,3 +1249,15 @@ def test_check_zero_cases_is_an_empty_passing_report(tmp_path):
     out = tmp_path / "r.json"
     assert run_cli(tmp_path, "check", "--suite", "capacity", "--cases", "0", "--no-timestamp", "-o", out) == 0
     assert json.loads(out.read_text()) == {"suite": "capacity", "cases": 0, "failures": [], "elapsed_ms": 0}
+
+
+@pytest.mark.parametrize("seed, ok", [(-1, False), (0, True), (2**64 - 1, True), (2**64, False)])
+def test_check_seed_outside_64_bits_exits_two_naming_the_field(tmp_path, capsys, seed, ok):
+    """A seed is used as it is or refused: SplitMix64 would reduce it mod
+    2^64, so -1 would run the cases of 2^64 - 1 and say nothing."""
+    out = tmp_path / "r.json"
+    code = run_cli(tmp_path, "check", "--suite", "locality", "--cases", "2", "--seed", seed, "-o", out)
+    err = capsys.readouterr().err
+    assert (code, out.exists()) == ((0, True) if ok else (2, False)), err
+    if not ok:
+        assert err == "error: seed: must be in [0, 2^64)\n"

@@ -70,6 +70,31 @@ class TestGenerators:
                     assert contains(hull_body, v)
 
 
+def lattice_slopes(f, m):
+    """Whether every slope of f lies on the (1/m)-lattice, as the zariski
+    suite asks of its envelope, read off the Fraction pieces."""
+    return all((v[0] * m).denominator == 1 for v, _ in f.pieces)
+
+
+class TestZariskiLatticeFlag:
+    """The flag that asks a lattice envelope for defect 0."""
+
+    LADDER = (1, 2, 3, 4, 6, 8)
+
+    @pytest.mark.parametrize(
+        "ends, constraints, flags",
+        [
+            ((0, 1), [((0,), 0)], [True] * 6),
+            ((0, 1), [((0,), 0), ((1,), F(1, 3))], [False, False, True, False, True, False]),
+            ((F(-1, 2), 1), [((0,), 0)], [False, True, False, True, True, True]),
+            ((F(-1, 2), 1), [((0,), 0), ((2,), F(3, 4))], [False, False, False, False, False, True]),
+        ],
+    )
+    def test_true_and_false(self, ends, constraints, flags):
+        f = tc.envelope(tc.newton_polytope([(c,) for c in ends], 1), constraints)
+        assert [lattice_slopes(f, m) for m in self.LADDER] == flags
+
+
 class TestSuites:
     def test_unknown_suite(self):
         with pytest.raises(UnknownSuite):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nama import curves as cv
+from nama import harness as hx
 from nama import polyhedra as pg
 from nama import toric as tc
 
@@ -47,6 +48,21 @@ def potentials(draw, delta=None):
 def potential_pairs(draw):
     delta = draw(deltas())
     return draw(potentials(delta=delta)), draw(potentials(delta=delta))
+
+
+@st.composite
+def generated_deltas(draw):
+    """Intervals and polygons from the harness's own generator."""
+    rng = hx.SplitMix64(draw(st.integers(0, 2**64 - 1)))
+    return hx.gen_polytope(rng, draw(st.integers(1, 2)), draw(st.integers(3, 8)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(generated_deltas(), st.lists(st.builds(F, st.integers(-10**9, 10**9), st.integers(1, 10**6)), min_size=2, max_size=2))
+def test_g_delta_is_the_support_function(delta, coords):
+    """g_Delta(y) = max over the vertices m of Delta of <m, y>, in Fractions."""
+    y = tuple(coords[: delta.dim])
+    assert tc.g_delta(delta).value(y) == max(sum((a * b for a, b in zip(m, y)), F(0)) for m in delta.body.vertices)
 
 
 @settings(max_examples=60, deadline=None)

@@ -998,3 +998,32 @@ class TestWeightAt:
                 probes += [tuple(int(c) for c in p) for p, _ in mu.atoms if all(c.denominator == 1 for c in p)]
                 for p in probes:
                     assert mu.weight_at(p) == scan(p)
+
+
+class TestEquality:
+    """A potential's identity is its polytope and its canonical generators:
+    equal potentials built by different routes compare and hash equal."""
+
+    @staticmethod
+    def routes(f):
+        c = F(-7, 3)
+        yield "shift there and back", f.shift(c).shift(-c)
+        yield "max with itself", tc.max_combine(f, f)
+        yield "scaled by 2, then by 1/2", tc.scale_potential(tc.scale_potential(f, 2), F(1, 2))
+        yield "envelope of its generators", tc.envelope(f.delta, f.generators)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_routes_to_one_potential(self, dim):
+        for f, g in [*_seeded_pairs(dim, range(10)), (tc.g_delta(SQ if dim == 2 else UNIT),) * 2]:
+            for name, h in self.routes(f):
+                assert h == f and hash(h) == hash(f), name
+            assert (g == f) == (g.generators == f.generators)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_one_value_changed_is_unequal(self, dim):
+        for f, _ in _seeded_pairs(dim, range(10)):
+            for a, (x, t) in enumerate(f.generators):
+                gens = list(f.generators)
+                gens[a] = (x, t - F(1, 5))
+                assert tc.envelope(f.delta, gens) != f
+        assert tc.g_delta(SQ).shift(1) != tc.g_delta(SQ) != tc.g_delta(TRI)

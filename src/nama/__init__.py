@@ -38,7 +38,6 @@ from .toric import (
     newton_polytope,
     orthogonality_defect,
     psh_envelope,
-    support_value,
 )
 
 __version__ = "0.1.0"

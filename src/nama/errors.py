@@ -31,10 +31,6 @@ class DeltaMismatch(NamaError):
     """Operands are defined over different Newton polytopes."""
 
 
-class WrongArity(NamaError):
-    """A mixed operator received the wrong number of arguments."""
-
-
 class EmptyLattice(NamaError):
     """The requested slope lattice contains no point of the polytope."""
 
@@ -51,7 +47,8 @@ class MassMismatch(NamaError):
 
 
 class ArityMismatch(NamaError):
-    """A potential vector has the wrong length for its problem."""
+    """A potential vector has the wrong length for its problem, or a mixed
+    operator the wrong number of potentials."""
 
 
 class NotConverged(NamaError):

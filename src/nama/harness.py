@@ -163,7 +163,7 @@ def gen_psh(rng: SplitMix64, delta: tc.NewtonPolytope, cfg: GenConfig) -> tc.Tor
         if x in seen:
             continue
         seen.add(x)
-        base = tc.support_value(delta, sub(x, tau))
+        base = tc.g_delta(delta).value(sub(x, tau))
         noise = rng.fraction(1, 2 * cfg.coefficient_bound)
         gens.append((x, base + noise))
     if not gens:
@@ -334,6 +334,14 @@ def _w_pair(delta, phi, psi):
     }
 
 
+def _w_dirac(delta, p):
+    return {
+        "polytope": io.encode_polytope(delta),
+        "sites": [[str(c) for c in x] for x in p.sites],
+        "weights": [str(w) for w in p.weights],
+    }
+
+
 def _two_psh(rng, cfg):
     delta = gen_polytope(rng, cfg.dimension, cfg.polytope_complexity)
     return delta, gen_psh(rng, delta, cfg), gen_psh(rng, delta, cfg)
@@ -475,12 +483,7 @@ def _suite_differentiability(rng: SplitMix64, cfg: GenConfig):
     p = gen_dirac_problem(rng, delta, cfg)
     t = tuple(rng.fraction(2, cfg.coefficient_bound) for _ in p.sites)
     failures = []
-    witness = {
-        "polytope": io.encode_polytope(delta),
-        "sites": [[io.format_scalar(c) for c in x] for x in p.sites],
-        "weights": [io.format_scalar(w) for w in p.weights],
-        "t": [io.format_scalar(x) for x in t],
-    }
+    witness = {**_w_dirac(delta, p), "t": [str(x) for x in t]}
     _value, grad = sv.dual_objective(p, t)  # asserts both energy routes agree
     phi = tc.envelope(delta, list(zip(p.sites, t)))
     for i, x in enumerate(p.sites):
@@ -665,11 +668,7 @@ def _suite_uniqueness(rng: SplitMix64, cfg: GenConfig):
     closeness 1e-7."""
     delta = gen_polytope(rng, cfg.dimension, cfg.polytope_complexity)
     p = gen_dirac_problem(rng, delta, cfg)
-    witness = {
-        "polytope": io.encode_polytope(delta),
-        "sites": [[io.format_scalar(c) for c in x] for x in p.sites],
-        "weights": [io.format_scalar(w) for w in p.weights],
-    }
+    witness = _w_dirac(delta, p)
     failures = []
     if delta.dim == 1:
         s = sv.solve(p, sv.SolverConfig(mode="rational"))
@@ -687,7 +686,7 @@ def _suite_uniqueness(rng: SplitMix64, cfg: GenConfig):
         return failures
     tol = Fraction(1, 10**10)
     xbar = p.barycenter()
-    base = [tc.support_value(delta, sub(x, xbar)) for x in p.sites]
+    base = [tc.g_delta(delta).value(sub(x, xbar)) for x in p.sites]
     init2 = tuple(
         ti + Fraction(rng.int_between(-2, 2), 8) for ti in base
     )
@@ -709,6 +708,12 @@ def _suite_uniqueness(rng: SplitMix64, cfg: GenConfig):
             failures.append(("uniqueness:domination", witness))
             break
     return failures
+
+
+def _slopes_on_lattice(f: tc.ToricPsh, m: int) -> bool:
+    """Whether each slope V_0 / D of a 1-D potential's table is on the (1/m)-lattice."""
+    den, rows = f.table
+    return all(v0 * m % den == 0 for v0, _, _ in rows)
 
 
 def _suite_zariski_defect(rng: SplitMix64, cfg: GenConfig):
@@ -739,10 +744,7 @@ def _suite_zariski_defect(rng: SplitMix64, cfg: GenConfig):
     env = tc.psh_envelope(f)
     witness = {
         "polytope": io.encode_polytope(delta),
-        "constraints": [
-            {"site": [io.format_scalar(c) for c in x], "value": io.format_scalar(t)}
-            for x, t in constraints
-        ],
+        "constraints": [{"site": [str(c) for c in x], "value": str(t)} for x, t in constraints],
     }
     failures = []
     defects = []
@@ -751,10 +753,7 @@ def _suite_zariski_defect(rng: SplitMix64, cfg: GenConfig):
         d = tc.orthogonality_defect(f, lat)
         if d < 0:
             failures.append((f"zariski:negative:m={m}", witness))
-        slopes_in_lattice = all(
-            (v[0] * m).denominator == 1 for v, _ in env.pieces
-        )
-        if slopes_in_lattice and d != 0:
+        if _slopes_on_lattice(env, m) and d != 0:
             failures.append((f"zariski:lattice-slopes-nonzero:m={m}", witness))
         defects.append(d)
     if defects[-1] > defects[0] / 8:

@@ -152,13 +152,6 @@ def _over_one(pairs) -> Tuple[list, int]:
     return [p * (den // q) for p, q in pairs], den
 
 
-def format_scalar(x: Fraction) -> str:
-    """Render a rational as ``"p"`` or ``"p/q"`` (lowest terms)."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _is_int(value) -> bool:
     """A JSON integer; JSON true/false decode to bool, a subclass of int."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -181,7 +174,7 @@ def _point(value, mode: str, field: str, dim: Optional[int] = None):
 
 
 def _render(x: Fraction, mode: str):
-    return float(x) if mode == "float" else format_scalar(x)
+    return float(x) if mode == "float" else str(x)
 
 
 def _rendered(xs, d: int, mode: str) -> list:
@@ -503,14 +496,12 @@ def export_cells(text: str) -> str:
     delta = decode_polytope(sol["polytope"], mode, "solution.polytope")
     gens = decode_generators(sol["generators"], mode, "solution.generators", delta.dim)
     f = tc.ToricPsh(delta, gens)
-    mu = tc.ma_measure(f)
-    axes, exact = range(1, delta.dim + 1), mode == "rational"
+    (ms, md), axes, exact = f.masses, range(1, delta.dim + 1), mode == "rational"
     cols = [*(f"site_x{k}" for k in axes), "weight", *(f"vertex_x{k}" for k in axes)]
     lines = [",".join(["cell_id", *cols, *([f"{c}_exact" for c in cols] if exact else [])])]
-    for cell_id, ((site, _), cell) in enumerate(zip(f.generators, f.cells)):
-        w = mu.weight_at(site)
+    for cell_id, ((site, _), cell, m) in enumerate(zip(f.generators, f.cells, ms)):
         for v in sorted(cell.vertices):
-            row = [*site, w, *v]
-            exact_row = map(format_scalar, row) if exact else ()
+            row = [*site, Fraction(m, md), *v]
+            exact_row = map(str, row) if exact else ()
             lines.append(",".join([str(cell_id), *(repr(float(c)) for c in row), *exact_row]))
     return "\n".join(lines) + "\n"

@@ -54,9 +54,7 @@ _ZERO = Fraction(0)
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     if len(a) == 2:
         return a[0] * b[0] + a[1] * b[1]
-    if len(a) == 1:
-        return a[0] * b[0]
-    return sum((x * y for x, y in zip(a, b)), _ZERO)
+    return a[0] * b[0]
 
 
 def sub(a: Point, b: Point) -> Point:
@@ -463,15 +461,6 @@ def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
     if p.is_empty or q.is_empty:
         return _empty(p.dim)
     return hull([add(u, v) for u in p.vertices for v in q.vertices], p.dim)
-
-
-def support_value(p: Polytope, y: Point) -> Fraction:
-    """max over m in p of <m, y>, computed on the vertex list."""
-    if p.is_empty:
-        raise EmptyInput("support value of the empty polytope")
-    if len(y) != p.dim:
-        raise DimensionMismatch(f"direction {y} does not have dimension {p.dim}")
-    return max(dot(v, y) for v in p.vertices)
 
 
 # --------------------------------------------------------------------------

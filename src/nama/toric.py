@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import polyhedra as pg
 from .errors import (
+    ArityMismatch,
     ConsistencyError,
     DegenerateSpan,
     DeltaMismatch,
@@ -29,7 +30,6 @@ from .errors import (
     EmptyInput,
     EmptyLattice,
     NotDominated,
-    WrongArity,
 )
 from .linalg import integers
 from .polyhedra import Point, Polytope, sub
@@ -73,13 +73,6 @@ class NewtonPolytope:
 
 def newton_polytope(vertices, dim: Optional[int] = None) -> NewtonPolytope:
     return NewtonPolytope(pg.hull(vertices, dim))
-
-
-def support_value(delta: NewtonPolytope, y: Point) -> Fraction:
-    """Value of the support function g_Delta(y) = max_{m in Delta} <m, y>."""
-    if len(y) != delta.dim:
-        raise DimensionMismatch(f"direction {y} vs dimension {delta.dim}")
-    return pg.support_value(delta.body, tuple(Fraction(c) for c in y))
 
 
 def _dual_forms(gens: pg.IntegerSites, d: int) -> Tuple[List[Tuple[int, int, int]], int]:
@@ -171,16 +164,6 @@ class ToricPsh:
             self._table = e, [(x * s, y * s, h) for (x, y), h in sorted(u.items())]
         return self._table
 
-    @property
-    def pieces(self) -> Tuple[Tuple[Point, Fraction], ...]:
-        """Affine pieces of f as (slope, dual value at the slope).
-
-        The slopes are exactly the vertices of the regular subdivision of
-        Delta induced by lifting m to u(m), i.e. all cell vertices.
-        """
-        (den, rows), n = self.table, self.delta.dim
-        return tuple((tuple(Fraction(c, den) for c in r[:n]), Fraction(r[2], den)) for r in rows)
-
     def value(self, y: Point) -> Fraction:
         """f(y) = sup_{m in Delta}(<m, y> - u(m)), exact: with y = Y / D_y,
         one integer max of V_0 Y_0 + V_1 Y_1 - U D_y over the table rows."""
@@ -206,14 +189,17 @@ class ToricPsh:
         return pg.clip(self.delta.body, halfspaces)
 
     def __eq__(self, other):
+        """Equal polytopes and `integer_generators`, which every route
+        builds in one canonical form: sorted by site, in lowest terms."""
         return (
             isinstance(other, ToricPsh)
             and self.delta == other.delta
-            and self.generators == other.generators
+            and self.integer_generators == other.integer_generators
         )
 
     def __hash__(self):
-        return hash((self.delta, self.generators))
+        xs, d, ts, e = self.integer_generators
+        return hash((self.delta, tuple(xs), d, tuple(ts), e))
 
     def __repr__(self):
         return f"ToricPsh(delta={self.delta!r}, generators={list(self.generators)})"
@@ -406,11 +392,11 @@ def mixed_ma(fs: Sequence[ToricPsh]) -> AtomicMeasure:
     """
     fs = list(fs)
     if not fs:
-        raise WrongArity("mixed measure of zero potentials")
+        raise ArityMismatch("mixed measure of zero potentials")
     delta = fs[0].delta
     n = delta.dim
     if len(fs) != n:
-        raise WrongArity(f"need exactly {n} potentials, got {len(fs)}")
+        raise ArityMismatch(f"need exactly {n} potentials, got {len(fs)}")
     for f in fs[1:]:
         if f.delta != delta:
             raise DeltaMismatch("mixed measure over different polytopes")

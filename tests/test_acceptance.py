@@ -13,6 +13,7 @@ from nama import solver as sv
 from nama import toric as tc
 from nama.linalg import integers
 from nama.polyhedra import sub
+from test_polyhedra import support_value
 
 BASE_SEED = 20260811
 
@@ -165,7 +166,7 @@ def test_criterion_08_solver_existence_uniqueness():
         assert s1.iterations <= 10_000
         assert float(s1.residual) <= 1e-10 * float(delta.volume)
         xbar = p.barycenter()
-        base = [tc.support_value(delta, sub(x, xbar)) for x in p.sites]
+        base = [support_value(delta.body, sub(x, xbar)) for x in p.sites]
         init2 = tuple(ti + F(rng.int_between(-2, 2), 8) for ti in base)
         s2 = sv.solve(p, sv.SolverConfig(mode="float", tol=tol, init=init2))
         diffs = [float(a - b) for a, b in zip(s1.t, s2.t)]

@@ -9,6 +9,7 @@ from nama import harness as hx
 from nama import toric as tc
 from nama.errors import CandidateOutOfRange, UnknownSuite
 from test_polyhedra import contains
+from test_toric import pieces
 
 
 def gen_toric_instance(cfg: hx.GenConfig):
@@ -66,14 +67,14 @@ class TestGenerators:
                 for x, t in f.generators:
                     assert f.value(x) == t
                 hull_body = delta.body
-                for v, _uv in f.pieces:
+                for v, _uv in pieces(f):
                     assert contains(hull_body, v)
 
 
 def lattice_slopes(f, m):
     """Whether every slope of f lies on the (1/m)-lattice, as the zariski
     suite asks of its envelope, read off the Fraction pieces."""
-    return all((v[0] * m).denominator == 1 for v, _ in f.pieces)
+    return all((v[0] * m).denominator == 1 for v, _ in pieces(f))
 
 
 class TestZariskiLatticeFlag:
@@ -93,6 +94,7 @@ class TestZariskiLatticeFlag:
     def test_true_and_false(self, ends, constraints, flags):
         f = tc.envelope(tc.newton_polytope([(c,) for c in ends], 1), constraints)
         assert [lattice_slopes(f, m) for m in self.LADDER] == flags
+        assert [hx._slopes_on_lattice(f, m) for m in self.LADDER] == flags
 
 
 class TestSuites:

@@ -403,7 +403,7 @@ def test_an_envelope_makes_its_fractions_only_when_its_generators_are_read(monke
     doc = dict(
         ENVELOPE,
         polytope={"vertices": [["0", "0"], ["5/2", "0"], ["3", "3/2"], ["1", "11/4"], ["-1/2", "2"]]},
-        constraints=[{"site": [io.format_scalar(c) for c in x], "value": io.format_scalar(t)} for x, t in cons],
+        constraints=[{"site": [str(c) for c in x], "value": str(t)} for x, t in cons],
     )
     text, created, new = json.dumps(doc), [], fractions.Fraction.__new__
 
@@ -486,9 +486,7 @@ class TestCli:
         delta = tc.newton_polytope([(0, 0), (1, 0), (1, 1), (0, 1)], 2)
         expected = tc.envelope(delta, [((F(1, 3), F(1, 2)), 0)])
         shift = max(expected.value(x) for x in [(F(1, 3), F(1, 2))])
-        assert gens[0]["value"] == io.format_scalar(F(0) - shift) or gens[0][
-            "value"
-        ] == io.format_scalar(F(0))
+        assert gens[0]["value"] in (str(F(0) - shift), str(F(0)))
 
     def test_solve_determinism(self, tmp_path):
         inst = self.write(tmp_path, DIRAC)

@@ -63,9 +63,11 @@ def unreferenced(sources: dict, traced: dict) -> list:
     and the methods, properties and class-level names (`values =
     cached_property(...)`) of those classes other than dunders that no
     module but `__init__` reads as an attribute (a local variable of the
-    same name does not read them), leaving out what `traced`
+    same name does not read them); a read inside a function of the same
+    name, such as a wrapper calling its namesake in another module, does
+    not count.  What `traced`
     (module -> names, as in the tracer's LAYERS, a method as
-    "Class.method") lists."""
+    "Class.method") lists, is left out."""
     defined, names, attributes = [], set(), set()
     for module, source in sources.items():
         tree = ast.parse(source)
@@ -79,12 +81,16 @@ def unreferenced(sources: dict, traced: dict) -> list:
                     if isinstance(t, ast.Name)
                 ]
                 defined += [(module, f"{node.name}.{name}", name) for name in members if not name.startswith("__")]
-        if module != "__init__":
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    attributes.add(node.attr)
+        stack = [(tree, ())] if module != "__init__" else []
+        while stack:
+            node, inside = stack.pop()
+            if isinstance(node, ast.FunctionDef):
+                inside += (node.name,)
+            if isinstance(node, ast.Name) and node.id not in inside:
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and node.attr not in inside:
+                attributes.add(node.attr)
+            stack += [(child, inside) for child in ast.iter_child_nodes(node)]
     return [
         f"{m}.{qual}"
         for m, qual, name in defined
@@ -108,6 +114,20 @@ def test_the_reference_check_skips_init_and_traced_names():
         "solver": "x = pg.Cell\n",
     }
     assert unreferenced(sources, {"toric": ["traced"]}) == ["toric.g", "toric.lonely"]
+
+
+def test_the_reference_check_skips_reads_in_a_namesake():
+    """A wrapper that calls its namesake in another module, or a function
+    that calls itself, keeps neither alive; a read elsewhere keeps both."""
+    sources = {
+        "toric": "def support_value(d, y):\n    return pg.support_value(d.body, y)\n",
+        "polyhedra": "def support_value(p, y):\n    return support_value(p, y[1:]) if y else 0\n",
+        "harness": "def gen(d):\n    return d\n",
+        "solver": "x = gen(1)\n",
+    }
+    assert unreferenced(sources, {}) == ["toric.support_value", "polyhedra.support_value"]
+    sources["harness"] = "def gen(d):\n    return tc.support_value(d, ())\n"
+    assert unreferenced(sources, {}) == []
 
 
 def test_the_reference_check_sees_methods_and_properties():

@@ -37,6 +37,11 @@ def fraction_walls(diagram):
     return [(i, j, F(v, den)) for i, j, v in walls]
 
 
+def support_value(p, y):
+    """max over m in p of <m, y>, in Fractions over the vertex list."""
+    return max(pg.dot(v, y) for v in p.vertices)
+
+
 def contains(p, q):
     """Whether q lies in the polytope p: inside every facet when p is
     full-dimensional, else on the carrier of its point or segment
@@ -259,7 +264,7 @@ class TestMinkowski:
         s = pg.minkowski_sum(a, b)
         for _ in range(100):
             y = (F(rng.randint(-9, 9)), F(rng.randint(-9, 9)))
-            assert pg.support_value(s, y) == pg.support_value(a, y) + pg.support_value(b, y)
+            assert support_value(s, y) == support_value(a, y) + support_value(b, y)
 
 
 def lp_hull_value(lifted, m):

@@ -9,6 +9,7 @@ from nama import curves as cv
 from nama import harness as hx
 from nama import polyhedra as pg
 from nama import toric as tc
+from test_polyhedra import support_value
 
 
 def fractions(bound=3, den=6):
@@ -62,7 +63,7 @@ def generated_deltas(draw):
 def test_g_delta_is_the_support_function(delta, coords):
     """g_Delta(y) = max over the vertices m of Delta of <m, y>, in Fractions."""
     y = tuple(coords[: delta.dim])
-    assert tc.g_delta(delta).value(y) == max(sum((a * b for a, b in zip(m, y)), F(0)) for m in delta.body.vertices)
+    assert tc.g_delta(delta).value(y) == support_value(delta.body, y)
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,8 +12,8 @@ from nama import harness as hx
 from nama import polyhedra as pg
 from nama import solver as sv
 from nama import toric as tc
-from nama.errors import ConsistencyError, DeltaMismatch, EmptyLattice, NotDominated, WrongArity
-from test_polyhedra import contains, eager_facets
+from nama.errors import ArityMismatch, ConsistencyError, DeltaMismatch, EmptyLattice, NotDominated
+from test_polyhedra import contains, eager_facets, support_value
 
 
 def cross(a, b):
@@ -38,25 +38,34 @@ SQ = square()
 TRI = triangle()
 
 
-def to_pieces(f):
-    """Primal view: (slope, intercept) pairs with f = max(<slope, y> + c).
+def pieces(f):
+    """Affine pieces of f as (slope, dual value at the slope), the Fraction
+    view of its integer `table`.
 
-    The slopes are the vertices of the regular subdivision of Delta
-    induced by the dual function.
+    The slopes are exactly the vertices of the regular subdivision of
+    Delta induced by lifting m to u(m), i.e. all cell vertices.
     """
-    return tuple((v, -uv) for v, uv in f.pieces)
+    (den, rows), n = f.table, f.delta.dim
+    return tuple((tuple(F(c, den) for c in r[:n]), F(r[2], den)) for r in rows)
+
+
+def to_pieces(f):
+    """Primal view: (slope, intercept) pairs with f = max(<slope, y> + c)."""
+    return tuple((v, -uv) for v, uv in pieces(f))
 
 
 class TestSupportValue:
+    """g_Delta is the support function of Delta."""
+
     def test_interval(self):
-        assert tc.support_value(UNIT, (-2,)) == 0
-        assert tc.support_value(UNIT, (3,)) == 3
+        assert tc.g_delta(UNIT).value((-2,)) == 0
+        assert tc.g_delta(UNIT).value((3,)) == 3
 
     def test_square(self):
-        assert tc.support_value(SQ, (2, -1)) == 2
+        assert tc.g_delta(SQ).value((2, -1)) == 2
 
     def test_triangle(self):
-        assert tc.support_value(TRI, (3, 5)) == 5
+        assert tc.g_delta(TRI).value((3, 5)) == 5
 
 
 class TestEnvelope:
@@ -67,7 +76,7 @@ class TestEnvelope:
             for _ in range(25):
                 y = tuple(F(rng.randint(-8, 8), 4) for _ in range(delta.dim))
                 shifted = tuple(a - F(b) for a, b in zip(y, x))
-                assert f.value(y) == tc.support_value(delta, shifted)
+                assert f.value(y) == support_value(delta.body, shifted)
 
     def test_g_delta_on_interval(self):
         f = tc.g_delta(UNIT)
@@ -139,18 +148,18 @@ def test_g_delta_is_the_envelope_of_the_origin_at_zero(delta):
     rng = random.Random(delta.dim)
     for _ in range(20):
         y = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(delta.dim))
-        assert g.value(y) == f.value(y) == tc.support_value(delta, y)
+        assert g.value(y) == f.value(y) == support_value(delta.body, y)
     assert tc.ma_measure(g) == tc.ma_measure(f)
 
 
 class TestPieces:
     def test_g_delta_pieces(self):
-        assert tc.g_delta(UNIT).pieces == (((F(0),), F(0)), ((F(1),), F(0)))
+        assert pieces(tc.g_delta(UNIT)) == (((F(0),), F(0)), ((F(1),), F(0)))
 
     def test_translate_pieces(self):
         x = (F(1, 3),)
         f = tc.envelope(UNIT, [(x, 0)])
-        assert f.pieces == (((F(0),), F(0)), ((F(1),), F(1, 3)))
+        assert pieces(f) == (((F(0),), F(0)), ((F(1),), F(1, 3)))
 
     def test_to_pieces_intercepts(self):
         x = (F(1, 3),)
@@ -179,7 +188,7 @@ class TestPieces:
         )
         for _ in range(100):
             y = (F(rng.randint(-9, 9), 2), F(rng.randint(-9, 9), 2))
-            assert f.value(y) == max(pg.dot(v, y) - uv for v, uv in f.pieces)
+            assert f.value(y) == max(pg.dot(v, y) - uv for v, uv in pieces(f))
 
 
 class TestMaxCombine:
@@ -264,7 +273,7 @@ class TestMixedMa:
 
     def test_wrong_arity(self):
         f = tc.g_delta(SQ)
-        with pytest.raises(WrongArity):
+        with pytest.raises(ArityMismatch):
             tc.mixed_ma([f])
 
     def test_against_mixed_volume_oracle(self):
@@ -848,7 +857,7 @@ class TestOrthogonalityDefect:
 
 
 def ref_pieces(f):
-    """The Fraction construction of `pieces`: u(v) = <x, v> - t at each
+    """The Fraction construction of the pieces: u(v) = <x, v> - t at each
     vertex v of a cell, read from the first cell that has v."""
     seen = {}
     for (x, t), cell in zip(f.generators, f.cells):
@@ -879,9 +888,9 @@ class TestIntegerPiecesAgainstFractions:
     def test_pieces_and_values(self, dim):
         rng = random.Random(223 + dim)
         for f in _derived_potentials(dim, range(12)):
-            pieces = ref_pieces(f)
-            assert f.pieces == pieces
-            assert all(type(c) is F for v, u in pieces for c in v + (u,))
+            want = ref_pieces(f)
+            assert pieces(f) == want
+            assert all(type(c) is F for v, u in want for c in v + (u,))
             points = [
                 tuple(rng.randint(-9, 9) for _ in range(dim)),
                 tuple(F(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(dim)),
@@ -891,7 +900,7 @@ class TestIntegerPiecesAgainstFractions:
             for y in points:
                 got = f.value(y)
                 assert type(got) is F
-                assert got == max(pg.dot(v, y) - uv for v, uv in pieces)
+                assert got == max(pg.dot(v, y) - uv for v, uv in want)
 
     def test_generators_interpolate(self):
         for dim in (1, 2):
@@ -902,7 +911,7 @@ class TestIntegerPiecesAgainstFractions:
         f = tc.envelope(SQ, [((0, 0), 0), ((1, 1), F(1, 2)), ((-1, 2), F(3, 4))])
         for c in (F(5, 3), F(-1, 7), 2):
             g = f.shift(c)
-            assert g.pieces == tuple((v, u - c) for v, u in f.pieces) == ref_pieces(g)
+            assert pieces(g) == tuple((v, u - c) for v, u in pieces(f)) == ref_pieces(g)
             for y in ((0, 0), (F(1, 3), F(-5, 2)), (7, F(10**12 + 1, 10**9))):
                 assert g.value(y) == f.value(y) + c
 
@@ -1027,3 +1036,16 @@ class TestEquality:
                 gens[a] = (x, t - F(1, 5))
                 assert tc.envelope(f.delta, gens) != f
         assert tc.g_delta(SQ).shift(1) != tc.g_delta(SQ) != tc.g_delta(TRI)
+
+    def test_comparing_makes_no_fraction(self, monkeypatch):
+        """Equality and hashing read `integer_generators`: comparing two
+        built potentials makes no Fraction."""
+        import fractions
+
+        pairs = [(f, h) for f, g in _seeded_pairs(2, range(4)) for h in (g, tc.max_combine(f, f))]
+        created, new = [], fractions.Fraction.__new__
+        monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(lambda cls, *a, **k: created.append(a) or new(cls, *a, **k)))
+        outcomes = [(f == h, hash(f) == hash(h)) for f, h in pairs]
+        monkeypatch.undo()
+        assert created == []
+        assert outcomes == [(False, False), (True, True)] * 4
